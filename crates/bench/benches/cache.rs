@@ -13,13 +13,26 @@
 //!   (Q5's region): steady state serves Arc-shared results without
 //!   re-execution.
 //!
+//! The `cache_lru` group measures the caching tier itself on point
+//! lookups over a 1024-row table, where execution is a few microseconds:
+//! * `executed_full_{1,16,64}k` — a never-seen literal with the result
+//!   cache held full at that many entries, so every statement is a plan
+//!   hit, an execution, an insert and an eviction. The LRU is a recency
+//!   list, so the three must be flat (the victim scan it replaced made
+//!   them linear in the population).
+//! * `hit_exact_repeat` / `hit_fresh_text` — a result hit for a text the
+//!   statement memo knows, and for a new text (a trailing comment) of the
+//!   same statement, which pays the parser and the normalizer first.
+//!
 //! Run with `MONETLITE_BENCH_JSON=BENCH_cache.json cargo bench --bench
 //! cache` to record results; CI runs `cargo bench --bench cache --
 //! --test` as a smoke check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;
+use monetlite::types::ColumnBuffer;
 use monetlite_tpch::{generate, load_monet, queries};
+use std::sync::atomic::Ordering;
 
 const REGIONS: [&str; 5] = ["ASIA", "AMERICA", "EUROPE", "AFRICA", "MIDDLE EAST"];
 
@@ -138,5 +151,79 @@ fn bench_cache(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cache);
+/// A point lookup that returns one row for every `i >= 1` and shares its
+/// text with no other `i`.
+fn point(i: usize) -> String {
+    format!("SELECT v FROM kv WHERE k = {} AND v > -{i}", i % 1024)
+}
+
+fn bench_cache_lru(c: &mut Criterion) {
+    let db = monetlite::Database::open_in_memory();
+    let mut load = db.connect();
+    load.execute("CREATE TABLE kv (k INTEGER, v INTEGER)").unwrap();
+    load.append(
+        "kv",
+        vec![
+            ColumnBuffer::Int((0..1024).collect()),
+            ColumnBuffer::Int((0..1024).map(|k| 2 * k).collect()),
+        ],
+    )
+    .unwrap();
+    drop(load);
+
+    let mut g = c.benchmark_group("cache_lru");
+    g.sample_size(10);
+
+    // What one cached lookup accounts for, to turn an entry count into a
+    // byte budget.
+    let mut next = 1usize;
+    let mut fresh = |conn: &mut monetlite::Connection| {
+        next += 1;
+        conn.query(&point(next)).unwrap()
+    };
+    let mut probe = connect(&db, true, true);
+    for _ in 0..64 {
+        fresh(&mut probe);
+    }
+    let per_entry = db.result_cache().bytes() / db.result_cache().len();
+
+    for population in [1_000usize, 16_000, 64_000] {
+        let mut conn = db.connect();
+        conn.set_exec_options(ExecOptions {
+            result_cache_bytes: per_entry * population,
+            ..opts(true, true)
+        });
+        // Fill past the budget: from here on every insert evicts.
+        let before = db.result_cache().evictions.load(Ordering::Relaxed);
+        while db.result_cache().evictions.load(Ordering::Relaxed) < before + 64 {
+            fresh(&mut conn);
+        }
+        let held = db.result_cache().len();
+        assert!(
+            held > population - population / 8 && held <= population,
+            "cache holds {held} entries, wanted ~{population}"
+        );
+        g.bench_function(format!("executed_full_{}k", population / 1000), |b| {
+            b.iter(|| fresh(&mut conn))
+        });
+        let counters = conn.last_exec_counters().unwrap();
+        assert_eq!((counters.plan_cache_hits, counters.result_cache_hits), (1, 0));
+    }
+
+    let mut conn = connect(&db, true, true);
+    conn.query(&point(7)).unwrap();
+    g.bench_function("hit_exact_repeat", |b| b.iter(|| conn.query(&point(7)).unwrap()));
+    assert_eq!(conn.last_exec_counters().unwrap().result_cache_hits, 1);
+    let mut i = 0usize;
+    g.bench_function("hit_fresh_text", |b| {
+        b.iter(|| {
+            i += 1;
+            conn.query(&format!("{} -- {i}", point(7))).unwrap()
+        })
+    });
+    assert_eq!(conn.last_exec_counters().unwrap().result_cache_hits, 1);
+    g.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_cache_lru);
 criterion_main!(benches);

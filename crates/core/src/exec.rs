@@ -118,8 +118,9 @@ pub struct ExecOptions {
     /// epoch) is unchanged. `false` executes every statement.
     pub use_result_cache: bool,
     /// Byte budget for the shared plan cache
-    /// (`MONETLITE_PLAN_CACHE_BYTES`); least-recently-used templates are
-    /// evicted past it.
+    /// (`MONETLITE_PLAN_CACHE_BYTES`): half for plan templates, a quarter
+    /// each for statement shapes and the statement-text memo; the least
+    /// recently used of each are evicted past its share.
     pub plan_cache_bytes: usize,
     /// Byte budget for the shared result cache
     /// (`MONETLITE_RESULT_CACHE_BYTES`); least-recently-used result sets
@@ -310,6 +311,10 @@ impl ExecCounters {
     }
 }
 
+/// Operator state may always claim 1/8 of the vmem budget, however full
+/// of resident columns it is (see [`ExecContext::spill_budget`]).
+pub const INHERITED_BUDGET_SHARE: usize = 8;
+
 /// Everything an execution needs.
 pub struct ExecContext<'a> {
     /// Catalog view.
@@ -369,7 +374,11 @@ impl<'a> ExecContext<'a> {
     /// The byte budget pipeline breakers must stay under, or `None` when
     /// unlimited. An explicit [`ExecOptions::memory_budget`] wins;
     /// otherwise the headroom of the attached [`Vmem`] budget applies —
-    /// operator state competes with resident columns for the same bytes.
+    /// operator state competes with resident columns for the same bytes —
+    /// but never less than [`INHERITED_BUDGET_SHARE`] of that budget:
+    /// earlier queries' resident columns can leave a headroom of ~0, and
+    /// a breaker that may hold nothing re-partitions every partition down
+    /// to the depth cap, writing thousands of tiny files.
     ///
     /// [`Vmem`]: monetlite_storage::Vmem
     pub fn spill_budget(&self) -> Option<usize> {
@@ -377,7 +386,9 @@ impl<'a> ExecContext<'a> {
             return Some(self.opts.memory_budget);
         }
         match &self.vmem {
-            Some(vm) if vm.budget() != usize::MAX => Some(vm.headroom()),
+            Some(vm) if vm.budget() != usize::MAX => {
+                Some(vm.headroom().max(vm.budget() / INHERITED_BUDGET_SHARE))
+            }
             _ => None,
         }
     }

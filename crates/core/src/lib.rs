@@ -56,7 +56,7 @@ use monetlite_storage::wal::WalRecord;
 use monetlite_storage::Bat;
 use monetlite_types::{ColumnBuffer, Field, LogicalType, MlError, Result, Schema, Value};
 use opt::OptFlags;
-use plan_cache::{PlanCache, PlanEntry, StmtMemo};
+use plan_cache::{CacheKey, Fingerprint, PlanCache, PlanEntry, StmtMemo};
 use result_cache::{ResultCache, ResultEntry};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -160,11 +160,13 @@ impl Database {
     /// §3.2). Connections are independent and provide transaction
     /// isolation between each other.
     pub fn connect(&self) -> Connection {
+        let stats_mode = opt::StatsMode::Real;
         Connection {
             store: self.store.clone(),
             exec_opts: self.opts.exec,
             opt_flags: self.opts.opt_flags,
-            stats_mode: opt::StatsMode::Real,
+            stats_mode,
+            fingerprint: Fingerprint::new(self.opts.opt_flags, stats_mode, &self.opts.exec),
             txn: None,
             last_counters: None,
             db_views: self.views.clone(),
@@ -208,8 +210,9 @@ impl Database {
 /// A columnar query result (the `monetdb_result` object of §3.2).
 #[derive(Debug, Clone)]
 pub struct QueryResult {
-    names: Vec<String>,
-    types: Vec<LogicalType>,
+    /// Header, shared with the result cache's copy of this result.
+    names: Arc<[String]>,
+    types: Arc<[LogicalType]>,
     cols: Vec<Arc<Bat>>,
     rows: usize,
     rows_affected: u64,
@@ -217,7 +220,13 @@ pub struct QueryResult {
 
 impl QueryResult {
     fn empty(rows_affected: u64) -> QueryResult {
-        QueryResult { names: vec![], types: vec![], cols: vec![], rows: 0, rows_affected }
+        QueryResult {
+            names: Arc::default(),
+            types: Arc::default(),
+            cols: vec![],
+            rows: 0,
+            rows_affected,
+        }
     }
 
     /// Number of result rows (`nrows`).
@@ -297,6 +306,9 @@ pub struct Connection {
     exec_opts: ExecOptions,
     opt_flags: OptFlags,
     stats_mode: opt::StatsMode,
+    /// Cache-key component covering the three settings above; re-rendered
+    /// by their setters, never per statement.
+    fingerprint: Arc<Fingerprint>,
     txn: Option<ActiveTxn>,
     last_counters: Option<exec::CountersSnapshot>,
     db_views: Arc<std::sync::Mutex<HashMap<String, ViewDef>>>,
@@ -413,6 +425,7 @@ impl Connection {
     /// Override execution options (threads, index flags, timeout...).
     pub fn set_exec_options(&mut self, opts: ExecOptions) {
         self.exec_opts = opts;
+        self.refresh_fingerprint();
     }
 
     /// Current execution options.
@@ -423,12 +436,18 @@ impl Connection {
     /// Override optimizer flags (ablation benches).
     pub fn set_opt_flags(&mut self, flags: OptFlags) {
         self.opt_flags = flags;
+        self.refresh_fingerprint();
     }
 
     /// Control how the optimizer sees statistics (differential tests:
     /// wrong statistics may change plans, never results).
     pub fn set_stats_mode(&mut self, mode: opt::StatsMode) {
         self.stats_mode = mode;
+        self.refresh_fingerprint();
+    }
+
+    fn refresh_fingerprint(&mut self) {
+        self.fingerprint = Fingerprint::new(self.opt_flags, self.stats_mode, &self.exec_opts);
     }
 
     /// Execution counters of the last successful SELECT on this
@@ -459,15 +478,15 @@ impl Connection {
                 return self.run_select_memo(&memo);
             }
         }
-        let stmt = monetlite_sql::parse_statement(sql)?;
-        if caches_on {
-            if let ast::Statement::Select(sel) = &stmt {
-                let memo = Arc::new(StmtMemo::build(sel));
-                self.plan_cache.memo_put(sql, memo.clone());
-                return self.run_select_memo(&memo);
+        match monetlite_sql::parse_statement(sql)? {
+            ast::Statement::Select(sel) if caches_on => {
+                let budget = self.exec_opts.plan_cache_bytes;
+                let memo = Arc::new(self.plan_cache.normalize(*sel, budget));
+                self.plan_cache.memo_put(sql, memo.clone(), budget);
+                self.run_select_memo(&memo)
             }
+            stmt => self.run_statement(stmt),
         }
-        self.run_statement(stmt)
     }
 
     /// Autocommit wrapper around the cached SELECT path (mirrors
@@ -649,7 +668,7 @@ impl Connection {
                 if self.exec_opts.use_plan_cache || self.exec_opts.use_result_cache {
                     // Script / non-memoized entry: normalize here so the
                     // statement still shares plan and result entries.
-                    let memo = StmtMemo::build(&sel);
+                    let memo = self.plan_cache.normalize(*sel, self.exec_opts.plan_cache_bytes);
                     self.run_select_cached(&memo)
                 } else {
                     self.run_select(&sel)
@@ -810,8 +829,7 @@ impl Connection {
                 .with_vmem(self.store.vmem().clone())
                 .with_interrupt(self.interrupt.clone());
             let chunk = exec::execute(&plan, &ctx)?;
-            let names: Vec<String> = plan.schema().iter().map(|c| c.name.clone()).collect();
-            let types: Vec<LogicalType> = plan.schema().iter().map(|c| c.ty).collect();
+            let (names, types) = plan_cache::header(&plan);
             // The counter estimate reads only *cached* statistics: a
             // joinless query whose planning never consulted stats must
             // not pay a full column scan for a diagnostic.
@@ -823,14 +841,6 @@ impl Connection {
         };
         self.last_counters = Some(counters);
         Ok(QueryResult { names, types, cols: chunk.cols, rows: chunk.rows, rows_affected: 0 })
-    }
-
-    /// Cache-key component covering everything besides the statement and
-    /// the data: optimizer flags, statistics mode, execution options and
-    /// the view catalog's epoch. Any change moves the key, so stale
-    /// entries are simply never looked up again (the LRU ages them out).
-    fn cache_fingerprint(&self, views_epoch: u64) -> String {
-        format!("{:?}|{:?}|{:?}|v{views_epoch}", self.opt_flags, self.stats_mode, self.exec_opts)
     }
 
     /// SELECT through the caching tier (paper §1/§4.2: an embedded
@@ -852,8 +862,7 @@ impl Connection {
         let (result, counters, store_result) = {
             let txn = self.txn.as_ref().expect("txn");
             let cacheable = txn.writes.is_empty();
-            let fp = self.cache_fingerprint(txn.views_epoch);
-            let rkey = format!("{}\u{1}{}", memo.result_key, fp);
+            let rkey = CacheKey::new(&self.fingerprint, txn.views_epoch, &memo.result_key);
 
             // 1. Result cache: a hit skips execution entirely, but must
             // still behave like a real statement — honour a pending
@@ -877,36 +886,30 @@ impl Connection {
                         estimated_rows: entry.estimated_rows,
                         ..Default::default()
                     });
-                    return Ok(QueryResult {
-                        names: entry.names.clone(),
-                        types: entry.types.clone(),
-                        cols: entry.cols.clone(),
-                        rows: entry.rows,
-                        rows_affected: 0,
-                    });
+                    return Ok(entry.result.clone());
                 }
                 self.result_cache.misses.fetch_add(1, Ordering::Relaxed);
             }
 
             let view = TxnView { tables: &txn.tables, views: &txn.views };
             let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
-            let pkey = format!("{}\u{1}{}", memo.plan_key, fp);
+            let pkey = CacheKey::new(&self.fingerprint, txn.views_epoch, &memo.shape.plan_key);
 
             // 2. Plan cache: reuse the optimized template, re-binding the
-            // statement's literals into its parameter slots.
-            let mut plan_hit = false;
-            let mut plan: Option<plan::Plan> = None;
+            // statement's literals into its parameter slots. A statement
+            // planned through a template shares the template's output
+            // header and dependency list rather than rebuilding them.
+            let mut planned: Option<(plan::Plan, Option<Arc<PlanEntry>>)> = None;
             if use_plan && cacheable {
                 if let Some(entry) = self.plan_cache.get_valid(&pkey, &txn.tables) {
-                    if let Some(p) = plan_cache::substitute_params(&entry.plan, &memo.params) {
-                        plan_hit = true;
-                        plan = Some(p);
-                    }
                     // A failed coercion (literal cannot take the
                     // template's type) falls through to a full replan.
+                    planned = plan_cache::substitute_params(&entry.plan, &memo.params)
+                        .map(|p| (p, Some(entry)));
                 }
             }
-            let plan = match plan {
+            let plan_hit = planned.is_some();
+            let (plan, template) = match planned {
                 Some(p) => p,
                 None if use_plan => {
                     // 3. Miss: bind + optimize the *parameterized*
@@ -915,26 +918,29 @@ impl Connection {
                     // statement's own literals back in.
                     self.plan_cache.misses.fetch_add(1, Ordering::Relaxed);
                     let template = Binder::with_params(&view, memo.params.clone())
-                        .bind_select(&memo.template_stmt)?;
+                        .bind_select(&memo.shape.template_stmt)?;
                     let template = opt::optimize(template, self.opt_flags, &stats, &view)?;
                     let substituted = plan_cache::substitute_params(&template, &memo.params)
                         .unwrap_or_else(|| template.clone());
-                    if cacheable {
-                        if let Some(deps) = plan_cache::collect_deps(&template, &txn.tables) {
+                    let entry = cacheable
+                        .then(|| plan_cache::collect_deps(&template, &txn.tables))
+                        .flatten()
+                        .map(|deps| {
+                            let entry = Arc::new(PlanEntry::new(template, deps));
                             self.plan_cache.put(
                                 pkey,
-                                PlanEntry { plan: template, deps },
+                                entry.clone(),
                                 self.exec_opts.plan_cache_bytes,
                             );
-                        }
-                    }
-                    substituted
+                            entry
+                        });
+                    (substituted, entry)
                 }
                 None => {
                     // Plan cache disabled (result cache only): plain
                     // bind + optimize of the original statement.
-                    let p = Binder::new(&view).bind_select(&memo.original_stmt)?;
-                    opt::optimize(p, self.opt_flags, &stats, &view)?
+                    let p = Binder::new(&view).bind_select(&memo.original_stmt())?;
+                    (opt::optimize(p, self.opt_flags, &stats, &view)?, None)
                 }
             };
             // Re-fold now that parameter slots are concrete literals, so
@@ -947,8 +953,10 @@ impl Connection {
                 .with_vmem(self.store.vmem().clone())
                 .with_interrupt(self.interrupt.clone());
             let chunk = exec::execute(&plan, &ctx)?;
-            let names: Vec<String> = plan.schema().iter().map(|c| c.name.clone()).collect();
-            let types: Vec<LogicalType> = plan.schema().iter().map(|c| c.ty).collect();
+            let (names, types) = match &template {
+                Some(t) => (t.names.clone(), t.types.clone()),
+                None => plan_cache::header(&plan),
+            };
             let cached = CachedTxnStats(&view);
             let counter_stats = opt::ModedStats { inner: &cached, mode: self.stats_mode };
             let mut counters = ctx.counters.snapshot();
@@ -959,9 +967,14 @@ impl Connection {
             }
             let result =
                 QueryResult { names, types, cols: chunk.cols, rows: chunk.rows, rows_affected: 0 };
-            // Populate the result cache from this execution.
+            // Populate the result cache from this execution. The
+            // template's dependencies (validated against this snapshot a
+            // moment ago) cover whatever the folded plan still scans.
             let store_result = (use_result && cacheable)
-                .then(|| plan_cache::collect_deps(&plan, &txn.tables))
+                .then(|| match &template {
+                    Some(t) => Some(t.deps.clone()),
+                    None => plan_cache::collect_deps(&plan, &txn.tables),
+                })
                 .flatten()
                 .map(|deps| (rkey, deps, counters.estimated_rows));
             (result, counters, store_result)
@@ -970,14 +983,7 @@ impl Connection {
         if let Some((rkey, deps, estimated_rows)) = store_result {
             self.result_cache.put(
                 rkey,
-                ResultEntry {
-                    names: result.names.clone(),
-                    types: result.types.clone(),
-                    cols: result.cols.clone(),
-                    rows: result.rows,
-                    estimated_rows,
-                    deps,
-                },
+                ResultEntry { result: result.clone(), estimated_rows, deps },
                 self.exec_opts.result_cache_bytes,
             );
         }
@@ -1000,25 +1006,19 @@ impl Connection {
         if (self.exec_opts.use_plan_cache || self.exec_opts.use_result_cache)
             && txn.writes.is_empty()
         {
-            let memo = StmtMemo::build(&sel);
-            let fp = self.cache_fingerprint(txn.views_epoch);
+            let memo = self.plan_cache.normalize(*sel, self.exec_opts.plan_cache_bytes);
+            let key = |statement| CacheKey::new(&self.fingerprint, txn.views_epoch, statement);
             let plan_cached = self.exec_opts.use_plan_cache
-                && self
-                    .plan_cache
-                    .get_valid(&format!("{}\u{1}{}", memo.plan_key, fp), &txn.tables)
-                    .is_some();
+                && self.plan_cache.get_valid(&key(&memo.shape.plan_key), &txn.tables).is_some();
             let result_cached = self.exec_opts.use_result_cache
-                && self
-                    .result_cache
-                    .get_valid(&format!("{}\u{1}{}", memo.result_key, fp), &txn.tables)
-                    .is_some();
+                && self.result_cache.get_valid(&key(&memo.result_key), &txn.tables).is_some();
             text.push_str(&mal::cache_tags(plan_cached, result_cached));
         }
         let lines: Vec<Option<String>> = text.lines().map(|l| Some(l.to_string())).collect();
         let rows = lines.len();
         Ok(QueryResult {
-            names: vec!["mal".into()],
-            types: vec![LogicalType::Varchar],
+            names: Arc::new(["mal".into()]),
+            types: Arc::new([LogicalType::Varchar]),
             cols: vec![Arc::new(Bat::from_buffer(&ColumnBuffer::Varchar(lines)))],
             rows,
             rows_affected: 0,

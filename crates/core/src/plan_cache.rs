@@ -28,14 +28,19 @@
 //!   invalidation at all: the optimizer flags, stats mode, `ExecOptions`
 //!   and the view epoch are part of the key.
 
+use crate::exec::ExecOptions;
 use crate::expr::BExpr;
+use crate::opt::{OptFlags, StatsMode};
 use crate::plan::Plan;
 use monetlite_sql::ast::SelectStmt;
 use monetlite_sql::canon;
 use monetlite_storage::catalog::TableMeta;
 use monetlite_storage::store::TEMP_TABLE_ID_BASE;
-use monetlite_types::Value;
+use monetlite_types::{LogicalType, Value};
+use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -57,7 +62,7 @@ pub struct Dep {
 /// Fingerprint the plan's base-table inputs against the transaction's
 /// snapshot. `None` when a scanned table is missing or carries a
 /// temporary (uncommitted) id — such a statement must not be cached.
-pub fn collect_deps(plan: &Plan, tables: &HashMap<String, Arc<TableMeta>>) -> Option<Vec<Dep>> {
+pub fn collect_deps(plan: &Plan, tables: &HashMap<String, Arc<TableMeta>>) -> Option<Arc<[Dep]>> {
     let mut names = Vec::new();
     collect_scans(plan, &mut names);
     names.sort();
@@ -70,7 +75,13 @@ pub fn collect_deps(plan: &Plan, tables: &HashMap<String, Arc<TableMeta>>) -> Op
         }
         deps.push(Dep { table: n, id: meta.id, version: meta.version });
     }
-    Some(deps)
+    Some(deps.into())
+}
+
+/// Output column names and types of `plan`.
+pub fn header(plan: &Plan) -> (Arc<[String]>, Arc<[LogicalType]>) {
+    let schema = plan.schema();
+    (schema.iter().map(|c| c.name.clone()).collect(), schema.iter().map(|c| c.ty).collect())
 }
 
 /// True when every stored dependency still matches the snapshot exactly.
@@ -272,85 +283,288 @@ fn walk_params(e: &BExpr, f: &mut dyn FnMut(usize, &Value)) {
 }
 
 // ---------------------------------------------------------------------------
+// Cache keys
+// ---------------------------------------------------------------------------
+
+/// Everything a cached plan or result depends on besides the statement,
+/// the view catalog and the data: optimizer flags, statistics mode and
+/// the full `ExecOptions`. Rendered (and hashed) once when a connection's
+/// options change and shared by `Arc` from then on, so a statement never
+/// formats an option struct and a cache entry never holds its own copy.
+pub struct Fingerprint {
+    text: String,
+    hash: u64,
+}
+
+impl Fingerprint {
+    /// Render the option triple.
+    pub fn new(flags: OptFlags, mode: StatsMode, opts: &ExecOptions) -> Arc<Fingerprint> {
+        let text = format!("{flags:?}|{mode:?}|{opts:?}");
+        let mut h = DefaultHasher::new();
+        text.hash(&mut h);
+        Arc::new(Fingerprint { hash: h.finish(), text })
+    }
+}
+
+/// Key of both caches. Changing any component moves the key space, so
+/// entries stored under other options or another view catalog are simply
+/// never looked up again (the LRU ages them out).
+#[derive(Clone)]
+pub struct CacheKey {
+    /// The connection's option fingerprint.
+    pub fingerprint: Arc<Fingerprint>,
+    /// The view catalog's epoch in the transaction's snapshot.
+    pub views_epoch: u64,
+    /// Canonical statement: [`Shape::plan_key`] for the plan cache,
+    /// [`StmtMemo::result_key`] for the result cache.
+    pub statement: Arc<str>,
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, o: &CacheKey) -> bool {
+        // Fingerprints are compared by content (the hash only routes):
+        // two connections with equal options hold different `Arc`s.
+        self.views_epoch == o.views_epoch
+            && self.statement == o.statement
+            && (Arc::ptr_eq(&self.fingerprint, &o.fingerprint)
+                || self.fingerprint.text == o.fingerprint.text)
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint.hash);
+        state.write_u64(self.views_epoch);
+        self.statement.hash(state);
+    }
+}
+
+impl CacheKey {
+    /// Key of `statement` under a connection's options and view catalog.
+    pub fn new(fingerprint: &Arc<Fingerprint>, views_epoch: u64, statement: &Arc<str>) -> CacheKey {
+        CacheKey { fingerprint: fingerprint.clone(), views_epoch, statement: statement.clone() }
+    }
+
+    /// Bytes an entry under this key accounts for the key itself. The
+    /// fingerprint is shared, but among an unknown number of entries (a
+    /// connection whose options keep changing leaves one per change), so
+    /// each entry is charged for it in full: an upper bound on the real
+    /// footprint, and what an entry was charged when every key carried
+    /// its own copy — eviction and hit ratios are what they were.
+    pub(crate) fn weight(&self) -> usize {
+        self.statement.len() + self.fingerprint.text.len()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // LRU with a byte budget
 // ---------------------------------------------------------------------------
 
-struct Slot<V> {
+/// "No neighbour" in the recency list.
+const NIL: usize = usize::MAX;
+
+struct Node<K, V> {
+    key: K,
     v: Arc<V>,
     bytes: usize,
-    last_used: u64,
+    /// Neighbour towards the most recently used end.
+    prev: usize,
+    /// Neighbour towards the least recently used end.
+    next: usize,
 }
 
-/// A mutex-guarded LRU map with a byte budget, shared by both caches.
-pub(crate) struct Lru<V> {
-    inner: Mutex<LruInner<V>>,
+/// A mutex-guarded exact-LRU map with a byte budget: the plan templates,
+/// the result sets, the statement memo and its shapes are each one of
+/// these. Entries live in a slab and are threaded on a doubly linked
+/// recency list by slab index, so lookup, insert, removal and each
+/// eviction are O(1) whatever the population. Keys are cloned into the
+/// index and the slab; both key types in use are `Arc`-backed, so the
+/// key bytes exist once.
+pub(crate) struct Lru<V, K = Arc<str>> {
+    inner: Mutex<LruInner<V, K>>,
 }
 
-struct LruInner<V> {
-    map: HashMap<String, Slot<V>>,
-    tick: u64,
+struct LruInner<V, K> {
+    index: HashMap<K, usize>,
+    nodes: Vec<Option<Node<K, V>>>,
+    free: Vec<usize>,
+    /// Most recently used.
+    head: usize,
+    /// Least recently used: the next victim.
+    tail: usize,
     bytes: usize,
 }
 
-impl<V> Default for Lru<V> {
+impl<V, K> Default for LruInner<V, K> {
     fn default() -> Self {
-        Lru { inner: Mutex::new(LruInner { map: HashMap::new(), tick: 0, bytes: 0 }) }
+        LruInner {
+            index: HashMap::new(),
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            bytes: 0,
+        }
     }
 }
 
-impl<V> Lru<V> {
-    pub fn get(&self, key: &str) -> Option<Arc<V>> {
-        let mut g = self.inner.lock().expect("cache lock");
-        g.tick += 1;
-        let tick = g.tick;
-        let slot = g.map.get_mut(key)?;
-        slot.last_used = tick;
-        Some(slot.v.clone())
+impl<V, K> Default for Lru<V, K> {
+    fn default() -> Self {
+        Lru { inner: Mutex::default() }
+    }
+}
+
+impl<V, K> LruInner<V, K> {
+    fn node(&mut self, i: usize) -> &mut Node<K, V> {
+        self.nodes[i].as_mut().expect("linked slot is occupied")
     }
 
-    pub fn put(&self, key: String, v: Arc<V>, bytes: usize, budget: usize) {
-        let mut g = self.inner.lock().expect("cache lock");
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = {
+            let n = self.node(i);
+            (n.prev, n.next)
+        };
+        match prev {
+            NIL => self.head = next,
+            p => self.node(p).next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.node(n).prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        let head = self.head;
+        let n = self.node(i);
+        n.prev = NIL;
+        n.next = head;
+        match head {
+            NIL => self.tail = i,
+            h => self.node(h).prev = i,
+        }
+        self.head = i;
+    }
+
+    /// Unlink slot `i` and free it; the caller drops the index entry.
+    fn release(&mut self, i: usize) -> Node<K, V> {
+        self.unlink(i);
+        let n = self.nodes[i].take().expect("linked slot is occupied");
+        self.free.push(i);
+        self.bytes -= n.bytes;
+        n
+    }
+}
+
+impl<V, K: Hash + Eq + Clone> Lru<V, K> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, LruInner<V, K>> {
+        self.inner.lock().expect("cache lock")
+    }
+
+    pub fn get<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut g = self.lock();
+        let i = *g.index.get(key)?;
+        if g.head != i {
+            g.unlink(i);
+            g.push_front(i);
+        }
+        Some(g.node(i).v.clone())
+    }
+
+    /// Fetch an entry `valid` accepts. A rejected entry is dropped — but
+    /// only if it is still the one stored: between the fetch and the
+    /// removal another connection may have stored a fresh, valid entry
+    /// under the same key, and that one must survive.
+    pub fn get_valid<Q>(&self, key: &Q, valid: impl FnOnce(&V) -> bool) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let entry = self.get(key)?;
+        if valid(&entry) {
+            return Some(entry);
+        }
+        self.remove_if(key, |v| Arc::ptr_eq(v, &entry));
+        None
+    }
+
+    /// Store `v` under `key`, accounting `bytes` against `budget`, then
+    /// evict from the least recently used end until the budget holds.
+    /// Returns the number of entries evicted.
+    pub fn put(&self, key: K, v: Arc<V>, bytes: usize, budget: usize) -> u64 {
         // One entry larger than the whole budget is not cacheable.
         if bytes > budget {
-            return;
+            return 0;
         }
-        g.tick += 1;
-        let tick = g.tick;
-        if let Some(old) = g.map.insert(key, Slot { v, bytes, last_used: tick }) {
-            g.bytes -= old.bytes;
-        }
-        g.bytes += bytes;
-        while g.bytes > budget {
-            let Some(victim) =
-                g.map.iter().min_by_key(|(_, s)| s.last_used).map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            if let Some(s) = g.map.remove(&victim) {
-                g.bytes -= s.bytes;
+        let mut g = self.lock();
+        match g.index.get(&key).copied() {
+            Some(i) => {
+                let n = g.node(i);
+                let old = std::mem::replace(&mut n.bytes, bytes);
+                n.v = v;
+                g.bytes -= old;
+                g.unlink(i);
+                g.push_front(i);
+            }
+            None => {
+                let node = Node { key: key.clone(), v, bytes, prev: NIL, next: NIL };
+                let i = match g.free.pop() {
+                    Some(i) => {
+                        g.nodes[i] = Some(node);
+                        i
+                    }
+                    None => {
+                        g.nodes.push(Some(node));
+                        g.nodes.len() - 1
+                    }
+                };
+                g.index.insert(key, i);
+                g.push_front(i);
             }
         }
+        g.bytes += bytes;
+        let mut evicted = 0;
+        while g.bytes > budget && g.tail != NIL {
+            let tail = g.tail;
+            let victim = g.release(tail);
+            g.index.remove(&victim.key);
+            evicted += 1;
+        }
+        evicted
     }
 
-    pub fn remove(&self, key: &str) {
-        let mut g = self.inner.lock().expect("cache lock");
-        if let Some(s) = g.map.remove(key) {
-            g.bytes -= s.bytes;
+    /// Remove the entry under `key` if `pred` accepts it.
+    pub fn remove_if<Q>(&self, key: &Q, pred: impl FnOnce(&Arc<V>) -> bool) -> bool
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut g = self.lock();
+        let Some(&i) = g.index.get(key) else { return false };
+        if !pred(&g.node(i).v) {
+            return false;
         }
+        g.index.remove(key);
+        g.release(i);
+        true
     }
 
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
+        self.lock().index.len()
     }
 
     pub fn bytes(&self) -> usize {
-        self.inner.lock().expect("cache lock").bytes
+        self.lock().bytes
     }
 
     pub fn clear(&self) {
-        let mut g = self.inner.lock().expect("cache lock");
-        g.map.clear();
-        g.bytes = 0;
+        *self.lock() = LruInner::default();
     }
 }
 
@@ -358,36 +572,34 @@ impl<V> Lru<V> {
 // Statement memo and the plan cache proper
 // ---------------------------------------------------------------------------
 
+/// What every statement of one *shape* (same text up to WHERE-clause
+/// literals) shares.
+pub struct Shape {
+    /// Canonical rendering of the parameterized statement (the plan
+    /// -cache key material).
+    pub plan_key: Arc<str>,
+    /// The parameterized AST (template binding input).
+    pub template_stmt: SelectStmt,
+}
+
 /// Pure, per-text normalization memo entry: everything derivable from
 /// the SQL text alone (no catalog state), so it can never go stale. A
 /// repeat of the *exact* text skips the parser as well as the binder.
 pub struct StmtMemo {
-    /// Canonical rendering of the statement with literals in place (the
+    /// Canonical rendering of the statement including its literals (the
     /// result-cache key material).
-    pub result_key: String,
-    /// Canonical rendering of the parameterized statement (the plan
-    /// -cache key material).
-    pub plan_key: String,
+    pub result_key: Arc<str>,
+    /// The statement's shape, shared with every other text of it.
+    pub shape: Arc<Shape>,
     /// Extracted WHERE-clause literals, aligned with the `?N` slots.
     pub params: Vec<Value>,
-    /// The parameterized AST (template binding input).
-    pub template_stmt: SelectStmt,
-    /// The original AST (cache-off / fallback binding input).
-    pub original_stmt: SelectStmt,
 }
 
 impl StmtMemo {
-    /// Normalize a parsed SELECT.
-    pub fn build(sel: &SelectStmt) -> StmtMemo {
-        let result_key = canon::canon_select_full(sel);
-        let n = canon::normalize_select(sel);
-        StmtMemo {
-            result_key,
-            plan_key: n.key,
-            params: n.params,
-            template_stmt: n.stmt,
-            original_stmt: sel.clone(),
-        }
+    /// The statement as parsed, literals in place (the binding input
+    /// when the plan cache is off and no template is wanted).
+    pub fn original_stmt(&self) -> SelectStmt {
+        canon::restore_literals(&self.shape.template_stmt, &self.params)
     }
 }
 
@@ -395,66 +607,106 @@ impl StmtMemo {
 pub struct PlanEntry {
     /// Optimized plan with `BExpr::Param` slots.
     pub plan: Plan,
-    /// Input-table fingerprints at store time.
-    pub deps: Vec<Dep>,
+    /// Input-table fingerprints at store time; shared with the results
+    /// executed from this template.
+    pub deps: Arc<[Dep]>,
+    /// Output column names of the template, hence of every statement
+    /// substituted from it; their results share this header.
+    pub names: Arc<[String]>,
+    /// Output column types.
+    pub types: Arc<[LogicalType]>,
 }
 
-/// The shared plan cache: a text → normalization memo plus the template
-/// store. Hit/miss/invalidation counters aggregate across connections.
+impl PlanEntry {
+    /// A template over `deps`.
+    pub fn new(plan: Plan, deps: Arc<[Dep]>) -> PlanEntry {
+        let (names, types) = header(&plan);
+        PlanEntry { plan, deps, names, types }
+    }
+}
+
+/// The shared plan cache: a text → normalization memo, the shapes the
+/// memo entries share, and the template store. Counters aggregate across
+/// connections.
+///
+/// `ExecOptions::plan_cache_bytes` covers all three: half for the
+/// templates and a quarter each for the shapes and the text memo. A memo
+/// entry is a few hundred bytes and a result entry a few thousand, so
+/// with the shipped budgets (64 MiB here, 256 MiB of results) the memo
+/// holds at least as many texts as the result cache holds results, and a
+/// result hit normally skips the parser too.
 #[derive(Default)]
 pub struct PlanCache {
-    memo: Mutex<HashMap<String, Arc<StmtMemo>>>,
-    templates: Lru<PlanEntry>,
+    memo: Lru<StmtMemo>,
+    shapes: Lru<Shape>,
+    templates: Lru<PlanEntry, CacheKey>,
     /// Template hits (bind+optimize skipped).
     pub hits: AtomicU64,
     /// Template misses (statement fully planned).
     pub misses: AtomicU64,
     /// Hits rejected because a dependency's id/version moved.
     pub invalidations: AtomicU64,
+    /// Templates evicted to stay within the byte budget.
+    pub evictions: AtomicU64,
 }
-
-/// Cap on distinct statement texts memoized; past it the memo is cleared
-/// wholesale (entries are pure functions of the text, so dropping them
-/// only costs a re-parse).
-const MEMO_CAP: usize = 4096;
 
 impl PlanCache {
     /// The memoized normalization of `sql`, if this exact text was seen.
     pub fn memo_get(&self, sql: &str) -> Option<Arc<StmtMemo>> {
-        self.memo.lock().expect("memo lock").get(sql).cloned()
+        self.memo.get(sql)
     }
 
     /// Memoize a normalization under its exact text.
-    pub fn memo_put(&self, sql: &str, m: Arc<StmtMemo>) {
-        let mut g = self.memo.lock().expect("memo lock");
-        if g.len() >= MEMO_CAP {
-            g.clear();
-        }
-        g.insert(sql.to_string(), m);
+    pub fn memo_put(&self, sql: &str, m: Arc<StmtMemo>, budget: usize) {
+        let bytes = sql.len()
+            + m.result_key.len()
+            + m.params.iter().map(value_weight).sum::<usize>()
+            + std::mem::size_of::<StmtMemo>()
+            + 128;
+        self.memo.put(sql.into(), m, bytes, budget / 4);
+    }
+
+    /// Normalize a parsed SELECT (consumed, not cloned): one pass
+    /// extracts the WHERE literals and renders the plan key, from which
+    /// the result key follows. The parameterized AST is kept once per
+    /// shape.
+    pub fn normalize(&self, sel: SelectStmt, budget: usize) -> StmtMemo {
+        let n = canon::normalize_select(sel);
+        let result_key: Arc<str> = n.result_key().into();
+        let shape = self.shapes.get(n.key.as_str()).unwrap_or_else(|| {
+            // The rendering is a few characters per AST node; a node is
+            // an order of magnitude larger.
+            let bytes = n.key.len() * 16 + std::mem::size_of::<Shape>();
+            let plan_key: Arc<str> = n.key.into();
+            let shape = Arc::new(Shape { plan_key: plan_key.clone(), template_stmt: n.stmt });
+            self.shapes.put(plan_key, shape.clone(), bytes, budget / 4);
+            shape
+        });
+        StmtMemo { result_key, shape, params: n.params }
     }
 
     /// Fetch a template if its dependencies still hold for `tables`.
     pub fn get_valid(
         &self,
-        key: &str,
+        key: &CacheKey,
         tables: &HashMap<String, Arc<TableMeta>>,
     ) -> Option<Arc<PlanEntry>> {
-        let entry = self.templates.get(key)?;
-        if deps_valid(&entry.deps, tables) {
-            Some(entry)
-        } else {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.templates.remove(key);
-            None
-        }
+        self.templates.get_valid(key, |e| {
+            let valid = deps_valid(&e.deps, tables);
+            if !valid {
+                self.invalidations.fetch_add(1, Ordering::Relaxed);
+            }
+            valid
+        })
     }
 
     /// Store a template under `key` within `budget` bytes.
-    pub fn put(&self, key: String, entry: PlanEntry, budget: usize) {
+    pub fn put(&self, key: CacheKey, entry: Arc<PlanEntry>, budget: usize) {
         // Plans are small trees; a coarse per-node proxy keeps the LRU
         // honest without a deep byte count.
-        let bytes = key.len() + plan_weight(&entry.plan) + entry.deps.len() * 64 + 128;
-        self.templates.put(key, Arc::new(entry), bytes, budget);
+        let bytes = key.weight() + plan_weight(&entry.plan) + entry.deps.len() * 64 + 128;
+        let evicted = self.templates.put(key, entry, bytes, budget / 2);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Number of cached templates.
@@ -470,8 +722,13 @@ impl PlanCache {
     /// Drop everything (tests).
     pub fn clear(&self) {
         self.templates.clear();
-        self.memo.lock().expect("memo lock").clear();
+        self.shapes.clear();
+        self.memo.clear();
     }
+}
+
+fn value_weight(v: &Value) -> usize {
+    std::mem::size_of::<Value>() + if let Value::Str(s) = v { s.len() } else { 0 }
 }
 
 fn plan_weight(p: &Plan) -> usize {
@@ -500,7 +757,7 @@ fn plan_weight(p: &Plan) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monetlite_types::LogicalType;
+    use proptest::prelude::*;
 
     fn meta(id: u64, version: u64) -> Arc<TableMeta> {
         use monetlite_storage::catalog::TableData;
@@ -524,7 +781,7 @@ mod tests {
         let plan =
             Plan::Scan { table: "t".into(), projected: vec![0], filters: vec![], schema: vec![] };
         let deps = collect_deps(&plan, &tables).unwrap();
-        assert_eq!(deps, vec![Dep { table: "t".into(), id: 3, version: 7 }]);
+        assert_eq!(*deps, [Dep { table: "t".into(), id: 3, version: 7 }]);
         assert!(deps_valid(&deps, &tables));
         tables.insert("t".to_string(), meta(3, 8));
         assert!(!deps_valid(&deps, &tables), "version bump invalidates");
@@ -541,6 +798,226 @@ mod tests {
         let plan =
             Plan::Scan { table: "t".into(), projected: vec![0], filters: vec![], schema: vec![] };
         assert!(collect_deps(&plan, &tables).is_none());
+    }
+
+    /// The LRU this module shipped before the recency list: victims are
+    /// found by scanning the whole map for the smallest tick. Kept as the
+    /// oracle the O(1) implementation is model-checked against.
+    #[derive(Default)]
+    struct ScanLru {
+        map: HashMap<String, (u32, usize, u64)>,
+        tick: u64,
+        bytes: usize,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: &str) -> Option<u32> {
+            self.tick += 1;
+            let slot = self.map.get_mut(key)?;
+            slot.2 = self.tick;
+            Some(slot.0)
+        }
+
+        /// Returns the victims in eviction order.
+        fn put(&mut self, key: &str, v: u32, bytes: usize, budget: usize) -> Vec<String> {
+            if bytes > budget {
+                return Vec::new();
+            }
+            self.tick += 1;
+            if let Some(old) = self.map.insert(key.to_string(), (v, bytes, self.tick)) {
+                self.bytes -= old.1;
+            }
+            self.bytes += bytes;
+            let mut victims = Vec::new();
+            while self.bytes > budget {
+                let Some(victim) = self.map.iter().min_by_key(|(_, s)| s.2).map(|(k, _)| k.clone())
+                else {
+                    break;
+                };
+                if let Some(s) = self.map.remove(&victim) {
+                    self.bytes -= s.1;
+                }
+                victims.push(victim);
+            }
+            victims
+        }
+
+        fn remove_if(&mut self, key: &str, pred: impl FnOnce(u32) -> bool) -> bool {
+            match self.map.get(key) {
+                Some(s) if pred(s.0) => {
+                    self.bytes -= s.1;
+                    self.map.remove(key);
+                    true
+                }
+                _ => false,
+            }
+        }
+
+        fn clear(&mut self) {
+            self.map.clear();
+            self.bytes = 0;
+        }
+    }
+
+    impl<V> Lru<V> {
+        /// Keys from most to least recently used (walks the whole list).
+        fn keys_by_recency(&self) -> Vec<String> {
+            let mut g = self.lock();
+            let mut out = Vec::new();
+            let mut i = g.head;
+            while i != NIL {
+                let n = g.node(i);
+                out.push(n.key.to_string());
+                i = n.next;
+            }
+            out
+        }
+    }
+
+    // Random op sequences with mixed entry sizes and moving budgets: the
+    // recency-list LRU and the scan oracle must agree on every lookup,
+    // every victim, the key set, `bytes()` and `len()`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn lru_matches_the_scan_oracle(
+            ops in collection::vec(0u64..u64::MAX, 1..400),
+        ) {
+            let lru: Lru<u32> = Lru::default();
+            let mut oracle = ScanLru::default();
+            for (step, op) in ops.iter().enumerate() {
+                let key = format!("k{}", (op >> 8) % 24);
+                let v = step as u32;
+                match op % 16 {
+                    0..=5 => {
+                        prop_assert_eq!(lru.get(key.as_str()).map(|a| *a), oracle.get(&key));
+                    }
+                    6..=12 => {
+                        // Sizes from tiny to larger than the smallest
+                        // budget, which must be refused.
+                        let bytes = [1, 40, 100, 333, 900, 2500][(op >> 16) as usize % 6];
+                        let budget = [1000, 1500, 4000][(op >> 24) as usize % 3];
+                        let mut before = lru.keys_by_recency();
+                        let n = lru.put(key.as_str().into(), Arc::new(v), bytes, budget);
+                        let victims = oracle.put(&key, v, bytes, budget);
+                        prop_assert_eq!(n as usize, victims.len());
+                        // The victims are exactly the oracle's, in its
+                        // order: least recently used first.
+                        before.retain(|k| *k != key);
+                        let gone: Vec<String> =
+                            before.iter().rev().take(victims.len()).cloned().collect();
+                        prop_assert_eq!(gone, victims);
+                    }
+                    13 => {
+                        prop_assert_eq!(
+                            lru.remove_if(key.as_str(), |_| true),
+                            oracle.remove_if(&key, |_| true)
+                        );
+                    }
+                    14 => {
+                        let want = (op >> 16) as u32 % (step as u32 + 1);
+                        prop_assert_eq!(
+                            lru.remove_if(key.as_str(), |a| **a == want),
+                            oracle.remove_if(&key, |a| a == want)
+                        );
+                    }
+                    _ => {
+                        if op >> 16 & 7 == 0 {
+                            lru.clear();
+                            oracle.clear();
+                        }
+                    }
+                }
+                let mut keys = lru.keys_by_recency();
+                keys.sort();
+                let mut want: Vec<String> = oracle.map.keys().cloned().collect();
+                want.sort();
+                prop_assert_eq!(keys, want);
+                prop_assert_eq!(lru.bytes(), oracle.bytes);
+                prop_assert_eq!(lru.len(), oracle.map.len());
+            }
+            // Slots are recycled: the slab never outgrows the population
+            // high-water mark (24 keys).
+            prop_assert!(lru.lock().nodes.len() <= 24);
+        }
+    }
+
+    fn scan_plan(table: &str) -> Plan {
+        Plan::Scan { table: table.into(), projected: vec![0], filters: vec![], schema: vec![] }
+    }
+
+    fn key(statement: &str) -> CacheKey {
+        let fingerprint =
+            Fingerprint::new(OptFlags::default(), StatsMode::Real, &ExecOptions::default());
+        CacheKey::new(&fingerprint, 0, &statement.into())
+    }
+
+    #[test]
+    fn eviction_counters_count_victims() {
+        // Budgets in units of one entry's weight: room for two and a half.
+        let cache = PlanCache::default();
+        let template = || Arc::new(PlanEntry::new(scan_plan("t"), Arc::default()));
+        cache.put(key("q0"), template(), usize::MAX);
+        let w = cache.templates.bytes();
+        for i in 1..5 {
+            // Templates get half of the plan-cache budget.
+            cache.put(key(&format!("q{i}")), template(), 5 * w);
+        }
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.evictions.load(Ordering::Relaxed), 3);
+
+        let results = crate::result_cache::ResultCache::default();
+        let result = || crate::result_cache::ResultEntry {
+            result: crate::QueryResult::empty(0),
+            estimated_rows: 0,
+            deps: Arc::default(),
+        };
+        results.put(key("q0"), result(), usize::MAX);
+        let w = results.bytes();
+        for i in 1..4 {
+            results.put(key(&format!("q{i}")), result(), 2 * w + w / 2);
+        }
+        assert_eq!(results.len(), 2);
+        assert_eq!(results.evictions.load(Ordering::Relaxed), 2);
+    }
+
+    /// Connection A fetches a template, finds it stale and is about to
+    /// drop it; before it does, connection B stores a fresh one under the
+    /// same key. A's removal must spare B's entry (the old `remove(key)`
+    /// threw it away).
+    #[test]
+    fn stale_removal_spares_a_concurrently_stored_entry() {
+        let lru: Lru<u32> = Lru::default();
+        lru.put("k".into(), Arc::new(1), 10, 100);
+        let got = lru.get_valid("k", |stale| {
+            assert_eq!(*stale, 1);
+            lru.put("k".into(), Arc::new(2), 10, 100); // connection B
+            false
+        });
+        assert!(got.is_none());
+        assert_eq!(lru.get("k").as_deref(), Some(&2), "the fresh entry was discarded");
+        // Uncontended, the stale entry itself goes.
+        assert!(lru.get_valid("k", |_| false).is_none());
+        assert!(lru.get("k").is_none());
+        assert_eq!(lru.bytes(), 0);
+    }
+
+    #[test]
+    fn keys_compare_fingerprints_by_content() {
+        let (a, b) = (key("select 1"), key("select 1"));
+        assert!(!Arc::ptr_eq(&a.fingerprint, &b.fingerprint));
+        assert!(a == b, "equal options on two connections must share entries");
+        let other = CacheKey {
+            fingerprint: Fingerprint::new(
+                OptFlags::default(),
+                StatsMode::TableRowsOnly,
+                &ExecOptions::default(),
+            ),
+            ..a.clone()
+        };
+        assert!(a != other);
+        assert!(a != CacheKey { views_epoch: 1, ..a.clone() });
     }
 
     #[test]

@@ -11,35 +11,30 @@
 //! evicted least-recently-used past the configured budget
 //! (`MONETLITE_RESULT_CACHE_BYTES`).
 
-use crate::plan_cache::{deps_valid, Dep, Lru};
-use monetlite_storage::bat::Bat;
+use crate::plan_cache::{deps_valid, CacheKey, Dep, Lru};
+use crate::QueryResult;
 use monetlite_storage::catalog::TableMeta;
-use monetlite_types::LogicalType;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One cached result set.
 pub struct ResultEntry {
-    /// Output column names.
-    pub names: Vec<String>,
-    /// Output column types.
-    pub types: Vec<LogicalType>,
-    /// Result columns, shared with every hit.
-    pub cols: Vec<Arc<Bat>>,
-    /// Row count.
-    pub rows: usize,
+    /// The result as handed to the first caller; a hit clones it (shared
+    /// header, shared columns).
+    pub result: QueryResult,
     /// Optimizer cardinality estimate recorded at store time (replayed
     /// into the hit's counter snapshot).
     pub estimated_rows: u64,
-    /// Input-table fingerprints at store time.
-    pub deps: Vec<Dep>,
+    /// Input-table fingerprints at store time (shared with the plan
+    /// template the statement ran from, when there was one).
+    pub deps: Arc<[Dep]>,
 }
 
 impl ResultEntry {
     fn mem_bytes(&self) -> usize {
-        let data: usize = self.cols.iter().map(|b| b.mem_bytes()).sum();
-        let names: usize = self.names.iter().map(|n| n.len() + 24).sum();
+        let data: usize = self.result.cols.iter().map(|b| b.mem_bytes()).sum();
+        let names: usize = self.result.names().iter().map(|n| n.len() + 24).sum();
         data + names + 256
     }
 }
@@ -47,36 +42,38 @@ impl ResultEntry {
 /// The shared result cache.
 #[derive(Default)]
 pub struct ResultCache {
-    entries: Lru<ResultEntry>,
+    entries: Lru<ResultEntry, CacheKey>,
     /// Hits (execution skipped entirely).
     pub hits: AtomicU64,
     /// Misses (statement executed).
     pub misses: AtomicU64,
     /// Hits rejected because a dependency's id/version moved.
     pub invalidations: AtomicU64,
+    /// Results evicted to stay within the byte budget.
+    pub evictions: AtomicU64,
 }
 
 impl ResultCache {
     /// Fetch a result if its dependencies still hold for `tables`.
     pub fn get_valid(
         &self,
-        key: &str,
+        key: &CacheKey,
         tables: &HashMap<String, Arc<TableMeta>>,
     ) -> Option<Arc<ResultEntry>> {
-        let entry = self.entries.get(key)?;
-        if deps_valid(&entry.deps, tables) {
-            Some(entry)
-        } else {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.entries.remove(key);
-            None
-        }
+        self.entries.get_valid(key, |e| {
+            let valid = deps_valid(&e.deps, tables);
+            if !valid {
+                self.invalidations.fetch_add(1, Ordering::Relaxed);
+            }
+            valid
+        })
     }
 
     /// Store a result under `key` within `budget` bytes.
-    pub fn put(&self, key: String, entry: ResultEntry, budget: usize) {
-        let bytes = key.len() + entry.mem_bytes();
-        self.entries.put(key, Arc::new(entry), bytes, budget);
+    pub fn put(&self, key: CacheKey, entry: ResultEntry, budget: usize) {
+        let bytes = key.weight() + entry.mem_bytes();
+        let evicted = self.entries.put(key, Arc::new(entry), bytes, budget);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 
     /// Number of cached results.

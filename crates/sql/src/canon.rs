@@ -12,8 +12,10 @@
 //! into [`Expr::Param`] placeholders so that the same query *shape*
 //! with different constants shares one plan-cache template. The
 //! parameterization is deliberately conservative (see the rules on
-//! `param_expr`); anything not parameterized simply stays in the key
-//! text, which is always sound.
+//! `walk_expr`); anything not parameterized simply stays in the key
+//! text, which is always sound. The result-cache key is derived from the
+//! same pass ([`NormalizedSelect::result_key`]): the parameterized
+//! rendering plus the extracted literals.
 
 use crate::ast::{Expr, IntervalUnit, OrderItem, SelectItem, SelectStmt, TableRef};
 use monetlite_types::Value;
@@ -27,32 +29,57 @@ use std::fmt::Write as _;
 /// their bit pattern, decimals as `raw.scale`, dates as the raw day
 /// count, and strings with `''`-escaped quotes.
 pub fn canon_value(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => format!("bool:{b}"),
-        Value::Int(i) => format!("int:{i}"),
-        Value::Bigint(i) => format!("bigint:{i}"),
-        Value::Double(d) => format!("double:{:016x}", d.to_bits()),
-        Value::Decimal(d) => format!("dec:{}.{}", d.raw, d.scale),
-        Value::Str(s) => format!("str:'{}'", s.replace('\'', "''")),
-        Value::Date(d) => format!("date:{}", d.0),
+    let mut out = String::new();
+    write_value(&mut out, v);
+    out
+}
+
+fn write_value(out: &mut String, v: &Value) {
+    let _ = match v {
+        Value::Null => write!(out, "null"),
+        Value::Bool(b) => write!(out, "bool:{b}"),
+        Value::Int(i) => write!(out, "int:{i}"),
+        Value::Bigint(i) => write!(out, "bigint:{i}"),
+        Value::Double(d) => write!(out, "double:{:016x}", d.to_bits()),
+        Value::Decimal(d) => write!(out, "dec:{}.{}", d.raw, d.scale),
+        Value::Str(s) => {
+            out.push_str("str:");
+            write_quoted(out, s);
+            Ok(())
+        }
+        Value::Date(d) => write!(out, "date:{}", d.0),
+    };
+}
+
+/// `'...'` with embedded quotes doubled.
+fn write_quoted(out: &mut String, s: &str) {
+    out.push('\'');
+    for c in s.chars() {
+        if c == '\'' {
+            out.push('\'');
+        }
+        out.push(c);
     }
+    out.push('\'');
 }
 
 /// Short type tag for a parameter slot: the *type* of the extracted
 /// literal is part of the template key (an `int` and a `decimal`
 /// constant bind and cast differently), while its value is not.
-fn param_tag(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(_) => "bool".to_string(),
-        Value::Int(_) => "int".to_string(),
-        Value::Bigint(_) => "bigint".to_string(),
-        Value::Double(_) => "double".to_string(),
-        Value::Decimal(d) => format!("dec{}", d.scale),
-        Value::Str(_) => "str".to_string(),
-        Value::Date(_) => "date".to_string(),
-    }
+fn write_param_tag(out: &mut String, v: &Value) {
+    out.push_str(match v {
+        Value::Null => "null",
+        Value::Bool(_) => "bool",
+        Value::Int(_) => "int",
+        Value::Bigint(_) => "bigint",
+        Value::Double(_) => "double",
+        Value::Decimal(d) => {
+            let _ = write!(out, "dec{}", d.scale);
+            return;
+        }
+        Value::Str(_) => "str",
+        Value::Date(_) => "date",
+    });
 }
 
 /// A SELECT normalized for the plan cache.
@@ -66,18 +93,63 @@ pub struct NormalizedSelect {
     pub stmt: SelectStmt,
 }
 
+impl NormalizedSelect {
+    /// Result-cache key material: the parameterized rendering (which
+    /// carries every literal that was *not* extracted, type-tagged) plus
+    /// the canonical rendering of the extracted ones. Two statements
+    /// share it exactly when [`canon_select_full`] renders them
+    /// identically, without a second traversal of the statement. The
+    /// length prefix makes the split between the two parts unambiguous
+    /// whatever characters string literals contain.
+    pub fn result_key(&self) -> String {
+        let mut out = String::with_capacity(self.key.len() + 8 + 16 * self.params.len());
+        let _ = write!(out, "{}:", self.key.len());
+        out.push_str(&self.key);
+        for p in &self.params {
+            write_value(&mut out, p);
+            out.push(',');
+        }
+        out
+    }
+}
+
 /// Normalize a SELECT for plan-cache keying: extract WHERE-clause
-/// literals into a bind vector and render the residue canonically.
-pub fn normalize_select(stmt: &SelectStmt) -> NormalizedSelect {
-    let mut stmt = stmt.clone();
+/// literals into a bind vector (in place — the statement is consumed,
+/// not cloned) and render the residue canonically.
+pub fn normalize_select(mut stmt: SelectStmt) -> NormalizedSelect {
     let mut params = Vec::new();
-    param_select(&mut stmt, &mut params);
+    walk_select(&mut stmt, &mut |e| {
+        if let Expr::Literal(v) = e {
+            // NULL and booleans stay: they fold into plan structure at
+            // bind time (`WHERE false` prunes, `x = NULL` is 3VL-special).
+            if !matches!(v, Value::Null | Value::Bool(_)) {
+                let index = params.len();
+                params.push(std::mem::replace(v, Value::Null));
+                *e = Expr::Param { index };
+            }
+        }
+    });
     let key = canon_select(&stmt, &params);
     NormalizedSelect { key, params, stmt }
 }
 
-/// Canonical rendering of a whole SELECT for result-cache keying: no
-/// parameterization, literals rendered in place via [`canon_value`].
+/// Inverse of [`normalize_select`]: the statement with every parameter
+/// slot holding its literal again (what the parser produced).
+pub fn restore_literals(template: &SelectStmt, params: &[Value]) -> SelectStmt {
+    let mut stmt = template.clone();
+    walk_select(&mut stmt, &mut |e| {
+        if let Expr::Param { index } = e {
+            if let Some(v) = params.get(*index) {
+                *e = Expr::Literal(v.clone());
+            }
+        }
+    });
+    stmt
+}
+
+/// Canonical rendering of a whole SELECT: no parameterization, literals
+/// rendered in place via [`canon_value`]. The reference the result key
+/// is tested against.
 pub fn canon_select_full(stmt: &SelectStmt) -> String {
     canon_select(stmt, &[])
 }
@@ -86,162 +158,111 @@ pub fn canon_select_full(stmt: &SelectStmt) -> String {
 // Parameterization
 // ---------------------------------------------------------------------------
 
-/// Parameterize literals in every WHERE clause of the statement tree
-/// (the top-level query, CTEs, derived tables, and subqueries found in
-/// expression position). Only WHERE clauses: projection/GROUP BY/HAVING
-/// /ORDER BY literals shape the output schema, ordinal resolution, or
-/// aggregate folding, so they stay in the key text.
-fn param_select(s: &mut SelectStmt, params: &mut Vec<Value>) {
+/// Call `f` on every parameterizable leaf (literal or parameter slot) of
+/// the statement tree, in rendering order: the leaves under every WHERE
+/// clause (the top-level query, CTEs, derived tables, and subqueries
+/// found in expression position). Only WHERE clauses: projection/GROUP
+/// BY/HAVING/ORDER BY literals shape the output schema, ordinal
+/// resolution, or aggregate folding, so they stay in the key text.
+fn walk_select(s: &mut SelectStmt, f: &mut dyn FnMut(&mut Expr)) {
     for cte in &mut s.ctes {
-        param_select(&mut cte.query, params);
+        walk_select(&mut cte.query, f);
     }
     for item in &mut s.projections {
         if let SelectItem::Expr { expr, .. } = item {
-            param_subqueries(expr, params);
+            walk_expr(expr, false, f);
         }
     }
     for tr in &mut s.from {
-        param_table_ref(tr, params);
+        walk_table_ref(tr, f);
     }
     if let Some(w) = &mut s.where_clause {
-        param_expr(w, params);
+        walk_expr(w, true, f);
     }
     for e in &mut s.group_by {
-        param_subqueries(e, params);
+        walk_expr(e, false, f);
     }
     if let Some(h) = &mut s.having {
-        param_subqueries(h, params);
+        walk_expr(h, false, f);
     }
 }
 
-fn param_table_ref(tr: &mut TableRef, params: &mut Vec<Value>) {
+fn walk_table_ref(tr: &mut TableRef, f: &mut dyn FnMut(&mut Expr)) {
     match tr {
         TableRef::Table { .. } => {}
-        TableRef::Subquery { query, .. } => param_select(query, params),
+        TableRef::Subquery { query, .. } => walk_select(query, f),
         TableRef::Join { left, right, on, .. } => {
-            param_table_ref(left, params);
-            param_table_ref(right, params);
+            walk_table_ref(left, f);
+            walk_table_ref(right, f);
             if let Some(on) = on {
-                param_subqueries(on, params);
+                walk_expr(on, false, f);
             }
         }
     }
 }
 
-/// Rewrite parameterizable literals under a WHERE clause.
+/// Under a WHERE clause (`in_where`) every literal is a parameterizable
+/// leaf except (conservative by design — an unparameterized literal is
+/// merely a more specific cache key, never unsound):
+/// * IN-list members: the list length is already in the key and the
+///   members feed a hash-set build that binds per-list;
+/// * LIKE patterns, which are plain strings in the AST, not expressions.
 ///
-/// Rules (conservative by design — an unparameterized literal is merely
-/// a more specific cache key, never unsound):
-/// * `NULL` and booleans stay: they fold into plan structure at bind
-///   time (`WHERE false` prunes, `x = NULL` is 3VL-special).
-/// * IN-list members stay: the list length is already in the key and
-///   the members feed a hash-set build that binds per-list.
-/// * LIKE patterns are plain strings in the AST, not expressions, so
-///   they stay in the key automatically.
-/// * Everything else (comparison bounds, BETWEEN bounds, arithmetic
-///   operands, function/CAST arguments) becomes `?N`.
-fn param_expr(e: &mut Expr, params: &mut Vec<Value>) {
+/// Outside WHERE clauses literals are left alone, but the walk still
+/// recurses into *subqueries* so their own WHERE clauses are reached.
+fn walk_expr(e: &mut Expr, in_where: bool, f: &mut dyn FnMut(&mut Expr)) {
     match e {
-        Expr::Literal(v) => match v {
-            Value::Null | Value::Bool(_) => {}
-            _ => {
-                let idx = params.len();
-                params.push(v.clone());
-                *e = Expr::Param { index: idx };
+        Expr::Literal(_) | Expr::Param { .. } => {
+            if in_where {
+                f(e);
             }
-        },
-        Expr::Param { .. } | Expr::Column { .. } | Expr::Interval { .. } => {}
+        }
+        Expr::Column { .. } | Expr::Interval { .. } => {}
         Expr::Binary { left, right, .. } => {
-            param_expr(left, params);
-            param_expr(right, params);
+            walk_expr(left, in_where, f);
+            walk_expr(right, in_where, f);
         }
-        Expr::Not(inner) | Expr::Neg(inner) => param_expr(inner, params),
-        Expr::IsNull { expr, .. } => param_expr(expr, params),
-        Expr::Like { expr, .. } => param_expr(expr, params),
+        Expr::Not(inner) | Expr::Neg(inner) => walk_expr(inner, in_where, f),
+        Expr::IsNull { expr, .. }
+        | Expr::Like { expr, .. }
+        | Expr::Extract { expr, .. }
+        | Expr::Cast { expr, .. } => walk_expr(expr, in_where, f),
         Expr::Between { expr, low, high, .. } => {
-            param_expr(expr, params);
-            param_expr(low, params);
-            param_expr(high, params);
-        }
-        Expr::InList { expr, .. } => param_expr(expr, params),
-        Expr::InSubquery { expr, query, .. } => {
-            param_expr(expr, params);
-            param_select(query, params);
-        }
-        Expr::Exists { query, .. } => param_select(query, params),
-        Expr::ScalarSubquery(q) => param_select(q, params),
-        Expr::Case { branches, else_expr } => {
-            for (c, v) in branches {
-                param_expr(c, params);
-                param_expr(v, params);
-            }
-            if let Some(e) = else_expr {
-                param_expr(e, params);
-            }
-        }
-        Expr::Agg { arg, .. } => {
-            if let Some(a) = arg {
-                param_expr(a, params);
-            }
-        }
-        Expr::Extract { expr, .. } => param_expr(expr, params),
-        Expr::Cast { expr, .. } => param_expr(expr, params),
-        Expr::Function { args, .. } => {
-            for a in args {
-                param_expr(a, params);
-            }
-        }
-    }
-}
-
-/// Outside WHERE clauses we leave literals alone but still must recurse
-/// into any *subqueries* so their own WHERE clauses get parameterized.
-fn param_subqueries(e: &mut Expr, params: &mut Vec<Value>) {
-    match e {
-        Expr::Literal(_) | Expr::Param { .. } | Expr::Column { .. } | Expr::Interval { .. } => {}
-        Expr::Binary { left, right, .. } => {
-            param_subqueries(left, params);
-            param_subqueries(right, params);
-        }
-        Expr::Not(inner) | Expr::Neg(inner) => param_subqueries(inner, params),
-        Expr::IsNull { expr, .. } => param_subqueries(expr, params),
-        Expr::Like { expr, .. } => param_subqueries(expr, params),
-        Expr::Between { expr, low, high, .. } => {
-            param_subqueries(expr, params);
-            param_subqueries(low, params);
-            param_subqueries(high, params);
+            walk_expr(expr, in_where, f);
+            walk_expr(low, in_where, f);
+            walk_expr(high, in_where, f);
         }
         Expr::InList { expr, list, .. } => {
-            param_subqueries(expr, params);
-            for m in list {
-                param_subqueries(m, params);
+            walk_expr(expr, in_where, f);
+            if !in_where {
+                for m in list {
+                    walk_expr(m, false, f);
+                }
             }
         }
         Expr::InSubquery { expr, query, .. } => {
-            param_subqueries(expr, params);
-            param_select(query, params);
+            walk_expr(expr, in_where, f);
+            walk_select(query, f);
         }
-        Expr::Exists { query, .. } => param_select(query, params),
-        Expr::ScalarSubquery(q) => param_select(q, params),
+        Expr::Exists { query, .. } => walk_select(query, f),
+        Expr::ScalarSubquery(q) => walk_select(q, f),
         Expr::Case { branches, else_expr } => {
             for (c, v) in branches {
-                param_subqueries(c, params);
-                param_subqueries(v, params);
+                walk_expr(c, in_where, f);
+                walk_expr(v, in_where, f);
             }
             if let Some(e) = else_expr {
-                param_subqueries(e, params);
+                walk_expr(e, in_where, f);
             }
         }
         Expr::Agg { arg, .. } => {
             if let Some(a) = arg {
-                param_subqueries(a, params);
+                walk_expr(a, in_where, f);
             }
         }
-        Expr::Extract { expr, .. } => param_subqueries(expr, params),
-        Expr::Cast { expr, .. } => param_subqueries(expr, params),
         Expr::Function { args, .. } => {
             for a in args {
-                param_subqueries(a, params);
+                walk_expr(a, in_where, f);
             }
         }
     }
@@ -264,10 +285,9 @@ fn write_select(out: &mut String, s: &SelectStmt, params: &[Value]) {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&fold(&cte.name));
+            push_folded(out, &cte.name);
             if let Some(cols) = &cte.columns {
-                let folded: Vec<String> = cols.iter().map(|c| fold(c)).collect();
-                let _ = write!(out, " ({})", folded.join(", "));
+                write_column_list(out, cols);
             }
             out.push_str(" as (");
             write_select(out, &cte.query, params);
@@ -286,12 +306,14 @@ fn write_select(out: &mut String, s: &SelectStmt, params: &[Value]) {
         match item {
             SelectItem::Wildcard => out.push('*'),
             SelectItem::QualifiedWildcard(t) => {
-                let _ = write!(out, "{}.*", fold(t));
+                push_folded(out, t);
+                out.push_str(".*");
             }
             SelectItem::Expr { expr, alias } => {
                 write_expr(out, expr, params);
                 if let Some(a) = alias {
-                    let _ = write!(out, " as {}", fold(a));
+                    out.push_str(" as ");
+                    push_folded(out, a);
                 }
             }
         }
@@ -342,18 +364,19 @@ fn write_select(out: &mut String, s: &SelectStmt, params: &[Value]) {
 fn write_table_ref(out: &mut String, tr: &TableRef, params: &[Value]) {
     match tr {
         TableRef::Table { name, alias } => {
-            out.push_str(&fold(name));
+            push_folded(out, name);
             if let Some(a) = alias {
-                let _ = write!(out, " as {}", fold(a));
+                out.push_str(" as ");
+                push_folded(out, a);
             }
         }
         TableRef::Subquery { query, alias, columns } => {
             out.push('(');
             write_select(out, query, params);
-            let _ = write!(out, ") as {}", fold(alias));
+            out.push_str(") as ");
+            push_folded(out, alias);
             if let Some(cols) = columns {
-                let folded: Vec<String> = cols.iter().map(|c| fold(c)).collect();
-                let _ = write!(out, " ({})", folded.join(", "));
+                write_column_list(out, cols);
             }
         }
         TableRef::Join { left, right, kind, on } => {
@@ -372,14 +395,20 @@ fn write_table_ref(out: &mut String, tr: &TableRef, params: &[Value]) {
 
 fn write_expr(out: &mut String, e: &Expr, params: &[Value]) {
     match e {
-        Expr::Column { table: Some(t), name } => {
-            let _ = write!(out, "{}.{}", fold(t), fold(name));
+        Expr::Column { table, name } => {
+            if let Some(t) = table {
+                push_folded(out, t);
+                out.push('.');
+            }
+            push_folded(out, name);
         }
-        Expr::Column { table: None, name } => out.push_str(&fold(name)),
-        Expr::Literal(v) => out.push_str(&canon_value(v)),
+        Expr::Literal(v) => write_value(out, v),
         Expr::Param { index } => {
-            let tag = params.get(*index).map(param_tag).unwrap_or_else(|| "?".to_string());
-            let _ = write!(out, "?{index}:{tag}");
+            let _ = write!(out, "?{index}:");
+            match params.get(*index) {
+                Some(v) => write_param_tag(out, v),
+                None => out.push('?'),
+            }
         }
         Expr::Interval { value, unit } => {
             let u = match unit {
@@ -414,7 +443,9 @@ fn write_expr(out: &mut String, e: &Expr, params: &[Value]) {
         Expr::Like { expr, pattern, negated } => {
             let _ = write!(out, "({}like ", if *negated { "not" } else { "" });
             write_expr(out, expr, params);
-            let _ = write!(out, " '{}')", pattern.replace('\'', "''"));
+            out.push(' ');
+            write_quoted(out, pattern);
+            out.push(')');
         }
         Expr::Between { expr, low, high, negated } => {
             let _ = write!(out, "({}between ", if *negated { "not" } else { "" });
@@ -493,7 +524,8 @@ fn write_expr(out: &mut String, e: &Expr, params: &[Value]) {
             let _ = write!(out, " {ty})");
         }
         Expr::Function { name, args } => {
-            let _ = write!(out, "({}", fold(name));
+            out.push('(');
+            push_folded(out, name);
             for a in args {
                 out.push(' ');
                 write_expr(out, a, params);
@@ -503,8 +535,20 @@ fn write_expr(out: &mut String, e: &Expr, params: &[Value]) {
     }
 }
 
-fn fold(ident: &str) -> String {
-    ident.to_ascii_lowercase()
+/// Append the case-folded identifier.
+fn push_folded(out: &mut String, ident: &str) {
+    out.extend(ident.chars().map(|c| c.to_ascii_lowercase()));
+}
+
+fn write_column_list(out: &mut String, cols: &[String]) {
+    out.push_str(" (");
+    for (i, c) in cols.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        push_folded(out, c);
+    }
+    out.push(')');
 }
 
 #[cfg(test)]
@@ -547,14 +591,14 @@ mod tests {
 
     #[test]
     fn normalize_extracts_where_literals() {
-        let n = normalize_select(&sel("select a from t where b = 5 and c between 1 and 2"));
+        let n = normalize_select(sel("select a from t where b = 5 and c between 1 and 2"));
         assert_eq!(n.params, vec![Value::Int(5), Value::Int(1), Value::Int(2)]);
         assert!(n.key.contains("?0:int"), "{}", n.key);
         // Same shape, different constants → same key.
-        let n2 = normalize_select(&sel("select a from t where b = 7 and c between 3 and 4"));
+        let n2 = normalize_select(sel("select a from t where b = 7 and c between 3 and 4"));
         assert_eq!(n.key, n2.key);
         // Different shape → different key.
-        let n3 = normalize_select(&sel("select a from t where b = 7"));
+        let n3 = normalize_select(sel("select a from t where b = 7"));
         assert_ne!(n.key, n3.key);
     }
 
@@ -562,21 +606,21 @@ mod tests {
     fn normalize_keeps_structural_literals() {
         // IN-list members, projection literals, ORDER BY ordinals and
         // LIMIT stay in the key.
-        let a = normalize_select(&sel("select 1, a from t where x in (1, 2) order by 2 limit 3"));
-        let b = normalize_select(&sel("select 1, a from t where x in (1, 3) order by 2 limit 3"));
+        let a = normalize_select(sel("select 1, a from t where x in (1, 2) order by 2 limit 3"));
+        let b = normalize_select(sel("select 1, a from t where x in (1, 3) order by 2 limit 3"));
         assert_ne!(a.key, b.key, "IN members must stay in the key");
         assert!(a.params.is_empty());
-        let c = normalize_select(&sel("select 2, a from t where x in (1, 2) order by 2 limit 3"));
+        let c = normalize_select(sel("select 2, a from t where x in (1, 2) order by 2 limit 3"));
         assert_ne!(a.key, c.key, "projection literals must stay in the key");
     }
 
     #[test]
     fn normalize_reaches_subquery_where() {
-        let a = normalize_select(&sel(
+        let a = normalize_select(sel(
             "select a from t where exists (select 1 from u where u.k = t.k and u.v > 10)",
         ));
         assert_eq!(a.params, vec![Value::Int(10)]);
-        let b = normalize_select(&sel(
+        let b = normalize_select(sel(
             "select a from t where exists (select 1 from u where u.k = t.k and u.v > 99)",
         ));
         assert_eq!(a.key, b.key);
@@ -595,10 +639,42 @@ mod tests {
     }
 
     #[test]
+    fn restore_literals_inverts_normalization() {
+        for sql in [
+            "select a from t where b = 5 and c between 1.5 and date '1994-01-01'",
+            "select 1, a from t where x in (1, 2) and y like 'a%' and z < 9 order by 2 limit 3",
+            "with w as (select k from u where v > 10) select a from t, w \
+             where exists (select 1 from u where u.k = t.k and u.v > 'x''y') \
+             group by a having count(*) > 3",
+        ] {
+            let original = sel(sql);
+            let n = normalize_select(original.clone());
+            assert_ne!(n.stmt, original, "{sql}: nothing was parameterized");
+            assert_eq!(restore_literals(&n.stmt, &n.params), original, "{sql}");
+        }
+    }
+
+    #[test]
+    fn result_key_separates_what_the_plan_key_merges() {
+        let a = normalize_select(sel("select a from t where b = 7 and s = 'x'"));
+        let b = normalize_select(sel("select a from t where b = 2 and s = 'x'"));
+        assert_eq!(a.key, b.key);
+        assert_ne!(a.result_key(), b.result_key());
+        // Identifier case folds, as in the full rendering.
+        let c = normalize_select(sel("SELECT A FROM T WHERE B = 7 AND S = 'x'"));
+        assert_eq!(a.result_key(), c.result_key());
+        // A string that imitates the rendering of two literals is still
+        // one quoted literal.
+        let d = normalize_select(sel("select a from t where s = 'x'',int:7' and b = 7"));
+        let e = normalize_select(sel("select a from t where s = 'x' and b = 7"));
+        assert_ne!(d.result_key(), e.result_key());
+    }
+
+    #[test]
     fn typed_literals_key_differently() {
         // int 5 vs decimal 5.0 in WHERE → different param type tags.
-        let a = normalize_select(&sel("select a from t where b = 5"));
-        let b = normalize_select(&sel("select a from t where b = 5.0"));
+        let a = normalize_select(sel("select a from t where b = 5"));
+        let b = normalize_select(sel("select a from t where b = 5.0"));
         assert_ne!(a.key, b.key);
     }
 }

@@ -10,11 +10,21 @@
 //!   `ExecOptions` changes must all prevent stale replays.
 //! * Interrupt-then-cached-hit regression: a pending interrupt raised
 //!   while the connection is idle must not poison a cached statement.
+//! * Key space: every row of ARCHITECTURE.md's invalidation matrix that
+//!   works by moving the key (options, stats mode, optimizer flags, view
+//!   DDL, another connection's options) sees zero hits from the other
+//!   key space, and the one-pass result key is injective — two
+//!   statements share it exactly when their full canonical renderings
+//!   agree.
 
 use monetlite::exec::ExecOptions;
-use monetlite::opt::StatsMode;
+use monetlite::opt::{OptFlags, StatsMode};
+use monetlite_sql::canon::{canon_select_full, normalize_select, restore_literals};
+use monetlite_sql::{parse_statement, SelectStmt, Statement};
 use monetlite_tests::fmt_golden_rows;
 use monetlite_tpch::{generate, load_monet, queries};
+use proptest::prelude::*;
+use proptest::TestRng;
 use std::path::PathBuf;
 
 const GOLDEN_SF: f64 = 0.02;
@@ -185,7 +195,10 @@ fn exec_options_change_moves_the_key_space() {
     assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     assert_eq!(conn.last_exec_counters().unwrap().result_cache_hits, 1);
-    conn.set_exec_options(ExecOptions { vector_size: 1024, ..cached_opts() });
+    // Relative to the default, which the CI matrix moves through
+    // MONETLITE_VECTOR_SIZE.
+    let vector_size = cached_opts().vector_size / 2;
+    conn.set_exec_options(ExecOptions { vector_size, ..cached_opts() });
     assert_eq!(one_col(&mut conn, sql), ["10", "50"]);
     assert_eq!(
         conn.last_exec_counters().unwrap().result_cache_hits,
@@ -247,4 +260,171 @@ fn writes_in_open_transaction_are_never_cached() {
     assert_eq!(db.result_cache().len(), 0, "dirty read must not be published to the cache");
     conn.execute("ROLLBACK").unwrap();
     assert_eq!(one_col(&mut conn, "SELECT x FROM t WHERE x > 50 ORDER BY x"), Vec::<String>::new());
+}
+
+// -- key space ------------------------------------------------------------
+
+/// (result hits, plan hits) of running `sql` once.
+fn hits(conn: &mut monetlite::Connection, sql: &str) -> (u64, u64) {
+    assert_eq!(one_col(conn, sql), ["10", "50"]);
+    let c = conn.last_exec_counters().unwrap();
+    (c.result_cache_hits, c.plan_cache_hits)
+}
+
+#[test]
+fn every_keyed_setting_moves_the_key_space_and_moves_it_back() {
+    // The fingerprint is rendered when a setting changes, not per
+    // statement; each setter must still land the statement in a key space
+    // of its own, and restoring the setting must find the old entries
+    // again (keys compare fingerprints by content).
+    let sql = "SELECT x FROM t WHERE x > 7 ORDER BY x";
+    type Change = fn(&mut monetlite::Connection, bool);
+    let changes: [(&str, Change); 3] = [
+        ("set_opt_flags", |c, on| {
+            c.set_opt_flags(OptFlags { topn: !on, ..Default::default() });
+        }),
+        ("set_stats_mode", |c, on| {
+            c.set_stats_mode(if on { StatsMode::Adversarial(7) } else { StatsMode::Real });
+        }),
+        ("set_exec_options", |c, on| {
+            let threads = if on { 3 } else { cached_opts().threads };
+            c.set_exec_options(ExecOptions { threads, ..cached_opts() });
+        }),
+    ];
+    for (name, change) in changes {
+        let (_db, mut conn) = tiny_db();
+        assert_eq!(hits(&mut conn, sql), (0, 0), "{name}: cold");
+        assert_eq!(hits(&mut conn, sql), (1, 0), "{name}: primed");
+        change(&mut conn, true);
+        assert_eq!(hits(&mut conn, sql), (0, 0), "{name}: served from the other key space");
+        assert_eq!(hits(&mut conn, sql), (1, 0), "{name}: new key space not populated");
+        change(&mut conn, false);
+        assert_eq!(hits(&mut conn, sql), (1, 0), "{name}: old key space lost");
+    }
+}
+
+#[test]
+fn view_ddl_moves_the_key_space_of_unrelated_statements() {
+    let (_db, mut conn) = tiny_db();
+    let sql = "SELECT x FROM t WHERE x > 7 ORDER BY x";
+    assert_eq!(hits(&mut conn, sql), (0, 0));
+    assert_eq!(hits(&mut conn, sql), (1, 0));
+    conn.execute("CREATE VIEW unrelated AS SELECT s FROM t").unwrap();
+    assert_eq!(hits(&mut conn, sql), (0, 0), "CREATE VIEW must move the epoch");
+    assert_eq!(hits(&mut conn, sql), (1, 0));
+    conn.execute("DROP VIEW unrelated").unwrap();
+    assert_eq!(hits(&mut conn, sql), (0, 0), "DROP VIEW must move the epoch");
+}
+
+#[test]
+fn connections_with_different_options_do_not_share_entries() {
+    let (db, mut a) = tiny_db();
+    let sql = "SELECT x FROM t WHERE x > 7 ORDER BY x";
+    assert_eq!(hits(&mut a, sql), (0, 0));
+    assert_eq!(hits(&mut a, sql), (1, 0));
+    // Same database, same statement, another vector size: nothing of
+    // `a`'s may answer, neither its result nor its template.
+    let mut b = db.connect();
+    b.set_exec_options(ExecOptions { vector_size: cached_opts().vector_size / 2, ..cached_opts() });
+    assert_eq!(hits(&mut b, sql), (0, 0));
+    assert_eq!(hits(&mut b, sql), (1, 0));
+    // A third connection with `a`'s options shares `a`'s entries, though
+    // it rendered a fingerprint of its own.
+    let mut c = db.connect();
+    c.set_exec_options(cached_opts());
+    assert_eq!(hits(&mut c, sql), (1, 0));
+    assert_eq!(hits(&mut c, "SELECT x FROM t WHERE x > 9 ORDER BY x"), (0, 1));
+}
+
+fn select(sql: &str) -> SelectStmt {
+    match parse_statement(sql).unwrap_or_else(|e| panic!("{sql}: {e}")) {
+        Statement::Select(s) => *s,
+        other => panic!("not a SELECT: {other:?}"),
+    }
+}
+
+fn result_key(sql: &str) -> String {
+    normalize_select(select(sql)).result_key()
+}
+
+#[test]
+fn tpch_statements_survive_normalize_and_restore() {
+    // The result-cache-only path binds `restore_literals(template,
+    // params)`: it must be the statement the parser produced.
+    let mut keys = std::collections::HashSet::new();
+    for (n, sql) in queries::all() {
+        let original = select(sql);
+        let norm = normalize_select(original.clone());
+        assert_eq!(restore_literals(&norm.stmt, &norm.params), original, "Q{n}");
+        assert!(keys.insert(norm.result_key()), "Q{n} shares a result key");
+    }
+}
+
+/// A statement from a small space, so that independent draws collide
+/// often: seven shapes, literals of every type the parser produces (with
+/// look-alikes across types and strings that imitate the key's own
+/// syntax) in parameterized and unparameterized positions.
+fn gen_select(rng: &mut TestRng) -> String {
+    const LITS: [&str; 12] = [
+        "5",
+        "7",
+        "3000000000",
+        "5.0",
+        "5.00",
+        "'5'",
+        "'a'",
+        "'a''b'",
+        "'a,int:5,'",
+        "'?0:int'",
+        "date '1994-01-01'",
+        "date '1994-01-02'",
+    ];
+    let mut pick = |n: usize| (rng.next_u64() % n as u64) as usize;
+    let shape = pick(7);
+    let upper = pick(3) == 0;
+    let mut lit = || LITS[pick(LITS.len())];
+    let sql = match shape {
+        0 => format!("select x from t where x > {}", lit()),
+        1 => format!(
+            "select x, {} from t where s = {} and x between {} and {}",
+            lit(),
+            lit(),
+            lit(),
+            lit()
+        ),
+        2 => format!("select x from t where x in ({}, {}) order by 1 limit 3", lit(), lit()),
+        3 => format!("select s from t where s like 'a%' and x <> {}", lit()),
+        4 => format!(
+            "select x from t where exists (select 1 from u where u.k = t.x and u.v < {})",
+            lit()
+        ),
+        5 => format!("select x from t where x = {} or x = {}", lit(), lit()),
+        _ => format!("select count(*) from t group by s having count(*) > {}", lit()),
+    };
+    // Identifier case folds; literal case does not.
+    if upper {
+        sql.replace("select x", "SELECT X").replace(" t ", " T ")
+    } else {
+        sql
+    }
+}
+
+struct Selects;
+
+impl Strategy for Selects {
+    type Value = String;
+    fn generate(&self, rng: &mut TestRng) -> String {
+        gen_select(rng)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4000))]
+
+    #[test]
+    fn result_key_is_shared_exactly_when_the_full_rendering_is(a in Selects, b in Selects) {
+        let same_key = result_key(&a) == result_key(&b);
+        let same_full = canon_select_full(&select(&a)) == canon_select_full(&select(&b));
+        prop_assert_eq!(same_key, same_full, "{} / {}", a, b);
+    }
 }

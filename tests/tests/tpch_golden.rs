@@ -120,3 +120,53 @@ fn golden_corpus_is_nontrivial() {
     }
     assert!(nonempty >= 18, "only {nonempty}/22 golden answers are non-empty");
 }
+
+#[test]
+fn inherited_operator_budget_keeps_spill_partitions_bounded() {
+    // With `memory_budget` unset the executor inherits what the resident
+    // columns leave of the vmem budget. After a few queries that can be
+    // next to nothing, and a breaker whose budget is ~0 re-partitions
+    // every partition down to the depth cap: Q4 and Q7 wrote tens of
+    // thousands of tiny spill files this way. The inherited budget is
+    // floored at a share of the vmem budget, so the same runs stay within
+    // a few hundred partitions — and still return the golden answers.
+    if std::env::var("MONETLITE_BLESS").as_deref() == Ok("1") {
+        return;
+    }
+    let data = generate(GOLDEN_SF, GOLDEN_SEED);
+    let dir = tempfile::tempdir().unwrap();
+    {
+        let db = monetlite::Database::open(dir.path()).unwrap();
+        load_monet(&mut db.connect(), &data).unwrap();
+        db.checkpoint().unwrap();
+    }
+    for divisor in [8, 6] {
+        let db = monetlite::Database::open_with(monetlite::DbOptions {
+            path: Some(dir.path().to_path_buf()),
+            vmem_budget: data.bytes() / divisor,
+            ..Default::default()
+        })
+        .unwrap();
+        let mut conn = db.connect();
+        // Unset, whatever MONETLITE_MEMORY_BUDGET the CI matrix exports.
+        conn.set_exec_options(monetlite::exec::ExecOptions {
+            memory_budget: usize::MAX,
+            ..Default::default()
+        });
+        // In query order, so each query inherits its predecessors'
+        // resident columns.
+        for n in 1..=7 {
+            let got = run_query(&mut conn, n);
+            if n == 4 || n == 7 {
+                let c = conn.last_exec_counters().expect("counters");
+                assert!(
+                    c.spilled_partitions < 1_100,
+                    "Q{n} at vmem_budget = bytes/{divisor}: {} spill partitions",
+                    c.spilled_partitions
+                );
+                let want = std::fs::read_to_string(golden_path(n)).expect("goldens checked in");
+                assert_eq!(got, want, "Q{n} at vmem_budget = bytes/{divisor}");
+            }
+        }
+    }
+}
