@@ -1088,24 +1088,29 @@ impl Connection {
         Ok(QueryResult::empty(n))
     }
 
-    /// Physical ids of visible rows matching `filter`.
+    /// Physical ids (ascending) of the visible rows matching `filter`.
+    /// Only the columns the predicate reads are consolidated and scanned;
+    /// every other column of the table stays untouched.
     fn matching_rows(&self, meta: &TableMeta, filter: Option<&ast::Expr>) -> Result<Vec<u32>> {
+        let deleted = meta.data.deleted.as_deref();
+        let visible = |r: &u32| deleted.is_none_or(|d| !d[*r as usize]);
+        let Some(filter) = filter else {
+            return Ok((0..meta.data.rows as u32).filter(visible).collect());
+        };
         let txn = self.txn.as_ref().expect("txn");
         let view = TxnView { tables: &txn.tables, views: &txn.views };
-        let deleted = meta.data.deleted.as_deref();
-        let visible = |r: u32| deleted.is_none_or(|d| !d[r as usize]);
-        match filter {
-            None => Ok((0..meta.data.rows as u32).filter(|&r| visible(r)).collect()),
-            Some(f) => {
-                let binder = Binder::new(&view);
-                let (pred, _) = binder.bind_table_expr(&meta.name, f)?;
-                let cols: Vec<Arc<Bat>> =
-                    meta.data.cols.iter().map(|c| c.entry()?.bat()).collect::<Result<_>>()?;
-                let mask = kernels::eval(&pred, &cols, meta.data.rows)?;
-                let sel = kernels::bool_to_sel(&mask)?;
-                Ok(sel.into_iter().filter(|&r| visible(r)).collect())
-            }
-        }
+        let (pred, _) = Binder::new(&view).bind_table_expr(&meta.name, filter)?;
+        let mut used = Vec::new();
+        pred.collect_cols(&mut used);
+        used.sort_unstable();
+        used.dedup();
+        let cols: Vec<Arc<Bat>> =
+            used.iter().map(|&c| meta.data.cols[c].entry()?.bat()).collect::<Result<_>>()?;
+        let pred = pred.remap_cols(&|c| used.binary_search(&c).expect("collected above"));
+        let mask = kernels::eval(&pred, &cols, meta.data.rows)?;
+        let mut sel = kernels::bool_to_sel(&mask)?;
+        sel.retain(visible);
+        Ok(sel)
     }
 
     fn run_delete(&mut self, table: &str, filter: Option<&ast::Expr>) -> Result<QueryResult> {
@@ -1155,15 +1160,23 @@ impl Connection {
                 set_exprs.insert(idx, coerced);
             }
         }
-        // Gather the selected rows and compute new column values.
-        let full_cols: Vec<Arc<Bat>> =
-            meta.data.cols.iter().map(|c| c.entry()?.bat()).collect::<Result<_>>()?;
-        let gathered: Vec<Arc<Bat>> = full_cols.iter().map(|c| Arc::new(c.take(&rows))).collect();
+        // Gather the changed rows of every column from the segments that
+        // hold them — compact BATs, so the overlay, the commit and the WAL
+        // frame all cost O(changed rows) — and compute the new values.
+        let gathered: Vec<Arc<Bat>> =
+            meta.data.cols.iter().map(|c| c.gather(&rows).map(Arc::new)).collect::<Result<_>>()?;
         let mut new_cols: Vec<Bat> = Vec::with_capacity(meta.schema.len());
         for (i, f) in meta.schema.fields().iter().enumerate() {
             match set_exprs.get(&i) {
                 Some(e) => {
-                    let b = kernels::eval(e, &gathered, rows.len())?;
+                    let b = match e {
+                        // An untyped NULL takes the column's type (a bare
+                        // literal would materialise as INTEGER).
+                        expr::BExpr::Lit(Value::Null) => {
+                            kernels::materialize_const(&Value::Null, f.ty, rows.len())?
+                        }
+                        e => kernels::eval(e, &gathered, rows.len())?,
+                    };
                     if !f.nullable && b.null_count() > 0 {
                         return Err(MlError::Execution(format!(
                             "NULL in NOT NULL column '{}'",

@@ -370,8 +370,11 @@ impl Bat {
     }
 
     /// Gather rows by position into a new BAT (the `fetch`/projection
-    /// kernel's materialisation step). Varchar gathers share the heap via
-    /// clone, keeping the cost proportional to the selection.
+    /// kernel's materialisation step), in O(selection) for every type: a
+    /// VARCHAR gather copies offsets and *shares* the copy-on-write heap,
+    /// so the result still references the whole source heap. To get a BAT
+    /// whose heap holds only the gathered strings (a WAL delta, say),
+    /// [`Bat::append_bat`] the result into an empty column.
     pub fn take(&self, sel: &[u32]) -> Bat {
         match self {
             Bat::Bool(v) => Bat::Bool(sel.iter().map(|&i| v[i as usize]).collect()),
@@ -472,6 +475,27 @@ mod tests {
         let t = bat.take(&[1, 2]);
         assert_eq!(t.str_at(0), Some("y"));
         assert_eq!(t.str_at(1), None);
+    }
+
+    #[test]
+    fn take_and_clone_share_the_string_heap() {
+        let strs: Vec<Option<String>> = (0..1000).map(|i| Some(format!("value-{i}"))).collect();
+        let bat = Bat::from_buffer(&ColumnBuffer::Varchar(strs));
+        let heap_ptr = |b: &Bat| match b {
+            Bat::Varchar { heap, .. } => heap.raw().as_ptr(),
+            _ => unreachable!(),
+        };
+        let taken = bat.take(&[7, 3]);
+        assert_eq!(heap_ptr(&taken), heap_ptr(&bat), "take must not copy the heap");
+        assert_eq!(heap_ptr(&bat.clone()), heap_ptr(&bat), "clone must not copy the heap");
+        assert_eq!((taken.str_at(0), taken.str_at(1)), (Some("value-7"), Some("value-3")));
+        // Compaction: re-interning into an empty column leaves a heap sized
+        // by the two gathered strings, and the source untouched.
+        let mut compact = Bat::new(LogicalType::Varchar);
+        compact.append_bat(&taken).unwrap();
+        assert_eq!(compact.size_bytes(), 2 * 4 + 1 + 2 * (4 + 7));
+        assert_eq!(compact.str_at(1), Some("value-3"));
+        assert_eq!(bat.str_at(999), Some("value-999"));
     }
 
     #[test]

@@ -372,6 +372,14 @@ pub struct SegNode {
     base_rows: usize,
 }
 
+impl SegNode {
+    /// A chain of one segment.
+    fn base(entry: Arc<ColumnEntry>) -> Arc<SegNode> {
+        let total_rows = entry.len();
+        Arc::new(SegNode { entry, prev: None, total_rows, depth: 1, base_rows: total_rows })
+    }
+}
+
 impl Drop for SegNode {
     fn drop(&mut self) {
         // Iterative drop: a long append chain must not recurse.
@@ -413,17 +421,7 @@ impl Clone for SegColumn {
 impl SegColumn {
     /// Single-segment column.
     pub fn from_entry(entry: Arc<ColumnEntry>) -> SegColumn {
-        let total_rows = entry.len();
-        SegColumn {
-            head: Arc::new(SegNode {
-                entry,
-                prev: None,
-                total_rows,
-                depth: 1,
-                base_rows: total_rows,
-            }),
-            consolidated: Mutex::new(None),
-        }
+        SegColumn { head: SegNode::base(entry), consolidated: Mutex::new(None) }
     }
 
     /// Total rows across all segments.
@@ -441,19 +439,80 @@ impl SegColumn {
         self.head.entry.ty()
     }
 
-    /// O(1) append: a new chain sharing every existing segment.
+    /// O(1) append: a new chain sharing every existing segment. When a
+    /// reader has already consolidated this column, the new segment chains
+    /// onto that cached entry instead (depth 2, with whatever hash index,
+    /// statistics and dictionary it carries), so alternating reads and
+    /// appends re-consolidate from two segments, never from the whole
+    /// history, and the chain depth stays bounded.
     pub fn appended(&self, bat: Bat) -> SegColumn {
         let rows = bat.len();
+        let cached = self.consolidated.lock().clone();
+        let prev = match cached {
+            Some(entry) => SegNode::base(entry),
+            None => self.head.clone(),
+        };
         SegColumn {
             head: Arc::new(SegNode {
                 entry: Arc::new(ColumnEntry::from_bat(bat)),
-                prev: Some(self.head.clone()),
-                total_rows: self.head.total_rows + rows,
-                depth: self.head.depth + 1,
-                base_rows: self.head.base_rows,
+                total_rows: prev.total_rows + rows,
+                depth: prev.depth + 1,
+                base_rows: prev.base_rows,
+                prev: Some(prev),
             }),
             consolidated: Mutex::new(None),
         }
+    }
+
+    /// Whether a reader has consolidated this multi-segment column and the
+    /// result is cached (test instrumentation for the write-path cost
+    /// model: a write must not populate this for columns it does not read).
+    #[doc(hidden)]
+    pub fn has_cached_consolidation(&self) -> bool {
+        self.consolidated.lock().is_some()
+    }
+
+    /// The rows at the ascending physical positions `rows`, as a *compact*
+    /// BAT: fetched from the segments that hold them (no consolidation),
+    /// with strings re-interned into a heap sized by the gathered rows.
+    /// O(chain depth + rows), independent of the column's length — the
+    /// UPDATE delta's building block.
+    pub fn gather(&self, rows: &[u32]) -> Result<Bat> {
+        if !rows.is_sorted() || rows.last().is_some_and(|&r| r as usize >= self.rows()) {
+            return Err(MlError::Execution(format!(
+                "gather expects ascending row ids below {}",
+                self.rows()
+            )));
+        }
+        let mut out = Bat::with_capacity(self.ty(), rows.len());
+        // A reader's consolidation is resident by construction, while the
+        // segments behind it may have been paged out: prefer it.
+        let cached = self.consolidated.lock().clone();
+        if let Some(entry) = cached {
+            out.append_bat(&entry.bat()?.take(rows))?;
+            return Ok(out);
+        }
+        // Newest segment first: each one holds a suffix of what is left.
+        let mut parts = Vec::new();
+        let mut rest = rows;
+        let mut node = Some(&self.head);
+        while let Some(n) = node {
+            if rest.is_empty() {
+                break;
+            }
+            let start = (n.total_rows - n.entry.len()) as u32;
+            let cut = rest.partition_point(|&r| r < start);
+            if cut < rest.len() {
+                let local: Vec<u32> = rest[cut..].iter().map(|&r| r - start).collect();
+                parts.push(n.entry.bat()?.take(&local));
+                rest = &rest[..cut];
+            }
+            node = n.prev.as_ref();
+        }
+        for part in parts.iter().rev() {
+            out.append_bat(part)?;
+        }
+        Ok(out)
     }
 
     /// Whether the commit path should consolidate this column now: either
@@ -499,48 +558,34 @@ impl SegColumn {
         }
         segs.reverse();
         let base = &segs[0];
+        let tails: Vec<Arc<Bat>> = segs[1..].iter().map(|s| s.bat()).collect::<Result<_>>()?;
         let mut bat = (*base.bat()?).clone();
-        for seg in &segs[1..] {
-            bat.append_bat(&seg.bat()?.as_ref().clone())?;
+        for tail in &tails {
+            bat.append_bat(tail)?;
         }
         // Carry the hash index forward across the append.
-        let carried_hash = match base.hash_index_opt() {
-            Some(h) => {
-                let mut h2 = (*h).clone();
-                let mut at = base.len() as u32;
-                for seg in &segs[1..] {
-                    h2.append(&bat_keys(seg.bat()?.as_ref()), at);
-                    at += seg.len() as u32;
-                }
-                Some(Arc::new(h2))
+        let carried_hash = base.hash_index_opt().map(|h| {
+            let mut h2 = (*h).clone();
+            let mut at = base.len() as u32;
+            for tail in &tails {
+                h2.append(&bat_keys(tail), at);
+                at += tail.len() as u32;
             }
-            None => None,
-        };
+            Arc::new(h2)
+        });
         // Carry column statistics forward: merge the base's cached stats
         // with one-pass stats of each (small) appended segment instead of
         // rescanning the whole column.
-        let carried_stats = match base.stats_opt() {
-            Some(s) => {
-                let mut acc = (*s).clone();
-                for seg in &segs[1..] {
-                    acc = acc.merge(&ColumnStats::build(seg.bat()?.as_ref()));
-                }
-                Some(Arc::new(acc))
-            }
-            None => None,
-        };
+        let carried_stats = base.stats_opt().map(|s| {
+            Arc::new(tails.iter().fold((*s).clone(), |acc, t| acc.merge(&ColumnStats::build(t))))
+        });
         // Carry the string dictionary forward: a sorted merge of the new
         // segments' distinct values plus a code remap — never a rescan of
         // the base rows' strings.
-        let carried_dict = match base.dict_opt() {
-            Some(d) => {
-                let tails: Vec<Arc<Bat>> =
-                    segs[1..].iter().map(|s| s.bat()).collect::<Result<_>>()?;
-                let refs: Vec<&Bat> = tails.iter().map(|b| b.as_ref()).collect();
-                d.extended(&refs).map(Arc::new)
-            }
-            None => None,
-        };
+        let carried_dict = base.dict_opt().and_then(|d| {
+            let refs: Vec<&Bat> = tails.iter().map(|b| b.as_ref()).collect();
+            d.extended(&refs).map(Arc::new)
+        });
         let entry = Arc::new(ColumnEntry::from_bat(bat));
         if let Some(h) = carried_hash {
             entry.install_hash(h);
@@ -818,6 +863,82 @@ mod tests {
         let s = e.stats().unwrap();
         assert_eq!(s.rows, 3);
         assert_eq!((s.min_key, s.max_key), (1, 3));
+    }
+
+    fn varchar(vals: &[Option<&str>]) -> Bat {
+        Bat::from_buffer(&ColumnBuffer::Varchar(vals.iter().map(|s| s.map(String::from)).collect()))
+    }
+
+    #[test]
+    fn append_after_read_chains_onto_the_cached_consolidation() {
+        // 50 x {append 1 row; read}: every read consolidates two segments
+        // (the previous consolidation + one row), and depth never grows.
+        let mut col =
+            SegColumn::from_entry(Arc::new(ColumnEntry::from_bat(varchar(&[Some("base"), None]))));
+        let _ = col.entry().unwrap().hash_index().unwrap();
+        let mut want = vec![Some("base".to_string()), None];
+        for i in 0..50 {
+            let v = format!("v{}", i % 7);
+            col = col.appended(varchar(&[Some(&v)]));
+            want.push(Some(v));
+            assert!(col.depth() <= 2, "depth {} after {} appends", col.depth(), i + 1);
+            assert!(!col.has_cached_consolidation());
+            let e = col.entry().unwrap();
+            assert_eq!(e.len(), want.len());
+            assert!(e.hash_index_opt().is_some(), "hash index carried through every step");
+        }
+        let got = col.entry().unwrap().bat().unwrap();
+        assert_eq!(got.to_buffer(None), ColumnBuffer::Varchar(want.clone()));
+        // Byte-identical to consolidating the straight concatenation once.
+        let mut straight =
+            SegColumn::from_entry(Arc::new(ColumnEntry::from_bat(varchar(&[Some("base"), None]))));
+        for v in &want[2..] {
+            straight = straight.appended(varchar(&[v.as_deref()]));
+        }
+        assert_eq!(straight.depth(), 51);
+        let straight = straight.entry().unwrap().bat().unwrap();
+        let (Bat::Varchar { offsets: o1, heap: h1 }, Bat::Varchar { offsets: o2, heap: h2 }) =
+            (got.as_ref(), straight.as_ref())
+        else {
+            panic!("varchar expected");
+        };
+        assert_eq!((o1, h1.raw()), (o2, h2.raw()));
+        // Without a read in between, appends keep sharing the old chain.
+        let c = SegColumn::from_entry(int_entry(vec![1])).appended(Bat::Int(vec![2]));
+        assert_eq!(c.appended(Bat::Int(vec![3])).depth(), 3);
+    }
+
+    #[test]
+    fn gather_reads_segments_without_consolidating() {
+        let col = SegColumn::from_entry(Arc::new(ColumnEntry::from_bat(varchar(&[
+            Some("a0"),
+            Some("a1"),
+            None,
+        ]))))
+        .appended(varchar(&[Some("b0")]))
+        .appended(varchar(&[Some("c0"), Some("a1"), Some("c2")]));
+        let got = col.gather(&[1, 2, 3, 5, 6]).unwrap();
+        assert!(!col.has_cached_consolidation(), "gather must not consolidate");
+        let want: Vec<Option<String>> = [Some("a1"), None, Some("b0"), Some("a1"), Some("c2")]
+            .map(|s| s.map(String::from))
+            .into();
+        assert_eq!(got.to_buffer(None), ColumnBuffer::Varchar(want.clone()));
+        // Compact: only the three distinct gathered strings are in the heap.
+        assert_eq!(got.size_bytes(), 5 * 4 + 1 + 3 * (4 + 2));
+        // Same answer (and still compact) through a cached consolidation.
+        let _ = col.entry().unwrap();
+        let cached = col.gather(&[1, 2, 3, 5, 6]).unwrap();
+        assert_eq!(cached.to_buffer(None), ColumnBuffer::Varchar(want));
+        assert_eq!(cached.size_bytes(), got.size_bytes());
+        // Edge cases: nothing to gather; a single segment; bad row ids.
+        assert!(col.gather(&[]).unwrap().is_empty());
+        let single = SegColumn::from_entry(int_entry(vec![10, 20, 30]));
+        assert_eq!(
+            single.gather(&[0, 2]).unwrap().to_buffer(None),
+            ColumnBuffer::Int(vec![10, 30])
+        );
+        assert!(col.gather(&[7]).is_err());
+        assert!(single.gather(&[2, 0]).is_err(), "descending ids would gather the wrong rows");
     }
 
     #[test]

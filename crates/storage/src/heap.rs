@@ -13,8 +13,15 @@
 //! existing entries without storing the strings twice; once the distinct
 //! count exceeds the threshold the map is dropped and the heap degrades to
 //! append-only (exactly MonetDB's behaviour).
+//!
+//! A heap is copy-on-write: [`Clone`] shares the buffer and the dedup map
+//! in O(1) (gathers and column clones hand the same heap to their result),
+//! and the first [`StringHeap::add`] on a shared heap copies both — so the
+//! interning state, and therefore every offset and the persisted bytes,
+//! are exactly what an eager deep copy would have produced.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Default distinct-value threshold beyond which dedup is abandoned.
 pub const DEFAULT_DEDUP_LIMIT: usize = 1 << 16;
@@ -35,9 +42,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// A string heap: concatenated length-prefixed entries plus an optional
-/// duplicate-elimination map.
+/// duplicate-elimination map. Cloning is O(1); see the module docs.
 #[derive(Debug, Clone)]
 pub struct StringHeap {
+    inner: Arc<HeapInner>,
+}
+
+#[derive(Debug, Clone)]
+struct HeapInner {
     buf: Vec<u8>,
     /// hash → offsets of entries with that hash; `None` once dedup is off.
     dedup: Option<HashMap<u64, Vec<u32>>>,
@@ -60,38 +72,44 @@ impl StringHeap {
     /// Fresh heap with an explicit dedup threshold (0 disables dedup; used
     /// by the dedup ablation bench).
     pub fn with_dedup_limit(limit: usize) -> StringHeap {
-        StringHeap {
+        StringHeap::from_inner(HeapInner {
             buf: vec![0xFF], // offset 0 reserved for NULL
             dedup: if limit == 0 { None } else { Some(HashMap::new()) },
             distinct: 0,
             dedup_limit: limit,
-        }
+        })
+    }
+
+    fn from_inner(inner: HeapInner) -> StringHeap {
+        StringHeap { inner: Arc::new(inner) }
     }
 
     /// Insert a string, returning its offset. Re-uses an existing entry when
-    /// duplicate elimination is still active.
+    /// duplicate elimination is still active. A dedup hit never copies a
+    /// shared heap; an actual insertion un-shares it first.
     pub fn add(&mut self, s: &str) -> u32 {
         let bytes = s.as_bytes();
-        if let Some(map) = &mut self.dedup {
-            let h = fnv1a(bytes);
+        let hash = self.inner.dedup.as_ref().map(|_| fnv1a(bytes));
+        if let (Some(map), Some(h)) = (&self.inner.dedup, hash) {
             if let Some(bucket) = map.get(&h) {
                 for &off in bucket {
-                    if heap_get(&self.buf, off) == s {
+                    if heap_get(&self.inner.buf, off) == s {
                         return off;
                     }
                 }
             }
-            let off = append_entry(&mut self.buf, bytes);
-            map.entry(h).or_default().push(off);
-            self.distinct += 1;
-            if self.distinct > self.dedup_limit {
-                // Threshold exceeded: abandon dedup from now on.
-                self.dedup = None;
-            }
-            off
-        } else {
-            append_entry(&mut self.buf, bytes)
         }
+        let inner = Arc::make_mut(&mut self.inner);
+        let off = append_entry(&mut inner.buf, bytes);
+        if let (Some(map), Some(h)) = (&mut inner.dedup, hash) {
+            map.entry(h).or_default().push(off);
+            inner.distinct += 1;
+            if inner.distinct > inner.dedup_limit {
+                // Threshold exceeded: abandon dedup from now on.
+                inner.dedup = None;
+            }
+        }
+        off
     }
 
     /// Read the entry at `offset`. Panics on NULL_OFFSET (callers check the
@@ -99,23 +117,23 @@ impl StringHeap {
     #[inline]
     pub fn get(&self, offset: u32) -> &str {
         debug_assert_ne!(offset, NULL_OFFSET, "NULL offset dereferenced");
-        heap_get(&self.buf, offset)
+        heap_get(&self.inner.buf, offset)
     }
 
     /// Number of distinct entries inserted while dedup was active (after
     /// dedup is dropped this is a lower bound).
     pub fn distinct_seen(&self) -> usize {
-        self.distinct
+        self.inner.distinct
     }
 
     /// Whether duplicate elimination is still active.
     pub fn dedup_active(&self) -> bool {
-        self.dedup.is_some()
+        self.inner.dedup.is_some()
     }
 
     /// Total heap bytes (entry payloads + length prefixes).
     pub fn size_bytes(&self) -> usize {
-        self.buf.len()
+        self.inner.buf.len()
     }
 
     /// Approximate *resident* bytes: the packed heap plus the transient
@@ -124,7 +142,7 @@ impl StringHeap {
     /// engine (spill-or-not) must also count the map, which can dominate
     /// for short strings.
     pub fn mem_bytes(&self) -> usize {
-        let map = self.dedup.as_ref().map_or(0, |m| {
+        let map = self.inner.dedup.as_ref().map_or(0, |m| {
             // Every table slot (occupied or not) holds (hash, Vec header)
             // plus a control byte, and each bucket owns an out-of-line
             // offset allocation of at least 4 slots.
@@ -134,19 +152,24 @@ impl StringHeap {
         // `capacity`, not `len`: a heap past the dedup threshold grows
         // append-only through doubling, and the spill budget must see the
         // resident allocation, not just the packed image.
-        self.buf.capacity() + map
+        self.inner.buf.capacity() + map
     }
 
     /// Raw heap bytes, for persistence.
     pub fn raw(&self) -> &[u8] {
-        &self.buf
+        &self.inner.buf
     }
 
     /// Rebuild a heap from persisted raw bytes. The dedup map is *not*
     /// reconstructed (matching MonetDB: reloaded heaps are append-only
     /// until rewritten); offsets from the old heap stay valid.
     pub fn from_raw(buf: Vec<u8>) -> StringHeap {
-        StringHeap { buf, dedup: None, distinct: 0, dedup_limit: DEFAULT_DEDUP_LIMIT }
+        StringHeap::from_inner(HeapInner {
+            buf,
+            dedup: None,
+            distinct: 0,
+            dedup_limit: DEFAULT_DEDUP_LIMIT,
+        })
     }
 }
 
@@ -226,11 +249,11 @@ mod tests {
         for _ in 0..1000 {
             h.add("abcdefghij");
         }
-        while h.buf.len() == h.buf.capacity() {
+        while h.inner.buf.len() == h.inner.buf.capacity() {
             h.add("pad");
         }
         assert!(
-            h.mem_bytes() >= h.buf.capacity(),
+            h.mem_bytes() >= h.inner.buf.capacity(),
             "spill accounting must cover the resident allocation, not just buf.len()"
         );
     }
@@ -272,6 +295,58 @@ mod tests {
         assert_eq!(h2.get(offs[1]), "beta");
         assert_eq!(h2.get(offs[2]), "gamma");
         assert_eq!(offs[1], offs[3]); // dedup had collapsed them
+    }
+
+    #[test]
+    fn clone_shares_the_buffer_until_written() {
+        let mut a = StringHeap::new();
+        let x = a.add("x");
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.inner, &b.inner), "clone must be O(1): one shared buffer");
+        // A dedup hit is a read: it must not un-share.
+        assert_eq!(b.add("x"), x);
+        assert!(Arc::ptr_eq(&a.inner, &b.inner));
+        // The first insertion copies; the original is untouched.
+        let y = b.add("y");
+        assert!(!Arc::ptr_eq(&a.inner, &b.inner));
+        assert_eq!(a.size_bytes(), 1 + 4 + 1);
+        assert_eq!(a.distinct_seen(), 1);
+        assert_eq!((b.get(x), b.get(y)), ("x", "y"));
+        // ... and gets the same offset for "y" as the clone did: the two
+        // heaps diverged from identical interning state.
+        assert_eq!(a.add("y"), y);
+    }
+
+    #[test]
+    fn dedup_survives_copy_on_write() {
+        let mut a = StringHeap::new();
+        let off = a.add("shared");
+        let mut b = a.clone();
+        b.add("fresh"); // un-shares: buffer *and* dedup map are copied
+        assert!(b.dedup_active());
+        let size = b.size_bytes();
+        assert_eq!(b.add("shared"), off, "pre-share entries still dedup after the copy");
+        assert_eq!(b.add("fresh"), b.add("fresh"));
+        assert_eq!(b.size_bytes(), size);
+        assert_eq!(b.distinct_seen(), 2);
+    }
+
+    #[test]
+    fn raw_bytes_pinned_for_a_fixed_add_sequence() {
+        // The persisted image (column files, WAL frames) of this add
+        // sequence, as written by the eager-copy heap this one replaced:
+        // NULL marker, then `[len u32 LE][bytes]` per *distinct* value in
+        // first-appearance order. A clone taken mid-sequence must not
+        // change a byte.
+        let mut h = StringHeap::new();
+        h.add("ab");
+        h.add("");
+        let snapshot = h.clone();
+        h.add("ab");
+        h.add("c\u{e9}");
+        let want: &[u8] = &[0xFF, 2, 0, 0, 0, b'a', b'b', 0, 0, 0, 0, 3, 0, 0, 0, b'c', 0xC3, 0xA9];
+        assert_eq!(h.raw(), want);
+        assert_eq!(snapshot.raw(), &want[..11]);
     }
 
     #[test]

@@ -444,7 +444,6 @@ impl Store {
     }
 }
 
-/// Apply one logged/requested write op to a mutable table map.
 /// Apply one logged/requested write op to a mutable table map (shared
 /// with the engine's transaction-local overlay).
 pub fn apply_record(
@@ -486,7 +485,7 @@ pub fn apply_record(
                 id: meta.id,
                 name: meta.name.clone(),
                 schema: meta.schema.clone(),
-                data: meta.data.appended(cols.iter().map(clone_bat).collect())?,
+                data: meta.data.appended(cols.to_vec())?,
                 version: meta.version + 1,
                 ordered_cols: meta.ordered_cols.clone(),
             });
@@ -531,10 +530,6 @@ pub fn apply_record(
         }
     }
     Ok(())
-}
-
-fn clone_bat(b: &Bat) -> Bat {
-    b.clone()
 }
 
 fn check_append_types(schema: &Schema, cols: &[Bat]) -> Result<()> {

@@ -1,0 +1,240 @@
+//! Differential property test for DML over segmented, partly deleted
+//! data: random histories of bulk appends, INSERT / UPDATE / DELETE,
+//! explicit transactions (committed and rolled back), checkpoints and
+//! drop-and-reopen on a persistent database, compared after every step —
+//! including inside an open transaction (read-your-writes) — with the
+//! row-store engine, which shares the SQL front end and nothing of the
+//! storage or write path.
+
+use monetlite::{Connection, Database};
+use monetlite_rowstore::RowDb;
+use monetlite_types::{ColumnBuffer, Decimal, Value};
+use proptest::prelude::*;
+use std::path::Path;
+
+const DDL: &str = "CREATE TABLE t (k INT NOT NULL, s VARCHAR(12), d DECIMAL(10,2))";
+const DUMP: &str = "SELECT * FROM t ORDER BY k, s, d";
+const KEYS: u64 = 40;
+
+/// One replayable write, as the oracle needs it after a rollback.
+enum Write {
+    Sql(String),
+    Append(Vec<Vec<Value>>),
+}
+
+/// The row-store oracle. It cannot roll back, so it remembers the
+/// committed history and rebuilds itself from it.
+struct Oracle {
+    db: RowDb,
+    committed: Vec<Write>,
+    /// Writes of the open transaction (`None` = autocommit).
+    pending: Option<Vec<Write>>,
+}
+
+impl Oracle {
+    fn new() -> Oracle {
+        let db = RowDb::in_memory();
+        db.execute(DDL).unwrap();
+        Oracle { db, committed: Vec::new(), pending: None }
+    }
+
+    /// Apply a write; returns rows affected.
+    fn apply(&mut self, w: Write) -> u64 {
+        let n = Self::run(&self.db, &w);
+        self.pending.as_mut().unwrap_or(&mut self.committed).push(w);
+        n
+    }
+
+    fn run(db: &RowDb, w: &Write) -> u64 {
+        match w {
+            Write::Sql(sql) => db.execute(sql).unwrap_or_else(|e| panic!("oracle: {e}\n{sql}")),
+            Write::Append(rows) => db.insert_rows("t", rows.clone()).unwrap(),
+        }
+    }
+
+    fn commit(&mut self) {
+        self.committed.extend(self.pending.take().expect("open transaction"));
+    }
+
+    /// Forget the open transaction: replay the committed history.
+    fn rollback(&mut self) {
+        self.pending = None;
+        self.db = RowDb::in_memory();
+        self.db.execute(DDL).unwrap();
+        for w in &self.committed {
+            Self::run(&self.db, w);
+        }
+    }
+}
+
+/// A tiny deterministic stream over one generated word.
+struct Bits(u64);
+
+impl Bits {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_mul(0x9e3779b97f4a7c15).rotate_left(23) ^ 0x5851f42d4c957f2d;
+        (self.0 >> 17) % n
+    }
+}
+
+fn random_row(b: &mut Bits) -> (i32, Option<String>, Option<i64>) {
+    let k = b.below(KEYS) as i32;
+    let s = (b.below(4) != 0).then(|| format!("v{}", b.below(6)));
+    let d = (b.below(5) != 0).then(|| b.below(10_000) as i64);
+    (k, s, d)
+}
+
+/// A WHERE clause. `wide` admits the shapes that match most of the table
+/// (or all of it: no clause); DELETE mostly stays narrow so the table
+/// keeps growing into many segments with holes.
+fn predicate(b: &mut Bits, wide: bool) -> String {
+    let a = b.below(KEYS);
+    match b.below(if wide { 7 } else { 3 }) {
+        0 => format!(" WHERE k = {a}"),
+        1 => format!(" WHERE k >= {a} AND k < {}", a + 1 + b.below(8)),
+        2 => format!(" WHERE s = 'v{}'", b.below(6)),
+        3 => " WHERE s IS NULL".into(),
+        4 => format!(" WHERE d IS NULL OR k > {a}"),
+        5 => format!(" WHERE d > {}.50 AND s <> 'v0'", b.below(100)),
+        _ => String::new(),
+    }
+}
+
+fn assignment(b: &mut Bits) -> String {
+    match b.below(7) {
+        0 => "d = d + 1".into(),
+        1 => "d = NULL".into(),
+        2 => format!("s = 'v{}'", b.below(6)),
+        3 => "s = NULL".into(),
+        4 => "k = k + 1, s = 'moved'".into(),
+        5 => format!("d = {}.25, s = s", b.below(50)),
+        _ => "d = d * 2, k = k".into(),
+    }
+}
+
+fn dump(conn: &mut Connection) -> Vec<Vec<Value>> {
+    let r = conn.query(DUMP).unwrap();
+    (0..r.nrows()).map(|i| r.row(i)).collect()
+}
+
+fn open(dir: &Path) -> (Database, Connection) {
+    let db = Database::open(dir).unwrap();
+    let conn = db.connect();
+    (db, conn)
+}
+
+fn run_history(words: &[u64]) {
+    let dir = tempfile::tempdir().unwrap();
+    let (mut db, mut conn) = open(dir.path());
+    conn.execute(DDL).unwrap();
+    let mut oracle = Oracle::new();
+    let mut trace: Vec<String> = Vec::new();
+
+    for (step, &word) in words.iter().enumerate() {
+        let mut b = Bits(word);
+        let in_txn = oracle.pending.is_some();
+        let what = match b.below(32) {
+            // Bulk append through the host API: a new segment per call.
+            0..=7 => {
+                let rows: Vec<_> = (0..4 + b.below(20)).map(|_| random_row(&mut b)).collect();
+                conn.append(
+                    "t",
+                    vec![
+                        ColumnBuffer::Int(rows.iter().map(|r| r.0).collect()),
+                        ColumnBuffer::Varchar(rows.iter().map(|r| r.1.clone()).collect()),
+                        ColumnBuffer::Decimal {
+                            data: rows.iter().map(|r| r.2.unwrap_or(i64::MIN)).collect(),
+                            scale: 2,
+                        },
+                    ],
+                )
+                .unwrap();
+                let values = rows
+                    .iter()
+                    .map(|(k, s, d)| {
+                        vec![
+                            Value::Int(*k),
+                            s.clone().map_or(Value::Null, Value::Str),
+                            d.map_or(Value::Null, |raw| Value::Decimal(Decimal::new(raw, 2))),
+                        ]
+                    })
+                    .collect();
+                oracle.apply(Write::Append(values));
+                format!("append {} rows", rows.len())
+            }
+            op @ 8..=25 => {
+                let sql = match op {
+                    8..=11 => {
+                        let tuples: Vec<String> = (0..1 + b.below(3))
+                            .map(|_| {
+                                let (k, s, d) = random_row(&mut b);
+                                let s = s.map_or("NULL".into(), |s| format!("'{s}'"));
+                                let d = d.map_or("NULL".into(), |d| Decimal::new(d, 2).to_string());
+                                format!("({k}, {s}, {d})")
+                            })
+                            .collect();
+                        format!("INSERT INTO t VALUES {}", tuples.join(", "))
+                    }
+                    12..=20 => {
+                        format!("UPDATE t SET {}{}", assignment(&mut b), predicate(&mut b, true))
+                    }
+                    _ => {
+                        let wide = b.below(8) == 0;
+                        format!("DELETE FROM t{}", predicate(&mut b, wide))
+                    }
+                };
+                let got = conn.execute(&sql).unwrap_or_else(|e| panic!("{e}\n{sql}\n{trace:#?}"));
+                let want = oracle.apply(Write::Sql(sql.clone()));
+                assert_eq!(got, want, "rows affected by step {step}: {sql}\n{trace:#?}");
+                sql
+            }
+            26 | 27 if !in_txn => {
+                conn.begin().unwrap();
+                oracle.pending = Some(Vec::new());
+                "BEGIN".into()
+            }
+            26..=28 if in_txn => {
+                if b.below(3) == 0 {
+                    conn.rollback().unwrap();
+                    oracle.rollback();
+                    "ROLLBACK".into()
+                } else {
+                    conn.commit().unwrap();
+                    oracle.commit();
+                    "COMMIT".into()
+                }
+            }
+            // A checkpoint compacts deleted rows away, which conflicts
+            // with an open transaction by design: only between them.
+            29 if !in_txn => {
+                db.checkpoint().unwrap();
+                "checkpoint".into()
+            }
+            // Drop every handle and recover. An open transaction dies
+            // with its connection.
+            30 => {
+                drop(conn);
+                drop(db);
+                if in_txn {
+                    oracle.rollback();
+                }
+                (db, conn) = open(dir.path());
+                "reopen".into()
+            }
+            _ => continue,
+        };
+        trace.push(what);
+        let got = dump(&mut conn);
+        let want = oracle.db.query(DUMP).unwrap().rows;
+        assert_eq!(got, want, "table contents after step {step}\n{trace:#?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn dml_histories_match_the_rowstore_oracle(words in collection::vec(any::<u64>(), 12..48)) {
+        run_history(&words);
+    }
+}

@@ -45,28 +45,65 @@ fn assert_clean_error(e: &MlError) {
 }
 
 // ---------------------------------------------------------------------------
-// Workload A: full persistent lifecycle (append + checkpoint + restart,
-// so WAL append/flush, catalog + column-file checkpointing, lock
-// handling, replay and GC are all inside the swept window).
+// Workload A: full persistent lifecycle (inserts + checkpoint + UPDATE and
+// DELETE + restart, so WAL append/flush of `Append` and `Delete` frames,
+// catalog + column-file checkpointing with string heaps and dictionary
+// sidecars, lock handling, replay and GC are all inside the swept window).
 // ---------------------------------------------------------------------------
 
-/// Runs the lifecycle workload, recording which commits were
-/// acknowledged (`-1` = CREATE TABLE, `0..4` = insert batches). Stops at
-/// the first error — each sweep ordinal fails a different operation, so
-/// the union of runs still covers every path.
-fn lifecycle_workload(dir: &Path) -> (Vec<i64>, Result<()>) {
-    let mut acked: Vec<i64> = Vec::new();
+/// The lifecycle's transactions, one autocommit statement each. The
+/// UPDATE and the DELETE both hit rows of the checkpointed image *and*
+/// rows that live only in the WAL, so replay applies `Delete` row ids and
+/// compact `Append` deltas on top of a checkpoint.
+const LIFECYCLE: [&str; 7] = [
+    "CREATE TABLE t (batch INT NOT NULL, v INT NOT NULL, tag VARCHAR(8))",
+    "INSERT INTO t VALUES (0, 1, 'b0'), (0, 2, NULL)",
+    "INSERT INTO t VALUES (1, 1, 'b1'), (1, 2, NULL)",
+    "INSERT INTO t VALUES (2, 1, 'b2'), (2, 2, NULL)",
+    "INSERT INTO t VALUES (3, 1, 'b3'), (3, 2, NULL)",
+    "UPDATE t SET v = v + 10, tag = 'upd' WHERE batch = 0 OR batch = 2",
+    "DELETE FROM t WHERE batch = 1 OR v = 2",
+];
+/// A checkpoint follows this many statements: everything later lives only
+/// in the WAL, so the restart exercises replay.
+const CHECKPOINT_AFTER: usize = 3;
+
+type Row = (i64, i64, Option<String>);
+
+/// Table contents (ordered by batch, v) after the first `n` statements of
+/// [`LIFECYCLE`] — the host-side model the recovered database must match.
+fn lifecycle_state(n: usize) -> Vec<Row> {
+    let mut rows: Vec<Row> = Vec::new();
+    for step in 1..n {
+        match step {
+            1..=4 => {
+                let b = step as i64 - 1;
+                rows.extend([(b, 1, Some(format!("b{b}"))), (b, 2, None)]);
+            }
+            5 => {
+                for r in rows.iter_mut().filter(|r| r.0 == 0 || r.0 == 2) {
+                    *r = (r.0, r.1 + 10, Some("upd".into()));
+                }
+            }
+            _ => rows.retain(|r| !(r.0 == 1 || r.1 == 2)),
+        }
+    }
+    rows.sort();
+    rows
+}
+
+/// Runs the lifecycle workload, returning how many of its statements were
+/// acknowledged. Stops at the first error — each sweep ordinal fails a
+/// different operation, so the union of runs still covers every path.
+fn lifecycle_workload(dir: &Path) -> (usize, Result<()>) {
+    let mut acked = 0;
     let res = (|| {
         let db = Database::open(dir)?;
         let mut conn = db.connect();
-        conn.execute("CREATE TABLE t (batch INT NOT NULL, v INT NOT NULL)")?;
-        acked.push(-1);
-        for b in 0..4i64 {
-            conn.execute(&format!("INSERT INTO t VALUES ({b}, 1), ({b}, 2)"))?;
-            acked.push(b);
-            if b == 1 {
-                // Mid-workload checkpoint: later batches live only in
-                // the WAL, so the restart below exercises replay.
+        for sql in LIFECYCLE {
+            conn.execute(sql)?;
+            acked += 1;
+            if acked == CHECKPOINT_AFTER {
                 db.checkpoint()?;
             }
         }
@@ -98,7 +135,7 @@ fn assert_no_leaks(dir: &Path) {
             let p = e.unwrap().path();
             let ext = p.extension().unwrap_or_default().to_string_lossy().into_owned();
             assert!(
-                matches!(ext.as_str(), "bat" | "zm" | "st"),
+                matches!(ext.as_str(), "bat" | "zm" | "st" | "dict"),
                 "temp/orphan file leaked into cols/: {}",
                 p.display()
             );
@@ -106,38 +143,43 @@ fn assert_no_leaks(dir: &Path) {
     }
 }
 
+/// How many statements of [`LIFECYCLE`] the database's contents reflect:
+/// they must equal the model's state after *some* prefix — no torn,
+/// partial or reordered transaction.
+fn surviving_prefix(conn: &mut Connection) -> usize {
+    let r = match conn.query("SELECT batch, v, tag FROM t ORDER BY batch, v") {
+        Ok(r) => r,
+        // Not even the CREATE TABLE made it: the empty prefix.
+        Err(MlError::Catalog(m)) if m.contains("unknown table") => return 0,
+        Err(e) => panic!("recovered database failed the oracle query: {e:?}"),
+    };
+    let present: Vec<Row> = (0..r.nrows())
+        .map(|i| {
+            let tag = match r.value(i, 2) {
+                Value::Null => None,
+                Value::Str(s) => Some(s),
+                other => panic!("expected a string tag, got {other:?}"),
+            };
+            (int_of(r.value(i, 0)), int_of(r.value(i, 1)), tag)
+        })
+        .collect();
+    (1..=LIFECYCLE.len())
+        .find(|&n| lifecycle_state(n) == present)
+        .unwrap_or_else(|| panic!("recovered rows match no committed prefix: {present:?}"))
+}
+
 /// Disarmed recovery oracle: reopen, and check the surviving state is a
-/// contiguous, fully-committed prefix containing every acked batch.
-fn verify_recovery(dir: &Path, acked: &[i64]) {
+/// fully-committed prefix containing every acknowledged statement.
+fn verify_recovery(dir: &Path, acked: usize) {
     // A fault during the workload's own `Drop` can leave the pid lock
     // behind — recovery after a "crash" starts by clearing it, exactly
     // as an embedding host restarting after a power loss would.
     let _ = std::fs::remove_file(dir.join("db.lock"));
     let db = Database::open(dir).expect("recovery open must succeed once faults stop");
     let mut conn = db.connect();
-    let present: Vec<(i64, i64)> = match conn
-        .query("SELECT batch, COUNT(*) FROM t GROUP BY batch ORDER BY batch")
-    {
-        Ok(r) => (0..r.nrows()).map(|i| (int_of(r.value(i, 0)), int_of(r.value(i, 1)))).collect(),
-        Err(MlError::Catalog(m)) if m.contains("unknown table") => {
-            assert!(acked.is_empty(), "CREATE TABLE was acknowledged but lost: {m}");
-            Vec::new()
-        }
-        Err(e) => panic!("recovered database failed the oracle query: {e:?}"),
-    };
-    // Contiguous prefix, each batch fully present (2 rows): no torn or
-    // reordered transactions survive.
-    for (i, (batch, n)) in present.iter().enumerate() {
-        assert_eq!(*batch, i as i64, "non-contiguous batches survived: {present:?}");
-        assert_eq!(*n, 2, "partial transaction visible for batch {batch}");
-    }
+    let survived = surviving_prefix(&mut conn);
     // Durability: every acknowledged commit is in the recovered state.
-    for b in acked.iter().filter(|&&b| b >= 0) {
-        assert!(
-            present.iter().any(|(p, _)| p == b),
-            "acked batch {b} lost after recovery; present: {present:?}, acked: {acked:?}"
-        );
-    }
+    assert!(survived >= acked, "{acked} statements acked but only {survived} survived recovery");
     // One clean checkpoint must succeed and sweep all debris.
     db.checkpoint().expect("disarmed checkpoint after recovery");
     drop(conn);
@@ -155,7 +197,7 @@ fn sweep_lifecycle(mode: FaultMode) {
         if let Err(e) = &res {
             assert_clean_error(e);
         }
-        verify_recovery(dir.path(), &acked);
+        verify_recovery(dir.path(), acked);
         if !rep.fired {
             assert!(res.is_ok(), "fault-free run must succeed: {:?}", res.err());
             assert!(rep.ios > 20, "suspiciously few injection points swept: {}", rep.ios);
@@ -356,44 +398,28 @@ fn failed_wal_append_does_not_corrupt_later_commits() {
 #[test]
 fn wal_torn_tail_recovers_exactly_an_acked_prefix() {
     let _g = fault::test_lock();
-    const NTX: usize = 8;
     let src = tempfile::tempdir().unwrap();
     {
         let db = Database::open(src.path()).unwrap();
         let mut conn = db.connect();
-        conn.execute("CREATE TABLE w (i INT NOT NULL)").unwrap();
-        for i in 0..NTX {
-            conn.execute(&format!("INSERT INTO w VALUES ({i})")).unwrap();
+        for sql in LIFECYCLE {
+            conn.execute(sql).unwrap();
         }
-        // No checkpoint: every transaction lives only in the WAL.
+        // No checkpoint: every transaction — the `Delete` and compact
+        // `Append` frames of the UPDATE included — lives only in the WAL.
         assert!(!src.path().join("catalog.bin").exists(), "workload must not checkpoint");
     }
     let wal = std::fs::read(src.path().join("wal.log")).unwrap();
     assert!(wal.len() > 100, "WAL unexpectedly small: {} bytes", wal.len());
+    let mut last = 0;
     for cut in 0..=wal.len() {
         let dir = tempfile::tempdir().unwrap();
         std::fs::write(dir.path().join("wal.log"), &wal[..cut]).unwrap();
         let db = Database::open(dir.path())
             .unwrap_or_else(|e| panic!("torn tail at byte {cut} must not fail recovery: {e:?}"));
-        let mut conn = db.connect();
-        let rows: Vec<i64> = match conn.query("SELECT i FROM w ORDER BY i") {
-            Ok(r) => (0..r.nrows()).map(|i| int_of(r.value(i, 0))).collect(),
-            // The CREATE TABLE transaction itself was torn off: a
-            // zero-transaction prefix.
-            Err(MlError::Catalog(m)) if m.contains("unknown table") => {
-                assert!(cut < wal.len(), "full WAL lost the schema");
-                continue;
-            }
-            Err(e) => panic!("recovery of the tail cut at byte {cut} surfaced {e:?}"),
-        };
-        for (i, v) in rows.iter().enumerate() {
-            assert_eq!(
-                *v, i as i64,
-                "cut at byte {cut}: recovered rows are not a prefix: {rows:?}"
-            );
-        }
-        if cut == wal.len() {
-            assert_eq!(rows.len(), NTX, "untruncated WAL must recover every transaction");
-        }
+        let survived = surviving_prefix(&mut db.connect());
+        assert!(survived >= last, "cut at byte {cut}: a longer log recovered a shorter prefix");
+        last = survived;
     }
+    assert_eq!(last, LIFECYCLE.len(), "untruncated WAL must recover every transaction");
 }
