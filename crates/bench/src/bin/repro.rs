@@ -1,5 +1,6 @@
 //! The paper-reproduction driver: regenerates every table and figure of
-//! the evaluation section (see EXPERIMENTS.md).
+//! the evaluation section. Its output is printed, not recorded; the
+//! recorded numbers are the `BENCH_*.json` files at the repository root.
 //!
 //! ```text
 //! repro [--sf X] [--rows N] [--runs K] [--timeout SECS] <experiment...>

@@ -2,7 +2,9 @@
 //!
 //! The reproduction harness: one function per table/figure of the paper's
 //! evaluation (§4), shared by the `repro` binary and the Criterion
-//! benches. See EXPERIMENTS.md for paper-vs-measured results.
+//! benches. Recorded results are the `BENCH_*.json` files at the repository
+//! root (`BENCH_perfbench.json` for the end-to-end benchmark, one file per
+//! feature suite beside it); a paper-vs-measured ledger is ROADMAP item 1c.
 //!
 //! Systems under test (paper §4.1 → our substitutions, DESIGN.md §1):
 //!

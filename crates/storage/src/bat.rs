@@ -328,7 +328,8 @@ impl Bat {
     }
 
     /// Append all rows of another BAT (string values are re-interned into
-    /// this heap so duplicate elimination keeps working across appends).
+    /// this heap so duplicate elimination keeps working across appends;
+    /// offsets and heap bytes are those of adding the strings row by row).
     pub fn append_bat(&mut self, other: &Bat) -> Result<()> {
         match (&mut *self, other) {
             (Bat::Bool(a), Bat::Bool(b)) => a.extend_from_slice(b),
@@ -349,12 +350,33 @@ impl Bat {
                 }
             }
             (Bat::Varchar { offsets, heap }, Bat::Varchar { offsets: bo, heap: bh }) => {
+                // A source heap that is small against the row count holds
+                // few distinct strings: translate each source offset once
+                // and copy the answer for its other rows (0 = not yet
+                // seen). The size test keeps the call O(rows) for a
+                // one-row gather out of a big shared heap.
+                let mut memo = if bh.size_bytes() <= 4 * bo.len() {
+                    vec![NULL_OFFSET; bh.size_bytes()]
+                } else {
+                    Vec::new()
+                };
+                offsets.reserve(bo.len());
                 for &o in bo {
                     if o == NULL_OFFSET {
                         offsets.push(NULL_OFFSET);
-                    } else {
-                        offsets.push(heap.add(bh.get(o)));
+                        continue;
                     }
+                    offsets.push(match memo.get_mut(o as usize) {
+                        // Past its dedup threshold this heap gives every
+                        // row an entry of its own; the memo must not.
+                        Some(seen) if heap.dedup_active() => {
+                            if *seen == NULL_OFFSET {
+                                *seen = heap.add_entry_of(bh, o);
+                            }
+                            *seen
+                        }
+                        _ => heap.add_entry_of(bh, o),
+                    });
                 }
             }
             (Bat::Date(a), Bat::Date(b)) => a.extend_from_slice(b),
@@ -399,22 +421,45 @@ impl Bat {
     /// range is NULL, or for VARCHAR (strings only hash — no
     /// order-preserving key domain).
     pub fn key_range(&self, lo: usize, hi: usize) -> Option<(i64, i64)> {
-        if matches!(self, Bat::Varchar { .. }) {
-            return None;
-        }
-        let mut mn = i64::MAX;
-        let mut mx = i64::MIN;
-        let mut any = false;
-        for i in lo..hi.min(self.len()) {
-            if self.is_null_at(i) {
-                continue;
+        let mut range = None;
+        self.for_each_key(lo, hi, |k| {
+            range = Some(range.map_or((k, k), |(mn, mx): (i64, i64)| (mn.min(k), mx.max(k))));
+        })?;
+        range
+    }
+
+    /// Feed `f` the [`crate::index::key_at`] key of every non-NULL row in
+    /// `[lo, hi)` — one typed loop per physical type instead of a type
+    /// dispatch per row — and return how many rows were NULL. `None`
+    /// (nothing fed) for VARCHAR, whose keys are hashes of heap entries.
+    pub(crate) fn for_each_key(&self, lo: usize, hi: usize, f: impl FnMut(i64)) -> Option<usize> {
+        fn run<T: Copy>(
+            v: &[T],
+            (lo, hi): (usize, usize),
+            is_null: impl Fn(T) -> bool,
+            key: impl Fn(T) -> i64,
+            mut f: impl FnMut(i64),
+        ) -> Option<usize> {
+            let rows = v.get(lo..hi.min(v.len())).unwrap_or(&[]);
+            let mut nulls = 0;
+            for &x in rows {
+                if is_null(x) {
+                    nulls += 1;
+                } else {
+                    f(key(x));
+                }
             }
-            let k = crate::index::key_at(self, i);
-            mn = mn.min(k);
-            mx = mx.max(k);
-            any = true;
+            Some(nulls)
         }
-        any.then_some((mn, mx))
+        let at = (lo, hi);
+        match self {
+            Bat::Bool(v) => run(v, at, |x| x == NULL_I8, |x| x as i64, f),
+            Bat::Int(v) | Bat::Date(v) => run(v, at, |x| x == NULL_I32, |x| x as i64, f),
+            Bat::Bigint(v) => run(v, at, |x| x == NULL_I64, |x| x, f),
+            Bat::Decimal { data, .. } => run(data, at, |x| x == NULL_I64, |x| x, f),
+            Bat::Double(v) => run(v, at, |x| x.is_nan(), crate::index::f64_ordered, f),
+            Bat::Varchar { .. } => None,
+        }
     }
 
     /// Count of NULL rows.
@@ -510,6 +555,60 @@ mod tests {
         }
     }
 
+    /// What `append_bat` must equal on VARCHAR: one `add` per row.
+    fn append_rowwise(dst: &mut Bat, src: &Bat) {
+        for i in 0..src.len() {
+            dst.push(&src.get(i)).unwrap();
+        }
+    }
+
+    fn varchar_parts(b: &Bat) -> (&[u32], &[u8]) {
+        match b {
+            Bat::Varchar { offsets, heap } => (offsets, heap.raw()),
+            _ => panic!("varchar expected"),
+        }
+    }
+
+    #[test]
+    fn append_bat_translates_a_small_source_heap_once_per_offset() {
+        // 3 distinct strings over 4000 rows: the memo path. The destination
+        // ends with one entry per distinct string, as row-by-row adds would.
+        let src = Bat::from_buffer(&ColumnBuffer::Varchar(
+            (0..4000).map(|i| (i % 4 != 3).then(|| format!("flag{}", i % 4))).collect(),
+        ));
+        let mut fast = Bat::new(LogicalType::Varchar);
+        let mut slow = Bat::new(LogicalType::Varchar);
+        fast.append_bat(&src).unwrap();
+        append_rowwise(&mut slow, &src);
+        assert_eq!(varchar_parts(&fast), varchar_parts(&slow));
+        assert_eq!(fast.size_bytes(), 4000 * 4 + 1 + 3 * (4 + 5));
+        assert_eq!(fast.null_count(), 1000);
+    }
+
+    #[test]
+    fn key_range_is_min_max_of_key_at_over_non_null_rows() {
+        let bats = [
+            Bat::Bool(vec![1, NULL_I8, 0]),
+            Bat::Int(vec![NULL_I32, 7, -3, 12]),
+            Bat::Date(vec![100, NULL_I32, 90]),
+            Bat::Bigint(vec![i64::MAX, NULL_I64, -5]),
+            Bat::Decimal { data: vec![250, NULL_I64, -1], scale: 2 },
+            Bat::Double(vec![f64::NAN, -2.5, 1e9, -0.0]),
+        ];
+        for bat in &bats {
+            for (lo, hi) in [(0, bat.len()), (1, 2), (1, 99), (2, 2), (3, 1)] {
+                let keys: Vec<i64> = (lo..hi.min(bat.len()))
+                    .filter(|&i| !bat.is_null_at(i))
+                    .map(|i| crate::index::key_at(bat, i))
+                    .collect();
+                let want = keys.iter().min().zip(keys.iter().max()).map(|(a, b)| (*a, *b));
+                assert_eq!(bat.key_range(lo, hi), want, "{bat:?} [{lo}, {hi})");
+            }
+        }
+        let strs = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("a".into())]));
+        assert_eq!(strs.key_range(0, 1), None, "strings have no key order");
+    }
+
     #[test]
     fn append_decimal_mixed_scale() {
         let mut a = Bat::Decimal { data: vec![100], scale: 2 };
@@ -534,6 +633,39 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn prop_append_bat_equals_rowwise_add(
+            // Per row: a string id (low NDV in even segments, high in odd
+            // ones), NULL for id % 5 == 0.
+            rows in proptest::collection::vec(any::<u32>(), 1..400),
+            nseg in 1usize..6,
+            limit in 0usize..40,
+            shared in 0u8..2,
+        ) {
+            let value = |seg: usize, r: u32| {
+                let id = if seg.is_multiple_of(2) { r % 4 } else { r % 97 };
+                (!r.is_multiple_of(5)).then(|| format!("s{id}"))
+            };
+            // A destination whose dedup threshold the appends may cross.
+            let fresh = || Bat::Varchar {
+                offsets: Vec::new(),
+                heap: StringHeap::with_dedup_limit(limit),
+            };
+            let (mut fast, mut slow) = (fresh(), fresh());
+            for (seg, part) in rows.chunks(rows.len().div_ceil(nseg)).enumerate() {
+                let all: Vec<Option<String>> = part.iter().map(|&r| value(seg, r)).collect();
+                let mut src = Bat::from_buffer(&ColumnBuffer::Varchar(all));
+                if shared == 1 {
+                    // A gather: few rows over the whole source heap.
+                    src = src.take(&[0, (part.len() / 2) as u32]);
+                }
+                fast.append_bat(&src).unwrap();
+                append_rowwise(&mut slow, &src);
+                prop_assert_eq!(varchar_parts(&fast), varchar_parts(&slow));
+            }
+            prop_assert_eq!(fast.to_buffer(None), slow.to_buffer(None));
+        }
+
         #[test]
         fn prop_buffer_roundtrip_int(v in proptest::collection::vec(any::<i32>(), 0..100)) {
             let buf = ColumnBuffer::Int(v);

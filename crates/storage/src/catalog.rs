@@ -366,17 +366,13 @@ pub struct SegNode {
     prev: Option<Arc<SegNode>>,
     total_rows: usize,
     depth: usize,
-    /// Rows of the deepest (base) segment — kept here so the commit-time
-    /// consolidation policy is O(1) instead of walking the chain (which
-    /// made single-row INSERT streams quadratic).
-    base_rows: usize,
 }
 
 impl SegNode {
     /// A chain of one segment.
     fn base(entry: Arc<ColumnEntry>) -> Arc<SegNode> {
         let total_rows = entry.len();
-        Arc::new(SegNode { entry, prev: None, total_rows, depth: 1, base_rows: total_rows })
+        Arc::new(SegNode { entry, prev: None, total_rows, depth: 1 })
     }
 }
 
@@ -392,6 +388,10 @@ impl Drop for SegNode {
         }
     }
 }
+
+/// Longest append chain a write leaves behind (see
+/// [`SegColumn::wants_consolidation`]).
+pub const MAX_CHAIN_DEPTH: usize = 4096;
 
 /// One logical column of a table: a chain of appended segments with a
 /// cached consolidated view.
@@ -457,7 +457,6 @@ impl SegColumn {
                 entry: Arc::new(ColumnEntry::from_bat(bat)),
                 total_rows: prev.total_rows + rows,
                 depth: prev.depth + 1,
-                base_rows: prev.base_rows,
                 prev: Some(prev),
             }),
             consolidated: Mutex::new(None),
@@ -515,19 +514,15 @@ impl SegColumn {
         Ok(out)
     }
 
-    /// Whether the commit path should consolidate this column now: either
-    /// the appended tail has grown to the size of the base segment
-    /// (amortised-doubling) or the chain is getting long.
+    /// Whether an append should collapse the chain it has just extended.
+    /// Appends are O(batch): they never consolidate for the sake of the
+    /// next reader (who consolidates once, lazily, in [`SegColumn::entry`],
+    /// and whose result the next append chains onto). The one exception
+    /// bounds what a stream of single-row INSERTs nobody reads can build
+    /// up in per-segment overhead: a chain this long is collapsed, which
+    /// amortises to one row copy per [`MAX_CHAIN_DEPTH`] appended rows.
     pub fn wants_consolidation(&self) -> bool {
-        if self.head.depth <= 1 {
-            return false;
-        }
-        if self.head.depth >= 4096 {
-            return true;
-        }
-        let base_rows = self.head.base_rows;
-        let tail_rows = self.head.total_rows - base_rows;
-        tail_rows >= base_rows.max(1024)
+        self.head.depth >= MAX_CHAIN_DEPTH
     }
 
     /// The contiguous view of this column. Single-segment columns return
@@ -637,8 +632,9 @@ impl TableData {
         self.rows - self.deleted_count
     }
 
-    /// New version with `bats` appended column-wise (O(1) in existing
-    /// data; consolidation happens per policy).
+    /// New version with `bats` appended column-wise: O(batch), whatever
+    /// the table holds — existing segments are shared, not copied (but see
+    /// [`SegColumn::wants_consolidation`]).
     pub fn appended(&self, bats: Vec<Bat>) -> Result<TableData> {
         if bats.len() != self.cols.len() {
             return Err(MlError::Execution(format!(
@@ -953,11 +949,50 @@ mod tests {
 
     #[test]
     fn wants_consolidation_doubling() {
+        // The doubling rule is gone: a tail that outgrows the base no
+        // longer makes the *writer* consolidate (the first reader does,
+        // once). Only the chain-length cap is left.
         let mut col = SegColumn::from_entry(int_entry((0..2048).collect()));
         col = col.appended(Bat::Int(vec![1]));
         assert!(!col.wants_consolidation());
         col = col.appended(Bat::Int((0..3000).collect()));
-        assert!(col.wants_consolidation(), "tail >= base triggers consolidation");
+        assert!(!col.wants_consolidation(), "tail >= base is the reader's business now");
+        for i in 3..MAX_CHAIN_DEPTH {
+            assert!(!col.wants_consolidation(), "depth {i}");
+            col = col.appended(Bat::Int(vec![i as i32]));
+        }
+        assert_eq!(col.depth(), MAX_CHAIN_DEPTH);
+        assert!(col.wants_consolidation(), "the cap bounds single-row streams");
+    }
+
+    #[test]
+    fn table_append_is_lazy_up_to_the_chain_cap() {
+        let schema = Schema::new(vec![
+            Field::new("a", LogicalType::Int),
+            Field::new("b", LogicalType::Varchar),
+        ])
+        .unwrap();
+        let row = |i: i32| vec![Bat::Int(vec![i]), varchar(&[Some(&format!("s{}", i % 3))])];
+        // Bulk appends far bigger than the base stay a chain...
+        let mut t = TableData::empty(&schema).appended(row(0)).unwrap();
+        let big: Vec<Option<String>> = (0..5000).map(|i| Some(format!("v{i}"))).collect();
+        t = t
+            .appended(vec![
+                Bat::Int((0..5000).collect()),
+                Bat::from_buffer(&ColumnBuffer::Varchar(big)),
+            ])
+            .unwrap();
+        assert!(t.cols.iter().all(|c| c.depth() == 3 && !c.has_cached_consolidation()));
+        // ... and a single-row stream is collapsed every MAX_CHAIN_DEPTH
+        // appends, so depth stays bounded and nothing is lost.
+        for i in 0..2 * MAX_CHAIN_DEPTH as i32 {
+            t = t.appended(row(i)).unwrap();
+            assert!(t.cols.iter().all(|c| c.depth() < MAX_CHAIN_DEPTH), "append {i}");
+        }
+        assert_eq!(t.rows, 5001 + 2 * MAX_CHAIN_DEPTH);
+        let a = t.cols[0].entry().unwrap().bat().unwrap();
+        assert_eq!(a.len(), t.rows);
+        assert_eq!(a.get(t.rows - 1), monetlite_types::Value::Int(2 * MAX_CHAIN_DEPTH as i32 - 1));
     }
 
     #[test]

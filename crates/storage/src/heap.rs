@@ -9,18 +9,18 @@
 //!
 //! Entry layout: `[len: u32 LE][bytes]`, entries start at offset 1 (offset
 //! 0 is the reserved NULL marker byte). While duplicate elimination is
-//! active a hash-bucket map (value hash → candidate offsets) resolves
+//! active a flat open-addressed table (value hash → entry offset) resolves
 //! existing entries without storing the strings twice; once the distinct
-//! count exceeds the threshold the map is dropped and the heap degrades to
-//! append-only (exactly MonetDB's behaviour).
+//! count exceeds the threshold the table is dropped and the heap degrades
+//! to append-only (exactly MonetDB's behaviour).
 //!
-//! A heap is copy-on-write: [`Clone`] shares the buffer and the dedup map
-//! in O(1) (gathers and column clones hand the same heap to their result),
-//! and the first [`StringHeap::add`] on a shared heap copies both — so the
-//! interning state, and therefore every offset and the persisted bytes,
-//! are exactly what an eager deep copy would have produced.
+//! A heap is copy-on-write: [`Clone`] shares the buffer and the dedup
+//! table in O(1) (gathers and column clones hand the same heap to their
+//! result), and the first [`StringHeap::add`] on a shared heap copies both
+//! (two `memcpy`s) — so the interning state, and therefore every offset
+//! and the persisted bytes, are exactly what an eager deep copy would have
+//! produced.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Default distinct-value threshold beyond which dedup is abandoned.
@@ -29,7 +29,7 @@ pub const DEFAULT_DEDUP_LIMIT: usize = 1 << 16;
 /// Offset value denoting NULL in the offsets array.
 pub const NULL_OFFSET: u32 = 0;
 
-/// FNV-1a, used for the dedup buckets (fast, dependency-free; HashDoS is
+/// FNV-1a, used for the dedup table (fast, dependency-free; HashDoS is
 /// not a concern for a private heap).
 #[inline]
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -39,6 +39,71 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// The duplicate-elimination index: linear probing over a power-of-two
+/// array of `(hash tag << 32) | entry offset` slots, 0 = empty (no entry
+/// lives at offset 0). The tag filters probes before any string compare
+/// and re-places entries on growth without touching the heap, so a clone
+/// is one `memcpy` and an insertion never allocates per string.
+#[derive(Debug, Clone, Default)]
+struct DedupTable {
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl DedupTable {
+    /// FNV-1a mixes upwards only (bit k of the hash depends on bits <= k
+    /// of the input), so fold the well-mixed high half into the tag.
+    #[inline]
+    fn tag(hash: u64) -> u32 {
+        (hash ^ (hash >> 32)) as u32
+    }
+
+    /// The offset of the entry equal to `s`, if interned.
+    #[inline]
+    fn find(&self, buf: &[u8], s: &[u8], hash: u64) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let tag = Self::tag(hash);
+        let mask = self.slots.len() - 1;
+        let mut i = tag as usize & mask;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                return None;
+            }
+            if (slot >> 32) as u32 == tag && entry_bytes(buf, slot as u32) == s {
+                return Some(slot as u32);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Record a new entry (the caller has checked it is absent). Load
+    /// factor stays at or below one half.
+    fn insert(&mut self, hash: u64, off: u32) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let grown = vec![0u64; (self.slots.len() * 2).max(8)];
+            for slot in std::mem::replace(&mut self.slots, grown) {
+                if slot != 0 {
+                    self.place(slot);
+                }
+            }
+        }
+        self.place((Self::tag(hash) as u64) << 32 | off as u64);
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = (slot >> 32) as usize & mask;
+        while self.slots[i] != 0 {
+            i = (i + 1) & mask;
+        }
+        self.slots[i] = slot;
+    }
 }
 
 /// A string heap: concatenated length-prefixed entries plus an optional
@@ -51,8 +116,8 @@ pub struct StringHeap {
 #[derive(Debug, Clone)]
 struct HeapInner {
     buf: Vec<u8>,
-    /// hash → offsets of entries with that hash; `None` once dedup is off.
-    dedup: Option<HashMap<u64, Vec<u32>>>,
+    /// Index of the interned entries; `None` once dedup is off.
+    dedup: Option<DedupTable>,
     distinct: usize,
     dedup_limit: usize,
 }
@@ -74,7 +139,7 @@ impl StringHeap {
     pub fn with_dedup_limit(limit: usize) -> StringHeap {
         StringHeap::from_inner(HeapInner {
             buf: vec![0xFF], // offset 0 reserved for NULL
-            dedup: if limit == 0 { None } else { Some(HashMap::new()) },
+            dedup: (limit != 0).then(DedupTable::default),
             distinct: 0,
             dedup_limit: limit,
         })
@@ -88,21 +153,28 @@ impl StringHeap {
     /// duplicate elimination is still active. A dedup hit never copies a
     /// shared heap; an actual insertion un-shares it first.
     pub fn add(&mut self, s: &str) -> u32 {
-        let bytes = s.as_bytes();
-        let hash = self.inner.dedup.as_ref().map(|_| fnv1a(bytes));
-        if let (Some(map), Some(h)) = (&self.inner.dedup, hash) {
-            if let Some(bucket) = map.get(&h) {
-                for &off in bucket {
-                    if heap_get(&self.inner.buf, off) == s {
-                        return off;
-                    }
-                }
+        self.add_hashed(s.as_bytes(), fnv1a)
+    }
+
+    /// [`StringHeap::add`] for bytes that are an entry of another heap
+    /// (re-interning skips the UTF-8 check [`StringHeap::get`] repeats).
+    pub(crate) fn add_entry_of(&mut self, other: &StringHeap, offset: u32) -> u32 {
+        self.add_hashed(other.get_bytes(offset), fnv1a)
+    }
+
+    /// The interning step, with the hash function as a parameter so the
+    /// model tests can force collisions.
+    fn add_hashed(&mut self, bytes: &[u8], hasher: fn(&[u8]) -> u64) -> u32 {
+        let hash = self.inner.dedup.as_ref().map(|_| hasher(bytes));
+        if let (Some(table), Some(h)) = (&self.inner.dedup, hash) {
+            if let Some(off) = table.find(&self.inner.buf, bytes, h) {
+                return off;
             }
         }
         let inner = Arc::make_mut(&mut self.inner);
         let off = append_entry(&mut inner.buf, bytes);
-        if let (Some(map), Some(h)) = (&mut inner.dedup, hash) {
-            map.entry(h).or_default().push(off);
+        if let (Some(table), Some(h)) = (&mut inner.dedup, hash) {
+            table.insert(h, off);
             inner.distinct += 1;
             if inner.distinct > inner.dedup_limit {
                 // Threshold exceeded: abandon dedup from now on.
@@ -116,8 +188,16 @@ impl StringHeap {
     /// offsets array first) and on out-of-range offsets in debug builds.
     #[inline]
     pub fn get(&self, offset: u32) -> &str {
+        // Heap entries are only ever written from &str, so they are valid UTF-8.
+        std::str::from_utf8(self.get_bytes(offset)).expect("heap corruption: invalid utf-8")
+    }
+
+    /// The entry at `offset` as bytes, for callers that only hash or copy
+    /// it. Same preconditions as [`StringHeap::get`].
+    #[inline]
+    pub fn get_bytes(&self, offset: u32) -> &[u8] {
         debug_assert_ne!(offset, NULL_OFFSET, "NULL offset dereferenced");
-        heap_get(&self.inner.buf, offset)
+        entry_bytes(&self.inner.buf, offset)
     }
 
     /// Number of distinct entries inserted while dedup was active (after
@@ -137,22 +217,17 @@ impl StringHeap {
     }
 
     /// Approximate *resident* bytes: the packed heap plus the transient
-    /// dedup map. [`StringHeap::size_bytes`] is the persisted image the
+    /// dedup table. [`StringHeap::size_bytes`] is the persisted image the
     /// vmem budget accounts; memory-budget decisions in the execution
-    /// engine (spill-or-not) must also count the map, which can dominate
-    /// for short strings.
+    /// engine (spill-or-not) must also count the table (8 bytes per slot,
+    /// at least two slots per distinct string), which can dominate for
+    /// short strings.
     pub fn mem_bytes(&self) -> usize {
-        let map = self.inner.dedup.as_ref().map_or(0, |m| {
-            // Every table slot (occupied or not) holds (hash, Vec header)
-            // plus a control byte, and each bucket owns an out-of-line
-            // offset allocation of at least 4 slots.
-            let bucket_allocs: usize = m.values().map(|b| b.capacity().max(4) * 4).sum();
-            m.capacity() * (8 + 24 + 1) + bucket_allocs
-        });
+        let table = self.inner.dedup.as_ref().map_or(0, |t| t.slots.capacity() * 8);
         // `capacity`, not `len`: a heap past the dedup threshold grows
         // append-only through doubling, and the spill budget must see the
         // resident allocation, not just the packed image.
-        self.inner.buf.capacity() + map
+        self.inner.buf.capacity() + table
     }
 
     /// Raw heap bytes, for persistence.
@@ -160,7 +235,7 @@ impl StringHeap {
         &self.inner.buf
     }
 
-    /// Rebuild a heap from persisted raw bytes. The dedup map is *not*
+    /// Rebuild a heap from persisted raw bytes. The dedup table is *not*
     /// reconstructed (matching MonetDB: reloaded heaps are append-only
     /// until rewritten); offsets from the old heap stay valid.
     pub fn from_raw(buf: Vec<u8>) -> StringHeap {
@@ -174,11 +249,10 @@ impl StringHeap {
 }
 
 #[inline]
-fn heap_get(buf: &[u8], offset: u32) -> &str {
+fn entry_bytes(buf: &[u8], offset: u32) -> &[u8] {
     let off = offset as usize;
     let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-    // Heap entries are only ever written from &str, so they are valid UTF-8.
-    std::str::from_utf8(&buf[off + 4..off + 4 + len]).expect("heap corruption: invalid utf-8")
+    &buf[off + 4..off + 4 + len]
 }
 
 fn append_entry(buf: &mut Vec<u8>, bytes: &[u8]) -> u32 {
@@ -259,23 +333,29 @@ mod tests {
     }
 
     #[test]
-    fn mem_bytes_counts_bucket_allocations_while_dedup_active() {
+    fn mem_bytes_counts_the_dedup_table_while_dedup_active() {
         let mut h = StringHeap::new();
         for i in 0..1024 {
             h.add(&format!("{i:04}"));
         }
         assert!(h.dedup_active());
-        // 1024 buckets, each owning a >= 4-slot offset Vec (16 bytes), plus
-        // (hash, Vec header, control byte) per table slot: the map alone is
-        // at least 1024 * (16 + 33) bytes on top of the packed heap.
-        let map_lower_bound = 1024 * (16 + 33);
+        // 1024 entries at load factor <= 1/2: at least 2048 slots of 8
+        // bytes on top of the packed heap.
+        let table_lower_bound = 2048 * 8;
         assert!(
-            h.mem_bytes() >= h.size_bytes() + map_lower_bound,
-            "dedup map under-counted: mem={} packed={} need>={}",
+            h.mem_bytes() >= h.size_bytes() + table_lower_bound,
+            "dedup table under-counted: mem={} packed={} need>={}",
             h.mem_bytes(),
             h.size_bytes(),
-            h.size_bytes() + map_lower_bound
+            h.size_bytes() + table_lower_bound
         );
+        // ... and it is gone from the account once dedup is abandoned.
+        let mut small = StringHeap::with_dedup_limit(2);
+        for s in ["a", "b", "c"] {
+            small.add(s);
+        }
+        assert!(!small.dedup_active());
+        assert_eq!(small.mem_bytes(), small.inner.buf.capacity());
     }
 
     #[test]
@@ -322,7 +402,7 @@ mod tests {
         let mut a = StringHeap::new();
         let off = a.add("shared");
         let mut b = a.clone();
-        b.add("fresh"); // un-shares: buffer *and* dedup map are copied
+        b.add("fresh"); // un-shares: buffer *and* dedup table are copied
         assert!(b.dedup_active());
         let size = b.size_bytes();
         assert_eq!(b.add("shared"), off, "pre-share entries still dedup after the copy");
@@ -364,7 +444,80 @@ mod tests {
         assert_eq!(h.distinct_seen(), 1000);
     }
 
+    /// The bucket-map heap the flat table replaced, kept as the model the
+    /// proptest below holds the real one to: hash -> offsets of the
+    /// entries with that hash, an eager deep copy on clone.
+    #[derive(Clone)]
+    struct ModelHeap {
+        buf: Vec<u8>,
+        dedup: Option<std::collections::HashMap<u64, Vec<u32>>>,
+        distinct: usize,
+        limit: usize,
+    }
+
+    impl ModelHeap {
+        fn new(limit: usize) -> ModelHeap {
+            let dedup = (limit != 0).then(std::collections::HashMap::new);
+            ModelHeap { buf: vec![0xFF], dedup, distinct: 0, limit }
+        }
+
+        fn add(&mut self, s: &str, hasher: fn(&[u8]) -> u64) -> u32 {
+            let h = hasher(s.as_bytes());
+            if let Some(bucket) = self.dedup.as_ref().and_then(|m| m.get(&h)) {
+                let same = |&&off: &&u32| entry_bytes(&self.buf, off) == s.as_bytes();
+                if let Some(&off) = bucket.iter().find(same) {
+                    return off;
+                }
+            }
+            let off = append_entry(&mut self.buf, s.as_bytes());
+            if let Some(m) = &mut self.dedup {
+                m.entry(h).or_default().push(off);
+                self.distinct += 1;
+                if self.distinct > self.limit {
+                    self.dedup = None;
+                }
+            }
+            off
+        }
+    }
+
+    /// Two buckets for every string: each probe sequence is one long
+    /// collision chain, and equal tags force the string compare.
+    fn colliding(bytes: &[u8]) -> u64 {
+        bytes.len() as u64 % 2
+    }
+
     proptest! {
+        #[test]
+        fn prop_flat_table_matches_the_bucket_map_model(
+            // One word per add: string id, which of two diverging heaps,
+            // whether the other heap is first re-cloned from this one.
+            ops in proptest::collection::vec(any::<u32>(), 1..300),
+            limit in 0usize..24,
+            collide in 0u8..2,
+        ) {
+            let hasher: fn(&[u8]) -> u64 = if collide == 1 { colliding } else { fnv1a };
+            let mut real = [StringHeap::with_dedup_limit(limit), StringHeap::with_dedup_limit(limit)];
+            let mut model = [ModelHeap::new(limit), ModelHeap::new(limit)];
+            for op in ops {
+                let (id, w, fork) = (op as usize % 40, (op >> 8) as usize % 2, (op >> 12) % 8 == 0);
+                let other = 1 - w;
+                if fork {
+                    // Copy-on-write clone: the other heap restarts from
+                    // this one's state and the two then diverge.
+                    real[other] = real[w].clone();
+                    model[other] = model[w].clone();
+                }
+                let s = format!("{}{id}", "x".repeat(id % 5));
+                prop_assert_eq!(real[w].add_hashed(s.as_bytes(), hasher), model[w].add(&s, hasher));
+                for i in 0..2 {
+                    prop_assert_eq!(real[i].raw(), model[i].buf.as_slice());
+                    prop_assert_eq!(real[i].dedup_active(), model[i].dedup.is_some());
+                    prop_assert_eq!(real[i].distinct_seen(), model[i].distinct);
+                }
+            }
+        }
+
         #[test]
         fn prop_roundtrip_arbitrary_strings(strings in proptest::collection::vec(".{0,40}", 1..60)) {
             let mut h = StringHeap::new();

@@ -93,7 +93,7 @@ pub fn key_at(bat: &Bat, row: usize) -> i64 {
             if offsets[row] == NULL_OFFSET {
                 i64::MIN
             } else {
-                fnv1a(heap.get(offsets[row]).as_bytes()) as i64
+                fnv1a(heap.get_bytes(offsets[row])) as i64
             }
         }
     }

@@ -3,7 +3,7 @@
 //! Layout of a column file:
 //!
 //! ```text
-//! [magic "MLB1"][endian u16 = 0xBEEF][bat payload][checksum u64 (FNV-1a)]
+//! [magic "MLB2"][endian u16 = 0xBEEF][bat payload][checksum u64 (lane_sum)]
 //! ```
 //!
 //! The same BAT payload encoding is reused by the write-ahead log for
@@ -11,6 +11,11 @@
 //! bytes (the endian marker detects foreign files and reports
 //! [`MlError::Corrupt`] instead of misreading them); VARCHAR columns write
 //! the offsets array followed by the raw heap.
+//!
+//! Column files are the bulk of a checkpoint's bytes, so their checksum is
+//! the word-wise [`LaneSum`] (computed while the file streams out; the
+//! WAL's bulk `Append` frames use it too) rather than the byte-serial
+//! FNV-1a the small catalog and sidecar files keep.
 
 use crate::bat::Bat;
 use crate::dict::StrDict;
@@ -22,7 +27,10 @@ use monetlite_types::{MlError, Result};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 4] = b"MLB1";
+// Bumped MLB1 -> MLB2 when the trailing checksum changed from FNV-1a to
+// `lane_sum`: an old-format file must fail with a clear "bad magic"
+// instead of a checksum mismatch that reads like corruption.
+const MAGIC: &[u8; 4] = b"MLB2";
 /// Zonemap sidecar magic ([`write_zonemap_file`]).
 const ZM_MAGIC: &[u8; 4] = b"MLZ1";
 /// Column-statistics sidecar magic ([`write_stats_file`]).
@@ -77,49 +85,122 @@ fn read_pod_vec<T: Pod>(r: &mut impl Read, len: usize) -> Result<Vec<T>> {
     Ok(v)
 }
 
-/// Serialise a BAT payload (tag, length, data) into `out`.
-pub fn encode_bat(out: &mut Vec<u8>, bat: &Bat) {
-    match bat {
-        Bat::Bool(v) => {
-            out.push(TAG_BOOL);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            out.extend_from_slice(pod_bytes(v));
-        }
-        Bat::Int(v) => {
-            out.push(TAG_INT);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            out.extend_from_slice(pod_bytes(v));
-        }
-        Bat::Bigint(v) => {
-            out.push(TAG_BIGINT);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            out.extend_from_slice(pod_bytes(v));
-        }
-        Bat::Double(v) => {
-            out.push(TAG_DOUBLE);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            out.extend_from_slice(pod_bytes(v));
-        }
-        Bat::Decimal { data, scale } => {
-            out.push(TAG_DECIMAL);
-            out.push(*scale);
-            out.extend_from_slice(&(data.len() as u64).to_le_bytes());
-            out.extend_from_slice(pod_bytes(data));
-        }
-        Bat::Varchar { offsets, heap } => {
-            out.push(TAG_VARCHAR);
-            out.extend_from_slice(&(offsets.len() as u64).to_le_bytes());
-            out.extend_from_slice(pod_bytes(offsets));
-            let raw = heap.raw();
-            out.extend_from_slice(&(raw.len() as u64).to_le_bytes());
-            out.extend_from_slice(raw);
-        }
-        Bat::Date(v) => {
-            out.push(TAG_DATE);
-            out.extend_from_slice(&(v.len() as u64).to_le_bytes());
-            out.extend_from_slice(pod_bytes(v));
+/// Four-lane word-wise checksum: each 32-byte block feeds one
+/// little-endian `u64` to each of four independent FNV-1a-style lanes
+/// (xor, multiply by an odd constant), so the multiplies overlap instead
+/// of forming the one dependency chain per *byte* of [`fnv1a`]. Every step
+/// is a bijection of its lane and the final fold is a bijection in each
+/// lane, so any change confined to one word — a flipped byte, say — always
+/// changes the sum. Streaming: the sum does not depend on how the input is
+/// cut into [`LaneSum::update`] calls.
+pub struct LaneSum {
+    lanes: [u64; 4],
+    /// Bytes of an incomplete block, carried to the next `update`.
+    pending: [u8; 32],
+    pending_len: usize,
+    total: u64,
+}
+
+const LANE_SEEDS: [u64; 4] =
+    [0xcbf2_9ce4_8422_2325, 0x9e37_79b9_7f4a_7c15, 0xbf58_476d_1ce4_e5b9, 0x94d0_49bb_1331_11eb];
+const LANE_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+impl Default for LaneSum {
+    fn default() -> Self {
+        LaneSum { lanes: LANE_SEEDS, pending: [0; 32], pending_len: 0, total: 0 }
+    }
+}
+
+impl LaneSum {
+    #[inline]
+    fn block(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            *lane = (*lane ^ word).wrapping_mul(LANE_PRIME);
         }
     }
+
+    /// Feed more bytes.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = bytes.len().min(32 - self.pending_len);
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
+            }
+            Self::block(&mut self.lanes, &self.pending);
+            self.pending_len = 0;
+        }
+        let mut lanes = self.lanes;
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            Self::block(&mut lanes, block);
+        }
+        self.lanes = lanes;
+        let rest = blocks.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    /// The checksum of everything fed so far: the last partial block is
+    /// zero-padded and the byte count folded in, so trailing zeros count.
+    pub fn finish(&self) -> u64 {
+        let mut lanes = self.lanes;
+        if self.pending_len > 0 {
+            let mut last = [0u8; 32];
+            last[..self.pending_len].copy_from_slice(&self.pending[..self.pending_len]);
+            Self::block(&mut lanes, &last);
+        }
+        let folded = lanes.iter().fold(self.total, |h, lane| (h ^ lane).wrapping_mul(LANE_PRIME));
+        crate::stats::mix64(folded)
+    }
+}
+
+/// [`LaneSum`] of one contiguous buffer.
+pub fn lane_sum(bytes: &[u8]) -> u64 {
+    let mut sum = LaneSum::default();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// Hand the pieces of a BAT payload (tag, length, data) to `sink`, in
+/// order, without assembling them: the bulk pieces are the column's own
+/// arrays.
+fn bat_parts(bat: &Bat, mut sink: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+    let (tag, len, data) = match bat {
+        Bat::Bool(v) => (TAG_BOOL, v.len(), pod_bytes(v)),
+        Bat::Int(v) => (TAG_INT, v.len(), pod_bytes(v)),
+        Bat::Bigint(v) => (TAG_BIGINT, v.len(), pod_bytes(v)),
+        Bat::Double(v) => (TAG_DOUBLE, v.len(), pod_bytes(v)),
+        Bat::Decimal { data, .. } => (TAG_DECIMAL, data.len(), pod_bytes(data)),
+        Bat::Varchar { offsets, .. } => (TAG_VARCHAR, offsets.len(), pod_bytes(offsets)),
+        Bat::Date(v) => (TAG_DATE, v.len(), pod_bytes(v)),
+    };
+    let mut header = vec![tag];
+    if let Bat::Decimal { scale, .. } = bat {
+        header.push(*scale);
+    }
+    header.extend_from_slice(&(len as u64).to_le_bytes());
+    sink(&header)?;
+    sink(data)?;
+    if let Bat::Varchar { heap, .. } = bat {
+        let raw = heap.raw();
+        sink(&(raw.len() as u64).to_le_bytes())?;
+        sink(raw)?;
+    }
+    Ok(())
+}
+
+/// Serialise a BAT payload (tag, length, data) into `out`.
+pub fn encode_bat(out: &mut Vec<u8>, bat: &Bat) {
+    let appended = bat_parts(bat, |part| {
+        out.extend_from_slice(part);
+        Ok(())
+    });
+    debug_assert!(appended.is_ok(), "appending to a Vec cannot fail");
 }
 
 fn read_u64(r: &mut impl Read) -> Result<u64> {
@@ -221,19 +302,22 @@ pub fn read_chunk_frame(r: &mut impl Read) -> Result<Option<Vec<Bat>>> {
     Ok(Some(cols))
 }
 
-/// Write a BAT to a column file (atomically: temp file + rename). A
-/// failure anywhere removes the temp file — no `.tmp` orphans survive an
-/// errored write.
+/// Write a BAT to a column file (atomically: temp file + rename), the
+/// checksum accumulating as the column's arrays stream out — no staged
+/// copy of the payload. A failure anywhere removes the temp file — no
+/// `.tmp` orphans survive an errored write.
 pub fn write_column_file(path: &Path, bat: &Bat) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let res = (|| -> Result<()> {
         let mut w = BufWriter::new(fault::create("persist.column.create", &tmp)?);
-        let mut payload = Vec::with_capacity(bat.size_bytes() + 16);
-        encode_bat(&mut payload, bat);
         fault::write_all("persist.column.write", &mut w, MAGIC)?;
         fault::write_all("persist.column.write", &mut w, &ENDIAN_MARK.to_ne_bytes())?;
-        fault::write_all("persist.column.write", &mut w, &payload)?;
-        fault::write_all("persist.column.write", &mut w, &fnv1a(&payload).to_le_bytes())?;
+        let mut sum = LaneSum::default();
+        bat_parts(bat, |part| {
+            sum.update(part);
+            Ok(fault::write_all("persist.column.write", &mut w, part)?)
+        })?;
+        fault::write_all("persist.column.write", &mut w, &sum.finish().to_le_bytes())?;
         fault::flush("persist.column.flush", &mut w)?;
         drop(w);
         fault::rename("persist.column.rename", &tmp, path)?;
@@ -267,7 +351,7 @@ pub fn read_column_file(path: &Path) -> Result<Bat> {
         return Err(MlError::Corrupt(format!("{}: truncated", path.display())));
     }
     let (payload, ck) = rest.split_at(rest.len() - 8);
-    if fnv1a(payload) != u64::from_le_bytes(ck.try_into().unwrap()) {
+    if lane_sum(payload) != u64::from_le_bytes(ck.try_into().unwrap()) {
         return Err(MlError::Corrupt(format!("{}: checksum mismatch", path.display())));
     }
     let mut cursor = payload;
@@ -619,6 +703,67 @@ mod tests {
         let path = dir.path().join("c1.bat");
         std::fs::write(&path, b"NOTADATABASEFILE").unwrap();
         assert!(matches!(read_column_file(&path), Err(MlError::Corrupt(_))));
+    }
+
+    #[test]
+    fn previous_format_column_file_is_rejected_by_magic() {
+        // What the MLB1 writer produced: same payload, FNV-1a trailer.
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("c1.bat");
+        let mut payload = Vec::new();
+        encode_bat(&mut payload, &Bat::Int(vec![1, 2, 3]));
+        let mut file = b"MLB1".to_vec();
+        file.extend_from_slice(&ENDIAN_MARK.to_ne_bytes());
+        file.extend_from_slice(&payload);
+        file.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        match read_column_file(&path) {
+            Err(MlError::Corrupt(m)) => assert!(m.contains("bad magic"), "{m}"),
+            other => panic!("expected a bad-magic error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_single_byte_flip_of_a_column_file_is_corrupt() {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("c1.bat");
+        let bat = Bat::from_buffer(&ColumnBuffer::Varchar(
+            (0..150).map(|i| (i % 6 != 0).then(|| format!("val-{}", i % 23))).collect(),
+        ));
+        write_column_file(&path, &bat).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert!((800..1400).contains(&good.len()), "fixture is ~1 KiB, got {}", good.len());
+        assert_eq!(read_column_file(&path).unwrap().to_buffer(None), bat.to_buffer(None));
+        for at in 0..good.len() {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut bad = good.clone();
+                bad[at] ^= flip;
+                std::fs::write(&path, &bad).unwrap();
+                match read_column_file(&path) {
+                    Err(MlError::Corrupt(_)) => {}
+                    other => panic!("byte {at} ^ {flip:#x} went unnoticed: {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sum_is_independent_of_how_the_input_is_cut() {
+        let data: Vec<u8> =
+            (0..1000u32).map(|i| (i.wrapping_mul(2654435761) >> 24) as u8).collect();
+        for len in [0, 1, 7, 8, 31, 32, 33, 64, 95, 1000] {
+            let whole = lane_sum(&data[..len]);
+            for step in [1, 3, 8, 31, 32, 50] {
+                let mut sum = LaneSum::default();
+                for piece in data[..len].chunks(step) {
+                    sum.update(piece);
+                }
+                assert_eq!(sum.finish(), whole, "len {len} in pieces of {step}");
+            }
+        }
+        // Length is part of the sum: trailing zeros are not free.
+        assert_ne!(lane_sum(&[0u8; 31]), lane_sum(&[0u8; 32]));
+        assert_ne!(lane_sum(&[]), lane_sum(&[0]));
     }
 
     #[test]

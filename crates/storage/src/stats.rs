@@ -27,7 +27,8 @@
 //! hashes) has nowhere near enough avalanche for register selection.
 
 use crate::bat::Bat;
-use crate::index::key_at;
+use crate::heap::NULL_OFFSET;
+use crate::index::fnv1a;
 
 /// log2 of the register count.
 pub const HLL_BITS: u32 = 10;
@@ -153,24 +154,43 @@ impl ColumnStats {
         }
     }
 
-    /// One-pass build over a column.
+    /// One-pass build over a column: one typed loop per physical type
+    /// ([`Bat::for_each_key`]), over the keys [`crate::index::key_at`]
+    /// would produce.
     pub fn build(bat: &Bat) -> ColumnStats {
         let mut s = ColumnStats::empty();
         s.rows = bat.len();
-        let orderable = crate::index::orderable(bat);
-        for i in 0..bat.len() {
-            if bat.is_null_at(i) {
-                s.nulls += 1;
-                continue;
-            }
-            let k = key_at(bat, i);
-            s.sketch.insert_key(k);
-            if orderable {
-                s.min_key = s.min_key.min(k);
-                s.max_key = s.max_key.max(k);
+        let ColumnStats { sketch, min_key, max_key, .. } = &mut s;
+        let fixed_width_nulls = bat.for_each_key(0, bat.len(), |k| {
+            sketch.insert_key(k);
+            *min_key = (*min_key).min(k);
+            *max_key = (*max_key).max(k);
+        });
+        if let Some(nulls) = fixed_width_nulls {
+            s.nulls = nulls;
+            s.has_range = s.nulls < s.rows;
+        } else if let Bat::Varchar { offsets, heap } = bat {
+            // Strings have no range; the sketch wants each distinct string
+            // once, and rows sharing a heap entry share its hash: remember
+            // the offsets already fed (one bit each, as long as that
+            // bitmap stays O(rows)).
+            let words = heap.size_bytes().div_ceil(64);
+            let mut fed = if words <= offsets.len() { vec![0u64; words] } else { Vec::new() };
+            for &o in offsets {
+                if o == NULL_OFFSET {
+                    s.nulls += 1;
+                    continue;
+                }
+                if let Some(word) = fed.get_mut(o as usize / 64) {
+                    let bit = 1u64 << (o % 64);
+                    if *word & bit != 0 {
+                        continue;
+                    }
+                    *word |= bit;
+                }
+                s.sketch.insert_key(fnv1a(heap.get_bytes(o)) as i64);
             }
         }
-        s.has_range = orderable && s.nulls < s.rows;
         s
     }
 
@@ -303,6 +323,59 @@ mod tests {
         assert!(!s.has_range, "strings hash; no order-preserving range");
         assert_eq!(s.nulls, 1);
         assert!((s.ndv() - 2.0).abs() < 0.5, "est {}", s.ndv());
+    }
+
+    /// The row-at-a-time build the typed loops replaced.
+    fn build_by_key_at(bat: &Bat) -> ColumnStats {
+        let mut s = ColumnStats::empty();
+        s.rows = bat.len();
+        let orderable = crate::index::orderable(bat);
+        for i in 0..bat.len() {
+            if bat.is_null_at(i) {
+                s.nulls += 1;
+                continue;
+            }
+            let k = crate::index::key_at(bat, i);
+            s.sketch.insert_key(k);
+            if orderable {
+                s.min_key = s.min_key.min(k);
+                s.max_key = s.max_key.max(k);
+            }
+        }
+        s.has_range = orderable && s.nulls < s.rows;
+        s
+    }
+
+    #[test]
+    fn typed_loops_equal_the_key_at_build_for_every_type() {
+        let ints: Vec<i32> =
+            (0..3000).map(|i| if i % 9 == 0 { i32::MIN } else { i % 613 }).collect();
+        let strs: Vec<Option<String>> =
+            (0..3000).map(|i| (i % 7 != 0).then(|| format!("s{}", i % 41))).collect();
+        let varchar = Bat::from_buffer(&ColumnBuffer::Varchar(strs));
+        let bats = [
+            Bat::Bool(vec![0, 1, i8::MIN, 1]),
+            Bat::Int(ints.clone()),
+            Bat::Date(ints.clone()),
+            Bat::Bigint(
+                ints.iter().map(|&v| if v == i32::MIN { i64::MIN } else { v as i64 }).collect(),
+            ),
+            Bat::Decimal { data: vec![i64::MIN, -250, 1999], scale: 2 },
+            Bat::Double(vec![f64::NAN, -0.0, 2.5, -1e300, 7.0]),
+            // One row over a big shared heap: the per-row path.
+            varchar.take(&[5]),
+            varchar,
+            Bat::new(monetlite_types::LogicalType::Varchar),
+        ];
+        for bat in &bats {
+            let (got, want) = (ColumnStats::build(bat), build_by_key_at(bat));
+            assert_eq!(
+                (got.rows, got.nulls, got.has_range),
+                (want.rows, want.nulls, want.has_range)
+            );
+            assert_eq!((got.min_key, got.max_key), (want.min_key, want.max_key), "{bat:?}");
+            assert_eq!(got.sketch, want.sketch);
+        }
     }
 
     #[test]

@@ -172,10 +172,19 @@ impl Store {
             // the catalog rename and the WAL truncation must not apply
             // them a second time (appends would duplicate rows, deletes
             // would hit renumbered rows after compaction).
-            let txns = wal::replay(&dir.join("wal.log"))?;
+            let wal_path = dir.join("wal.log");
+            let log = wal::replay(&wal_path)?;
+            // A torn tail (crash mid-append) is cut off before the writer
+            // opens: frames appended behind it would be acknowledged now
+            // and unreachable by the next replay, which stops at the first
+            // bad frame. (The recovery checkpoint below empties the log,
+            // but only runs when a transaction was replayed.)
+            if log.valid_len < log.file_len {
+                wal::truncate(&wal_path, log.valid_len)?;
+            }
             let mut max_tx = checkpoint_tx;
             let mut replayed = false;
-            for (tx, recs) in txns {
+            for (tx, recs) in log.txns {
                 if tx <= checkpoint_tx {
                     continue;
                 }
@@ -190,7 +199,7 @@ impl Store {
                 vmem: vmem.clone(),
                 catalog: RwLock::new(Arc::new(CatalogSnapshot { tables })),
                 commit_lock: Mutex::new(CommitInner {
-                    wal: Some(WalWriter::open(&dir.join("wal.log"))?),
+                    wal: Some(WalWriter::open(&wal_path)?),
                     next_table_id,
                     // Transaction ids stay monotonic across restarts so
                     // the watermark comparison is always meaningful.
@@ -199,6 +208,8 @@ impl Store {
                 }),
                 lock_path: None, // set by caller on success
             };
+            // Replayed data is unbacked (it cannot be paged out) and every
+            // later open would replay it again: make it the checkpoint.
             if replayed {
                 store.checkpoint()?;
             }
@@ -335,31 +346,28 @@ impl Store {
                     Some(sel) => Arc::new(ColumnEntry::from_bat(entry.bat()?.take(sel))),
                     None => entry,
                 };
-                if !entry.is_backed() {
+                let fresh = !entry.is_backed();
+                if fresh {
                     let fname = format!("c{}.bat", entry.id);
                     let fpath = colsdir.join(&fname);
                     let bat = entry.bat()?;
                     persist::write_column_file(&fpath, bat.as_ref())?;
-                    // Zonemap sidecar: computed at checkpoint (ingest has
-                    // consolidated the column by now) so a restarted
-                    // process can skip vectors on range predicates without
-                    // faulting the column back in. Sidecars are caches —
-                    // a write failure must not fail the checkpoint.
+                    // Zonemap and statistics sidecars are built eagerly:
+                    // a restarted process reads them before its first
+                    // query (the optimizer costs plans and scans skip
+                    // vectors without faulting the column back in). A
+                    // summary cached by earlier scans is reused — entries
+                    // are immutable between consolidations. Sidecars are
+                    // caches: a write failure must not fail the checkpoint.
                     if LogicalType::Varchar != entry.ty() && !bat.is_empty() {
-                        // Entries are immutable between consolidations, so a
-                        // zonemap cached by earlier scans is identical —
-                        // reuse it instead of a second min/max pass.
                         let zm = entry.zonemap_opt().unwrap_or_else(|| {
                             Arc::new(crate::index::Zonemap::build(bat.as_ref()))
                         });
                         let _ = persist::write_zonemap_file(&persist::zonemap_sidecar(&fpath), &zm);
                         entry.install_zonemap(zm);
                     }
-                    // Column-statistics sidecar (all types — NDV matters
-                    // for string join/group keys too): the optimizer of a
-                    // restarted process costs plans without faulting cold
-                    // columns in. Like zonemaps these are caches — a
-                    // write failure must not fail the checkpoint.
+                    // Statistics cover all types (NDV matters for string
+                    // join/group keys too).
                     if !bat.is_empty() {
                         let st = entry.stats_opt().unwrap_or_else(|| {
                             Arc::new(crate::stats::ColumnStats::build(bat.as_ref()))
@@ -367,23 +375,18 @@ impl Store {
                         let _ = persist::write_stats_file(&persist::stats_sidecar(&fpath), &st);
                         entry.install_stats(st);
                     }
-                    // String-dictionary sidecar: this is where VARCHAR
-                    // columns get dictionary-encoded — at checkpoint the
-                    // column is consolidated and immutable, so the sorted
-                    // code domain stays valid until the next rewrite. A
-                    // restarted process scans on codes without paying the
-                    // sort. Cache discipline as above: write failures and
-                    // corrupt sidecars are misses, never errors.
-                    if LogicalType::Varchar == entry.ty() && !bat.is_empty() {
-                        let d = entry
-                            .dict_opt()
-                            .or_else(|| crate::dict::StrDict::build(bat.as_ref()).map(Arc::new));
-                        if let Some(d) = d {
-                            let _ = persist::write_dict_file(&persist::dict_sidecar(&fpath), &d);
-                            entry.install_dict(d);
-                        }
-                    }
                     entry.attach_backing(fpath, self.vmem.clone());
+                }
+                // String-dictionary sidecar: persisted if present, never
+                // built here — a checkpoint does not sort. A dictionary a
+                // query built (or consolidation carried forward) is saved
+                // so a restart scans on codes without paying the sort,
+                // also when the column was backed before it got one.
+                if let (Some(d), Some(p)) = (entry.dict_opt(), entry.backing_path()) {
+                    let dp = persist::dict_sidecar(&p);
+                    if fresh || !dp.exists() {
+                        let _ = persist::write_dict_file(&dp, &d);
+                    }
                 }
                 if let Some(p) = entry.backing_path() {
                     if let Some(f) = p.file_name() {
@@ -915,7 +918,7 @@ mod tests {
     #[test]
     fn checkpoint_writes_dict_sidecars_survive_restart_and_corruption() {
         let dir = tempfile::tempdir().unwrap();
-        {
+        let str_path = {
             let store = Store::open(StoreOptions {
                 path: Some(dir.path().to_path_buf()),
                 ..Default::default()
@@ -925,12 +928,22 @@ mod tests {
             store.checkpoint().unwrap();
             let snap = store.snapshot();
             let t = snap.table("t").unwrap();
-            // Only the VARCHAR column gets a dictionary sidecar.
+            // A checkpoint does not sort: nobody asked for a dictionary,
+            // so neither column has a dictionary sidecar.
             let int_path = t.data.cols[0].entry().unwrap().backing_path().unwrap();
             let str_path = t.data.cols[1].entry().unwrap().backing_path().unwrap();
             assert!(!persist::dict_sidecar(&int_path).exists());
+            assert!(!persist::dict_sidecar(&str_path).exists());
+            // A scan builds one on the already-backed column; the next
+            // checkpoint persists it, and its GC keeps it.
+            let entry = t.data.cols[1].entry().unwrap();
+            assert!(entry.dict_opt().is_none());
+            assert_eq!(entry.dict().unwrap().len(), 50);
+            store.checkpoint().unwrap();
             assert!(persist::dict_sidecar(&str_path).exists());
-        }
+            assert_eq!(entry.backing_path().unwrap(), str_path, "column file not rewritten");
+            str_path
+        };
         // After restart the sidecar resolves without re-sorting.
         let store = Store::open(StoreOptions {
             path: Some(dir.path().to_path_buf()),
@@ -943,10 +956,12 @@ mod tests {
         assert_eq!(d.rows(), 10_000);
         assert_eq!(d.len(), 50, "50 distinct strings");
         assert_eq!(d.code_of("s0"), Some(0), "byte-sorted: \"s0\" first");
+        assert_eq!(store.vmem().stats().loads, 0, "dictionary came from the sidecar");
         // A checkpoint with no new columns keeps the sidecar (GC must
         // treat it as referenced).
         store.checkpoint().unwrap();
         let path = entry.backing_path().unwrap();
+        assert_eq!(path, str_path);
         assert!(persist::dict_sidecar(&path).exists());
         drop(store);
         // Corrupt the sidecar: the next open must rebuild from the column

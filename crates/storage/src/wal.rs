@@ -9,13 +9,15 @@
 //! properties of a standard relational system" (paper §1) without a
 //! server.
 //!
-//! Frame format: `[len: u32][payload][fnv1a(payload): u64]`, where payload
-//! starts with a one-byte record tag.
+//! Frame format: `[len: u32][payload][checksum(payload): u64]`, where
+//! payload starts with a one-byte record tag. The tag also selects the
+//! checksum ([`frame_sum`]): bulk `Append` frames — nearly all of a log's
+//! bytes — use the word-wise [`lane_sum`], everything else FNV-1a.
 
 use crate::bat::Bat;
 use crate::fault;
 use crate::index::fnv1a;
-use crate::persist::{decode_bat, encode_bat};
+use crate::persist::{decode_bat, encode_bat, lane_sum};
 use monetlite_types::{Field, LogicalType, MlError, Result, Schema};
 use std::fs::File;
 use std::io::BufWriter;
@@ -69,9 +71,22 @@ const TAG_BEGIN: u8 = 1;
 const TAG_COMMIT: u8 = 2;
 const TAG_CREATE: u8 = 3;
 const TAG_DROP: u8 = 4;
-const TAG_APPEND: u8 = 5;
+/// `Append` as written up to PR 15: FNV-1a checksum. Still replayed (a
+/// log of that build is a test fixture), no longer written.
+const TAG_APPEND_FNV: u8 = 5;
 const TAG_DELETE: u8 = 6;
 const TAG_ORDERIDX: u8 = 7;
+/// `Append` with a [`lane_sum`] checksum; same payload layout.
+const TAG_APPEND: u8 = 8;
+
+/// The checksum of a frame's payload, chosen by its tag byte. A corrupted
+/// tag selects the wrong function, which fails like any other corruption.
+fn frame_sum(payload: &[u8]) -> u64 {
+    match payload.first() {
+        Some(&TAG_APPEND) => lane_sum(payload),
+        _ => fnv1a(payload),
+    }
+}
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -202,6 +217,9 @@ fn encode_record(rec: &WalRecord) -> Vec<u8> {
             put_str(&mut out, name);
         }
         WalRecord::Append { table, cols } => {
+            // One allocation for the frame: per column its arrays plus at
+            // most 18 bytes of tag, scale and lengths.
+            out.reserve(table.len() + 9 + cols.iter().map(|c| c.size_bytes() + 18).sum::<usize>());
             out.push(TAG_APPEND);
             put_str(&mut out, table);
             out.extend_from_slice(&(cols.len() as u32).to_le_bytes());
@@ -242,7 +260,7 @@ fn decode_record(mut payload: &[u8]) -> Result<WalRecord> {
             WalRecord::CreateTable { name, schema }
         }
         TAG_DROP => WalRecord::DropTable { name: get_str(r)? },
-        TAG_APPEND => {
+        TAG_APPEND | TAG_APPEND_FNV => {
             let table = get_str(r)?;
             let n = get_u32(r)? as usize;
             if n > 100_000 {
@@ -334,7 +352,7 @@ impl WalWriter {
         let res = (|| -> Result<()> {
             fault::write_all("wal.append", w, &(payload.len() as u32).to_le_bytes())?;
             fault::write_all("wal.append", w, &payload)?;
-            fault::write_all("wal.append", w, &fnv1a(&payload).to_le_bytes())?;
+            fault::write_all("wal.append", w, &frame_sum(&payload).to_le_bytes())?;
             Ok(())
         })();
         match res {
@@ -371,6 +389,20 @@ impl WalWriter {
     }
 }
 
+/// What [`replay`] found in a log.
+#[derive(Debug, Default)]
+pub struct Replay {
+    /// The committed transactions in log order, each tagged with its id.
+    pub txns: Vec<(u64, Vec<WalRecord>)>,
+    /// Length of the prefix made of whole, checksum-valid frames.
+    pub valid_len: u64,
+    /// Length of the file. Anything beyond `valid_len` is a torn tail: it
+    /// must be cut off ([`truncate`]) before a writer appends, or replay —
+    /// which stops at the first bad frame — would never reach what the
+    /// writer adds behind it.
+    pub file_len: u64,
+}
+
 /// Read all *committed* transactions from a log, each tagged with its
 /// transaction id. Torn tails (truncated or checksum-failing trailing
 /// records) end replay silently; a missing trailing `Commit` discards
@@ -380,10 +412,10 @@ impl WalWriter {
 /// window: the catalog file records the highest transaction id included
 /// in its image, and recovery skips replayed transactions at or below
 /// that watermark instead of double-applying them.
-pub fn replay(path: &Path) -> Result<Vec<(u64, Vec<WalRecord>)>> {
+pub fn replay(path: &Path) -> Result<Replay> {
     let mut f = match fault::open("wal.replay.open", path) {
         Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Replay::default()),
         Err(e) => return Err(e.into()),
     };
     let mut buf = Vec::new();
@@ -398,7 +430,7 @@ pub fn replay(path: &Path) -> Result<Vec<(u64, Vec<WalRecord>)>> {
         }
         let payload = &buf[pos + 4..pos + 4 + len];
         let ck = u64::from_le_bytes(buf[pos + 4 + len..pos + 4 + len + 8].try_into().unwrap());
-        if fnv1a(payload) != ck {
+        if frame_sum(payload) != ck {
             break; // torn/corrupt tail: stop applying
         }
         pos += 4 + len + 8;
@@ -416,7 +448,15 @@ pub fn replay(path: &Path) -> Result<Vec<(u64, Vec<WalRecord>)>> {
             }
         }
     }
-    Ok(committed)
+    Ok(Replay { txns: committed, valid_len: pos as u64, file_len: buf.len() as u64 })
+}
+
+/// Cut a log back to `len` bytes (recovery drops a torn tail with this
+/// before the writer opens).
+pub fn truncate(path: &Path, len: u64) -> Result<()> {
+    let f = fault::open_append("wal.tail.open", path)?;
+    fault::set_len("wal.tail.truncate", &f, len)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -465,7 +505,7 @@ mod tests {
             w.append(&WalRecord::Commit(2)).unwrap();
             w.flush().unwrap();
         }
-        let txns = replay(&path).unwrap();
+        let txns = replay(&path).unwrap().txns;
         assert_eq!(txns.len(), 2);
         assert_eq!(txns[0].0, 1, "commit tx id surfaces for the watermark check");
         assert_eq!(txns[1].0, 2);
@@ -491,7 +531,7 @@ mod tests {
             // No commit: crash before commit record.
             w.flush().unwrap();
         }
-        assert!(replay(&path).unwrap().is_empty());
+        assert!(replay(&path).unwrap().txns.is_empty());
     }
 
     #[test]
@@ -511,14 +551,14 @@ mod tests {
         // Truncate mid-way through the last commit record.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 5]).unwrap();
-        let txns = replay(&path).unwrap();
+        let txns = replay(&path).unwrap().txns;
         assert_eq!(txns.len(), 1, "only the first fully-committed txn survives");
     }
 
     #[test]
     fn missing_wal_is_empty() {
         let dir = tempfile::tempdir().unwrap();
-        assert!(replay(&dir.path().join("nope.log")).unwrap().is_empty());
+        assert!(replay(&dir.path().join("nope.log")).unwrap().txns.is_empty());
     }
 
     #[test]
@@ -535,7 +575,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] ^= 0xFF; // corrupt last checksum
         std::fs::write(&path, &bytes).unwrap();
-        let txns = replay(&path).unwrap();
+        let txns = replay(&path).unwrap().txns;
         assert!(txns.is_empty());
     }
 

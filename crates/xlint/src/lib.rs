@@ -8,8 +8,9 @@
 //!    from `eval_sel`, and a parity proptest must pit the two entry points
 //!    against each other. A kernel added on one side only silently decays
 //!    the candidate-list path back to materialization (or worse, diverges).
-//! 2. **Checksum discipline** — every `read_*_file` sidecar reader in
-//!    `persist.rs` must validate an fnv1a checksum and report failures as
+//! 2. **Checksum discipline** — every `read_*_file` reader in
+//!    `persist.rs` must validate a checksum (`fnv1a` for sidecars,
+//!    `lane_sum` for column files) and report failures as
 //!    `MlError::Corrupt` before constructing a value from the bytes.
 //! 3. **Counter liveness** — every `ExecCounters` field must be bumped
 //!    somewhere in the engine and surfaced through `CountersSnapshot`;
@@ -516,8 +517,12 @@ pub fn check_kernel_twins(root: &Path) -> RuleResult {
 // Rule 2: sidecar checksum discipline
 // ---------------------------------------------------------------------------
 
-/// Every `read_*_file` sidecar reader in persist.rs must verify an fnv1a
-/// checksum and surface failures as `MlError::Corrupt`.
+/// The checksum functions of `persist.rs`: byte-serial FNV-1a for the small
+/// sidecars, the word-wise `lane_sum` for column files.
+const CHECKSUM_FNS: [&str; 2] = ["fnv1a", "lane_sum"];
+
+/// Every `read_*_file` reader in persist.rs must verify one of the
+/// [`CHECKSUM_FNS`] and surface failures as `MlError::Corrupt`.
 pub fn check_checksum_discipline(root: &Path) -> RuleResult {
     const RULE: &str = "checksum-discipline";
     let mut res = RuleResult::default();
@@ -539,12 +544,12 @@ pub fn check_checksum_discipline(root: &Path) -> RuleResult {
     }
     for (name, at) in &readers {
         let body = fn_body(code, name).map(|(_, b)| b).unwrap_or("");
-        if !contains_call(body, "fnv1a") {
+        if !CHECKSUM_FNS.iter().any(|f| contains_call(body, f)) {
             res.fail(
                 RULE,
                 file,
                 line_of(&src, *at),
-                format!("sidecar reader `{name}` does not validate an fnv1a checksum"),
+                format!("reader `{name}` validates neither an fnv1a nor a lane_sum checksum"),
             );
         }
         if !body.contains("MlError::Corrupt") {
@@ -552,11 +557,11 @@ pub fn check_checksum_discipline(root: &Path) -> RuleResult {
                 RULE,
                 file,
                 line_of(&src, *at),
-                format!("sidecar reader `{name}` never reports MlError::Corrupt"),
+                format!("reader `{name}` never reports MlError::Corrupt"),
             );
         }
     }
-    res.notes.push(format!("checksum-discipline: {} sidecar reader(s) validated", readers.len()));
+    res.notes.push(format!("checksum-discipline: {} file reader(s) validated", readers.len()));
     res
 }
 

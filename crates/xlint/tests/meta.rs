@@ -109,6 +109,16 @@ fn checksum_rule_passes_on_validating_reader() {
         ),
     )]);
     assert_clean(&check_checksum_discipline(t.path()));
+    // The column-file reader validates the word-wise checksum instead.
+    let t = tree(&[(
+        "crates/storage/src/persist.rs",
+        &persist_src(
+            "let bytes = std::fs::read(p)?;\n\
+             if lane_sum(&bytes) != ck { return Err(MlError::Corrupt(\"column\".into())); }\n\
+             decode(&bytes)",
+        ),
+    )]);
+    assert_clean(&check_checksum_discipline(t.path()));
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 //! drop-and-reopen on a persistent database, compared after every step —
 //! including inside an open transaction (read-your-writes) — with the
 //! row-store engine, which shares the SQL front end and nothing of the
-//! storage or write path.
+//! storage or write path. Reading back after every step would consolidate
+//! every chain at depth 2, so histories also go *quiet*: a run of writes
+//! nobody reads, ended by a checkpoint or a restart, so that long unread
+//! chains (and their WAL replay) are what gets compared.
 
 use monetlite::{Connection, Database};
 use monetlite_rowstore::RowDb;
@@ -129,11 +132,13 @@ fn run_history(words: &[u64]) {
     conn.execute(DDL).unwrap();
     let mut oracle = Oracle::new();
     let mut trace: Vec<String> = Vec::new();
+    // Steps left without a read-back, and how the quiet run ends.
+    let (mut quiet, mut quiet_end) = (0u64, 0u64);
 
     for (step, &word) in words.iter().enumerate() {
         let mut b = Bits(word);
         let in_txn = oracle.pending.is_some();
-        let what = match b.below(32) {
+        let what = match b.below(34) {
             // Bulk append through the host API: a new segment per call.
             0..=7 => {
                 let rows: Vec<_> = (0..4 + b.below(20)).map(|_| random_row(&mut b)).collect();
@@ -221,9 +226,36 @@ fn run_history(words: &[u64]) {
                 (db, conn) = open(dir.path());
                 "reopen".into()
             }
-            _ => continue,
+            _ => {
+                (quiet, quiet_end) = (3 + b.below(6), b.below(3));
+                continue;
+            }
         };
         trace.push(what);
+        if quiet > 0 {
+            quiet -= 1;
+            if quiet > 0 {
+                continue;
+            }
+            // The unread chains meet their first full-width reader: a
+            // checkpoint, recovery's replay + checkpoint, or the dump.
+            match quiet_end {
+                1 if oracle.pending.is_none() => {
+                    db.checkpoint().unwrap();
+                    trace.push("checkpoint (after quiet run)".into());
+                }
+                2 => {
+                    drop(conn);
+                    drop(db);
+                    if oracle.pending.is_some() {
+                        oracle.rollback();
+                    }
+                    (db, conn) = open(dir.path());
+                    trace.push("reopen (after quiet run)".into());
+                }
+                _ => {}
+            }
+        }
         let got = dump(&mut conn);
         let want = oracle.db.query(DUMP).unwrap().rows;
         assert_eq!(got, want, "table contents after step {step}\n{trace:#?}");

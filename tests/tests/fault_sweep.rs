@@ -13,8 +13,10 @@
 //!
 //! The file also pins the two real bugs the sweep found while it was
 //! being built (a leaked `catalog.tmp` and a WAL writer that corrupted
-//! commits *after* a failed append), and exhaustively truncates a WAL at
-//! every byte offset to prove recovery always yields an acked prefix.
+//! commits *after* a failed append), sweeps recovery from a log with a
+//! torn tail (the truncate-at-open failpoint), and exhaustively truncates
+//! a WAL at every byte offset to prove recovery always yields an acked
+//! prefix.
 
 use monetlite::exec::{ExecMode, ExecOptions};
 use monetlite::{Connection, Database};
@@ -219,6 +221,108 @@ fn lifecycle_sweep_short_write_mode() {
 #[test]
 fn lifecycle_sweep_torn_write_mode() {
     sweep_lifecycle(FaultMode::TornWrite);
+}
+
+// ---------------------------------------------------------------------------
+// Workload A': recovery from a log that ends in a torn frame. Opening it
+// must cut the tail off (`wal.tail.truncate`) before the writer appends, with
+// or without committed transactions in front of the tear; a fault at any
+// I/O of that recovery must neither lose an acknowledged commit nor let a
+// later one land behind the torn bytes.
+// ---------------------------------------------------------------------------
+
+/// Built disarmed: a checkpointed row, optionally a WAL-only row, then
+/// seven bytes of a frame that never finished.
+fn torn_tail_fixture(dir: &Path, committed_before_tear: bool) {
+    use std::io::Write;
+    let db = Database::open(dir).unwrap();
+    let mut conn = db.connect();
+    conn.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
+    conn.execute("INSERT INTO t VALUES (0)").unwrap();
+    db.checkpoint().unwrap();
+    if committed_before_tear {
+        conn.execute("INSERT INTO t VALUES (1)").unwrap();
+    }
+    drop(conn);
+    drop(db);
+    let mut wal = std::fs::OpenOptions::new().append(true).open(dir.join("wal.log")).unwrap();
+    wal.write_all(&[200, 0, 0, 0, 5, 1, 2]).unwrap();
+}
+
+/// Recover, commit twice across a restart; returns the acknowledged keys.
+fn torn_tail_workload(dir: &Path, first_key: i64) -> (Vec<i64>, Result<()>) {
+    let mut acked = Vec::new();
+    let res = (|| {
+        for k in [first_key, first_key + 1] {
+            let db = Database::open(dir)?;
+            db.connect().execute(&format!("INSERT INTO t VALUES ({k})"))?;
+            acked.push(k);
+        }
+        Ok(())
+    })();
+    (acked, res)
+}
+
+fn sweep_torn_tail(mode: FaultMode, committed_before_tear: bool) {
+    let _g = fault::test_lock();
+    let first_key = 1 + committed_before_tear as i64;
+    for k in 0u64.. {
+        let dir = tempfile::tempdir().unwrap();
+        torn_tail_fixture(dir.path(), committed_before_tear);
+        fault::arm(FaultPolicy::Nth(k), mode);
+        let (acked, res) = torn_tail_workload(dir.path(), first_key);
+        let rep = fault::disarm();
+        if let Err(e) = &res {
+            assert_clean_error(e);
+        }
+        let _ = std::fs::remove_file(dir.path().join("db.lock"));
+        let db = Database::open(dir.path()).expect("recovery open must succeed once faults stop");
+        let r = db.connect().query("SELECT k FROM t ORDER BY k").unwrap();
+        let ks: Vec<i64> = (0..r.nrows()).map(|i| int_of(r.value(i, 0))).collect();
+        // Everything committed before the tear, then a prefix of the
+        // workload's keys that covers every acknowledged one.
+        let want: Vec<i64> = (0..first_key + 2).collect();
+        assert!(
+            ks.len() >= first_key as usize + acked.len() && want.starts_with(&ks),
+            "fault {k} ({mode:?}): acked {acked:?} but recovered {ks:?}"
+        );
+        db.checkpoint().expect("disarmed checkpoint after recovery");
+        drop(db);
+        assert_no_leaks(dir.path());
+        if !rep.fired {
+            assert!(res.is_ok(), "fault-free run must succeed: {:?}", res.err());
+            assert_eq!(ks, want);
+            break;
+        }
+    }
+}
+
+#[test]
+fn torn_tail_recovery_sweep_error_mode() {
+    sweep_torn_tail(FaultMode::Error, false);
+    sweep_torn_tail(FaultMode::Error, true);
+}
+
+#[test]
+fn torn_tail_recovery_sweep_torn_write_mode() {
+    sweep_torn_tail(FaultMode::TornWrite, false);
+    sweep_torn_tail(FaultMode::TornWrite, true);
+}
+
+/// The sweep above is only meaningful if recovery reaches the failpoint.
+#[test]
+fn torn_tail_recovery_passes_the_truncate_failpoint() {
+    let _g = fault::test_lock();
+    for committed_before_tear in [false, true] {
+        let dir = tempfile::tempdir().unwrap();
+        torn_tail_fixture(dir.path(), committed_before_tear);
+        fault::arm(FaultPolicy::SiteMatching("wal.tail.truncate".into()), FaultMode::Error);
+        let err =
+            Database::open(dir.path()).err().expect("open must not proceed past a failed truncate");
+        assert!(fault::disarm().fired, "wal.tail.truncate was never reached");
+        assert_clean_error(&err);
+        assert!(!dir.path().join("db.lock").exists(), "failed open left the lock behind");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -55,6 +55,68 @@ fn uncommitted_transaction_lost_on_restart() {
     assert_eq!(r.value(0, 0), Value::Bigint(1));
 }
 
+/// A crash during the first commit after a checkpoint leaves a torn frame
+/// at the tail of an otherwise empty log: nothing to replay, so recovery
+/// neither checkpoints nor rewrites the log. It must still cut the torn
+/// bytes off before the writer opens — commits appended *behind* them are
+/// acknowledged now and invisible to the next replay, which stops at the
+/// first bad frame.
+#[test]
+fn torn_wal_tail_with_nothing_to_replay_does_not_swallow_later_commits() {
+    use std::io::Write;
+    let dir = tempfile::tempdir().unwrap();
+    {
+        let db = Database::open(dir.path()).unwrap();
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
+        conn.execute("INSERT INTO t VALUES (1)").unwrap();
+        db.checkpoint().unwrap();
+    }
+    let wal = dir.path().join("wal.log");
+    assert_eq!(std::fs::metadata(&wal).unwrap().len(), 0, "checkpoint empties the log");
+    std::fs::OpenOptions::new().append(true).open(&wal).unwrap().write_all(&[0xAB; 7]).unwrap();
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.connect().execute("INSERT INTO t VALUES (2)").unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    let r = db.connect().query("SELECT count(*), sum(k) FROM t").unwrap();
+    assert_eq!(r.row(0), vec![Value::Bigint(2), Value::Bigint(3)], "acknowledged commit lost");
+}
+
+/// The same with committed transactions *before* the torn frame: those
+/// replay (and recovery checkpoints them), the tail is dropped, and later
+/// commits survive.
+#[test]
+fn torn_wal_tail_behind_committed_transactions_is_dropped_too() {
+    use std::io::Write;
+    let dir = tempfile::tempdir().unwrap();
+    {
+        let db = Database::open(dir.path()).unwrap();
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
+        conn.execute("INSERT INTO t VALUES (1)").unwrap();
+    }
+    let wal = dir.path().join("wal.log");
+    let whole = std::fs::metadata(&wal).unwrap().len();
+    // Half a frame: a plausible length prefix, then nothing.
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&wal)
+        .unwrap()
+        .write_all(&[9, 0, 0, 0, 1, 2, 3])
+        .unwrap();
+    let log = monetlite_storage::wal::replay(&wal).unwrap();
+    assert_eq!((log.txns.len(), log.valid_len, log.file_len), (2, whole, whole + 7));
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.connect().execute("INSERT INTO t VALUES (2)").unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    let r = db.connect().query("SELECT count(*), sum(k) FROM t").unwrap();
+    assert_eq!(r.row(0), vec![Value::Bigint(2), Value::Bigint(3)]);
+}
+
 #[test]
 fn corrupt_column_file_reports_error_not_crash() {
     let dir = tempfile::tempdir().unwrap();

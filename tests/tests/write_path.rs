@@ -1,11 +1,19 @@
 //! The write-path cost model, pinned as counts rather than timings: a
 //! single-row UPDATE or DELETE logs O(changed rows) bytes whatever the
-//! table size, copies no whole column its statement does not reference,
-//! and the log format is the one earlier builds wrote.
+//! table size, copies no whole column its statement does not reference;
+//! a bulk append is O(batch) in the transaction overlay, at commit and at
+//! replay (the first reader consolidates, once); a checkpoint persists the
+//! dictionaries that exist and sorts nothing; and a log of an earlier
+//! build still replays.
 
 use monetlite::{Connection, Database};
+use monetlite_storage::store::apply_record;
+use monetlite_storage::wal::{self, WalRecord};
+use monetlite_storage::{Bat, TableMeta};
 use monetlite_types::{ColumnBuffer, Decimal, Value};
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
 const N: usize = 50_000;
 
@@ -24,8 +32,8 @@ fn batch(lo: usize, hi: usize) -> Vec<ColumnBuffer> {
     ]
 }
 
-/// A persistent `n`-row table in three segments (60% + 20% + 20%: the
-/// tail stays below the doubling policy's threshold).
+/// A persistent `n`-row table appended in three batches (60% + 20% + 20%)
+/// that nobody has read yet.
 fn build(dir: &Path, n: usize) -> (Database, Connection) {
     let db = Database::open(dir).unwrap();
     let mut conn = db.connect();
@@ -53,7 +61,7 @@ fn single_row_write_frames(n: usize) -> [u64; 4] {
     let (db, mut conn) = build(dir.path(), n);
     let before = db.store().snapshot();
     let cols = &before.table("t").unwrap().data.cols;
-    assert!(cols.iter().all(|c| c.depth() == 3), "fixture must be segmented");
+    assert!(cols.iter().all(|c| c.depth() == 4), "empty base + one segment per append");
     let (upd, del, txn, post) = (n / 2, n / 2 + 1, n / 2 + 2, n / 2 + 3);
 
     let w0 = wal_len(dir.path());
@@ -172,5 +180,188 @@ fn log_written_by_the_previous_build_still_replays() {
         let r = conn.query("SELECT k, tag, note, amt FROM w ORDER BY k").unwrap();
         let got: Vec<Vec<Value>> = (0..r.nrows()).map(|i| r.row(i)).collect();
         assert_eq!(got, want, "round {round}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bulk appends are O(batch); consolidation belongs to the first reader.
+// ---------------------------------------------------------------------------
+
+const DDL: &str =
+    "CREATE TABLE t (k INT NOT NULL, grp VARCHAR(4), note VARCHAR(16), amt DECIMAL(12,2))";
+
+/// `(depth, has_cached_consolidation)` of every column of `t`.
+fn shape(t: &TableMeta) -> Vec<(usize, bool)> {
+    t.data.cols.iter().map(|c| (c.depth(), c.has_cached_consolidation())).collect()
+}
+
+#[test]
+fn k_bulk_appends_leave_a_chain_of_k_plus_one_in_overlay_commit_and_replay() {
+    const K: usize = 5;
+    let per = 2000;
+    let dir = tempfile::tempdir().unwrap();
+    let db = Database::open(dir.path()).unwrap();
+    let mut conn = db.connect();
+    conn.execute(DDL).unwrap();
+    // Growing batches: under the old doubling rule every one of them (tail
+    // >= base) made the writer consolidate, twice per autocommit append.
+    let batches: Vec<(usize, usize)> =
+        (0..K).map(|b| (b * b * per, (b + 1) * (b + 1) * per)).collect();
+    for &(lo, hi) in &batches {
+        conn.append("t", batch(lo, hi)).unwrap();
+    }
+    let lazy = vec![(K + 1, false); 4];
+
+    // After commit: what `Store::commit` published.
+    let snap = db.store().snapshot();
+    assert_eq!(shape(snap.table("t").unwrap()), lazy, "commit consolidated");
+
+    // The transaction overlay is `apply_record` on the transaction's own
+    // table map (`Connection::apply_write`): same records, same shape.
+    let mut overlay: HashMap<String, Arc<TableMeta>> = HashMap::new();
+    let mut next_id = 1;
+    let schema = snap.table("t").unwrap().schema.clone();
+    apply_record(&mut overlay, &WalRecord::CreateTable { name: "t".into(), schema }, &mut next_id)
+        .unwrap();
+    for &(lo, hi) in &batches {
+        let cols = batch(lo, hi).iter().map(Bat::from_buffer).collect();
+        apply_record(&mut overlay, &WalRecord::Append { table: "t".into(), cols }, &mut next_id)
+            .unwrap();
+    }
+    assert_eq!(shape(&overlay["t"]), lazy, "overlay consolidated");
+
+    // ... and through a real transaction: K more appends inside BEGIN, a
+    // read-your-writes query, COMMIT. Commit re-applies the K segments to
+    // the published chain; only the overlay paid for the read.
+    conn.begin().unwrap();
+    let n = batches[K - 1].1;
+    for b in 0..K {
+        conn.append("t", batch(n + b * per, n + (b + 1) * per)).unwrap();
+    }
+    let r = conn.query("SELECT count(*), max(k) FROM t").unwrap();
+    assert_eq!(
+        r.row(0),
+        vec![Value::Bigint((n + K * per) as i64), Value::Int((n + K * per) as i32 - 1)]
+    );
+    conn.commit().unwrap();
+    let snap = db.store().snapshot();
+    assert_eq!(shape(snap.table("t").unwrap()), vec![(2 * K + 1, false); 4]);
+
+    // Replay of the same log applies the same records: a chain again, no
+    // consolidation — recovery's checkpoint is its first full-width reader.
+    drop(snap);
+    drop(conn);
+    drop(db);
+    let log = wal::replay(&dir.path().join("wal.log")).unwrap();
+    assert_eq!(log.valid_len, log.file_len);
+    let mut replayed: HashMap<String, Arc<TableMeta>> = HashMap::new();
+    let mut next_id = 1;
+    for rec in log.txns.iter().flat_map(|(_, recs)| recs) {
+        apply_record(&mut replayed, rec, &mut next_id).unwrap();
+    }
+    assert_eq!(shape(&replayed["t"]), vec![(2 * K + 1, false); 4], "replay consolidated");
+    assert_eq!(replayed["t"].data.rows, n + K * per);
+
+    // The real recovery then checkpoints: one backed segment per column.
+    let db = Database::open(dir.path()).unwrap();
+    let snap = db.store().snapshot();
+    let t = snap.table("t").unwrap();
+    assert!(t.data.cols.iter().all(|c| c.depth() == 1 && c.entry().unwrap().is_backed()));
+    let r = db.connect().query("SELECT count(*), count(DISTINCT grp) FROM t").unwrap();
+    assert_eq!(r.row(0), vec![Value::Bigint((n + K * per) as i64), Value::Bigint(7)]);
+}
+
+#[test]
+fn single_row_insert_stream_keeps_the_chain_bounded() {
+    let db = Database::open_in_memory();
+    let mut conn = db.connect();
+    conn.execute("CREATE TABLE s (k INT NOT NULL, tag VARCHAR(4))").unwrap();
+    const N: usize = 20_000;
+    let mut deepest = 0;
+    for i in 0..N {
+        conn.execute(&format!("INSERT INTO s VALUES ({i}, 't{}')", i % 3)).unwrap();
+        if i % 512 == 0 || i == N - 1 {
+            let snap = db.store().snapshot();
+            deepest = deepest.max(snap.table("s").unwrap().data.cols[0].depth());
+        }
+    }
+    let cap = monetlite_storage::catalog::MAX_CHAIN_DEPTH;
+    assert!(deepest < cap, "chain grew to {deepest}");
+    assert!(deepest > cap / 2, "the stream must have run into the cap (deepest {deepest})");
+    let r = conn.query("SELECT count(*), sum(k), count(DISTINCT tag) FROM s").unwrap();
+    let sum = (N * (N - 1) / 2) as i64;
+    assert_eq!(r.row(0), vec![Value::Bigint(N as i64), Value::Bigint(sum), Value::Bigint(3)]);
+}
+
+// ---------------------------------------------------------------------------
+// A checkpoint persists the dictionaries that exist and builds none.
+// ---------------------------------------------------------------------------
+
+/// Names of the files under `cols/` with the given extension, sorted.
+fn cols_files(dir: &Path, ext: &str) -> Vec<String> {
+    let mut v: Vec<String> = std::fs::read_dir(dir.join("cols"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(ext))
+        .collect();
+    v.sort();
+    v
+}
+
+#[test]
+fn checkpoint_writes_a_dict_sidecar_only_for_columns_that_hold_a_dictionary() {
+    let dir = tempfile::tempdir().unwrap();
+    let (db, mut conn) = build(dir.path(), 6000);
+    // Nobody queried the table: `.zm`/`.st` are built eagerly, no `.dict`.
+    db.checkpoint().unwrap();
+    let count = |ext: &str| cols_files(dir.path(), ext).len();
+    assert_eq!((count(".bat"), count(".st"), count(".zm"), count(".dict")), (4, 4, 2, 0));
+
+    // A dictionary predicate on the (already backed) `grp` column builds
+    // its dictionary; the next checkpoint writes the sidecar — for `grp`
+    // only, next to the unchanged column file — and its GC keeps it.
+    let grp_file = |db: &Database| {
+        let snap = db.store().snapshot();
+        let p = snap.table("t").unwrap().data.cols[1].entry().unwrap().backing_path().unwrap();
+        p.file_name().unwrap().to_string_lossy().into_owned()
+    };
+    let before = grp_file(&db);
+    let r = conn.query("SELECT count(*) FROM t WHERE grp = 'g3'").unwrap();
+    assert_eq!(r.value(0, 0), Value::Bigint((0..6000).filter(|i| i % 7 == 3).count() as i64));
+    if conn.exec_options().use_dict {
+        assert!(
+            conn.last_exec_counters().unwrap().dict_hits > 0,
+            "predicate did not use a dictionary"
+        );
+        db.checkpoint().unwrap();
+        assert_eq!(grp_file(&db), before, "column file must not be rewritten");
+        assert_eq!(cols_files(dir.path(), ".dict"), vec![format!("{before}.dict")]);
+        db.checkpoint().unwrap();
+        assert_eq!(
+            cols_files(dir.path(), ".dict"),
+            vec![format!("{before}.dict")],
+            "GC removed a live sidecar"
+        );
+
+        // A restart resolves the dictionary from the sidecar.
+        drop(conn);
+        drop(db);
+        let db = Database::open(dir.path()).unwrap();
+        let snap = db.store().snapshot();
+        let entry = snap.table("t").unwrap().data.cols[1].entry().unwrap();
+        assert_eq!(entry.dict().unwrap().len(), 7);
+        assert_eq!(db.vmem_stats().loads, 0, "dictionary was rebuilt from the column");
+        // A dictionary carried through consolidation is persisted with the
+        // rewritten column.
+        let mut conn = db.connect();
+        conn.append("t", batch(6000, 6100)).unwrap();
+        assert_eq!(
+            conn.query("SELECT count(*) FROM t WHERE grp = 'g3'").unwrap().value(0, 0),
+            Value::Bigint(871)
+        );
+        db.checkpoint().unwrap();
+        let after = grp_file(&db);
+        assert_ne!(after, before);
+        assert_eq!(cols_files(dir.path(), ".dict"), vec![format!("{after}.dict")]);
     }
 }
