@@ -8,11 +8,12 @@
 //! partial/merge forms used by the parallel executor.
 
 use crate::expr::PAggFunc;
-use crate::rows::{col_eq, row_hash, rows_eq};
+use crate::rows::{col_eq, rows_eq};
+use monetlite_storage::hash::{hash_rows, HashTable};
 use monetlite_storage::Bat;
 use monetlite_types::nulls::{NULL_I32, NULL_I64};
 use monetlite_types::{LogicalType, MlError, Result, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Result of hashing group keys: per-row dense group ids plus one
 /// representative row per group.
@@ -24,67 +25,26 @@ pub struct Grouping {
     pub repr_rows: Vec<u32>,
 }
 
-/// Hash rows into dense groups over the key columns.
-pub fn hash_group(keys: &[&Bat]) -> Grouping {
-    let rows = keys.first().map_or(0, |k| k.len());
-    let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-    let mut group_ids = Vec::with_capacity(rows);
+/// Hash rows into dense groups over the key columns, in first-seen
+/// order. With a candidate list only the `sel` positions are grouped,
+/// reading the base arrays in place (no gather); `group_ids`/`repr_rows`
+/// are then indexed in the *logical* (selection) domain — `repr_rows[g]
+/// == i` names physical row `sel[i]` — so callers gather representatives
+/// with the selection-aware `Chunk::take`, touching only the survivors.
+pub fn hash_group(keys: &[&Bat], sel: Option<&[u32]>) -> Grouping {
+    let hashes = hash_rows(keys, sel);
+    let phys = |i: u32| sel.map_or(i, |s| s[i as usize]) as usize;
+    let mut table = HashTable::default();
+    let mut group_ids = Vec::with_capacity(hashes.len());
     let mut repr_rows: Vec<u32> = Vec::new();
-    for row in 0..rows {
-        let h = row_hash(keys, row);
-        let bucket = table.entry(h).or_default();
-        let mut gid = None;
-        for &g in bucket.iter() {
-            if rows_eq(keys, row, keys, repr_rows[g as usize] as usize, true) {
-                gid = Some(g);
-                break;
-            }
+    for (i, &h) in hashes.iter().enumerate() {
+        let row = phys(i as u32);
+        let (g, new) =
+            table.intern(h, |g| rows_eq(keys, row, keys, phys(repr_rows[g as usize]), true));
+        if new {
+            repr_rows.push(i as u32);
         }
-        let gid = match gid {
-            Some(g) => g,
-            None => {
-                let g = repr_rows.len() as u32;
-                repr_rows.push(row as u32);
-                bucket.push(g);
-                g
-            }
-        };
-        group_ids.push(gid);
-    }
-    Grouping { group_ids, repr_rows }
-}
-
-/// Candidate-list twin of [`hash_group`]: group only the `sel` positions
-/// of the key columns, reading the base arrays in place (no gather). The
-/// returned `group_ids`/`repr_rows` are indexed in the *logical*
-/// (selection) domain — `repr_rows[g] == i` names physical row
-/// `sel[i]` — so callers gather representatives with the selection-aware
-/// `Chunk::take`, touching only the survivors.
-pub fn hash_group_at(keys: &[&Bat], sel: &[u32]) -> Grouping {
-    let mut table: HashMap<u64, Vec<u32>> = HashMap::new();
-    let mut group_ids = Vec::with_capacity(sel.len());
-    let mut repr_rows: Vec<u32> = Vec::new();
-    for (li, &pi) in sel.iter().enumerate() {
-        let h = row_hash(keys, pi as usize);
-        let bucket = table.entry(h).or_default();
-        let mut gid = None;
-        for &g in bucket.iter() {
-            let repr_phys = sel[repr_rows[g as usize] as usize] as usize;
-            if rows_eq(keys, pi as usize, keys, repr_phys, true) {
-                gid = Some(g);
-                break;
-            }
-        }
-        let gid = match gid {
-            Some(g) => g,
-            None => {
-                let g = repr_rows.len() as u32;
-                repr_rows.push(li as u32);
-                bucket.push(g);
-                g
-            }
-        };
-        group_ids.push(gid);
+        group_ids.push(g);
     }
     Grouping { group_ids, repr_rows }
 }
@@ -99,8 +59,8 @@ pub fn hash_group_at(keys: &[&Bat], sel: &[u32]) -> Grouping {
 pub struct GroupTable {
     /// Representative key values, one row per group, in first-seen order.
     keys: Vec<Bat>,
-    /// Key hash → candidate group ids.
-    buckets: HashMap<u64, Vec<u32>>,
+    /// Group ids by key hash (the stored hashes are the groups' hashes).
+    table: HashTable,
 }
 
 impl GroupTable {
@@ -108,13 +68,13 @@ impl GroupTable {
     pub fn new(key_types: &[LogicalType]) -> GroupTable {
         GroupTable {
             keys: key_types.iter().map(|&t| Bat::new(t)).collect(),
-            buckets: HashMap::new(),
+            table: HashTable::default(),
         }
     }
 
     /// Number of distinct groups seen so far.
     pub fn n_groups(&self) -> usize {
-        self.keys.first().map_or(0, |k| k.len())
+        self.table.len()
     }
 
     /// The accumulated representative key columns.
@@ -128,46 +88,48 @@ impl GroupTable {
         self.keys
     }
 
-    /// Approximate resident bytes (representative keys + bucket map) —
+    /// Allocated bytes (representative keys + hash table, at capacity) —
     /// the quantity the spill budget checks against.
     pub fn mem_bytes(&self) -> usize {
-        let keys: usize = self.keys.iter().map(|k| k.mem_bytes()).sum();
-        // Bucket map: hash key + Vec header + ~one group id per entry.
-        keys + self.buckets.len() * (8 + 24 + 8)
+        self.keys.iter().map(|k| k.alloc_bytes()).sum::<usize>() + self.table.size_bytes()
     }
 
     /// Intern a block of key rows, returning each row's dense group id.
-    pub fn intern_block(&mut self, block: &[&Bat], rows: usize) -> Result<Vec<u32>> {
+    pub fn intern_block(&mut self, block: &[&Bat]) -> Result<Vec<u32>> {
+        let hashes = hash_rows(block, None);
+        self.intern_hashed(block, &hashes)
+    }
+
+    /// Merge another table's groups into this one — the cross-thread merge
+    /// of partial aggregation — reusing its stored hashes. Returns the map
+    /// from `other`'s group ids to this table's (for
+    /// [`AggState::merge_mapped`]).
+    pub(crate) fn merge(&mut self, other: &GroupTable) -> Result<Vec<u32>> {
+        let refs: Vec<&Bat> = other.keys.iter().collect();
+        self.intern_hashed(&refs, other.table.hashes())
+    }
+
+    /// Intern rows whose hashes are known. Keys of groups new in this
+    /// block are appended once, at the end, with one typed gather per key
+    /// column; until then their representative is their block row.
+    fn intern_hashed(&mut self, block: &[&Bat], hashes: &[u64]) -> Result<Vec<u32>> {
         debug_assert_eq!(block.len(), self.keys.len());
-        let mut gids = Vec::with_capacity(rows);
-        for row in 0..rows {
-            let h = row_hash(block, row);
-            let mut found = None;
-            if let Some(bucket) = self.buckets.get(&h) {
-                for &g in bucket {
-                    let eq = self
-                        .keys
-                        .iter()
-                        .zip(block)
-                        .all(|(k, b)| col_eq(b, row, k, g as usize, true));
-                    if eq {
-                        found = Some(g);
-                        break;
-                    }
-                }
+        let base = self.n_groups();
+        let keys = &self.keys;
+        let mut new_rows: Vec<u32> = Vec::new();
+        let mut gids = Vec::with_capacity(hashes.len());
+        for (row, &h) in hashes.iter().enumerate() {
+            let (g, new) = self.table.intern(h, |g| match (g as usize).checked_sub(base) {
+                None => keys.iter().zip(block).all(|(k, b)| col_eq(b, row, k, g as usize, true)),
+                Some(n) => rows_eq(block, row, block, new_rows[n] as usize, true),
+            });
+            if new {
+                new_rows.push(row as u32);
             }
-            let gid = match found {
-                Some(g) => g,
-                None => {
-                    let g = self.n_groups() as u32;
-                    for (k, b) in self.keys.iter_mut().zip(block) {
-                        k.push(&b.get(row))?;
-                    }
-                    self.buckets.entry(h).or_default().push(g);
-                    g
-                }
-            };
-            gids.push(gid);
+            gids.push(g);
+        }
+        for (k, b) in self.keys.iter_mut().zip(block) {
+            k.append_rows(b, &new_rows)?;
         }
         Ok(gids)
     }
@@ -663,7 +625,7 @@ mod tests {
     #[test]
     fn grouping_basic() {
         let keys = Bat::Int(vec![1, 2, 1, 3, 2]);
-        let g = hash_group(&[&keys]);
+        let g = hash_group(&[&keys], None);
         assert_eq!(g.repr_rows.len(), 3);
         assert_eq!(g.group_ids[0], g.group_ids[2]);
         assert_eq!(g.group_ids[1], g.group_ids[4]);
@@ -679,8 +641,106 @@ mod tests {
             None,
             None,
         ]));
-        let g = hash_group(&[&a, &b]);
+        let g = hash_group(&[&a, &b], None);
         assert_eq!(g.repr_rows.len(), 2, "NULL keys group together");
+    }
+
+    fn group_keys(seeds: &[u8]) -> (Bat, Bat, Bat) {
+        let int = Bat::Int(
+            seeds.iter().map(|&s| if s % 9 == 0 { NULL_I32 } else { (s % 5) as i32 }).collect(),
+        );
+        let text = Bat::from_buffer(&ColumnBuffer::Varchar(
+            seeds.iter().map(|&s| (s % 7 != 0).then(|| format!("k{}", s % 3))).collect(),
+        ));
+        // -0.0 and 0.0 are one group.
+        let dbl = Bat::Double(seeds.iter().map(|&s| if s % 2 == 0 { 0.0 } else { -0.0 }).collect());
+        (int, text, dbl)
+    }
+
+    #[test]
+    fn group_table_reports_its_allocation() {
+        let seeds: Vec<u8> = (0..=255).cycle().take(5000).collect();
+        let (int, text, dbl) = group_keys(&seeds);
+        let mut t = GroupTable::new(&[LogicalType::Int, LogicalType::Varchar, LogicalType::Double]);
+        assert_eq!(t.table.size_bytes(), 0, "an empty hash table allocates nothing");
+        let n = 1000;
+        let slice = |b: &Bat, lo: usize| b.take(&(lo as u32..(lo + n) as u32).collect::<Vec<_>>());
+        for lo in (0..seeds.len()).step_by(n) {
+            let (a, b, c) = (slice(&int, lo), slice(&text, lo), slice(&dbl, lo));
+            t.intern_block(&[&a, &b, &c]).unwrap();
+            let allocated = t.table.size_bytes()
+                + t.keys
+                    .iter()
+                    .map(|k| match k {
+                        Bat::Int(v) => v.capacity() * 4,
+                        Bat::Double(v) => v.capacity() * 8,
+                        Bat::Varchar { offsets, heap } => offsets.capacity() * 4 + heap.mem_bytes(),
+                        other => panic!("unexpected key column {other:?}"),
+                    })
+                    .sum::<usize>();
+            assert!(t.mem_bytes() >= allocated, "{} < {allocated}", t.mem_bytes());
+        }
+        assert_eq!(t.n_groups(), hash_group(&[&int, &text, &dbl], None).repr_rows.len());
+    }
+
+    #[test]
+    fn group_key_type_mismatch_is_an_error_not_a_panic() {
+        let mut t = GroupTable::new(&[LogicalType::Date]);
+        let err = t.intern_block(&[&Bat::Double(vec![1.5])]).unwrap_err();
+        assert!(matches!(err, MlError::TypeMismatch(_)), "{err:?}");
+        // Decimal keys of another scale rescale, as a row-wise push would.
+        let mut t = GroupTable::new(&[LogicalType::Decimal { width: 15, scale: 2 }]);
+        t.intern_block(&[&Bat::Decimal { data: vec![7, NULL_I64], scale: 0 }]).unwrap();
+        assert_eq!(t.keys()[0].get(0), Value::Decimal(Decimal::new(700, 2)));
+        assert_eq!(t.keys()[0].get(1), Value::Null);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_partial_group_tables_merge_to_a_single_pass(
+            seeds in proptest::collection::vec(0u8..255, 0..300),
+            cuts in proptest::collection::vec(0usize..300, 0..4),
+        ) {
+            let (int, text, dbl) = group_keys(&seeds);
+            let arg = Bat::Int(seeds.iter().map(|&s| s as i32).collect());
+            let types = [LogicalType::Int, LogicalType::Varchar, LogicalType::Double];
+            // Single pass.
+            let whole = hash_group(&[&int, &text, &dbl], None);
+            let n = whole.repr_rows.len();
+            let mut sum = AggState::new(PAggFunc::Sum, Some(LogicalType::Int), false, n).unwrap();
+            sum.update(Some(&arg), &whole.group_ids).unwrap();
+            // Contiguous partials, each interned on its own, merged in order.
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(seeds.len())).collect();
+            bounds.push(0);
+            bounds.push(seeds.len());
+            bounds.sort_unstable();
+            let mut acc: Option<(GroupTable, AggState)> = None;
+            for w in bounds.windows(2) {
+                let sel: Vec<u32> = (w[0] as u32..w[1] as u32).collect();
+                let (a, b, c, x) = (int.take(&sel), text.take(&sel), dbl.take(&sel), arg.take(&sel));
+                let mut t = GroupTable::new(&types);
+                let gids = t.intern_block(&[&a, &b, &c]).unwrap();
+                let mut st = AggState::new(PAggFunc::Sum, Some(LogicalType::Int), false, t.n_groups()).unwrap();
+                st.update(Some(&x), &gids).unwrap();
+                acc = Some(match acc {
+                    None => (t, st),
+                    Some((mut at, mut ast)) => {
+                        let map = at.merge(&t).unwrap();
+                        ast.ensure_groups(at.n_groups());
+                        ast.merge_mapped(st, &map).unwrap();
+                        (at, ast)
+                    }
+                });
+            }
+            let (merged, msum) = acc.unwrap();
+            // Same groups in the same first-seen order, same sums.
+            proptest::prop_assert_eq!(merged.n_groups(), n);
+            for (k, col) in merged.keys().iter().zip([&int, &text, &dbl]) {
+                proptest::prop_assert_eq!(k.to_buffer(None), col.take(&whole.repr_rows).to_buffer(None));
+            }
+            let (a, b) = (msum.finish(LogicalType::Bigint).unwrap(), sum.finish(LogicalType::Bigint).unwrap());
+            proptest::prop_assert_eq!(a.to_buffer(None), b.to_buffer(None));
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! impossible, so results are unchanged.
 //!
 //! Keys enter as the executor's 64-bit composite row hashes
-//! ([`crate::rows::row_hash`]), so the filter and the join table always
+//! ([`monetlite_storage::hash::hash_rows`]), so the filter and the join table always
 //! agree on the hash of a row.
 
 /// A split-block style bloom filter over pre-hashed `u64` keys.

@@ -26,9 +26,10 @@ use crate::expr::{BExpr, CmpOp};
 use crate::join::{cross_join, hash_join, merge_join, scalar_left_pairs, JoinSel};
 use crate::kernels::{bool_to_sel, compile_like, eval, like_plan_match, LikePlan};
 use crate::plan::{PJoinKind, Plan};
-use crate::rows::{row_hash, take_padded};
+use crate::rows::take_padded;
 use crate::sort::{sort_perm, topn_perm};
 use monetlite_storage::catalog::{ColumnEntry, TableMeta};
+use monetlite_storage::hash::hash_rows;
 use monetlite_storage::index::{f64_ordered, orderable, IMPRINT_LINE};
 use monetlite_storage::{Bat, StrDict, NULL_CODE};
 use monetlite_types::{LogicalType, MlError, Result, Value};
@@ -616,7 +617,7 @@ pub(crate) fn exec_node(
         Plan::Distinct { input } => {
             let chunk = exec_node(input, ctx, range)?;
             let refs: Vec<&Bat> = chunk.cols.iter().map(|c| &**c).collect();
-            let grouping = hash_group(&refs);
+            let grouping = hash_group(&refs, None);
             Ok(chunk.take(&grouping.repr_rows))
         }
         Plan::Values { rows, schema } => exec_values(rows, schema),
@@ -914,8 +915,12 @@ fn exec_scan_inner(
                     .collect(),
             };
             let before = cur.len();
-            let kept: Vec<u32> =
-                cur.into_iter().filter(|&r| bloom.contains(row_hash(&keys, r as usize))).collect();
+            let hashes = hash_rows(&keys, Some(&cur));
+            let kept: Vec<u32> = cur
+                .iter()
+                .zip(hashes)
+                .filter_map(|(&r, h)| bloom.contains(h).then_some(r))
+                .collect();
             ctx.counters.add(&ctx.counters.bloom_pruned, (before - kept.len()) as u64);
             sel = Some(kept);
         }
@@ -1437,7 +1442,7 @@ fn exec_aggregate(
         (vec![0u32; chunk.rows], vec![], 1usize)
     } else {
         let refs: Vec<&Bat> = group_bats.iter().collect();
-        let g = hash_group(&refs);
+        let g = hash_group(&refs, None);
         let n = g.repr_rows.len();
         (g.group_ids, g.repr_rows, n)
     };

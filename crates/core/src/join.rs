@@ -1,20 +1,24 @@
 //! Join kernels: hash join (inner/left/semi/anti), merge join over order
 //! indexes, and cross products.
 //!
-//! The hash join "builds" on the right input. When the build side is a
-//! bare persistent column, the executor passes its automatically
-//! maintained [`HashIndex`] (paper §3.1: "Hash tables are also
-//! automatically created for persistent columns when they are used in
-//! groupings or as join keys in equi-joins") — the build phase then
-//! disappears entirely. The order-index merge join implements the paper's
+//! The hash join "builds" on the right input: a [`HashTable`] over the
+//! build keys, chains ascending so matches come out in build-row order.
+//! When the build side is a bare persistent column, the executor passes
+//! its automatically maintained [`HashIndex`] — the same table, prebuilt
+//! (paper §3.1: "Hash tables are also automatically created for
+//! persistent columns when they are used in groupings or as join keys in
+//! equi-joins") — and the build phase disappears entirely. Either way one
+//! probe loop runs. The order-index merge join implements the paper's
 //! "For joins, the order index is used for a merge join."
+//!
+//! [`HashIndex`]: monetlite_storage::index::HashIndex
 
 use crate::plan::PJoinKind;
-use crate::rows::{any_null, row_hash, rows_eq, NO_ROW};
-use monetlite_storage::index::{key_at, HashIndex, OrderIndex};
+use crate::rows::{any_null, rows_eq, NO_ROW};
+use monetlite_storage::hash::{hash_rows, HashTable};
+use monetlite_storage::index::{key_at, OrderIndex};
 use monetlite_storage::Bat;
 use monetlite_types::{MlError, Result};
-use std::collections::HashMap;
 
 /// Row-id pairs produced by a join; `rsel` entries may be [`NO_ROW`]
 /// (left outer). For semi/anti joins `rsel` is empty.
@@ -40,61 +44,57 @@ impl JoinSel {
 }
 
 /// Hash join over aligned key column sets: build then probe in one call
-/// (the materialized engine's entry point). The streaming engine builds
-/// once with [`build_hash_map`] and probes vector-at-a-time with
-/// [`probe_hash`]/[`probe_index`].
+/// (the materialized engine's entry point). `prebuilt` is the build
+/// column's hash index (single-key joins over a bare persistent column);
+/// without it a transient table is built over `rkeys`. The streaming
+/// engine builds once ([`HashTable::from_hashes`]) and probes
+/// vector-at-a-time with [`probe`].
 pub fn hash_join(
     lkeys: &[&Bat],
     rkeys: &[&Bat],
     kind: PJoinKind,
-    prebuilt: Option<&HashIndex>,
+    prebuilt: Option<&HashTable>,
 ) -> Result<JoinSel> {
     if lkeys.len() != rkeys.len() || lkeys.is_empty() {
         return Err(MlError::Execution("hash join requires aligned non-empty keys".into()));
     }
-    // Fast path: a single-key join probing a prebuilt per-column hash
-    // index (candidates verified exactly, as MonetDB does).
-    if let (Some(idx), 1) = (prebuilt, rkeys.len()) {
-        return Ok(probe_index(lkeys, rkeys, idx, kind));
-    }
-    // General path: build a transient table on the right side.
-    let table = build_hash_map(rkeys);
-    Ok(probe_hash(lkeys, rkeys, &table, kind))
-}
-
-/// The hash-join build phase: bucket every non-NULL build row by its
-/// composite key hash.
-pub fn build_hash_map(rkeys: &[&Bat]) -> HashMap<u64, Vec<u32>> {
-    let rrows = rkeys.first().map_or(0, |k| k.len());
-    let mut table: HashMap<u64, Vec<u32>> = HashMap::with_capacity(rrows);
-    for r in 0..rrows {
-        if any_null(rkeys, r) {
-            continue; // NULL keys never match
+    let built;
+    let table = match prebuilt {
+        Some(t) => t,
+        None => {
+            built = HashTable::build(rkeys);
+            &built
         }
-        table.entry(row_hash(rkeys, r)).or_default().push(r as u32);
-    }
-    table
+    };
+    Ok(probe(lkeys, rkeys, table, kind))
 }
 
-/// Probe a transient build table with a block of probe-side keys.
-/// `lsel` entries index the probe block; `rsel` entries index the full
-/// build side.
-pub fn probe_hash(
+/// Probe a build table (transient or a prebuilt hash index) with a block
+/// of probe-side keys, hashed once for the whole block. `lsel` entries
+/// index the probe block; `rsel` entries index the full build side.
+pub fn probe(lkeys: &[&Bat], rkeys: &[&Bat], table: &HashTable, kind: PJoinKind) -> JoinSel {
+    probe_hashed(lkeys, &hash_rows(lkeys, None), rkeys, table, kind)
+}
+
+/// [`probe`] with the probe hashes supplied: a candidate must match the
+/// stored hash before its keys are compared.
+fn probe_hashed(
     lkeys: &[&Bat],
+    lhash: &[u64],
     rkeys: &[&Bat],
-    table: &HashMap<u64, Vec<u32>>,
+    table: &HashTable,
     kind: PJoinKind,
 ) -> JoinSel {
-    let lrows = lkeys.first().map_or(0, |k| k.len());
-    let mut out = JoinSel::default();
-    for l in 0..lrows {
-        if any_null(lkeys, l) {
-            finish_probe(&mut out, kind, l as u32, false);
-            continue;
-        }
+    let pairs = matches!(kind, PJoinKind::Inner | PJoinKind::Left);
+    let mut out = JoinSel {
+        lsel: Vec::with_capacity(lhash.len()),
+        rsel: Vec::with_capacity(if pairs { lhash.len() } else { 0 }),
+    };
+    for (l, &h) in lhash.iter().enumerate() {
         let mut matched = false;
-        if let Some(bucket) = table.get(&row_hash(lkeys, l)) {
-            for &r in bucket {
+        // NULL keys never match (their build rows are not even linked).
+        if !any_null(lkeys, l) {
+            for r in table.candidates(h) {
                 if rows_eq(lkeys, l, rkeys, r as usize, false) {
                     matched = true;
                     match kind {
@@ -106,44 +106,6 @@ pub fn probe_hash(
                         // xlint: allow(panic, planner never routes cross joins through key probes)
                         PJoinKind::Cross => unreachable!(),
                     }
-                }
-            }
-        }
-        finish_probe(&mut out, kind, l as u32, matched);
-    }
-    out
-}
-
-/// Probe an automatically maintained per-column [`HashIndex`] (single-key
-/// joins over bare persistent columns; the build phase disappears).
-pub fn probe_index(lkeys: &[&Bat], rkeys: &[&Bat], idx: &HashIndex, kind: PJoinKind) -> JoinSel {
-    let lrows = lkeys.first().map_or(0, |k| k.len());
-    let mut out = JoinSel::default();
-    for l in 0..lrows {
-        if any_null(lkeys, l) {
-            if kind == PJoinKind::Anti {
-                out.lsel.push(l as u32);
-            }
-            if kind == PJoinKind::Left {
-                out.lsel.push(l as u32);
-                out.rsel.push(NO_ROW);
-            }
-            continue;
-        }
-        let key = key_at(lkeys[0], l);
-        let mut matched = false;
-        for &r in idx.lookup(key) {
-            if rows_eq(lkeys, l, rkeys, r as usize, false) {
-                matched = true;
-                match kind {
-                    PJoinKind::Inner | PJoinKind::Left => {
-                        out.lsel.push(l as u32);
-                        out.rsel.push(r);
-                    }
-                    PJoinKind::Semi => break,
-                    PJoinKind::Anti => break,
-                    // xlint: allow(panic, planner never routes cross joins through key probes)
-                    PJoinKind::Cross => unreachable!(),
                 }
             }
         }
@@ -310,12 +272,89 @@ mod tests {
     fn prebuilt_index_path_matches_general_path() {
         let l = Bat::Int(vec![3, 1, 4, 1, 5]);
         let r = Bat::Int(vec![1, 5, 9, 1]);
-        let idx = HashIndex::build(&(0..r.len()).map(|i| key_at(&r, i)).collect::<Vec<_>>());
+        let idx = monetlite_storage::index::HashIndex::build(&[&r]);
         for kind in [PJoinKind::Inner, PJoinKind::Left, PJoinKind::Semi, PJoinKind::Anti] {
             let with_idx = hash_join(&[&l], &[&r], kind, Some(&idx)).unwrap();
             let without = hash_join(&[&l], &[&r], kind, None).unwrap();
             assert_eq!(pairs(&with_idx), pairs(&without), "{kind:?}");
             assert_eq!(with_idx.lsel.len(), without.lsel.len());
+        }
+    }
+
+    #[test]
+    fn pairs_come_out_probe_major_in_build_row_order() {
+        let l = Bat::Int(vec![2, 1, 2]);
+        let r = Bat::Int(vec![2, 1, 2, 2]);
+        let out = hash_join(&[&l], &[&r], PJoinKind::Inner, None).unwrap();
+        assert_eq!(out.lsel, vec![0, 0, 0, 1, 2, 2, 2]);
+        assert_eq!(out.rsel, vec![0, 2, 3, 1, 0, 2, 3]);
+    }
+
+    #[test]
+    fn negative_zero_joins_zero() {
+        let l = Bat::Double(vec![0.0, 1.5, -0.0, -1.5]);
+        let r = Bat::Double(vec![0.0]);
+        let out = hash_join(&[&l], &[&r], PJoinKind::Inner, None).unwrap();
+        assert_eq!(pairs(&out), vec![(0, 0), (2, 0)]);
+        let idx = monetlite_storage::index::HashIndex::build(&[&r]);
+        let semi = hash_join(&[&l], &[&r], PJoinKind::Semi, Some(&idx)).unwrap();
+        assert_eq!(semi.lsel, vec![0, 2]);
+    }
+
+    /// The nested-loop join every probe must equal.
+    fn nested_loop(lkeys: &[&Bat], rkeys: &[&Bat], kind: PJoinKind) -> JoinSel {
+        let (lrows, rrows) = (lkeys[0].len(), rkeys[0].len());
+        let mut out = JoinSel::default();
+        for l in 0..lrows {
+            let hits: Vec<u32> = (0..rrows as u32)
+                .filter(|&r| rows_eq(lkeys, l, rkeys, r as usize, false))
+                .collect();
+            match kind {
+                PJoinKind::Inner | PJoinKind::Left => {
+                    for &r in &hits {
+                        out.lsel.push(l as u32);
+                        out.rsel.push(r);
+                    }
+                }
+                _ => {}
+            }
+            finish_probe(&mut out, kind, l as u32, !hits.is_empty());
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_probe_matches_nested_loop_under_forced_equal_hashes(
+            lv in proptest::collection::vec(-4i32..4, 0..40),
+            rv in proptest::collection::vec(-4i32..4, 0..40),
+            sv in proptest::collection::vec(0u8..3, 0..40),
+        ) {
+            use monetlite_types::ColumnBuffer;
+            // -4 stands for NULL; a second VARCHAR key column makes the
+            // composite comparison do real work.
+            let int = |v: &[i32]| Bat::Int(v.iter().map(|&x| if x == -4 { NULL_I32 } else { x }).collect());
+            let text = |n: usize| Bat::from_buffer(&ColumnBuffer::Varchar(
+                (0..n).map(|i| sv.get(i).map(|&s| format!("s{s}"))).collect(),
+            ));
+            let (l1, r1) = (int(&lv), int(&rv));
+            let (l2, r2) = (text(lv.len()), text(rv.len()));
+            for (lk, rk) in [(vec![&l1], vec![&r1]), (vec![&l1, &l2], vec![&r1, &r2])] {
+                // Every build row in one chain under one hash: the stored
+                // hash check passes everything and the key comparison
+                // alone decides.
+                let table = HashTable::from_hashes(vec![7; rv.len()], &rk);
+                let lhash = vec![7; lv.len()];
+                for kind in [PJoinKind::Inner, PJoinKind::Left, PJoinKind::Semi, PJoinKind::Anti] {
+                    let got = probe_hashed(&lk, &lhash, &rk, &table, kind);
+                    let want = nested_loop(&lk, &rk, kind);
+                    proptest::prop_assert_eq!(&got.lsel, &want.lsel);
+                    proptest::prop_assert_eq!(&got.rsel, &want.rsel);
+                    let real = hash_join(&lk, &rk, kind, None).unwrap();
+                    proptest::prop_assert_eq!(&real.lsel, &want.lsel);
+                    proptest::prop_assert_eq!(&real.rsel, &want.rsel);
+                }
+            }
         }
     }
 

@@ -27,20 +27,19 @@
 //! Both engines produce identical results; `ExecOptions::mode` selects
 //! between them and the parity suites assert agreement.
 
-use crate::agg::{hash_group, hash_group_at, AggState, GroupTable};
+use crate::agg::{hash_group, AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
     bare_scan_hash_entry, exec_scan_streaming, exec_values, finish_join_output, project_cols,
     Chunk, ExecContext, ExecOptions,
 };
 use crate::expr::{AggSpec, BExpr};
-use crate::join::{build_hash_map, probe_hash, probe_index};
 use crate::kernels::{bool_to_sel, eval};
 use crate::plan::{OutCol, PJoinKind, Plan};
-use crate::rows::{any_null, col_cmp2, row_hash};
+use crate::rows::{any_null, col_cmp2};
 use crate::sort::{sort_perm, topn_perm};
 use crate::spill::{PartitionWriter, SpillFile, SpillReader, MAX_SPILL_DEPTH};
-use monetlite_storage::index::HashIndex;
+use monetlite_storage::hash::{hash_rows, HashTable};
 use monetlite_storage::{Bat, StrDict, NULL_CODE};
 use monetlite_types::nulls::NULL_I32;
 use monetlite_types::{LogicalType, MlError, Result, Value};
@@ -96,15 +95,6 @@ impl Source<'_> {
     }
 }
 
-/// The build side of a streaming hash-join probe.
-enum Build {
-    /// Transient table built from the build pipeline's output.
-    Transient(HashMap<u64, Vec<u32>>),
-    /// The automatically maintained per-column hash index of a bare
-    /// persistent build column (paper §3.1) — the build phase disappears.
-    Index(Arc<HashIndex>),
-}
-
 /// A non-breaking operator applied to each vector in turn.
 enum PipeOp<'p> {
     /// σ: evaluate the predicate, keep matching rows.
@@ -121,7 +111,11 @@ enum PipeOp<'p> {
         /// Evaluated build-side key columns (aliases of `build_chunk`
         /// columns when the keys are bare references).
         build_keys: Vec<Arc<Bat>>,
-        build: Build,
+        /// The hash table over `build_keys`: built from the build
+        /// pipeline's output, or — for a bare persistent build column —
+        /// its automatically maintained hash index (paper §3.1), so the
+        /// build phase disappears.
+        build: Arc<HashTable>,
     },
 }
 
@@ -180,6 +174,12 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
             } else {
                 None
             };
+            // A transient build side is hashed once, a vector for the
+            // whole side: the bloom filter, the grace partitions and the
+            // join table all read these hashes.
+            let rrefs: Vec<&Bat> = build_keys.iter().map(|a| &**a).collect();
+            let build_hashes =
+                if index_entry.is_none() { hash_rows(&rrefs, None) } else { Vec::new() };
             // Sideways information passing: summarise the build side's key
             // hashes into a bloom filter and push it into the probe-side
             // scan, where it drops definite non-matches per morsel before
@@ -200,10 +200,9 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
                     if let Source::Table { projected, blooms, .. } = &mut p.source {
                         if *idx < projected.len() {
                             let mut bl = Bloom::with_capacity(build_chunk.rows);
-                            let rrefs: Vec<&Bat> = build_keys.iter().map(|a| &**a).collect();
-                            for r in 0..build_chunk.rows {
+                            for (r, &h) in build_hashes.iter().enumerate() {
                                 if !any_null(&rrefs, r) {
-                                    bl.insert(row_hash(&rrefs, r));
+                                    bl.insert(h);
                                 }
                             }
                             blooms.push((*idx, Arc::new(bl)));
@@ -227,6 +226,7 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
                             residual.as_ref(),
                             build_chunk,
                             build_keys,
+                            &build_hashes,
                             schema,
                         )?;
                         return Ok(Pipeline { source: Source::Mem(joined), ops: Vec::new() });
@@ -236,11 +236,9 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
             let build = match index_entry {
                 Some(entry) => {
                     ctx.counters.bump(&ctx.counters.hash_index_joins);
-                    Build::Index(entry.hash_index()?)
+                    entry.hash_index()?
                 }
-                None => Build::Transient(build_hash_map(
-                    &build_keys.iter().map(|a| &**a).collect::<Vec<_>>(),
-                )),
+                None => Arc::new(HashTable::from_hashes(build_hashes, &rrefs)),
             };
             p.ops.push(PipeOp::Probe {
                 kind: *kind,
@@ -424,10 +422,7 @@ fn apply_ops(mut chunk: Chunk, ops: &[PipeOp], ctx: &ExecContext) -> Result<Chun
                     };
                     let lrefs: Vec<&Bat> = lkey_bats.iter().map(|a| &**a).collect();
                     let rrefs: Vec<&Bat> = build_keys.iter().map(|a| &**a).collect();
-                    match build {
-                        Build::Transient(map) => probe_hash(&lrefs, &rrefs, map, probe_kind),
-                        Build::Index(idx) => probe_index(&lrefs, &rrefs, idx, probe_kind),
-                    }
+                    crate::join::probe(&lrefs, &rrefs, build, probe_kind)
                 };
                 // The probe emitted logical positions; rewrite them to
                 // physical row ids so the output gather is the single
@@ -572,7 +567,7 @@ fn agg_consume(
         Some(table) => {
             let key_bats: Vec<Bat> = groups.iter().map(|g| chunk.eval(g)).collect::<Result<_>>()?;
             let refs: Vec<&Bat> = key_bats.iter().collect();
-            let gids = table.intern_block(&refs, chunk.rows)?;
+            let gids = table.intern_block(&refs)?;
             let n = table.n_groups();
             for st in &mut part.states {
                 st.ensure_groups(n);
@@ -596,8 +591,7 @@ fn agg_merge(mut acc: AggPartial, other: AggPartial) -> Result<AggPartial> {
             }
         }
         (Some(at), Some(bt)) => {
-            let refs: Vec<&Bat> = bt.keys().iter().collect();
-            let map = at.intern_block(&refs, bt.n_groups())?;
+            let map = at.merge(&bt)?;
             let n = at.n_groups();
             for a in acc.states.iter_mut() {
                 a.ensure_groups(n);
@@ -644,7 +638,7 @@ fn agg_worker_consume(
         let key_bats: Vec<Bat> =
             groups.iter().map(|g| eval(g, &dense.cols, dense.rows)).collect::<Result<_>>()?;
         let refs: Vec<&Bat> = key_bats.iter().collect();
-        return sp.route(&ctx.spill, &dense, &refs);
+        return sp.route(&ctx.spill, &dense, &hash_rows(&refs, None));
     }
     agg_consume(&mut w.part, c, groups, aggs)?;
     if let Some(share) = share {
@@ -686,7 +680,7 @@ fn aggregate_spill_file(
                     let key_bats: Vec<Bat> =
                         groups.iter().map(|g| eval(g, &s.cols, s.rows)).collect::<Result<_>>()?;
                     let refs: Vec<&Bat> = key_bats.iter().collect();
-                    sp.route(&ctx.spill, &s, &refs)?;
+                    sp.route(&ctx.spill, &s, &hash_rows(&refs, None))?;
                 }
                 None => {
                     agg_consume(&mut part, &s, groups, aggs)?;
@@ -959,17 +953,14 @@ pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
                 // Candidate chunks dedup in place over the selected
                 // positions; only the surviving representatives gather.
                 let refs: Vec<&Bat> = c.cols.iter().map(|b| &**b).collect();
-                let grouping = match &c.sel {
-                    None => hash_group(&refs),
-                    Some(s) => hash_group_at(&refs, s),
-                };
+                let grouping = hash_group(&refs, c.sel.as_ref().map(|s| s.as_slice()));
                 let deduped = c.take(&grouping.repr_rows);
                 p.push((m, deduped));
                 Ok(true)
             })?;
             let packed = collect_ordered(parts, input.schema())?;
             let refs: Vec<&Bat> = packed.cols.iter().map(|b| &**b).collect();
-            let grouping = hash_group(&refs);
+            let grouping = hash_group(&refs, None);
             Ok(packed.take(&grouping.repr_rows))
         }
         Plan::Values { rows, schema } => exec_values(rows, schema),
@@ -1005,6 +996,7 @@ fn grace_hash_join(
     residual: Option<&BExpr>,
     build_chunk: Chunk,
     build_keys: Vec<Arc<Bat>>,
+    build_hashes: &[u64],
     schema: &[OutCol],
 ) -> Result<Chunk> {
     let budget = ctx.spill_budget().unwrap_or(usize::MAX);
@@ -1019,15 +1011,13 @@ fn grace_hash_join(
     // for partitions whose build side received no rows.
     let build_template = combined.slice(0, 0);
     // 1. Partition the build side, one vector-sized slice at a time so
-    // the gather buffers stay bounded.
+    // the gather buffers stay bounded, by the hashes computed at build.
     let mut bw = PartitionWriter::new(0);
     let mut start = 0;
     while start < combined.rows {
         ctx.check_deadline()?;
         let end = (start + vs).min(combined.rows);
-        let s = combined.slice(start, end);
-        let keyrefs: Vec<&Bat> = s.cols[s.cols.len() - nkeys..].iter().map(|a| &**a).collect();
-        bw.route(&ctx.spill, &s, &keyrefs)?;
+        bw.route(&ctx.spill, &combined.slice(start, end), &build_hashes[start..end])?;
         start = end;
     }
     drop(combined);
@@ -1053,9 +1043,10 @@ fn grace_hash_join(
             let combined = Chunk::dense(c.cols.iter().cloned().chain(key_bats).collect(), rows);
             let keyrefs: Vec<&Bat> =
                 combined.cols[combined.cols.len() - nkeys..].iter().map(|a| &**a).collect();
+            let hashes = hash_rows(&keyrefs, None);
             pw.lock()
                 .map_err(|_| MlError::Execution("probe partitioner lock poisoned".into()))?
-                .route(&ctx.spill, &combined, &keyrefs)?;
+                .route(&ctx.spill, &combined, &hashes)?;
             Ok(true)
         },
     )?;
@@ -1133,7 +1124,7 @@ fn grace_join_partition(
             let end = (start + vs).min(loaded.rows);
             let s = loaded.slice(start, end);
             let keyrefs: Vec<&Bat> = s.cols[s.cols.len() - nkeys..].iter().map(|a| &**a).collect();
-            bw.route(&ctx.spill, &s, &keyrefs)?;
+            bw.route(&ctx.spill, &s, &hash_rows(&keyrefs, None))?;
             start = end;
         }
         drop(loaded);
@@ -1144,7 +1135,7 @@ fn grace_join_partition(
         while let Some(c) = pr.next()? {
             ctx.check_deadline()?;
             let keyrefs: Vec<&Bat> = c.cols[c.cols.len() - nkeys..].iter().map(|a| &**a).collect();
-            pw.route(&ctx.spill, &c, &keyrefs)?;
+            pw.route(&ctx.spill, &c, &hash_rows(&keyrefs, None))?;
         }
         drop(pr);
         let (pparts, pbytes) = pw.finish(&ctx.spill)?;
@@ -1168,14 +1159,14 @@ fn grace_join_partition(
     let ncols = loaded.cols.len() - nkeys;
     let bcols = &loaded.cols[..ncols];
     let bkeyrefs: Vec<&Bat> = loaded.cols[ncols..].iter().map(|a| &**a).collect();
-    let map = build_hash_map(&bkeyrefs);
+    let table = HashTable::build(&bkeyrefs);
     let probe_kind = crate::exec::pair_probe_kind(kind, residual);
     let mut r = probe.into_reader()?;
     while let Some(c) = r.next()? {
         ctx.check_deadline()?;
         let pncols = c.cols.len() - nkeys;
         let pkeyrefs: Vec<&Bat> = c.cols[pncols..].iter().map(|a| &**a).collect();
-        let sel = probe_hash(&pkeyrefs, &bkeyrefs, &map, probe_kind);
+        let sel = crate::join::probe(&pkeyrefs, &bkeyrefs, &table, probe_kind);
         // No early-out on empty pair lists: anti joins (and left padding)
         // emit probe rows precisely when nothing matched.
         let chunk = finish_join_output(&c.cols[..pncols], bcols, sel, kind, residual, c.rows)?;

@@ -1,9 +1,9 @@
-//! Row-wise utilities over column sets: composite-key hashing, equality,
-//! ordering, and NULL-padded gathers. Shared by the join, grouping and
-//! sort kernels.
+//! Row-wise utilities over column sets: equality, ordering, and
+//! NULL-padded gathers. Shared by the join, grouping and sort kernels;
+//! composite keys hash a vector at a time in
+//! [`monetlite_storage::hash::hash_rows`].
 
 use monetlite_storage::heap::NULL_OFFSET;
-use monetlite_storage::index::{fnv1a, key_at};
 use monetlite_storage::Bat;
 use monetlite_types::nulls::{NULL_I32, NULL_I64, NULL_I8};
 use monetlite_types::Value;
@@ -11,27 +11,6 @@ use std::cmp::Ordering;
 
 /// Marker for "no matching row" in padded selections (outer joins).
 pub const NO_ROW: u32 = u32::MAX;
-
-/// Combined hash of one row across key columns. Strings hash their bytes;
-/// fixed types hash their order key. NULL hashes to a fixed tag so that
-/// grouping can place NULLs together.
-pub fn row_hash(cols: &[&Bat], row: usize) -> u64 {
-    let mut h: u64 = 0x9E3779B97F4A7C15;
-    for c in cols {
-        let v = match c {
-            Bat::Varchar { offsets, heap } => {
-                if offsets[row] == NULL_OFFSET {
-                    0x6e75_6c6c // "null"
-                } else {
-                    fnv1a(heap.get(offsets[row]).as_bytes())
-                }
-            }
-            other => key_at(other, row) as u64,
-        };
-        h ^= v.wrapping_add(0x9E3779B97F4A7C15).wrapping_add(h << 6).wrapping_add(h >> 2);
-    }
-    h
-}
 
 /// Exact equality of two rows across aligned key column sets.
 /// `null_eq_null` selects grouping semantics (true) or join semantics
@@ -162,12 +141,15 @@ mod tests {
 
     #[test]
     fn hash_equal_rows_collide() {
-        let a = Bat::Int(vec![5, 6]);
-        let b = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("x".into()), Some("x".into())]));
+        use monetlite_storage::hash::hash_rows;
+        let a = Bat::Int(vec![5, 6, 5]);
+        let b = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("x".into()); 3]));
         let cols: Vec<&Bat> = vec![&a, &b];
-        // Row 0 vs row 0 must match trivially; differing int changes hash.
-        assert_eq!(row_hash(&cols, 0), row_hash(&cols, 0));
-        assert!(rows_eq(&cols, 0, &cols, 0, true));
+        // Equal rows hash equal; a differing int changes the hash.
+        let h = hash_rows(&cols, None);
+        assert_eq!(h[0], h[2]);
+        assert_ne!(h[0], h[1]);
+        assert!(rows_eq(&cols, 0, &cols, 2, true));
         assert!(!rows_eq(&cols, 0, &cols, 1, true));
     }
 

@@ -13,15 +13,16 @@
 //!   frames, reusing the column-file BAT encoding of
 //!   [`monetlite_storage::persist`].
 //! * [`PartitionWriter`] — hash-partitions incoming vectors into
-//!   [`SPILL_FANOUT`] buffered partition files by a depth-seeded key
-//!   hash. Re-seeding by depth lets an oversized partition be split
-//!   again ([`MAX_SPILL_DEPTH`] caps the recursion).
+//!   [`SPILL_FANOUT`] buffered partition files by a depth-seeded fold of
+//!   the rows' key hashes ([`monetlite_storage::hash::hash_rows`], the
+//!   hashes the join table and the blooms use). Re-seeding by depth lets
+//!   an oversized partition be split again ([`MAX_SPILL_DEPTH`] caps the
+//!   recursion).
 //!
 //! The orchestration — spillable hash aggregation, grace hash join and
 //! external merge sort — lives in [`crate::pipeline`].
 
 use crate::exec::Chunk;
-use crate::rows::row_hash;
 use monetlite_storage::fault;
 use monetlite_storage::persist::{read_chunk_frame, write_chunk_frame};
 use monetlite_storage::Bat;
@@ -44,11 +45,11 @@ pub const MAX_SPILL_DEPTH: u32 = 4;
 /// Buffered bytes per partition before a flush to its file.
 const PART_FLUSH_BYTES: usize = 256 * 1024;
 
-/// Partition id of one key row at a given recursion depth. The seed is
-/// folded over [`row_hash`] so rows that collided into one partition at
-/// depth `d` scatter differently at depth `d + 1`.
-pub(crate) fn partition_of(keys: &[&Bat], row: usize, depth: u32) -> usize {
-    let h = row_hash(keys, row) ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
+/// Partition id of a row with key hash `hash` at a given recursion depth.
+/// The seed is folded over the hash so rows that collided into one
+/// partition at depth `d` scatter differently at depth `d + 1`.
+pub(crate) fn partition_of(hash: u64, depth: u32) -> usize {
+    let h = hash ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
     (h.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 33) as usize % SPILL_FANOUT
 }
 
@@ -261,13 +262,14 @@ impl PartitionWriter {
         PartitionWriter { parts: (0..SPILL_FANOUT).map(|_| PartBuf::default()).collect(), depth }
     }
 
-    /// Route every row of `chunk` to its partition. `keys` are the
-    /// partitioning key columns, aligned with the chunk's rows (they may
-    /// be — and for joins are — a suffix of the chunk's own columns).
-    pub fn route(&mut self, dir: &SpillDir, chunk: &Chunk, keys: &[&Bat]) -> Result<()> {
+    /// Route every row of `chunk` to its partition. `hashes` are the
+    /// rows' key hashes ([`monetlite_storage::hash::hash_rows`] over the
+    /// partitioning key columns), aligned with the chunk's rows.
+    pub fn route(&mut self, dir: &SpillDir, chunk: &Chunk, hashes: &[u64]) -> Result<()> {
+        debug_assert_eq!(hashes.len(), chunk.rows);
         let mut sels: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-        for row in 0..chunk.rows {
-            sels[partition_of(keys, row, self.depth)].push(row as u32);
+        for (row, &h) in hashes.iter().enumerate() {
+            sels[partition_of(h, self.depth)].push(row as u32);
         }
         for (p, sel) in sels.iter().enumerate() {
             if sel.is_empty() {
@@ -299,6 +301,7 @@ impl PartitionWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use monetlite_storage::hash::hash_rows;
     use monetlite_types::Value;
 
     fn chunk(vals: Vec<i32>) -> Chunk {
@@ -327,8 +330,8 @@ mod tests {
         let mut w = PartitionWriter::new(0);
         let n = 10_000;
         let c = chunk((0..n).collect());
-        let keys: Vec<&Bat> = vec![&*c.cols[0]];
-        w.route(&dir, &c, &keys).unwrap();
+        let hashes = hash_rows(&[&*c.cols[0]], None);
+        w.route(&dir, &c, &hashes).unwrap();
         let (parts, bytes) = w.finish(&dir).unwrap();
         assert!(bytes > 0);
         let mut seen = Vec::new();
@@ -353,13 +356,12 @@ mod tests {
     #[test]
     fn reseeded_depth_splits_a_partition() {
         // All rows of one depth-0 partition must scatter at depth 1.
-        let keys = Bat::Int((0..100_000).collect());
-        let kref: Vec<&Bat> = vec![&keys];
-        let target = partition_of(&kref, 0, 0);
+        let hashes = hash_rows(&[&Bat::Int((0..100_000).collect())], None);
+        let target = partition_of(hashes[0], 0);
         let mut depth1 = std::collections::HashSet::new();
-        for row in 0..keys.len() {
-            if partition_of(&kref, row, 0) == target {
-                depth1.insert(partition_of(&kref, row, 1));
+        for &h in &hashes {
+            if partition_of(h, 0) == target {
+                depth1.insert(partition_of(h, 1));
             }
         }
         assert!(depth1.len() > 1, "re-seeded hash must split the partition");

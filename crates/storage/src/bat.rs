@@ -122,6 +122,20 @@ impl Bat {
         }
     }
 
+    /// Allocated bytes: [`Bat::mem_bytes`] with the value array counted at
+    /// its capacity, for a column that grows by appends (a group table's
+    /// keys) and whose owner reports what it really holds.
+    pub fn alloc_bytes(&self) -> usize {
+        match self {
+            Bat::Bool(v) => v.capacity(),
+            Bat::Int(v) | Bat::Date(v) => v.capacity() * 4,
+            Bat::Bigint(v) => v.capacity() * 8,
+            Bat::Double(v) => v.capacity() * 8,
+            Bat::Decimal { data, .. } => data.capacity() * 8,
+            Bat::Varchar { offsets, heap } => offsets.capacity() * 4 + heap.mem_bytes(),
+        }
+    }
+
     /// Row `i` as a dynamic [`Value`] (cold path: spot checks, wire
     /// protocol, row-store bridge).
     pub fn get(&self, i: usize) -> Value {
@@ -386,6 +400,40 @@ impl Bat {
                     b.logical_type(),
                     a.logical_type()
                 )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Append the rows `sel` of `src`, in order: a typed gather onto the
+    /// end of this column (strings re-interned into this heap). Columns of
+    /// different types or decimal scales convert as [`Bat::push`] does —
+    /// decimals rescale, an impossible conversion is a `TypeMismatch`
+    /// error.
+    pub fn append_rows(&mut self, src: &Bat, sel: &[u32]) -> Result<()> {
+        fn gather<T: Copy>(dst: &mut Vec<T>, src: &[T], sel: &[u32]) {
+            dst.extend(sel.iter().map(|&i| src[i as usize]));
+        }
+        match (&mut *self, src) {
+            (Bat::Bool(a), Bat::Bool(b)) => gather(a, b, sel),
+            (Bat::Int(a), Bat::Int(b)) | (Bat::Date(a), Bat::Date(b)) => gather(a, b, sel),
+            (Bat::Bigint(a), Bat::Bigint(b)) => gather(a, b, sel),
+            (Bat::Double(a), Bat::Double(b)) => gather(a, b, sel),
+            (Bat::Decimal { data: a, scale: sa }, Bat::Decimal { data: b, scale: sb })
+                if sa == sb =>
+            {
+                gather(a, b, sel)
+            }
+            (Bat::Varchar { offsets, heap }, Bat::Varchar { offsets: bo, heap: bh }) => {
+                offsets.extend(sel.iter().map(|&i| match bo[i as usize] {
+                    NULL_OFFSET => NULL_OFFSET,
+                    o => heap.add_entry_of(bh, o),
+                }));
+            }
+            _ => {
+                for &i in sel {
+                    self.push(&src.get(i as usize))?;
+                }
             }
         }
         Ok(())

@@ -41,8 +41,8 @@ pub struct IdxCache {
     /// Column imprints — built on first range select, destroyed on any
     /// modification of the column.
     pub imprints: Option<Arc<Imprints>>,
-    /// Hash table — built on first group-by / equi-join use, *updated* on
-    /// appends, destroyed on updates and deletes.
+    /// Hash table — built on first equi-join use, *updated* on appends,
+    /// destroyed on updates and deletes.
     pub hash: Option<Arc<HashIndex>>,
     /// Order index — only ever created via `CREATE ORDER INDEX`.
     pub order: Option<Arc<OrderIndex>>,
@@ -189,7 +189,7 @@ impl ColumnEntry {
             return Ok(h.clone());
         }
         let bat = self.bat()?;
-        let built = Arc::new(HashIndex::build(&bat_keys(&bat)));
+        let built = Arc::new(HashIndex::build(&[&bat]));
         let mut g = self.idx.lock();
         // Another thread may have raced us; keep whichever is present.
         Ok(g.hash.get_or_insert(built).clone())
@@ -561,11 +561,7 @@ impl SegColumn {
         // Carry the hash index forward across the append.
         let carried_hash = base.hash_index_opt().map(|h| {
             let mut h2 = (*h).clone();
-            let mut at = base.len() as u32;
-            for tail in &tails {
-                h2.append(&bat_keys(tail), at);
-                at += tail.len() as u32;
-            }
+            h2.append(tails.iter().map(|t| t.as_ref()));
             Arc::new(h2)
         });
         // Carry column statistics forward: merge the base's cached stats
@@ -773,8 +769,13 @@ mod tests {
         let col = SegColumn::from_entry(base).appended(Bat::Int(vec![20]));
         let e = col.entry().unwrap();
         let h = e.hash_index_opt().expect("hash index carried across append");
-        assert_eq!(h.lookup(10), &[0, 2]);
-        assert_eq!(h.lookup(20), &[1, 3]);
+        let rows_of = |v: i32| {
+            let key = crate::hash::hash_rows(&[&Bat::Int(vec![v])], None)[0];
+            h.candidates(key).collect::<Vec<u32>>()
+        };
+        assert_eq!(rows_of(10), vec![0, 2]);
+        assert_eq!(rows_of(20), vec![1, 3]);
+        assert_eq!(*h, HashIndex::build(&[&e.bat().unwrap()]), "carried == rebuilt");
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!   per 64-value "cache line" a 64-bit mask of the value-range bins
 //!   present in that line. Built automatically on the first range select
 //!   over a persistent column; destroyed when the column is modified.
-//! * [`HashIndex`] — value → row-ids hash table, built automatically when a
-//!   persistent column is used as a grouping or equi-join key; *updated*
-//!   on appends, destroyed on updates/deletes.
+//! * [`HashIndex`] — row-ids by key hash, built automatically when a
+//!   persistent column is used as an equi-join key; *updated* on appends,
+//!   destroyed on updates/deletes. It is a prebuilt [`HashTable`], the
+//!   same chained table every transient join and grouping uses.
 //! * [`OrderIndex`] — a row-number permutation in sort order, created only
 //!   by `CREATE ORDER INDEX`; answers point/range queries by binary search
 //!   and feeds merge joins.
@@ -18,14 +19,15 @@
 //!   index that is persisted (as a `.zm` sidecar at checkpoint) so a
 //!   restarted process can skip vectors without faulting the column in.
 //!
-//! All three work over a uniform order-preserving `i64` key domain
-//! ([`bat_keys`]); strings participate in hashing via FNV with caller-side
+//! Imprints, zonemaps and the order index work over a uniform
+//! order-preserving `i64` key domain ([`bat_keys`]); the hash index over
+//! the hash-key domain of [`crate::hash::hash_rows`], with caller-side
 //! verification (exactly the "candidates, then check" discipline MonetDB
 //! uses).
 
 use crate::bat::Bat;
+use crate::hash::HashTable;
 use crate::heap::NULL_OFFSET;
-use std::collections::HashMap;
 
 /// Values per imprint "cache line". MonetDB uses the hardware line size /
 /// value width; we fix 64 values per line, which keeps masks cheap and
@@ -320,51 +322,10 @@ impl Zonemap {
 // Hash index
 // ---------------------------------------------------------------------------
 
-/// A value → row-ids hash table over the i64 key domain.
-#[derive(Debug, Clone, Default)]
-pub struct HashIndex {
-    map: HashMap<i64, Vec<u32>>,
-    rows: usize,
-}
-
-impl HashIndex {
-    /// Build over an entire key column.
-    pub fn build(keys: &[i64]) -> HashIndex {
-        let mut idx = HashIndex { map: HashMap::with_capacity(keys.len()), rows: 0 };
-        idx.append(keys, 0);
-        idx
-    }
-
-    /// Extend with appended rows starting at physical row `start` — the
-    /// paper: hash tables "are updated on appends to the tables".
-    pub fn append(&mut self, keys: &[i64], start: u32) {
-        for (i, &k) in keys.iter().enumerate() {
-            self.map.entry(k).or_default().push(start + i as u32);
-        }
-        self.rows += keys.len();
-    }
-
-    /// Candidate rows for a key (exact for fixed-width keys; for strings
-    /// the caller re-verifies against the column).
-    pub fn lookup(&self, key: i64) -> &[u32] {
-        self.map.get(&key).map_or(&[], |v| v.as_slice())
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Rows covered.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Approximate size in bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.map.len() * 24 + self.rows * 4
-    }
-}
+/// The automatic per-column hash index: a [`HashTable`] built over one
+/// persistent column ([`HashTable::build`]) and extended in place of a
+/// rebuild when the column is appended to ([`HashTable::append`]).
+pub type HashIndex = HashTable;
 
 // ---------------------------------------------------------------------------
 // Order index
@@ -526,23 +487,30 @@ mod tests {
         assert!(Zonemap::from_parts(100, vec![0], vec![0, 1]).is_none(), "mismatched lens");
     }
 
+    /// Rows of `idx` whose key equals `v` (an Int column's value).
+    fn lookup(idx: &HashIndex, col: &Bat, v: i32) -> Vec<u32> {
+        let h = crate::hash::hash_rows(&[&Bat::Int(vec![v])], None)[0];
+        idx.candidates(h).filter(|&r| key_at(col, r as usize) == v as i64).collect()
+    }
+
     #[test]
     fn hash_index_build_and_probe() {
-        let keys = vec![5, 7, 5, 9, 5];
-        let idx = HashIndex::build(&keys);
-        assert_eq!(idx.lookup(5), &[0, 2, 4]);
-        assert_eq!(idx.lookup(9), &[3]);
-        assert_eq!(idx.lookup(42), &[] as &[u32]);
-        assert_eq!(idx.distinct(), 3);
+        let col = Bat::Int(vec![5, 7, 5, 9, 5]);
+        let idx = HashIndex::build(&[&col]);
+        assert_eq!(lookup(&idx, &col, 5), vec![0, 2, 4]);
+        assert_eq!(lookup(&idx, &col, 9), vec![3]);
+        assert_eq!(lookup(&idx, &col, 42), Vec::<u32>::new());
+        assert_eq!(idx.len(), 5);
     }
 
     #[test]
     fn hash_index_append_maintains() {
-        let mut idx = HashIndex::build(&[1, 2]);
-        idx.append(&[2, 3], 2);
-        assert_eq!(idx.lookup(2), &[1, 2]);
-        assert_eq!(idx.lookup(3), &[3]);
-        assert_eq!(idx.rows(), 4);
+        let mut idx = HashIndex::build(&[&Bat::Int(vec![1, 2])]);
+        idx.append([&Bat::Int(vec![2, 3])]);
+        let col = Bat::Int(vec![1, 2, 2, 3]);
+        assert_eq!(lookup(&idx, &col, 2), vec![1, 2]);
+        assert_eq!(lookup(&idx, &col, 3), vec![3]);
+        assert_eq!(idx.len(), 4);
     }
 
     #[test]
@@ -623,10 +591,11 @@ mod tests {
         }
 
         #[test]
-        fn prop_hash_index_complete(keys in proptest::collection::vec(-20i64..20, 0..200)) {
-            let idx = HashIndex::build(&keys);
+        fn prop_hash_index_complete(keys in proptest::collection::vec(-20i32..20, 0..200)) {
+            let col = Bat::Int(keys.clone());
+            let idx = HashIndex::build(&[&col]);
             for (row, &k) in keys.iter().enumerate() {
-                prop_assert!(idx.lookup(k).contains(&(row as u32)));
+                prop_assert!(lookup(&idx, &col, k).contains(&(row as u32)));
             }
         }
     }

@@ -7,8 +7,12 @@
 //!   below a distinct-count threshold.
 //! * [`bat`] — tightly packed typed column arrays ("BATs"); row numbers are
 //!   implicit in array position; NULLs are in-domain sentinels.
+//! * [`hash`] — the one chained hash table (bucket heads + per-row links +
+//!   stored hashes) behind joins, grouping, DISTINCT and the automatic
+//!   hash index, and the vectorized row hash that feeds it.
 //! * [`index`] — secondary index structures: column imprints (cache-line
-//!   bitmap index), hash tables, and the user-created order index.
+//!   bitmap index), the automatic hash index, and the user-created order
+//!   index.
 //! * [`vmem`] — a simulation of the OS page cache over memory-mapped column
 //!   files: no buffer pool; hot columns stay resident, cold ones are
 //!   evicted under a global byte budget and transparently reloaded.
@@ -33,6 +37,7 @@ pub mod bat;
 pub mod catalog;
 pub mod dict;
 pub mod fault;
+pub mod hash;
 pub mod heap;
 pub mod index;
 pub mod persist;

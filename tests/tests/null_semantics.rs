@@ -184,3 +184,33 @@ fn aggregates_ignore_nulls_but_count_star_does_not() {
     expect("SELECT count(*), count(y) FROM sub_nulls", &["2|0"]);
     expect("SELECT count(*), count(y), sum(y) FROM sub_empty", &["0|0|NULL"]);
 }
+
+/// `-0.0 = 0.0` is true, so every hash-based operator must treat the two
+/// as one key: one group, one DISTINCT row, a match in a join and in an
+/// `IN` subquery — on both engines, with and without the automatic hash
+/// index on a bare build column.
+#[test]
+fn negative_zero_and_zero_are_one_key_in_every_hash_operator() {
+    use monetlite_types::ColumnBuffer;
+    let db = monetlite::Database::open_in_memory();
+    let mut setup = db.connect();
+    setup.run_script("CREATE TABLE t (d DOUBLE); CREATE TABLE u (e DOUBLE);").unwrap();
+    setup.append("t", vec![ColumnBuffer::Double(vec![0.0, 1.5, -0.0, -1.5])]).unwrap();
+    setup.append("u", vec![ColumnBuffer::Double(vec![0.0])]).unwrap();
+    for mode in [ExecMode::Materialized, ExecMode::Streaming] {
+        for use_hash_index in [true, false] {
+            let mut c = db.connect();
+            c.set_exec_options(ExecOptions { mode, use_hash_index, ..Default::default() });
+            let mut rows = |sql: &str| {
+                c.query(sql).unwrap_or_else(|e| panic!("{mode:?}/{use_hash_index}: {e}")).nrows()
+            };
+            let label = format!("{mode:?}, hash index {use_hash_index}");
+            assert_eq!(rows("SELECT d FROM t WHERE d = 0.0"), 2, "{label}: the comparison");
+            assert_eq!(rows("SELECT d, count(*) FROM t GROUP BY d"), 3, "{label}: GROUP BY");
+            assert_eq!(rows("SELECT DISTINCT d FROM t"), 3, "{label}: DISTINCT");
+            assert_eq!(rows("SELECT d FROM t JOIN u ON d = e"), 2, "{label}: t JOIN u");
+            assert_eq!(rows("SELECT e FROM u JOIN t ON e = d"), 2, "{label}: u JOIN t");
+            assert_eq!(rows("SELECT d FROM t WHERE d IN (SELECT e FROM u)"), 2, "{label}: IN");
+        }
+    }
+}
