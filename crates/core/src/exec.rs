@@ -546,6 +546,16 @@ impl Chunk {
             Some(sel) => crate::kernels::eval_sel(e, &self.cols, sel),
         }
     }
+
+    /// [`Chunk::eval`] that shares a dense chunk's column for a bare
+    /// column reference instead of copying it (aggregate keys and
+    /// arguments, probe keys).
+    pub(crate) fn eval_shared(&self, e: &BExpr) -> Result<Arc<Bat>> {
+        match &self.sel {
+            None => crate::kernels::eval_shared(e, &self.cols, self.rows),
+            Some(sel) => crate::kernels::eval_sel(e, &self.cols, sel).map(Arc::new),
+        }
+    }
 }
 
 /// Execute a plan to completion with the engine selected by
@@ -574,8 +584,8 @@ pub(crate) fn exec_node(
         }
     }
     match plan {
-        Plan::Scan { table, projected, filters, .. } => {
-            exec_scan(table, projected, filters, ctx, range)
+        Plan::Scan { table, projected, filters, schema } => {
+            exec_scan(table, projected, schema.len(), filters, ctx, range)
         }
         Plan::Filter { input, pred } => {
             let chunk = exec_node(input, ctx, range)?;
@@ -677,15 +687,17 @@ pub(crate) fn check_candidate_width(phys_rows: usize) -> Result<()> {
 
 /// Dense scan (materialized engine, and the streaming engine's fallback
 /// when candidate lists are disabled): any selection gathers before the
-/// chunk is returned.
+/// chunk is returned. `projected` is the scan's read list, of which the
+/// first `width` columns are output (see [`Plan::Scan`]).
 pub(crate) fn exec_scan(
     table: &str,
     projected: &[usize],
+    width: usize,
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
 ) -> Result<Chunk> {
-    exec_scan_inner(table, projected, filters, ctx, range, &[], &[], false)
+    exec_scan_inner(table, projected, width, filters, ctx, range, &[], &[], false)
 }
 
 /// Streaming scan: a sparse enough selection is *carried* on the chunk
@@ -694,17 +706,20 @@ pub(crate) fn exec_scan(
 /// unselective chains don't regress. `blooms` are pushed-down join build
 /// -side filters keyed by scan-output column position; `extras` are
 /// synthetic full-length physical columns (dictionary code columns)
-/// appended after the projected ones in every output shape.
+/// appended after the `width` output columns in every output shape.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_scan_streaming(
     table: &str,
     projected: &[usize],
+    width: usize,
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
     blooms: &[(usize, Arc<Bloom>)],
     extras: &[Arc<Bat>],
 ) -> Result<Chunk> {
-    exec_scan_inner(table, projected, filters, ctx, range, blooms, extras, ctx.opts.use_candidates)
+    let allow_sel = ctx.opts.use_candidates;
+    exec_scan_inner(table, projected, width, filters, ctx, range, blooms, extras, allow_sel)
 }
 
 /// Selections covering at least this fraction (in tenths) of the scanned
@@ -716,6 +731,7 @@ pub(crate) const SEL_DENSITY_CUTOFF_TENTHS: usize = 9;
 fn exec_scan_inner(
     table: &str,
     projected: &[usize],
+    width: usize,
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
@@ -730,8 +746,21 @@ fn exec_scan_inner(
     // Zero-width ranges (empty morsels) must still produce correctly
     // typed, zero-row output — clamp rather than underflow below.
     let (lo, hi) = (lo.min(phys_rows), hi.min(phys_rows).max(lo.min(phys_rows)));
+    // Every read column (filters index the whole read list); only the
+    // first `width` of them leave the scan.
     let entries: Vec<Arc<ColumnEntry>> =
         projected.iter().map(|&c| meta.data.cols[c].entry()).collect::<Result<_>>()?;
+    let outputs = &entries[..width.min(entries.len())];
+    let empty = || {
+        Chunk::dense(
+            outputs
+                .iter()
+                .map(|e| Arc::new(Bat::new(e.ty())))
+                .chain(extras.iter().map(|b| Arc::new(Bat::new(b.logical_type()))))
+                .collect(),
+            0,
+        )
+    };
 
     // Zonemap skipping: before any index probe or kernel run, a constant
     // range predicate whose bounds exclude every zone overlapping
@@ -752,14 +781,7 @@ fn exec_scan_inner(
             let zm = entry.zonemap()?;
             if !zm.range_may_match(lo, hi, plo, phi) {
                 ctx.counters.bump(&ctx.counters.vectors_skipped);
-                return Ok(Chunk::dense(
-                    entries
-                        .iter()
-                        .map(|e| Arc::new(Bat::new(e.ty())))
-                        .chain(extras.iter().map(|b| Arc::new(Bat::new(b.logical_type()))))
-                        .collect(),
-                    0,
-                ));
+                return Ok(empty());
             }
         }
     }
@@ -796,14 +818,7 @@ fn exec_scan_inner(
             };
             if !may {
                 ctx.counters.bump(&ctx.counters.vectors_skipped);
-                return Ok(Chunk::dense(
-                    entries
-                        .iter()
-                        .map(|e| Arc::new(Bat::new(e.ty())))
-                        .chain(extras.iter().map(|b| Arc::new(Bat::new(b.logical_type()))))
-                        .collect(),
-                    0,
-                ));
+                return Ok(empty());
             }
         }
     }
@@ -903,7 +918,7 @@ fn exec_scan_inner(
     if ctx.opts.use_dict && !blooms.is_empty() && hi > lo {
         let deleted = meta.data.deleted.as_deref();
         for (col_pos, bloom) in blooms {
-            let Some(entry) = entries.get(*col_pos) else {
+            let Some(entry) = outputs.get(*col_pos) else {
                 continue;
             };
             let bat = entry.bat()?;
@@ -929,10 +944,15 @@ fn exec_scan_inner(
     // Materialise output columns; an unfiltered scan shares the base
     // arrays (zero copy — the Arc is the "shared pointer" of §3.3).
     // Synthetic `extras` columns are full-length physical arrays, so they
-    // share the base columns' treatment in every shape.
+    // share the base columns' treatment in every shape. Filter-only
+    // columns stop here: they are never gathered.
+    if outputs.is_empty() && extras.is_empty() {
+        // Nothing to emit but the count of surviving rows.
+        return Ok(Chunk::dense(vec![], sel.map_or(phys_rows, |s| s.len())));
+    }
     match sel {
         None => {
-            let mut cols: Vec<Arc<Bat>> = entries.iter().map(|e| e.bat()).collect::<Result<_>>()?;
+            let mut cols: Vec<Arc<Bat>> = outputs.iter().map(|e| e.bat()).collect::<Result<_>>()?;
             cols.extend(extras.iter().cloned());
             Ok(Chunk::dense(cols, phys_rows))
         }
@@ -945,13 +965,13 @@ fn exec_scan_inner(
             let span = hi - lo;
             if allow_sel && sel.len() * 10 < span * SEL_DENSITY_CUTOFF_TENTHS {
                 let mut cols: Vec<Arc<Bat>> =
-                    entries.iter().map(|e| e.bat()).collect::<Result<_>>()?;
+                    outputs.iter().map(|e| e.bat()).collect::<Result<_>>()?;
                 cols.extend(extras.iter().cloned());
                 let rows = sel.len();
                 return Ok(Chunk { cols, rows, sel: Some(Arc::new(sel)) });
             }
             let mut cols: Vec<Arc<Bat>> =
-                entries.iter().map(|e| Ok(Arc::new(e.bat()?.take(&sel)))).collect::<Result<_>>()?;
+                outputs.iter().map(|e| Ok(Arc::new(e.bat()?.take(&sel)))).collect::<Result<_>>()?;
             cols.extend(extras.iter().map(|b| Arc::new(b.take(&sel))));
             Ok(Chunk::dense(cols, sel.len()))
         }

@@ -846,8 +846,9 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 
 /// A LIKE pattern compiled once per kernel call. The Q13-style shapes
 /// (`'foo%'` / `'%foo'` / `'%foo%'` / no wildcards at all) dispatch to
-/// `starts_with`/`ends_with`/substring search instead of running the
-/// backtracking state machine per row.
+/// `starts_with`/`ends_with`/substring search, and any other `%`-only
+/// pattern (`'%special%requests%'`) to an anchored multi-segment match,
+/// instead of running the backtracking state machine per row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LikePlan {
     /// No wildcards: exact string equality.
@@ -858,8 +859,103 @@ pub enum LikePlan {
     Suffix(String),
     /// `'%foo%'`: substring search.
     Contains(String),
-    /// Anything else (embedded `%` runs or `_`): the general matcher.
+    /// Every other pattern whose only wildcard is `%`.
+    Segments(SegmentPlan),
+    /// Patterns with `_`: the general matcher.
     Generic,
+}
+
+/// A `%`-only pattern `pre%m1%…%mk%suf` (`pre`/`suf` empty when the
+/// pattern starts/ends with `%`). A string matches when it starts with
+/// `pre`, ends with `suf`, and the middles occur in order, without
+/// overlapping each other or the anchors, in between. Leftmost-first
+/// search of each middle is optimal: an earlier end only leaves more room
+/// for the rest. Matching is byte-level — a valid UTF-8 needle can only
+/// match a valid UTF-8 haystack at a character boundary, so `%`'s
+/// any-run-of-characters semantics hold.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SegmentPlan {
+    prefix: Vec<u8>,
+    middles: Vec<Finder>,
+    suffix: Vec<u8>,
+    /// Shortest matching string: every segment laid end to end.
+    min_len: usize,
+}
+
+impl SegmentPlan {
+    fn matches(&self, s: &[u8]) -> bool {
+        // Absent anchors are skipped outright: even an empty slice compare
+        // is a `memcmp` call, several times the cost of a short search.
+        if s.len() < self.min_len
+            || (!self.prefix.is_empty() && !s.starts_with(&self.prefix))
+            || (!self.suffix.is_empty() && !s.ends_with(&self.suffix))
+        {
+            return false;
+        }
+        let mut rest = &s[self.prefix.len()..s.len() - self.suffix.len()];
+        for m in &self.middles {
+            match m.find(rest) {
+                Some(at) => rest = &rest[at + m.needle.len()..],
+                None => return false,
+            }
+        }
+        true
+    }
+}
+
+/// A non-empty byte needle, searched eight candidate positions at a time:
+/// one word compare finds the positions whose first *and* last byte
+/// match, and only those are verified. Nothing is allocated or set up per
+/// row, and the word loop has no data-dependent stride (unlike a skip
+/// table, whose next load waits on the previous one).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Finder {
+    needle: Vec<u8>,
+}
+
+/// `0x01` in every byte lane.
+const LANES_LO: u64 = 0x0101_0101_0101_0101;
+/// `0x80` in every byte lane.
+const LANES_HI: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of every zero byte lane of `x` is set (lanes above a
+/// zero lane may be flagged spuriously; callers verify).
+#[inline]
+fn zero_lanes(x: u64) -> u64 {
+    x.wrapping_sub(LANES_LO) & !x & LANES_HI
+}
+
+#[inline]
+fn load_word(hay: &[u8], at: usize) -> u64 {
+    let mut w = [0u8; 8];
+    w.copy_from_slice(&hay[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+impl Finder {
+    /// Byte offset of the leftmost occurrence of the needle in `hay`.
+    fn find(&self, hay: &[u8]) -> Option<usize> {
+        let needle = self.needle.as_slice();
+        let n = needle.len();
+        let (&first, &last) = (needle.first()?, needle.last()?);
+        let last_start = hay.len().checked_sub(n)?;
+        let (first_lanes, last_lanes) = (LANES_LO * first as u64, LANES_LO * last as u64);
+        let mut p = 0usize;
+        // Starts p..p+8 are all in range, and so is the word at p+n-1.
+        while p + 7 <= last_start {
+            let mut hits = zero_lanes(load_word(hay, p) ^ first_lanes)
+                & zero_lanes(load_word(hay, p + n - 1) ^ last_lanes);
+            while hits != 0 {
+                let q = p + (hits.trailing_zeros() / 8) as usize;
+                if &hay[q..q + n] == needle {
+                    return Some(q);
+                }
+                hits &= hits - 1;
+            }
+            p += 8;
+        }
+        (p..=last_start).find(|&q| &hay[q..q + n] == needle)
+    }
 }
 
 /// Classify a LIKE pattern into its fast-path shape.
@@ -867,19 +963,27 @@ pub fn compile_like(pattern: &str) -> LikePlan {
     if pattern.contains('_') {
         return LikePlan::Generic;
     }
-    // Runs of consecutive '%' collapse, so trimming every leading and
-    // trailing '%' is semantics-preserving.
-    let inner = pattern.trim_matches('%');
-    if inner.contains('%') {
-        return LikePlan::Generic;
+    if !pattern.contains('%') {
+        return LikePlan::Exact(pattern.to_string());
     }
-    let starts = pattern.starts_with('%');
-    let ends = pattern.ends_with('%');
-    match (starts, ends) {
-        (false, false) => LikePlan::Exact(inner.to_string()),
-        (false, true) => LikePlan::Prefix(inner.to_string()),
-        (true, false) => LikePlan::Suffix(inner.to_string()),
-        (true, true) => LikePlan::Contains(inner.to_string()),
+    // Runs of consecutive '%' collapse, so empty segments vanish.
+    let segs: Vec<&str> = pattern.split('%').collect();
+    let (starts, ends) = (pattern.starts_with('%'), pattern.ends_with('%'));
+    let prefix = if starts { "" } else { segs[0] };
+    let suffix = if ends { "" } else { segs[segs.len() - 1] };
+    let middles: Vec<&str> =
+        segs[1..segs.len() - 1].iter().copied().filter(|m| !m.is_empty()).collect();
+    match (starts, ends, middles.as_slice()) {
+        (false, true, []) => LikePlan::Prefix(prefix.to_string()),
+        (true, false, []) => LikePlan::Suffix(suffix.to_string()),
+        (true, true, []) => LikePlan::Contains(String::new()),
+        (true, true, [m]) => LikePlan::Contains(m.to_string()),
+        _ => LikePlan::Segments(SegmentPlan {
+            prefix: prefix.as_bytes().to_vec(),
+            middles: middles.iter().map(|m| Finder { needle: m.as_bytes().to_vec() }).collect(),
+            suffix: suffix.as_bytes().to_vec(),
+            min_len: prefix.len() + suffix.len() + middles.iter().map(|m| m.len()).sum::<usize>(),
+        }),
     }
 }
 
@@ -893,6 +997,7 @@ pub(crate) fn like_plan_match(plan: &LikePlan, pattern: &str, s: &str) -> bool {
         LikePlan::Prefix(p) => s.starts_with(p.as_str()),
         LikePlan::Suffix(p) => s.ends_with(p.as_str()),
         LikePlan::Contains(p) => s.contains(p.as_str()),
+        LikePlan::Segments(sp) => sp.matches(s.as_bytes()),
         LikePlan::Generic => like_match(s, pattern),
     }
 }
@@ -1316,8 +1421,43 @@ mod tests {
         assert_eq!(compile_like("%%foo%%"), LikePlan::Contains("foo".into()));
         assert_eq!(compile_like("%"), LikePlan::Contains("".into()));
         assert_eq!(compile_like(""), LikePlan::Exact("".into()));
-        assert_eq!(compile_like("a%b"), LikePlan::Generic);
+        assert!(matches!(compile_like("a%b"), LikePlan::Segments(_)));
+        assert!(matches!(compile_like("%special%requests%"), LikePlan::Segments(_)));
         assert_eq!(compile_like("f_o%"), LikePlan::Generic);
+    }
+
+    #[test]
+    fn like_segment_plans_respect_order_overlap_and_utf8() {
+        let cases: &[(&str, &str, bool)] = &[
+            // Middles may not overlap each other...
+            ("%aa%aa%", "aaa", false),
+            ("%aa%aa%", "aaaa", true),
+            // ...nor the anchors, which may not overlap each other.
+            ("a%a", "a", false),
+            ("a%a", "aa", true),
+            ("ab%ba", "aba", false),
+            ("ab%ba", "abba", true),
+            ("a%b%a", "aba", true),
+            ("a%b%a", "aa", false),
+            // Order matters.
+            ("%special%requests%", "requests are special", false),
+            ("%special%requests%", "a special set of requests", true),
+            // Empty segments collapse.
+            ("%%a%%%b%%", "xaxbx", true),
+            ("%%a%%%b%%", "xbxax", false),
+            // Multi-byte characters: `%` spans characters, not bytes.
+            ("%é%é%", "éé", true),
+            ("%é%é%", "é", false),
+            ("é%ü", "éxü", true),
+            ("é%ü", "éü", true),
+            ("%ü%é", "ééüé", true),
+        ];
+        for &(p, s, want) in cases {
+            let plan = compile_like(p);
+            assert!(matches!(plan, LikePlan::Segments(_)), "{p} must compile to segments");
+            assert_eq!(like_plan_match(&plan, p, s), want, "{s:?} LIKE {p:?}");
+            assert_eq!(like_match(s, p), want, "oracle: {s:?} LIKE {p:?}");
+        }
     }
 
     /// Character-at-a-time reference for SQL substring: keep 1-based
@@ -1488,6 +1628,21 @@ mod tests {
             prop_assert_eq!(like_match(&s, &pattern), expect, "generic {} over {}", pattern, s);
             let plan = compile_like(&pattern);
             prop_assert_eq!(like_plan_match(&plan, &pattern, &s), expect,
+                "plan {:?} for {} over {}", plan, pattern, s);
+        }
+
+        #[test]
+        fn prop_like_segment_plans_agree_with_matcher(
+            s in "[aéb%]{0,12}",
+            pattern in "[aéb%]{0,8}",
+        ) {
+            // `%`-only patterns never reach the backtracking matcher:
+            // overlapping middles ('%aa%aa%' over "aaa"), empty segments,
+            // anchors competing for the same bytes and two-byte 'é' are
+            // all in this alphabet.
+            let plan = compile_like(&pattern);
+            prop_assert!(plan != LikePlan::Generic, "{} must not be generic", pattern);
+            prop_assert_eq!(like_plan_match(&plan, &pattern, &s), like_match(&s, &pattern),
                 "plan {:?} for {} over {}", plan, pattern, s);
         }
 

@@ -105,11 +105,19 @@ impl Renderer {
                 let mut regs = Vec::new();
                 for (i, col) in projected.iter().enumerate() {
                     let x = self.reg("X");
-                    let _ = writeln!(
-                        self.out,
-                        "    {x} := sql.bind(\"{table}\", \"{}\"); -- col {col}",
-                        schema[i].name
-                    );
+                    // Filter-only columns have no output name: they are
+                    // bound by position and never projected.
+                    let _ = match schema.get(i) {
+                        Some(c) => writeln!(
+                            self.out,
+                            "    {x} := sql.bind(\"{table}\", \"{}\"); -- col {col}",
+                            c.name
+                        ),
+                        None => writeln!(
+                            self.out,
+                            "    {x} := sql.bind(\"{table}\", {col}); -- col {col}, filter only"
+                        ),
+                    };
                     regs.push(x);
                 }
                 let mut cand: Option<String> = None;
@@ -124,6 +132,7 @@ impl Renderer {
                     );
                     cand = Some(c);
                 }
+                regs.truncate(schema.len());
                 if let Some(c) = cand {
                     let mut fetched = Vec::new();
                     for r0 in &regs {

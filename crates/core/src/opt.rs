@@ -6,13 +6,24 @@
 //! 1. **Join-key extraction** — equality conjuncts in ON residuals and in
 //!    filters above cross joins become hash-join keys.
 //! 2. **Filter push-down** — predicates sink through joins and projections
-//!    into scans.
+//!    into scans. Two early-reduction rules follow it:
+//!    * **implied single-relation filters** — an OR-of-ANDs residual of
+//!      an inner join hands each input the disjunction of every
+//!      disjunct's conjuncts over that input, when every disjunct has
+//!      one (sound under three-valued logic: where the derived filter is
+//!      not TRUE, no disjunct is TRUE);
+//!    * **semi/anti-join sinking** — a semi/anti join over an inner-join
+//!      cluster whose probe keys and residual read one relation R moves
+//!      onto R when `|R|·f ≤ |cluster|` (`f` = the fraction of R it
+//!      keeps), i.e. when the rows it removes from R outnumber the extra
+//!      probes of R.
 //! 3. **Join ordering** — cost-based DPsize enumeration of inner-join
 //!    clusters over derived selectivities and distinct-value join
 //!    estimates (greedy connected ordering above the relation cap or when
 //!    DP is ablated).
-//! 4. **Projection push-down** — scans produce only the columns someone
-//!    consumes (the column-store advantage on wide tables).
+//! 4. **Projection push-down** — scans emit only the columns someone
+//!    consumes (the column-store advantage on wide tables); columns only
+//!    a pushed filter tests are read but never emitted.
 //! 5. **Constant folding** and **top-n fusion** (`ORDER BY`+`LIMIT` →
 //!    TopN).
 //!
@@ -26,6 +37,8 @@
 //!   correlated predicates don't drive estimates to zero;
 //! * equi-joins ⇒ `|L|·|R| / max(ndv_L, ndv_R)` with NDVs clamped to the
 //!   filtered input sizes;
+//! * semi joins ⇒ `|L| · min(1, ndv_build / ndv_probe)` (containment;
+//!   anti joins keep the complement, or everything under a residual);
 //! * every operator estimate is clamped to `[1, input]` — a vacuous
 //!   filter cannot shrink anything downstream.
 //!
@@ -188,6 +201,8 @@ pub fn optimize(
     p = extract_join_keys(p)?;
     if flags.pushdown {
         p = push_filters(p)?;
+        derive_disjunct_filters(&mut p)?;
+        sink_semi_joins(&mut p, stats)?;
     }
     if flags.join_order {
         p = order_joins(p, stats, flags.join_dp)?;
@@ -512,6 +527,184 @@ fn push_one_filter(p: Plan, pred: BExpr) -> Result<Plan> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Pass 2b: implied single-relation filters from disjunctions
+// ---------------------------------------------------------------------------
+
+/// For each OR-shaped conjunct of an inner/cross join's residual that
+/// spans both inputs, derive per input the disjunction of each
+/// disjunct's conjuncts over that input alone, and push it into the
+/// input (Q7's `(n1 = FRANCE and n2 = GERMANY) or (n1 = GERMANY and n2 =
+/// FRANCE)` filters both nation scans). The residual itself is kept. Top
+/// down, so a derived predicate that still spans a subtree is split again
+/// at the join below. Filter push-down has already turned every WHERE
+/// disjunction over a join into such a residual; LEFT/semi/anti joins
+/// are never derived from, so nothing enters a null-supplying side.
+fn derive_disjunct_filters(p: &mut Plan) -> Result<()> {
+    if let Plan::Join {
+        left,
+        right,
+        kind: PJoinKind::Inner | PJoinKind::Cross,
+        residual: Some(res),
+        ..
+    } = p
+    {
+        let nleft = left.schema().len();
+        let mut conjuncts = Vec::new();
+        split_and_refs(res, &mut conjuncts);
+        for c in conjuncts {
+            let mut cols = Vec::new();
+            c.collect_cols(&mut cols);
+            if !matches!(c, BExpr::Or(..))
+                || cols.iter().all(|&x| x < nleft)
+                || cols.iter().all(|&x| x >= nleft)
+            {
+                continue;
+            }
+            if let Some(d) = implied_filter(c, &|x| x < nleft) {
+                push_into(left, d)?;
+            }
+            if let Some(d) = implied_filter(c, &|x| x >= nleft) {
+                push_into(right, d.remap_cols(&|x| x - nleft))?;
+            }
+        }
+    }
+    for_each_child_mut(p, &mut derive_disjunct_filters)
+}
+
+/// [`push_one_filter`] into a child slot, in place.
+fn push_into(slot: &mut Plan, pred: BExpr) -> Result<()> {
+    let child = std::mem::replace(slot, Plan::Values { rows: Vec::new(), schema: Vec::new() });
+    *slot = push_one_filter(child, pred)?;
+    Ok(())
+}
+
+/// `OR_i(AND of disjunct i's conjuncts whose columns all satisfy
+/// `on_side`)`, or `None` when some disjunct has no such conjunct.
+/// Sound under three-valued logic: if the derived predicate is not TRUE,
+/// every disjunct has a conjunct that is not TRUE, so no disjunct — and
+/// hence not the original predicate — is TRUE; filtering on it never
+/// drops a row the original keeps.
+fn implied_filter(pred: &BExpr, on_side: &dyn Fn(usize) -> bool) -> Option<BExpr> {
+    let mut disjuncts = Vec::new();
+    split_or_refs(pred, &mut disjuncts);
+    let local: Option<Vec<BExpr>> = disjuncts
+        .into_iter()
+        .map(|d| {
+            let mut conjuncts = Vec::new();
+            split_and_refs(d, &mut conjuncts);
+            conjuncts
+                .into_iter()
+                .filter(|c| {
+                    let mut cols = Vec::new();
+                    c.collect_cols(&mut cols);
+                    !cols.is_empty() && cols.into_iter().all(on_side)
+                })
+                .cloned()
+                .reduce(|a, b| BExpr::And(Box::new(a), Box::new(b)))
+        })
+        .collect();
+    local?.into_iter().reduce(|a, b| BExpr::Or(Box::new(a), Box::new(b)))
+}
+
+/// Split a disjunction without consuming it.
+fn split_or_refs<'a>(e: &'a BExpr, out: &mut Vec<&'a BExpr>) {
+    match e {
+        BExpr::Or(a, b) => {
+            split_or_refs(a, out);
+            split_or_refs(b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pass 2c: semi/anti-join sinking
+// ---------------------------------------------------------------------------
+
+/// Move a semi/anti join over an inner-join cluster onto the one relation
+/// R its probe keys and residual read — `(R ⋈ S) ⋉ B = (R ⋉ B) ⋈ S` when
+/// the join reads only R's columns — when the estimator says it is
+/// cheaper there. Above the cluster it probes `|cluster|` rows; at R it
+/// probes `|R|` rows but leaves `|R|·f` (f = [`semi_keep_fraction`]) for
+/// the rest of the cluster, paying off when the rows it removes from R
+/// outnumber the extra probes: `|R| − |R|·f ≥ |R| − |cluster|`, i.e.
+/// `|R|·f ≤ |cluster|`. Q18's `IN (… having sum > 300)` sinks onto
+/// orders; Q21's EXISTS removes nothing from l1 (f = 1) while the
+/// cluster is far smaller than l1, so it stays above. A NOT IN's NULL
+/// guard sits above the anti join and is untouched: the anti join keeps
+/// its output schema wherever it runs. Runs before join ordering, which
+/// then orders the cluster around the reduced relation.
+fn sink_semi_joins(p: &mut Plan, stats: &dyn Stats) -> Result<()> {
+    for_each_child_mut(p, &mut |c| sink_semi_joins(c, stats))?;
+    let Plan::Join { left, kind: PJoinKind::Semi | PJoinKind::Anti, .. } = &*p else {
+        return Ok(());
+    };
+    if matches!(
+        left.as_ref(),
+        Plan::Join { kind: PJoinKind::Inner | PJoinKind::Cross, .. } | Plan::Project { .. }
+    ) {
+        if let Some(sunk) = try_sink_semi_join(p.clone(), stats)? {
+            *p = sunk;
+        }
+    }
+    Ok(())
+}
+
+/// [`sink_semi_joins`] on one node; `None` when the join stays where it
+/// is.
+fn try_sink_semi_join(p: Plan, stats: &dyn Stats) -> Result<Option<Plan>> {
+    let Plan::Join { left, right, kind, left_keys, right_keys, residual, schema } = p else {
+        return Ok(None);
+    };
+    let nleft = left.schema().len();
+    let cluster_est = estimate(&left, stats);
+    let mut rels = Vec::new();
+    let mut preds = Vec::new();
+    let root_map = flatten_join_cluster(*left, &mut rels, &mut preds)?;
+    if rels.len() < 2 {
+        return Ok(None);
+    }
+    // Which relations do the probe keys and the residual's probe-side
+    // columns read?
+    let mut cols = Vec::new();
+    for k in &left_keys {
+        k.collect_cols(&mut cols);
+    }
+    if let Some(res) = &residual {
+        res.collect_cols(&mut cols);
+    }
+    let offsets = flat_offsets(&rels);
+    let rel_of_flat = |c: usize| offsets.partition_point(|&o| o <= c) - 1;
+    let mut owners = cols.iter().filter(|&&c| c < nleft).map(|&c| rel_of_flat(root_map[c]));
+    let Some(owner) = owners.next() else {
+        return Ok(None);
+    };
+    if owners.any(|o| o != owner) {
+        return Ok(None);
+    }
+    let base = offsets[owner];
+    let rwidth = rels[owner].schema().len();
+    let local = |c: usize| root_map[c] - base;
+    let (r_est, b_est) = (estimate(&rels[owner], stats), estimate(&right, stats));
+    let sunk = Plan::Join {
+        left: Box::new(rels[owner].clone()),
+        right,
+        kind,
+        left_keys: left_keys.iter().map(|k| k.remap_cols(&local)).collect(),
+        right_keys,
+        residual: residual
+            .map(|res| res.remap_cols(&|c| if c < nleft { local(c) } else { c - nleft + rwidth })),
+        schema: rels[owner].schema().to_vec(),
+    };
+    if r_est * semi_keep_fraction(&sunk, r_est, b_est, stats) > cluster_est {
+        return Ok(None);
+    }
+    rels[owner] = sunk;
+    let joined = rebuild_cluster(rels, preds)?;
+    Ok(Some(restore_projection(joined, &root_map, &|c| c, schema)))
+}
+
 /// Replace every `ColRef { idx }` in `pred` with `exprs[idx]` (also used
 /// by the binder to recompute a subquery's projected expression over
 /// joined aggregate columns).
@@ -599,14 +792,8 @@ fn order_joins(p: Plan, stats: &dyn Stats, dp: bool) -> Result<Plan> {
         let joined = rebuild_cluster(rels, preds)?;
         return Ok(restore_projection(joined, &root_map, &|c| c, out_schema));
     }
-    // Column offset of each relation in the flat schema.
-    let mut offsets = Vec::with_capacity(rels.len());
-    let mut acc = 0usize;
-    for r in &rels {
-        offsets.push(acc);
-        acc += r.schema().len();
-    }
-    let total_cols = acc;
+    let offsets = flat_offsets(&rels);
+    let total_cols = col_count(&rels);
     let rel_of_col = |c: usize| -> usize {
         match offsets.binary_search(&c) {
             Ok(i) => i,
@@ -1126,23 +1313,13 @@ fn estimate(p: &Plan, stats: &dyn Stats) -> f64 {
             let r = estimate(right, stats);
             match kind {
                 PJoinKind::Cross => (l * r).max(1.0),
-                PJoinKind::Semi | PJoinKind::Anti => l.max(1.0),
+                PJoinKind::Semi | PJoinKind::Anti => {
+                    (l * semi_keep_fraction(p, l, r, stats)).max(1.0)
+                }
                 PJoinKind::Inner | PJoinKind::Left => {
                     let mut out = l * r;
                     for (lk, rk) in left_keys.iter().zip(right_keys) {
-                        let ndv_of = |e: &BExpr, side: &Plan, side_est: f64| -> f64 {
-                            let ndv = match e {
-                                BExpr::ColRef { idx, .. } => {
-                                    match col_stats_of(side, *idx, stats) {
-                                        Some(cs) if cs.ndv >= 1.0 => cs.ndv,
-                                        _ => side_est,
-                                    }
-                                }
-                                _ => side_est,
-                            };
-                            ndv.min(side_est).max(1.0)
-                        };
-                        let (nl, nr) = (ndv_of(lk, left, l), ndv_of(rk, right, r));
+                        let (nl, nr) = (key_ndv(lk, left, l, stats), key_ndv(rk, right, r, stats));
                         out /= nl.max(nr);
                     }
                     if let Some(res) = residual {
@@ -1163,6 +1340,54 @@ fn estimate(p: &Plan, stats: &dyn Stats) -> f64 {
             }
         }
         Plan::Values { rows, .. } => (rows.len() as f64).max(1.0),
+    }
+}
+
+/// Distinct values of join key `e` over `side` (estimated at `side_est`
+/// rows): the column's NDV when the key is a bare column with statistics,
+/// else the side's cardinality (keys assumed near-unique); clamped to
+/// `[1, side_est]`.
+fn key_ndv(e: &BExpr, side: &Plan, side_est: f64, stats: &dyn Stats) -> f64 {
+    let ndv = match e {
+        BExpr::ColRef { idx, .. } => match col_stats_of(side, *idx, stats) {
+            Some(cs) if cs.ndv >= 1.0 => cs.ndv,
+            _ => side_est,
+        },
+        _ => side_est,
+    };
+    ndv.min(side_est).max(1.0)
+}
+
+/// Fraction of probe rows a semi/anti join keeps. Containment: a probe
+/// key finds a match with probability `min(1, ndv(build key) / ndv(probe
+/// key))`, and with several keys a row must match on all of them (the
+/// most selective key bounds the rest). A semi join keeps that fraction
+/// — a residual can only lower it, so ignoring it stays an upper bound.
+/// An anti join keeps the complement; with a residual even a key match
+/// may fail it, so nothing is assumed removed. `l`/`r` are the inputs'
+/// estimates; `1.0` for other nodes.
+fn semi_keep_fraction(join: &Plan, l: f64, r: f64, stats: &dyn Stats) -> f64 {
+    let Plan::Join {
+        left,
+        right,
+        kind: kind @ (PJoinKind::Semi | PJoinKind::Anti),
+        left_keys,
+        right_keys,
+        residual,
+        ..
+    } = join
+    else {
+        return 1.0;
+    };
+    let matched = left_keys
+        .iter()
+        .zip(right_keys)
+        .map(|(lk, rk)| (key_ndv(rk, right, r, stats) / key_ndv(lk, left, l, stats)).min(1.0))
+        .fold(1.0f64, f64::min);
+    match (kind, residual) {
+        (PJoinKind::Semi, _) => matched,
+        (_, None) => 1.0 - matched,
+        (_, Some(_)) => 1.0,
     }
 }
 
@@ -1248,6 +1473,17 @@ fn col_count(rels: &[Plan]) -> usize {
     rels.iter().map(|r| r.schema().len()).sum()
 }
 
+/// Column offset of each relation in the flat (concatenated) schema.
+fn flat_offsets(rels: &[Plan]) -> Vec<usize> {
+    rels.iter()
+        .scan(0usize, |acc, r| {
+            let at = *acc;
+            *acc += r.schema().len();
+            Some(at)
+        })
+        .collect()
+}
+
 /// Left-deep rebuild: join relations in order, attaching each predicate at
 /// the lowest point where all its columns are available.
 fn rebuild_cluster(rels: Vec<Plan>, mut preds: Vec<BExpr>) -> Result<Plan> {
@@ -1317,18 +1553,22 @@ fn prune(p: Plan, needed: &[usize]) -> Result<(Plan, Vec<usize>)> {
     let identity = need_sorted.len() == width;
     match p {
         Plan::Scan { table, projected, filters, schema } => {
-            // Keep columns needed by outputs or by pushed filters.
-            let mut keep = need_sorted.clone();
+            // Emit only the columns the parent consumes; read the columns
+            // pushed filters test as a filter-only tail (never gathered,
+            // never carried past the scan).
+            let mut filter_only = Vec::new();
             for f in &filters {
-                f.collect_cols(&mut keep);
+                f.collect_cols(&mut filter_only);
             }
-            keep.sort_unstable();
-            keep.dedup();
-            let map = build_map(&keep, width);
-            let new_projected: Vec<usize> = keep.iter().map(|&c| projected[c]).collect();
-            let new_schema: Vec<OutCol> = keep.iter().map(|&c| schema[c].clone()).collect();
+            filter_only.sort_unstable();
+            filter_only.dedup();
+            filter_only.retain(|c| need_sorted.binary_search(c).is_err());
+            let reads: Vec<usize> = need_sorted.iter().chain(&filter_only).copied().collect();
+            let read_map = build_map(&reads, projected.len());
+            let new_projected: Vec<usize> = reads.iter().map(|&c| projected[c]).collect();
+            let new_schema: Vec<OutCol> = need_sorted.iter().map(|&c| schema[c].clone()).collect();
             let new_filters: Vec<BExpr> =
-                filters.iter().map(|f| f.remap_cols(&|c| map[c])).collect();
+                filters.iter().map(|f| f.remap_cols(&|c| read_map[c])).collect();
             Ok((
                 Plan::Scan {
                     table,
@@ -1336,7 +1576,7 @@ fn prune(p: Plan, needed: &[usize]) -> Result<(Plan, Vec<usize>)> {
                     filters: new_filters,
                     schema: new_schema,
                 },
-                map,
+                build_map(&need_sorted, width),
             ))
         }
         Plan::Filter { input, pred } => {
@@ -1635,6 +1875,24 @@ fn map_children(p: Plan, f: &mut dyn FnMut(Plan) -> Result<Plan>) -> Result<Plan
         Plan::TopN { input, keys, n } => Plan::TopN { input: Box::new(f(*input)?), keys, n },
         Plan::Distinct { input } => Plan::Distinct { input: Box::new(f(*input)?) },
     })
+}
+
+/// Visit each direct child of `p` in place (no node is rebuilt).
+fn for_each_child_mut(p: &mut Plan, f: &mut dyn FnMut(&mut Plan) -> Result<()>) -> Result<()> {
+    match p {
+        Plan::Scan { .. } | Plan::Values { .. } => Ok(()),
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. }
+        | Plan::TopN { input, .. }
+        | Plan::Distinct { input } => f(input),
+        Plan::Join { left, right, .. } => {
+            f(left)?;
+            f(right)
+        }
+    }
 }
 
 fn map_children_infallible(p: Plan, f: &mut dyn FnMut(Plan) -> Plan) -> Plan {
@@ -2059,6 +2317,212 @@ mod tests {
         let t = ModedStats { inner: &inner, mode: StatsMode::TableRowsOnly };
         assert_eq!(t.table_rows("big"), 1_000_000);
         assert!(t.column_stats("big", 0).is_none());
+    }
+
+    /// Every node of `p`, parents before children.
+    fn nodes(p: &Plan) -> Vec<&Plan> {
+        let mut out = vec![p];
+        match p {
+            Plan::Scan { .. } | Plan::Values { .. } => {}
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::TopN { input, .. }
+            | Plan::Distinct { input } => out.extend(nodes(input)),
+            Plan::Join { left, right, .. } => {
+                out.extend(nodes(left));
+                out.extend(nodes(right));
+            }
+        }
+        out
+    }
+
+    /// The probe (left) input of the plan's only semi/anti join.
+    fn semi_probe(p: &Plan) -> &Plan {
+        let probes: Vec<&Plan> = nodes(p)
+            .into_iter()
+            .filter_map(|n| match n {
+                Plan::Join { left, kind: PJoinKind::Semi | PJoinKind::Anti, .. } => Some(&**left),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(probes.len(), 1, "{}", p.render());
+        probes[0]
+    }
+
+    fn has_join(p: &Plan) -> bool {
+        nodes(p).iter().any(|n| matches!(n, Plan::Join { .. }))
+    }
+
+    /// Filters pushed into the scans of `table`.
+    fn scan_filters<'a>(p: &'a Plan, table: &str) -> Vec<&'a BExpr> {
+        nodes(p)
+            .into_iter()
+            .filter_map(|n| match n {
+                Plan::Scan { table: t, filters, .. } if t == table => Some(filters),
+                _ => None,
+            })
+            .flatten()
+            .collect()
+    }
+
+    #[test]
+    fn semi_join_sinks_only_when_keys_and_residual_read_one_relation() {
+        // Keys and residual both read mid: the EXISTS moves onto mid (100
+        // build keys against 10k probe keys keep ~1% of mid, far below the
+        // 10k-row cluster).
+        let sunk = optimize_sql(
+            "SELECT big.v FROM big, mid WHERE big.k = mid.big_id AND \
+             EXISTS (SELECT * FROM small WHERE small.id = mid.id AND small.id <> mid.big_id)",
+        );
+        let probe = semi_probe(&sunk);
+        assert!(!has_join(probe), "probes mid alone: {}", sunk.render());
+        assert!(probe.render().contains("scan mid"), "{}", sunk.render());
+        // Same keys, but the residual also reads big: it stays above the
+        // cluster.
+        let kept = optimize_sql(
+            "SELECT big.v FROM big, mid WHERE big.k = mid.big_id AND \
+             EXISTS (SELECT * FROM small WHERE small.id = mid.id AND small.id <> big.id)",
+        );
+        assert!(has_join(semi_probe(&kept)), "probes the cluster: {}", kept.render());
+    }
+
+    #[test]
+    fn semi_join_stays_above_when_probing_the_relation_costs_more() {
+        // The key reads big (1M rows) while the filtered cluster is ~25
+        // rows: probing big in full costs more than the 1% it would drop.
+        let p = optimize_sql(
+            "SELECT big.v FROM big, small WHERE big.k = small.id AND small.name = 'x' AND \
+             EXISTS (SELECT * FROM mid WHERE mid.big_id = big.id)",
+        );
+        assert!(has_join(semi_probe(&p)), "{}", p.render());
+    }
+
+    #[test]
+    fn nothing_sinks_or_is_derived_into_a_left_joins_null_side() {
+        // A semi join over a LEFT join is not over an inner cluster: it
+        // stays put, even though its key reads the null-supplying side.
+        let p = optimize_sql(
+            "SELECT big.v FROM big LEFT JOIN small ON big.k = small.id \
+             WHERE small.id IN (SELECT big_id FROM mid)",
+        );
+        let probe = semi_probe(&p);
+        assert!(
+            nodes(probe).iter().any(|n| matches!(n, Plan::Join { kind: PJoinKind::Left, .. })),
+            "{}",
+            p.render()
+        );
+        // Disjunctions over a LEFT join, in WHERE or in ON, derive nothing.
+        for sql in [
+            "SELECT big.v FROM big LEFT JOIN small ON big.k = small.id \
+             WHERE (big.v > 1 AND small.name = 'a') OR (big.v < 0 AND small.name = 'b')",
+            "SELECT big.v FROM big LEFT JOIN small ON big.k = small.id \
+             AND ((big.v > 1 AND small.name = 'a') OR (big.v < 0 AND small.name = 'b'))",
+        ] {
+            let p = optimize_sql(sql);
+            assert!(scan_filters(&p, "small").is_empty(), "{}", p.render());
+            assert!(scan_filters(&p, "big").is_empty(), "{}", p.render());
+        }
+    }
+
+    #[test]
+    fn not_in_sinks_its_anti_join_but_keeps_the_null_guard_above() {
+        // Every probe key is assumed found (10k build keys, 100 probe
+        // keys): the anti join keeps ~nothing of small and sinks onto it.
+        let p = optimize_sql(
+            "SELECT big.v FROM big, small WHERE big.k = small.id AND \
+             small.id NOT IN (SELECT big_id FROM mid)",
+        );
+        let probe = semi_probe(&p);
+        assert!(!has_join(probe) && probe.render().contains("scan small"), "{}", p.render());
+        // The guard — `cnt_all = 0 OR (probe IS NOT NULL AND cnt_nonnull
+        // = cnt_all)` over the anti join's output crossed with the
+        // subquery's counts — is intact and still joins above it.
+        let guard = nodes(&p)
+            .into_iter()
+            .find(|n| {
+                matches!(n, Plan::Join { kind: PJoinKind::Cross, residual: Some(r), .. }
+                    if r.to_string().contains("is not null"))
+            })
+            .unwrap_or_else(|| panic!("NOT IN guard join: {}", p.render()));
+        let Plan::Join { residual: Some(BExpr::Or(empty, ok)), .. } = guard else {
+            panic!("guard lost its shape: {}", p.render())
+        };
+        assert!(matches!(**empty, BExpr::Cmp { op: CmpOp::Eq, .. }), "{}", p.render());
+        assert!(matches!(**ok, BExpr::And(..)), "{}", p.render());
+        assert!(
+            nodes(guard).iter().any(|n| matches!(n, Plan::Join { kind: PJoinKind::Anti, .. })),
+            "{}",
+            p.render()
+        );
+    }
+
+    #[test]
+    fn disjunctions_derive_filters_only_for_relations_every_disjunct_reads() {
+        // Both disjuncts test big and small: both scans get a filter.
+        let p = optimize_sql(
+            "SELECT big.v FROM big, small WHERE big.k = small.id AND \
+             ((big.v > 1 AND small.name = 'a') OR (big.v < 0 AND small.name = 'b'))",
+        );
+        assert_eq!(scan_filters(&p, "big").len(), 1, "{}", p.render());
+        assert_eq!(scan_filters(&p, "small").len(), 1, "{}", p.render());
+        assert!(matches!(scan_filters(&p, "small")[0], BExpr::Or(..)), "{}", p.render());
+        // The second disjunct tests big alone: small gets nothing, big
+        // still gets `v > 1 OR v < 0`.
+        let p = optimize_sql(
+            "SELECT big.v FROM big, small WHERE big.k = small.id AND \
+             ((big.v > 1 AND small.name = 'a') OR big.v < 0)",
+        );
+        assert!(scan_filters(&p, "small").is_empty(), "{}", p.render());
+        assert_eq!(scan_filters(&p, "big").len(), 1, "{}", p.render());
+        // The original predicate is kept as the join residual.
+        assert!(
+            nodes(&p).iter().any(|n| matches!(n, Plan::Join { residual: Some(BExpr::Or(..)), .. })),
+            "{}",
+            p.render()
+        );
+    }
+
+    #[test]
+    fn implied_filter_is_sound_under_three_valued_logic() {
+        use crate::exec::Chunk;
+        use monetlite_storage::Bat;
+        use std::sync::Arc;
+        // (a = 1 AND b = 1) OR (a = 2 AND b IS NULL) over every
+        // combination of a, b ∈ {NULL, 1, 2}: wherever the original is
+        // TRUE, the derived `a = 1 OR a = 2` must be TRUE too.
+        let (a, b) = (
+            BExpr::ColRef { idx: 0, ty: LogicalType::Int },
+            BExpr::ColRef { idx: 1, ty: LogicalType::Int },
+        );
+        let eq = |c: &BExpr, v| cmp(CmpOp::Eq, c.clone(), BExpr::Lit(Value::Int(v)));
+        let pred = BExpr::Or(
+            Box::new(BExpr::And(Box::new(eq(&a, 1)), Box::new(eq(&b, 1)))),
+            Box::new(BExpr::And(
+                Box::new(eq(&a, 2)),
+                Box::new(BExpr::IsNull { input: Box::new(b.clone()), negated: false }),
+            )),
+        );
+        let derived = implied_filter(&pred, &|c| c == 0).expect("every disjunct tests a");
+        assert_eq!(derived.to_string(), "((#0 = 1) or (#0 = 2))");
+        assert!(implied_filter(&pred, &|c| c == 1).is_some());
+        let vals = [None, Some(1), Some(2)];
+        let col = |f: &dyn Fn(usize) -> Option<i32>| {
+            let mut bat = Bat::new(LogicalType::Int);
+            for i in 0..9 {
+                bat.push(&f(i).map_or(Value::Null, Value::Int)).unwrap();
+            }
+            Arc::new(bat)
+        };
+        let chunk = Chunk::dense(vec![col(&|i| vals[i / 3]), col(&|i| vals[i % 3])], 9);
+        let (orig, der) = (chunk.eval(&pred).unwrap(), chunk.eval(&derived).unwrap());
+        for i in 0..9 {
+            if orig.get(i) == Value::Bool(true) {
+                assert_eq!(der.get(i), Value::Bool(true), "row {i}");
+            }
+        }
     }
 
     #[test]

@@ -57,11 +57,13 @@ enum Source<'p> {
     /// keeps the index-assisted, zero-copy whole-table path). `blooms`
     /// are join build-side filters pushed down by [`decompose`], keyed by
     /// scan-output column position; `extras` are synthetic full-length
-    /// columns (dictionary code columns) appended after the projected
-    /// ones.
+    /// columns (dictionary code columns) appended after the `width`
+    /// output columns (the read list's filter-only tail never leaves the
+    /// scan).
     Table {
         table: &'p str,
         projected: &'p [usize],
+        width: usize,
         filters: &'p [BExpr],
         rows: usize,
         blooms: Vec<(usize, Arc<Bloom>)>,
@@ -82,13 +84,13 @@ impl Source<'_> {
 
     fn fetch(&self, ctx: &ExecContext, lo: usize, hi: usize, whole: bool) -> Result<Chunk> {
         match self {
-            Source::Table { table, projected, filters, blooms, extras, .. } => {
+            Source::Table { table, projected, width, filters, blooms, extras, .. } => {
                 // A morsel covering the whole table scans unranged, which
                 // preserves imprint/order-index selection and zero-copy
                 // column sharing. The streaming scan may return a chunk
                 // carrying a candidate list over the base columns.
                 let range = if whole { None } else { Some((lo as u32, hi as u32)) };
-                exec_scan_streaming(table, projected, filters, ctx, range, blooms, extras)
+                exec_scan_streaming(table, projected, *width, filters, ctx, range, blooms, extras)
             }
             Source::Mem(c) => Ok(c.slice(lo, hi)),
         }
@@ -131,12 +133,13 @@ struct Pipeline<'p> {
 /// executed to completion recursively.
 fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
     match plan {
-        Plan::Scan { table, projected, filters, .. } => {
+        Plan::Scan { table, projected, filters, schema } => {
             let meta = ctx.tables.table_meta(table)?;
             Ok(Pipeline {
                 source: Source::Table {
                     table,
                     projected,
+                    width: schema.len(),
                     filters,
                     rows: meta.data.rows,
                     blooms: Vec::new(),
@@ -197,8 +200,8 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
                 && !p.ops.iter().any(|op| matches!(op, PipeOp::Project(_)))
             {
                 if let [BExpr::ColRef { idx, .. }] = left_keys.as_slice() {
-                    if let Source::Table { projected, blooms, .. } = &mut p.source {
-                        if *idx < projected.len() {
+                    if let Source::Table { width, blooms, .. } = &mut p.source {
+                        if *idx < *width {
                             let mut bl = Bloom::with_capacity(build_chunk.rows);
                             for (r, &h) in build_hashes.iter().enumerate() {
                                 if !any_null(&rrefs, r) {
@@ -410,16 +413,8 @@ fn apply_ops(mut chunk: Chunk, ops: &[PipeOp], ctx: &ExecContext) -> Result<Chun
                     // eval_shared: bare-column probe keys alias the
                     // vector's columns (no per-vector key copy); under a
                     // candidate list they compact to the selected rows.
-                    let lkey_bats: Vec<Arc<Bat>> = match &base_sel {
-                        None => left_keys
-                            .iter()
-                            .map(|k| crate::kernels::eval_shared(k, &chunk.cols, chunk.rows))
-                            .collect::<Result<_>>()?,
-                        Some(_) => left_keys
-                            .iter()
-                            .map(|k| chunk.eval(k).map(Arc::new))
-                            .collect::<Result<_>>()?,
-                    };
+                    let lkey_bats: Vec<Arc<Bat>> =
+                        left_keys.iter().map(|k| chunk.eval_shared(k)).collect::<Result<_>>()?;
                     let lrefs: Vec<&Bat> = lkey_bats.iter().map(|a| &**a).collect();
                     let rrefs: Vec<&Bat> = build_keys.iter().map(|a| &**a).collect();
                     crate::join::probe(&lrefs, &rrefs, build, probe_kind)
@@ -559,14 +554,16 @@ fn agg_consume(
         return Ok(());
     }
     // Candidate-list ingest: group keys and aggregate arguments compact
-    // through the chunk's selection ([`Chunk::eval`]) — the filtered-out
-    // rows of a candidate chunk are never touched, and nothing is
-    // materialised.
+    // through the chunk's selection ([`Chunk::eval_shared`]) — the
+    // filtered-out rows of a candidate chunk are never touched, and
+    // nothing is materialised; over a dense chunk a bare column is shared,
+    // not copied.
     let gids: Vec<u32> = match &mut part.table {
         None => vec![0; chunk.rows],
         Some(table) => {
-            let key_bats: Vec<Bat> = groups.iter().map(|g| chunk.eval(g)).collect::<Result<_>>()?;
-            let refs: Vec<&Bat> = key_bats.iter().collect();
+            let key_bats: Vec<Arc<Bat>> =
+                groups.iter().map(|g| chunk.eval_shared(g)).collect::<Result<_>>()?;
+            let refs: Vec<&Bat> = key_bats.iter().map(|b| &**b).collect();
             let gids = table.intern_block(&refs)?;
             let n = table.n_groups();
             for st in &mut part.states {
@@ -576,8 +573,8 @@ fn agg_consume(
         }
     };
     for (st, spec) in part.states.iter_mut().zip(aggs) {
-        let arg = spec.arg.as_ref().map(|a| chunk.eval(a)).transpose()?;
-        st.update(arg.as_ref(), &gids)?;
+        let arg = spec.arg.as_ref().map(|a| chunk.eval_shared(a)).transpose()?;
+        st.update(arg.as_deref(), &gids)?;
     }
     Ok(())
 }
@@ -721,7 +718,7 @@ fn run_aggregate(
     let mut groups_vec: Vec<BExpr> = groups.to_vec();
     let mut rehydrate: Vec<(usize, Arc<StrDict>)> = Vec::new();
     if ctx.opts.use_dict && pipe.ops.iter().all(|op| matches!(op, PipeOp::Filter(_))) {
-        if let Source::Table { table, projected, extras, .. } = &mut pipe.source {
+        if let Source::Table { table, projected, width, extras, .. } = &mut pipe.source {
             if let Ok(meta) = ctx.tables.table_meta(table) {
                 for (g, key) in groups_vec.iter_mut().enumerate() {
                     let idx = match key {
@@ -743,7 +740,7 @@ fn run_aggregate(
                         .iter()
                         .map(|&c| if c == NULL_CODE { NULL_I32 } else { c as i32 })
                         .collect();
-                    let pos = projected.len() + extras.len();
+                    let pos = *width + extras.len();
                     extras.push(Arc::new(Bat::Int(codes)));
                     *key = BExpr::ColRef { idx: pos, ty: LogicalType::Int };
                     rehydrate.push((g, d));

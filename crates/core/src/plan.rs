@@ -52,15 +52,22 @@ pub struct OutCol {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     /// Base-table scan with optional projection (base column positions)
-    /// and conjunctive filters over the *projected* outputs.
+    /// and conjunctive filters over the columns it reads.
+    ///
+    /// `projected` is the **read list**: the output columns first (one per
+    /// `schema` entry), then any *filter-only* columns — read because a
+    /// pushed filter tests them, never emitted. A scan may emit zero
+    /// columns (`SELECT count(*) … WHERE a > 5`); its chunks then carry
+    /// only a row count.
     Scan {
         /// Table name in the catalog.
         table: String,
-        /// Base-table column positions produced, in output order.
+        /// Base-table column positions read: outputs, then filter-only
+        /// columns.
         projected: Vec<usize>,
-        /// Pushed-down conjuncts over the scan output.
+        /// Pushed-down conjuncts over the read list.
         filters: Vec<BExpr>,
-        /// Output schema.
+        /// Output schema (a prefix of the read list).
         schema: Vec<OutCol>,
     },
     /// σ: keep rows satisfying the predicate.
@@ -192,8 +199,12 @@ impl Plan {
         use std::fmt::Write;
         let pad = "  ".repeat(depth);
         match self {
-            Plan::Scan { table, projected, filters, .. } => {
-                let _ = write!(out, "{pad}scan {table} cols={projected:?}");
+            Plan::Scan { table, projected, filters, schema } => {
+                let (outputs, filter_only) = projected.split_at(schema.len().min(projected.len()));
+                let _ = write!(out, "{pad}scan {table} cols={outputs:?}");
+                if !filter_only.is_empty() {
+                    let _ = write!(out, " filter-only={filter_only:?}");
+                }
                 if !filters.is_empty() {
                     let _ = write!(out, " where ");
                     for (i, f) in filters.iter().enumerate() {
@@ -330,5 +341,23 @@ mod tests {
         let s = p.render();
         assert!(s.contains("limit 5"));
         assert!(s.contains("scan t"));
+    }
+
+    #[test]
+    fn render_separates_filter_only_columns() {
+        // Reads columns 0 and 1, emits only column 0: the filter on #1
+        // renders its column apart from the outputs.
+        let p = Plan::Scan {
+            table: "t".into(),
+            projected: vec![0, 1],
+            filters: vec![BExpr::IsNull {
+                input: Box::new(BExpr::ColRef { idx: 1, ty: LogicalType::Varchar }),
+                negated: false,
+            }],
+            schema: vec![OutCol { name: "a".into(), ty: LogicalType::Int }],
+        };
+        assert_eq!(p.schema().len(), 1);
+        assert!(p.render().starts_with("scan t cols=[0] filter-only=[1] where"), "{}", p.render());
+        assert!(!scan().render().contains("filter-only"), "{}", scan().render());
     }
 }

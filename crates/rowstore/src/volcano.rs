@@ -60,7 +60,7 @@ impl VolcanoExec<'_> {
     fn exec(&mut self, plan: &Plan) -> Result<Vec<Vec<Value>>> {
         self.check_deadline()?;
         match plan {
-            Plan::Scan { table, projected, filters, .. } => {
+            Plan::Scan { table, projected, filters, schema } => {
                 let t = self
                     .tables
                     .get(table)
@@ -71,12 +71,15 @@ impl VolcanoExec<'_> {
                 t.scan(|full_row| {
                     // Row stores read the whole row no matter what;
                     // projection happens after deserialisation.
-                    let row: Vec<Value> = projected.iter().map(|&c| full_row[c].clone()).collect();
+                    let mut row: Vec<Value> =
+                        projected.iter().map(|&c| full_row[c].clone()).collect();
                     for f in filters {
                         if eval_row(f, &row)? != Value::Bool(true) {
                             return Ok(true);
                         }
                     }
+                    // Filter-only columns trail the outputs in the read list.
+                    row.truncate(schema.len());
                     out.push(row);
                     ticker += 1;
                     if ticker.is_multiple_of(4096) {

@@ -409,6 +409,131 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Differential fuzz: early-reduction shapes
+// ---------------------------------------------------------------------------
+
+impl Gen {
+    fn t_pred(&mut self) -> String {
+        match self.below(4) {
+            0 => format!("t.a {} {}", self.cmp(), self.below(6)),
+            1 => format!("t.b IS {}NULL", ["", "NOT "][self.below(2) as usize]),
+            2 => format!("t.s = '{}'", ["x", "y", "z"][self.below(3) as usize]),
+            _ => format!("t.b IN ({}, {})", self.below(6), self.below(6)),
+        }
+    }
+
+    fn u_pred(&mut self) -> String {
+        match self.below(3) {
+            0 => format!("u.v {} {}", self.cmp(), self.below(6)),
+            1 => format!("u.v IS {}NULL", ["", "NOT "][self.below(2) as usize]),
+            _ => format!("u.k {} {}", self.cmp(), self.below(6)),
+        }
+    }
+
+    /// A query over the three-relation cluster `t ⋈ u ⋈ w` that the
+    /// early-reduction rules rewrite: IN / EXISTS / NOT EXISTS whose keys
+    /// and residual read one relation (sinkable) or two (not), and OR-of-
+    /// AND filters spanning t and u, some disjuncts reading one side only.
+    fn reduction_query(&mut self) -> String {
+        let cluster = "SELECT t.a, t.b, u.v, w.k FROM t, u, w WHERE t.a = u.k AND t.b = w.k";
+        let not = ["", "NOT "][self.below(2) as usize];
+        match self.below(4) {
+            0 => {
+                let filter = match self.below(2) {
+                    0 => String::new(),
+                    _ => format!(" WHERE w2.k >= {}", self.below(5)),
+                };
+                format!("{cluster} AND u.v {not}IN (SELECT w2.k FROM w w2{filter})")
+            }
+            1 => {
+                let extra = ["", " AND w2.k <> u.k", " AND w2.k <> t.b"][self.below(3) as usize];
+                format!("{cluster} AND {not}EXISTS (SELECT * FROM w w2 WHERE w2.k = u.v{extra})")
+            }
+            _ => {
+                let disjuncts: Vec<String> = (0..2 + self.below(2))
+                    .map(|_| match self.below(4) {
+                        0 => self.t_pred(),
+                        1 => self.u_pred(),
+                        _ => format!("({} AND {})", self.t_pred(), self.u_pred()),
+                    })
+                    .collect();
+                format!("{cluster} AND ({})", disjuncts.join(" OR "))
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Semi-join sinking and disjunction-derived filters may change
+    // plans, never answers: every columnar leg — real, no and
+    // adversarial statistics, both engines, the rewrites off — must
+    // return the multiset a row store computes with the optimizer's
+    // push-down and join ordering switched off.
+    #[test]
+    fn early_reduction_shapes_agree_with_the_unoptimized_rowstore(seed in 0u64..u64::MAX) {
+        let mut g = Gen { rng: proptest::TestRng::new(seed) };
+        let inserts = fuzz_inserts(&mut g);
+        let sql = g.reduction_query();
+        let plain = monetlite_rowstore::RowDb::open_with(monetlite_rowstore::RowDbOptions {
+            opt_flags: OptFlags { pushdown: false, join_order: false, ..OptFlags::default() },
+            ..Default::default()
+        })
+        .unwrap();
+        plain.run_script(FUZZ_DDL).unwrap();
+        let db = monetlite::Database::open_in_memory();
+        let mut conn = db.connect();
+        conn.run_script(FUZZ_DDL).unwrap();
+        for ins in &inserts {
+            conn.execute(ins).unwrap();
+            plain.execute(ins).unwrap();
+        }
+        let want = canonical(&plain.query(&sql).unwrap_or_else(|e| panic!("oracle: {e}\nsql: {sql}")).rows);
+        let materialized = ExecOptions { mode: ExecMode::Materialized, ..Default::default() };
+        let small_vectors = ExecOptions { threads: 2, vector_size: 2, ..Default::default() };
+        for (label, opts, stats, flags) in [
+            ("real", ExecOptions::default(), StatsMode::Real, OptFlags::default()),
+            ("real materialized", materialized, StatsMode::Real, OptFlags::default()),
+            ("real t2 v2", small_vectors, StatsMode::Real, OptFlags::default()),
+            ("no column stats", ExecOptions::default(), StatsMode::TableRowsOnly, OptFlags::default()),
+            ("no column stats materialized", materialized, StatsMode::TableRowsOnly, OptFlags::default()),
+            ("adversarial", ExecOptions::default(), StatsMode::Adversarial(seed), OptFlags::default()),
+            ("adversarial t2 v2", small_vectors, StatsMode::Adversarial(!seed), OptFlags::default()),
+            (
+                "push-down off",
+                ExecOptions::default(),
+                StatsMode::Real,
+                OptFlags { pushdown: false, ..OptFlags::default() },
+            ),
+        ] {
+            let mut c = db.connect();
+            c.set_exec_options(ExecOptions { use_result_cache: false, ..opts });
+            c.set_stats_mode(stats);
+            c.set_opt_flags(flags);
+            let r = c.query(&sql).unwrap_or_else(|e| panic!("{label}: {e}\nsql: {sql}"));
+            let rows: Vec<Vec<Value>> = (0..r.nrows()).map(|i| r.row(i)).collect();
+            prop_assert_eq!(
+                &want,
+                &canonical(&rows),
+                "{} diverges from the unoptimized rowstore (seed {})\nsql: {}\ninserts: {:?}",
+                label,
+                seed,
+                sql,
+                inserts
+            );
+        }
+        let rdb = monetlite_rowstore::RowDb::in_memory();
+        rdb.run_script(FUZZ_DDL).unwrap();
+        for ins in &inserts {
+            rdb.execute(ins).unwrap();
+        }
+        let r = rdb.query(&sql).unwrap_or_else(|e| panic!("rowstore: {e}\nsql: {sql}"));
+        prop_assert_eq!(&want, &canonical(&r.rows), "optimized rowstore (seed {})\nsql: {}", seed, sql);
+    }
+}
+
 #[test]
 fn keyless_left_join_with_build_only_on_is_not_a_scalar_join() {
     // Regression (review finding): the optimizer sinks build-side-only ON

@@ -20,8 +20,18 @@ fn golden_path(n: usize) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden").join(format!("q{n:02}.tbl"))
 }
 
+/// Every leg executes: with the result cache on, a leg whose options equal
+/// an earlier leg's (e.g. the spilled leg under a CI-wide
+/// `MONETLITE_MEMORY_BUDGET` equal to its budget) would be answered from
+/// the cache, and nothing it claims to exercise would run.
 fn streaming(threads: usize, vector_size: usize) -> ExecOptions {
-    ExecOptions { mode: ExecMode::Streaming, threads, vector_size, ..Default::default() }
+    ExecOptions {
+        mode: ExecMode::Streaming,
+        threads,
+        vector_size,
+        use_result_cache: false,
+        ..Default::default()
+    }
 }
 
 fn dict(mut o: ExecOptions, on: bool) -> ExecOptions {

@@ -604,3 +604,136 @@ fn limit_and_topn_agree_and_exit_early() {
     // shape dispatches far fewer morsels than the full scan would need.
     // (Covered more directly in crates/core pipeline unit tests.)
 }
+
+// ---------------------------------------------------------------------------
+// Filter-only scan columns: a scan reads the columns its pushed filters
+// test but emits only what its parent consumes — possibly nothing at all,
+// when the chunk carries just a row count.
+// ---------------------------------------------------------------------------
+
+fn filter_only_db() -> monetlite::Database {
+    let db = monetlite::Database::open_in_memory();
+    let mut conn = db.connect();
+    conn.run_script(
+        "CREATE TABLE fo (a INT, b INT, s VARCHAR(8)); \
+         CREATE TABLE fo_empty (a INT, b INT, s VARCHAR(8)); \
+         CREATE TABLE fo_dim (k INT, name VARCHAR(8));",
+    )
+    .unwrap();
+    let n = 6_000;
+    conn.append(
+        "fo",
+        vec![
+            ColumnBuffer::Int((0..n).collect()),
+            ColumnBuffer::Int((0..n).map(|i| i % 11).collect()),
+            ColumnBuffer::Varchar(
+                (0..n).map(|i| (i % 17 != 0).then(|| format!("s{}", i % 13))).collect(),
+            ),
+        ],
+    )
+    .unwrap();
+    conn.append(
+        "fo_dim",
+        vec![
+            ColumnBuffer::Int((0..11).collect()),
+            ColumnBuffer::Varchar((0..11).map(|i| Some(format!("n{i}"))).collect()),
+        ],
+    )
+    .unwrap();
+    // Deletes straddle every vector size used below.
+    conn.execute("DELETE FROM fo WHERE a % 97 = 0 OR (a >= 2048 AND a < 2600)").unwrap();
+    db
+}
+
+#[test]
+fn filter_only_scans_agree_across_engines_and_options() {
+    let db = filter_only_db();
+    // Scans whose outputs are a strict subset of what they read — down to
+    // no output column at all (count(*)), on a table with deletes and on
+    // an empty one, alone and on both sides of a join.
+    let sqls = [
+        "SELECT count(*) FROM fo WHERE a > 100",
+        "SELECT count(*) FROM fo WHERE b = 3 AND s LIKE 's1%'",
+        "SELECT sum(a) FROM fo WHERE b < 4 AND s IS NOT NULL",
+        "SELECT count(*), sum(b) FROM fo WHERE s = 's5'",
+        "SELECT count(*) FROM fo_empty WHERE a > 1",
+        "SELECT sum(a) FROM fo_empty WHERE b = 2 AND s = 'x'",
+        "SELECT count(*), sum(fo.a) FROM fo, fo_dim \
+         WHERE fo.b = fo_dim.k AND fo_dim.name = 'n3' AND fo.s <> 's1'",
+        "SELECT fo_dim.name, count(*) FROM fo, fo_dim \
+         WHERE fo.b = fo_dim.k AND fo.s LIKE '%1%' GROUP BY fo_dim.name ORDER BY 1",
+    ];
+    let mut conn = db.connect();
+    let plan = conn.query("EXPLAIN SELECT count(*) FROM fo WHERE a > 100").unwrap();
+    let text: Vec<String> = (0..plan.nrows()).map(|i| plan.value(i, 0).to_string()).collect();
+    assert!(
+        text.iter().any(|l| l.contains("scan fo cols=[] filter-only=[0]")),
+        "count(*) over a filtered scan emits no column:\n{}",
+        text.join("\n")
+    );
+    let both = |mut o: ExecOptions, cands: bool, dict: bool| {
+        o.use_candidates = cands;
+        o.use_zonemaps = cands;
+        o.use_dict = dict;
+        o.use_result_cache = false;
+        o
+    };
+    for sql in sqls {
+        let base = run(&db, sql, both(materialized(), true, true));
+        let mut legs = Vec::new();
+        for threads in [1, 4] {
+            let mut m = both(materialized(), true, true);
+            m.threads = threads;
+            m.mitosis_min_rows = 1000;
+            legs.push((format!("materialized t={threads}"), m));
+            for vs in [64 * 1024, 512, 333] {
+                for (cands, dict) in [(true, true), (false, true), (true, false)] {
+                    legs.push((
+                        format!("streaming t={threads} v={vs} cands={cands} dict={dict}"),
+                        both(streaming(threads, vs), cands, dict),
+                    ));
+                }
+            }
+        }
+        for (label, opts) in legs {
+            assert_rows_eq(sql, &base, &run(&db, sql, opts), &label);
+        }
+    }
+    // The join paths the scan's output width feeds still fire: a filtered
+    // dimension pushes its bloom into the probe scan, and an unfiltered
+    // one is probed through its automatic hash index.
+    let opts = both(streaming(1, 512), true, true);
+    let (_, c) = run_counting(&db, sqls[6], ExecOptions { use_hash_index: false, ..opts });
+    assert!(c.bloom_pruned > 0, "bloom into a scan with filter-only columns: {c:?}");
+    let (_, c) = run_counting(&db, sqls[7], ExecOptions { use_hash_index: true, ..opts });
+    assert!(c.hash_index_joins > 0, "index join beside a filter-only scan: {c:?}");
+}
+
+/// TPC-H keeps its tactical join paths once scans stop emitting
+/// filter-only columns: Q17's filtered part build still prunes lineitem
+/// through a bloom, and Q18 — its IN now probing orders alone — pushes a
+/// bloom into lineitem and probes customer through the hash index.
+#[test]
+fn tpch_bloom_and_index_joins_fire_beside_filter_only_scans() {
+    let data = generate(0.005, 42);
+    let db = monetlite::Database::open_in_memory();
+    let mut conn = db.connect();
+    load_monet(&mut conn, &data).unwrap();
+    drop(conn);
+    let opts = ExecOptions {
+        use_dict: true,
+        use_hash_index: true,
+        use_result_cache: false,
+        ..streaming(1, 1024)
+    };
+    for n in [17, 18] {
+        let sql = queries::sql(n);
+        let base = run(&db, sql, materialized());
+        let (got, c) = run_counting(&db, sql, opts);
+        assert_rows_eq(sql, &base, &got, &format!("Q{n}"));
+        assert!(c.bloom_pruned > 0, "Q{n}: bloom must prune probe rows: {c:?}");
+        if n == 18 {
+            assert!(c.hash_index_joins > 0, "Q18: customer probed via its index: {c:?}");
+        }
+    }
+}

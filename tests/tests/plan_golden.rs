@@ -209,6 +209,68 @@ fn join_heavy_queries_lead_with_the_filtered_small_side() {
     );
 }
 
+/// The early-reduction rewrites land where they pay, under real
+/// statistics: Q18's selective `IN (… having sum > 300)` probes orders
+/// alone, Q21's unselective EXISTS stays above its cluster (forced down,
+/// it would probe all of l1 and drop nothing), Q7's nation-pair
+/// disjunction filters
+/// both nation scans, and Q13's `o_comment` is read by its filter only.
+#[test]
+fn early_reduction_shapes_on_q7_q13_q18_q21() {
+    let data = generate(GOLDEN_SF, GOLDEN_SEED);
+    let db = monetlite::Database::open_in_memory();
+    let mut load_conn = db.connect();
+    load_monet(&mut load_conn, &data).unwrap();
+    let mut conn = connect_pinned(&db);
+    let tree = |conn: &mut monetlite::Connection, n: usize| -> Vec<String> {
+        explain_text(conn, n)
+            .lines()
+            .skip(1)
+            .take_while(|l| !l.starts_with("--"))
+            .map(str::to_string)
+            .collect()
+    };
+    // The line right below a join is its probe (left) input.
+    let probe_of = |tree: &[String], join: &str| -> String {
+        let at = tree
+            .iter()
+            .position(|l| l.trim_start().starts_with(join))
+            .unwrap_or_else(|| panic!("no '{join}' in:\n{}", tree.join("\n")));
+        tree[at + 1].trim_start().to_string()
+    };
+    let q18 = tree(&mut conn, 18);
+    assert!(
+        probe_of(&q18, "semi join").starts_with("scan orders"),
+        "Q18: the IN must probe orders alone:\n{}",
+        q18.join("\n")
+    );
+    let q21 = tree(&mut conn, 21);
+    assert!(
+        !probe_of(&q21, "semi join").starts_with("scan"),
+        "Q21: the EXISTS must stay above the join cluster:\n{}",
+        q21.join("\n")
+    );
+    let q7 = tree(&mut conn, 7);
+    let nations: Vec<&String> =
+        q7.iter().filter(|l| l.trim_start().starts_with("scan nation")).collect();
+    assert_eq!(nations.len(), 2, "Q7:\n{}", q7.join("\n"));
+    for scan in nations {
+        assert!(
+            scan.contains("where") && scan.contains("'FRANCE'") && scan.contains("'GERMANY'"),
+            "Q7: each nation scan must carry the derived filter: {scan}"
+        );
+    }
+    let q13 = tree(&mut conn, 13);
+    let orders = q13
+        .iter()
+        .find(|l| l.trim_start().starts_with("scan orders"))
+        .unwrap_or_else(|| panic!("Q13:\n{}", q13.join("\n")));
+    assert!(
+        orders.contains("cols=[0, 1] filter-only=[8]"),
+        "Q13: o_comment must be read by its filter only: {orders}"
+    );
+}
+
 /// Answer sweep with DP ordering ablated: the greedy fallback must still
 /// produce byte-identical answers for all 22 queries (plans may differ —
 /// results may not). Mirrors the `MONETLITE_JOINORDER=0` CI leg.
