@@ -1,5 +1,6 @@
-//! Criterion benches for the DESIGN.md §4 ablations: imprints, automatic
-//! hash indexes, order index, heap dedup, transfer modes.
+//! Criterion benches for the paper's design-choice ablations (the same
+//! set as `repro`'s `ablations`): imprints, automatic hash indexes, order
+//! index, heap dedup, transfer modes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;

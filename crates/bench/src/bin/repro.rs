@@ -95,7 +95,9 @@ fn main() {
     }
 }
 
-/// Design-choice ablations called out in DESIGN.md §4.
+/// The paper's design choices switched off one at a time: result transfer
+/// modes (§3.3), imprints, the order index, automatic hash indexes, heap
+/// duplicate elimination and mitosis (§3.1).
 fn ablations(cfg: &BenchConfig) {
     use monetlite::exec::ExecOptions;
     use monetlite::host::{HostFrame, TransferMode};

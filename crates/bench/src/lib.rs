@@ -6,7 +6,8 @@
 //! root (`BENCH_perfbench.json` for the end-to-end benchmark, one file per
 //! feature suite beside it); a paper-vs-measured ledger is ROADMAP item 1c.
 //!
-//! Systems under test (paper §4.1 → our substitutions, DESIGN.md §1):
+//! Systems under test (paper §4.1 → our substitutions; ARCHITECTURE.md
+//! lists the crates behind them):
 //!
 //! | paper        | here |
 //! |--------------|------|
@@ -544,7 +545,8 @@ pub fn table1(cfg: &BenchConfig, sf10: bool) -> (Vec<String>, Vec<(String, Vec<C
         rows.push((label, cells));
     }
     // The library baseline (one stands in for data.table/dplyr/Pandas/
-    // Julia, DESIGN.md §1): memory budget = 2× the dataset at "SF10".
+    // Julia, see the table at the top of this file): memory budget = 2×
+    // the dataset at "SF10".
     let budget = if sf10 { data.bytes() * 2 } else { usize::MAX };
     let session = Session::with_budget(budget);
     let loaded = frames::TpchFrames::load(&session, &data);
@@ -667,7 +669,9 @@ pub fn fig7_acs_load(cfg: &BenchConfig) -> Vec<(String, Cell)> {
 }
 
 /// A [`ColumnSource`] over an embedded monetlite connection: per-column
-/// SQL export (zero-copy for fixed-width columns).
+/// SQL export, a zero-copy import whose columns are then converted with
+/// [`HostColumn::native`](monetlite::host::HostColumn::native), because the
+/// survey code reads owned host buffers.
 pub struct MonetSource<'a> {
     /// The connection.
     pub conn: &'a mut monetlite::Connection,

@@ -1643,7 +1643,7 @@ mod tests {
             Schema::new(cols.iter().map(|(n, b)| Field::new(*n, b.logical_type())).collect())
                 .unwrap();
         let data = TableData::empty(&schema);
-        let data = data.appended(cols.into_iter().map(|(_, b)| b).collect()).unwrap();
+        let data = data.appended(cols.into_iter().map(|(_, b)| b)).unwrap();
         Arc::new(TableMeta {
             id: 1,
             name: name.into(),

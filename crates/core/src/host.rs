@@ -3,7 +3,7 @@
 //! conversion.
 //!
 //! The paper's three mechanisms map to safe Rust as follows (see
-//! DESIGN.md §7 for the full argument):
+//! ARCHITECTURE.md "Host transfer" for the full argument):
 //!
 //! | paper                                   | here                        |
 //! |-----------------------------------------|-----------------------------|
@@ -11,12 +11,20 @@
 //! | header forgery (`mmap MAP_FIXED`)       | host metadata out-of-line — cost is O(1) either way |
 //! | `PROT_NONE` + SIGSEGV-driven conversion | [`LazyColumn`] materialising on first access |
 //!
-//! Zero copy applies only when the host representation is bit-compatible
-//! ("contiguous C-style arrays containing four-byte signed integers"):
-//! every fixed-width type qualifies; VARCHAR always converts.
+//! Zero copy applies when the host can read the engine's representation
+//! as it is. The paper's R host needs "contiguous C-style arrays", so
+//! there every string converts. A Rust host reads a VARCHAR column as the
+//! engine keeps it — offsets into a copy-on-write
+//! [`StringHeap`](monetlite_storage::StringHeap), `&str` by row through
+//! [`HostColumn::str_at`] — so every column type is shared. The one
+//! exception protects the host's memory: a string column whose rows hold
+//! only a small part of a large heap (a few rows gathered out of a long
+//! comment column) is compacted into a heap of its own rather than keeping
+//! the whole heap alive; see [`MAX_HEAP_PIN_RATIO`].
 
+use monetlite_storage::heap::NULL_OFFSET;
 use monetlite_storage::Bat;
-use monetlite_types::{ColumnBuffer, LogicalType, Value};
+use monetlite_types::{ColumnBuffer, LogicalType, MlError, Result, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -25,8 +33,9 @@ use crate::QueryResult;
 /// How a result set crosses the embedding boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
-    /// Share fixed-width columns, convert only strings (the MonetDBLite
-    /// default).
+    /// Share every column, strings included, copy-on-write (the
+    /// MonetDBLite default). Only a string column that would pin a much
+    /// larger heap is copied, compacted (see [`MAX_HEAP_PIN_RATIO`]).
     ZeroCopy,
     /// Convert every column up front (what a conventional driver does).
     Eager,
@@ -34,12 +43,21 @@ pub enum TransferMode {
     Lazy,
 }
 
+/// A zero-copy string column may keep alive at most this many heap bytes
+/// per byte its rows hold (each row's heap entry, length prefix included,
+/// counted once per row — what an owned copy of those strings would
+/// occupy). A column beyond it is compacted at import: its strings are
+/// re-interned into a fresh heap in one pass, and those bytes count as
+/// copied.
+pub const MAX_HEAP_PIN_RATIO: usize = 4;
+
 /// Transfer statistics, the quantities Figures 5/6 measure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Columns shared without copying.
     pub zero_copied: usize,
-    /// Columns converted (copied) during import.
+    /// Columns converted (copied) during import, compacted string columns
+    /// included.
     pub converted: usize,
     /// Columns deferred for lazy conversion.
     pub deferred: usize,
@@ -49,9 +67,9 @@ pub struct TransferStats {
 
 /// One column as seen by the host environment.
 pub enum HostColumn {
-    /// Shared with the engine: reads are free, the first write clones
-    /// (copy-on-write — the `mprotect` discipline of §3.3 enforced by the
-    /// type system instead of the MMU).
+    /// The engine's representation, read in place: shared with the engine
+    /// until the first write clones it (copy-on-write — the `mprotect`
+    /// discipline of §3.3 enforced by the type system instead of the MMU).
     Shared(SharedArray),
     /// Fully materialised native array.
     Native(ColumnBuffer),
@@ -60,10 +78,10 @@ pub enum HostColumn {
 }
 
 impl HostColumn {
-    /// Row count.
+    /// Row count (of the host's copy once it has written one).
     pub fn len(&self) -> usize {
         match self {
-            HostColumn::Shared(s) => s.bat.len(),
+            HostColumn::Shared(s) => s.view().len(),
             HostColumn::Native(b) => b.len(),
             HostColumn::Lazy(l) => l.bat.len(),
         }
@@ -83,6 +101,17 @@ impl HostColumn {
         }
     }
 
+    /// Borrow the string at `row` (`None` for NULL) without allocating;
+    /// a lazy column converts first. An error, never a panic, for a
+    /// non-VARCHAR column or a row out of range.
+    pub fn str_at(&self, row: usize) -> Result<Option<&str>> {
+        match self {
+            HostColumn::Shared(s) => s.str_at(row),
+            HostColumn::Native(b) => buffer_str_at(b, row),
+            HostColumn::Lazy(l) => buffer_str_at(l.materialized(), row),
+        }
+    }
+
     /// View as a fully native buffer (triggers conversion where needed).
     pub fn native(&self) -> ColumnBuffer {
         match self {
@@ -93,44 +122,96 @@ impl HostColumn {
     }
 }
 
-/// A column shared between database and host with copy-on-write.
+fn buffer_str_at(b: &ColumnBuffer, row: usize) -> Result<Option<&str>> {
+    match b {
+        ColumnBuffer::Varchar(v) => match v.get(row) {
+            Some(s) => Ok(s.as_deref()),
+            None => Err(out_of_range(row, v.len())),
+        },
+        other => Err(not_varchar(other.logical_type())),
+    }
+}
+
+fn out_of_range(row: usize, len: usize) -> MlError {
+    MlError::Execution(format!("row {row} out of range for a column of {len} rows"))
+}
+
+fn not_varchar(ty: LogicalType) -> MlError {
+    MlError::TypeMismatch(format!("string access to a {ty} column"))
+}
+
+/// A column in the engine's representation, held by the host with
+/// copy-on-write.
 pub struct SharedArray {
     bat: Arc<Bat>,
-    /// Local copy created on first write (copy-on-write).
-    local: Option<Box<Bat>>,
+    /// Set by the first write (or at import for a compacted column): from
+    /// then on `bat` is the host's own copy.
+    owned: bool,
     cow_events: Arc<AtomicU64>,
 }
 
 impl SharedArray {
-    fn new(bat: Arc<Bat>, cow_events: Arc<AtomicU64>) -> SharedArray {
-        SharedArray { bat, local: None, cow_events }
-    }
-
     /// Read-only view (no copy ever).
     pub fn view(&self) -> &Bat {
-        match &self.local {
-            Some(l) => l,
-            None => &self.bat,
-        }
+        &self.bat
     }
 
     /// True while still physically sharing the database's array.
     pub fn is_shared(&self) -> bool {
-        self.local.is_none()
+        !self.owned
+    }
+
+    fn str_at(&self, row: usize) -> Result<Option<&str>> {
+        match self.view() {
+            Bat::Varchar { offsets, heap } => match offsets.get(row) {
+                Some(&NULL_OFFSET) => Ok(None),
+                Some(&o) => Ok(Some(heap.get(o))),
+                None => Err(out_of_range(row, offsets.len())),
+            },
+            other => Err(not_varchar(other.logical_type())),
+        }
     }
 
     /// Mutable access: the first call copies the data into host-owned
     /// memory ("If code from the target environment attempts to write into
     /// the shared data area, the data should be copied within the target
     /// environment and only the copy modified", §3.3). The database's copy
-    /// is never touched.
+    /// is never touched. For a string column the copy is the offsets; the
+    /// heap stays shared until the host adds a string to it.
     pub fn make_mut(&mut self) -> &mut Bat {
-        if self.local.is_none() {
+        if !self.owned {
+            self.owned = true;
             self.cow_events.fetch_add(1, Ordering::Relaxed);
-            self.local = Some(Box::new((*self.bat).clone()));
         }
-        self.local.as_mut().unwrap()
+        Arc::make_mut(&mut self.bat)
     }
+}
+
+/// `bat` re-interned into a heap of its own when sharing it would pin a
+/// heap more than [`MAX_HEAP_PIN_RATIO`] times the bytes its rows hold;
+/// `None` when it can be shared as it is. The scan stops once the rows are
+/// known to hold enough, so a column that references its whole heap reads
+/// about `1 / MAX_HEAP_PIN_RATIO` of it.
+fn compacted(bat: &Bat) -> Option<Bat> {
+    let Bat::Varchar { offsets, heap } = bat else {
+        return None;
+    };
+    let enough = heap.size_bytes() / MAX_HEAP_PIN_RATIO;
+    let mut held = 0;
+    for &o in offsets {
+        if held >= enough {
+            return None;
+        }
+        if o != NULL_OFFSET {
+            held += 4 + heap.get_bytes(o).len();
+        }
+    }
+    if held >= enough {
+        return None;
+    }
+    let mut own = Bat::with_capacity(LogicalType::Varchar, offsets.len());
+    own.append_bat(bat).expect("a VARCHAR column appends to a VARCHAR column");
+    Some(own)
 }
 
 /// A lazily converted column: conversion cost is paid only if the host
@@ -180,19 +261,28 @@ impl HostFrame {
         let mut cols = Vec::with_capacity(result.ncols());
         for i in 0..result.ncols() {
             let bat = result.col_shared(i);
-            let fixed = result.types()[i] != LogicalType::Varchar;
-            let col = match (mode, fixed) {
-                (TransferMode::ZeroCopy, true) => {
-                    stats.zero_copied += 1;
-                    HostColumn::Shared(SharedArray::new(bat, cow_events.clone()))
+            let col = match mode {
+                TransferMode::ZeroCopy => {
+                    let (bat, owned) = match compacted(&bat) {
+                        None => {
+                            stats.zero_copied += 1;
+                            (bat, false)
+                        }
+                        Some(own) => {
+                            stats.converted += 1;
+                            stats.bytes_copied += own.size_bytes();
+                            (Arc::new(own), true)
+                        }
+                    };
+                    HostColumn::Shared(SharedArray { bat, owned, cow_events: cow_events.clone() })
                 }
-                (TransferMode::ZeroCopy, false) | (TransferMode::Eager, _) => {
+                TransferMode::Eager => {
                     stats.converted += 1;
                     let buf = bat.to_buffer(None);
                     stats.bytes_copied += buf.size_bytes();
                     HostColumn::Native(buf)
                 }
-                (TransferMode::Lazy, _) => {
+                TransferMode::Lazy => {
                     stats.deferred += 1;
                     HostColumn::Lazy(LazyColumn {
                         bat,
@@ -237,6 +327,7 @@ impl HostFrame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecOptions;
     use crate::Database;
 
     fn result() -> (Database, QueryResult) {
@@ -251,27 +342,39 @@ mod tests {
         (db, r)
     }
 
+    fn shared(c: &mut HostColumn) -> &mut SharedArray {
+        match c {
+            HostColumn::Shared(s) => s,
+            _ => panic!("expected a shared column"),
+        }
+    }
+
     #[test]
-    fn zero_copy_shares_fixed_width_only() {
+    fn zero_copy_shares_every_column() {
         let (_db, r) = result();
-        let f = HostFrame::import(&r, TransferMode::ZeroCopy);
-        assert_eq!(f.stats.zero_copied, 2, "int and double share");
-        assert_eq!(f.stats.converted, 1, "varchar converts");
-        match &f.cols[0] {
-            HostColumn::Shared(s) => assert!(s.is_shared()),
-            other => panic!("expected shared, got {:?}", other.len()),
+        let mut f = HostFrame::import(&r, TransferMode::ZeroCopy);
+        assert_eq!(f.stats.zero_copied, 3, "int, varchar and double share");
+        assert_eq!((f.stats.converted, f.stats.bytes_copied), (0, 0));
+        for i in 0..3 {
+            let s = shared(f.col_mut(i));
+            assert!(s.is_shared());
+            assert!(Arc::ptr_eq(&s.bat, &r.col_shared(i)), "column {i} was copied");
         }
         assert_eq!(f.cols[1].get(0), Value::Str("x".into()));
     }
 
     #[test]
     fn zero_copy_is_o1_in_data_size() {
-        // Transfer stats must show zero bytes copied for fixed columns.
-        let (_db, r) = result();
+        // A long, high-NDV string column shares as cheaply as a short one.
+        let db = Database::open_in_memory();
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE s (v VARCHAR(40))").unwrap();
+        let strs = (0..20_000).map(|i| Some(format!("a long enough comment, number {i}")));
+        conn.append("s", vec![ColumnBuffer::Varchar(strs.collect())]).unwrap();
+        let r = conn.query("SELECT v FROM s").unwrap();
         let f = HostFrame::import(&r, TransferMode::ZeroCopy);
-        // Only the varchar column contributes copied bytes.
-        let varchar_bytes = r.col_shared(1).to_buffer(None).size_bytes();
-        assert_eq!(f.stats.bytes_copied, varchar_bytes);
+        assert_eq!((f.stats.zero_copied, f.stats.bytes_copied), (1, 0));
+        assert_eq!(f.cols[0].str_at(19_999).unwrap(), Some("a long enough comment, number 19999"));
     }
 
     #[test]
@@ -280,24 +383,80 @@ mod tests {
         let mut f = HostFrame::import(&r, TransferMode::ZeroCopy);
         assert_eq!(f.cow_count(), 0);
         // Host mutates column 0.
-        if let HostColumn::Shared(s) = f.col_mut(0) {
-            let local = s.make_mut();
-            if let Bat::Int(v) = local {
-                v[0] = 999;
-            }
-            assert!(!s.is_shared());
-        } else {
-            panic!("expected shared column");
+        let s = shared(f.col_mut(0));
+        if let Bat::Int(v) = s.make_mut() {
+            v[0] = 999;
         }
+        assert!(!s.is_shared());
         assert_eq!(f.cow_count(), 1);
         // The host sees the change; the database copy is untouched.
         assert_eq!(f.cols[0].get(0), Value::Int(999));
         assert_eq!(r.value(0, 0), Value::Int(1), "database data must be unmodified");
         // A second write does not copy again.
-        if let HostColumn::Shared(s) = f.col_mut(0) {
-            s.make_mut();
-        }
+        shared(f.col_mut(0)).make_mut();
         assert_eq!(f.cow_count(), 1);
+    }
+
+    #[test]
+    fn copy_on_write_isolates_strings_for_an_edited_offset_and_a_new_string() {
+        let (_db, r) = result();
+        let heap_bytes = |b: &Bat| match b {
+            Bat::Varchar { heap, .. } => heap.raw().to_vec(),
+            _ => panic!("varchar expected"),
+        };
+        let db_heap = heap_bytes(&r.col_shared(1));
+        let mut f = HostFrame::import(&r, TransferMode::ZeroCopy);
+        // An edited offset: row 2 (NULL) now reads row 0's string.
+        let Bat::Varchar { offsets, .. } = shared(f.col_mut(1)).make_mut() else {
+            panic!("varchar expected")
+        };
+        offsets[2] = offsets[0];
+        assert_eq!(f.cols[1].str_at(2).unwrap(), Some("x"));
+        assert_eq!(r.value(2, 1), Value::Null, "the database's offsets were written");
+        // A new string: the heap the host shares is copied on insertion.
+        let Bat::Varchar { offsets, heap } = shared(f.col_mut(1)).make_mut() else {
+            panic!("varchar expected")
+        };
+        offsets[1] = heap.add("brand new");
+        assert_eq!(f.cols[1].str_at(1).unwrap(), Some("brand new"));
+        assert_eq!(r.value(1, 1), Value::Str("y".into()));
+        assert_eq!(heap_bytes(&r.col_shared(1)), db_heap, "the database's heap was written");
+        assert_eq!(f.cow_count(), 1);
+    }
+
+    #[test]
+    fn len_follows_the_host_copy_after_a_write() {
+        let (_db, r) = result();
+        let mut f = HostFrame::import(&r, TransferMode::ZeroCopy);
+        shared(f.col_mut(0)).make_mut().push(&Value::Int(4)).unwrap();
+        assert_eq!((f.cols[0].len(), f.cols[0].get(3)), (4, Value::Int(4)));
+        assert_eq!((f.cols[2].len(), r.col_shared(0).len()), (3, 3));
+    }
+
+    #[test]
+    fn str_at_reads_every_form_and_rejects_what_is_not_a_string() {
+        let (_db, r) = result();
+        for mode in [TransferMode::ZeroCopy, TransferMode::Eager, TransferMode::Lazy] {
+            let f = HostFrame::import(&r, mode);
+            let b = &f.cols[1];
+            assert_eq!((b.str_at(0).unwrap(), b.str_at(1).unwrap()), (Some("x"), Some("y")));
+            assert_eq!(b.str_at(2).unwrap(), None, "{mode:?}: NULL reads as None");
+            assert!(matches!(b.str_at(3), Err(MlError::Execution(_))), "{mode:?}: past the end");
+            assert!(matches!(f.cols[0].str_at(0), Err(MlError::TypeMismatch(_))), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn native_is_the_eager_buffer() {
+        let (_db, r) = result();
+        let eager = HostFrame::import(&r, TransferMode::Eager);
+        for mode in [TransferMode::ZeroCopy, TransferMode::Lazy] {
+            let f = HostFrame::import(&r, mode);
+            for (c, e) in f.cols.iter().zip(&eager.cols) {
+                let HostColumn::Native(want) = e else { panic!("eager columns are native") };
+                assert_eq!(&c.native(), want, "{mode:?}");
+            }
+        }
     }
 
     #[test]
@@ -326,6 +485,61 @@ mod tests {
         // Repeated access converts nothing further.
         assert_eq!(f.cols[0].get(2), Value::Int(3));
         assert_eq!(f.lazy_conversions(), 1);
+    }
+
+    #[test]
+    fn a_host_write_does_not_reach_the_result_cache() {
+        let db = Database::open_in_memory();
+        let mut conn = db.connect();
+        conn.set_exec_options(ExecOptions { use_result_cache: true, ..Default::default() });
+        conn.run_script("CREATE TABLE t (a INT, b VARCHAR(10)); INSERT INTO t VALUES (1, 'x');")
+            .unwrap();
+        let sql = "SELECT a, b FROM t";
+        let first = conn.query(sql).unwrap();
+        let mut f = HostFrame::import(&first, TransferMode::ZeroCopy);
+        if let Bat::Int(v) = shared(f.col_mut(0)).make_mut() {
+            v[0] = 7;
+        }
+        if let Bat::Varchar { offsets, heap } = shared(f.col_mut(1)).make_mut() {
+            offsets[0] = heap.add("host");
+        }
+        let hits = db.result_cache().hits.load(Ordering::Relaxed);
+        let again = conn.query(sql).unwrap();
+        assert_eq!(db.result_cache().hits.load(Ordering::Relaxed), hits + 1, "not a cache hit");
+        assert!(Arc::ptr_eq(&again.col_shared(1), &first.col_shared(1)));
+        assert_eq!(again.row(0), vec![Value::Int(1), Value::Str("x".into())]);
+        assert_eq!(f.cols[0].get(0), Value::Int(7));
+        assert_eq!(f.cols[1].str_at(0).unwrap(), Some("host"));
+    }
+
+    #[test]
+    fn a_small_selection_over_a_large_heap_is_compacted_and_counted() {
+        let db = Database::open_in_memory();
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE s (k INT, v VARCHAR(40))").unwrap();
+        let n = 5000;
+        conn.append(
+            "s",
+            vec![
+                ColumnBuffer::Int((0..n).collect()),
+                ColumnBuffer::Varchar((0..n).map(|i| Some(format!("comment {i:06}"))).collect()),
+            ],
+        )
+        .unwrap();
+        let r = conn.query("SELECT v FROM s WHERE k = 1234 OR k = 4321").unwrap();
+        assert_eq!(r.nrows(), 2);
+        let Bat::Varchar { heap, .. } = &*r.col_shared(0) else { panic!("varchar expected") };
+        assert!(heap.size_bytes() > 1000 * 18, "the result shares the table's heap");
+        let mut f = HostFrame::import(&r, TransferMode::ZeroCopy);
+        assert_eq!((f.stats.zero_copied, f.stats.converted), (0, 1));
+        // Two offsets, the NULL marker byte, two 4 + 14 byte entries.
+        assert_eq!(f.stats.bytes_copied, 2 * 4 + 1 + 2 * (4 + 14));
+        assert_eq!(f.cols[0].str_at(1).unwrap(), Some("comment 004321"));
+        let s = shared(f.col_mut(0));
+        assert!(!s.is_shared() && !Arc::ptr_eq(&s.bat, &r.col_shared(0)));
+        // The compacted column is the host's already: a write copies nothing.
+        s.make_mut();
+        assert_eq!(f.cow_count(), 0);
     }
 
     #[test]

@@ -544,7 +544,7 @@ impl Connection {
                 return Err(MlError::Execution(format!("NULL in NOT NULL column '{}'", f.name)));
             }
         }
-        let bats: Vec<Bat> = cols.iter().map(Bat::from_buffer).collect();
+        let bats = cols.into_iter().map(|c| Arc::new(Bat::adopt(c))).collect();
         self.apply_write(WalRecord::Append { table, cols: bats })
     }
 
@@ -1084,7 +1084,8 @@ impl Connection {
             }
         }
         let n = rows.len() as u64;
-        self.apply_write(WalRecord::Append { table: lname, cols: bats })?;
+        let cols = bats.into_iter().map(Arc::new).collect();
+        self.apply_write(WalRecord::Append { table: lname, cols })?;
         Ok(QueryResult::empty(n))
     }
 
@@ -1165,7 +1166,7 @@ impl Connection {
         // frame all cost O(changed rows) — and compute the new values.
         let gathered: Vec<Arc<Bat>> =
             meta.data.cols.iter().map(|c| c.gather(&rows).map(Arc::new)).collect::<Result<_>>()?;
-        let mut new_cols: Vec<Bat> = Vec::with_capacity(meta.schema.len());
+        let mut new_cols: Vec<Arc<Bat>> = Vec::with_capacity(meta.schema.len());
         for (i, f) in meta.schema.fields().iter().enumerate() {
             match set_exprs.get(&i) {
                 Some(e) => {
@@ -1183,9 +1184,9 @@ impl Connection {
                             f.name
                         )));
                     }
-                    new_cols.push(b);
+                    new_cols.push(Arc::new(b));
                 }
-                None => new_cols.push((*gathered[i]).clone()),
+                None => new_cols.push(gathered[i].clone()),
             }
         }
         let n = rows.len() as u64;

@@ -254,37 +254,48 @@ impl Bat {
         Ok(())
     }
 
-    /// Bulk-convert a host buffer into a BAT. This is the engine side of
-    /// `monetdb_append`: a single pass, no per-row statement parsing.
+    /// Bulk-convert a borrowed host buffer into a BAT (copies it; see
+    /// [`Bat::adopt`] for a buffer the caller hands over).
     pub fn from_buffer(buf: &ColumnBuffer) -> Bat {
         match buf {
-            ColumnBuffer::Bool(v) => Bat::Bool(v.clone()),
-            ColumnBuffer::Int(v) => Bat::Int(v.clone()),
-            ColumnBuffer::Bigint(v) => Bat::Bigint(v.clone()),
-            ColumnBuffer::Double(v) => Bat::Double(v.clone()),
-            ColumnBuffer::Decimal { data, scale } => {
-                Bat::Decimal { data: data.clone(), scale: *scale }
-            }
-            ColumnBuffer::Varchar(v) => {
-                let mut heap = StringHeap::new();
-                let offsets = v
-                    .iter()
-                    .map(|s| match s {
-                        None => NULL_OFFSET,
-                        Some(s) => heap.add(s),
-                    })
-                    .collect();
-                Bat::Varchar { offsets, heap }
-            }
-            ColumnBuffer::Date(v) => Bat::Date(v.clone()),
+            ColumnBuffer::Varchar(v) => Bat::intern(v),
+            fixed => Bat::adopt(fixed.clone()),
         }
+    }
+
+    /// Take ownership of a host buffer: the engine side of
+    /// `monetdb_append`, a single pass with no per-row statement parsing.
+    /// Fixed-width arrays become the column as they are (no copy); strings
+    /// are interned into a fresh heap.
+    pub fn adopt(buf: ColumnBuffer) -> Bat {
+        match buf {
+            ColumnBuffer::Bool(v) => Bat::Bool(v),
+            ColumnBuffer::Int(v) => Bat::Int(v),
+            ColumnBuffer::Bigint(v) => Bat::Bigint(v),
+            ColumnBuffer::Double(v) => Bat::Double(v),
+            ColumnBuffer::Decimal { data, scale } => Bat::Decimal { data, scale },
+            ColumnBuffer::Varchar(v) => Bat::intern(&v),
+            ColumnBuffer::Date(v) => Bat::Date(v),
+        }
+    }
+
+    fn intern(strs: &[Option<String>]) -> Bat {
+        let mut heap = StringHeap::new();
+        let offsets = strs
+            .iter()
+            .map(|s| match s {
+                None => NULL_OFFSET,
+                Some(s) => heap.add(s),
+            })
+            .collect();
+        Bat::Varchar { offsets, heap }
     }
 
     /// Export to a host buffer; `sel` restricts and orders rows.
     ///
-    /// For fixed-width types with `sel == None` this is the eager-copy
-    /// conversion path; the zero-copy path in the core crate shares the
-    /// backing `Arc<Bat>` instead and never calls this.
+    /// With `sel == None` this is the eager-copy conversion path; the
+    /// zero-copy path in the core crate shares the backing `Arc<Bat>`
+    /// instead (strings included) and never calls this.
     pub fn to_buffer(&self, sel: Option<&[u32]>) -> ColumnBuffer {
         match sel {
             None => {

@@ -85,12 +85,14 @@ impl std::fmt::Debug for ColumnEntry {
 
 impl ColumnEntry {
     /// Wrap an in-memory BAT (fresh table data or consolidation result).
-    pub fn from_bat(bat: Bat) -> ColumnEntry {
+    /// An `Arc<Bat>` is adopted as it is: the entry shares it, never copies.
+    pub fn from_bat(bat: impl Into<Arc<Bat>>) -> ColumnEntry {
+        let bat = bat.into();
         ColumnEntry {
             id: next_column_id(),
             ty: bat.logical_type(),
             len: bat.len(),
-            slot: Arc::new(Mutex::new(Some(Arc::new(bat)))),
+            slot: Arc::new(Mutex::new(Some(bat))),
             backing: Mutex::new(None),
             vmem: Mutex::new(None),
             idx: Mutex::new(IdxCache::default()),
@@ -445,7 +447,8 @@ impl SegColumn {
     /// statistics and dictionary it carries), so alternating reads and
     /// appends re-consolidate from two segments, never from the whole
     /// history, and the chain depth stays bounded.
-    pub fn appended(&self, bat: Bat) -> SegColumn {
+    pub fn appended(&self, bat: impl Into<Arc<Bat>>) -> SegColumn {
+        let bat = bat.into();
         let rows = bat.len();
         let cached = self.consolidated.lock().clone();
         let prev = match cached {
@@ -461,6 +464,13 @@ impl SegColumn {
             }),
             consolidated: Mutex::new(None),
         }
+    }
+
+    /// The newest segment's entry (test instrumentation: an append must
+    /// hand the committed chain the very BAT the statement built).
+    #[doc(hidden)]
+    pub fn last_segment(&self) -> &Arc<ColumnEntry> {
+        &self.head.entry
     }
 
     /// Whether a reader has consolidated this multi-segment column and the
@@ -630,8 +640,12 @@ impl TableData {
 
     /// New version with `bats` appended column-wise: O(batch), whatever
     /// the table holds — existing segments are shared, not copied (but see
-    /// [`SegColumn::wants_consolidation`]).
-    pub fn appended(&self, bats: Vec<Bat>) -> Result<TableData> {
+    /// [`SegColumn::wants_consolidation`]), and so are the new BATs.
+    pub fn appended(
+        &self,
+        bats: impl IntoIterator<Item = impl Into<Arc<Bat>>>,
+    ) -> Result<TableData> {
+        let bats: Vec<Arc<Bat>> = bats.into_iter().map(Into::into).collect();
         if bats.len() != self.cols.len() {
             return Err(MlError::Execution(format!(
                 "append expects {} columns, got {}",
@@ -1033,7 +1047,7 @@ mod tests {
     fn append_arity_and_length_checked() {
         let schema = Schema::new(vec![Field::new("a", LogicalType::Int)]).unwrap();
         let t0 = TableData::empty(&schema);
-        assert!(t0.appended(vec![]).is_err());
+        assert!(t0.appended(Vec::<Bat>::new()).is_err());
         let schema2 =
             Schema::new(vec![Field::new("a", LogicalType::Int), Field::new("b", LogicalType::Int)])
                 .unwrap();

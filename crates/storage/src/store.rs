@@ -488,7 +488,7 @@ pub fn apply_record(
                 id: meta.id,
                 name: meta.name.clone(),
                 schema: meta.schema.clone(),
-                data: meta.data.appended(cols.to_vec())?,
+                data: meta.data.appended(cols.iter().cloned())?,
                 version: meta.version + 1,
                 ordered_cols: meta.ordered_cols.clone(),
             });
@@ -535,7 +535,7 @@ pub fn apply_record(
     Ok(())
 }
 
-fn check_append_types(schema: &Schema, cols: &[Bat]) -> Result<()> {
+fn check_append_types(schema: &Schema, cols: &[Arc<Bat>]) -> Result<()> {
     if cols.len() != schema.len() {
         return Err(MlError::Execution(format!(
             "append expects {} columns, got {}",
@@ -734,13 +734,17 @@ mod tests {
         .unwrap()
     }
 
+    fn shared(bats: Vec<Bat>) -> Vec<Arc<Bat>> {
+        bats.into_iter().map(Arc::new).collect()
+    }
+
     fn create_and_fill(store: &Store, rows: Vec<i32>) {
         let mut w = TxWrites::default();
         w.ops.push(WalRecord::CreateTable { name: "t".into(), schema: schema_ab() });
         let strs: Vec<Option<String>> = rows.iter().map(|i| Some(format!("s{i}"))).collect();
         w.ops.push(WalRecord::Append {
             table: "t".into(),
-            cols: vec![Bat::Int(rows), Bat::from_buffer(&ColumnBuffer::Varchar(strs))],
+            cols: shared(vec![Bat::Int(rows), Bat::from_buffer(&ColumnBuffer::Varchar(strs))]),
         });
         store.commit(w).unwrap();
     }
@@ -757,6 +761,25 @@ mod tests {
     }
 
     #[test]
+    fn append_shares_its_bats_with_the_overlay_and_the_snapshot() {
+        let store = Store::in_memory();
+        create_and_fill(&store, vec![1]);
+        let strs = ColumnBuffer::Varchar(vec![Some("s2".into())]);
+        let cols = shared(vec![Bat::Int(vec![2]), Bat::from_buffer(&strs)]);
+        let rec = WalRecord::Append { table: "t".into(), cols: cols.clone() };
+        // A transaction's overlay and the commit apply the same record.
+        let mut overlay = store.snapshot().tables.clone();
+        apply_record(&mut overlay, &rec, &mut 1).unwrap();
+        store.commit(TxWrites { ops: vec![rec], ..Default::default() }).unwrap();
+        let snap = store.snapshot();
+        for tables in [&overlay, &snap.tables] {
+            for (col, bat) in tables["t"].data.cols.iter().zip(&cols) {
+                assert!(Arc::ptr_eq(&col.last_segment().bat().unwrap(), bat), "BAT copied");
+            }
+        }
+    }
+
+    #[test]
     fn snapshot_isolation_across_commits() {
         let store = Store::in_memory();
         create_and_fill(&store, vec![1]);
@@ -765,7 +788,10 @@ mod tests {
         w.base_versions.insert("t".into(), old.table("t").unwrap().version);
         w.ops.push(WalRecord::Append {
             table: "t".into(),
-            cols: vec![Bat::Int(vec![2]), Bat::from_buffer(&ColumnBuffer::Varchar(vec![None]))],
+            cols: shared(vec![
+                Bat::Int(vec![2]),
+                Bat::from_buffer(&ColumnBuffer::Varchar(vec![None])),
+            ]),
         });
         store.commit(w).unwrap();
         assert_eq!(old.table("t").unwrap().data.visible_rows(), 1);
@@ -1091,10 +1117,10 @@ mod tests {
         let mut w = TxWrites::default();
         w.ops.push(WalRecord::Append {
             table: "t".into(),
-            cols: vec![
+            cols: shared(vec![
                 Bat::Double(vec![1.0]),
                 Bat::from_buffer(&ColumnBuffer::Varchar(vec![None])),
-            ],
+            ]),
         });
         assert!(matches!(store.commit(w), Err(MlError::TypeMismatch(_))));
     }
@@ -1135,10 +1161,10 @@ mod tests {
                 let mut w = TxWrites::default();
                 w.ops.push(WalRecord::Append {
                     table: "t".into(),
-                    cols: vec![
+                    cols: shared(vec![
                         Bat::Int(vec![4, 5]),
                         Bat::from_buffer(&ColumnBuffer::Varchar(vec![None, None])),
-                    ],
+                    ]),
                 });
                 store.commit(w).unwrap();
                 let mut w = TxWrites::default();
@@ -1212,7 +1238,10 @@ mod tests {
             let mut w = TxWrites::default();
             w.ops.push(WalRecord::Append {
                 table: "t".into(),
-                cols: vec![Bat::Int(vec![2]), Bat::from_buffer(&ColumnBuffer::Varchar(vec![None]))],
+                cols: shared(vec![
+                    Bat::Int(vec![2]),
+                    Bat::from_buffer(&ColumnBuffer::Varchar(vec![None])),
+                ]),
             });
             store.commit(w).unwrap();
         }
@@ -1236,7 +1265,7 @@ mod tests {
             w.ops.push(WalRecord::CreateTable { name: name.into(), schema });
             w.ops.push(WalRecord::Append {
                 table: name.into(),
-                cols: vec![Bat::Int((0..1000).collect())],
+                cols: shared(vec![Bat::Int((0..1000).collect())]),
             });
             store.commit(w).unwrap();
         }

@@ -22,6 +22,7 @@ use monetlite_types::{Field, LogicalType, MlError, Result, Schema};
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One logical write operation, as logged and as applied to the catalog.
 #[derive(Debug)]
@@ -47,8 +48,10 @@ pub enum WalRecord {
     Append {
         /// Target table.
         table: String,
-        /// One BAT per schema column.
-        cols: Vec<Bat>,
+        /// One BAT per schema column, shared (not copied) by the
+        /// transaction overlay, the committed snapshot and the frame
+        /// encoder.
+        cols: Vec<Arc<Bat>>,
     },
     /// Row deletions by physical row id.
     Delete {
@@ -269,7 +272,7 @@ fn decode_record(mut payload: &[u8]) -> Result<WalRecord> {
             let mut cols = Vec::with_capacity(n);
             let mut cursor = std::io::Cursor::new(*r);
             for _ in 0..n {
-                cols.push(decode_bat(&mut cursor)?);
+                cols.push(Arc::new(decode_bat(&mut cursor)?));
             }
             WalRecord::Append { table, cols }
         }
@@ -496,9 +499,12 @@ mod tests {
             w.append(&WalRecord::Append {
                 table: "t".into(),
                 cols: vec![
-                    Bat::Int(vec![1, 2]),
-                    Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("a".into()), None])),
-                    Bat::Decimal { data: vec![100, 250], scale: 2 },
+                    Arc::new(Bat::Int(vec![1, 2])),
+                    Arc::new(Bat::from_buffer(&ColumnBuffer::Varchar(vec![
+                        Some("a".into()),
+                        None,
+                    ]))),
+                    Arc::new(Bat::Decimal { data: vec![100, 250], scale: 2 }),
                 ],
             })
             .unwrap();

@@ -35,8 +35,8 @@ fn main() -> monetlite::types::Result<()> {
         println!("{:?}", result.row(r));
     }
 
-    // Zero-copy transfer into the "analytical environment": fixed-width
-    // columns are shared, not copied (paper §3.3).
+    // Zero-copy transfer into the "analytical environment": every column,
+    // strings included, is shared, not copied (paper §3.3).
     let all = conn.query("SELECT * FROM weather")?;
     let frame = HostFrame::import(&all, TransferMode::ZeroCopy);
     println!(

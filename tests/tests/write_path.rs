@@ -224,7 +224,7 @@ fn k_bulk_appends_leave_a_chain_of_k_plus_one_in_overlay_commit_and_replay() {
     apply_record(&mut overlay, &WalRecord::CreateTable { name: "t".into(), schema }, &mut next_id)
         .unwrap();
     for &(lo, hi) in &batches {
-        let cols = batch(lo, hi).iter().map(Bat::from_buffer).collect();
+        let cols = batch(lo, hi).into_iter().map(|c| Arc::new(Bat::adopt(c))).collect();
         apply_record(&mut overlay, &WalRecord::Append { table: "t".into(), cols }, &mut next_id)
             .unwrap();
     }
@@ -269,6 +269,31 @@ fn k_bulk_appends_leave_a_chain_of_k_plus_one_in_overlay_commit_and_replay() {
     assert!(t.data.cols.iter().all(|c| c.depth() == 1 && c.entry().unwrap().is_backed()));
     let r = db.connect().query("SELECT count(*), count(DISTINCT grp) FROM t").unwrap();
     assert_eq!(r.row(0), vec![Value::Bigint((n + K * per) as i64), Value::Bigint(7)]);
+}
+
+#[test]
+fn an_autocommit_append_commits_the_arrays_the_host_handed_over() {
+    // `Connection::append` adopts the host's fixed-width arrays, and the
+    // overlay, the commit and the WAL frame all share the BATs built from
+    // them: the committed segment holds the host's own allocation.
+    let dir = tempfile::tempdir().unwrap();
+    let db = Database::open(dir.path()).unwrap();
+    let mut conn = db.connect();
+    conn.execute(DDL).unwrap();
+    let cols = batch(0, 1000);
+    let (ColumnBuffer::Int(k), ColumnBuffer::Decimal { data: amt, .. }) = (&cols[0], &cols[3])
+    else {
+        panic!("unexpected batch layout")
+    };
+    let host = (k.as_ptr(), amt.as_ptr());
+    conn.append("t", cols).unwrap();
+    let snap = db.store().snapshot();
+    let seg = |c: usize| snap.table("t").unwrap().data.cols[c].last_segment().bat().unwrap();
+    let (Bat::Int(k), Bat::Decimal { data: amt, .. }) = (&*seg(0), &*seg(3)) else {
+        panic!("unexpected column types")
+    };
+    assert_eq!((k.as_ptr(), amt.as_ptr()), host, "the append copied a host array");
+    assert_eq!(conn.query("SELECT sum(k) FROM t").unwrap().value(0, 0), Value::Bigint(499_500));
 }
 
 #[test]
