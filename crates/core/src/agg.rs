@@ -8,10 +8,11 @@
 //! partial/merge forms used by the parallel executor.
 
 use crate::expr::PAggFunc;
-use crate::rows::{col_eq, rows_eq};
+use crate::rows::{visit_keys, KeyCols, KeyVisitor};
 use monetlite_storage::hash::{hash_rows, HashTable};
+use monetlite_storage::heap::NULL_OFFSET;
 use monetlite_storage::Bat;
-use monetlite_types::nulls::{NULL_I32, NULL_I64};
+use monetlite_types::nulls::{NULL_I32, NULL_I64, NULL_I8};
 use monetlite_types::{LogicalType, MlError, Result, Value};
 use std::collections::HashSet;
 
@@ -33,20 +34,33 @@ pub struct Grouping {
 /// with the selection-aware `Chunk::take`, touching only the survivors.
 pub fn hash_group(keys: &[&Bat], sel: Option<&[u32]>) -> Grouping {
     let hashes = hash_rows(keys, sel);
-    let phys = |i: u32| sel.map_or(i, |s| s[i as usize]) as usize;
-    let mut table = HashTable::default();
-    let mut group_ids = Vec::with_capacity(hashes.len());
-    let mut repr_rows: Vec<u32> = Vec::new();
-    for (i, &h) in hashes.iter().enumerate() {
-        let row = phys(i as u32);
-        let (g, new) =
-            table.intern(h, |g| rows_eq(keys, row, keys, phys(repr_rows[g as usize]), true));
-        if new {
-            repr_rows.push(i as u32);
+    visit_keys(keys, keys, Group { hashes: &hashes, sel })
+}
+
+/// The [`hash_group`] loop, instantiated per typed key representation.
+struct Group<'a> {
+    hashes: &'a [u64],
+    sel: Option<&'a [u32]>,
+}
+
+impl KeyVisitor for Group<'_> {
+    type Out = Grouping;
+
+    fn visit<K: KeyCols>(self, keys: &K, _: &K) -> Grouping {
+        let phys = |i: u32| self.sel.map_or(i, |s| s[i as usize]) as usize;
+        let mut table = HashTable::default();
+        let mut group_ids = Vec::with_capacity(self.hashes.len());
+        let mut repr_rows: Vec<u32> = Vec::new();
+        for (i, &h) in self.hashes.iter().enumerate() {
+            let row = phys(i as u32);
+            let (g, new) = table.intern(h, |g| keys.same(row, keys, phys(repr_rows[g as usize])));
+            if new {
+                repr_rows.push(i as u32);
+            }
+            group_ids.push(g);
         }
-        group_ids.push(g);
+        Grouping { group_ids, repr_rows }
     }
-    Grouping { group_ids, repr_rows }
 }
 
 /// An incremental grouping table for the streaming engine: group keys are
@@ -114,24 +128,42 @@ impl GroupTable {
     /// column; until then their representative is their block row.
     fn intern_hashed(&mut self, block: &[&Bat], hashes: &[u64]) -> Result<Vec<u32>> {
         debug_assert_eq!(block.len(), self.keys.len());
-        let base = self.n_groups();
-        let keys = &self.keys;
+        let GroupTable { keys, table } = self;
+        let stored: Vec<&Bat> = keys.iter().collect();
+        let (gids, new_rows) = visit_keys(block, &stored, Intern { table, hashes });
+        for (k, b) in keys.iter_mut().zip(block) {
+            k.append_rows(b, &new_rows)?;
+        }
+        Ok(gids)
+    }
+}
+
+/// The [`GroupTable::intern_hashed`] loop, instantiated per typed key
+/// representation: returns each row's group id and the block rows that
+/// opened a group.
+struct Intern<'a> {
+    table: &'a mut HashTable,
+    hashes: &'a [u64],
+}
+
+impl KeyVisitor for Intern<'_> {
+    type Out = (Vec<u32>, Vec<u32>);
+
+    fn visit<K: KeyCols>(self, block: &K, stored: &K) -> Self::Out {
+        let base = self.table.len() as u32;
         let mut new_rows: Vec<u32> = Vec::new();
-        let mut gids = Vec::with_capacity(hashes.len());
-        for (row, &h) in hashes.iter().enumerate() {
-            let (g, new) = self.table.intern(h, |g| match (g as usize).checked_sub(base) {
-                None => keys.iter().zip(block).all(|(k, b)| col_eq(b, row, k, g as usize, true)),
-                Some(n) => rows_eq(block, row, block, new_rows[n] as usize, true),
+        let mut gids = Vec::with_capacity(self.hashes.len());
+        for (row, &h) in self.hashes.iter().enumerate() {
+            let (g, new) = self.table.intern(h, |g| match g.checked_sub(base) {
+                None => block.same(row, stored, g as usize),
+                Some(n) => block.same(row, block, new_rows[n as usize] as usize),
             });
             if new {
                 new_rows.push(row as u32);
             }
             gids.push(g);
         }
-        for (k, b) in self.keys.iter_mut().zip(block) {
-            k.append_rows(b, &new_rows)?;
-        }
-        Ok(gids)
+        (gids, new_rows)
     }
 }
 
@@ -187,7 +219,9 @@ impl AggState {
         })
     }
 
-    /// Accumulate a column (aligned with `group_ids`).
+    /// Accumulate a column (aligned with `group_ids`). Every accumulator
+    /// runs one typed loop per column type ([`each_valid`]); no row reads
+    /// its value through a per-row type dispatch.
     pub fn update(&mut self, arg: Option<&Bat>, group_ids: &[u32]) -> Result<()> {
         match self {
             AggState::Count(c) => match arg {
@@ -196,13 +230,7 @@ impl AggState {
                         c[g as usize] += 1;
                     }
                 }
-                Some(b) => {
-                    for (row, &g) in group_ids.iter().enumerate() {
-                        if !b.is_null_at(row) {
-                            c[g as usize] += 1;
-                        }
-                    }
-                }
+                Some(b) => each_non_null(b, group_ids, |g| c[g] += 1),
             },
             AggState::CountDistinct(sets) => {
                 let b = arg.ok_or_else(|| {
@@ -216,22 +244,16 @@ impl AggState {
             }
             AggState::SumInt(sums, seen) => {
                 let b = arg.ok_or_else(|| MlError::Execution("SUM needs an argument".into()))?;
+                let mut add = |g: usize, x: i128| {
+                    sums[g] += x;
+                    seen[g] = true;
+                };
                 match b {
                     Bat::Int(v) => {
-                        for (row, &g) in group_ids.iter().enumerate() {
-                            if v[row] != NULL_I32 {
-                                sums[g as usize] += v[row] as i128;
-                                seen[g as usize] = true;
-                            }
-                        }
+                        each_valid(v, group_ids, |x| x == NULL_I32, |g, x| add(g, x as i128))
                     }
                     Bat::Bigint(v) => {
-                        for (row, &g) in group_ids.iter().enumerate() {
-                            if v[row] != NULL_I64 {
-                                sums[g as usize] += v[row] as i128;
-                                seen[g as usize] = true;
-                            }
-                        }
+                        each_valid(v, group_ids, |x| x == NULL_I64, |g, x| add(g, x as i128))
                     }
                     other => {
                         return Err(MlError::Execution(format!(
@@ -243,50 +265,43 @@ impl AggState {
             }
             AggState::SumDec(sums, seen, _) => {
                 let b = arg.ok_or_else(|| MlError::Execution("SUM needs an argument".into()))?;
-                match b {
-                    Bat::Decimal { data, .. } => {
-                        for (row, &g) in group_ids.iter().enumerate() {
-                            if data[row] != NULL_I64 {
-                                sums[g as usize] += data[row] as i128;
-                                seen[g as usize] = true;
-                            }
-                        }
-                    }
-                    other => {
-                        return Err(MlError::Execution(format!(
-                            "decimal SUM over {}",
-                            other.logical_type()
-                        )))
-                    }
-                }
+                let Bat::Decimal { data, .. } = b else {
+                    return Err(MlError::Execution(format!(
+                        "decimal SUM over {}",
+                        b.logical_type()
+                    )));
+                };
+                each_valid(
+                    data,
+                    group_ids,
+                    |x| x == NULL_I64,
+                    |g, x| {
+                        sums[g] += x as i128;
+                        seen[g] = true;
+                    },
+                );
             }
             AggState::SumF64(sums, seen) => {
                 let b = arg.ok_or_else(|| MlError::Execution("SUM needs an argument".into()))?;
-                match b {
-                    Bat::Double(v) => {
-                        for (row, &g) in group_ids.iter().enumerate() {
-                            if !v[row].is_nan() {
-                                sums[g as usize] += v[row];
-                                seen[g as usize] = true;
-                            }
-                        }
-                    }
-                    other => {
-                        return Err(MlError::Execution(format!(
-                            "SUM over {}",
-                            other.logical_type()
-                        )))
-                    }
-                }
+                let Bat::Double(v) = b else {
+                    return Err(MlError::Execution(format!("SUM over {}", b.logical_type())));
+                };
+                each_valid(
+                    v,
+                    group_ids,
+                    |x: f64| x.is_nan(),
+                    |g, x| {
+                        sums[g] += x;
+                        seen[g] = true;
+                    },
+                );
             }
             AggState::Avg(sums, counts) => {
                 let b = arg.ok_or_else(|| MlError::Execution("AVG needs an argument".into()))?;
-                for (row, &g) in group_ids.iter().enumerate() {
-                    if !b.is_null_at(row) {
-                        sums[g as usize] += numeric_f64(b, row)?;
-                        counts[g as usize] += 1;
-                    }
-                }
+                each_f64(b, group_ids, |g, x| {
+                    sums[g] += x;
+                    counts[g] += 1;
+                })?;
             }
             AggState::Best(best, is_max) => {
                 let b = arg.ok_or_else(|| MlError::Execution("MIN/MAX need an argument".into()))?;
@@ -314,11 +329,7 @@ impl AggState {
             }
             AggState::Median(bufs) => {
                 let b = arg.ok_or_else(|| MlError::Execution("MEDIAN needs an argument".into()))?;
-                for (row, &g) in group_ids.iter().enumerate() {
-                    if !b.is_null_at(row) {
-                        bufs[g as usize].push(numeric_f64(b, row)?);
-                    }
-                }
+                each_f64(b, group_ids, |g, x| bufs[g].push(x))?;
             }
         }
         Ok(())
@@ -599,27 +610,67 @@ impl AggState {
     }
 }
 
-fn numeric_f64(b: &Bat, row: usize) -> Result<f64> {
-    Ok(match b {
-        Bat::Int(v) => v[row] as f64,
-        Bat::Bigint(v) => v[row] as f64,
-        Bat::Double(v) => v[row],
+/// Call `f(group, value)` for every non-NULL row of a typed array aligned
+/// with `group_ids`: the one loop shape of every accumulator.
+#[inline]
+fn each_valid<T: Copy>(
+    v: &[T],
+    group_ids: &[u32],
+    is_null: impl Fn(T) -> bool,
+    mut f: impl FnMut(usize, T),
+) {
+    for (&x, &g) in v.iter().zip(group_ids) {
+        if !is_null(x) {
+            f(g as usize, x);
+        }
+    }
+}
+
+/// Call `f(group)` for every non-NULL row of a column (COUNT(x)).
+fn each_non_null(b: &Bat, group_ids: &[u32], mut f: impl FnMut(usize)) {
+    match b {
+        Bat::Bool(v) => each_valid(v, group_ids, |x| x == NULL_I8, |g, _| f(g)),
+        Bat::Int(v) | Bat::Date(v) => each_valid(v, group_ids, |x| x == NULL_I32, |g, _| f(g)),
+        Bat::Bigint(v) | Bat::Decimal { data: v, .. } => {
+            each_valid(v, group_ids, |x| x == NULL_I64, |g, _| f(g))
+        }
+        Bat::Double(v) => each_valid(v, group_ids, |x: f64| x.is_nan(), |g, _| f(g)),
+        Bat::Varchar { offsets, .. } => {
+            each_valid(offsets, group_ids, |o| o == NULL_OFFSET, |g, _| f(g))
+        }
+    }
+}
+
+/// Call `f(group, x)` for every non-NULL row of a numeric column read as
+/// DOUBLE (AVG, MEDIAN). A column that cannot be read as a number is an
+/// error once it holds a non-NULL row.
+fn each_f64(b: &Bat, group_ids: &[u32], mut f: impl FnMut(usize, f64)) -> Result<()> {
+    match b {
+        Bat::Int(v) | Bat::Date(v) => {
+            each_valid(v, group_ids, |x| x == NULL_I32, |g, x| f(g, x as f64))
+        }
+        Bat::Bigint(v) => each_valid(v, group_ids, |x| x == NULL_I64, |g, x| f(g, x as f64)),
+        Bat::Double(v) => each_valid(v, group_ids, |x: f64| x.is_nan(), f),
         Bat::Decimal { data, scale } => {
-            data[row] as f64 / monetlite_types::decimal::POW10[*scale as usize] as f64
+            let unit = monetlite_types::decimal::POW10[*scale as usize] as f64;
+            each_valid(data, group_ids, |x| x == NULL_I64, |g, x| f(g, x as f64 / unit))
         }
-        Bat::Date(v) => v[row] as f64,
         other => {
-            return Err(MlError::Execution(format!(
-                "numeric aggregate over {}",
-                other.logical_type()
-            )))
+            if other.null_count() < other.len() {
+                return Err(MlError::Execution(format!(
+                    "numeric aggregate over {}",
+                    other.logical_type()
+                )));
+            }
         }
-    })
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::model::{col_eq, key_columns, rows_eq};
     use monetlite_types::{ColumnBuffer, Decimal};
 
     #[test]
@@ -740,6 +791,176 @@ mod tests {
             }
             let (a, b) = (msum.finish(LogicalType::Bigint).unwrap(), sum.finish(LogicalType::Bigint).unwrap());
             proptest::prop_assert_eq!(a.to_buffer(None), b.to_buffer(None));
+        }
+    }
+
+    /// [`hash_group`] before typed keys: a type dispatch per row and column.
+    fn hash_group_model(keys: &[&Bat], sel: Option<&[u32]>) -> Grouping {
+        let hashes = hash_rows(keys, sel);
+        let phys = |i: u32| sel.map_or(i, |s| s[i as usize]) as usize;
+        let mut table = HashTable::default();
+        let (mut group_ids, mut repr_rows) = (Vec::new(), Vec::<u32>::new());
+        for (i, &h) in hashes.iter().enumerate() {
+            let row = phys(i as u32);
+            let (g, new) =
+                table.intern(h, |g| rows_eq(keys, row, keys, phys(repr_rows[g as usize]), true));
+            if new {
+                repr_rows.push(i as u32);
+            }
+            group_ids.push(g);
+        }
+        Grouping { group_ids, repr_rows }
+    }
+
+    /// [`GroupTable::intern_hashed`] before typed keys.
+    fn intern_model(t: &mut GroupTable, block: &[&Bat], hashes: &[u64]) -> Result<Vec<u32>> {
+        let base = t.n_groups();
+        let keys = &t.keys;
+        let mut new_rows: Vec<u32> = Vec::new();
+        let mut gids = Vec::new();
+        for (row, &h) in hashes.iter().enumerate() {
+            let (g, new) = t.table.intern(h, |g| match (g as usize).checked_sub(base) {
+                None => keys.iter().zip(block).all(|(k, b)| col_eq(b, row, k, g as usize, true)),
+                Some(n) => rows_eq(block, row, block, new_rows[n] as usize, true),
+            });
+            if new {
+                new_rows.push(row as u32);
+            }
+            gids.push(g);
+        }
+        for (k, b) in t.keys.iter_mut().zip(block) {
+            k.append_rows(b, &new_rows)?;
+        }
+        Ok(gids)
+    }
+
+    /// The stored keys, bit for bit (a NaN never equals itself).
+    fn images(t: &GroupTable) -> Vec<String> {
+        let image = |k: &Bat| match k {
+            Bat::Double(v) => format!("{:?}", v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()),
+            other => format!("{:?}", other.to_buffer(None)),
+        };
+        t.keys().iter().map(image).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_typed_grouping_equals_the_row_model(
+            seeds in proptest::collection::vec(0u8..255, 0..80),
+            picks in proptest::collection::vec(0usize..9, 2..4),
+            cut in 0usize..80,
+            sel_picks in proptest::collection::vec(0usize..80, 0..30),
+        ) {
+            let cols = key_columns(&seeds);
+            let n = seeds.len();
+            let cut = cut.min(n);
+            let mut sel: Vec<u32> = sel_picks.iter().filter(|&&p| p < n).map(|&p| p as u32).collect();
+            sel.sort_unstable();
+            let range = |lo: usize, hi: usize| (lo as u32..hi as u32).collect::<Vec<_>>();
+            // Every type alone, and a composite (strings of two heaps and
+            // mixed types included).
+            let mut sets: Vec<Vec<&Bat>> = cols.iter().map(|c| vec![c]).collect();
+            sets.push(picks.iter().map(|&p| &cols[p]).collect());
+            sets.push(vec![&cols[1], &cols[2]]);
+            sets.push(vec![&cols[3], &cols[4], &cols[5]]);
+            for keys in &sets {
+                for s in [None, Some(sel.as_slice())] {
+                    let (got, want) = (hash_group(keys, s), hash_group_model(keys, s));
+                    proptest::prop_assert_eq!(&got.group_ids, &want.group_ids);
+                    proptest::prop_assert_eq!(&got.repr_rows, &want.repr_rows);
+                }
+                // Two blocks interned into one table, then a table of the
+                // second block merged into a table of the first.
+                let types: Vec<LogicalType> = keys.iter().map(|k| k.logical_type()).collect();
+                let head: Vec<Bat> = keys.iter().map(|k| k.take(&range(0, cut))).collect();
+                let tail: Vec<Bat> = keys.iter().map(|k| k.take(&range(cut, n))).collect();
+                let (mut got, mut want) = (GroupTable::new(&types), GroupTable::new(&types));
+                let mut parts = Vec::new();
+                for block in [&head, &tail] {
+                    let refs: Vec<&Bat> = block.iter().collect();
+                    let hashes = hash_rows(&refs, None);
+                    proptest::prop_assert_eq!(
+                        got.intern_block(&refs).unwrap(),
+                        intern_model(&mut want, &refs, &hashes).unwrap()
+                    );
+                    let mut part = GroupTable::new(&types);
+                    part.intern_block(&refs).unwrap();
+                    parts.push(part);
+                }
+                proptest::prop_assert_eq!(images(&got), images(&want));
+                let (mut acc, mut acc_model) = (GroupTable::new(&types), GroupTable::new(&types));
+                for part in &parts {
+                    let refs: Vec<&Bat> = part.keys().iter().collect();
+                    proptest::prop_assert_eq!(
+                        acc.merge(part).unwrap(),
+                        intern_model(&mut acc_model, &refs, part.table.hashes()).unwrap()
+                    );
+                }
+                proptest::prop_assert_eq!(images(&acc), images(&acc_model));
+            }
+            // Stored keys of another type than the block: a rescaled
+            // DECIMAL, and DATE against INT both ways (an error, or not,
+            // exactly when the model errs).
+            for (stored, block) in [(4usize, 5usize), (2, 1), (1, 2), (6, 3)] {
+                let ty = [cols[stored].logical_type()];
+                let (mut got, mut want) = (GroupTable::new(&ty), GroupTable::new(&ty));
+                let refs = [&cols[block]];
+                let hashes = hash_rows(&refs, None);
+                let (a, b) = (got.intern_block(&refs), intern_model(&mut want, &refs, &hashes));
+                proptest::prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+                proptest::prop_assert_eq!(images(&got), images(&want));
+            }
+        }
+    }
+
+    /// AVG and COUNT(x) read every column type through one typed loop;
+    /// the model reads each row as a [`Value`].
+    #[test]
+    fn typed_avg_and_count_match_a_per_row_reading() {
+        let seeds: Vec<u8> = (0..=255).collect();
+        let gids: Vec<u32> = seeds.iter().map(|&s| (s % 3) as u32).collect();
+        for b in &key_columns(&seeds) {
+            let mut count =
+                AggState::new(PAggFunc::Count, Some(b.logical_type()), false, 3).unwrap();
+            count.update(Some(b), &gids).unwrap();
+            let mut want_count = [0i64; 3];
+            let (mut sums, mut counts) = ([0.0f64; 3], [0i64; 3]);
+            for (row, &g) in gids.iter().enumerate() {
+                let x = match b.get(row) {
+                    Value::Null => continue,
+                    Value::Int(v) => v as f64,
+                    Value::Date(d) => d.0 as f64,
+                    Value::Bigint(v) => v as f64,
+                    Value::Double(v) => v,
+                    Value::Decimal(d) => {
+                        d.raw as f64 / monetlite_types::decimal::POW10[d.scale as usize] as f64
+                    }
+                    Value::Bool(_) | Value::Str(_) => f64::NAN,
+                };
+                want_count[g as usize] += 1;
+                sums[g as usize] += x;
+                counts[g as usize] += 1;
+            }
+            assert_eq!(count.finish(LogicalType::Bigint).unwrap().to_buffer(None), {
+                ColumnBuffer::Bigint(want_count.to_vec())
+            });
+            let mut avg = AggState::new(PAggFunc::Avg, Some(b.logical_type()), false, 3).unwrap();
+            match b {
+                Bat::Bool(_) | Bat::Varchar { .. } => {
+                    assert!(avg.update(Some(b), &gids).is_err(), "AVG over {}", b.logical_type());
+                    let nulls = Bat::new(b.logical_type());
+                    assert!(avg.update(Some(&nulls), &[]).is_ok(), "no value, no error");
+                }
+                _ => {
+                    avg.update(Some(b), &gids).unwrap();
+                    let got = avg.finish(LogicalType::Double).unwrap();
+                    let want: Vec<u64> =
+                        sums.iter().zip(counts).map(|(s, c)| (s / c as f64).to_bits()).collect();
+                    let Bat::Double(got) = got else { panic!("AVG is DOUBLE") };
+                    let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "AVG over {}", b.logical_type());
+                }
+            }
         }
     }
 

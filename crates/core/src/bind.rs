@@ -1823,7 +1823,15 @@ pub fn rebuild_binary(op: ast::BinOp, l: BExpr, r: BExpr) -> Result<BExpr> {
 /// Numeric/typed arithmetic rules; inserts casts so kernels see one type.
 pub fn bind_arith(op: ArithOp, l: BExpr, r: BExpr) -> Result<BExpr> {
     use LogicalType as T;
-    let (lt, rt) = (l.ty(), r.ty());
+    // An untyped NULL literal (a cast of NULL folds to one) takes the type
+    // of the other operand: its own type would default to INTEGER and
+    // give the node the wrong result type and scale.
+    let null = |e: &BExpr| matches!(e, BExpr::Lit(Value::Null));
+    let (lt, rt) = match (null(&l), null(&r)) {
+        (true, false) => (r.ty(), r.ty()),
+        (false, true) => (l.ty(), l.ty()),
+        _ => (l.ty(), r.ty()),
+    };
     if !lt.is_numeric() || !rt.is_numeric() {
         return Err(MlError::TypeMismatch(format!(
             "arithmetic requires numeric operands, got {lt} and {rt}"

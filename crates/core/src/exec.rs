@@ -826,6 +826,8 @@ fn exec_scan_inner(
     let mut sel: Option<Vec<u32>> = None;
     let mut remaining: Vec<&BExpr> =
         filters.iter().enumerate().filter(|(i, _)| !served[*i]).map(|(_, f)| f).collect();
+    // The index-selected filter, when its candidates still need checking.
+    let mut unverified: Option<&BExpr> = None;
     // Index-assisted first filter. Works for subranges too (candidates
     // clip to `[lo, hi)`, so every morsel of a streaming scan and every
     // mitosis chunk keeps imprint/order-index acceleration) — but not
@@ -847,10 +849,8 @@ fn exec_scan_inner(
                 rows.retain(|&r| (lo as u32..hi as u32).contains(&r));
                 rows.sort_unstable();
                 ctx.counters.bump(&ctx.counters.order_index_selects);
-                if !exact {
-                    // Bounds were widened (e.g. NotEq unsupported): verify.
-                    rows = verify_rows(f, &entries, rows)?;
-                }
+                // Bounds were widened (e.g. NotEq unsupported): verify.
+                unverified = (!exact).then_some(f);
                 sel = Some(rows);
             } else {
                 // Imprints: candidate cache lines (clipped to the scan
@@ -871,13 +871,30 @@ fn exec_scan_inner(
                     let end = (line * IMPRINT_LINE + IMPRINT_LINE).min(hi);
                     cands.extend(start as u32..end as u32);
                 }
-                sel = Some(verify_rows(f, &entries, cands)?);
+                unverified = Some(f);
+                sel = Some(cands);
             }
         }
     }
+    // Filter kernels read the base columns in place, at selected
+    // positions; only the columns they reference are loaded.
+    let bats = filter_bats(&entries, unverified.iter().chain(&remaining).copied())?;
+    if let (Some(f), Some(cands)) = (unverified, &mut sel) {
+        *cands = refine(f, &bats, std::mem::take(cands))?;
+    }
     // No index-assisted selection: start from the physical restriction
-    // (deletes and/or subrange) if any.
+    // (deletes and/or subrange) if any — unless nothing reads it: a
+    // count-only morsel with no filter and no deletes is its range's
+    // length (with no output column there is no bloom to apply either).
     if sel.is_none() && (meta.data.deleted.is_some() || lo != 0 || hi != phys_rows) {
+        if meta.data.deleted.is_none()
+            && remaining.is_empty()
+            && dict_preds.is_empty()
+            && outputs.is_empty()
+            && extras.is_empty()
+        {
+            return Ok(Chunk::dense(vec![], hi - lo));
+        }
         let deleted = meta.data.deleted.as_deref();
         sel = Some(
             (lo as u32..hi as u32).filter(|&r| deleted.is_none_or(|d| !d[r as usize])).collect(),
@@ -897,17 +914,13 @@ fn exec_scan_inner(
         });
     }
 
-    // Remaining filters: evaluate over the current selection.
+    // Remaining filters: evaluate over the current selection, at its
+    // positions of the base arrays.
     for f in remaining {
-        match &sel {
-            None => {
-                let mask = eval(f, &entries_bats(&entries)?, phys_rows)?;
-                sel = Some(bool_to_sel(&mask)?);
-            }
-            Some(cur) => {
-                sel = Some(verify_rows(f, &entries, cur.clone())?);
-            }
-        }
+        sel = Some(match sel.take() {
+            None => bool_to_sel(&eval(f, &bats, phys_rows)?)?,
+            Some(cur) => refine(f, &bats, cur)?,
+        });
     }
 
     // Pushed-down join bloom filters, after every local predicate: rows
@@ -978,28 +991,36 @@ fn exec_scan_inner(
     }
 }
 
-fn entries_bats(entries: &[Arc<ColumnEntry>]) -> Result<Vec<Arc<Bat>>> {
-    entries.iter().map(|e| e.bat()).collect()
+/// The read list as BATs for evaluating `filters` at base positions: the
+/// columns they reference are loaded, every other position is an empty
+/// placeholder no kernel touches (so a filter-only column whose predicate
+/// the dictionary served is never paged in).
+fn filter_bats<'f>(
+    entries: &[Arc<ColumnEntry>],
+    filters: impl Iterator<Item = &'f BExpr>,
+) -> Result<Vec<Arc<Bat>>> {
+    let mut used = Vec::new();
+    for f in filters {
+        f.collect_cols(&mut used);
+    }
+    if used.is_empty() {
+        return Ok(Vec::new());
+    }
+    let unread = Arc::new(Bat::Int(Vec::new()));
+    let mut bats = vec![unread; entries.len()];
+    for u in used {
+        bats[u] = entries[u].bat()?;
+    }
+    Ok(bats)
 }
 
-/// Evaluate filter `f` over only `cands`, returning the surviving rows.
-fn verify_rows(f: &BExpr, entries: &[Arc<ColumnEntry>], cands: Vec<u32>) -> Result<Vec<u32>> {
+/// The positions of `cands` at which filter `f` holds, evaluated over the
+/// base columns at those positions (nothing is gathered).
+fn refine(f: &BExpr, bats: &[Arc<Bat>], cands: Vec<u32>) -> Result<Vec<u32>> {
     if cands.is_empty() {
         return Ok(cands);
     }
-    let mut used = Vec::new();
-    f.collect_cols(&mut used);
-    used.sort_unstable();
-    used.dedup();
-    // Build a narrow chunk with only the used columns gathered, remapping
-    // the filter accordingly.
-    let mut gathered: Vec<Arc<Bat>> =
-        (0..entries.len()).map(|_| Arc::new(Bat::Int(vec![]))).collect();
-    for &u in &used {
-        gathered[u] = Arc::new(entries[u].bat()?.take(&cands));
-    }
-    let mask = eval(f, &gathered, cands.len())?;
-    let hits = bool_to_sel(&mask)?;
+    let hits = bool_to_sel(&crate::kernels::eval_sel(f, bats, &cands)?)?;
     Ok(hits.into_iter().map(|i| cands[i as usize]).collect())
 }
 

@@ -14,7 +14,7 @@
 //! [`HashIndex`]: monetlite_storage::index::HashIndex
 
 use crate::plan::PJoinKind;
-use crate::rows::{any_null, rows_eq, NO_ROW};
+use crate::rows::{visit_keys, KeyCols, KeyVisitor, NO_ROW};
 use monetlite_storage::hash::{hash_rows, HashTable};
 use monetlite_storage::index::{key_at, OrderIndex};
 use monetlite_storage::Bat;
@@ -77,7 +77,8 @@ pub fn probe(lkeys: &[&Bat], rkeys: &[&Bat], table: &HashTable, kind: PJoinKind)
 }
 
 /// [`probe`] with the probe hashes supplied: a candidate must match the
-/// stored hash before its keys are compared.
+/// stored hash before its keys are compared, one typed compare per key
+/// column (see [`visit_keys`]).
 fn probe_hashed(
     lkeys: &[&Bat],
     lhash: &[u64],
@@ -85,33 +86,49 @@ fn probe_hashed(
     table: &HashTable,
     kind: PJoinKind,
 ) -> JoinSel {
-    let pairs = matches!(kind, PJoinKind::Inner | PJoinKind::Left);
-    let mut out = JoinSel {
-        lsel: Vec::with_capacity(lhash.len()),
-        rsel: Vec::with_capacity(if pairs { lhash.len() } else { 0 }),
-    };
-    for (l, &h) in lhash.iter().enumerate() {
-        let mut matched = false;
-        // NULL keys never match (their build rows are not even linked).
-        if !any_null(lkeys, l) {
-            for r in table.candidates(h) {
-                if rows_eq(lkeys, l, rkeys, r as usize, false) {
-                    matched = true;
-                    match kind {
-                        PJoinKind::Inner | PJoinKind::Left => {
-                            out.lsel.push(l as u32);
-                            out.rsel.push(r);
+    visit_keys(lkeys, rkeys, Probe { lhash, table, kind })
+}
+
+/// The probe loop, instantiated per typed key representation.
+struct Probe<'a> {
+    lhash: &'a [u64],
+    table: &'a HashTable,
+    kind: PJoinKind,
+}
+
+impl KeyVisitor for Probe<'_> {
+    type Out = JoinSel;
+
+    fn visit<K: KeyCols>(self, lkeys: &K, rkeys: &K) -> JoinSel {
+        let Probe { lhash, table, kind } = self;
+        let pairs = matches!(kind, PJoinKind::Inner | PJoinKind::Left);
+        let mut out = JoinSel {
+            lsel: Vec::with_capacity(lhash.len()),
+            rsel: Vec::with_capacity(if pairs { lhash.len() } else { 0 }),
+        };
+        for (l, &h) in lhash.iter().enumerate() {
+            let mut matched = false;
+            // NULL keys never match (their build rows are not even linked).
+            if !lkeys.null(l) {
+                for r in table.candidates(h) {
+                    if lkeys.same(l, rkeys, r as usize) {
+                        matched = true;
+                        match kind {
+                            PJoinKind::Inner | PJoinKind::Left => {
+                                out.lsel.push(l as u32);
+                                out.rsel.push(r);
+                            }
+                            PJoinKind::Semi | PJoinKind::Anti => break,
+                            // xlint: allow(panic, planner never routes cross joins through key probes)
+                            PJoinKind::Cross => unreachable!(),
                         }
-                        PJoinKind::Semi | PJoinKind::Anti => break,
-                        // xlint: allow(panic, planner never routes cross joins through key probes)
-                        PJoinKind::Cross => unreachable!(),
                     }
                 }
             }
+            finish_probe(&mut out, kind, l as u32, matched);
         }
-        finish_probe(&mut out, kind, l as u32, matched);
+        out
     }
-    out
 }
 
 #[inline]
@@ -206,6 +223,7 @@ pub fn cross_join(lrows: usize, rrows: usize) -> JoinSel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rows::model::{any_null, key_columns, rows_eq};
     use monetlite_storage::index::OrderIndex;
     use monetlite_types::nulls::NULL_I32;
 
@@ -323,7 +341,77 @@ mod tests {
         out
     }
 
+    /// The probe loop before typed keys: a type dispatch per row and column.
+    fn probe_model(
+        lkeys: &[&Bat],
+        lhash: &[u64],
+        rkeys: &[&Bat],
+        table: &HashTable,
+        kind: PJoinKind,
+    ) -> JoinSel {
+        let mut out = JoinSel::default();
+        for (l, &h) in lhash.iter().enumerate() {
+            let mut matched = false;
+            if !any_null(lkeys, l) {
+                for r in table.candidates(h) {
+                    if rows_eq(lkeys, l, rkeys, r as usize, false) {
+                        matched = true;
+                        if matches!(kind, PJoinKind::Semi | PJoinKind::Anti) {
+                            break;
+                        }
+                        out.lsel.push(l as u32);
+                        out.rsel.push(r);
+                    }
+                }
+            }
+            finish_probe(&mut out, kind, l as u32, matched);
+        }
+        out
+    }
+
     proptest::proptest! {
+        #[test]
+        fn prop_typed_probe_equals_the_row_model(
+            lseeds in proptest::collection::vec(0u8..255, 0..40),
+            rseeds in proptest::collection::vec(0u8..255, 0..40),
+            picks in proptest::collection::vec(0usize..9, 2..4),
+        ) {
+            // Every type against every type (mismatched pairs never join),
+            // composites, and strings from two different heaps; hashes
+            // forced equal so the key comparison alone decides, then the
+            // real hashes (a NULL or mismatched key must still be skipped).
+            let (lc, rc) = (key_columns(&lseeds), key_columns(&rseeds));
+            let mut sets: Vec<(Vec<&Bat>, Vec<&Bat>)> = Vec::new();
+            for a in &lc {
+                for b in &rc {
+                    sets.push((vec![a], vec![b]));
+                }
+            }
+            sets.push((picks.iter().map(|&p| &lc[p]).collect(), picks.iter().map(|&p| &rc[p]).collect()));
+            sets.push((picks.iter().map(|&p| &lc[p]).collect(), picks.iter().rev().map(|&p| &rc[p]).collect()));
+            // One fixed width throughout (INT with DATE, BIGINT with DECIMAL
+            // of another scale), and the same with a pair's types crossed.
+            sets.push((vec![&lc[1], &lc[2]], vec![&rc[1], &rc[2]]));
+            sets.push((vec![&lc[3], &lc[4]], vec![&rc[3], &rc[5]]));
+            sets.push((vec![&lc[1], &lc[2]], vec![&rc[2], &rc[1]]));
+            for (lk, rk) in &sets {
+                for forced in [true, false] {
+                    let (lhash, rhash) = if forced {
+                        (vec![7; lseeds.len()], vec![7; rseeds.len()])
+                    } else {
+                        (hash_rows(lk, None), hash_rows(rk, None))
+                    };
+                    let table = HashTable::from_hashes(rhash, rk);
+                    for kind in [PJoinKind::Inner, PJoinKind::Left, PJoinKind::Semi, PJoinKind::Anti] {
+                        let got = probe_hashed(lk, &lhash, rk, &table, kind);
+                        let want = probe_model(lk, &lhash, rk, &table, kind);
+                        proptest::prop_assert_eq!(&got.lsel, &want.lsel);
+                        proptest::prop_assert_eq!(&got.rsel, &want.rsel);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_probe_matches_nested_loop_under_forced_equal_hashes(
             lv in proptest::collection::vec(-4i32..4, 0..40),

@@ -7,15 +7,23 @@
 //! [`bool_to_sel`] turns into candidate lists (`Vec<u32>` row ids), the
 //! monetlite equivalent of MonetDB candidate lists.
 //!
+//! Kernels are flat loops over typed arrays, and operands are read where
+//! they are: [`eval`] hands every kernel its column operands as the input
+//! columns themselves ([`eval_shared`] — an `Arc`, not a copy), a cast to
+//! an operand's own physical type is that operand, and a literal operand
+//! of a comparison or of arithmetic is a scalar in a column ⊕ constant
+//! loop ([`cmp_const`], [`arith_const`]) — no constant column is built.
+//!
 //! Every dense kernel has a candidate-list twin reachable through
 //! [`eval_sel`]: instead of processing the full vector it evaluates only
 //! the selected positions, producing a *compacted* result aligned with
-//! the selection. The hot predicate shapes (column-vs-constant and
+//! the selection. The predicate shapes (column-vs-constant and
 //! column-vs-column comparisons, `IS NULL`, `LIKE` over a bare column)
-//! index the base arrays directly; everything else gathers its column
-//! operands once (`Bat::take`) and reuses the dense kernel over the
-//! compacted operands — either way, work is proportional to the
-//! selection, not the vector.
+//! index the base arrays at the selected positions; a computed operand
+//! (arithmetic, a function) evaluates over its column operands compacted
+//! to the selection — either way, work is proportional to the selection,
+//! not the vector. Scans evaluate their residual filters this way over a
+//! morsel's positions of the base columns.
 
 use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc};
 use monetlite_storage::heap::NULL_OFFSET;
@@ -25,8 +33,11 @@ use monetlite_types::{Date, LogicalType, MlError, Result, Value};
 use std::sync::Arc;
 
 /// Evaluate a bound expression over `cols` (each `rows` long), producing a
-/// materialised result column.
+/// materialised result column. Operands are read in place: a bare column
+/// operand is the input column itself ([`eval_shared`]), and a literal
+/// operand of a comparison or of arithmetic is read as a scalar.
 pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize) -> Result<Bat> {
+    let operand = |e: &BExpr| eval_shared(e, cols, rows);
     match e {
         BExpr::ColRef { idx, .. } => Ok((*cols[*idx]).clone()),
         BExpr::Lit(v) => materialize_const(v, e.ty(), rows),
@@ -36,78 +47,62 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize) -> Result<Bat> {
             Err(MlError::Execution(format!("unsubstituted plan-cache parameter ?{idx}")))
         }
         BExpr::Cast { input, ty } => {
-            let b = eval(input, cols, rows)?;
-            cast(&b, *ty)
+            let b = operand(input)?;
+            if is_identity_cast(&b, *ty) {
+                Ok(Arc::unwrap_or_clone(b))
+            } else {
+                cast(&b, *ty)
+            }
         }
-        BExpr::Arith { op, left, right, ty } => {
-            let l = eval(left, cols, rows)?;
-            let r = eval(right, cols, rows)?;
-            arith(*op, &l, &r, *ty)
-        }
+        BExpr::Arith { op, left, right, ty } => arith_expr(*op, left, right, *ty, &operand),
         BExpr::Cmp { op, left, right } => {
-            // Fast path: column versus constant avoids materialising the
-            // constant side.
+            // Column versus constant never materialises the constant side.
             if let BExpr::Lit(v) = right.as_ref() {
-                let l = eval(left, cols, rows)?;
-                return cmp_const(*op, &l, v);
+                return cmp_const(*op, &*operand(left)?, v);
             }
             if let BExpr::Lit(v) = left.as_ref() {
-                let r = eval(right, cols, rows)?;
-                return cmp_const(op.flip(), &r, v);
+                return cmp_const(op.flip(), &*operand(right)?, v);
             }
-            let l = eval(left, cols, rows)?;
-            let r = eval(right, cols, rows)?;
-            cmp(*op, &l, &r)
+            cmp(*op, &*operand(left)?, &*operand(right)?)
         }
-        BExpr::And(a, b) => {
-            let l = eval(a, cols, rows)?;
-            let r = eval(b, cols, rows)?;
-            bool_and(&l, &r)
-        }
-        BExpr::Or(a, b) => {
-            let l = eval(a, cols, rows)?;
-            let r = eval(b, cols, rows)?;
-            bool_or(&l, &r)
-        }
-        BExpr::Not(a) => {
-            let l = eval(a, cols, rows)?;
-            bool_not(&l)
-        }
+        BExpr::And(a, b) => bool_and(&*operand(a)?, &*operand(b)?),
+        BExpr::Or(a, b) => bool_or(&*operand(a)?, &*operand(b)?),
+        BExpr::Not(a) => bool_not(&*operand(a)?),
         BExpr::IsNull { input, negated } => {
-            let b = eval(input, cols, rows)?;
-            let mut out = Vec::with_capacity(b.len());
-            for i in 0..b.len() {
-                let isnull = b.is_null_at(i);
-                out.push((isnull != *negated) as i8);
-            }
-            Ok(Bat::Bool(out))
+            let b = operand(input)?;
+            Ok(Bat::Bool((0..b.len()).map(|i| (b.is_null_at(i) != *negated) as i8).collect()))
         }
         BExpr::Like { input, pattern, negated } => {
-            let b = eval(input, cols, rows)?;
-            like_kernel(&b, pattern, *negated)
+            like_kernel(&*operand(input)?, pattern, *negated)
         }
         BExpr::Case { branches, else_expr, ty } => {
             case_kernel(branches, else_expr.as_deref(), *ty, rows, &|e| eval(e, cols, rows))
         }
         BExpr::Func { func, args, ty } => {
-            let bats: Vec<Bat> = args.iter().map(|a| eval(a, cols, rows)).collect::<Result<_>>()?;
+            let bats: Vec<Arc<Bat>> = args.iter().map(operand).collect::<Result<_>>()?;
             func_kernel(*func, &bats, *ty)
         }
-        BExpr::Neg { input, .. } => {
-            let b = eval(input, cols, rows)?;
-            neg(&b)
-        }
+        BExpr::Neg { input, .. } => neg(&*operand(input)?),
     }
 }
 
 /// Like [`eval`], but returns a shared column: a bare column reference is
-/// an `Arc` clone of the input (the §3.3 "shared pointer" discipline),
-/// never a data copy. Computed expressions allocate as usual. The
-/// streaming pipeline's per-vector projections lean on this — a
+/// an `Arc` clone of the input (the §3.3 "shared pointer" discipline), and
+/// so is a cast to the operand's own physical type — never a data copy.
+/// Computed expressions allocate as usual. Operands of every kernel, and
+/// the streaming pipeline's per-vector projections, lean on this — a
 /// pass-through projection costs O(1) per vector instead of O(vector).
 pub fn eval_shared(e: &BExpr, cols: &[Arc<Bat>], rows: usize) -> Result<Arc<Bat>> {
     match e {
         BExpr::ColRef { idx, .. } => Ok(cols[*idx].clone()),
+        BExpr::Cast { input, ty } => {
+            let b = eval_shared(input, cols, rows)?;
+            if is_identity_cast(&b, *ty) {
+                Ok(b)
+            } else {
+                Ok(Arc::new(cast(&b, *ty)?))
+            }
+        }
         other => Ok(Arc::new(eval(other, cols, rows)?)),
     }
 }
@@ -126,12 +121,14 @@ pub fn eval_sel(e: &BExpr, cols: &[Arc<Bat>], sel: &[u32]) -> Result<Bat> {
         }
         BExpr::Cast { input, ty } => {
             let b = eval_sel(input, cols, sel)?;
-            cast(&b, *ty)
+            if is_identity_cast(&b, *ty) {
+                Ok(b)
+            } else {
+                cast(&b, *ty)
+            }
         }
         BExpr::Arith { op, left, right, ty } => {
-            let l = eval_sel(left, cols, sel)?;
-            let r = eval_sel(right, cols, sel)?;
-            arith(*op, &l, &r, *ty)
+            arith_expr(*op, left, right, *ty, &|e| eval_sel(e, cols, sel).map(Arc::new))
         }
         BExpr::Cmp { op, left, right } => {
             // Constant comparisons over a bare column read the base array
@@ -197,8 +194,8 @@ pub fn eval_sel(e: &BExpr, cols: &[Arc<Bat>], sel: &[u32]) -> Result<Bat> {
             case_kernel(branches, else_expr.as_deref(), *ty, sel.len(), &|e| eval_sel(e, cols, sel))
         }
         BExpr::Func { func, args, ty } => {
-            let bats: Vec<Bat> =
-                args.iter().map(|a| eval_sel(a, cols, sel)).collect::<Result<_>>()?;
+            let bats: Vec<Arc<Bat>> =
+                args.iter().map(|a| eval_sel(a, cols, sel).map(Arc::new)).collect::<Result<_>>()?;
             func_kernel(*func, &bats, *ty)
         }
         BExpr::Neg { input, .. } => {
@@ -242,10 +239,19 @@ pub fn bool_to_sel(b: &Bat) -> Result<Vec<u32>> {
 // Casts
 // ---------------------------------------------------------------------------
 
+/// Is casting `b` to `ty` the identity — the same physical type, and for
+/// DECIMAL the same scale (a BAT carries no declared width)?
+fn is_identity_cast(b: &Bat, ty: LogicalType) -> bool {
+    match (b, ty) {
+        (Bat::Decimal { scale, .. }, LogicalType::Decimal { scale: to, .. }) => *scale == to,
+        _ => b.logical_type() == ty,
+    }
+}
+
 /// Cast a column to a target logical type.
 pub fn cast(b: &Bat, ty: LogicalType) -> Result<Bat> {
     use LogicalType as T;
-    if b.logical_type() == ty {
+    if is_identity_cast(b, ty) {
         return Ok(b.clone());
     }
     Ok(match (b, ty) {
@@ -600,131 +606,47 @@ pub fn cmp_const_sel(op: CmpOp, l: &Bat, v: &Value, sel: &[u32]) -> Result<Bat> 
 // Arithmetic
 // ---------------------------------------------------------------------------
 
+/// Arithmetic node over its operands, evaluated by `operand`. A literal
+/// operand is never materialised: it runs the column ⊕ constant loops of
+/// [`arith_const`].
+fn arith_expr(
+    op: ArithOp,
+    left: &BExpr,
+    right: &BExpr,
+    ty: LogicalType,
+    operand: &dyn Fn(&BExpr) -> Result<Arc<Bat>>,
+) -> Result<Bat> {
+    match (left, right) {
+        // A NULL literal on the left decides the result even against
+        // another literal.
+        (_, BExpr::Lit(k)) if !matches!(left, BExpr::Lit(Value::Null)) => {
+            arith_const(op, &*operand(left)?, k, false, ty)
+        }
+        (BExpr::Lit(k), _) => arith_const(op, &*operand(right)?, k, true, ty),
+        _ => arith(op, &*operand(left)?, &*operand(right)?, ty),
+    }
+}
+
 /// Same-type arithmetic. The binder guarantees aligned operand types
 /// (decimal multiplication excepted: operand scales sum into `ty`).
 pub fn arith(op: ArithOp, l: &Bat, r: &Bat, ty: LogicalType) -> Result<Bat> {
     if l.len() != r.len() {
         return Err(MlError::Execution("arithmetic operand length mismatch".into()));
     }
-    let overflow = || MlError::Execution(format!("overflow in {op}"));
+    macro_rules! zip {
+        ($a:expr, $b:expr) => {
+            $a.iter().copied().zip($b.iter().copied())
+        };
+    }
     Ok(match (l, r) {
-        (Bat::Int(a), Bat::Int(b)) => {
-            let mut out = Vec::with_capacity(a.len());
-            for (&x, &y) in a.iter().zip(b) {
-                if x == NULL_I32 || y == NULL_I32 {
-                    out.push(NULL_I32);
-                    continue;
-                }
-                let v = match op {
-                    ArithOp::Add => x.checked_add(y),
-                    ArithOp::Sub => x.checked_sub(y),
-                    ArithOp::Mul => x.checked_mul(y),
-                    ArithOp::Mod => {
-                        if y == 0 {
-                            return Err(MlError::Execution("division by zero".into()));
-                        }
-                        Some(x % y)
-                    }
-                    ArithOp::Div => {
-                        return Err(MlError::Execution(
-                            "integer division must lower to double".into(),
-                        ))
-                    }
-                };
-                out.push(v.ok_or_else(overflow)?);
-            }
-            // DATE - DATE produces Int through the same i32 path.
-            Bat::Int(out)
-        }
-        (Bat::Date(a), Bat::Date(b)) if op == ArithOp::Sub => {
-            let mut out = Vec::with_capacity(a.len());
-            for (&x, &y) in a.iter().zip(b) {
-                if x == NULL_I32 || y == NULL_I32 {
-                    out.push(NULL_I32);
-                } else {
-                    out.push(x - y);
-                }
-            }
-            Bat::Int(out)
-        }
-        (Bat::Bigint(a), Bat::Bigint(b)) => {
-            let mut out = Vec::with_capacity(a.len());
-            for (&x, &y) in a.iter().zip(b) {
-                if x == NULL_I64 || y == NULL_I64 {
-                    out.push(NULL_I64);
-                    continue;
-                }
-                let v = match op {
-                    ArithOp::Add => x.checked_add(y),
-                    ArithOp::Sub => x.checked_sub(y),
-                    ArithOp::Mul => x.checked_mul(y),
-                    ArithOp::Mod => {
-                        if y == 0 {
-                            return Err(MlError::Execution("division by zero".into()));
-                        }
-                        Some(x % y)
-                    }
-                    ArithOp::Div => {
-                        return Err(MlError::Execution(
-                            "integer division must lower to double".into(),
-                        ))
-                    }
-                };
-                out.push(v.ok_or_else(overflow)?);
-            }
-            Bat::Bigint(out)
-        }
-        (Bat::Double(a), Bat::Double(b)) => {
-            let mut out = Vec::with_capacity(a.len());
-            for (&x, &y) in a.iter().zip(b) {
-                // NaN operands propagate NULL naturally.
-                let v = match op {
-                    ArithOp::Add => x + y,
-                    ArithOp::Sub => x - y,
-                    ArithOp::Mul => x * y,
-                    ArithOp::Div => {
-                        if y == 0.0 {
-                            f64::NAN // SQL: division by zero → NULL-ish; kept total
-                        } else {
-                            x / y
-                        }
-                    }
-                    ArithOp::Mod => x % y,
-                };
-                out.push(v);
-            }
-            Bat::Double(out)
-        }
+        // DATE - DATE produces Int through the same i32 path.
+        (Bat::Int(a), Bat::Int(b)) => Bat::Int(int_arith(op, zip!(a, b))?),
+        (Bat::Date(a), Bat::Date(b)) if op == ArithOp::Sub => Bat::Int(date_sub(zip!(a, b))),
+        (Bat::Bigint(a), Bat::Bigint(b)) => Bat::Bigint(int_arith(op, zip!(a, b))?),
+        (Bat::Double(a), Bat::Double(b)) => Bat::Double(double_arith(op, zip!(a, b))),
         (Bat::Decimal { data: a, .. }, Bat::Decimal { data: b, .. }) => {
-            let out_scale = match ty {
-                LogicalType::Decimal { scale, .. } => scale,
-                other => {
-                    return Err(MlError::Execution(format!(
-                        "decimal arithmetic with non-decimal result {other}"
-                    )))
-                }
-            };
-            let mut out = Vec::with_capacity(a.len());
-            for (&x, &y) in a.iter().zip(b) {
-                if x == NULL_I64 || y == NULL_I64 {
-                    out.push(NULL_I64);
-                    continue;
-                }
-                let v = match op {
-                    ArithOp::Add => x.checked_add(y).ok_or_else(overflow)?,
-                    ArithOp::Sub => x.checked_sub(y).ok_or_else(overflow)?,
-                    ArithOp::Mul => {
-                        let wide = x as i128 * y as i128;
-                        if wide > i64::MAX as i128 || wide < i64::MIN as i128 {
-                            return Err(overflow());
-                        }
-                        wide as i64
-                    }
-                    _ => return Err(MlError::Execution(format!("{op} not defined on DECIMAL"))),
-                };
-                out.push(v);
-            }
-            Bat::Decimal { data: out, scale: out_scale }
+            let scale = decimal_scale(ty)?;
+            Bat::Decimal { data: decimal_arith(op, zip!(a, b))?, scale }
         }
         (a, b) => {
             return Err(MlError::Execution(format!(
@@ -734,6 +656,179 @@ pub fn arith(op: ArithOp, l: &Bat, r: &Bat, ty: LogicalType) -> Result<Bat> {
             )))
         }
     })
+}
+
+/// Column ⊕ constant arithmetic (`const_left` puts the constant on the
+/// left): the loops of [`arith`] with the constant read as a scalar,
+/// byte for byte what materialising it would give. A NULL constant makes
+/// every row NULL, in the node's type `ty` whatever type the literal was
+/// bound as.
+pub(crate) fn arith_const(
+    op: ArithOp,
+    col: &Bat,
+    k: &Value,
+    const_left: bool,
+    ty: LogicalType,
+) -> Result<Bat> {
+    if k.is_null() {
+        return materialize_const(k, ty, col.len());
+    }
+    macro_rules! with_const {
+        ($v:expr, $k:expr, $f:expr) => {
+            if const_left {
+                $f($v.iter().map(|&x| ($k, x)))
+            } else {
+                $f($v.iter().map(|&x| (x, $k)))
+            }
+        };
+    }
+    Ok(match (col, k) {
+        (Bat::Int(a), Value::Int(k)) => Bat::Int(with_const!(a, *k, |p| int_arith(op, p))?),
+        (Bat::Date(a), Value::Date(k)) if op == ArithOp::Sub => {
+            Bat::Int(with_const!(a, k.0, date_sub))
+        }
+        (Bat::Bigint(a), Value::Bigint(k)) => {
+            Bat::Bigint(with_const!(a, *k, |p| int_arith(op, p))?)
+        }
+        (Bat::Double(a), Value::Double(k)) => {
+            Bat::Double(with_const!(a, *k, |p| double_arith(op, p)))
+        }
+        (Bat::Decimal { data, .. }, Value::Decimal(d)) => {
+            let scale = decimal_scale(ty)?;
+            Bat::Decimal { data: with_const!(data, d.raw, |p| decimal_arith(op, p))?, scale }
+        }
+        // Any other pairing is a binder bug: materialise the constant so
+        // the column kernel reports it exactly as it always has.
+        _ => {
+            let kc = materialize_const(k, k.logical_type().unwrap_or(LogicalType::Int), col.len())?;
+            return if const_left { arith(op, &kc, col, ty) } else { arith(op, col, &kc, ty) };
+        }
+    })
+}
+
+/// The result scale of decimal arithmetic typed `ty`.
+fn decimal_scale(ty: LogicalType) -> Result<u8> {
+    match ty {
+        LogicalType::Decimal { scale, .. } => Ok(scale),
+        other => {
+            Err(MlError::Execution(format!("decimal arithmetic with non-decimal result {other}")))
+        }
+    }
+}
+
+/// One arithmetic loop over operand pairs: a pair with a NULL operand
+/// gives `null`, any other pair `f(x, y)`, whose first error stops the
+/// kernel.
+#[inline]
+fn map_pairs<T: Copy, O: Copy>(
+    pairs: impl ExactSizeIterator<Item = (T, T)>,
+    is_null: impl Fn(T) -> bool,
+    null: O,
+    f: impl Fn(T, T) -> Result<O>,
+) -> Result<Vec<O>> {
+    let mut out = Vec::with_capacity(pairs.len());
+    for (x, y) in pairs {
+        out.push(if is_null(x) || is_null(y) { null } else { f(x, y)? });
+    }
+    Ok(out)
+}
+
+/// The checked integer operations INT and BIGINT arithmetic share.
+trait CheckedInt: Copy + PartialEq + std::ops::Rem<Output = Self> {
+    const NULL: Self;
+    const ZERO: Self;
+    fn add(self, o: Self) -> Option<Self>;
+    fn sub(self, o: Self) -> Option<Self>;
+    fn mul(self, o: Self) -> Option<Self>;
+}
+
+macro_rules! checked_int {
+    ($($t:ty => $null:expr),*) => {$(
+        impl CheckedInt for $t {
+            const NULL: Self = $null;
+            const ZERO: Self = 0;
+            fn add(self, o: Self) -> Option<Self> {
+                self.checked_add(o)
+            }
+            fn sub(self, o: Self) -> Option<Self> {
+                self.checked_sub(o)
+            }
+            fn mul(self, o: Self) -> Option<Self> {
+                self.checked_mul(o)
+            }
+        }
+    )*};
+}
+
+checked_int!(i32 => NULL_I32, i64 => NULL_I64);
+
+/// INT/BIGINT arithmetic: overflow and `% 0` are errors; `/` must have
+/// been lowered to DOUBLE by the binder.
+fn int_arith<T: CheckedInt>(
+    op: ArithOp,
+    pairs: impl ExactSizeIterator<Item = (T, T)>,
+) -> Result<Vec<T>> {
+    let overflow = || MlError::Execution(format!("overflow in {op}"));
+    let null = |x: T| x == T::NULL;
+    match op {
+        ArithOp::Add => map_pairs(pairs, null, T::NULL, |x, y| x.add(y).ok_or_else(overflow)),
+        ArithOp::Sub => map_pairs(pairs, null, T::NULL, |x, y| x.sub(y).ok_or_else(overflow)),
+        ArithOp::Mul => map_pairs(pairs, null, T::NULL, |x, y| x.mul(y).ok_or_else(overflow)),
+        ArithOp::Mod => map_pairs(pairs, null, T::NULL, |x, y| {
+            if y == T::ZERO {
+                return Err(MlError::Execution("division by zero".into()));
+            }
+            Ok(x % y)
+        }),
+        ArithOp::Div => map_pairs(pairs, null, T::NULL, |_, _| {
+            Err(MlError::Execution("integer division must lower to double".into()))
+        }),
+    }
+}
+
+/// DATE - DATE in days.
+fn date_sub(pairs: impl ExactSizeIterator<Item = (i32, i32)>) -> Vec<i32> {
+    pairs.map(|(x, y)| if x == NULL_I32 || y == NULL_I32 { NULL_I32 } else { x - y }).collect()
+}
+
+/// DOUBLE arithmetic: NaN operands propagate NULL naturally, and division
+/// by zero is NULL (the kernel stays total).
+fn double_arith(op: ArithOp, pairs: impl ExactSizeIterator<Item = (f64, f64)>) -> Vec<f64> {
+    match op {
+        ArithOp::Add => pairs.map(|(x, y)| x + y).collect(),
+        ArithOp::Sub => pairs.map(|(x, y)| x - y).collect(),
+        ArithOp::Mul => pairs.map(|(x, y)| x * y).collect(),
+        ArithOp::Div => pairs.map(|(x, y)| if y == 0.0 { f64::NAN } else { x / y }).collect(),
+        ArithOp::Mod => pairs.map(|(x, y)| x % y).collect(),
+    }
+}
+
+/// DECIMAL arithmetic over raw scaled values (the binder aligned the
+/// scales; a product's scale is the sum of its operands').
+fn decimal_arith(
+    op: ArithOp,
+    pairs: impl ExactSizeIterator<Item = (i64, i64)>,
+) -> Result<Vec<i64>> {
+    let overflow = || MlError::Execution(format!("overflow in {op}"));
+    let null = |x: i64| x == NULL_I64;
+    match op {
+        ArithOp::Add => {
+            map_pairs(pairs, null, NULL_I64, |x, y| x.checked_add(y).ok_or_else(overflow))
+        }
+        ArithOp::Sub => {
+            map_pairs(pairs, null, NULL_I64, |x, y| x.checked_sub(y).ok_or_else(overflow))
+        }
+        ArithOp::Mul => map_pairs(pairs, null, NULL_I64, |x, y| {
+            let wide = x as i128 * y as i128;
+            if wide > i64::MAX as i128 || wide < i64::MIN as i128 {
+                return Err(overflow());
+            }
+            Ok(wide as i64)
+        }),
+        ArithOp::Div | ArithOp::Mod => map_pairs(pairs, null, NULL_I64, |_, _| {
+            Err(MlError::Execution(format!("{op} not defined on DECIMAL")))
+        }),
+    }
 }
 
 /// Arithmetic negation.
@@ -1082,10 +1177,10 @@ fn case_kernel(
 // Scalar functions
 // ---------------------------------------------------------------------------
 
-fn func_kernel(func: ScalarFunc, args: &[Bat], ty: LogicalType) -> Result<Bat> {
+fn func_kernel(func: ScalarFunc, args: &[Arc<Bat>], ty: LogicalType) -> Result<Bat> {
     match func {
         ScalarFunc::Sqrt | ScalarFunc::Floor | ScalarFunc::Ceil => {
-            let a = match &args[0] {
+            let a = match &*args[0] {
                 Bat::Double(v) => v,
                 other => {
                     return Err(MlError::Execution(format!("{func} over {}", other.logical_type())))
@@ -1098,7 +1193,7 @@ fn func_kernel(func: ScalarFunc, args: &[Bat], ty: LogicalType) -> Result<Bat> {
             };
             Ok(Bat::Double(a.iter().map(|&x| f(x)).collect()))
         }
-        ScalarFunc::Abs => Ok(match &args[0] {
+        ScalarFunc::Abs => Ok(match &*args[0] {
             Bat::Int(v) => {
                 Bat::Int(v.iter().map(|&x| if x == NULL_I32 { x } else { x.abs() }).collect())
             }
@@ -1143,7 +1238,7 @@ fn func_kernel(func: ScalarFunc, args: &[Bat], ty: LogicalType) -> Result<Bat> {
         }
         ScalarFunc::Substring => {
             let s = &args[0];
-            let (from, len) = match (&args[1], &args[2]) {
+            let (from, len) = match (&*args[1], &*args[2]) {
                 (Bat::Int(f), Bat::Int(l)) => (f, l),
                 _ => return Err(MlError::Execution("substring bounds must be INTEGER".into())),
             };
@@ -1187,7 +1282,7 @@ fn func_kernel(func: ScalarFunc, args: &[Bat], ty: LogicalType) -> Result<Bat> {
             Ok(out)
         }
         ScalarFunc::Year | ScalarFunc::Month | ScalarFunc::Day => {
-            let a = match &args[0] {
+            let a = match &*args[0] {
                 Bat::Date(v) => v,
                 other => {
                     return Err(MlError::Execution(format!("{func} over {}", other.logical_type())))
@@ -1209,7 +1304,7 @@ fn func_kernel(func: ScalarFunc, args: &[Bat], ty: LogicalType) -> Result<Bat> {
             Ok(Bat::Int(out))
         }
         ScalarFunc::AddDays | ScalarFunc::AddMonths | ScalarFunc::AddYears => {
-            let dates = match &args[0] {
+            let dates = match &*args[0] {
                 Bat::Date(v) => v,
                 other => {
                     return Err(MlError::Execution(format!(
@@ -1218,7 +1313,7 @@ fn func_kernel(func: ScalarFunc, args: &[Bat], ty: LogicalType) -> Result<Bat> {
                     )))
                 }
             };
-            let amounts = match &args[1] {
+            let amounts = match &*args[1] {
                 Bat::Int(v) => v,
                 _ => return Err(MlError::Execution("date shift amount must be INTEGER".into())),
             };
@@ -1476,7 +1571,7 @@ mod tests {
 
     fn run_substring(s: &str, from: i32, len: i32) -> Value {
         let col = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some(s.into())]));
-        let args = vec![col, Bat::Int(vec![from]), Bat::Int(vec![len])];
+        let args = [col, Bat::Int(vec![from]), Bat::Int(vec![len])].map(Arc::new);
         func_kernel(ScalarFunc::Substring, &args, LogicalType::Varchar).unwrap().get(0)
     }
 
@@ -1504,7 +1599,7 @@ mod tests {
     #[test]
     fn substring_null_propagation() {
         let col = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("abc".into()), None]));
-        let args = vec![col, Bat::Int(vec![NULL_I32, 1]), Bat::Int(vec![2, 2])];
+        let args = [col, Bat::Int(vec![NULL_I32, 1]), Bat::Int(vec![2, 2])].map(Arc::new);
         let out = func_kernel(ScalarFunc::Substring, &args, LogicalType::Varchar).unwrap();
         assert_eq!(out.get(0), Value::Null);
         assert_eq!(out.get(1), Value::Null);
@@ -1594,7 +1689,93 @@ mod tests {
         }
     }
 
+    /// A column of `ty` and a constant, from seeds into small tables of
+    /// edge values: NULL, zero, ±1, magnitudes that overflow, `-0.0`.
+    fn arith_fixture(ty: LogicalType, seeds: &[u8], kpick: usize) -> (Bat, Value) {
+        let ints = [NULL_I32, 0, 1, -1, 7, -7, i32::MAX, i32::MIN + 1];
+        let bigs = [NULL_I64, 0, 1, -1, 7, -7, i64::MAX, i64::MIN + 1];
+        let dbls = [f64::NAN, 0.0, -0.0, 1.5, -2.0, f64::MAX, 1e-300, 3.0];
+        let decs = [NULL_I64, 0, 1, -1, 150, i64::MAX / 2, i64::MIN / 2 + 1, 7];
+        let pick = |s: u8| s as usize % 8;
+        let k = |v: Value| if kpick == 0 { Value::Null } else { v };
+        match ty {
+            LogicalType::Int => (
+                Bat::Int(seeds.iter().map(|&s| ints[pick(s)]).collect()),
+                k(Value::Int(ints[kpick])),
+            ),
+            LogicalType::Date => (
+                Bat::Date(seeds.iter().map(|&s| ints[pick(s)] / 4).collect()),
+                k(Value::Date(Date(ints[kpick] / 4))),
+            ),
+            LogicalType::Bigint => (
+                Bat::Bigint(seeds.iter().map(|&s| bigs[pick(s)]).collect()),
+                k(Value::Bigint(bigs[kpick])),
+            ),
+            LogicalType::Double => (
+                Bat::Double(seeds.iter().map(|&s| dbls[pick(s)]).collect()),
+                k(Value::Double(dbls[kpick])),
+            ),
+            _ => (
+                Bat::Decimal { data: seeds.iter().map(|&s| decs[pick(s)]).collect(), scale: 2 },
+                k(Value::Decimal(monetlite_types::Decimal::new(decs[kpick], 2))),
+            ),
+        }
+    }
+
+    /// A result column bit for bit, or the error it raised.
+    fn outcome(r: Result<Bat>) -> String {
+        match r {
+            Ok(Bat::Double(v)) => {
+                format!("{:?}", v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            }
+            Ok(b) => format!("{:?}", b.to_buffer(None)),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_const_operand_arith_equals_materialised_constant(
+            seeds in proptest::collection::vec(0u8..255, 0..24),
+            kpick in 0usize..8,
+        ) {
+            // Every op, every type, the constant on either side, a NULL
+            // constant: the scalar loops give what materialising the
+            // constant gives — the same column, or the same error (overflow,
+            // division by zero) from the same first failing row.
+            use LogicalType as T;
+            let dec = |scale| T::Decimal { width: 18, scale };
+            for col_ty in [T::Int, T::Date, T::Bigint, T::Double, dec(2)] {
+                let (col, k) = arith_fixture(col_ty, &seeds, kpick);
+                for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div, ArithOp::Mod] {
+                    let ty = match (col_ty, op) {
+                        (T::Date, _) => T::Int,
+                        (T::Decimal { .. }, ArithOp::Mul) => dec(4),
+                        _ => col_ty,
+                    };
+                    // A NULL constant materialises in the column's own type:
+                    // the typed NULL the binder now gives it.
+                    let k_ty = k.logical_type().unwrap_or(col_ty);
+                    let kc = materialize_const(&k, k_ty, col.len()).unwrap();
+                    for const_left in [false, true] {
+                        let want = if const_left { arith(op, &kc, &col, ty) } else { arith(op, &col, &kc, ty) };
+                        let got = outcome(arith_const(op, &col, &k, const_left, ty));
+                        let label = format!("{col_ty} {op} {k:?} left={const_left}");
+                        if k.is_null() {
+                            // All NULL in the node's type, even where no
+                            // binder-made node reaches (DATE + NULL).
+                            let nulls = materialize_const(&Value::Null, ty, col.len());
+                            prop_assert_eq!(&got, &outcome(nulls), "{}", label);
+                            if want.is_err() {
+                                continue;
+                            }
+                        }
+                        prop_assert_eq!(got, outcome(want), "{}", label);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_like_fast_paths_agree_with_matcher(
             s in "[ab%_]{0,12}",

@@ -36,7 +36,7 @@ use crate::exec::{
 use crate::expr::{AggSpec, BExpr};
 use crate::kernels::{bool_to_sel, eval};
 use crate::plan::{OutCol, PJoinKind, Plan};
-use crate::rows::{any_null, col_cmp2};
+use crate::rows::{col_cmp2, visit_keys, KeyCols, KeyVisitor};
 use crate::sort::{sort_perm, topn_perm};
 use crate::spill::{PartitionWriter, SpillFile, SpillReader, MAX_SPILL_DEPTH};
 use monetlite_storage::hash::{hash_rows, HashTable};
@@ -186,31 +186,17 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
             // Sideways information passing: summarise the build side's key
             // hashes into a bloom filter and push it into the probe-side
             // scan, where it drops definite non-matches per morsel before
-            // they enter the pipeline. Sound exactly when this probe kills
-            // every row descended from a pruned scan row: Inner/Semi
-            // probes emit only matching rows, the key is a bare scan
-            // column (same hash at scan and probe), and no Project sits
-            // between the scan and the probe to remap column positions
-            // (Filters and earlier probes keep scan columns as a prefix).
-            // Index builds skip it — their build phase has no transient
-            // table, and the probe is already O(1) per row.
-            if ctx.opts.use_dict
-                && matches!(kind, PJoinKind::Inner | PJoinKind::Semi)
-                && index_entry.is_none()
-                && !p.ops.iter().any(|op| matches!(op, PipeOp::Project(_)))
-            {
-                if let [BExpr::ColRef { idx, .. }] = left_keys.as_slice() {
-                    if let Source::Table { width, blooms, .. } = &mut p.source {
-                        if *idx < *width {
-                            let mut bl = Bloom::with_capacity(build_chunk.rows);
-                            for (r, &h) in build_hashes.iter().enumerate() {
-                                if !any_null(&rrefs, r) {
-                                    bl.insert(h);
-                                }
-                            }
-                            blooms.push((*idx, Arc::new(bl)));
-                        }
-                    }
+            // they enter the pipeline (see [`bloom_scan_col`] for when
+            // that is sound). Index builds skip it — their build phase has
+            // no transient table, and the probe is already O(1) per row.
+            if ctx.opts.use_dict && index_entry.is_none() {
+                if let (Some(col), Source::Table { blooms, .. }) =
+                    (bloom_scan_col(*kind, left, left_keys), &mut p.source)
+                {
+                    blooms.push((
+                        col,
+                        Arc::new(visit_keys(&rrefs, &rrefs, BloomFill(&build_hashes))),
+                    ));
                 }
             }
             // Out-of-core path: a *transient* build side larger than the
@@ -262,6 +248,61 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
             let chunk = execute_streaming(other, ctx)?;
             Ok(Pipeline { source: Source::Mem(chunk), ops: Vec::new() })
         }
+    }
+}
+
+/// The probe-side scan column at which the build-side bloom filter of a
+/// probe may be pushed, or `None`.
+///
+/// Pruning a scan row is sound exactly when this probe kills every row
+/// descended from it. Inner/Semi probes emit only matching rows, so that
+/// holds when the probe key is a single bare column whose value every
+/// descendant carries unchanged from one scan column: the key is traced
+/// down the pipeline through Filters (which keep columns in place),
+/// through Projects whose expression at that position is a bare column
+/// reference (which move it), and through earlier probes of any kind whose
+/// probe side holds it (a probe's output starts with its probe side's
+/// columns; NULL padding and anti/semi filtering only drop or repeat
+/// rows). A key that is computed, or comes from an earlier build side,
+/// pushes nothing. The scan hashes the column it reaches exactly as the
+/// probe hashes the key. EXPLAIN's `[bloom]` tag asks the same question.
+pub(crate) fn bloom_scan_col(kind: PJoinKind, probe: &Plan, left_keys: &[BExpr]) -> Option<usize> {
+    if !matches!(kind, PJoinKind::Inner | PJoinKind::Semi) {
+        return None;
+    }
+    let [BExpr::ColRef { idx, .. }] = left_keys else {
+        return None;
+    };
+    let (mut plan, mut idx) = (probe, *idx);
+    loop {
+        match plan {
+            Plan::Scan { schema, .. } => return (idx < schema.len()).then_some(idx),
+            Plan::Filter { input, .. } => plan = input,
+            Plan::Project { input, exprs, .. } => match exprs.get(idx)? {
+                BExpr::ColRef { idx: from, .. } => (plan, idx) = (input, *from),
+                _ => return None,
+            },
+            Plan::Join { left, .. } if idx < left.schema().len() => plan = left,
+            _ => return None,
+        }
+    }
+}
+
+/// Fill a bloom filter with the hashes of the build rows whose key is not
+/// NULL (a NULL key never joins), one typed NULL test per row.
+struct BloomFill<'a>(&'a [u64]);
+
+impl KeyVisitor for BloomFill<'_> {
+    type Out = Bloom;
+
+    fn visit<K: KeyCols>(self, keys: &K, _: &K) -> Bloom {
+        let mut bl = Bloom::with_capacity(self.0.len());
+        for (r, &h) in self.0.iter().enumerate() {
+            if !keys.null(r) {
+                bl.insert(h);
+            }
+        }
+        bl
     }
 }
 
@@ -1558,10 +1599,8 @@ fn desc_chain(
     use std::fmt::Write;
     let mut ops: Vec<String> = Vec::new();
     let mut cur = plan;
-    // Bloom-eligible probes seen with no Project below them (yet): an
-    // Inner/Semi probe keyed on a bare column pushes its build-side bloom
-    // filter into the scan unless a Project remaps columns in between.
-    let mut bloom_pending = 0usize;
+    // Does any probe of this chain push its bloom into the source scan?
+    let mut bloom = false;
     loop {
         match cur {
             Plan::Filter { input, pred } => {
@@ -1570,19 +1609,13 @@ fn desc_chain(
             }
             Plan::Project { input, exprs, .. } => {
                 ops.push(format!("project[{}]", exprs.len()));
-                bloom_pending = 0;
                 cur = input;
             }
             Plan::Join { left, right, kind, left_keys, .. } => {
                 let bid =
                     desc_node(right, out, next, opts, stats, format!("hash-join build ({kind})"));
                 ops.push(format!("probe({kind}, build=P{bid})"));
-                if opts.use_dict
-                    && matches!(kind, PJoinKind::Inner | PJoinKind::Semi)
-                    && matches!(left_keys.as_slice(), [BExpr::ColRef { .. }])
-                {
-                    bloom_pending += 1;
-                }
+                bloom |= opts.use_dict && bloom_scan_col(*kind, left, left_keys).is_some();
                 cur = left;
             }
             _ => break,
@@ -1613,7 +1646,7 @@ fn desc_chain(
             } else {
                 ""
             };
-            let bloom = if bloom_pending > 0 { " [bloom]" } else { "" };
+            let bloom = if bloom { " [bloom]" } else { "" };
             format!("scan {table} [morsels={morsels}]{zm}{dict}{bloom}")
         }
         Plan::Values { rows, .. } => format!("values [{} row(s)]", rows.len()),

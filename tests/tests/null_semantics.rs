@@ -24,7 +24,9 @@ const DDL: &str = "CREATE TABLE probe (x INT); \
      CREATE TABLE sub_mixed (y INT); \
      INSERT INTO sub_mixed VALUES (1), (NULL); \
      CREATE TABLE sub_plain (y INT); \
-     INSERT INTO sub_plain VALUES (1), (3);";
+     INSERT INTO sub_plain VALUES (1), (3); \
+     CREATE TABLE li (l_quantity DECIMAL(15,2), l_extendedprice DECIMAL(15,2), l_tax DOUBLE); \
+     INSERT INTO li VALUES (17.00, 21168.23, 0.02), (NULL, 45983.16, NULL);";
 
 fn fmt(v: &Value) -> String {
     match v {
@@ -183,6 +185,28 @@ fn aggregates_ignore_nulls_but_count_star_does_not() {
     expect("SELECT count(*), count(y), min(y), max(y) FROM sub_mixed", &["2|1|1|1"]);
     expect("SELECT count(*), count(y) FROM sub_nulls", &["2|0"]);
     expect("SELECT count(*), count(y), sum(y) FROM sub_empty", &["0|0|NULL"]);
+}
+
+/// Arithmetic with a NULL operand is NULL on every row, whatever the other
+/// operand's type: the NULL literal takes its type from the expression
+/// (an explicit cast of NULL folds to the same untyped literal) instead of
+/// defaulting to INTEGER and failing the kernel's type check.
+#[test]
+fn arithmetic_with_a_null_operand_is_null() {
+    for sql in [
+        "SELECT l_quantity + NULL FROM li",
+        "SELECT NULL - l_quantity FROM li",
+        "SELECT l_extendedprice * cast(NULL as decimal(15,2)) FROM li",
+        "SELECT l_quantity / NULL FROM li",
+        "SELECT l_tax * NULL FROM li",
+        "SELECT (l_quantity + NULL) * 2 FROM li",
+    ] {
+        expect(sql, &["NULL", "NULL"]);
+    }
+    expect("SELECT 1.5 + NULL", &["NULL"]);
+    expect("SELECT NULL * 1.5", &["NULL"]);
+    expect("SELECT l_quantity FROM li WHERE l_quantity + NULL > 1", &[]);
+    expect("SELECT count(*) FROM li WHERE l_quantity + NULL IS NULL", &["2"]);
 }
 
 /// `-0.0 = 0.0` is true, so every hash-based operator must treat the two

@@ -737,3 +737,166 @@ fn tpch_bloom_and_index_joins_fire_beside_filter_only_scans() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bloom tracing: a probe's build-side bloom reaches the probe scan through
+// column-permuting projections and earlier probes, and only when its key
+// is a scan column all the way down.
+// ---------------------------------------------------------------------------
+
+/// A fact table `f` (NULL keys, deletes) with two dimensions: `d` joins on
+/// `f.a`, `e` on `f.b` or on `d.v`.
+fn bloom_trace_db() -> monetlite::Database {
+    let db = monetlite::Database::open_in_memory();
+    let mut conn = db.connect();
+    conn.run_script(
+        "CREATE TABLE f (a INT, b INT, c INT); \
+         CREATE TABLE d (k INT, v INT, name VARCHAR(8)); \
+         CREATE TABLE e (k INT, tag VARCHAR(8));",
+    )
+    .unwrap();
+    let n = 6_000;
+    let a = (0..n).map(|i| if i % 97 == 0 { monetlite_types::nulls::NULL_I32 } else { i % 500 });
+    conn.append(
+        "f",
+        vec![
+            ColumnBuffer::Int(a.collect()),
+            ColumnBuffer::Int((0..n).map(|i| i % 37).collect()),
+            ColumnBuffer::Int((0..n).collect()),
+        ],
+    )
+    .unwrap();
+    conn.append(
+        "d",
+        vec![
+            ColumnBuffer::Int((0..500).collect()),
+            ColumnBuffer::Int((0..500).map(|i| i % 40).collect()),
+            ColumnBuffer::Varchar((0..500).map(|i| Some(format!("n{}", i % 50))).collect()),
+        ],
+    )
+    .unwrap();
+    conn.append(
+        "e",
+        vec![
+            ColumnBuffer::Int((0..40).collect()),
+            ColumnBuffer::Varchar((0..40).map(|i| Some(format!("t{}", i % 8))).collect()),
+        ],
+    )
+    .unwrap();
+    conn.execute("DELETE FROM f WHERE c % 101 = 0").unwrap();
+    db
+}
+
+/// A connection with `opts` and the optimizer flags pinned: the CI env
+/// matrix (greedy join order, dictionary off) must not change the plan
+/// shapes these tests assert on.
+fn pinned(db: &monetlite::Database, opts: ExecOptions) -> monetlite::Connection {
+    let mut conn = db.connect();
+    conn.set_exec_options(opts);
+    conn.set_opt_flags(monetlite::opt::OptFlags { join_dp: true, ..Default::default() });
+    conn
+}
+
+/// Rows and counters of `sql` on a [`pinned`] connection.
+fn run_pinned(
+    db: &monetlite::Database,
+    sql: &str,
+    opts: ExecOptions,
+) -> (Vec<Vec<Value>>, monetlite::exec::CountersSnapshot) {
+    let mut conn = pinned(db, opts);
+    let r = conn.query(sql).unwrap_or_else(|e| panic!("{e} for {sql}"));
+    let rows = (0..r.nrows()).map(|i| r.row(i)).collect();
+    (rows, conn.last_exec_counters().expect("counters after query"))
+}
+
+/// The EXPLAIN pipeline line whose source is `scan <table>`.
+fn pipeline_line(db: &monetlite::Database, sql: &str, table: &str, opts: ExecOptions) -> String {
+    let r = pinned(db, opts).query(&format!("EXPLAIN {sql}")).unwrap();
+    (0..r.nrows())
+        .map(|i| r.value(i, 0).to_string())
+        .find(|l| l.starts_with('P') && l.contains(&format!(": scan {table} ")))
+        .unwrap_or_else(|| panic!("no pipeline scans {table} for {sql}"))
+}
+
+/// Streaming options with the dictionary/bloom path on or off and the
+/// hash index off (an index build pushes no bloom).
+fn bloom_opts(threads: usize, vs: usize, dict: bool) -> ExecOptions {
+    ExecOptions {
+        use_dict: dict,
+        use_hash_index: false,
+        use_result_cache: false,
+        ..streaming(threads, vs)
+    }
+}
+
+#[test]
+fn blooms_trace_through_permuting_projects_and_earlier_probes() {
+    let db = bloom_trace_db();
+    for sql in [
+        // scan f -> project (c, b, a) -> probe(left, e) -> probe(inner, d) on a
+        "SELECT count(*), sum(x.c) FROM (SELECT c, b, a FROM f) x LEFT JOIN e ON x.b = e.k \
+         JOIN d ON x.a = d.k WHERE d.name = 'n3'",
+        // scan f -> probe(anti, e) -> project (c, a) -> probe(inner, d) on a
+        "SELECT count(*), sum(x.c) FROM (SELECT c, b, a FROM f WHERE NOT EXISTS \
+         (SELECT * FROM e WHERE e.k = f.b AND e.tag = 't1')) x JOIN d ON x.a = d.k \
+         WHERE d.name = 'n3'",
+        // scan f -> project -> probe(left, e) -> probe(semi, d) on a
+        "SELECT count(*), sum(x.c) FROM (SELECT c, b, a FROM f) x LEFT JOIN e ON x.b = e.k \
+         WHERE x.a IN (SELECT k FROM d WHERE name = 'n3')",
+    ] {
+        let line = pipeline_line(&db, sql, "f", bloom_opts(1, 512, true));
+        assert!(line.contains("project[") && line.contains("[bloom]"), "{line}");
+        let base = run(&db, sql, materialized());
+        let (got, c) = run_pinned(&db, sql, bloom_opts(1, 512, true));
+        assert_rows_eq(sql, &base, &got, "bloom");
+        assert!(c.bloom_pruned > 0, "the traced bloom prunes f: {c:?} for {sql}");
+        for (threads, vs) in [(1, 333), (4, 512), (4, 64 * 1024)] {
+            for dict in [true, false] {
+                let label = format!("t={threads} v={vs} dict={dict}");
+                let (got, _) = run_pinned(&db, sql, bloom_opts(threads, vs, dict));
+                assert_rows_eq(sql, &base, &got, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_key_traced_into_a_build_column_pushes_no_bloom() {
+    let db = bloom_trace_db();
+    // The inner probe's key `d.v` is a column of the LEFT probe's build
+    // side: no scan row of f carries it, so nothing may be pruned there.
+    let sql = "SELECT count(*), sum(f.c) FROM f LEFT JOIN d ON f.a = d.k \
+               JOIN e ON d.v = e.k WHERE e.tag = 't1'";
+    let line = pipeline_line(&db, sql, "f", bloom_opts(1, 512, true));
+    assert!(line.contains("probe(left") && !line.contains("[bloom]"), "{line}");
+    let base = run(&db, sql, materialized());
+    let (got, c) = run_pinned(&db, sql, bloom_opts(1, 512, true));
+    assert_rows_eq(sql, &base, &got, "build-column key");
+    assert_eq!(c.bloom_pruned, 0, "{c:?}");
+    let (got, _) = run_pinned(&db, sql, bloom_opts(4, 333, false));
+    assert_rows_eq(sql, &base, &got, "dict off");
+}
+
+/// Q9's selective `part` build pushes its bloom through the projection
+/// above the partsupp probe into lineitem.
+#[test]
+fn q9_part_bloom_reaches_lineitem() {
+    let data = generate(0.005, 42);
+    let db = monetlite::Database::open_in_memory();
+    let mut conn = db.connect();
+    load_monet(&mut conn, &data).unwrap();
+    drop(conn);
+    let sql = queries::sql(9);
+    let on = ExecOptions { use_dict: true, use_result_cache: false, ..streaming(1, 1024) };
+    let line = pipeline_line(&db, sql, "lineitem", on);
+    assert!(line.contains("[bloom]") && line.contains("project["), "{line}");
+    let (got, c) = run_pinned(&db, sql, on);
+    assert!(c.bloom_pruned > 0, "{c:?}");
+    let base = run(&db, sql, materialized());
+    assert_rows_eq(sql, &base, &got, "Q9 dict on");
+    for threads in [1, 4] {
+        let (got, c) = run_pinned(&db, sql, ExecOptions { threads, use_dict: false, ..on });
+        assert_rows_eq(sql, &base, &got, &format!("Q9 dict off t={threads}"));
+        assert_eq!(c.bloom_pruned, 0, "dict off builds no bloom: {c:?}");
+    }
+}
