@@ -24,17 +24,17 @@ use crate::agg::{hash_group, AggState};
 use crate::bloom::Bloom;
 use crate::expr::{BExpr, CmpOp};
 use crate::join::{cross_join, hash_join, merge_join, scalar_left_pairs, JoinSel};
-use crate::kernels::{bool_to_sel, compile_like, eval, like_plan_match, LikePlan};
+use crate::kernels::{bool_to_sel, compile_like, eval, LikePlan};
 use crate::plan::{PJoinKind, Plan};
 use crate::rows::take_padded;
 use crate::sort::{sort_perm, topn_perm};
 use monetlite_storage::catalog::{ColumnEntry, TableMeta};
 use monetlite_storage::hash::hash_rows;
-use monetlite_storage::index::{f64_ordered, orderable, IMPRINT_LINE};
+use monetlite_storage::index::{f64_ordered, IMPRINT_LINE};
 use monetlite_storage::{Bat, StrDict, NULL_CODE};
 use monetlite_types::{LogicalType, MlError, Result, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Which execution engine drives the plan.
@@ -99,12 +99,15 @@ pub struct ExecOptions {
     /// the connection, other sessions and the store stay usable — the
     /// disk-pressure analogue of `memory_budget`.
     pub spill_quota: usize,
-    /// Dictionary-encoded string execution (`MONETLITE_DICT`): constant
-    /// VARCHAR predicates run over sorted-dictionary `u32` codes (with
-    /// per-zone code bounds for morsel skipping), string group keys hash
-    /// dense codes, and hash-join build sides push bloom filters into
-    /// probe-side scans. `false` restores per-row string execution (the
-    /// ablation baseline); results are identical either way.
+    /// Dictionary-encoded string execution (`MONETLITE_DICT`): every scan
+    /// filter over one VARCHAR column alone runs over the column's
+    /// sorted-dictionary `u32` codes — a code range for comparisons and
+    /// LIKE prefixes, else a per-code mask from evaluating the filter once
+    /// per distinct value — with per-zone code bounds for morsel
+    /// skipping; string group keys hash dense codes; and hash-join build
+    /// sides push bloom filters into probe-side scans. `false` restores
+    /// per-row string execution (the ablation baseline); results are
+    /// identical either way.
     pub use_dict: bool,
     /// Plan cache (`MONETLITE_PLAN_CACHE`): repeated statements that
     /// differ only in WHERE-clause literals reuse one optimized plan
@@ -220,8 +223,9 @@ pub struct ExecCounters {
     /// Vectors that left their operator chain carrying a candidate list
     /// (materialization deferred to the pipeline sink).
     pub sel_vectors: AtomicU64,
-    /// Constant VARCHAR predicates served from a sorted string dictionary
-    /// (counted once per predicate per morsel).
+    /// Single-column VARCHAR predicates served from a sorted string
+    /// dictionary (counted once per predicate per morsel), and string
+    /// group keys hashed as dictionary codes (once per key per query).
     pub dict_hits: AtomicU64,
     /// Probe-side scan rows dropped by a pushed-down join bloom filter
     /// before reaching the join.
@@ -260,7 +264,7 @@ pub struct CountersSnapshot {
     /// Vectors carried through their operator chain with a candidate
     /// list.
     pub sel_vectors: u64,
-    /// Constant VARCHAR predicates served from a string dictionary.
+    /// VARCHAR predicates and group keys served from a string dictionary.
     pub dict_hits: u64,
     /// Probe-side scan rows dropped by pushed-down join bloom filters.
     pub bloom_pruned: u64,
@@ -697,7 +701,8 @@ pub(crate) fn exec_scan(
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
 ) -> Result<Chunk> {
-    exec_scan_inner(table, projected, width, filters, ctx, range, &[], &[], false)
+    let dicts = ScanDicts::default();
+    exec_scan_inner(table, projected, width, filters, ctx, range, &dicts, &[], &[], false)
 }
 
 /// Streaming scan: a sparse enough selection is *carried* on the chunk
@@ -707,6 +712,7 @@ pub(crate) fn exec_scan(
 /// -side filters keyed by scan-output column position; `extras` are
 /// synthetic full-length physical columns (dictionary code columns)
 /// appended after the `width` output columns in every output shape.
+/// `dicts` is shared by every morsel of the scan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_scan_streaming(
     table: &str,
@@ -715,11 +721,12 @@ pub(crate) fn exec_scan_streaming(
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
+    dicts: &ScanDicts,
     blooms: &[(usize, Arc<Bloom>)],
     extras: &[Arc<Bat>],
 ) -> Result<Chunk> {
     let allow_sel = ctx.opts.use_candidates;
-    exec_scan_inner(table, projected, width, filters, ctx, range, blooms, extras, allow_sel)
+    exec_scan_inner(table, projected, width, filters, ctx, range, dicts, blooms, extras, allow_sel)
 }
 
 /// Selections covering at least this fraction (in tenths) of the scanned
@@ -735,6 +742,7 @@ fn exec_scan_inner(
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
+    dicts: &ScanDicts,
     blooms: &[(usize, Arc<Bloom>)],
     extras: &[Arc<Bat>],
     allow_sel: bool,
@@ -786,40 +794,29 @@ fn exec_scan_inner(
         }
     }
 
-    // Dictionary-domain string predicates: compile each eligible constant
-    // VARCHAR filter into a code range / bitmap over the column's sorted
-    // dictionary. A morsel whose per-zone code bounds cannot satisfy some
-    // predicate is proven empty here; surviving rows are filtered by flat
-    // `u32` code compares — the string kernel never runs for a served
-    // predicate.
+    // Dictionary-domain predicates: every filter over one VARCHAR column
+    // alone is compiled, once per scan, into a code range or a per-code
+    // mask over the column's sorted dictionary. A morsel whose per-zone
+    // code bounds cannot satisfy some predicate is proven empty here;
+    // surviving rows are filtered by flat `u32` code tests — the string
+    // kernel never runs for a served predicate.
     let mut served = vec![false; filters.len()];
-    let mut dict_preds: Vec<(Arc<StrDict>, DictPred)> = Vec::new();
-    if ctx.opts.use_dict && hi > lo {
-        for (i, f) in filters.iter().enumerate() {
-            let Some(entry) = dict_filter_col(f, &entries) else {
-                continue;
-            };
-            let Ok(d) = entry.dict() else {
-                continue;
-            };
-            let Some(pred) = dict_pred_of(f, &d, hi - lo) else {
-                continue;
-            };
-            ctx.counters.bump(&ctx.counters.dict_hits);
-            served[i] = true;
-            dict_preds.push((d, pred));
-        }
-        for (d, pred) in &dict_preds {
-            // `None` zone bounds mean every row in range is NULL — no
-            // predicate can select those rows.
-            let may = match d.zone_bounds(lo, hi) {
-                Some((zmin, zmax)) => pred.zone_may_match(zmin, zmax),
-                None => false,
-            };
-            if !may {
-                ctx.counters.bump(&ctx.counters.vectors_skipped);
-                return Ok(empty());
-            }
+    let dict_preds =
+        if ctx.opts.use_dict && hi > lo { dicts.get(filters, &entries, phys_rows) } else { &[] };
+    for df in dict_preds {
+        ctx.counters.bump(&ctx.counters.dict_hits);
+        served[df.filter] = true;
+    }
+    for df in dict_preds {
+        // `None` zone bounds mean every row in range is NULL — no served
+        // predicate selects those rows.
+        let may = match df.dict.zone_bounds(lo, hi) {
+            Some((zmin, zmax)) => df.pred.zone_may_match(zmin, zmax),
+            None => false,
+        };
+        if !may {
+            ctx.counters.bump(&ctx.counters.vectors_skipped);
+            return Ok(empty());
         }
     }
 
@@ -905,7 +902,8 @@ fn exec_scan_inner(
     // cheaper than any kernel the remaining filters could dispatch to.
     if !dict_preds.is_empty() {
         let deleted = meta.data.deleted.as_deref();
-        let keep = |r: u32| dict_preds.iter().all(|(d, p)| p.matches(d.codes()[r as usize]));
+        let keep =
+            |r: u32| dict_preds.iter().all(|df| df.pred.matches(df.dict.codes()[r as usize]));
         sel = Some(match sel.take() {
             Some(cur) => cur.into_iter().filter(|&r| keep(r)).collect(),
             None => (lo as u32..hi as u32)
@@ -1024,11 +1022,11 @@ fn refine(f: &BExpr, bats: &[Arc<Bat>], cands: Vec<u32>) -> Result<Vec<u32>> {
     Ok(hits.into_iter().map(|i| cands[i as usize]).collect())
 }
 
-/// A constant VARCHAR predicate compiled into the dictionary's code
-/// domain. Codes are dense and sorted by value, so every comparison
-/// shape becomes either a half-open code range (binary search, O(log d)
-/// to compile) or a per-code membership bitmap (one string-domain
-/// evaluation per *distinct* value, O(d) to compile).
+/// A scan filter compiled into its column's dictionary code domain.
+/// Codes are dense and sorted by value, so a comparison with a literal
+/// or a LIKE prefix is a half-open code range (binary search, O(log d) to
+/// compile), and any other filter over the column is a per-code mask
+/// (one evaluation per *distinct* value, O(d) to compile).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum DictPred {
     /// Codes in `[lo, hi)` match.
@@ -1038,9 +1036,9 @@ pub(crate) enum DictPred {
 }
 
 impl DictPred {
-    /// Row-level test; NULL rows ([`NULL_CODE`]) never match — SQL
-    /// comparisons and LIKE yield NULL on NULL input, which a filter
-    /// treats as false.
+    /// Row-level test; NULL rows ([`NULL_CODE`]) never match — a range
+    /// shape yields NULL on NULL input, and a mask is only compiled for a
+    /// filter that does not hold on NULL.
     #[inline]
     pub(crate) fn matches(&self, code: u32) -> bool {
         if code == NULL_CODE {
@@ -1055,7 +1053,7 @@ impl DictPred {
     /// Can any code in the inclusive zone-bounds interval match?
     pub(crate) fn zone_may_match(&self, zmin: u32, zmax: u32) -> bool {
         match self {
-            DictPred::Range(lo, hi) => zmin < *hi && zmax >= *lo,
+            DictPred::Range(lo, hi) => lo < hi && zmin < *hi && zmax >= *lo,
             DictPred::Mask(bits) => {
                 (zmin..=zmax).any(|c| bits.get(c as usize).copied().unwrap_or(false))
             }
@@ -1063,50 +1061,76 @@ impl DictPred {
     }
 }
 
-/// Purely syntactic dictionary-eligibility of a filter — the shape the
-/// scan's dictionary path and EXPLAIN's `[dict]` tag share (the scan
-/// additionally requires a non-empty VARCHAR column entry).
-pub(crate) fn dict_filter_shape(f: &BExpr) -> bool {
-    match f {
-        BExpr::Cmp { left, right, .. } => matches!(
-            (left.as_ref(), right.as_ref()),
-            (BExpr::ColRef { ty: LogicalType::Varchar, .. }, BExpr::Lit(_))
-                | (BExpr::Lit(_), BExpr::ColRef { ty: LogicalType::Varchar, .. })
-        ),
-        BExpr::Like { input, .. } => {
-            matches!(input.as_ref(), BExpr::ColRef { ty: LogicalType::Varchar, .. })
-        }
-        _ => false,
+/// A filter the scan serves from a dictionary.
+pub(crate) struct DictFilter {
+    /// Position in the scan's filter list.
+    filter: usize,
+    /// The dictionary of the column the filter reads.
+    dict: Arc<StrDict>,
+    /// The filter in that dictionary's code domain.
+    pred: DictPred,
+}
+
+/// The dictionary-served filters of one scan: compiled by its first
+/// morsel, shared by the rest, so a mask evaluates its filter over the
+/// dictionary's values once per scan, not once per morsel.
+#[derive(Default)]
+pub(crate) struct ScanDicts(OnceLock<Vec<DictFilter>>);
+
+impl ScanDicts {
+    /// The served filters; `span` is the number of rows the scan filters.
+    fn get(&self, filters: &[BExpr], entries: &[Arc<ColumnEntry>], span: usize) -> &[DictFilter] {
+        self.0.get_or_init(|| {
+            let compile = |(filter, f): (usize, &BExpr)| {
+                let entry = entries.get(dict_filter_col(f)?)?;
+                // A mask is only worth a dictionary that is small beside
+                // the scan: a cached dictionary, else the column
+                // statistics, tell its size before one is built for it.
+                if range_of(f).is_none() {
+                    let ndv = match entry.dict_opt() {
+                        Some(d) => d.len() as f64,
+                        None => entry.stats().ok()?.ndv(),
+                    };
+                    if ndv * MASK_ROWS_PER_VALUE as f64 > span as f64 {
+                        return None;
+                    }
+                }
+                let dict = entry.dict().ok()?;
+                let pred = dict_pred_of(f, &dict, span)?;
+                Some(DictFilter { filter, dict, pred })
+            };
+            filters.iter().enumerate().filter_map(compile).collect()
+        })
     }
 }
 
-/// The scan-relative VARCHAR column entry a filter tests, when its shape
-/// is dictionary-eligible: `#col <cmp> literal` or `#col [NOT] LIKE
-/// 'pat'` over a bare column reference.
-fn dict_filter_col<'e>(f: &BExpr, entries: &'e [Arc<ColumnEntry>]) -> Option<&'e Arc<ColumnEntry>> {
-    let col = match f {
-        BExpr::Cmp { left, right, .. } => match (left.as_ref(), right.as_ref()) {
-            (BExpr::ColRef { idx, ty: LogicalType::Varchar }, BExpr::Lit(_))
-            | (BExpr::Lit(_), BExpr::ColRef { idx, ty: LogicalType::Varchar }) => *idx,
-            _ => return None,
-        },
-        BExpr::Like { input, .. } => match input.as_ref() {
-            BExpr::ColRef { idx, ty: LogicalType::Varchar } => *idx,
-            _ => return None,
-        },
-        _ => return None,
-    };
-    let entry = entries.get(col)?;
-    (entry.ty() == LogicalType::Varchar && !entry.is_empty()).then_some(entry)
+/// A mask costs one evaluation per dictionary value; it is served only
+/// when the scan filters at least this many rows per value.
+const MASK_ROWS_PER_VALUE: usize = 8;
+
+/// The one column a scan filter reads when it may run in that column's
+/// dictionary code domain: every column reference in it is the same
+/// VARCHAR column and it holds no parameter — comparisons, IN lists,
+/// LIKE, AND/OR/NOT trees and functions of the column alike. The scan
+/// ([`ScanDicts`]) and EXPLAIN's `[dict]` tag share this rule.
+pub(crate) fn dict_filter_col(f: &BExpr) -> Option<usize> {
+    let (mut col, mut ok) = (None, true);
+    f.walk(&mut |e| match e {
+        BExpr::ColRef { idx, ty } => {
+            ok &= *ty == LogicalType::Varchar && col.is_none_or(|c| c == *idx);
+            col = Some(*idx);
+        }
+        BExpr::Param { .. } => ok = false,
+        _ => {}
+    });
+    col.filter(|_| ok)
 }
 
-/// Compile a dictionary-eligible filter into a [`DictPred`]. `span` is
-/// the number of rows the predicate will filter this morsel: bitmap
-/// -shaped plans cost O(|dict|) to compile, so they are only worth it
-/// while the dictionary is no larger than the morsel (otherwise the
-/// plain string kernel is cheaper and the filter stays in `remaining`).
-fn dict_pred_of(f: &BExpr, d: &StrDict, span: usize) -> Option<DictPred> {
-    let n = d.len() as u32;
+/// The code range of a range-shaped filter as a function of the
+/// dictionary: `#col <cmp> literal` (but `<>`), and `#col LIKE 'p'` with
+/// an exact or prefix pattern.
+#[allow(clippy::type_complexity)]
+fn range_of(f: &BExpr) -> Option<Box<dyn Fn(&StrDict) -> (u32, u32) + '_>> {
     match f {
         BExpr::Cmp { op, left, right } => {
             let (lit, op) = match (left.as_ref(), right.as_ref()) {
@@ -1115,59 +1139,62 @@ fn dict_pred_of(f: &BExpr, d: &StrDict, span: usize) -> Option<DictPred> {
                 _ => return None,
             };
             let s = match lit {
-                // Comparison with NULL is NULL for every row: empty range.
-                Value::Null => return Some(DictPred::Range(0, 0)),
+                // Comparison with NULL is NULL for every row.
+                Value::Null => return Some(Box::new(|_| (0, 0))),
                 Value::Str(s) => s.as_str(),
                 _ => return None,
             };
             Some(match op {
-                CmpOp::Eq => match d.code_of(s) {
-                    Some(c) => DictPred::Range(c, c + 1),
-                    None => DictPred::Range(0, 0),
-                },
-                CmpOp::Lt => DictPred::Range(0, d.lower_bound(s)),
-                CmpOp::LtEq => DictPred::Range(0, d.upper_bound(s)),
-                CmpOp::Gt => DictPred::Range(d.upper_bound(s), n),
-                CmpOp::GtEq => DictPred::Range(d.lower_bound(s), n),
-                CmpOp::NotEq => {
-                    if d.len() > span {
-                        return None;
-                    }
-                    let mut bits = vec![true; d.len()];
-                    if let Some(c) = d.code_of(s) {
-                        bits[c as usize] = false;
-                    }
-                    DictPred::Mask(bits)
-                }
+                CmpOp::Eq => Box::new(move |d| (d.lower_bound(s), d.upper_bound(s))),
+                CmpOp::Lt => Box::new(move |d| (0, d.lower_bound(s))),
+                CmpOp::LtEq => Box::new(move |d| (0, d.upper_bound(s))),
+                CmpOp::Gt => Box::new(move |d| (d.upper_bound(s), d.len() as u32)),
+                CmpOp::GtEq => Box::new(move |d| (d.lower_bound(s), d.len() as u32)),
+                CmpOp::NotEq => return None,
             })
         }
-        BExpr::Like { pattern, negated, .. } => {
-            let plan = compile_like(pattern);
-            match (&plan, negated) {
-                (LikePlan::Exact(p), false) => Some(match d.code_of(p) {
-                    Some(c) => DictPred::Range(c, c + 1),
-                    None => DictPred::Range(0, 0),
-                }),
-                (LikePlan::Prefix(p), false) => {
-                    let (plo, phi) = d.prefix_range(p);
-                    Some(DictPred::Range(plo, phi))
+        BExpr::Like { input, pattern, negated: false }
+            if matches!(input.as_ref(), BExpr::ColRef { .. }) =>
+        {
+            match compile_like(pattern) {
+                LikePlan::Exact(p) => {
+                    Some(Box::new(move |d| (d.lower_bound(&p), d.upper_bound(&p))))
                 }
-                _ => {
-                    if d.len() > span {
-                        return None;
-                    }
-                    // The pattern is evaluated once per distinct value —
-                    // the dictionary-domain LIKE of the paper's string
-                    // -heavy queries.
-                    let bits = (0..n)
-                        .map(|c| like_plan_match(&plan, pattern, d.value(c)) != *negated)
-                        .collect();
-                    Some(DictPred::Mask(bits))
-                }
+                LikePlan::Prefix(p) => Some(Box::new(move |d| d.prefix_range(&p))),
+                _ => None,
             }
         }
         _ => None,
     }
+}
+
+/// Compile a dictionary-eligible filter (see [`dict_filter_col`]) into a
+/// [`DictPred`] over `d`. Range shapes are binary searches. Every other
+/// filter is evaluated once with the row kernels over the dictionary's
+/// values plus one NULL row, which yields a mask — unless the dictionary
+/// is too large beside the `span` rows the scan filters, the NULL row
+/// holds (NULL rows carry [`NULL_CODE`], which never matches), or the
+/// evaluation errors (a value may be held only by rows the scan never
+/// reads; the row kernels then decide).
+fn dict_pred_of(f: &BExpr, d: &StrDict, span: usize) -> Option<DictPred> {
+    if let Some(range) = range_of(f) {
+        let (lo, hi) = range(d);
+        return Some(DictPred::Range(lo, hi));
+    }
+    if d.len().saturating_mul(MASK_ROWS_PER_VALUE) > span {
+        return None;
+    }
+    let col = dict_filter_col(f)?;
+    let mut values = d.values();
+    values.push(&Value::Null).ok()?;
+    let unread = Arc::new(Bat::Int(Vec::new()));
+    let mut cols = vec![unread; col + 1];
+    cols[col] = Arc::new(values);
+    let Ok(Bat::Bool(hits)) = eval(f, &cols, d.len() + 1) else {
+        return None;
+    };
+    let (&null_row, hits) = hits.split_last()?;
+    (null_row != 1).then(|| DictPred::Mask(hits.iter().map(|&h| h == 1).collect()))
 }
 
 /// Recognise `#col <op> literal` as an inclusive key-domain range probe,
@@ -1210,8 +1237,9 @@ fn probe_of(
     ctx: &ExecContext,
 ) -> Option<(usize, Option<i64>, Option<i64>, bool)> {
     let (col, plo, phi) = zone_probe_of(f)?;
-    let entry = entries.get(col)?;
-    if !orderable(entry.bat().ok()?.as_ref()) {
+    // Only fixed-width types admit order-based indexes; the type is known
+    // without paging the column in.
+    if entries.get(col)?.ty() == LogicalType::Varchar {
         return None;
     }
     let have_order = ctx.opts.use_order_index && meta.ordered_cols.contains(&projected[col]);
@@ -1979,7 +2007,8 @@ mod tests {
         assert_eq!(d.len(), 3);
         let p = |f: &BExpr| dict_pred_of(f, &d, 1024);
         assert_eq!(p(&cmp(CmpOp::Eq, "banana")), Some(DictPred::Range(1, 2)));
-        assert_eq!(p(&cmp(CmpOp::Eq, "durian")), Some(DictPred::Range(0, 0)));
+        // An absent literal is an empty range at its insertion point.
+        assert_eq!(p(&cmp(CmpOp::Eq, "durian")), Some(DictPred::Range(3, 3)));
         assert_eq!(p(&cmp(CmpOp::Lt, "banana")), Some(DictPred::Range(0, 1)));
         assert_eq!(p(&cmp(CmpOp::LtEq, "banana")), Some(DictPred::Range(0, 2)));
         assert_eq!(p(&cmp(CmpOp::Gt, "banana")), Some(DictPred::Range(2, 3)));
@@ -1995,6 +2024,7 @@ mod tests {
         let null_cmp =
             BExpr::Cmp { op: CmpOp::Eq, left: vcol(), right: Box::new(BExpr::Lit(Value::Null)) };
         assert_eq!(p(&null_cmp), Some(DictPred::Range(0, 0)));
+        // `<>` is no range: the general rule evaluates it per value.
         assert_eq!(p(&cmp(CmpOp::NotEq, "banana")), Some(DictPred::Mask(vec![true, false, true])));
     }
 
@@ -2007,7 +2037,8 @@ mod tests {
         assert_eq!(p(&like("band", false)), Some(DictPred::Range(1, 2)));
         // Prefix plan is the dictionary prefix range.
         assert_eq!(p(&like("ban%", false)), Some(DictPred::Range(1, 4)));
-        // Generic/suffix/negated plans evaluate once per distinct value.
+        // Generic/suffix/negated plans evaluate once per distinct value,
+        // like every other filter over the column alone.
         assert_eq!(
             p(&like("%and%", false)),
             Some(DictPred::Mask(vec![false, true, true, false, false]))
@@ -2025,13 +2056,50 @@ mod tests {
     #[test]
     fn dict_pred_mask_shapes_respect_the_compile_cost_guard() {
         let d = sdict(&[Some("a"), Some("b"), Some("c"), Some("d")]);
-        // Mask-shaped plans cost O(|dict|): skipped when the dictionary
-        // outnumbers the morsel...
-        assert_eq!(dict_pred_of(&cmp(CmpOp::NotEq, "b"), &d, 3), None);
-        assert_eq!(dict_pred_of(&like("%x%", false), &d, 3), None);
+        // Mask-shaped plans cost O(|dict|): skipped unless the scan
+        // filters at least eight rows per dictionary value...
+        assert_eq!(dict_pred_of(&cmp(CmpOp::NotEq, "b"), &d, 31), None);
+        assert_eq!(dict_pred_of(&like("%x%", false), &d, 31), None);
+        assert!(dict_pred_of(&like("%x%", false), &d, 32).is_some());
         // ...but range-shaped plans compile in O(log d) regardless.
         assert!(dict_pred_of(&cmp(CmpOp::Lt, "c"), &d, 3).is_some());
         assert!(dict_pred_of(&like("b%", false), &d, 3).is_some());
+    }
+
+    #[test]
+    fn dict_pred_general_rule_serves_trees_but_not_null_true_or_erroring_filters() {
+        // ba=0, cap=1, 12=2.
+        let d = sdict(&[Some("cap"), None, Some("ba"), Some("12")]);
+        let p = |f: &BExpr| dict_pred_of(f, &d, 1024);
+        let or = BExpr::Or(Box::new(cmp(CmpOp::Eq, "ba")), Box::new(like("c%", false)));
+        assert_eq!(p(&or), Some(DictPred::Mask(vec![false, true, true])));
+        let not = BExpr::Not(Box::new(or));
+        assert_eq!(p(&not), Some(DictPred::Mask(vec![true, false, false])));
+        // True on the NULL row: NULL_CODE rows would be lost.
+        let is_null = BExpr::IsNull { input: vcol(), negated: false };
+        assert_eq!(p(&is_null), None);
+        let coalesce = BExpr::Cmp {
+            op: CmpOp::Eq,
+            left: Box::new(BExpr::Func {
+                func: crate::expr::ScalarFunc::Upper,
+                args: vec![BExpr::Case {
+                    branches: vec![(BExpr::IsNull { input: vcol(), negated: false }, *slit("x"))],
+                    else_expr: Some(vcol()),
+                    ty: LogicalType::Varchar,
+                }],
+                ty: LogicalType::Varchar,
+            }),
+            right: slit("X"),
+        };
+        assert_eq!(p(&coalesce), None);
+        // An error on any value ('ba' is no date) falls back to the row
+        // kernels silently.
+        let cast = BExpr::Cmp {
+            op: CmpOp::Gt,
+            left: Box::new(BExpr::Cast { input: vcol(), ty: LogicalType::Date }),
+            right: Box::new(BExpr::Lit(Value::Date(monetlite_types::Date(0)))),
+        };
+        assert_eq!(p(&cast), None);
     }
 
     #[test]
@@ -2046,21 +2114,33 @@ mod tests {
         assert!(m.matches(1) && !m.matches(0) && !m.matches(2));
         assert!(!m.matches(999), "codes past the mask never match");
         assert!(m.zone_may_match(0, 1) && m.zone_may_match(1, 2) && !m.zone_may_match(2, 2));
+        assert!(!DictPred::Range(3, 3).zone_may_match(0, 9), "an empty range prunes every zone");
     }
 
     #[test]
-    fn dict_filter_shape_is_syntactic_and_type_gated() {
-        assert!(dict_filter_shape(&cmp(CmpOp::Eq, "x")));
-        assert!(dict_filter_shape(&like("x%", false)));
-        assert!(dict_filter_shape(&like("x%", true)));
-        // Non-VARCHAR columns and non-literal comparisons don't qualify.
+    fn dict_filter_col_is_one_varchar_column_and_no_parameter() {
+        assert_eq!(dict_filter_col(&cmp(CmpOp::Eq, "x")), Some(0));
+        assert_eq!(dict_filter_col(&like("x%", true)), Some(0));
+        // Any tree over the one column qualifies, a self-comparison too.
+        let col_col = BExpr::Cmp { op: CmpOp::Eq, left: vcol(), right: vcol() };
+        assert_eq!(dict_filter_col(&col_col), Some(0));
+        let or = BExpr::Or(Box::new(cmp(CmpOp::Eq, "x")), Box::new(like("%y", false)));
+        assert_eq!(dict_filter_col(&BExpr::Not(Box::new(or))), Some(0));
+        // Non-VARCHAR columns, two columns, no column, or a parameter don't.
         let int_cmp = BExpr::Cmp {
             op: CmpOp::Eq,
             left: Box::new(BExpr::ColRef { idx: 0, ty: LogicalType::Int }),
             right: Box::new(BExpr::Lit(Value::Int(1))),
         };
-        assert!(!dict_filter_shape(&int_cmp));
-        let col_col = BExpr::Cmp { op: CmpOp::Eq, left: vcol(), right: vcol() };
-        assert!(!dict_filter_shape(&col_col));
+        assert_eq!(dict_filter_col(&int_cmp), None);
+        let other = Box::new(BExpr::ColRef { idx: 1, ty: LogicalType::Varchar });
+        assert_eq!(
+            dict_filter_col(&BExpr::Cmp { op: CmpOp::Lt, left: vcol(), right: other }),
+            None
+        );
+        assert_eq!(dict_filter_col(&BExpr::Lit(Value::Bool(true))), None);
+        let param = BExpr::Param { idx: 0, value: Value::Str("x".into()) };
+        let with_param = BExpr::Cmp { op: CmpOp::Eq, left: vcol(), right: Box::new(param) };
+        assert_eq!(dict_filter_col(&with_param), None);
     }
 }

@@ -288,60 +288,55 @@ impl BExpr {
         }
     }
 
-    /// Collect every referenced input column index.
-    pub fn collect_cols(&self, out: &mut Vec<usize>) {
+    /// Visit this expression and every subexpression, parents first.
+    pub fn walk(&self, visit: &mut dyn FnMut(&BExpr)) {
+        visit(self);
         match self {
-            BExpr::ColRef { idx, .. } => out.push(*idx),
-            BExpr::Lit(_) | BExpr::Param { .. } => {}
-            BExpr::Cast { input, .. } | BExpr::Not(input) | BExpr::Neg { input, .. } => {
-                input.collect_cols(out)
-            }
-            BExpr::IsNull { input, .. } | BExpr::Like { input, .. } => input.collect_cols(out),
-            BExpr::Arith { left, right, .. } | BExpr::Cmp { left, right, .. } => {
-                left.collect_cols(out);
-                right.collect_cols(out);
-            }
-            BExpr::And(a, b) | BExpr::Or(a, b) => {
-                a.collect_cols(out);
-                b.collect_cols(out);
+            BExpr::ColRef { .. } | BExpr::Lit(_) | BExpr::Param { .. } => {}
+            BExpr::Cast { input, .. }
+            | BExpr::Not(input)
+            | BExpr::Neg { input, .. }
+            | BExpr::IsNull { input, .. }
+            | BExpr::Like { input, .. } => input.walk(visit),
+            BExpr::Arith { left, right, .. }
+            | BExpr::Cmp { left, right, .. }
+            | BExpr::And(left, right)
+            | BExpr::Or(left, right) => {
+                left.walk(visit);
+                right.walk(visit);
             }
             BExpr::Case { branches, else_expr, .. } => {
                 for (c, v) in branches {
-                    c.collect_cols(out);
-                    v.collect_cols(out);
+                    c.walk(visit);
+                    v.walk(visit);
                 }
                 if let Some(e) = else_expr {
-                    e.collect_cols(out);
+                    e.walk(visit);
                 }
             }
             BExpr::Func { args, .. } => {
                 for a in args {
-                    a.collect_cols(out);
+                    a.walk(visit);
                 }
             }
         }
     }
 
+    /// Collect every referenced input column index.
+    pub fn collect_cols(&self, out: &mut Vec<usize>) {
+        self.walk(&mut |e| {
+            if let BExpr::ColRef { idx, .. } = e {
+                out.push(*idx);
+            }
+        });
+    }
+
     /// True when the expression (recursively) contains a plan-cache
     /// parameter slot.
     pub fn has_param(&self) -> bool {
-        match self {
-            BExpr::Param { .. } => true,
-            BExpr::ColRef { .. } | BExpr::Lit(_) => false,
-            BExpr::Cast { input, .. } | BExpr::Not(input) | BExpr::Neg { input, .. } => {
-                input.has_param()
-            }
-            BExpr::IsNull { input, .. } | BExpr::Like { input, .. } => input.has_param(),
-            BExpr::Arith { left, right, .. } | BExpr::Cmp { left, right, .. } => {
-                left.has_param() || right.has_param()
-            }
-            BExpr::And(a, b) | BExpr::Or(a, b) => a.has_param() || b.has_param(),
-            BExpr::Case { branches, else_expr, .. } => {
-                branches.iter().any(|(c, v)| c.has_param() || v.has_param())
-                    || else_expr.as_ref().is_some_and(|e| e.has_param())
-            }
-            BExpr::Func { args, .. } => args.iter().any(|a| a.has_param()),
-        }
+        let mut found = false;
+        self.walk(&mut |e| found |= matches!(e, BExpr::Param { .. }));
+        found
     }
 
     /// Replace every parameter slot with a literal via `value_of` — with

@@ -439,6 +439,18 @@ fn apply_cmp(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
+/// [`apply_cmp`] over two strings' bytes. `str` orders by bytes, so this
+/// agrees with comparing the validated `&str`s without re-checking UTF-8
+/// per row; equality compares lengths before bytes.
+#[inline]
+fn cmp_bytes(op: CmpOp, a: &[u8], b: &[u8]) -> bool {
+    match op {
+        CmpOp::Eq => a == b,
+        CmpOp::NotEq => a != b,
+        _ => apply_cmp(op, a.cmp(b)),
+    }
+}
+
 /// Same-type column-column comparison → BOOLEAN column.
 pub fn cmp(op: CmpOp, l: &Bat, r: &Bat) -> Result<Bat> {
     if l.len() != r.len() {
@@ -458,12 +470,13 @@ pub fn cmp(op: CmpOp, l: &Bat, r: &Bat) -> Result<Bat> {
             }
             cmp_loop!(a, b, op, |x: i64| x == NULL_I64)
         }
-        (Bat::Varchar { .. }, Bat::Varchar { .. }) => {
+        (Bat::Varchar { offsets: a, heap: ha }, Bat::Varchar { offsets: b, heap: hb }) => {
             let mut out = Vec::with_capacity(l.len());
-            for i in 0..l.len() {
-                match (l.str_at(i), r.str_at(i)) {
-                    (Some(a), Some(b)) => out.push(apply_cmp(op, a.cmp(b)) as i8),
-                    _ => out.push(NULL_I8),
+            for (&x, &y) in a.iter().zip(b) {
+                if x == NULL_OFFSET || y == NULL_OFFSET {
+                    out.push(NULL_I8);
+                } else {
+                    out.push(cmp_bytes(op, ha.get_bytes(x), hb.get_bytes(y)) as i8);
                 }
             }
             Bat::Bool(out)
@@ -497,12 +510,13 @@ pub fn cmp_const(op: CmpOp, l: &Bat, v: &Value) -> Result<Bat> {
             cmp_const_loop!(data, k, op, |x: i64| x == NULL_I64)
         }
         (Bat::Varchar { offsets, heap }, Value::Str(s)) => {
+            let k = s.as_bytes();
             let mut out = Vec::with_capacity(offsets.len());
             for &o in offsets {
                 if o == NULL_OFFSET {
                     out.push(NULL_I8);
                 } else {
-                    out.push(apply_cmp(op, heap.get(o).cmp(s.as_str())) as i8);
+                    out.push(cmp_bytes(op, heap.get_bytes(o), k) as i8);
                 }
             }
             Bat::Bool(out)
@@ -536,12 +550,14 @@ pub fn cmp_sel(op: CmpOp, l: &Bat, r: &Bat, sel: &[u32]) -> Result<Bat> {
             }
             cmp_sel_loop!(a, b, op, |x: i64| x == NULL_I64, sel)
         }
-        (Bat::Varchar { .. }, Bat::Varchar { .. }) => {
+        (Bat::Varchar { offsets: a, heap: ha }, Bat::Varchar { offsets: b, heap: hb }) => {
             let mut out = Vec::with_capacity(sel.len());
             for &i in sel {
-                match (l.str_at(i as usize), r.str_at(i as usize)) {
-                    (Some(a), Some(b)) => out.push(apply_cmp(op, a.cmp(b)) as i8),
-                    _ => out.push(NULL_I8),
+                let (x, y) = (a[i as usize], b[i as usize]);
+                if x == NULL_OFFSET || y == NULL_OFFSET {
+                    out.push(NULL_I8);
+                } else {
+                    out.push(cmp_bytes(op, ha.get_bytes(x), hb.get_bytes(y)) as i8);
                 }
             }
             Bat::Bool(out)
@@ -582,13 +598,14 @@ pub fn cmp_const_sel(op: CmpOp, l: &Bat, v: &Value, sel: &[u32]) -> Result<Bat> 
             cmp_const_sel_loop!(data, k, op, |x: i64| x == NULL_I64, sel)
         }
         (Bat::Varchar { offsets, heap }, Value::Str(s)) => {
+            let k = s.as_bytes();
             let mut out = Vec::with_capacity(sel.len());
             for &i in sel {
                 let o = offsets[i as usize];
                 if o == NULL_OFFSET {
                     out.push(NULL_I8);
                 } else {
-                    out.push(apply_cmp(op, heap.get(o).cmp(s.as_str())) as i8);
+                    out.push(cmp_bytes(op, heap.get_bytes(o), k) as i8);
                 }
             }
             Bat::Bool(out)
@@ -1871,6 +1888,44 @@ mod tests {
             prop_assert_eq!(lazy.to_buffer(None), dense.to_buffer(None));
             // And the derived candidate lists agree too.
             prop_assert_eq!(bool_to_sel(&lazy).unwrap(), bool_to_sel(&dense).unwrap());
+        }
+
+        #[test]
+        fn prop_byte_compares_agree_with_str_order(
+            a in proptest::collection::vec("[aé€😀ß]{0,4}", 1..30),
+            b in proptest::collection::vec("[aé€😀ß]{0,4}", 1..30),
+            k in "[aé€😀ß]{0,3}",
+            picks in proptest::collection::vec(0usize..30, 0..20),
+        ) {
+            // Multi-byte UTF-8 of every width (2, 3 and 4 bytes), with
+            // strings starting in 'ß' read as NULL.
+            let n = a.len().min(b.len());
+            let opt = |s: &String| (!s.starts_with('ß')).then(|| s.clone());
+            let (av, bv): (Vec<Option<String>>, Vec<Option<String>>) =
+                (a[..n].iter().map(opt).collect(), b[..n].iter().map(opt).collect());
+            let l = Bat::from_buffer(&ColumnBuffer::Varchar(av.clone()));
+            let r = Bat::from_buffer(&ColumnBuffer::Varchar(bv.clone()));
+            let sel: Vec<u32> = picks.into_iter().filter(|&p| p < n).map(|p| p as u32).collect();
+            let want = |x: &Option<String>, y: Option<&str>, op: CmpOp| match (x, y) {
+                (Some(x), Some(y)) => Value::Bool(apply_cmp(op, x.as_str().cmp(y))),
+                _ => Value::Null,
+            };
+            let kv = Value::Str(k.clone());
+            for op in [CmpOp::Eq, CmpOp::NotEq, CmpOp::Lt, CmpOp::LtEq, CmpOp::Gt, CmpOp::GtEq] {
+                let cc = cmp_const(op, &l, &kv).unwrap();
+                let ccs = cmp_const_sel(op, &l, &kv, &sel).unwrap();
+                let cv = cmp(op, &l, &r).unwrap();
+                let cvs = cmp_sel(op, &l, &r, &sel).unwrap();
+                for i in 0..n {
+                    prop_assert_eq!(cc.get(i), want(&av[i], Some(k.as_str()), op));
+                    prop_assert_eq!(cv.get(i), want(&av[i], bv[i].as_deref(), op));
+                }
+                for (j, &i) in sel.iter().enumerate() {
+                    let i = i as usize;
+                    prop_assert_eq!(ccs.get(j), want(&av[i], Some(k.as_str()), op));
+                    prop_assert_eq!(cvs.get(j), want(&av[i], bv[i].as_deref(), op));
+                }
+            }
         }
 
         #[test]

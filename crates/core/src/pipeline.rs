@@ -31,7 +31,7 @@ use crate::agg::{hash_group, AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
     bare_scan_hash_entry, exec_scan_streaming, exec_values, finish_join_output, project_cols,
-    Chunk, ExecContext, ExecOptions,
+    Chunk, ExecContext, ExecOptions, ScanDicts,
 };
 use crate::expr::{AggSpec, BExpr};
 use crate::kernels::{bool_to_sel, eval};
@@ -59,13 +59,15 @@ enum Source<'p> {
     /// scan-output column position; `extras` are synthetic full-length
     /// columns (dictionary code columns) appended after the `width`
     /// output columns (the read list's filter-only tail never leaves the
-    /// scan).
+    /// scan); `dicts` holds the filters served from dictionaries,
+    /// compiled by the first morsel.
     Table {
         table: &'p str,
         projected: &'p [usize],
         width: usize,
         filters: &'p [BExpr],
         rows: usize,
+        dicts: ScanDicts,
         blooms: Vec<(usize, Arc<Bloom>)>,
         extras: Vec<Arc<Bat>>,
     },
@@ -84,13 +86,15 @@ impl Source<'_> {
 
     fn fetch(&self, ctx: &ExecContext, lo: usize, hi: usize, whole: bool) -> Result<Chunk> {
         match self {
-            Source::Table { table, projected, width, filters, blooms, extras, .. } => {
+            Source::Table { table, projected, width, filters, dicts, blooms, extras, .. } => {
                 // A morsel covering the whole table scans unranged, which
                 // preserves imprint/order-index selection and zero-copy
                 // column sharing. The streaming scan may return a chunk
                 // carrying a candidate list over the base columns.
                 let range = if whole { None } else { Some((lo as u32, hi as u32)) };
-                exec_scan_streaming(table, projected, *width, filters, ctx, range, blooms, extras)
+                exec_scan_streaming(
+                    table, projected, *width, filters, ctx, range, dicts, blooms, extras,
+                )
             }
             Source::Mem(c) => Ok(c.slice(lo, hi)),
         }
@@ -142,6 +146,7 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
                     width: schema.len(),
                     filters,
                     rows: meta.data.rows,
+                    dicts: ScanDicts::default(),
                     blooms: Vec::new(),
                     extras: Vec::new(),
                 },
@@ -1641,7 +1646,9 @@ fn desc_chain(
             };
             // Mark scans with dictionary-eligible string predicates and
             // scans receiving a pushed-down join bloom filter.
-            let dict = if opts.use_dict && filters.iter().any(crate::exec::dict_filter_shape) {
+            let dict = if opts.use_dict
+                && filters.iter().any(|f| crate::exec::dict_filter_col(f).is_some())
+            {
                 " [dict]"
             } else {
                 ""

@@ -7,9 +7,10 @@
 //!
 //! * equality and range predicates against a string literal become integer
 //!   range checks over codes (`kernels::cmp_const` agrees row-for-row);
-//! * LIKE evaluates once per *distinct value* instead of once per row —
-//!   prefix patterns reduce to a contiguous code range, everything else to
-//!   a bitmask over the (small) dictionary domain;
+//! * any other filter over the column alone (IN lists, `<>`, LIKE, OR/NOT
+//!   trees, functions of the column) evaluates once per *distinct value*
+//!   ([`StrDict::values`]) instead of once per row, into a bitmask over the
+//!   (small) dictionary domain — LIKE prefixes reduce to a code range;
 //! * per-zone min/max code summaries give VARCHAR the same morsel-skipping
 //!   the integer zonemaps provide, which plain zonemaps cannot (strings
 //!   have no order-preserving `i64` key).
@@ -20,7 +21,7 @@
 //! corrupt or stale sidecar is a cache miss, never an error.
 
 use crate::bat::Bat;
-use crate::heap::NULL_OFFSET;
+use crate::heap::{StringHeap, NULL_OFFSET};
 use crate::index::ZONE_ROWS;
 use std::collections::HashMap;
 
@@ -103,6 +104,15 @@ impl StrDict {
         let (lo, hi) = (self.val_offs[code as usize], self.val_offs[code as usize + 1]);
         // Values are only ever packed from &str.
         std::str::from_utf8(&self.val_buf[lo as usize..hi as usize]).expect("dict utf-8")
+    }
+
+    /// The distinct values as a VARCHAR column in code order (row `c`
+    /// holds `value(c)`), for evaluating an expression once per value.
+    pub fn values(&self) -> Bat {
+        // Values are distinct: a dedup table would never hit.
+        let mut heap = StringHeap::with_dedup_limit(0);
+        let offsets = (0..self.len() as u32).map(|c| heap.add(self.value(c))).collect();
+        Bat::Varchar { offsets, heap }
     }
 
     /// Number of values strictly below `s` — the half-open lower bound of
@@ -323,6 +333,9 @@ mod tests {
         assert_eq!((d.value(0), d.value(1), d.value(2)), ("apple", "fig", "pear"));
         assert_eq!(d.codes(), &[2, 0, NULL_CODE, 2, 1]);
         assert_eq!(d.rows(), 5);
+        let vals = d.values();
+        assert_eq!(vals.len(), 3);
+        assert_eq!((vals.str_at(0), vals.str_at(2)), (Some("apple"), Some("pear")));
         assert!(StrDict::build(&Bat::Int(vec![1])).is_none());
     }
 

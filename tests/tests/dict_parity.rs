@@ -181,6 +181,45 @@ fn dict_and_bloom_counters_fire_on_q17() {
     assert_eq!(off.bloom_pruned, 0, "dict-off leg must not build bloom filters");
 }
 
+/// Q12's `l_shipmode IN ('MAIL', 'SHIP')` and Q19's `l_shipmode IN (...)`
+/// and `l_shipinstruct = ...` are filters over one string column each, so
+/// the scan serves them from dictionaries. Options are pinned to literals
+/// so no CI leg can turn the path off.
+#[test]
+fn q12_and_q19_string_filters_are_served_by_dictionaries() {
+    let data = generate(GOLDEN_SF, GOLDEN_SEED);
+    let db = monetlite::Database::open_in_memory();
+    let mut conn = db.connect();
+    load_monet(&mut conn, &data).unwrap();
+    drop(conn);
+    let pinned = ExecOptions {
+        mode: ExecMode::Streaming,
+        threads: 1,
+        vector_size: 64 * 1024,
+        mitosis_min_rows: 64 * 1024,
+        use_imprints: true,
+        use_hash_index: true,
+        use_order_index: true,
+        timeout: None,
+        memory_budget: usize::MAX,
+        spill_quota: usize::MAX,
+        use_candidates: true,
+        use_zonemaps: true,
+        use_dict: true,
+        use_plan_cache: false,
+        use_result_cache: false,
+        plan_cache_bytes: 0,
+        result_cache_bytes: 0,
+    };
+    for n in [12, 19] {
+        let sql = queries::sql(n);
+        let (got, counters) = run_counting(&db, sql, pinned);
+        assert!(counters.dict_hits > 0, "Q{n} filters must hit a dictionary: {counters:?}");
+        let (off, _) = run_counting(&db, sql, dict(pinned, false));
+        assert_rows_eq(sql, &off, &got, &format!("Q{n} pinned"));
+    }
+}
+
 /// Satellite: dictionary-domain LIKE. On a low-NDV clustered string
 /// column, a LIKE prefix plan compiles to a code range (evaluated once
 /// per distinct dictionary entry, not once per row), and zone bounds on

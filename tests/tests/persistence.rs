@@ -225,3 +225,43 @@ fn vmem_pressure_evicts_and_reloads_transparently() {
     assert!(stats.evictions > 0, "expected evictions under pressure: {stats:?}");
     assert!(stats.loads > 0, "expected reloads from column files: {stats:?}");
 }
+
+/// An exact order-index select is answered by the index alone: on an
+/// evicted column it must not page the column in just to learn that its
+/// type admits an order index.
+#[test]
+fn exact_order_index_select_on_an_evicted_column_loads_nothing() {
+    let dir = tempfile::tempdir().unwrap();
+    let n: i32 = 200_000;
+    {
+        let db = Database::open(dir.path()).unwrap();
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+        conn.append(
+            "t",
+            vec![
+                monetlite_types::ColumnBuffer::Int((0..n).collect()),
+                monetlite_types::ColumnBuffer::Int((0..n).map(|i| i % 7).collect()),
+            ],
+        )
+        .unwrap();
+        db.checkpoint().unwrap();
+    }
+    // Each column is 800,000 bytes: only one fits the budget.
+    let opts = DbOptions {
+        path: Some(dir.path().to_path_buf()),
+        vmem_budget: 900 * 1024,
+        ..Default::default()
+    };
+    let db = Database::open_with(opts).unwrap();
+    let mut conn = db.connect();
+    conn.execute("CREATE ORDER INDEX oi ON t (a)").unwrap();
+    let r = conn.query("SELECT sum(b) FROM t").unwrap();
+    assert_eq!(r.value(0, 0), Value::Bigint((0..n as i64).map(|i| i % 7).sum()));
+    let before = db.vmem_stats();
+    let r = conn.query("SELECT count(*) FROM t WHERE a = 15").unwrap();
+    assert_eq!(r.value(0, 0), Value::Bigint(1));
+    assert!(conn.last_exec_counters().unwrap().order_index_selects > 0, "order index not used");
+    let after = db.vmem_stats();
+    assert_eq!(after.loads, before.loads, "the select paged a column in: {before:?} -> {after:?}");
+}
