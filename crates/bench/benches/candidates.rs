@@ -1,26 +1,26 @@
 //! Candidate-list execution microbenchmarks: selective filter → aggregate
-//! with selection pass-through + zonemap skipping versus the
-//! gather-at-the-filter baseline (`use_candidates`/`use_zonemaps` off).
+//! with selection pass-through, zonemap skipping on versus off
+//! (`use_zonemaps`). Both sides carry candidate lists.
 //!
 //! Two data layouts at selectivities 0.1% / 1% / 10% / 90%:
 //!
 //! * `candidates_clustered` — the filter key is ingest-ordered (a
 //!   date-clustered fact table). Zonemaps prove most vectors empty before
 //!   any kernel runs, and the surviving vectors ride their candidate
-//!   lists into the aggregate. This is the headline number the
-//!   acceptance criterion measures.
+//!   lists into the aggregate.
 //! * `candidates_scattered` — the key is scattered, so zonemaps cannot
-//!   skip anything; the delta isolates pure selection pass-through (no
-//!   per-vector gather of the payload columns).
+//!   skip anything; the two sides should agree within noise (the cost of
+//!   probing zonemaps that never skip).
 //!
 //! Imprints and order indexes are disabled for both sides so the
-//! comparison isolates the new machinery. The 90% case exercises the
-//! density cutoff: candidate execution must stay within noise of the
-//! baseline when the filter keeps almost everything.
+//! comparison isolates the zonemaps. The 90% case exercises the density
+//! cutoff: a filter that keeps almost everything gathers at the scan.
 //!
-//! Run with `MONETLITE_BENCH_JSON=BENCH_candidates.json cargo bench
-//! --bench candidates` to record results; CI runs `cargo bench --bench
-//! candidates -- --test` as a smoke check.
+//! Run with `MONETLITE_BENCH_JSON=out.json cargo bench --bench
+//! candidates` to record results; CI runs `cargo bench --bench
+//! candidates -- --test` as a smoke check. `BENCH_candidates.json` was
+//! recorded against a gather-at-the-filter baseline that no longer
+//! exists; its `baseline` rows are not reproducible with this bench.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;
@@ -28,23 +28,22 @@ use monetlite_types::ColumnBuffer;
 
 const N: i32 = 1_000_000;
 
-fn opts(candidates: bool) -> ExecOptions {
+fn opts(zonemaps: bool) -> ExecOptions {
     ExecOptions {
         threads: 1,
         vector_size: 64 * 1024,
         use_imprints: false,
         use_order_index: false,
-        use_candidates: candidates,
-        use_zonemaps: candidates,
+        use_zonemaps: zonemaps,
         ..monetlite_bench::uncached_opts()
     }
 }
 
-fn label(candidates: bool) -> &'static str {
-    if candidates {
-        "candidates"
+fn label(zonemaps: bool) -> &'static str {
+    if zonemaps {
+        "zonemaps"
     } else {
-        "baseline"
+        "no_zonemaps"
     }
 }
 
@@ -83,9 +82,9 @@ fn bench_layout(c: &mut Criterion, group: &str, clustered: bool) {
         [("0.1pct", N / 1000), ("1pct", N / 100), ("10pct", N / 10), ("90pct", N / 10 * 9)]
     {
         let sql = format!("SELECT sum(v), sum(w), count(*) FROM facts WHERE k < {bound}");
-        for candidates in [false, true] {
-            conn.set_exec_options(opts(candidates));
-            grp.bench_function(format!("filter_agg_{sel_label}_{}", label(candidates)), |b| {
+        for zonemaps in [false, true] {
+            conn.set_exec_options(opts(zonemaps));
+            grp.bench_function(format!("filter_agg_{sel_label}_{}", label(zonemaps)), |b| {
                 b.iter(|| conn.query(&sql).unwrap())
             });
         }

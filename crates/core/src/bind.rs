@@ -1227,16 +1227,7 @@ impl<'a> Binder<'a> {
                     bound.push((bc, self.bind_expr(v, scope)?));
                 }
                 let belse = else_expr.as_ref().map(|e| self.bind_expr(e, scope)).transpose()?;
-                // Common result type across all branch values.
-                let mut ty = bound[0].1.ty();
-                for (_, v) in &bound[1..] {
-                    ty = LogicalType::common_super_type(ty, v.ty())?;
-                }
-                if let Some(e) = &belse {
-                    if !matches!(e, BExpr::Lit(Value::Null)) {
-                        ty = LogicalType::common_super_type(ty, e.ty())?;
-                    }
-                }
+                let ty = case_type(&bound, belse.as_ref())?;
                 let branches = bound
                     .into_iter()
                     .map(|(c, v)| Ok((c, cast_to(v, ty)?)))
@@ -1499,15 +1490,7 @@ impl<'a> Binder<'a> {
                     .as_ref()
                     .map(|e| self.bind_agg_expr(e, input, groups, aggs))
                     .transpose()?;
-                let mut ty = bound[0].1.ty();
-                for (_, v) in &bound[1..] {
-                    ty = LogicalType::common_super_type(ty, v.ty())?;
-                }
-                if let Some(e) = &belse {
-                    if !matches!(e, BExpr::Lit(Value::Null)) {
-                        ty = LogicalType::common_super_type(ty, e.ty())?;
-                    }
-                }
+                let ty = case_type(&bound, belse.as_ref())?;
                 let branches = bound
                     .into_iter()
                     .map(|(c, v)| Ok((c, cast_to(v, ty)?)))
@@ -1904,6 +1887,18 @@ fn scale_of(ty: LogicalType) -> u8 {
 
 fn to_decimal(e: BExpr, scale: u8) -> Result<BExpr> {
     cast_to(e, LogicalType::Decimal { width: 18, scale })
+}
+
+/// The result type of a CASE: the common super type of its branch values
+/// and ELSE, skipping untyped NULLs (a NULL casts to any type). A CASE
+/// whose values are all NULL keeps its first value's type.
+fn case_type(branches: &[(BExpr, BExpr)], else_expr: Option<&BExpr>) -> Result<LogicalType> {
+    let values = || branches.iter().map(|(_, v)| v).chain(else_expr);
+    let mut typed = values().filter(|v| !matches!(v, BExpr::Lit(Value::Null)));
+    let Some(first) = typed.next().or_else(|| values().next()) else {
+        return Err(MlError::Bind("CASE without a branch".into()));
+    };
+    typed.try_fold(first.ty(), |ty, v| LogicalType::common_super_type(ty, v.ty()))
 }
 
 /// Insert a cast unless the expression already has the target type;

@@ -85,12 +85,6 @@ pub struct ExecOptions {
     /// executor falls back to the headroom of the store's [`Vmem`] budget
     /// (see [`ExecContext::spill_budget`]).
     pub memory_budget: usize,
-    /// Candidate-list execution (streaming engine): filters narrow a
-    /// vector by refining a selection instead of gathering every
-    /// projected column, and downstream kernels evaluate only selected
-    /// positions. `false` restores gather-at-the-filter execution (the
-    /// ablation baseline).
-    pub use_candidates: bool,
     /// Consult per-zone min/max zonemaps to skip whole vectors on
     /// constant range predicates before any kernel runs.
     pub use_zonemaps: bool,
@@ -139,8 +133,8 @@ fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
 }
 
-/// Boolean env override (`MONETLITE_CANDIDATES=0` disables candidate
-/// lists for the whole suite, the CI ablation matrix's lever; the
+/// Boolean env override (`MONETLITE_ZONEMAPS=0` disables zonemap
+/// skipping for the whole suite, a CI ablation matrix lever; the
 /// optimizer's `MONETLITE_JOINORDER` shares it).
 pub(crate) fn env_bool(key: &str, default: bool) -> bool {
     match std::env::var(key) {
@@ -161,7 +155,6 @@ impl Default for ExecOptions {
             use_order_index: true,
             timeout: None,
             memory_budget: env_usize("MONETLITE_MEMORY_BUDGET", usize::MAX),
-            use_candidates: env_bool("MONETLITE_CANDIDATES", true),
             use_zonemaps: env_bool("MONETLITE_ZONEMAPS", true),
             spill_quota: env_usize("MONETLITE_SPILL_QUOTA", usize::MAX),
             use_dict: env_bool("MONETLITE_DICT", true),
@@ -423,9 +416,10 @@ impl<'a> ExecContext<'a> {
 /// rows — a fully materialised chunk. With a selection, the columns are
 /// *wider* shared arrays (often the base table's own columns, zero-copy)
 /// and `sel` lists the `rows` physical positions that logically belong
-/// to the chunk, in ascending order. Filters refine the selection
-/// instead of gathering; consumers either evaluate kernels at only the
-/// selected positions ([`crate::kernels::eval_sel`]) or call
+/// to the chunk, in ascending order. Only the streaming engine carries
+/// selections. Filters refine the selection instead of gathering;
+/// consumers evaluate kernels at the selected positions ([`Chunk::eval`],
+/// which hands `sel` to [`crate::kernels::eval`]) or call
 /// [`Chunk::materialize`] once at the pipeline sink.
 #[derive(Debug, Clone)]
 pub struct Chunk {
@@ -442,6 +436,11 @@ impl Chunk {
     /// A fully materialised chunk (no selection).
     pub fn dense(cols: Vec<Arc<Bat>>, rows: usize) -> Chunk {
         Chunk { cols, rows, sel: None }
+    }
+
+    /// The candidate list as kernel positions (`None` when dense).
+    pub(crate) fn positions(&self) -> Option<&[u32]> {
+        self.sel.as_deref().map(Vec::as_slice)
     }
 
     /// Physical rows of the backing columns (what dense kernels would
@@ -541,24 +540,18 @@ impl Chunk {
         self.take(&sel)
     }
 
-    /// Evaluate an expression over this chunk's logical rows: dense
-    /// chunks run the dense kernels, candidate chunks run the sel-aware
-    /// kernels — the result is always compacted to `rows` rows.
+    /// Evaluate an expression over this chunk's logical rows, at the
+    /// candidate list's positions when there is one — the result is
+    /// always compacted to `rows` rows.
     pub(crate) fn eval(&self, e: &BExpr) -> Result<Bat> {
-        match &self.sel {
-            None => eval(e, &self.cols, self.rows),
-            Some(sel) => crate::kernels::eval_sel(e, &self.cols, sel),
-        }
+        eval(e, &self.cols, self.rows, self.positions())
     }
 
     /// [`Chunk::eval`] that shares a dense chunk's column for a bare
     /// column reference instead of copying it (aggregate keys and
-    /// arguments, probe keys).
+    /// arguments, probe keys, projections).
     pub(crate) fn eval_shared(&self, e: &BExpr) -> Result<Arc<Bat>> {
-        match &self.sel {
-            None => crate::kernels::eval_shared(e, &self.cols, self.rows),
-            Some(sel) => crate::kernels::eval_sel(e, &self.cols, sel).map(Arc::new),
-        }
+        crate::kernels::eval_shared(e, &self.cols, self.rows, self.positions())
     }
 }
 
@@ -593,7 +586,7 @@ pub(crate) fn exec_node(
         }
         Plan::Filter { input, pred } => {
             let chunk = exec_node(input, ctx, range)?;
-            let mask = eval(pred, &chunk.cols, chunk.rows)?;
+            let mask = chunk.eval(pred)?;
             let sel = bool_to_sel(&mask)?;
             Ok(chunk.take(&sel))
         }
@@ -642,7 +635,8 @@ pub(crate) fn exec_node(
 /// the MAL level (paper: "further optimizations are performed such as
 /// common sub-expression elimination"): identical projection expressions
 /// are evaluated once, and bare column references share the input column
-/// (no copy). Shared by the materialized and streaming engines.
+/// (no copy). Shared by the materialized and streaming engines; a
+/// candidate chunk's columns compact to its selection.
 pub(crate) fn project_cols(exprs: &[BExpr], chunk: &Chunk) -> Result<Vec<Arc<Bat>>> {
     let mut cols = Vec::with_capacity(exprs.len());
     let mut memo: Vec<(usize, Arc<Bat>)> = Vec::new();
@@ -651,7 +645,7 @@ pub(crate) fn project_cols(exprs: &[BExpr], chunk: &Chunk) -> Result<Vec<Arc<Bat
             cols.push(prev.clone());
             continue;
         }
-        let b = crate::kernels::eval_shared(e, &chunk.cols, chunk.rows)?;
+        let b = chunk.eval_shared(e)?;
         memo.push((i, b.clone()));
         cols.push(b);
     }
@@ -663,7 +657,7 @@ pub(crate) fn exec_values(rows: &[Vec<BExpr>], schema: &[crate::plan::OutCol]) -
     let mut cols: Vec<Bat> = schema.iter().map(|c| Bat::new(c.ty)).collect();
     for row in rows {
         for (expr, col) in row.iter().zip(cols.iter_mut()) {
-            let v = eval(expr, &[], 1)?;
+            let v = eval(expr, &[], 1, None)?;
             col.push(&v.get(0))?;
         }
     }
@@ -689,10 +683,10 @@ pub(crate) fn check_candidate_width(phys_rows: usize) -> Result<()> {
     Ok(())
 }
 
-/// Dense scan (materialized engine, and the streaming engine's fallback
-/// when candidate lists are disabled): any selection gathers before the
-/// chunk is returned. `projected` is the scan's read list, of which the
-/// first `width` columns are output (see [`Plan::Scan`]).
+/// Dense scan (the materialized engine, which never carries a
+/// selection): any selection gathers before the chunk is returned.
+/// `projected` is the scan's read list, of which the first `width`
+/// columns are output (see [`Plan::Scan`]).
 pub(crate) fn exec_scan(
     table: &str,
     projected: &[usize],
@@ -725,8 +719,7 @@ pub(crate) fn exec_scan_streaming(
     blooms: &[(usize, Arc<Bloom>)],
     extras: &[Arc<Bat>],
 ) -> Result<Chunk> {
-    let allow_sel = ctx.opts.use_candidates;
-    exec_scan_inner(table, projected, width, filters, ctx, range, dicts, blooms, extras, allow_sel)
+    exec_scan_inner(table, projected, width, filters, ctx, range, dicts, blooms, extras, true)
 }
 
 /// Selections covering at least this fraction (in tenths) of the scanned
@@ -877,7 +870,7 @@ fn exec_scan_inner(
     // positions; only the columns they reference are loaded.
     let bats = filter_bats(&entries, unverified.iter().chain(&remaining).copied())?;
     if let (Some(f), Some(cands)) = (unverified, &mut sel) {
-        *cands = refine(f, &bats, std::mem::take(cands))?;
+        *cands = refine(f, &bats, phys_rows, Some(cands))?;
     }
     // No index-assisted selection: start from the physical restriction
     // (deletes and/or subrange) if any — unless nothing reads it: a
@@ -915,10 +908,7 @@ fn exec_scan_inner(
     // Remaining filters: evaluate over the current selection, at its
     // positions of the base arrays.
     for f in remaining {
-        sel = Some(match sel.take() {
-            None => bool_to_sel(&eval(f, &bats, phys_rows)?)?,
-            Some(cur) => refine(f, &bats, cur)?,
-        });
+        sel = Some(refine(f, &bats, phys_rows, sel.as_deref())?);
     }
 
     // Pushed-down join bloom filters, after every local predicate: rows
@@ -1012,14 +1002,23 @@ fn filter_bats<'f>(
     Ok(bats)
 }
 
-/// The positions of `cands` at which filter `f` holds, evaluated over the
-/// base columns at those positions (nothing is gathered).
-fn refine(f: &BExpr, bats: &[Arc<Bat>], cands: Vec<u32>) -> Result<Vec<u32>> {
-    if cands.is_empty() {
-        return Ok(cands);
+/// The physical positions at which filter `f` holds: among `sel` when
+/// given — evaluated over the columns at those positions, nothing
+/// gathered — else among all `rows` rows of `cols`.
+pub(crate) fn refine(
+    f: &BExpr,
+    cols: &[Arc<Bat>],
+    rows: usize,
+    sel: Option<&[u32]>,
+) -> Result<Vec<u32>> {
+    if sel.is_some_and(<[u32]>::is_empty) {
+        return Ok(Vec::new());
     }
-    let hits = bool_to_sel(&crate::kernels::eval_sel(f, bats, &cands)?)?;
-    Ok(hits.into_iter().map(|i| cands[i as usize]).collect())
+    let hits = bool_to_sel(&eval(f, cols, rows, sel)?)?;
+    Ok(match sel {
+        None => hits,
+        Some(sel) => hits.into_iter().map(|i| sel[i as usize]).collect(),
+    })
 }
 
 /// A scan filter compiled into its column's dictionary code domain.
@@ -1190,7 +1189,7 @@ fn dict_pred_of(f: &BExpr, d: &StrDict, span: usize) -> Option<DictPred> {
     let unread = Arc::new(Bat::Int(Vec::new()));
     let mut cols = vec![unread; col + 1];
     cols[col] = Arc::new(values);
-    let Ok(Bat::Bool(hits)) = eval(f, &cols, d.len() + 1) else {
+    let Ok(Bat::Bool(hits)) = eval(f, &cols, d.len() + 1, None) else {
         return None;
     };
     let (&null_row, hits) = hits.split_last()?;
@@ -1298,9 +1297,9 @@ fn exec_join(
         }
     } else {
         let lkey_bats: Vec<Bat> =
-            left_keys.iter().map(|k| eval(k, &lchunk.cols, lchunk.rows)).collect::<Result<_>>()?;
+            left_keys.iter().map(|k| lchunk.eval(k)).collect::<Result<_>>()?;
         let rkey_bats: Vec<Bat> =
-            right_keys.iter().map(|k| eval(k, &rchunk.cols, rchunk.rows)).collect::<Result<_>>()?;
+            right_keys.iter().map(|k| rchunk.eval(k)).collect::<Result<_>>()?;
         let lrefs: Vec<&Bat> = lkey_bats.iter().collect();
         let rrefs: Vec<&Bat> = rkey_bats.iter().collect();
         // Merge join when both sides are order-indexed bare scans.
@@ -1399,13 +1398,13 @@ pub(crate) fn finish_join_output(
     match kind {
         PJoinKind::Inner | PJoinKind::Cross => {
             let out = gather(&sel.lsel, Some(&sel.rsel));
-            let mask = eval(res, &out.cols, out.rows)?;
+            let mask = out.eval(res)?;
             let keep = bool_to_sel(&mask)?;
             Ok(out.take(&keep))
         }
         PJoinKind::Semi | PJoinKind::Anti => {
             let pairs = gather(&sel.lsel, Some(&sel.rsel));
-            let mask = eval(res, &pairs.cols, pairs.rows)?;
+            let mask = pairs.eval(res)?;
             let hits = bool_to_sel(&mask)?;
             let mut qualifies = vec![false; probe_rows];
             for &h in &hits {
@@ -1418,7 +1417,7 @@ pub(crate) fn finish_join_output(
         }
         PJoinKind::Left => {
             let pairs = gather(&sel.lsel, Some(&sel.rsel));
-            let mask = eval(res, &pairs.cols, pairs.rows)?;
+            let mask = pairs.eval(res)?;
             let hits = bool_to_sel(&mask)?;
             let mut pass = vec![false; pairs.rows];
             for &h in &hits {
@@ -1505,8 +1504,7 @@ fn exec_aggregate(
     ctx: &ExecContext,
 ) -> Result<Chunk> {
     ctx.check_deadline()?;
-    let group_bats: Vec<Bat> =
-        groups.iter().map(|g| eval(g, &chunk.cols, chunk.rows)).collect::<Result<_>>()?;
+    let group_bats: Vec<Bat> = groups.iter().map(|g| chunk.eval(g)).collect::<Result<_>>()?;
     let (group_ids, repr_rows, n_groups) = if groups.is_empty() {
         (vec![0u32; chunk.rows], vec![], 1usize)
     } else {
@@ -1520,7 +1518,7 @@ fn exec_aggregate(
         out_cols.push(Arc::new(b.take(&repr_rows)));
     }
     for (i, spec) in aggs.iter().enumerate() {
-        let arg_bat = spec.arg.as_ref().map(|a| eval(a, &chunk.cols, chunk.rows)).transpose()?;
+        let arg_bat = spec.arg.as_ref().map(|a| chunk.eval(a)).transpose()?;
         let mut state =
             AggState::new(spec.func, spec.arg.as_ref().map(|a| a.ty()), spec.distinct, n_groups)?;
         state.update(arg_bat.as_ref(), &group_ids)?;
@@ -1565,11 +1563,7 @@ fn try_mitosis(plan: &Plan, ctx: &ExecContext) -> Result<Option<Chunk>> {
                             let gids = vec![0u32; chunk.rows];
                             let mut states = Vec::with_capacity(aggs.len());
                             for spec in aggs {
-                                let arg = spec
-                                    .arg
-                                    .as_ref()
-                                    .map(|a| eval(a, &chunk.cols, chunk.rows))
-                                    .transpose()?;
+                                let arg = spec.arg.as_ref().map(|a| chunk.eval(a)).transpose()?;
                                 let mut st = AggState::new(
                                     spec.func,
                                     spec.arg.as_ref().map(|a| a.ty()),

@@ -1068,7 +1068,7 @@ impl Connection {
                         "INSERT values must be constant expressions".into(),
                     ));
                 }
-                let out = kernels::eval(&bound, &[], 1)?;
+                let out = kernels::eval(&bound, &[], 1, None)?;
                 provided.insert(pos, out.get(0));
             }
             for (i, f) in schema.fields().iter().enumerate() {
@@ -1108,7 +1108,7 @@ impl Connection {
         let cols: Vec<Arc<Bat>> =
             used.iter().map(|&c| meta.data.cols[c].entry()?.bat()).collect::<Result<_>>()?;
         let pred = pred.remap_cols(&|c| used.binary_search(&c).expect("collected above"));
-        let mask = kernels::eval(&pred, &cols, meta.data.rows)?;
+        let mask = kernels::eval(&pred, &cols, meta.data.rows, None)?;
         let mut sel = kernels::bool_to_sel(&mask)?;
         sel.retain(visible);
         Ok(sel)
@@ -1176,7 +1176,7 @@ impl Connection {
                         expr::BExpr::Lit(Value::Null) => {
                             kernels::materialize_const(&Value::Null, f.ty, rows.len())?
                         }
-                        e => kernels::eval(e, &gathered, rows.len())?,
+                        e => kernels::eval(e, &gathered, rows.len(), None)?,
                     };
                     if !f.nullable && b.null_count() > 0 {
                         return Err(MlError::Execution(format!(

@@ -78,7 +78,7 @@ impl Default for OptFlags {
             pushdown: true,
             join_order: true,
             // Same truthiness rules as the other MONETLITE_* ablation
-            // levers (shared with MONETLITE_CANDIDATES/ZONEMAPS).
+            // levers (shared with MONETLITE_ZONEMAPS/DICT).
             join_dp: crate::exec::env_bool("MONETLITE_JOINORDER", true),
             topn: true,
             fold: true,
@@ -1123,7 +1123,7 @@ fn selectivity(pred: &BExpr, input: &Plan, stats: &dyn Stats) -> f64 {
     // charged it a /4 like any other conjunct, which skewed build-side
     // choices downstream (covers un-folded `1 = 1` residuals too).
     if pred.is_const() {
-        if let Ok(out) = kernels::eval(pred, &[], 1) {
+        if let Ok(out) = kernels::eval(pred, &[], 1, None) {
             return match out.get(0) {
                 Value::Bool(true) => 1.0,
                 _ => 0.0,
@@ -1809,7 +1809,7 @@ fn fold_expr(e: BExpr) -> Result<BExpr> {
         return Ok(e);
     }
     if e.is_const() {
-        let out = kernels::eval(&e, &[], 1)?;
+        let out = kernels::eval(&e, &[], 1, None)?;
         return Ok(BExpr::Lit(out.get(0)));
     }
     // Fold children.

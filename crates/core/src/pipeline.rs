@@ -31,10 +31,9 @@ use crate::agg::{hash_group, AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
     bare_scan_hash_entry, exec_scan_streaming, exec_values, finish_join_output, project_cols,
-    Chunk, ExecContext, ExecOptions, ScanDicts,
+    refine, Chunk, ExecContext, ExecOptions, ScanDicts,
 };
 use crate::expr::{AggSpec, BExpr};
-use crate::kernels::{bool_to_sel, eval};
 use crate::plan::{OutCol, PJoinKind, Plan};
 use crate::rows::{col_cmp2, visit_keys, KeyCols, KeyVisitor};
 use crate::sort::{sort_perm, topn_perm};
@@ -173,10 +172,8 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
             ctx.check_deadline()?;
             // eval_shared: bare-column keys alias the build chunk's
             // columns instead of copying them.
-            let build_keys: Vec<Arc<Bat>> = right_keys
-                .iter()
-                .map(|k| crate::kernels::eval_shared(k, &build_chunk.cols, build_chunk.rows))
-                .collect::<Result<_>>()?;
+            let build_keys: Vec<Arc<Bat>> =
+                right_keys.iter().map(|k| build_chunk.eval_shared(k)).collect::<Result<_>>()?;
             let index_entry = if right_keys.len() == 1 && ctx.opts.use_hash_index {
                 bare_scan_hash_entry(right, right_keys, ctx)
             } else {
@@ -411,29 +408,12 @@ fn apply_ops(mut chunk: Chunk, ops: &[PipeOp], ctx: &ExecContext) -> Result<Chun
         // projections).
         ctx.check_deadline()?;
         match op {
-            PipeOp::Filter(pred) => {
-                if ctx.opts.use_candidates {
-                    chunk = filter_chunk(chunk, pred)?;
-                } else {
-                    let mask = eval(pred, &chunk.cols, chunk.rows)?;
-                    let sel = bool_to_sel(&mask)?;
-                    chunk = chunk.take(&sel);
-                }
-            }
+            PipeOp::Filter(pred) => chunk = filter_chunk(chunk, pred)?,
             PipeOp::Project(exprs) => {
                 // Projection consumes any candidate list: each output
                 // expression evaluates at only the selected positions
                 // (bare columns gather once), yielding a dense chunk.
-                chunk = match chunk.sel {
-                    None => Chunk::dense(project_cols(exprs, &chunk)?, chunk.rows),
-                    Some(_) => {
-                        let cols: Vec<Arc<Bat>> = exprs
-                            .iter()
-                            .map(|e| chunk.eval(e).map(Arc::new))
-                            .collect::<Result<_>>()?;
-                        Chunk::dense(cols, chunk.rows)
-                    }
-                };
+                chunk = Chunk::dense(project_cols(exprs, &chunk)?, chunk.rows);
             }
             PipeOp::Probe { kind, left_keys, residual, build_chunk, build_keys, build } => {
                 // Pair-wise residual semantics (semi/anti/left) and the
@@ -490,25 +470,15 @@ fn apply_ops(mut chunk: Chunk, ops: &[PipeOp], ctx: &ExecContext) -> Result<Chun
 }
 
 /// σ with candidate lists: refine the chunk's selection instead of
-/// gathering. A chunk already carrying a selection always evaluates the
-/// predicate sel-aware — only surviving positions are touched, so a
-/// row-level evaluation error (e.g. division by zero) can never surface
-/// from a row an earlier filter removed, exactly matching the
-/// gather-based baseline. A near-full result (the ~90% density cutoff)
-/// materialises eagerly, as the baseline would, so unselective filters
-/// don't trade contiguous access for indexed access downstream.
+/// gathering. A chunk already carrying a selection evaluates the
+/// predicate at its positions only, so a row-level evaluation error
+/// (e.g. division by zero) can never surface from a row an earlier
+/// filter removed, exactly matching the gather-based materialized
+/// engine. A near-full result (the ~90% density cutoff) materialises
+/// eagerly, so unselective filters don't trade contiguous access for
+/// indexed access downstream.
 fn filter_chunk(chunk: Chunk, pred: &BExpr) -> Result<Chunk> {
-    let new_sel: Vec<u32> = match &chunk.sel {
-        None => {
-            let mask = eval(pred, &chunk.cols, chunk.rows)?;
-            bool_to_sel(&mask)?
-        }
-        Some(cur) => {
-            let mask = chunk.eval(pred)?;
-            let hits = bool_to_sel(&mask)?;
-            hits.into_iter().map(|i| cur[i as usize]).collect()
-        }
-    };
+    let new_sel = refine(pred, &chunk.cols, chunk.rows, chunk.positions())?;
     let rows = new_sel.len();
     let narrowed = Chunk { cols: chunk.cols, rows, sel: Some(Arc::new(new_sel)) };
     // Scan-origin selections sit on table-wide base columns, so their
@@ -678,8 +648,7 @@ fn agg_worker_consume(
         // Spill routing writes whole rows to disk: materialise a
         // candidate chunk first (cheap Arc clones when already dense).
         let dense = c.clone().materialize();
-        let key_bats: Vec<Bat> =
-            groups.iter().map(|g| eval(g, &dense.cols, dense.rows)).collect::<Result<_>>()?;
+        let key_bats: Vec<Bat> = groups.iter().map(|g| dense.eval(g)).collect::<Result<_>>()?;
         let refs: Vec<&Bat> = key_bats.iter().collect();
         return sp.route(&ctx.spill, &dense, &hash_rows(&refs, None));
     }
@@ -721,7 +690,7 @@ fn aggregate_spill_file(
             match &mut respill {
                 Some(sp) => {
                     let key_bats: Vec<Bat> =
-                        groups.iter().map(|g| eval(g, &s.cols, s.rows)).collect::<Result<_>>()?;
+                        groups.iter().map(|g| s.eval(g)).collect::<Result<_>>()?;
                     let refs: Vec<&Bat> = key_bats.iter().collect();
                     sp.route(&ctx.spill, &s, &hash_rows(&refs, None))?;
                 }
@@ -996,7 +965,7 @@ pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
                 // Candidate chunks dedup in place over the selected
                 // positions; only the surviving representatives gather.
                 let refs: Vec<&Bat> = c.cols.iter().map(|b| &**b).collect();
-                let grouping = hash_group(&refs, c.sel.as_ref().map(|s| s.as_slice()));
+                let grouping = hash_group(&refs, c.positions());
                 let deduped = c.take(&grouping.repr_rows);
                 p.push((m, deduped));
                 Ok(true)
@@ -1078,10 +1047,8 @@ fn grace_hash_join(
                 return Ok(true);
             }
             let c = c.materialize(); // partition frames hold whole rows
-            let key_bats: Vec<Arc<Bat>> = left_keys
-                .iter()
-                .map(|k| crate::kernels::eval_shared(k, &c.cols, c.rows))
-                .collect::<Result<_>>()?;
+            let key_bats: Vec<Arc<Bat>> =
+                left_keys.iter().map(|k| c.eval_shared(k)).collect::<Result<_>>()?;
             let rows = c.rows;
             let combined = Chunk::dense(c.cols.iter().cloned().chain(key_bats).collect(), rows);
             let keyrefs: Vec<&Bat> =
@@ -2169,20 +2136,27 @@ mod tests {
         }
     }
 
-    /// Candidate lists + zonemaps pinned on, regardless of the CI env
-    /// matrix (MONETLITE_CANDIDATES/MONETLITE_ZONEMAPS).
+    /// Zonemaps pinned on, regardless of the CI env matrix
+    /// (MONETLITE_ZONEMAPS).
     fn opts_cand(threads: usize, vector_size: usize) -> crate::exec::ExecOptions {
         let mut o = opts(threads, vector_size);
-        o.use_candidates = true;
         o.use_zonemaps = true;
         o
+    }
+
+    /// The gather-based reference: the materialized engine, which never
+    /// carries a candidate list.
+    fn materialized<'a>(plan: &Plan, tables: &'a TestTables) -> (Chunk, ExecContext<'a>) {
+        let o = crate::exec::ExecOptions { mode: ExecMode::Materialized, ..opts(1, 1024) };
+        let ctx = ExecContext::new(tables, o);
+        (crate::exec::execute(plan, &ctx).unwrap(), ctx)
     }
 
     #[test]
     fn selective_filter_carries_candidate_list_to_the_agg_sink() {
         // A sparse filter must not gather: the chunk rides its candidate
         // list into grouped-aggregate ingest (sel_vectors counts it) and
-        // the result matches the gather-based baseline exactly.
+        // the result matches the gather-based materialized engine exactly.
         let n = 40_000i32;
         let t = make_table(
             "t",
@@ -2210,11 +2184,7 @@ mod tests {
                 OutCol { name: "s".into(), ty: LogicalType::Bigint },
             ],
         };
-        let mut base_opts = opts(1, 1024);
-        base_opts.use_candidates = false;
-        base_opts.use_zonemaps = false;
-        let base_ctx = ExecContext::new(&tables, base_opts);
-        let base = execute_streaming(&plan, &base_ctx).unwrap();
+        let (base, base_ctx) = materialized(&plan, &tables);
         assert_eq!(base_ctx.counters.sel_vectors.load(Ordering::Relaxed), 0);
         for threads in [1, 4] {
             let ctx = ExecContext::new(&tables, opts_cand(threads, 1024));
@@ -2230,7 +2200,7 @@ mod tests {
     #[test]
     fn dense_selections_fall_back_to_gather() {
         // A ~99% filter is above the density cutoff: the chunk gathers
-        // (as the baseline would) and no candidate list is carried —
+        // (as the materialized engine would) and no candidate list is carried —
         // sel_vectors stays 0, which the sink's materialize() could not
         // fake.
         let n = 10_000i32;
@@ -2251,8 +2221,8 @@ mod tests {
     #[test]
     fn stacked_filters_only_evaluate_surviving_rows() {
         // Division by zero on rows an earlier filter removed must not
-        // surface: the second predicate runs sel-aware over survivors
-        // only, matching the gather-based baseline.
+        // surface: the second predicate runs at the survivors' positions
+        // only, matching the gather-based materialized engine.
         let n = 4_000i32;
         let t = make_table(
             "t",
@@ -2287,10 +2257,7 @@ mod tests {
                 right: Box::new(BExpr::Lit(Value::Int(0))),
             },
         };
-        let mut base_opts = opts(1, 1024);
-        base_opts.use_candidates = false;
-        base_opts.use_zonemaps = false;
-        let base = execute_streaming(&plan, &ExecContext::new(&tables, base_opts)).unwrap();
+        let (base, _) = materialized(&plan, &tables);
         let ctx = ExecContext::new(&tables, opts_cand(1, 1024));
         let got = execute_streaming(&plan, &ctx).unwrap();
         assert_eq!(sorted_rows(&base), sorted_rows(&got));
@@ -2379,10 +2346,7 @@ mod tests {
             }),
         };
         for plan in [&join, &distinct] {
-            let mut base_opts = opts(1, 1024);
-            base_opts.use_candidates = false;
-            base_opts.use_zonemaps = false;
-            let base = execute_streaming(plan, &ExecContext::new(&tables, base_opts)).unwrap();
+            let (base, _) = materialized(plan, &tables);
             for threads in [1, 4] {
                 let ctx = ExecContext::new(&tables, opts_cand(threads, 1024));
                 let got = execute_streaming(plan, &ctx).unwrap();

@@ -213,7 +213,12 @@ fn arith_value(op: ArithOp, l: Value, r: Value, ty: LogicalType) -> Result<Value
                 ArithOp::Sub => Value::Bigint(a.checked_sub(b).ok_or_else(overflow)?),
                 ArithOp::Mul => Value::Bigint(a.checked_mul(b).ok_or_else(overflow)?),
                 ArithOp::Div => Value::Double(a as f64 / b as f64),
-                ArithOp::Mod => Value::Bigint(a % b),
+                ArithOp::Mod => {
+                    if b == 0 {
+                        return Err(MlError::Execution("division by zero".into()));
+                    }
+                    Value::Bigint(a % b)
+                }
             }
         }
         (Value::Decimal(a), Value::Decimal(b)) => match op {

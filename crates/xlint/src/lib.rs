@@ -3,32 +3,27 @@
 //! `cargo run -p xlint` enforces the engine disciplines that `rustc` and
 //! clippy cannot see because they live *across* files and layers:
 //!
-//! 1. **Kernel twins** — every dense kernel in `kernels.rs` that has a
-//!    `_sel` (candidate-list) twin must be reachable from `eval`, its twin
-//!    from `eval_sel`, and a parity proptest must pit the two entry points
-//!    against each other. A kernel added on one side only silently decays
-//!    the candidate-list path back to materialization (or worse, diverges).
-//! 2. **Checksum discipline** — every `read_*_file` reader in
+//! 1. **Checksum discipline** — every `read_*_file` reader in
 //!    `persist.rs` must validate a checksum (`fnv1a` for sidecars,
 //!    `lane_sum` for column files) and report failures as
 //!    `MlError::Corrupt` before constructing a value from the bytes.
-//! 3. **Counter liveness** — every `ExecCounters` field must be bumped
+//! 2. **Counter liveness** — every `ExecCounters` field must be bumped
 //!    somewhere in the engine and surfaced through `CountersSnapshot`;
 //!    dead counters rot into misleading EXPLAIN/bench output.
-//! 4. **Env-var registry** — every `MONETLITE_*` environment variable read
+//! 3. **Env-var registry** — every `MONETLITE_*` environment variable read
 //!    anywhere in the workspace (or set by CI) must appear in the options
 //!    table in `ARCHITECTURE.md`, and every documented row must still have
 //!    a reader. Undocumented knobs are how ablation flags get lost.
-//! 5. **No-panic hot path** — `unwrap`/`expect`/`panic!`-family macros are
+//! 4. **No-panic hot path** — `unwrap`/`expect`/`panic!`-family macros are
 //!    banned in the non-test code of the six hot-path files; a worker
 //!    thread that panics should never have been able to. The escape hatch
 //!    is `// xlint: allow(panic, <reason>)` on the same or preceding line,
 //!    and the report counts every use of it.
-//! 6. **Shim conformance** — the vendored dependency shims under `vendor/`
+//! 5. **Shim conformance** — the vendored dependency shims under `vendor/`
 //!    may only export names the real crates export, so the workspace keeps
 //!    compiling the day the shims are replaced by the genuine articles.
 //!    Shim-internal helpers need `// xlint: allow(shim-export, <reason>)`.
-//! 7. **Failpoint coverage** — non-test code in `crates/storage` and
+//! 6. **Failpoint coverage** — non-test code in `crates/storage` and
 //!    `core/spill.rs` must route file I/O through the
 //!    `monetlite_storage::fault` wrappers: raw `File::`/`std::fs::`/
 //!    `.write_all(`/`.sync_all(` calls are banned (else the fault-injection
@@ -129,7 +124,6 @@ impl Report {
 pub fn run(root: &Path) -> Report {
     let mut report = Report::default();
     for part in [
-        check_kernel_twins(root),
         check_checksum_discipline(root),
         check_counter_liveness(root),
         check_env_registry(root),
@@ -439,82 +433,7 @@ fn rel(root: &Path, p: &Path) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: kernel twins
-// ---------------------------------------------------------------------------
-
-/// Every dense kernel with a `_sel` twin must be wired into `eval`, the
-/// twin into `eval_sel`, and a parity proptest must exercise both entry
-/// points against each other.
-pub fn check_kernel_twins(root: &Path) -> RuleResult {
-    const RULE: &str = "kernel-twins";
-    let mut res = RuleResult::default();
-    let file = "crates/core/src/kernels.rs";
-    let Ok(src) = fs::read_to_string(root.join(file)) else {
-        res.fail(RULE, file, 0, "file missing — kernel layer moved without updating xlint");
-        return res;
-    };
-    let stripped = strip_comments_and_strings(&src);
-    let cut = non_test_len(&src);
-    let code = &stripped[..cut];
-    let fns = top_level_fns(code);
-    let names: BTreeSet<&str> = fns.iter().map(|(n, _)| n.as_str()).collect();
-
-    let mut pairs = Vec::new();
-    for (n, at) in &fns {
-        if let Some(base) = n.strip_suffix("_sel") {
-            // `eval`/`eval_sel` are the entry points themselves and
-            // `bool_to_sel` converts masks to candidate lists — only real
-            // kernel twins (base also defined) are paired.
-            if base != "eval" && names.contains(base) {
-                pairs.push((base.to_string(), n.clone(), *at));
-            }
-        }
-    }
-    if pairs.is_empty() {
-        res.fail(RULE, file, 0, "no (kernel, kernel_sel) pairs found — rule anchor lost");
-        return res;
-    }
-
-    let eval_body = fn_body(code, "eval").map(|(_, b)| b).unwrap_or("");
-    let eval_sel_body = fn_body(code, "eval_sel").map(|(_, b)| b).unwrap_or("");
-    for (base, seln, at) in &pairs {
-        if !contains_call(eval_body, base) {
-            res.fail(
-                RULE,
-                file,
-                line_of(&src, *at),
-                format!("dense kernel `{base}` has twin `{seln}` but is not reachable from eval()"),
-            );
-        }
-        if !contains_call(eval_sel_body, seln) {
-            res.fail(
-                RULE,
-                file,
-                line_of(&src, *at),
-                format!("sel kernel `{seln}` is not reachable from eval_sel()"),
-            );
-        }
-    }
-
-    let tests = &stripped[cut..];
-    if !(src[cut..].contains("proptest!")
-        && contains_call(tests, "eval")
-        && contains_call(tests, "eval_sel"))
-    {
-        res.fail(
-            RULE,
-            file,
-            line_of(&src, cut),
-            "test module lacks a parity proptest calling both eval() and eval_sel()",
-        );
-    }
-    res.notes
-        .push(format!("kernel-twins: {} twin pair(s) wired into both entry points", pairs.len()));
-    res
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: sidecar checksum discipline
+// Rule 1: sidecar checksum discipline
 // ---------------------------------------------------------------------------
 
 /// The checksum functions of `persist.rs`: byte-serial FNV-1a for the small
@@ -566,7 +485,7 @@ pub fn check_checksum_discipline(root: &Path) -> RuleResult {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 3: counter liveness
+// Rule 2: counter liveness
 // ---------------------------------------------------------------------------
 
 /// Every `ExecCounters` field must be bumped somewhere in the engine and
@@ -624,7 +543,7 @@ pub fn check_counter_liveness(root: &Path) -> RuleResult {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: env-var registry
+// Rule 3: env-var registry
 // ---------------------------------------------------------------------------
 
 fn collect_env_vars(text: &str, into: &mut BTreeSet<String>) {
@@ -718,7 +637,7 @@ pub fn check_env_registry(root: &Path) -> RuleResult {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: no-panic hot path
+// Rule 4: no-panic hot path
 // ---------------------------------------------------------------------------
 
 /// Files where a panic would unwind a worker thread or corrupt a spill —
@@ -783,7 +702,7 @@ pub fn check_no_panic(root: &Path) -> RuleResult {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 6: vendored-shim export conformance
+// Rule 5: vendored-shim export conformance
 // ---------------------------------------------------------------------------
 
 /// Names each real crate actually exports (including well-known modules),
@@ -991,7 +910,7 @@ pub fn check_shim_exports(root: &Path) -> RuleResult {
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: failpoint coverage (no raw file I/O)
+// Rule 6: failpoint coverage (no raw file I/O)
 // ---------------------------------------------------------------------------
 
 /// Raw file-I/O call shapes that bypass the `fault` wrappers. The leading

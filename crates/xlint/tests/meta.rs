@@ -7,8 +7,8 @@
 use std::path::Path;
 use tempfile::TempDir;
 use xlint::{
-    check_checksum_discipline, check_counter_liveness, check_env_registry, check_kernel_twins,
-    check_no_panic, check_raw_io, check_shim_exports, run, RuleResult,
+    check_checksum_discipline, check_counter_liveness, check_env_registry, check_no_panic,
+    check_raw_io, check_shim_exports, run, RuleResult,
 };
 
 fn tree(files: &[(&str, &str)]) -> TempDir {
@@ -31,52 +31,6 @@ fn assert_fires(res: &RuleResult, rule: &str, msg_fragment: &str) {
 
 fn assert_clean(res: &RuleResult) {
     assert!(res.violations.is_empty(), "expected clean, got: {:#?}", res.violations);
-}
-
-// ---------------------------------------------------------------------------
-// kernel twins
-// ---------------------------------------------------------------------------
-
-const KERNELS_TESTS: &str = r#"
-#[cfg(test)]
-mod tests {
-    use super::*;
-    proptest! {
-        #[test]
-        fn parity(x in 0i32..10) {
-            prop_assert_eq!(eval(x), eval_sel(x));
-        }
-    }
-}
-"#;
-
-fn kernels_src(eval_body: &str) -> String {
-    format!(
-        "pub fn eval(x: i32) -> i32 {{ {eval_body} }}\n\
-         pub fn eval_sel(x: i32) -> i32 {{ foo_sel(x) }}\n\
-         fn foo(x: i32) -> i32 {{ x }}\n\
-         fn foo_sel(x: i32) -> i32 {{ x }}\n{KERNELS_TESTS}"
-    )
-}
-
-#[test]
-fn kernel_twin_rule_fires_on_unwired_dense_kernel() {
-    // `foo` has a `_sel` twin but eval() never dispatches to it.
-    let t = tree(&[("crates/core/src/kernels.rs", &kernels_src("x + 1"))]);
-    assert_fires(&check_kernel_twins(t.path()), "kernel-twins", "`foo`");
-}
-
-#[test]
-fn kernel_twin_rule_fires_on_missing_parity_test() {
-    let src = kernels_src("foo(x)").replace("proptest!", "plain_tests");
-    let t = tree(&[("crates/core/src/kernels.rs", &src)]);
-    assert_fires(&check_kernel_twins(t.path()), "kernel-twins", "parity proptest");
-}
-
-#[test]
-fn kernel_twin_rule_passes_on_wired_pair() {
-    let t = tree(&[("crates/core/src/kernels.rs", &kernels_src("foo(x)"))]);
-    assert_clean(&check_kernel_twins(t.path()));
 }
 
 // ---------------------------------------------------------------------------

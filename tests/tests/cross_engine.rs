@@ -6,7 +6,7 @@
 use monetlite::exec::{ExecMode, ExecOptions};
 use monetlite::opt::{OptFlags, StatsMode};
 use monetlite_tpch::{frames, generate, load_monet, load_rowdb, queries};
-use monetlite_types::Value;
+use monetlite_types::{MlError, Value};
 use proptest::prelude::*;
 
 fn approx_eq(a: &Value, b: &Value) -> bool {
@@ -580,4 +580,27 @@ fn table_and_view_names_cannot_collide() {
     assert!(rdb.execute("CREATE VIEW shared_name AS SELECT 1").is_err());
     rdb.execute("CREATE VIEW v2 AS SELECT a FROM shared_name").unwrap();
     assert!(rdb.execute("CREATE TABLE v2 (b INT)").is_err());
+}
+
+#[test]
+fn bigint_modulo_by_zero_errors_on_every_engine() {
+    // Regression: the row store's BIGINT `%` panicked on a zero divisor
+    // instead of returning the error the columnar kernels (and its own
+    // INT arm) return.
+    let ddl = "CREATE TABLE t (b BIGINT); INSERT INTO t VALUES (7), (NULL), (-3);";
+    let sql = "SELECT b % 0 FROM t";
+    let is_div_zero = |r: Result<(), MlError>| match r {
+        Err(MlError::Execution(m)) => m.contains("division by zero"),
+        _ => false,
+    };
+    let db = monetlite::Database::open_in_memory();
+    db.connect().run_script(ddl).unwrap();
+    for mode in [ExecMode::Materialized, ExecMode::Streaming] {
+        let mut c = db.connect();
+        c.set_exec_options(ExecOptions { mode, ..Default::default() });
+        assert!(is_div_zero(c.query(sql).map(drop)), "{mode:?}: {sql}");
+    }
+    let rdb = monetlite_rowstore::RowDb::in_memory();
+    rdb.run_script(ddl).unwrap();
+    assert!(is_div_zero(rdb.query(sql).map(drop)), "rowstore: {sql}");
 }

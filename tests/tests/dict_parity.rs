@@ -112,7 +112,8 @@ fn tpch_goldens_byte_identical_with_dict_on_and_off() {
 
 /// The differential also holds out of core (coded group keys travel
 /// through spill frames as plain integer columns) and with candidate
-/// lists off (the dict row filter then produces the only selection).
+/// lists off — on the materialized engine, which gathers every selection
+/// the dict row filter produces.
 #[test]
 fn tpch_queries_agree_dict_off_under_spill_and_candidates_off() {
     let data = generate(0.005, 42);
@@ -136,13 +137,13 @@ fn tpch_queries_agree_dict_off_under_spill_and_candidates_off() {
             let (got, counters) = run_counting(&db, sql, tiny);
             assert_rows_eq(sql, &base, &got, &format!("Q{n} dict spilled"));
             total_spilled.set(total_spilled.get() + counters.spilled_partitions);
-            // Candidates-off leg: dict predicates still apply, but output
-            // gathers instead of carrying selection vectors.
-            let mut gather = dict(streaming(1, 1024), true);
-            gather.use_candidates = false;
-            gather.use_zonemaps = false;
+            // Candidates-off leg: dict predicates still apply, but the
+            // materialized engine gathers instead of carrying selection
+            // vectors.
+            let gather =
+                ExecOptions { mode: ExecMode::Materialized, ..dict(streaming(1, 1024), true) };
             let got = run(&db, sql, gather);
-            assert_rows_eq(sql, &base, &got, &format!("Q{n} dict candidates-off"));
+            assert_rows_eq(sql, &base, &got, &format!("Q{n} dict materialized"));
         });
     }
     assert!(total_spilled.get() > 0, "the 24kB leg must spill somewhere in Q1–Q22");
@@ -203,7 +204,6 @@ fn q12_and_q19_string_filters_are_served_by_dictionaries() {
         timeout: None,
         memory_budget: usize::MAX,
         spill_quota: usize::MAX,
-        use_candidates: true,
         use_zonemaps: true,
         use_dict: true,
         use_plan_cache: false,

@@ -26,7 +26,9 @@ const DDL: &str = "CREATE TABLE probe (x INT); \
      CREATE TABLE sub_plain (y INT); \
      INSERT INTO sub_plain VALUES (1), (3); \
      CREATE TABLE li (l_quantity DECIMAL(15,2), l_extendedprice DECIMAL(15,2), l_tax DOUBLE); \
-     INSERT INTO li VALUES (17.00, 21168.23, 0.02), (NULL, 45983.16, NULL);";
+     INSERT INTO li VALUES (17.00, 21168.23, 0.02), (NULL, 45983.16, NULL); \
+     CREATE TABLE t (a INT, b BIGINT, s VARCHAR); \
+     INSERT INTO t VALUES (1, 5, 'p'), (2, 7, 'q'), (NULL, NULL, NULL);";
 
 fn fmt(v: &Value) -> String {
     match v {
@@ -237,4 +239,16 @@ fn negative_zero_and_zero_are_one_key_in_every_hash_operator() {
             assert_eq!(rows("SELECT d FROM t WHERE d IN (SELECT e FROM u)"), 2, "{label}: IN");
         }
     }
+}
+
+/// A `THEN NULL` branch takes the CASE's type from the other branches,
+/// like a NULL `ELSE` does, instead of typing the whole CASE as INTEGER.
+#[test]
+fn case_with_a_null_branch_takes_the_other_branches_type() {
+    // b = 5 → NULL; b = 7 → 'x'; b NULL → the condition is UNKNOWN → 'x'.
+    expect("SELECT CASE WHEN b = 5 THEN NULL ELSE 'x' END FROM t", &["NULL", "x", "x"]);
+    // a = 1 → NULL; a = 2 → 'q'; a NULL → s, which is NULL there.
+    expect("SELECT max(CASE WHEN a = 1 THEN NULL ELSE s END) FROM t", &["q"]);
+    // All-NULL values keep today's type.
+    expect("SELECT CASE WHEN a = 1 THEN NULL END FROM t", &["NULL", "NULL", "NULL"]);
 }

@@ -2,7 +2,7 @@
 //! engine must produce exactly the results of the paper's
 //! operator-at-a-time engine on every workload -- the full TPC-H Q1-Q22
 //! suite under the thread/vector matrix, a 24kB spill budget, and
-//! candidates on/off -- at every thread count, including chunk-boundary
+//! zonemaps on/off -- at every thread count, including chunk-boundary
 //! edge cases (empty tables, sub-vector tables, NULL sentinels straddling
 //! vector boundaries, LIMIT early-exit).
 
@@ -116,18 +116,16 @@ fn tpch_queries_agree_spilled_vs_unspilled() {
     assert!(total_spilled.get() > 0, "a 24kB budget must force spilling somewhere in Q1–Q22");
 }
 
-/// Streaming options with candidate lists and zonemaps forced off (the
-/// gather-at-the-filter baseline).
-fn candidates_off(mut o: ExecOptions) -> ExecOptions {
-    o.use_candidates = false;
+/// Streaming options with zonemaps forced off (the no-skipping
+/// reference of the zonemap tests).
+fn zonemaps_off(mut o: ExecOptions) -> ExecOptions {
     o.use_zonemaps = false;
     o
 }
 
-/// Streaming options with candidate lists and zonemaps forced on,
-/// regardless of the CI env matrix (MONETLITE_CANDIDATES=0 leg).
-fn candidates_on(mut o: ExecOptions) -> ExecOptions {
-    o.use_candidates = true;
+/// Streaming options with zonemaps forced on, regardless of the CI env
+/// matrix (MONETLITE_ZONEMAPS=0 leg).
+fn zonemaps_on(mut o: ExecOptions) -> ExecOptions {
     o.use_zonemaps = true;
     o
 }
@@ -136,7 +134,8 @@ fn candidates_on(mut o: ExecOptions) -> ExecOptions {
 fn tpch_queries_agree_with_candidates_on_and_off() {
     // Candidate-list execution must be invisible in results: every TPC-H
     // query returns identical rows with selection pass-through + zonemap
-    // skipping enabled and disabled, across thread counts and vector
+    // skipping (streaming) and without either (the materialized engine,
+    // which never carries a selection), across thread counts and vector
     // sizes that force many chunk boundaries.
     let data = generate(0.005, 42);
     let db = monetlite::Database::open_in_memory();
@@ -145,9 +144,9 @@ fn tpch_queries_agree_with_candidates_on_and_off() {
     drop(conn);
     for (n, sql) in queries::all() {
         with_query_setup(&db, n, || {
-            let base = run(&db, sql, candidates_off(streaming(1, 1024)));
+            let base = run(&db, sql, materialized());
             for (threads, vs) in [(1, 1024), (1, 333), (4, 1024)] {
-                let got = run(&db, sql, candidates_on(streaming(threads, vs)));
+                let got = run(&db, sql, zonemaps_on(streaming(threads, vs)));
                 assert_rows_eq(sql, &base, &got, &format!("Q{n} candidates t={threads} v={vs}"));
             }
         });
@@ -178,7 +177,7 @@ fn q6_zonemap_skips_on_date_clustered_lineitem() {
     // The acceptance shape: lineitem ingested in ship-date order (the
     // canonical clustered fact table) lets Q6's one-year date range skip
     // whole vectors via zonemaps — with results identical to the
-    // gather-based baseline. SF 0.02 gives ~120k lineitem rows, i.e.
+    // zonemaps-off run. SF 0.02 gives ~120k lineitem rows, i.e.
     // many 8Ki-row zones.
     let mut data = generate(0.02, 7);
     let ship_col = data.lineitem.schema.index_of("l_shipdate").expect("lineitem has l_shipdate");
@@ -193,8 +192,8 @@ fn q6_zonemap_skips_on_date_clustered_lineitem() {
     load_monet(&mut conn, &data).unwrap();
     drop(conn);
     let sql = queries::sql(6);
-    let base = run(&db, sql, candidates_off(streaming(1, 2048)));
-    let (got, counters) = run_counting(&db, sql, candidates_on(streaming(1, 2048)));
+    let base = run(&db, sql, zonemaps_off(streaming(1, 2048)));
+    let (got, counters) = run_counting(&db, sql, zonemaps_on(streaming(1, 2048)));
     assert_rows_eq(sql, &base, &got, "Q6 date-clustered");
     assert!(
         counters.vectors_skipped > 0,
@@ -207,7 +206,7 @@ fn q6_zonemap_skips_on_date_clustered_lineitem() {
 fn zonemap_skipping_correct_across_deletes_and_vector_boundaries() {
     // Deletes shrink the set of matches but never invalidate a zonemap
     // skip; probes landing exactly on zone / vector boundaries must not
-    // lose rows. Compare candidates+zonemaps on vs off at awkward vector
+    // lose rows. Compare zonemaps on vs off at awkward vector
     // sizes, over a clustered key with a deleted stripe.
     let db = monetlite::Database::open_in_memory();
     let mut conn = db.connect();
@@ -240,9 +239,9 @@ fn zonemap_skipping_correct_across_deletes_and_vector_boundaries() {
     ];
     let mut any_skipped = 0u64;
     for sql in &queries {
-        let base = run(&db, sql, candidates_off(streaming(1, 1024)));
+        let base = run(&db, sql, zonemaps_off(streaming(1, 1024)));
         for vs in [512, 1000, 1024, 8192, 64 * 1024] {
-            let (got, counters) = run_counting(&db, sql, candidates_on(streaming(1, vs)));
+            let (got, counters) = run_counting(&db, sql, zonemaps_on(streaming(1, vs)));
             assert_rows_eq(sql, &base, &got, &format!("v={vs}"));
             any_skipped += counters.vectors_skipped;
         }
@@ -671,9 +670,8 @@ fn filter_only_scans_agree_across_engines_and_options() {
         "count(*) over a filtered scan emits no column:\n{}",
         text.join("\n")
     );
-    let both = |mut o: ExecOptions, cands: bool, dict: bool| {
-        o.use_candidates = cands;
-        o.use_zonemaps = cands;
+    let both = |mut o: ExecOptions, zonemaps: bool, dict: bool| {
+        o.use_zonemaps = zonemaps;
         o.use_dict = dict;
         o.use_result_cache = false;
         o
@@ -687,10 +685,10 @@ fn filter_only_scans_agree_across_engines_and_options() {
             m.mitosis_min_rows = 1000;
             legs.push((format!("materialized t={threads}"), m));
             for vs in [64 * 1024, 512, 333] {
-                for (cands, dict) in [(true, true), (false, true), (true, false)] {
+                for (zonemaps, dict) in [(true, true), (false, true), (true, false)] {
                     legs.push((
-                        format!("streaming t={threads} v={vs} cands={cands} dict={dict}"),
-                        both(streaming(threads, vs), cands, dict),
+                        format!("streaming t={threads} v={vs} zonemaps={zonemaps} dict={dict}"),
+                        both(streaming(threads, vs), zonemaps, dict),
                     ));
                 }
             }
