@@ -1462,6 +1462,63 @@ mod tests {
         }
     }
 
+    #[test]
+    fn like_kernel_null_rows_stay_null_even_negated() {
+        let col = Bat::from_buffer(&ColumnBuffer::Varchar(vec![
+            Some("apple".into()),
+            None,
+            Some("".into()),
+        ]));
+        for negated in [false, true] {
+            let out = like_kernel(&col, "%", negated, None).unwrap();
+            assert_eq!(out.get(0), Value::Bool(!negated));
+            assert_eq!(out.get(1), Value::Null, "NULL-offset row must stay NULL");
+            assert_eq!(out.get(2), Value::Bool(!negated));
+            let sel_out = like_kernel(&col, "%", negated, Some(&[0, 1, 2])).unwrap();
+            assert_eq!(out.to_buffer(None), sel_out.to_buffer(None));
+            let picked = like_kernel(&col, "%", negated, Some(&[1, 2])).unwrap();
+            assert_eq!(picked.get(0), Value::Null, "NULL row at a position must stay NULL");
+            assert_eq!(picked.get(1), Value::Bool(!negated));
+        }
+    }
+
+    #[test]
+    fn eval_sel_matches_dense_on_predicates() {
+        let a = Bat::Int(vec![5, NULL_I32, 7, 1, 9, 3]);
+        let s = Bat::from_buffer(&ColumnBuffer::Varchar(vec![
+            Some("apple pie".into()),
+            None,
+            Some("pear".into()),
+            Some("applet".into()),
+            Some("grape".into()),
+            Some("app".into()),
+        ]));
+        let cols = vec![Arc::new(a), Arc::new(s)];
+        let sel: Vec<u32> = vec![0, 2, 3, 5];
+        let exprs = vec![
+            BExpr::Cmp {
+                op: CmpOp::Gt,
+                left: Box::new(BExpr::ColRef { idx: 0, ty: LogicalType::Int }),
+                right: Box::new(BExpr::Lit(Value::Int(4))),
+            },
+            BExpr::Like {
+                input: Box::new(BExpr::ColRef { idx: 1, ty: LogicalType::Varchar }),
+                pattern: "app%".into(),
+                negated: false,
+            },
+            BExpr::IsNull {
+                input: Box::new(BExpr::ColRef { idx: 0, ty: LogicalType::Int }),
+                negated: true,
+            },
+        ];
+        let gathered: Vec<Arc<Bat>> = cols.iter().map(|c| Arc::new(c.take(&sel))).collect();
+        for e in &exprs {
+            let lazy = eval(e, &cols, 6, Some(&sel)).unwrap();
+            let dense = eval(e, &gathered, sel.len(), None).unwrap();
+            assert_eq!(lazy.to_buffer(None), dense.to_buffer(None), "{e:?}");
+        }
+    }
+
     /// A column of `ty` and a constant, from seeds into small tables of
     /// edge values: NULL, zero, ±1, magnitudes that overflow, `-0.0`.
     fn arith_fixture(ty: LogicalType, seeds: &[u8], kpick: usize) -> (Bat, Value) {
@@ -1598,6 +1655,52 @@ mod tests {
             prop_assert!(plan != LikePlan::Generic, "{} must not be generic", pattern);
             prop_assert_eq!(like_plan_match(&plan, &pattern, &s), like_match(&s, &pattern),
                 "plan {:?} for {} over {}", plan, pattern, s);
+        }
+
+        #[test]
+        fn prop_eval_sel_agrees_with_dense_gather(
+            a in proptest::collection::vec(-50i32..50, 1..60),
+            b in proptest::collection::vec(-50i64..50, 1..60),
+            picks in proptest::collection::vec(0usize..60, 0..30),
+            k1 in -50i32..50,
+            k2 in -50i64..50,
+        ) {
+            let n = a.len().min(b.len());
+            // Values divisible by 5 become NULL sentinels (the vendored
+            // proptest shim has no Option strategy).
+            let ac: Vec<i32> = a[..n].iter().map(|&v| if v % 5 == 0 { NULL_I32 } else { v }).collect();
+            let bc: Vec<i64> = b[..n].iter().map(|&v| if v % 5 == 0 { NULL_I64 } else { v }).collect();
+            let cols = vec![Arc::new(Bat::Int(ac)), Arc::new(Bat::Bigint(bc))];
+            let sel: Vec<u32> = picks.into_iter().filter(|&p| p < n).map(|p| p as u32).collect();
+            let col0 = || Box::new(BExpr::ColRef { idx: 0, ty: LogicalType::Int });
+            let col1 = || Box::new(BExpr::ColRef { idx: 1, ty: LogicalType::Bigint });
+            // A chain mixing const-cmp, col-col cmp, casts, arithmetic and
+            // three-valued logic: (CAST(a AS BIGINT) < b AND a >= k1) OR b = k2
+            let e = BExpr::Or(
+                Box::new(BExpr::And(
+                    Box::new(BExpr::Cmp {
+                        op: CmpOp::Lt,
+                        left: Box::new(BExpr::Cast { input: col0(), ty: LogicalType::Bigint }),
+                        right: col1(),
+                    }),
+                    Box::new(BExpr::Cmp {
+                        op: CmpOp::GtEq,
+                        left: col0(),
+                        right: Box::new(BExpr::Lit(Value::Int(k1))),
+                    }),
+                )),
+                Box::new(BExpr::Cmp {
+                    op: CmpOp::Eq,
+                    left: col1(),
+                    right: Box::new(BExpr::Lit(Value::Bigint(k2))),
+                }),
+            );
+            let lazy = eval(&e, &cols, n, Some(&sel)).unwrap();
+            let gathered: Vec<Arc<Bat>> = cols.iter().map(|c| Arc::new(c.take(&sel))).collect();
+            let dense = eval(&e, &gathered, sel.len(), None).unwrap();
+            prop_assert_eq!(lazy.to_buffer(None), dense.to_buffer(None));
+            // And the derived candidate lists agree too.
+            prop_assert_eq!(bool_to_sel(&lazy).unwrap(), bool_to_sel(&dense).unwrap());
         }
 
         #[test]
