@@ -1806,11 +1806,10 @@ pub fn rebuild_binary(op: ast::BinOp, l: BExpr, r: BExpr) -> Result<BExpr> {
 /// Numeric/typed arithmetic rules; inserts casts so kernels see one type.
 pub fn bind_arith(op: ArithOp, l: BExpr, r: BExpr) -> Result<BExpr> {
     use LogicalType as T;
-    // An untyped NULL literal (a cast of NULL folds to one) takes the type
-    // of the other operand: its own type would default to INTEGER and
-    // give the node the wrong result type and scale.
-    let null = |e: &BExpr| matches!(e, BExpr::Lit(Value::Null));
-    let (lt, rt) = match (null(&l), null(&r)) {
+    // An untyped NULL takes the type of the other operand: its own type
+    // would default to INTEGER and give the node the wrong result type
+    // and scale.
+    let (lt, rt) = match (untyped_null(&l), untyped_null(&r)) {
         (true, false) => (r.ty(), r.ty()),
         (false, true) => (l.ty(), l.ty()),
         _ => (l.ty(), r.ty()),
@@ -1894,7 +1893,7 @@ fn to_decimal(e: BExpr, scale: u8) -> Result<BExpr> {
 /// whose values are all NULL keeps its first value's type.
 fn case_type(branches: &[(BExpr, BExpr)], else_expr: Option<&BExpr>) -> Result<LogicalType> {
     let values = || branches.iter().map(|(_, v)| v).chain(else_expr);
-    let mut typed = values().filter(|v| !matches!(v, BExpr::Lit(Value::Null)));
+    let mut typed = values().filter(|v| !untyped_null(v));
     let Some(first) = typed.next().or_else(|| values().next()) else {
         return Err(MlError::Bind("CASE without a branch".into()));
     };
@@ -1955,10 +1954,20 @@ fn fold_literal_cast(v: &Value, ty: LogicalType) -> Result<Option<Value>> {
     })
 }
 
-/// Coerce a comparison pair to a common type.
+/// An untyped NULL: a NULL literal (a cast of NULL folds to one) or a
+/// plan-cache parameter standing for one. It casts to any type, so it
+/// takes the type of whatever it meets; [`BExpr::ty`] reports INTEGER for
+/// it only for want of another answer.
+fn untyped_null(e: &BExpr) -> bool {
+    matches!(e, BExpr::Lit(Value::Null) | BExpr::Param { value: Value::Null, .. })
+}
+
+/// Coerce a comparison pair to a common type. An untyped NULL takes the
+/// other operand's type as it is: the comparison is NULL whatever it is
+/// compared with, and the kernels read a NULL constant as such.
 pub fn coerce_pair(l: BExpr, r: BExpr) -> Result<(BExpr, BExpr)> {
     let (lt, rt) = (l.ty(), r.ty());
-    if lt == rt {
+    if lt == rt || untyped_null(&l) || untyped_null(&r) {
         return Ok((l, r));
     }
     // Date vs string literal: parse the literal.

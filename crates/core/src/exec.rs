@@ -24,17 +24,17 @@ use crate::agg::{hash_group, AggState};
 use crate::bloom::Bloom;
 use crate::expr::{BExpr, CmpOp};
 use crate::join::{cross_join, hash_join, merge_join, scalar_left_pairs, JoinSel};
-use crate::kernels::{bool_to_sel, compile_like, eval, LikePlan};
+use crate::kernels::{self, bool_to_sel, compile_like, eval, Cands, Emit, LikePlan};
 use crate::plan::{PJoinKind, Plan};
 use crate::rows::take_padded;
 use crate::sort::{sort_perm, topn_perm};
 use monetlite_storage::catalog::{ColumnEntry, TableMeta};
 use monetlite_storage::hash::hash_rows;
 use monetlite_storage::index::{f64_ordered, IMPRINT_LINE};
-use monetlite_storage::{Bat, StrDict, NULL_CODE};
+use monetlite_storage::{Bat, StrDict};
 use monetlite_types::{LogicalType, MlError, Result, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Which execution engine drives the plan.
@@ -587,7 +587,7 @@ pub(crate) fn exec_node(
         Plan::Filter { input, pred } => {
             let chunk = exec_node(input, ctx, range)?;
             let mask = chunk.eval(pred)?;
-            let sel = bool_to_sel(&mask)?;
+            let sel = bool_to_sel(&mask, None)?;
             Ok(chunk.take(&sel))
         }
         Plan::Project { input, exprs, .. } => {
@@ -695,8 +695,8 @@ pub(crate) fn exec_scan(
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
 ) -> Result<Chunk> {
-    let dicts = ScanDicts::default();
-    exec_scan_inner(table, projected, width, filters, ctx, range, &dicts, &[], &[], false)
+    let state = ScanState::default();
+    exec_scan_inner(table, projected, width, filters, ctx, range, &state, &[], &[], false)
 }
 
 /// Streaming scan: a sparse enough selection is *carried* on the chunk
@@ -706,7 +706,7 @@ pub(crate) fn exec_scan(
 /// -side filters keyed by scan-output column position; `extras` are
 /// synthetic full-length physical columns (dictionary code columns)
 /// appended after the `width` output columns in every output shape.
-/// `dicts` is shared by every morsel of the scan.
+/// `state` is shared by every morsel of the scan.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_scan_streaming(
     table: &str,
@@ -715,11 +715,11 @@ pub(crate) fn exec_scan_streaming(
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
-    dicts: &ScanDicts,
+    state: &ScanState,
     blooms: &[(usize, Arc<Bloom>)],
     extras: &[Arc<Bat>],
 ) -> Result<Chunk> {
-    exec_scan_inner(table, projected, width, filters, ctx, range, dicts, blooms, extras, true)
+    exec_scan_inner(table, projected, width, filters, ctx, range, state, blooms, extras, true)
 }
 
 /// Selections covering at least this fraction (in tenths) of the scanned
@@ -735,7 +735,7 @@ fn exec_scan_inner(
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
-    dicts: &ScanDicts,
+    state: &ScanState,
     blooms: &[(usize, Arc<Bloom>)],
     extras: &[Arc<Bat>],
     allow_sel: bool,
@@ -795,7 +795,7 @@ fn exec_scan_inner(
     // kernel never runs for a served predicate.
     let mut served = vec![false; filters.len()];
     let dict_preds =
-        if ctx.opts.use_dict && hi > lo { dicts.get(filters, &entries, phys_rows) } else { &[] };
+        if ctx.opts.use_dict && hi > lo { state.dicts(filters, &entries, phys_rows) } else { &[] };
     for df in dict_preds {
         ctx.counters.bump(&ctx.counters.dict_hits);
         served[df.filter] = true;
@@ -868,7 +868,7 @@ fn exec_scan_inner(
     }
     // Filter kernels read the base columns in place, at selected
     // positions; only the columns they reference are loaded.
-    let bats = filter_bats(&entries, unverified.iter().chain(&remaining).copied())?;
+    let bats = filter_bats(state, &entries, unverified.iter().chain(&remaining).copied())?;
     if let (Some(f), Some(cands)) = (unverified, &mut sel) {
         *cands = refine(f, &bats, phys_rows, Some(cands))?;
     }
@@ -893,16 +893,10 @@ fn exec_scan_inner(
 
     // Dictionary-served predicates run first: integer code compares are
     // cheaper than any kernel the remaining filters could dispatch to.
-    if !dict_preds.is_empty() {
-        let deleted = meta.data.deleted.as_deref();
-        let keep =
-            |r: u32| dict_preds.iter().all(|df| df.pred.matches(df.dict.codes()[r as usize]));
-        sel = Some(match sel.take() {
-            Some(cur) => cur.into_iter().filter(|&r| keep(r)).collect(),
-            None => (lo as u32..hi as u32)
-                .filter(|&r| deleted.is_none_or(|d| !d[r as usize]) && keep(r))
-                .collect(),
-        });
+    // With no selection yet the scan is the whole table, undeleted (the
+    // physical restriction above made one otherwise).
+    for df in dict_preds {
+        sel = Some(df.pred.narrow(df.dict.codes(), sel.take()));
     }
 
     // Remaining filters: evaluate over the current selection, at its
@@ -917,26 +911,14 @@ fn exec_scan_inner(
     // (its NULL rows are skipped), so they drop here too — sound, since
     // the Inner/Semi probe this filter came from never matches NULL.
     if ctx.opts.use_dict && !blooms.is_empty() && hi > lo {
-        let deleted = meta.data.deleted.as_deref();
         for (col_pos, bloom) in blooms {
-            let Some(entry) = outputs.get(*col_pos) else {
+            if *col_pos >= outputs.len() {
                 continue;
-            };
-            let bat = entry.bat()?;
-            let keys = [bat.as_ref()];
-            let cur: Vec<u32> = match sel.take() {
-                Some(cur) => cur,
-                None => (lo as u32..hi as u32)
-                    .filter(|&r| deleted.is_none_or(|d| !d[r as usize]))
-                    .collect(),
-            };
-            let before = cur.len();
-            let hashes = hash_rows(&keys, Some(&cur));
-            let kept: Vec<u32> = cur
-                .iter()
-                .zip(hashes)
-                .filter_map(|(&r, h)| bloom.contains(h).then_some(r))
-                .collect();
+            }
+            let bat = state.col(*col_pos, &entries)?;
+            let hashes = hash_rows(&[bat.as_ref()], sel.as_deref());
+            let before = hashes.len();
+            let kept = narrow(sel.take(), phys_rows, |i, _| bloom.contains(hashes[i]));
             ctx.counters.add(&ctx.counters.bloom_pruned, (before - kept.len()) as u64);
             sel = Some(kept);
         }
@@ -951,9 +933,11 @@ fn exec_scan_inner(
         // Nothing to emit but the count of surviving rows.
         return Ok(Chunk::dense(vec![], sel.map_or(phys_rows, |s| s.len())));
     }
+    let out_cols =
+        || (0..outputs.len()).map(|i| state.col(i, &entries)).collect::<Result<Vec<_>>>();
     match sel {
         None => {
-            let mut cols: Vec<Arc<Bat>> = outputs.iter().map(|e| e.bat()).collect::<Result<_>>()?;
+            let mut cols = out_cols()?;
             cols.extend(extras.iter().cloned());
             Ok(Chunk::dense(cols, phys_rows))
         }
@@ -965,14 +949,13 @@ fn exec_scan_inner(
             // density cutoff) so dense chains keep contiguous access.
             let span = hi - lo;
             if allow_sel && sel.len() * 10 < span * SEL_DENSITY_CUTOFF_TENTHS {
-                let mut cols: Vec<Arc<Bat>> =
-                    outputs.iter().map(|e| e.bat()).collect::<Result<_>>()?;
+                let mut cols = out_cols()?;
                 cols.extend(extras.iter().cloned());
                 let rows = sel.len();
                 return Ok(Chunk { cols, rows, sel: Some(Arc::new(sel)) });
             }
             let mut cols: Vec<Arc<Bat>> =
-                outputs.iter().map(|e| Ok(Arc::new(e.bat()?.take(&sel)))).collect::<Result<_>>()?;
+                out_cols()?.iter().map(|b| Arc::new(b.take(&sel))).collect();
             cols.extend(extras.iter().map(|b| Arc::new(b.take(&sel))));
             Ok(Chunk::dense(cols, sel.len()))
         }
@@ -984,6 +967,7 @@ fn exec_scan_inner(
 /// placeholder no kernel touches (so a filter-only column whose predicate
 /// the dictionary served is never paged in).
 fn filter_bats<'f>(
+    state: &ScanState,
     entries: &[Arc<ColumnEntry>],
     filters: impl Iterator<Item = &'f BExpr>,
 ) -> Result<Vec<Arc<Bat>>> {
@@ -997,14 +981,42 @@ fn filter_bats<'f>(
     let unread = Arc::new(Bat::Int(Vec::new()));
     let mut bats = vec![unread; entries.len()];
     for u in used {
-        bats[u] = entries[u].bat()?;
+        bats[u] = state.col(u, entries)?;
     }
     Ok(bats)
 }
 
+/// Keep the candidates `keep(i, row)` accepts (`i` is the candidate's
+/// index in the list), in one branch-free pass: every candidate is
+/// stored and the length advances only when it is kept. A list narrows
+/// in place; with none yet, the candidates are all `rows` rows.
+fn narrow(sel: Option<Vec<u32>>, rows: usize, keep: impl Fn(usize, u32) -> bool) -> Vec<u32> {
+    let Some(mut cur) = sel else {
+        return Cands::emit((0..rows as u32).map(|r| (r, keep(r as usize, r) as i8)));
+    };
+    let mut n = 0;
+    for i in 0..cur.len() {
+        let r = cur[i];
+        cur[n] = r;
+        n += keep(i, r) as usize;
+    }
+    cur.truncate(n);
+    cur
+}
+
 /// The physical positions at which filter `f` holds: among `sel` when
-/// given — evaluated over the columns at those positions, nothing
-/// gathered — else among all `rows` rows of `cols`.
+/// given, else among all `rows` rows of `cols`. This is the selecting
+/// evaluator: kernels write candidate lists directly, nothing is
+/// gathered, and operands are read at the positions as [`eval`] reads
+/// them.
+/// - A comparison (with a constant or another column) and LIKE select
+///   in their kernels.
+/// - `AND` narrows: its right side runs on the left side's survivors
+///   only.
+/// - An OR chain of equalities with literals over one operand (a
+///   desugared IN list) evaluates the operand once and tests membership
+///   in one pass.
+/// - Anything else is evaluated to a BOOLEAN column and converted.
 pub(crate) fn refine(
     f: &BExpr,
     cols: &[Arc<Bat>],
@@ -1014,11 +1026,58 @@ pub(crate) fn refine(
     if sel.is_some_and(<[u32]>::is_empty) {
         return Ok(Vec::new());
     }
-    let hits = bool_to_sel(&eval(f, cols, rows, sel)?)?;
-    Ok(match sel {
-        None => hits,
-        Some(sel) => hits.into_iter().map(|i| sel[i as usize]).collect(),
-    })
+    let (mut hits, compacted) = match f {
+        BExpr::And(a, b) => {
+            let left = refine(a, cols, rows, sel)?;
+            return refine(b, cols, rows, Some(&left));
+        }
+        BExpr::Cmp { op, left, right } => {
+            kernels::cmp_node::<Cands>(*op, left, right, cols, rows, sel)?
+        }
+        BExpr::Like { input, pattern, negated } => {
+            kernels::like_node::<Cands>(input, pattern, *negated, cols, rows, sel)?
+        }
+        _ => match in_list_of(f) {
+            Some((operand, items)) => {
+                let (b, bsel) = kernels::operand_at(operand, cols, rows, sel)?;
+                (kernels::in_list::<Cands>(&b, &items, bsel)?, bsel.is_none())
+            }
+            None => return bool_to_sel(&eval(f, cols, rows, sel)?, sel),
+        },
+    };
+    // Answers over operands compacted to `sel` are indices into it.
+    if let (true, Some(sel)) = (compacted, sel) {
+        for h in &mut hits {
+            *h = sel[*h as usize];
+        }
+    }
+    Ok(hits)
+}
+
+/// The operand and the items of an OR chain of equalities of one operand
+/// with literals — the shape an IN list binds to.
+fn in_list_of(f: &BExpr) -> Option<(&BExpr, Vec<Value>)> {
+    let BExpr::Or(..) = f else {
+        return None;
+    };
+    let mut leaves = Vec::new();
+    let mut stack = vec![f];
+    while let Some(e) = stack.pop() {
+        match e {
+            BExpr::Or(a, b) => stack.extend([b.as_ref(), a.as_ref()]),
+            BExpr::Cmp { op: CmpOp::Eq, left, right } => match (left.as_ref(), right.as_ref()) {
+                (BExpr::Lit(_), BExpr::Lit(_)) => return None,
+                (operand, BExpr::Lit(v)) | (BExpr::Lit(v), operand) => leaves.push((operand, v)),
+                _ => return None,
+            },
+            _ => return None,
+        }
+    }
+    let (operand, _) = *leaves.first()?;
+    if leaves.iter().any(|(o, _)| *o != operand) {
+        return None;
+    }
+    Some((operand, leaves.into_iter().map(|(_, v)| v.clone()).collect()))
 }
 
 /// A scan filter compiled into its column's dictionary code domain.
@@ -1035,17 +1094,21 @@ pub(crate) enum DictPred {
 }
 
 impl DictPred {
-    /// Row-level test; NULL rows ([`NULL_CODE`]) never match — a range
-    /// shape yields NULL on NULL input, and a mask is only compiled for a
-    /// filter that does not hold on NULL.
-    #[inline]
-    pub(crate) fn matches(&self, code: u32) -> bool {
-        if code == NULL_CODE {
-            return false;
-        }
+    /// Narrow the candidate list `sel` (every row of `codes` when `None`)
+    /// to the rows whose code matches, in one branch-free pass. NULL rows
+    /// (`NULL_CODE`) never match — a range shape yields NULL on NULL
+    /// input, and a mask is only compiled for a filter that does not hold
+    /// on NULL. The code lies above every range and past every mask's
+    /// end, so no row is tested for it separately.
+    pub(crate) fn narrow(&self, codes: &[u32], sel: Option<Vec<u32>>) -> Vec<u32> {
         match self {
-            DictPred::Range(lo, hi) => code >= *lo && code < *hi,
-            DictPred::Mask(bits) => bits.get(code as usize).copied().unwrap_or(false),
+            &DictPred::Range(lo, hi) => {
+                let width = hi.saturating_sub(lo);
+                narrow(sel, codes.len(), |_, r| codes[r as usize].wrapping_sub(lo) < width)
+            }
+            DictPred::Mask(bits) => narrow(sel, codes.len(), |_, r| {
+                bits.get(codes[r as usize] as usize).copied().unwrap_or(false)
+            }),
         }
     }
 
@@ -1070,16 +1133,38 @@ pub(crate) struct DictFilter {
     pred: DictPred,
 }
 
-/// The dictionary-served filters of one scan: compiled by its first
-/// morsel, shared by the rest, so a mask evaluates its filter over the
-/// dictionary's values once per scan, not once per morsel.
+/// What the morsels of one scan share:
+/// - the dictionary-served filters, compiled by the first morsel, so a
+///   mask evaluates its filter over the dictionary's values once per
+///   scan, not once per morsel;
+/// - every column the scan has read, held until the scan ends. Under a
+///   vmem budget smaller than the columns a scan reads, LRU over the
+///   scan's cyclic access evicts each column just before the next morsel
+///   needs it; held here, each is paged in once per scan.
 #[derive(Default)]
-pub(crate) struct ScanDicts(OnceLock<Vec<DictFilter>>);
+pub(crate) struct ScanState {
+    dicts: OnceLock<Vec<DictFilter>>,
+    /// One slot per read-list position.
+    cols: OnceLock<Vec<Mutex<Option<Arc<Bat>>>>>,
+}
 
-impl ScanDicts {
+impl ScanState {
+    /// Column `i` of the read list, loaded at most once per scan: a
+    /// worker that asks while another loads it waits for that load.
+    fn col(&self, i: usize, entries: &[Arc<ColumnEntry>]) -> Result<Arc<Bat>> {
+        let slots = self.cols.get_or_init(|| entries.iter().map(|_| Mutex::default()).collect());
+        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(b) = &*slot {
+            return Ok(b.clone());
+        }
+        let b = entries[i].bat()?;
+        *slot = Some(b.clone());
+        Ok(b)
+    }
+
     /// The served filters; `span` is the number of rows the scan filters.
-    fn get(&self, filters: &[BExpr], entries: &[Arc<ColumnEntry>], span: usize) -> &[DictFilter] {
-        self.0.get_or_init(|| {
+    fn dicts(&self, filters: &[BExpr], entries: &[Arc<ColumnEntry>], span: usize) -> &[DictFilter] {
+        self.dicts.get_or_init(|| {
             let compile = |(filter, f): (usize, &BExpr)| {
                 let entry = entries.get(dict_filter_col(f)?)?;
                 // A mask is only worth a dictionary that is small beside
@@ -1111,7 +1196,7 @@ const MASK_ROWS_PER_VALUE: usize = 8;
 /// dictionary code domain: every column reference in it is the same
 /// VARCHAR column and it holds no parameter — comparisons, IN lists,
 /// LIKE, AND/OR/NOT trees and functions of the column alike. The scan
-/// ([`ScanDicts`]) and EXPLAIN's `[dict]` tag share this rule.
+/// ([`ScanState`]) and EXPLAIN's `[dict]` tag share this rule.
 pub(crate) fn dict_filter_col(f: &BExpr) -> Option<usize> {
     let (mut col, mut ok) = (None, true);
     f.walk(&mut |e| match e {
@@ -1172,7 +1257,7 @@ fn range_of(f: &BExpr) -> Option<Box<dyn Fn(&StrDict) -> (u32, u32) + '_>> {
 /// filter is evaluated once with the row kernels over the dictionary's
 /// values plus one NULL row, which yields a mask — unless the dictionary
 /// is too large beside the `span` rows the scan filters, the NULL row
-/// holds (NULL rows carry [`NULL_CODE`], which never matches), or the
+/// holds (NULL rows carry `NULL_CODE`, which never matches), or the
 /// evaluation errors (a value may be held only by rows the scan never
 /// reads; the row kernels then decide).
 fn dict_pred_of(f: &BExpr, d: &StrDict, span: usize) -> Option<DictPred> {
@@ -1399,13 +1484,13 @@ pub(crate) fn finish_join_output(
         PJoinKind::Inner | PJoinKind::Cross => {
             let out = gather(&sel.lsel, Some(&sel.rsel));
             let mask = out.eval(res)?;
-            let keep = bool_to_sel(&mask)?;
+            let keep = bool_to_sel(&mask, None)?;
             Ok(out.take(&keep))
         }
         PJoinKind::Semi | PJoinKind::Anti => {
             let pairs = gather(&sel.lsel, Some(&sel.rsel));
             let mask = pairs.eval(res)?;
-            let hits = bool_to_sel(&mask)?;
+            let hits = bool_to_sel(&mask, None)?;
             let mut qualifies = vec![false; probe_rows];
             for &h in &hits {
                 qualifies[sel.lsel[h as usize] as usize] = true;
@@ -1418,7 +1503,7 @@ pub(crate) fn finish_join_output(
         PJoinKind::Left => {
             let pairs = gather(&sel.lsel, Some(&sel.rsel));
             let mask = pairs.eval(res)?;
-            let hits = bool_to_sel(&mask)?;
+            let hits = bool_to_sel(&mask, None)?;
             let mut pass = vec![false; pairs.rows];
             for &h in &hits {
                 pass[h as usize] = true;
@@ -1665,6 +1750,7 @@ mod tests {
     use super::*;
     use crate::expr::PAggFunc;
     use monetlite_storage::catalog::TableData;
+    use monetlite_storage::NULL_CODE;
     use monetlite_types::{Field, Schema};
     use std::collections::HashMap;
 
@@ -2098,15 +2184,23 @@ mod tests {
 
     #[test]
     fn dict_pred_null_code_never_matches_and_zone_bounds_prune() {
+        // The rows of `codes` a predicate keeps, narrowing no list and a
+        // full one alike.
+        let kept = |p: &DictPred, codes: &[u32]| {
+            let all = p.narrow(codes, None);
+            assert_eq!(all, p.narrow(codes, Some((0..codes.len() as u32).collect())));
+            all
+        };
         let full = DictPred::Range(0, u32::MAX);
-        assert!(!full.matches(NULL_CODE), "NULL rows must not match any predicate");
+        assert_eq!(kept(&full, &[NULL_CODE, 0]), [1], "NULL rows must not match any predicate");
         let r = DictPred::Range(2, 5);
-        assert!(r.matches(2) && r.matches(4) && !r.matches(5) && !r.matches(1));
+        assert_eq!(kept(&r, &[2, 4, 5, 1, NULL_CODE, 3]), [0, 1, 5]);
+        assert_eq!(r.narrow(&[2, 4, 5, 1], Some(vec![1, 2, 3])), [1]);
         assert!(r.zone_may_match(0, 2) && r.zone_may_match(4, 9) && r.zone_may_match(0, 9));
         assert!(!r.zone_may_match(0, 1) && !r.zone_may_match(5, 9));
         let m = DictPred::Mask(vec![false, true, false]);
-        assert!(m.matches(1) && !m.matches(0) && !m.matches(2));
-        assert!(!m.matches(999), "codes past the mask never match");
+        assert_eq!(kept(&m, &[1, 0, 2, NULL_CODE, 1]), [0, 4]);
+        assert_eq!(kept(&m, &[999]), [] as [u32; 0], "codes past the mask never match");
         assert!(m.zone_may_match(0, 1) && m.zone_may_match(1, 2) && !m.zone_may_match(2, 2));
         assert!(!DictPred::Range(3, 3).zone_may_match(0, 9), "an empty range prunes every zone");
     }
@@ -2136,5 +2230,244 @@ mod tests {
         let param = BExpr::Param { idx: 0, value: Value::Str("x".into()) };
         let with_param = BExpr::Cmp { op: CmpOp::Eq, left: vcol(), right: Box::new(param) };
         assert_eq!(dict_filter_col(&with_param), None);
+    }
+
+    /// A dictionary predicate or a bloom that rejects every candidate
+    /// leaves an empty, typed chunk, whether it narrows an existing list
+    /// or starts one.
+    #[test]
+    fn a_dictionary_predicate_or_a_bloom_can_empty_the_candidate_list() {
+        use monetlite_types::ColumnBuffer;
+        // 'q' only in the last row: the dictionary's zone bounds over any
+        // earlier rows admit `s = 'q'`, and none of those rows holds it.
+        let n = 64u32;
+        let strs: Vec<Option<String>> = (0..n)
+            .map(|i| match i {
+                _ if i == n - 1 => Some("q".into()),
+                _ if i % 3 == 2 => None,
+                _ if i % 2 == 0 => Some("p".into()),
+                _ => Some("r".into()),
+            })
+            .collect();
+        let ints = Bat::Int((0..n as i32).collect());
+        let s = Bat::from_buffer(&ColumnBuffer::Varchar(strs));
+        let t = make_table("t", vec![("a", ints), ("s", s)], vec![]);
+        let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
+        let opts = ExecOptions { use_dict: true, use_zonemaps: true, ..Default::default() };
+        let ctx = ctx_with(&tables, opts);
+        let col = |idx, ty| Box::new(BExpr::ColRef { idx, ty });
+        let is_q = BExpr::Cmp {
+            op: CmpOp::Eq,
+            left: col(1, LogicalType::Varchar),
+            right: Box::new(BExpr::Lit(Value::Str("q".into()))),
+        };
+        let a_from_10 = BExpr::Cmp {
+            op: CmpOp::GtEq,
+            left: col(0, LogicalType::Int),
+            right: Box::new(BExpr::Lit(Value::Int(10))),
+        };
+        let scan = |filters: &[BExpr], range, blooms: &[(usize, Arc<Bloom>)]| {
+            let state = ScanState::default();
+            exec_scan_streaming("t", &[0, 1], 2, filters, &ctx, range, &state, blooms, &[]).unwrap()
+        };
+        let empty = |c: &Chunk| {
+            c.rows == 0
+                && c.positions().is_none_or(<[u32]>::is_empty)
+                && c.cols
+                    .iter()
+                    .map(|b| b.logical_type())
+                    .eq([LogicalType::Int, LogicalType::Varchar])
+        };
+        // The dictionary empties a range's list; the whole table keeps 'q'.
+        for filters in [vec![is_q.clone()], vec![a_from_10.clone(), is_q.clone()]] {
+            for range in [Some((0, n - 1)), Some((20, n - 1))] {
+                assert!(empty(&scan(&filters, range, &[])), "{filters:?} over {range:?}");
+            }
+            assert_eq!(scan(&filters, None, &[]).materialize().cols[0].get(0), Value::Int(63));
+        }
+        assert!(ctx.counters.dict_hits.load(Ordering::Relaxed) > 0, "the dictionary served");
+        // A bloom holding no key prunes every row it sees: starting from no
+        // list (the whole table), from a range, and narrowing a filter's.
+        let blooms = [(0, Arc::new(Bloom::with_capacity(1)))];
+        let pruned = || ctx.counters.bloom_pruned.load(Ordering::Relaxed);
+        for (filters, range, rows) in [
+            (vec![], None, n),
+            (vec![], Some((8, 40)), 32),
+            (vec![a_from_10.clone()], None, n - 10),
+            (vec![a_from_10], Some((8, 40)), 30),
+        ] {
+            let before = pruned();
+            assert!(empty(&scan(&filters, range, &blooms)), "{filters:?} over {range:?}");
+            assert_eq!(pruned() - before, rows as u64, "{filters:?} over {range:?}");
+        }
+    }
+
+    /// Two columns of `ty` and two constants from seeds, over small
+    /// tables of edge values: NULL, zero, ±1, `-0.0` beside `0.0`, and
+    /// multi-byte strings ('ß'-prefixed ones are NULL). A pick of 0 is a
+    /// NULL constant.
+    fn refine_fixture(
+        ty: LogicalType,
+        seeds: &[u8],
+        strs: &[String],
+        picks: (usize, usize),
+    ) -> (Bat, Bat, Value, Value) {
+        use monetlite_types::nulls::{NULL_I32, NULL_I64};
+        use monetlite_types::{ColumnBuffer, Date, Decimal};
+        let ints = [NULL_I32, 0, 1, -1, 7, -7, 3, 1];
+        let bigs = [NULL_I64, 0, 1, -1, 7, -7, i64::MAX, i64::MIN + 1];
+        let dbls = [f64::NAN, 0.0, -0.0, 1.5, -2.0, 7.0, f64::MAX, 1.5];
+        let decs = [NULL_I64, 0, 1, -1, 150, -150, 700, 1];
+        let other: Vec<u8> = seeds.iter().map(|s| s.wrapping_mul(7).wrapping_add(3)).collect();
+        let at = |s: &u8| *s as usize % 8;
+        macro_rules! fixture {
+            ($table:expr, $bat:expr, $val:expr) => {{
+                let col = |seeds: &[u8]| $bat(seeds.iter().map(|s| $table[at(s)]).collect());
+                let k = |i: usize| if i == 0 { Value::Null } else { $val($table[i]) };
+                (col(seeds), col(&other), k(picks.0), k(picks.1))
+            }};
+        }
+        match ty {
+            LogicalType::Int => fixture!(ints, Bat::Int, Value::Int),
+            LogicalType::Date => fixture!(ints, Bat::Date, |d| Value::Date(Date(d))),
+            LogicalType::Bigint => fixture!(bigs, Bat::Bigint, Value::Bigint),
+            LogicalType::Double => fixture!(dbls, Bat::Double, Value::Double),
+            LogicalType::Varchar => {
+                let opt = |s: &String| (!s.starts_with('ß')).then(|| s.clone());
+                let text = |v: Vec<Option<String>>| Bat::from_buffer(&ColumnBuffer::Varchar(v));
+                let n = seeds.len();
+                let k = |i: usize| match opt(&strs[i]) {
+                    Some(s) if i > 0 => Value::Str(s),
+                    _ => Value::Null,
+                };
+                let (fwd, rev) = (strs[..n].iter().map(opt), strs[..n].iter().rev().map(opt));
+                (text(fwd.collect()), text(rev.collect()), k(picks.0), k(picks.1))
+            }
+            _ => fixture!(decs, |data| Bat::Decimal { data, scale: 2 }, |raw| {
+                Value::Decimal(Decimal::new(raw, 2))
+            }),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_refine_selects_where_eval_is_true(
+            seeds in proptest::collection::vec(0u8..255, 0..40),
+            strs in proptest::collection::vec("[aé€😀ß]{0,3}", 40..41),
+            picks in proptest::collection::vec(0usize..40, 0..24),
+            kpick in 0usize..8,
+        ) {
+            // The selecting evaluator agrees with the dense one: `refine`
+            // is the positions at which `eval` is TRUE, mapped through
+            // `sel`, for every comparison operator and type against a
+            // constant, a column and a NULL constant; AND chains; IN
+            // lists over a bare and a computed operand with NULL and
+            // duplicate items; LIKE; and no, some and no positions. Where
+            // `eval` errs, `refine` may answer (AND narrows what its
+            // right side sees), but never errs where `eval` answers.
+            use crate::expr::ScalarFunc;
+            use proptest::prop_assert_eq;
+            use LogicalType as T;
+            let n = seeds.len();
+            let dec = T::Decimal { width: 18, scale: 2 };
+            let bx = Box::new;
+            let col = |idx: usize, ty| BExpr::ColRef { idx, ty };
+            let lit = |v: &Value| BExpr::Lit(v.clone());
+            let cmp = |op, l: &BExpr, r: &BExpr| {
+                BExpr::Cmp { op, left: bx(l.clone()), right: bx(r.clone()) }
+            };
+            let any = |es: Vec<BExpr>| {
+                es.into_iter().reduce(|a, b| BExpr::Or(bx(a), bx(b))).unwrap()
+            };
+            let mut cols = Vec::new();
+            let mut exprs = Vec::new();
+            let mut null_consts = Vec::new();
+            for ty in [T::Int, T::Bigint, T::Date, T::Double, dec, T::Varchar] {
+                let (c0, c1, k, k2) = refine_fixture(ty, &seeds, &strs, (kpick, (kpick + 3) % 8));
+                let (c0, c1) = {
+                    let i = cols.len();
+                    cols.extend([Arc::new(c0), Arc::new(c1)]);
+                    (col(i, ty), col(i + 1, ty))
+                };
+                // A computed operand of the column's own type.
+                let computed = match ty {
+                    T::Varchar => {
+                        BExpr::Func { func: ScalarFunc::Upper, args: vec![c0.clone()], ty }
+                    }
+                    T::Date => BExpr::Func {
+                        func: ScalarFunc::AddDays,
+                        args: vec![c0.clone(), BExpr::Lit(Value::Int(1))],
+                        ty,
+                    },
+                    _ => BExpr::Neg { input: bx(c0.clone()), ty },
+                };
+                use CmpOp::*;
+                for op in [Eq, NotEq, Lt, LtEq, Gt, GtEq] {
+                    exprs.extend([
+                        cmp(op, &c0, &lit(&k)),
+                        cmp(op, &lit(&k), &c0),
+                        cmp(op, &c0, &c1),
+                        cmp(op, &computed, &lit(&k)),
+                        cmp(op, &computed, &c1),
+                    ]);
+                    null_consts.push(cmp(op, &c0, &lit(&Value::Null)));
+                    null_consts.push(cmp(op, &lit(&Value::Null), &computed));
+                }
+                // IN lists: duplicate and NULL items, over a bare and a
+                // computed operand, and negated; and OR chains that are
+                // not IN lists (two operands; an equality beside `<`).
+                for operand in [&c0, &computed] {
+                    for items in [vec![&k, &k2], vec![&k, &k2, &k, &Value::Null]] {
+                        let list = any(items.iter().map(|v| cmp(Eq, operand, &lit(v))).collect());
+                        exprs.push(BExpr::Not(bx(list.clone())));
+                        exprs.push(list);
+                    }
+                }
+                exprs.push(any(vec![cmp(Eq, &c0, &lit(&k)), cmp(Eq, &c1, &lit(&k))]));
+                exprs.push(any(vec![cmp(Eq, &c0, &lit(&k)), cmp(Lt, &c0, &lit(&k2))]));
+                // AND chains: narrowing twice, and around an IN list.
+                let in_list = any(vec![cmp(Eq, &c1, &lit(&k)), cmp(Eq, &c1, &lit(&k2))]);
+                exprs.push(BExpr::And(
+                    bx(cmp(GtEq, &c0, &lit(&k2))),
+                    bx(BExpr::And(bx(cmp(NotEq, &c0, &c1)), bx(in_list))),
+                ));
+                let c1_known = BExpr::IsNull { input: bx(c1.clone()), negated: true };
+                exprs.push(BExpr::And(bx(c1_known), bx(cmp(Lt, &computed, &lit(&k)))));
+                if ty == T::Varchar {
+                    for pattern in ["%", "a%", "%é%", "_%"] {
+                        for negated in [false, true] {
+                            let input = bx(c0.clone());
+                            exprs.push(BExpr::Like { input, pattern: pattern.into(), negated });
+                        }
+                    }
+                }
+            }
+            // A chain across types: INT compare AND a VARCHAR IN list.
+            let (iv, sv) = (col(0, T::Int), col(10, T::Varchar));
+            let item = |s: &str| cmp(CmpOp::Eq, &sv, &lit(&Value::Str(s.into())));
+            let strs_in = any(vec![item("a"), item("é€")]);
+            exprs.push(BExpr::And(bx(cmp(CmpOp::Gt, &iv, &lit(&Value::Int(0)))), bx(strs_in)));
+            exprs.extend(null_consts.iter().cloned());
+            let picked: Vec<u32> = picks.into_iter().filter(|&p| p < n).map(|p| p as u32).collect();
+            for sel in [None, Some(picked.as_slice()), Some(&[][..])] {
+                for e in &exprs {
+                    let got = refine(e, &cols, n, sel);
+                    // Where `eval` errs, narrowing may spare `refine` the
+                    // failing rows.
+                    if let Ok(mask) = eval(e, &cols, n, sel) {
+                        let want: Vec<u32> = (0..mask.len())
+                            .filter(|&i| mask.get(i) == Value::Bool(true))
+                            .map(|i| sel.map_or(i as u32, |sel| sel[i]))
+                            .collect();
+                        prop_assert_eq!(got.unwrap(), want, "{:?} at {:?}", e, sel);
+                    }
+                }
+                // A NULL constant selects nothing, whatever the type.
+                for e in &null_consts {
+                    let got = refine(e, &cols, n, sel).unwrap();
+                    prop_assert_eq!(got, Vec::<u32>::new(), "{:?}", e);
+                }
+            }
+        }
     }
 }

@@ -3,9 +3,15 @@
 //! Every kernel processes a full column before returning (paper §3.1:
 //! "MAL instructions process the data in a column-at-a-time model. Each
 //! MAL operator processes the full column before moving on to the next
-//! operator."). Predicates produce BOOLEAN columns which
-//! [`bool_to_sel`] turns into candidate lists (`Vec<u32>` row ids), the
-//! monetlite equivalent of MonetDB candidate lists.
+//! operator."). A predicate kernel is generic over where its answers go
+//! ([`Emit`]): a value context (a CASE condition, a projected comparison,
+//! the materialized engine's `Plan::Filter`, a DML `WHERE`) takes a
+//! BOOLEAN column ([`Bools`]); a scan or pipeline filter
+//! (`exec::refine`) takes the candidate list of the positions answered
+//! TRUE ([`Cands`]) — `Vec<u32>` row ids, the monetlite equivalent of
+//! MonetDB's candidate lists, selected directly as MAL's
+//! `algebra.select` does. [`bool_to_sel`] converts any other predicate's
+//! BOOLEAN column.
 //!
 //! Kernels are flat loops over typed arrays, and operands are read where
 //! they are: [`eval`] hands every kernel its column operands as the input
@@ -22,8 +28,9 @@
 //! computed operand (arithmetic, a function) is evaluated compacted and
 //! then read densely — either way, work is proportional to the selection,
 //! not the vector. Each predicate kernel has one loop per type that
-//! matches on `sel` once per call. Scans evaluate their residual filters
-//! this way over a morsel's positions of the base columns.
+//! matches on `sel` and on its comparison operator once per call, never
+//! per row. Scans evaluate their residual filters this way over a
+//! morsel's positions of the base columns.
 
 use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc};
 use monetlite_storage::heap::NULL_OFFSET;
@@ -42,14 +49,6 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize, sel: Option<&[u32]>) -> R
     let n = sel.map_or(rows, <[u32]>::len);
     // A computed operand, compacted to the positions.
     let operand = |e: &BExpr| eval_shared(e, cols, rows, sel);
-    // An operand with the positions to read it at: a bare column in
-    // place, anything else compacted and read densely.
-    let at = |e: &BExpr| -> Result<(Arc<Bat>, Option<&[u32]>)> {
-        match e {
-            BExpr::ColRef { idx, .. } => Ok((cols[*idx].clone(), sel)),
-            other => Ok((operand(other)?, None)),
-        }
-    };
     match e {
         BExpr::ColRef { idx, .. } => Ok(match sel {
             None => (*cols[*idx]).clone(),
@@ -71,27 +70,13 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize, sel: Option<&[u32]>) -> R
         }
         BExpr::Arith { op, left, right, ty } => arith_expr(*op, left, right, *ty, &operand),
         BExpr::Cmp { op, left, right } => {
-            // Column versus constant never materialises the constant side.
-            if let BExpr::Lit(v) = right.as_ref() {
-                let (l, lsel) = at(left)?;
-                return cmp_const(*op, &l, v, lsel);
-            }
-            if let BExpr::Lit(v) = left.as_ref() {
-                let (r, rsel) = at(right)?;
-                return cmp_const(op.flip(), &r, v, rsel);
-            }
-            if let (BExpr::ColRef { idx: li, .. }, BExpr::ColRef { idx: ri, .. }) =
-                (left.as_ref(), right.as_ref())
-            {
-                return cmp(*op, &cols[*li], &cols[*ri], sel);
-            }
-            cmp(*op, &*operand(left)?, &*operand(right)?, None)
+            Ok(cmp_node::<Bools>(*op, left, right, cols, rows, sel)?.0)
         }
         BExpr::And(a, b) => bool_and(&*operand(a)?, &*operand(b)?),
         BExpr::Or(a, b) => bool_or(&*operand(a)?, &*operand(b)?),
         BExpr::Not(a) => bool_not(&*operand(a)?),
         BExpr::IsNull { input, negated } => {
-            let (b, bsel) = at(input)?;
+            let (b, bsel) = operand_at(input, cols, rows, sel)?;
             let test = |i: usize| (b.is_null_at(i) != *negated) as i8;
             Ok(Bat::Bool(match bsel {
                 None => (0..b.len()).map(test).collect(),
@@ -99,8 +84,7 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize, sel: Option<&[u32]>) -> R
             }))
         }
         BExpr::Like { input, pattern, negated } => {
-            let (b, bsel) = at(input)?;
-            like_kernel(&b, pattern, *negated, bsel)
+            Ok(like_node::<Bools>(input, pattern, *negated, cols, rows, sel)?.0)
         }
         BExpr::Case { branches, else_expr, ty } => {
             case_kernel(branches, else_expr.as_deref(), *ty, n, &|e| eval(e, cols, rows, sel))
@@ -111,6 +95,63 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize, sel: Option<&[u32]>) -> R
         }
         BExpr::Neg { input, .. } => neg(&*operand(input)?),
     }
+}
+
+/// An operand with the positions to read it at: a bare column in place
+/// at `sel`, anything else evaluated compacted to `sel` and read densely
+/// (positions `None`).
+pub(crate) fn operand_at<'s>(
+    e: &BExpr,
+    cols: &[Arc<Bat>],
+    rows: usize,
+    sel: Option<&'s [u32]>,
+) -> Result<(Arc<Bat>, Option<&'s [u32]>)> {
+    match e {
+        BExpr::ColRef { idx, .. } => Ok((cols[*idx].clone(), sel)),
+        other => Ok((eval_shared(other, cols, rows, sel)?, None)),
+    }
+}
+
+/// A comparison's answers at the positions `sel`, through `E`. Column
+/// versus constant never materialises the constant side, and bare
+/// columns are read in place. The flag is `true` when the answers came
+/// from operands compacted to `sel`: their positions are then indices
+/// into `sel`, not rows of `cols`.
+pub(crate) fn cmp_node<E: Emit>(
+    op: CmpOp,
+    left: &BExpr,
+    right: &BExpr,
+    cols: &[Arc<Bat>],
+    rows: usize,
+    sel: Option<&[u32]>,
+) -> Result<(E::Out, bool)> {
+    if let BExpr::Lit(v) = right {
+        let (l, lsel) = operand_at(left, cols, rows, sel)?;
+        return Ok((cmp_const::<E>(op, &l, v, lsel)?, lsel.is_none()));
+    }
+    if let BExpr::Lit(v) = left {
+        let (r, rsel) = operand_at(right, cols, rows, sel)?;
+        return Ok((cmp_const::<E>(op.flip(), &r, v, rsel)?, rsel.is_none()));
+    }
+    if let (BExpr::ColRef { idx: li, .. }, BExpr::ColRef { idx: ri, .. }) = (left, right) {
+        return Ok((cmp::<E>(op, &cols[*li], &cols[*ri], sel)?, false));
+    }
+    let (l, r) = (eval_shared(left, cols, rows, sel)?, eval_shared(right, cols, rows, sel)?);
+    Ok((cmp::<E>(op, &l, &r, None)?, true))
+}
+
+/// A LIKE's answers at the positions `sel`, through `E` (the flag as for
+/// [`cmp_node`]).
+pub(crate) fn like_node<E: Emit>(
+    input: &BExpr,
+    pattern: &str,
+    negated: bool,
+    cols: &[Arc<Bat>],
+    rows: usize,
+    sel: Option<&[u32]>,
+) -> Result<(E::Out, bool)> {
+    let (b, bsel) = operand_at(input, cols, rows, sel)?;
+    Ok((like_kernel::<E>(&b, pattern, negated, bsel)?, bsel.is_none()))
 }
 
 /// Like [`eval`], but returns a shared column: without positions a bare
@@ -150,27 +191,6 @@ pub fn materialize_const(v: &Value, ty: LogicalType, rows: usize) -> Result<Bat>
         b.push(v)?;
     }
     Ok(b)
-}
-
-/// Convert a BOOLEAN column into a candidate list of matching row ids
-/// (`NULL` counts as not matching, per SQL semantics).
-///
-/// Candidate lists are `u32` row positions throughout the engine (half
-/// the memory traffic of `u64`, matching MonetDB's `oid` discipline on
-/// 32-bit candidate columns). The executor enforces the resulting
-/// 2³²-row ceiling with a checked error at scan setup
-/// (`crate::exec`): a table larger than 4Gi physical rows refuses to
-/// scan rather than silently truncating positions.
-pub fn bool_to_sel(b: &Bat) -> Result<Vec<u32>> {
-    match b {
-        Bat::Bool(v) => {
-            Ok(v.iter().enumerate().filter(|(_, &x)| x == 1).map(|(i, _)| i as u32).collect())
-        }
-        other => Err(MlError::Execution(format!(
-            "predicate evaluated to {} instead of BOOLEAN",
-            other.logical_type()
-        ))),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -297,105 +317,204 @@ pub fn cast(b: &Bat, ty: LogicalType) -> Result<Bat> {
 }
 
 // ---------------------------------------------------------------------------
+// Predicate output
+// ---------------------------------------------------------------------------
+
+/// Where a predicate kernel writes its answers. Every predicate kernel
+/// is generic over this: a value context ([`eval`]) takes a BOOLEAN
+/// column ([`Bools`]), a filter (`exec::refine`) the candidate list of
+/// the positions whose answer is TRUE ([`Cands`]). Either way the kernel
+/// has one loop per type; the output is a type parameter, not a branch.
+pub trait Emit {
+    /// The kernel's result.
+    type Out;
+    /// Consume `(position, answer)` pairs in order, an answer being 1, 0
+    /// or [`NULL_I8`]. This is the one loop of every predicate kernel.
+    fn emit(answers: impl ExactSizeIterator<Item = (u32, i8)>) -> Self::Out;
+}
+
+/// Answers as a BOOLEAN column, one value per position.
+pub struct Bools;
+
+impl Emit for Bools {
+    type Out = Bat;
+
+    #[inline]
+    fn emit(answers: impl ExactSizeIterator<Item = (u32, i8)>) -> Bat {
+        Bat::Bool(answers.map(|(_, a)| a).collect())
+    }
+}
+
+/// Answers as a candidate list: the positions answered TRUE (NULL counts
+/// as not matching, per SQL semantics), written branch-free — every
+/// position is stored and the length advances only on a hit.
+pub struct Cands;
+
+impl Emit for Cands {
+    type Out = Vec<u32>;
+
+    #[inline]
+    fn emit(answers: impl ExactSizeIterator<Item = (u32, i8)>) -> Vec<u32> {
+        let mut out = vec![0u32; answers.len()];
+        let mut n = 0;
+        for (pos, a) in answers {
+            out[n] = pos;
+            n += (a == 1) as usize;
+        }
+        out.truncate(n);
+        out
+    }
+}
+
+/// `f` of each value of `vals` at the positions `sel`, or of every value
+/// in order when there are none, into `E`. Kept out of line: each
+/// instance is a small function the optimizer handles alone; inlined into
+/// a kernel's seven typed arms, the DECIMAL-constant loop measured 35 %
+/// slower.
+#[inline(never)]
+fn answers_at<E: Emit, T: Copy>(vals: &[T], sel: Option<&[u32]>, f: impl Fn(T) -> i8) -> E::Out {
+    match sel {
+        None => E::emit(vals.iter().enumerate().map(|(i, &x)| (i as u32, f(x)))),
+        Some(sel) => E::emit(sel.iter().map(|&i| (i, f(vals[i as usize])))),
+    }
+}
+
+/// [`answers_at`] over two equally long columns, pairwise (out of line
+/// for the same reason).
+#[inline(never)]
+fn answers_at2<E: Emit, T: Copy>(
+    a: &[T],
+    b: &[T],
+    sel: Option<&[u32]>,
+    f: impl Fn(T, T) -> i8,
+) -> E::Out {
+    match sel {
+        None => E::emit(a.iter().zip(b).enumerate().map(|(i, (&x, &y))| (i as u32, f(x, y)))),
+        Some(sel) => E::emit(sel.iter().map(|&i| (i, f(a[i as usize], b[i as usize])))),
+    }
+}
+
+/// NULL at every position: `len` rows, or the positions `sel`.
+fn nulls_at<E: Emit>(len: usize, sel: Option<&[u32]>) -> E::Out {
+    match sel {
+        None => E::emit((0..len as u32).map(|i| (i, NULL_I8))),
+        Some(sel) => E::emit(sel.iter().map(|&i| (i, NULL_I8))),
+    }
+}
+
+/// Convert a BOOLEAN column into a candidate list of matching row ids
+/// (`NULL` counts as not matching, per SQL semantics): of every row when
+/// `sel` is `None`, else of a column evaluated at the positions `sel`
+/// (compacted to them), whose positions it returns.
+///
+/// Candidate lists are `u32` row positions throughout the engine (half
+/// the memory traffic of `u64`, matching MonetDB's `oid` discipline on
+/// 32-bit candidate columns). The executor enforces the resulting
+/// 2³²-row ceiling with a checked error at scan setup
+/// (`crate::exec`): a table larger than 4Gi physical rows refuses to
+/// scan rather than silently truncating positions.
+pub fn bool_to_sel(b: &Bat, sel: Option<&[u32]>) -> Result<Vec<u32>> {
+    match b {
+        Bat::Bool(v) => Ok(match sel {
+            None => Cands::emit(v.iter().enumerate().map(|(i, &x)| (i as u32, x))),
+            Some(sel) => Cands::emit(sel.iter().zip(v).map(|(&i, &x)| (i, x))),
+        }),
+        other => Err(MlError::Execution(format!(
+            "predicate evaluated to {} instead of BOOLEAN",
+            other.logical_type()
+        ))),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Comparisons
 // ---------------------------------------------------------------------------
 
-/// The one loop of every predicate kernel: `f` of each value of `vals`
-/// at the positions `sel`, or of every value in order when there are none.
-/// Both arms collect from an exact-length iterator, so the output needs
-/// no per-row capacity check. Kept out of line: each instance is a small
-/// function the optimizer handles alone; inlined into a kernel's seven
-/// typed arms, the DECIMAL-constant loop measured 35 % slower.
-#[inline(never)]
-fn bools_at<T: Copy>(vals: &[T], sel: Option<&[u32]>, f: impl Fn(T) -> i8) -> Bat {
-    Bat::Bool(match sel {
-        None => vals.iter().map(|&x| f(x)).collect(),
-        Some(sel) => sel.iter().map(|&i| f(vals[i as usize])).collect(),
-    })
+/// Evaluate `$body` with `$f` bound to the comparison `$op` as a closure
+/// over two non-NULL values. The operator is matched once per kernel
+/// call, and each arm's loop compares with one fixed operator. NaN is
+/// DOUBLE's NULL and is screened before `$f`, so the float operators
+/// agree with `partial_cmp`; byte slices order as `str` does.
+macro_rules! with_cmp {
+    ($op:expr, |$f:ident| $body:expr) => {
+        match $op {
+            CmpOp::Eq => {
+                let $f = |a, b| a == b;
+                $body
+            }
+            CmpOp::NotEq => {
+                let $f = |a, b| a != b;
+                $body
+            }
+            CmpOp::Lt => {
+                let $f = |a, b| a < b;
+                $body
+            }
+            CmpOp::LtEq => {
+                let $f = |a, b| a <= b;
+                $body
+            }
+            CmpOp::Gt => {
+                let $f = |a, b| a > b;
+                $body
+            }
+            CmpOp::GtEq => {
+                let $f = |a, b| a >= b;
+                $body
+            }
+        }
+    };
 }
 
-/// [`bools_at`] over two equally long columns, pairwise (out of line for
-/// the same reason).
-#[inline(never)]
-fn bools_at2<T: Copy>(a: &[T], b: &[T], sel: Option<&[u32]>, f: impl Fn(T, T) -> i8) -> Bat {
-    Bat::Bool(match sel {
-        None => a.iter().zip(b).map(|(&x, &y)| f(x, y)).collect(),
-        Some(sel) => sel.iter().map(|&i| f(a[i as usize], b[i as usize])).collect(),
-    })
-}
-
-/// `op` over two values, or NULL when `null` says an operand is NULL
-/// (NaN is DOUBLE's NULL, so `partial_cmp` never sees one).
+/// A comparison's three-valued answer: NULL when an operand is, else
+/// `hit`. Both are computed, so the choice is a select, not a branch.
 #[inline]
-fn cmp_vals<T: PartialOrd>(op: CmpOp, null: bool, a: T, b: T) -> i8 {
+fn answer(null: bool, hit: bool) -> i8 {
     if null {
         NULL_I8
     } else {
-        // xlint: allow(panic, NaN operands are screened by the NULL check above)
-        apply_cmp(op, a.partial_cmp(&b).unwrap()) as i8
+        hit as i8
     }
 }
 
-#[inline]
-fn apply_cmp(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering::*;
-    match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::NotEq => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::LtEq => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::GtEq => ord != Less,
-    }
-}
-
-/// [`apply_cmp`] over two strings' bytes. `str` orders by bytes, so this
-/// agrees with comparing the validated `&str`s without re-checking UTF-8
-/// per row; equality compares lengths before bytes.
-#[inline]
-fn cmp_bytes(op: CmpOp, a: &[u8], b: &[u8]) -> bool {
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::NotEq => a != b,
-        _ => apply_cmp(op, a.cmp(b)),
-    }
-}
-
-/// Same-type column-column comparison → BOOLEAN column, at the
-/// positions `sel` of both columns.
-pub fn cmp(op: CmpOp, l: &Bat, r: &Bat, sel: Option<&[u32]>) -> Result<Bat> {
+/// Same-type column-column comparison at the positions `sel` of both
+/// columns.
+pub fn cmp<E: Emit>(op: CmpOp, l: &Bat, r: &Bat, sel: Option<&[u32]>) -> Result<E::Out> {
     if l.len() != r.len() {
         return Err(MlError::Execution("comparison operand length mismatch".into()));
     }
+    macro_rules! pairs {
+        ($a:expr, $b:expr, $null:expr) => {{
+            let null = $null;
+            with_cmp!(op, |f| answers_at2::<E, _>($a, $b, sel, move |x, y| {
+                answer(null(x) || null(y), f(x, y))
+            }))
+        }};
+    }
     Ok(match (l, r) {
         (Bat::Int(a), Bat::Int(b)) | (Bat::Date(a), Bat::Date(b)) => {
-            bools_at2(a, b, sel, move |x, y| cmp_vals(op, x == NULL_I32 || y == NULL_I32, x, y))
+            pairs!(a, b, |x| x == NULL_I32)
         }
-        (Bat::Bigint(a), Bat::Bigint(b)) => {
-            bools_at2(a, b, sel, move |x, y| cmp_vals(op, x == NULL_I64 || y == NULL_I64, x, y))
-        }
-        (Bat::Double(a), Bat::Double(b)) => {
-            bools_at2(a, b, sel, move |x, y| cmp_vals(op, x.is_nan() || y.is_nan(), x, y))
-        }
-        (Bat::Bool(a), Bat::Bool(b)) => {
-            bools_at2(a, b, sel, move |x, y| cmp_vals(op, x == NULL_I8 || y == NULL_I8, x, y))
-        }
+        (Bat::Bigint(a), Bat::Bigint(b)) => pairs!(a, b, |x| x == NULL_I64),
+        (Bat::Double(a), Bat::Double(b)) => pairs!(a, b, |x: f64| x.is_nan()),
+        (Bat::Bool(a), Bat::Bool(b)) => pairs!(a, b, |x| x == NULL_I8),
         (Bat::Decimal { data: a, scale: s1 }, Bat::Decimal { data: b, scale: s2 }) => {
             if s1 != s2 {
                 return Err(MlError::Execution(
                     "decimal comparison requires aligned scales (binder bug)".into(),
                 ));
             }
-            bools_at2(a, b, sel, move |x, y| cmp_vals(op, x == NULL_I64 || y == NULL_I64, x, y))
+            pairs!(a, b, |x| x == NULL_I64)
         }
         (Bat::Varchar { offsets: a, heap: ha }, Bat::Varchar { offsets: b, heap: hb }) => {
-            bools_at2(a, b, sel, |x, y| {
+            // A NULL offset has no bytes to read: strings test it first.
+            with_cmp!(op, |f| answers_at2::<E, _>(a, b, sel, |x, y| {
                 if x == NULL_OFFSET || y == NULL_OFFSET {
                     NULL_I8
                 } else {
-                    cmp_bytes(op, ha.get_bytes(x), hb.get_bytes(y)) as i8
+                    f(ha.get_bytes(x), hb.get_bytes(y)) as i8
                 }
-            })
+            }))
         }
         (a, b) => {
             return Err(MlError::Execution(format!(
@@ -409,46 +528,114 @@ pub fn cmp(op: CmpOp, l: &Bat, r: &Bat, sel: Option<&[u32]>) -> Result<Bat> {
 
 /// Column-constant comparison at the positions `sel` (`v` must be NULL
 /// or match the column's type family, which the binder guarantees).
-pub fn cmp_const(op: CmpOp, l: &Bat, v: &Value, sel: Option<&[u32]>) -> Result<Bat> {
+pub fn cmp_const<E: Emit>(op: CmpOp, l: &Bat, v: &Value, sel: Option<&[u32]>) -> Result<E::Out> {
     if v.is_null() {
-        return Ok(Bat::Bool(vec![NULL_I8; sel.map_or(l.len(), <[u32]>::len)]));
+        return Ok(nulls_at::<E>(l.len(), sel));
     }
     // The constant is not NULL, so only the column side is tested.
+    macro_rules! against {
+        ($a:expr, $k:expr, $null:expr) => {{
+            let (k, null) = ($k, $null);
+            with_cmp!(op, |f| answers_at::<E, _>($a, sel, move |x| answer(null(x), f(x, k))))
+        }};
+    }
     Ok(match (l, v) {
-        (Bat::Int(a), &Value::Int(k)) => {
-            bools_at(a, sel, move |x| cmp_vals(op, x == NULL_I32, x, k))
+        (Bat::Int(a), &Value::Int(k)) | (Bat::Date(a), &Value::Date(Date(k))) => {
+            against!(a, k, |x| x == NULL_I32)
         }
-        (Bat::Date(a), &Value::Date(Date(k))) => {
-            bools_at(a, sel, move |x| cmp_vals(op, x == NULL_I32, x, k))
-        }
-        (Bat::Bigint(a), &Value::Bigint(k)) => {
-            bools_at(a, sel, move |x| cmp_vals(op, x == NULL_I64, x, k))
-        }
-        (Bat::Double(a), &Value::Double(k)) => {
-            bools_at(a, sel, move |x| cmp_vals(op, x.is_nan(), x, k))
-        }
-        (Bat::Bool(a), &Value::Bool(k)) => {
-            bools_at(a, sel, move |x| cmp_vals(op, x == NULL_I8, x, k as i8))
-        }
+        (Bat::Bigint(a), &Value::Bigint(k)) => against!(a, k, |x| x == NULL_I64),
+        (Bat::Double(a), &Value::Double(k)) => against!(a, k, |x: f64| x.is_nan()),
+        (Bat::Bool(a), &Value::Bool(k)) => against!(a, k as i8, |x| x == NULL_I8),
         (Bat::Decimal { data, scale }, Value::Decimal(d)) => {
-            let k = d.rescale(*scale)?.raw;
-            bools_at(data, sel, move |x| cmp_vals(op, x == NULL_I64, x, k))
+            against!(data, d.rescale(*scale)?.raw, |x| x == NULL_I64)
         }
         (Bat::Varchar { offsets, heap }, Value::Str(s)) => {
             let k = s.as_bytes();
-            bools_at(offsets, sel, |o| {
+            with_cmp!(op, |f| answers_at::<E, _>(offsets, sel, |o| {
                 if o == NULL_OFFSET {
                     NULL_I8
                 } else {
-                    cmp_bytes(op, heap.get_bytes(o), k) as i8
+                    f(heap.get_bytes(o), k) as i8
                 }
-            })
+            }))
         }
         (a, v) => {
             return Err(MlError::Execution(format!(
                 "constant comparison over mismatched types {} vs {v:?} (binder bug)",
                 a.logical_type()
             )))
+        }
+    })
+}
+
+/// `l IN (items)` at the positions `sel`, with the answers of the OR
+/// chain of equalities a desugared IN list binds to: TRUE on a match,
+/// else NULL when the value or some item is NULL, else FALSE. Duplicate
+/// items are harmless. Items must be NULL or match the column's type
+/// family, as for [`cmp_const`].
+pub(crate) fn in_list<E: Emit>(l: &Bat, items: &[Value], sel: Option<&[u32]>) -> Result<E::Out> {
+    // A value that matches no item answers NULL if the list holds one.
+    let miss = if items.iter().any(Value::is_null) { NULL_I8 } else { 0 };
+    let ans = move |null: bool, hit: bool| {
+        if null {
+            NULL_I8
+        } else if hit {
+            1
+        } else {
+            miss
+        }
+    };
+    // The non-NULL items as the column's typed keys.
+    macro_rules! keys {
+        ($key:pat => $k:expr) => {
+            items
+                .iter()
+                .filter(|v| !v.is_null())
+                .map(|v| match v {
+                    $key => Ok($k),
+                    v => Err(MlError::Execution(format!(
+                        "IN list over mismatched types {} vs {v:?} (binder bug)",
+                        l.logical_type()
+                    ))),
+                })
+                .collect::<Result<Vec<_>>>()?
+        };
+    }
+    Ok(match l {
+        Bat::Int(a) => {
+            let ks = keys!(&Value::Int(k) => k);
+            answers_at::<E, _>(a, sel, |x| ans(x == NULL_I32, ks.contains(&x)))
+        }
+        Bat::Date(a) => {
+            let ks = keys!(&Value::Date(Date(k)) => k);
+            answers_at::<E, _>(a, sel, |x| ans(x == NULL_I32, ks.contains(&x)))
+        }
+        Bat::Bigint(a) => {
+            let ks = keys!(&Value::Bigint(k) => k);
+            answers_at::<E, _>(a, sel, |x| ans(x == NULL_I64, ks.contains(&x)))
+        }
+        Bat::Double(a) => {
+            let ks = keys!(&Value::Double(k) => k);
+            answers_at::<E, _>(a, sel, |x| ans(x.is_nan(), ks.contains(&x)))
+        }
+        Bat::Bool(a) => {
+            let ks = keys!(&Value::Bool(k) => k as i8);
+            answers_at::<E, _>(a, sel, |x| ans(x == NULL_I8, ks.contains(&x)))
+        }
+        Bat::Decimal { data, scale } => {
+            let ks = keys!(Value::Decimal(d) => d.rescale(*scale)?.raw);
+            answers_at::<E, _>(data, sel, |x| ans(x == NULL_I64, ks.contains(&x)))
+        }
+        Bat::Varchar { offsets, heap } => {
+            let ks = keys!(Value::Str(s) => s.as_bytes());
+            // A NULL offset has no bytes to read: strings test it first.
+            answers_at::<E, _>(offsets, sel, |o| {
+                if o == NULL_OFFSET {
+                    NULL_I8
+                } else {
+                    ans(false, ks.contains(&heap.get_bytes(o)))
+                }
+            })
         }
     })
 }
@@ -950,10 +1137,15 @@ pub(crate) fn like_plan_match(plan: &LikePlan, pattern: &str, s: &str) -> bool {
 
 /// LIKE over a VARCHAR column at the positions `sel`; NULL rows stay
 /// NULL, negated or not.
-fn like_kernel(b: &Bat, pattern: &str, negated: bool, sel: Option<&[u32]>) -> Result<Bat> {
+fn like_kernel<E: Emit>(
+    b: &Bat,
+    pattern: &str,
+    negated: bool,
+    sel: Option<&[u32]>,
+) -> Result<E::Out> {
     let plan = compile_like(pattern);
     match b {
-        Bat::Varchar { offsets, heap } => Ok(bools_at(offsets, sel, |o| {
+        Bat::Varchar { offsets, heap } => Ok(answers_at::<E, _>(offsets, sel, |o| {
             if o == NULL_OFFSET {
                 NULL_I8
             } else {
@@ -1170,6 +1362,19 @@ mod tests {
     use monetlite_types::ColumnBuffer;
     use proptest::prelude::*;
 
+    /// Does `op` hold between two values ordered `ord`?
+    fn holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::*;
+        match op {
+            CmpOp::Eq => ord == Equal,
+            CmpOp::NotEq => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::LtEq => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::GtEq => ord != Less,
+        }
+    }
+
     fn ints(v: Vec<i32>) -> Arc<Bat> {
         Arc::new(Bat::Int(v))
     }
@@ -1197,7 +1402,7 @@ mod tests {
         assert_eq!(b.get(0), Value::Bool(false));
         assert_eq!(b.get(1), Value::Null);
         assert_eq!(b.get(2), Value::Bool(true));
-        assert_eq!(bool_to_sel(&b).unwrap(), vec![2]);
+        assert_eq!(bool_to_sel(&b, None).unwrap(), vec![2]);
     }
 
     #[test]
@@ -1210,7 +1415,7 @@ mod tests {
             right: Box::new(BExpr::ColRef { idx: 0, ty: LogicalType::Int }),
         };
         let b = eval(&e, &cols, 3, None).unwrap();
-        assert_eq!(bool_to_sel(&b).unwrap(), vec![2]);
+        assert_eq!(bool_to_sel(&b, None).unwrap(), vec![2]);
     }
 
     #[test]
@@ -1330,8 +1535,8 @@ mod tests {
             None,
             Some("pear".into()),
         ]));
-        let b = cmp_const(CmpOp::Eq, &col, &Value::Str("pear".into()), None).unwrap();
-        assert_eq!(bool_to_sel(&b).unwrap(), vec![2]);
+        let b = cmp_const::<Bools>(CmpOp::Eq, &col, &Value::Str("pear".into()), None).unwrap();
+        assert_eq!(bool_to_sel(&b, None).unwrap(), vec![2]);
         assert_eq!(b.get(1), Value::Null);
     }
 
@@ -1470,13 +1675,13 @@ mod tests {
             Some("".into()),
         ]));
         for negated in [false, true] {
-            let out = like_kernel(&col, "%", negated, None).unwrap();
+            let out = like_kernel::<Bools>(&col, "%", negated, None).unwrap();
             assert_eq!(out.get(0), Value::Bool(!negated));
             assert_eq!(out.get(1), Value::Null, "NULL-offset row must stay NULL");
             assert_eq!(out.get(2), Value::Bool(!negated));
-            let sel_out = like_kernel(&col, "%", negated, Some(&[0, 1, 2])).unwrap();
+            let sel_out = like_kernel::<Bools>(&col, "%", negated, Some(&[0, 1, 2])).unwrap();
             assert_eq!(out.to_buffer(None), sel_out.to_buffer(None));
-            let picked = like_kernel(&col, "%", negated, Some(&[1, 2])).unwrap();
+            let picked = like_kernel::<Bools>(&col, "%", negated, Some(&[1, 2])).unwrap();
             assert_eq!(picked.get(0), Value::Null, "NULL row at a position must stay NULL");
             assert_eq!(picked.get(1), Value::Bool(!negated));
         }
@@ -1700,7 +1905,7 @@ mod tests {
             let dense = eval(&e, &gathered, sel.len(), None).unwrap();
             prop_assert_eq!(lazy.to_buffer(None), dense.to_buffer(None));
             // And the derived candidate lists agree too.
-            prop_assert_eq!(bool_to_sel(&lazy).unwrap(), bool_to_sel(&dense).unwrap());
+            prop_assert_eq!(bool_to_sel(&lazy, None).unwrap(), bool_to_sel(&dense, None).unwrap());
         }
 
         #[test]
@@ -1718,13 +1923,13 @@ mod tests {
             let l = Bat::from_buffer(&ColumnBuffer::Varchar(av.clone()));
             let r = Bat::from_buffer(&ColumnBuffer::Varchar(bv.clone()));
             let want = |x: &Option<String>, y: Option<&str>, op: CmpOp| match (x, y) {
-                (Some(x), Some(y)) => Value::Bool(apply_cmp(op, x.as_str().cmp(y))),
+                (Some(x), Some(y)) => Value::Bool(holds(op, x.as_str().cmp(y))),
                 _ => Value::Null,
             };
             let kv = Value::Str(k.clone());
             for op in [CmpOp::Eq, CmpOp::NotEq, CmpOp::Lt, CmpOp::LtEq, CmpOp::Gt, CmpOp::GtEq] {
-                let cc = cmp_const(op, &l, &kv, None).unwrap();
-                let cv = cmp(op, &l, &r, None).unwrap();
+                let cc = cmp_const::<Bools>(op, &l, &kv, None).unwrap();
+                let cv = cmp::<Bools>(op, &l, &r, None).unwrap();
                 for i in 0..n {
                     prop_assert_eq!(cc.get(i), want(&av[i], Some(k.as_str()), op));
                     prop_assert_eq!(cv.get(i), want(&av[i], bv[i].as_deref(), op));
@@ -1864,8 +2069,8 @@ mod tests {
         #[test]
         fn prop_cmp_matches_scalar(a in proptest::collection::vec(-50i32..50, 1..40), k in -50i32..50) {
             let col = Bat::Int(a.clone());
-            let b = cmp_const(CmpOp::Lt, &col, &Value::Int(k), None).unwrap();
-            let sel = bool_to_sel(&b).unwrap();
+            let b = cmp_const::<Bools>(CmpOp::Lt, &col, &Value::Int(k), None).unwrap();
+            let sel = bool_to_sel(&b, None).unwrap();
             let expect: Vec<u32> = a.iter().enumerate().filter(|(_, &x)| x < k).map(|(i, _)| i as u32).collect();
             prop_assert_eq!(sel, expect);
         }

@@ -1109,7 +1109,7 @@ impl Connection {
             used.iter().map(|&c| meta.data.cols[c].entry()?.bat()).collect::<Result<_>>()?;
         let pred = pred.remap_cols(&|c| used.binary_search(&c).expect("collected above"));
         let mask = kernels::eval(&pred, &cols, meta.data.rows, None)?;
-        let mut sel = kernels::bool_to_sel(&mask)?;
+        let mut sel = kernels::bool_to_sel(&mask, None)?;
         sel.retain(visible);
         Ok(sel)
     }

@@ -1809,8 +1809,13 @@ fn fold_expr(e: BExpr) -> Result<BExpr> {
         return Ok(e);
     }
     if e.is_const() {
-        let out = kernels::eval(&e, &[], 1, None)?;
-        return Ok(BExpr::Lit(out.get(0)));
+        let v = kernels::eval(&e, &[], 1, None)?.get(0);
+        // A NULL literal reads as INTEGER: a NULL of another type (the
+        // BOOLEAN of `NULL = NULL`) keeps its expression, which the
+        // kernels evaluate to a NULL of the right type.
+        if !v.is_null() || e.ty() == BExpr::Lit(Value::Null).ty() {
+            return Ok(BExpr::Lit(v));
+        }
     }
     // Fold children.
     Ok(match e {

@@ -31,7 +31,7 @@ use crate::agg::{hash_group, AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
     bare_scan_hash_entry, exec_scan_streaming, exec_values, finish_join_output, project_cols,
-    refine, Chunk, ExecContext, ExecOptions, ScanDicts,
+    refine, Chunk, ExecContext, ExecOptions, ScanState,
 };
 use crate::expr::{AggSpec, BExpr};
 use crate::plan::{OutCol, PJoinKind, Plan};
@@ -58,15 +58,15 @@ enum Source<'p> {
     /// scan-output column position; `extras` are synthetic full-length
     /// columns (dictionary code columns) appended after the `width`
     /// output columns (the read list's filter-only tail never leaves the
-    /// scan); `dicts` holds the filters served from dictionaries,
-    /// compiled by the first morsel.
+    /// scan); `state` holds the filters served from dictionaries,
+    /// compiled by the first morsel, and the columns the scan has read.
     Table {
         table: &'p str,
         projected: &'p [usize],
         width: usize,
         filters: &'p [BExpr],
         rows: usize,
-        dicts: ScanDicts,
+        state: ScanState,
         blooms: Vec<(usize, Arc<Bloom>)>,
         extras: Vec<Arc<Bat>>,
     },
@@ -85,14 +85,14 @@ impl Source<'_> {
 
     fn fetch(&self, ctx: &ExecContext, lo: usize, hi: usize, whole: bool) -> Result<Chunk> {
         match self {
-            Source::Table { table, projected, width, filters, dicts, blooms, extras, .. } => {
+            Source::Table { table, projected, width, filters, state, blooms, extras, .. } => {
                 // A morsel covering the whole table scans unranged, which
                 // preserves imprint/order-index selection and zero-copy
                 // column sharing. The streaming scan may return a chunk
                 // carrying a candidate list over the base columns.
                 let range = if whole { None } else { Some((lo as u32, hi as u32)) };
                 exec_scan_streaming(
-                    table, projected, *width, filters, ctx, range, dicts, blooms, extras,
+                    table, projected, *width, filters, ctx, range, state, blooms, extras,
                 )
             }
             Source::Mem(c) => Ok(c.slice(lo, hi)),
@@ -145,7 +145,7 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
                     width: schema.len(),
                     filters,
                     rows: meta.data.rows,
-                    dicts: ScanDicts::default(),
+                    state: ScanState::default(),
                     blooms: Vec::new(),
                     extras: Vec::new(),
                 },

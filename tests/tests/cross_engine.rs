@@ -604,3 +604,41 @@ fn bigint_modulo_by_zero_errors_on_every_engine() {
     rdb.run_script(ddl).unwrap();
     assert!(is_div_zero(rdb.query(sql).map(drop)), "rowstore: {sql}");
 }
+
+#[test]
+fn an_and_under_an_or_agrees_on_every_engine() {
+    // The selecting evaluator narrows an AND's right side to its left
+    // side's survivors; under an OR both sides see every row, as in the
+    // dense evaluation (10 / 0 is NULL, not an error).
+    let ddl = "CREATE TABLE t (a INT, s VARCHAR); INSERT INTO t VALUES \
+               (0, 'q'), (0, 'p'), (2, 'p'), (20, 'p'), (NULL, 'q'), (NULL, NULL);";
+    let sql = "SELECT a, s FROM t WHERE (a <> 0 AND 10 / a > 1) OR s = 'q'";
+    let want = ["0|q", "2|p", "NULL|q"];
+    let show = |row: Vec<Value>| {
+        row.iter()
+            .map(|v| if v.is_null() { "NULL".to_string() } else { v.to_string() })
+            .collect::<Vec<_>>()
+            .join("|")
+    };
+    let db = monetlite::Database::open_in_memory();
+    db.connect().run_script(ddl).unwrap();
+    for (mode, vector_size) in
+        [(ExecMode::Materialized, 0), (ExecMode::Streaming, 0), (ExecMode::Streaming, 2)]
+    {
+        let mut c = db.connect();
+        let defaults = ExecOptions::default();
+        let vector_size = if vector_size == 0 { defaults.vector_size } else { vector_size };
+        c.set_exec_options(ExecOptions { mode, vector_size, ..defaults });
+        let r = c.query(sql).unwrap_or_else(|e| panic!("{mode:?}: {e} for {sql}"));
+        let mut got: Vec<String> =
+            (0..r.nrows()).map(|i| show((0..2).map(|j| r.value(i, j)).collect())).collect();
+        got.sort();
+        assert_eq!(got, want, "{mode:?} at vector size {vector_size}: {sql}");
+    }
+    let rdb = monetlite_rowstore::RowDb::in_memory();
+    rdb.run_script(ddl).unwrap();
+    let r = rdb.query(sql).unwrap_or_else(|e| panic!("rowstore: {e} for {sql}"));
+    let mut got: Vec<String> = r.rows.into_iter().map(show).collect();
+    got.sort();
+    assert_eq!(got, want, "rowstore: {sql}");
+}

@@ -28,7 +28,9 @@ const DDL: &str = "CREATE TABLE probe (x INT); \
      CREATE TABLE li (l_quantity DECIMAL(15,2), l_extendedprice DECIMAL(15,2), l_tax DOUBLE); \
      INSERT INTO li VALUES (17.00, 21168.23, 0.02), (NULL, 45983.16, NULL); \
      CREATE TABLE t (a INT, b BIGINT, s VARCHAR); \
-     INSERT INTO t VALUES (1, 5, 'p'), (2, 7, 'q'), (NULL, NULL, NULL);";
+     INSERT INTO t VALUES (1, 5, 'p'), (2, 7, 'q'), (NULL, NULL, NULL); \
+     CREATE TABLE days (dt DATE); \
+     INSERT INTO days VALUES ('1998-12-01'), (NULL);";
 
 fn fmt(v: &Value) -> String {
     match v {
@@ -251,4 +253,21 @@ fn case_with_a_null_branch_takes_the_other_branches_type() {
     expect("SELECT max(CASE WHEN a = 1 THEN NULL ELSE s END) FROM t", &["q"]);
     // All-NULL values keep today's type.
     expect("SELECT CASE WHEN a = 1 THEN NULL END FROM t", &["NULL", "NULL", "NULL"]);
+}
+
+/// A NULL literal compared with a VARCHAR or DATE value takes that
+/// value's type instead of INTEGER, which has no common type with
+/// either; and `NULL = NULL` is a BOOLEAN NULL, not an INTEGER one.
+#[test]
+fn null_literal_compared_with_any_type_is_unknown() {
+    expect("SELECT s = NULL FROM t", &["NULL", "NULL", "NULL"]);
+    expect("SELECT dt <> NULL FROM days", &["NULL", "NULL"]);
+    // 'p' is a member; nothing else can be proven one.
+    expect("SELECT a FROM t WHERE s IN (NULL, 'p')", &["1"]);
+    expect("SELECT a FROM t WHERE substring(s, 1, 1) IN ('p', NULL)", &["1"]);
+    expect("SELECT a FROM t WHERE s NOT IN (NULL, 'p')", &[]);
+    // dt >= NULL is UNKNOWN for every row.
+    expect("SELECT dt FROM days WHERE dt BETWEEN NULL AND DATE '1999-01-01'", &[]);
+    expect("SELECT a FROM t WHERE NULL = NULL", &[]);
+    expect("SELECT a FROM t WHERE NOT (NULL = NULL)", &[]);
 }

@@ -1,6 +1,7 @@
 //! End-to-end durability: checkpointing, WAL recovery, vmem paging and
 //! corruption handling across full engine restarts.
 
+use monetlite::exec::{ExecMode, ExecOptions};
 use monetlite::{Database, DbOptions};
 use monetlite_types::{MlError, Value};
 
@@ -264,4 +265,55 @@ fn exact_order_index_select_on_an_evicted_column_loads_nothing() {
     assert!(conn.last_exec_counters().unwrap().order_index_selects > 0, "order index not used");
     let after = db.vmem_stats();
     assert_eq!(after.loads, before.loads, "the select paged a column in: {before:?} -> {after:?}");
+}
+
+/// A scan holds each column it has read until it ends: under a budget
+/// smaller than the columns one scan reads, LRU over the scan's cyclic
+/// access would otherwise evict each column just before the next morsel
+/// needs it, and every morsel would page it in again.
+#[test]
+fn a_scan_pages_each_column_in_once_under_a_budget_below_its_columns() {
+    let dir = tempfile::tempdir().unwrap();
+    let n: i32 = 200_000;
+    {
+        let db = Database::open(dir.path()).unwrap();
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE t (a INT, b INT, c INT)").unwrap();
+        let col = |m: i32| monetlite_types::ColumnBuffer::Int((0..n).map(|i| i % m).collect());
+        conn.append("t", vec![col(7), col(11), col(13)]).unwrap();
+        db.checkpoint().unwrap();
+    }
+    // Each column is 800,000 bytes: only one fits the budget.
+    let opts = DbOptions {
+        path: Some(dir.path().to_path_buf()),
+        vmem_budget: 900 * 1024,
+        ..Default::default()
+    };
+    let db = Database::open_with(opts).unwrap();
+    let sql = "SELECT sum(a), sum(b), sum(c) FROM t";
+    let want: Vec<Value> =
+        [7, 11, 13].iter().map(|&m| Value::Bigint((0..n as i64).map(|i| i % m).sum())).collect();
+    for threads in [1, 2] {
+        let mut conn = db.connect();
+        // 65,536-row vectors: four morsels per scan.
+        conn.set_exec_options(ExecOptions {
+            mode: ExecMode::Streaming,
+            threads,
+            vector_size: 1 << 16,
+            use_result_cache: false,
+            ..Default::default()
+        });
+        // The first run may also build statistics or zonemaps.
+        conn.query(sql).unwrap();
+        let before = db.vmem_stats();
+        let r = conn.query(sql).unwrap();
+        let got: Vec<Value> = (0..3).map(|c| r.value(0, c)).collect();
+        assert_eq!(got, want, "threads {threads}");
+        let after = db.vmem_stats();
+        assert_eq!(
+            after.loads - before.loads,
+            3,
+            "threads {threads}: one load per column read: {before:?} -> {after:?}"
+        );
+    }
 }
