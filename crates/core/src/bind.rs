@@ -1239,10 +1239,7 @@ impl<'a> Binder<'a> {
                 Err(MlError::Bind("aggregate functions are not allowed here".into()))
             }
             ast::Expr::Extract { field, expr } => {
-                let b = self.bind_expr(expr, scope)?;
-                if b.ty() != LogicalType::Date {
-                    return Err(MlError::TypeMismatch("EXTRACT requires a DATE".into()));
-                }
+                let b = typed_arg("EXTRACT", self.bind_expr(expr, scope)?, LogicalType::Date)?;
                 let func = match field {
                     ast::DateField::Year => ScalarFunc::Year,
                     ast::DateField::Month => ScalarFunc::Month,
@@ -1371,10 +1368,7 @@ impl<'a> Binder<'a> {
                 if argc != 1 {
                     return Err(wrong(1));
                 }
-                let a = bound.into_iter().next().unwrap();
-                if a.ty() != LogicalType::Varchar {
-                    return Err(MlError::TypeMismatch(format!("{name} requires a VARCHAR")));
-                }
+                let a = typed_arg(name, bound.into_iter().next().unwrap(), LogicalType::Varchar)?;
                 let func = if name == "upper" { ScalarFunc::Upper } else { ScalarFunc::Lower };
                 Ok(BExpr::Func { func, args: vec![a], ty: LogicalType::Varchar })
             }
@@ -1382,10 +1376,7 @@ impl<'a> Binder<'a> {
                 if argc != 1 {
                     return Err(wrong(1));
                 }
-                let a = bound.into_iter().next().unwrap();
-                if a.ty() != LogicalType::Varchar {
-                    return Err(MlError::TypeMismatch("length requires a VARCHAR".into()));
-                }
+                let a = typed_arg(name, bound.into_iter().next().unwrap(), LogicalType::Varchar)?;
                 Ok(BExpr::Func { func: ScalarFunc::Length, args: vec![a], ty: LogicalType::Int })
             }
             "substring" | "substr" => {
@@ -1393,10 +1384,7 @@ impl<'a> Binder<'a> {
                     return Err(wrong(3));
                 }
                 let mut it = bound.into_iter();
-                let s = it.next().unwrap();
-                if s.ty() != LogicalType::Varchar {
-                    return Err(MlError::TypeMismatch("substring requires a VARCHAR".into()));
-                }
+                let s = typed_arg("substring", it.next().unwrap(), LogicalType::Varchar)?;
                 let from = cast_to(it.next().unwrap(), LogicalType::Int)?;
                 let len = cast_to(it.next().unwrap(), LogicalType::Int)?;
                 Ok(BExpr::Func {
@@ -1409,10 +1397,7 @@ impl<'a> Binder<'a> {
                 if argc != 1 {
                     return Err(wrong(1));
                 }
-                let a = bound.into_iter().next().unwrap();
-                if a.ty() != LogicalType::Date {
-                    return Err(MlError::TypeMismatch(format!("{name} requires a DATE")));
-                }
+                let a = typed_arg(name, bound.into_iter().next().unwrap(), LogicalType::Date)?;
                 let func = match name {
                     "year" => ScalarFunc::Year,
                     "month" => ScalarFunc::Month,
@@ -1901,10 +1886,15 @@ fn case_type(branches: &[(BExpr, BExpr)], else_expr: Option<&BExpr>) -> Result<L
 }
 
 /// Insert a cast unless the expression already has the target type;
-/// literal casts fold immediately.
+/// literal casts fold immediately, except an untyped NULL's: the cast
+/// node is what gives that NULL its type (the kernels evaluate it to a
+/// NULL of the target type).
 pub fn cast_to(e: BExpr, ty: LogicalType) -> Result<BExpr> {
     if e.ty() == ty {
         return Ok(e);
+    }
+    if untyped_null(&e) {
+        return Ok(BExpr::Cast { input: Box::new(e), ty });
     }
     if let BExpr::Lit(v) = &e {
         if let Some(folded) = fold_literal_cast(v, ty)? {
@@ -1954,12 +1944,24 @@ fn fold_literal_cast(v: &Value, ty: LogicalType) -> Result<Option<Value>> {
     })
 }
 
-/// An untyped NULL: a NULL literal (a cast of NULL folds to one) or a
-/// plan-cache parameter standing for one. It casts to any type, so it
-/// takes the type of whatever it meets; [`BExpr::ty`] reports INTEGER for
-/// it only for want of another answer.
+/// An untyped NULL: a NULL literal or a plan-cache parameter standing for
+/// one. It casts to any type, so it takes the type of whatever it meets;
+/// [`BExpr::ty`] reports INTEGER for it only for want of another answer.
 fn untyped_null(e: &BExpr) -> bool {
     matches!(e, BExpr::Lit(Value::Null) | BExpr::Param { value: Value::Null, .. })
+}
+
+/// A scalar function's argument of parameter type `ty`: an untyped NULL
+/// takes that type (the call then yields NULL); any other argument must
+/// have it already.
+fn typed_arg(func: &str, a: BExpr, ty: LogicalType) -> Result<BExpr> {
+    if untyped_null(&a) {
+        return cast_to(a, ty);
+    }
+    if a.ty() != ty {
+        return Err(MlError::TypeMismatch(format!("{func} requires a {ty}")));
+    }
+    Ok(a)
 }
 
 /// Coerce a comparison pair to a common type. An untyped NULL takes the

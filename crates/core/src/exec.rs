@@ -30,7 +30,7 @@ use crate::rows::take_padded;
 use crate::sort::{sort_perm, topn_perm};
 use monetlite_storage::catalog::{ColumnEntry, TableMeta};
 use monetlite_storage::hash::hash_rows;
-use monetlite_storage::index::{f64_ordered, IMPRINT_LINE};
+use monetlite_storage::index::{f64_ordered, Zonemap, IMPRINT_LINE};
 use monetlite_storage::{Bat, StrDict};
 use monetlite_types::{LogicalType, MlError, Result, Value};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,9 +85,6 @@ pub struct ExecOptions {
     /// executor falls back to the headroom of the store's [`Vmem`] budget
     /// (see [`ExecContext::spill_budget`]).
     pub memory_budget: usize,
-    /// Consult per-zone min/max zonemaps to skip whole vectors on
-    /// constant range predicates before any kernel runs.
-    pub use_zonemaps: bool,
     /// Byte cap on one query's spill files (`MONETLITE_SPILL_QUOTA`).
     /// Exceeding it aborts that query with [`MlError::SpillQuota`] while
     /// the connection, other sessions and the store stay usable — the
@@ -97,11 +94,11 @@ pub struct ExecOptions {
     /// filter over one VARCHAR column alone runs over the column's
     /// sorted-dictionary `u32` codes — a code range for comparisons and
     /// LIKE prefixes, else a per-code mask from evaluating the filter once
-    /// per distinct value — with per-zone code bounds for morsel
-    /// skipping; string group keys hash dense codes; and hash-join build
-    /// sides push bloom filters into probe-side scans. `false` restores
-    /// per-row string execution (the ablation baseline); results are
-    /// identical either way.
+    /// per distinct value — with the column's zonemap over codes for
+    /// morsel skipping; string group keys hash dense codes; and hash-join
+    /// build sides push bloom filters into probe-side scans. `false`
+    /// restores per-row string execution (the ablation baseline); results
+    /// are identical either way.
     pub use_dict: bool,
     /// Plan cache (`MONETLITE_PLAN_CACHE`): repeated statements that
     /// differ only in WHERE-clause literals reuse one optimized plan
@@ -133,9 +130,9 @@ fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
 }
 
-/// Boolean env override (`MONETLITE_ZONEMAPS=0` disables zonemap
-/// skipping for the whole suite, a CI ablation matrix lever; the
-/// optimizer's `MONETLITE_JOINORDER` shares it).
+/// Boolean env override (`MONETLITE_DICT=0` disables dictionary
+/// execution for the whole suite, a CI ablation matrix lever; the cache
+/// switches and the optimizer's `MONETLITE_JOINORDER` share it).
 pub(crate) fn env_bool(key: &str, default: bool) -> bool {
     match std::env::var(key) {
         Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")),
@@ -155,7 +152,6 @@ impl Default for ExecOptions {
             use_order_index: true,
             timeout: None,
             memory_budget: env_usize("MONETLITE_MEMORY_BUDGET", usize::MAX),
-            use_zonemaps: env_bool("MONETLITE_ZONEMAPS", true),
             spill_quota: env_usize("MONETLITE_SPILL_QUOTA", usize::MAX),
             use_dict: env_bool("MONETLITE_DICT", true),
             use_plan_cache: env_bool("MONETLITE_PLAN_CACHE", true),
@@ -763,54 +759,42 @@ fn exec_scan_inner(
         )
     };
 
-    // Zonemap skipping: before any index probe or kernel run, a constant
-    // range predicate whose bounds exclude every zone overlapping
-    // [lo, hi) proves the whole vector empty. Valid under deletion masks
-    // too — deletes only remove potential matches, and per-zone min/max
-    // over the physical rows stays a conservative superset.
-    if ctx.opts.use_zonemaps && hi > lo {
-        for f in filters {
-            let Some((col_pos, plo, phi)) = zone_probe_of(f) else {
-                continue;
-            };
-            let Some(entry) = entries.get(col_pos) else {
-                continue;
-            };
-            if entry.is_empty() || entry.ty() == LogicalType::Varchar {
-                continue;
-            }
-            let zm = entry.zonemap()?;
-            if !zm.range_may_match(lo, hi, plo, phi) {
-                ctx.counters.bump(&ctx.counters.vectors_skipped);
-                return Ok(empty());
-            }
-        }
-    }
-
     // Dictionary-domain predicates: every filter over one VARCHAR column
     // alone is compiled, once per scan, into a code range or a per-code
-    // mask over the column's sorted dictionary. A morsel whose per-zone
-    // code bounds cannot satisfy some predicate is proven empty here;
-    // surviving rows are filtered by flat `u32` code tests — the string
-    // kernel never runs for a served predicate.
-    let mut served = vec![false; filters.len()];
+    // mask over the column's sorted dictionary. Surviving rows are
+    // filtered by flat `u32` code tests — the string kernel never runs
+    // for a served predicate.
     let dict_preds =
         if ctx.opts.use_dict && hi > lo { state.dicts(filters, &entries, phys_rows) } else { &[] };
-    for df in dict_preds {
-        ctx.counters.bump(&ctx.counters.dict_hits);
-        served[df.filter] = true;
-    }
-    for df in dict_preds {
-        // `None` zone bounds mean every row in range is NULL — no served
-        // predicate selects those rows.
-        let may = match df.dict.zone_bounds(lo, hi) {
-            Some((zmin, zmax)) => df.pred.zone_may_match(zmin, zmax),
-            None => false,
+    // Zone skipping: before any index probe or kernel run, a filter that
+    // no zone overlapping [lo, hi) can satisfy proves the whole vector
+    // empty — a served filter by its column's zonemap over dictionary
+    // codes, a constant range over a fixed-width column by its zonemap
+    // over keys. Valid under deletion masks too — deletes only remove
+    // potential matches, and per-zone min/max over the physical rows
+    // stays a conservative superset.
+    for (i, f) in filters.iter().enumerate().filter(|_| hi > lo) {
+        let may = match (dict_preds.iter().find(|df| df.filter == i), zone_probe_of(f)) {
+            (Some(df), _) => df
+                .zones
+                .any_zone(lo, hi, |zmin, zmax| df.pred.zone_may_match(zmin as u32, zmax as u32)),
+            (None, Some((col_pos, plo, phi))) => match entries.get(col_pos) {
+                Some(e) if !e.is_empty() && e.ty() != LogicalType::Varchar => {
+                    e.zonemap()?.range_may_match(lo, hi, plo, phi)
+                }
+                _ => true,
+            },
+            (None, None) => true,
         };
         if !may {
             ctx.counters.bump(&ctx.counters.vectors_skipped);
             return Ok(empty());
         }
+    }
+    let mut served = vec![false; filters.len()];
+    for df in dict_preds {
+        ctx.counters.bump(&ctx.counters.dict_hits);
+        served[df.filter] = true;
     }
 
     let mut sel: Option<Vec<u32>> = None;
@@ -1112,7 +1096,7 @@ impl DictPred {
         }
     }
 
-    /// Can any code in the inclusive zone-bounds interval match?
+    /// Can any code in a zone's inclusive `[zmin, zmax]` code range match?
     pub(crate) fn zone_may_match(&self, zmin: u32, zmax: u32) -> bool {
         match self {
             DictPred::Range(lo, hi) => lo < hi && zmin < *hi && zmax >= *lo,
@@ -1129,6 +1113,8 @@ pub(crate) struct DictFilter {
     filter: usize,
     /// The dictionary of the column the filter reads.
     dict: Arc<StrDict>,
+    /// That column's zonemap, over the dictionary's codes.
+    zones: Arc<Zonemap>,
     /// The filter in that dictionary's code domain.
     pred: DictPred,
 }
@@ -1181,7 +1167,8 @@ impl ScanState {
                 }
                 let dict = entry.dict().ok()?;
                 let pred = dict_pred_of(f, &dict, span)?;
-                Some(DictFilter { filter, dict, pred })
+                let zones = entry.zonemap().ok()?;
+                Some(DictFilter { filter, dict, zones, pred })
             };
             filters.iter().enumerate().filter_map(compile).collect()
         })
@@ -2253,7 +2240,7 @@ mod tests {
         let s = Bat::from_buffer(&ColumnBuffer::Varchar(strs));
         let t = make_table("t", vec![("a", ints), ("s", s)], vec![]);
         let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
-        let opts = ExecOptions { use_dict: true, use_zonemaps: true, ..Default::default() };
+        let opts = ExecOptions { use_dict: true, ..Default::default() };
         let ctx = ctx_with(&tables, opts);
         let col = |idx, ty| Box::new(BExpr::ColRef { idx, ty });
         let is_q = BExpr::Cmp {

@@ -60,6 +60,11 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize, sel: Option<&[u32]>) -> R
         BExpr::Param { idx, .. } => {
             Err(MlError::Execution(format!("unsubstituted plan-cache parameter ?{idx}")))
         }
+        // A NULL given a type by a cast: `CAST(NULL AS t)`, or a NULL
+        // that took its type from where it stands.
+        BExpr::Cast { input, ty } if **input == BExpr::Lit(Value::Null) => {
+            materialize_const(&Value::Null, *ty, n)
+        }
         BExpr::Cast { input, ty } => {
             let b = operand(input)?;
             if is_identity_cast(&b, *ty) {
@@ -172,7 +177,7 @@ pub fn eval_shared(
             None => cols[*idx].clone(),
             Some(sel) => Arc::new(cols[*idx].take(sel)),
         }),
-        BExpr::Cast { input, ty } => {
+        BExpr::Cast { input, ty } if **input != BExpr::Lit(Value::Null) => {
             let b = eval_shared(input, cols, rows, sel)?;
             if is_identity_cast(&b, *ty) {
                 Ok(b)

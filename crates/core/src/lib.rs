@@ -1170,14 +1170,7 @@ impl Connection {
         for (i, f) in meta.schema.fields().iter().enumerate() {
             match set_exprs.get(&i) {
                 Some(e) => {
-                    let b = match e {
-                        // An untyped NULL takes the column's type (a bare
-                        // literal would materialise as INTEGER).
-                        expr::BExpr::Lit(Value::Null) => {
-                            kernels::materialize_const(&Value::Null, f.ty, rows.len())?
-                        }
-                        e => kernels::eval(e, &gathered, rows.len(), None)?,
-                    };
+                    let b = kernels::eval(e, &gathered, rows.len(), None)?;
                     if !f.nullable && b.null_count() > 0 {
                         return Err(MlError::Execution(format!(
                             "NULL in NOT NULL column '{}'",

@@ -409,11 +409,8 @@ mod tests {
             }],
             schema: vec![OutCol { name: "a".into(), ty: LogicalType::Int }],
         };
-        let s = explain(&plan, &ExecOptions { use_zonemaps: true, ..Default::default() }, None);
+        let s = explain(&plan, &ExecOptions::default(), None);
         assert!(s.contains("scan t [morsels=?] [zonemap]"), "{s}");
-        // Zonemaps disabled: no tag.
-        let s2 = explain(&plan, &ExecOptions { use_zonemaps: false, ..Default::default() }, None);
-        assert!(!s2.contains("[zonemap]"), "{s2}");
         // A LIKE filter is not a range probe: no tag either.
         let unprobed = Plan::Scan {
             table: "t".into(),
@@ -425,8 +422,8 @@ mod tests {
             }],
             schema: vec![OutCol { name: "a".into(), ty: LogicalType::Varchar }],
         };
-        let s3 = explain(&unprobed, &ExecOptions::default(), None);
-        assert!(!s3.contains("[zonemap]"), "{s3}");
+        let s2 = explain(&unprobed, &ExecOptions::default(), None);
+        assert!(!s2.contains("[zonemap]"), "{s2}");
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl Default for OptFlags {
             pushdown: true,
             join_order: true,
             // Same truthiness rules as the other MONETLITE_* ablation
-            // levers (shared with MONETLITE_ZONEMAPS/DICT).
+            // levers (shared with MONETLITE_DICT and the caches).
             join_dp: crate::exec::env_bool("MONETLITE_JOINORDER", true),
             topn: true,
             fold: true,

@@ -1604,9 +1604,7 @@ fn desc_chain(
                 None => "?".to_string(),
             };
             // Mark scans whose filters can skip whole vectors by zonemap.
-            let zm = if opts.use_zonemaps
-                && filters.iter().any(|f| crate::exec::zone_probe_of(f).is_some())
-            {
+            let zm = if filters.iter().any(|f| crate::exec::zone_probe_of(f).is_some()) {
                 " [zonemap]"
             } else {
                 ""
@@ -1802,15 +1800,13 @@ mod tests {
     #[test]
     fn morsel_scans_keep_imprint_selection() {
         // Index-assisted selection must survive morselization: each
-        // ranged morsel clips imprint candidates to its own range.
-        // Zonemaps off: they would (correctly) skip the tail morsels
-        // before any imprint probe; this test pins the imprint path.
+        // ranged morsel clips imprint candidates to its own range. The
+        // key is scattered (a permutation of 0..n), so every zone spans
+        // the whole domain and no morsel is skipped before its probe.
         let n = 10_000i32;
-        let t = make_table("t", vec![("a", Bat::Int((0..n).collect()))]);
+        let t = make_table("t", vec![("a", Bat::Int((0..n).map(|i| i * 7919 % n).collect()))]);
         let tables = TestTables { tables: Map::from([("t".into(), t)]) };
-        let mut o = opts(1, 512);
-        o.use_zonemaps = false;
-        let ctx = ExecContext::new(&tables, o);
+        let ctx = ExecContext::new(&tables, opts(1, 512));
         let plan = Plan::Scan {
             table: "t".into(),
             projected: vec![0],
@@ -1822,9 +1818,11 @@ mod tests {
             schema: vec![OutCol { name: "a".into(), ty: LogicalType::Int }],
         };
         let out = execute_streaming(&plan, &ctx).unwrap();
-        assert_eq!(out.rows, 100);
-        assert_eq!(out.cols[0].get(0), Value::Int(0));
-        assert_eq!(out.cols[0].get(99), Value::Int(99));
+        let mut got: Vec<i64> =
+            (0..out.rows).map(|i| out.cols[0].get(i).as_i64().unwrap()).collect();
+        got.sort_unstable();
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        assert_eq!(ctx.counters.vectors_skipped.load(Ordering::Relaxed), 0);
         let selects = ctx.counters.imprint_selects.load(Ordering::Relaxed);
         assert_eq!(selects, (n as u64).div_ceil(512), "one imprint probe per morsel");
     }
@@ -2136,14 +2134,6 @@ mod tests {
         }
     }
 
-    /// Zonemaps pinned on, regardless of the CI env matrix
-    /// (MONETLITE_ZONEMAPS).
-    fn opts_cand(threads: usize, vector_size: usize) -> crate::exec::ExecOptions {
-        let mut o = opts(threads, vector_size);
-        o.use_zonemaps = true;
-        o
-    }
-
     /// The gather-based reference: the materialized engine, which never
     /// carries a candidate list.
     fn materialized<'a>(plan: &Plan, tables: &'a TestTables) -> (Chunk, ExecContext<'a>) {
@@ -2187,7 +2177,7 @@ mod tests {
         let (base, base_ctx) = materialized(&plan, &tables);
         assert_eq!(base_ctx.counters.sel_vectors.load(Ordering::Relaxed), 0);
         for threads in [1, 4] {
-            let ctx = ExecContext::new(&tables, opts_cand(threads, 1024));
+            let ctx = ExecContext::new(&tables, opts(threads, 1024));
             let got = execute_streaming(&plan, &ctx).unwrap();
             assert_eq!(sorted_rows(&base), sorted_rows(&got), "threads={threads}");
             assert!(
@@ -2206,7 +2196,7 @@ mod tests {
         let n = 10_000i32;
         let t = make_table("t", vec![("a", Bat::Int((0..n).map(|i| (i * 131) % n).collect()))]);
         let tables = TestTables { tables: Map::from([("t".into(), t)]) };
-        let ctx = ExecContext::new(&tables, opts_cand(1, 1024));
+        let ctx = ExecContext::new(&tables, opts(1, 1024));
         let plan = Plan::Filter { input: Box::new(scan("t", 1)), pred: lt_filter(0, n - 100) };
         let out = execute_streaming(&plan, &ctx).unwrap();
         assert_eq!(out.rows, (n - 100) as usize);
@@ -2258,7 +2248,7 @@ mod tests {
             },
         };
         let (base, _) = materialized(&plan, &tables);
-        let ctx = ExecContext::new(&tables, opts_cand(1, 1024));
+        let ctx = ExecContext::new(&tables, opts(1, 1024));
         let got = execute_streaming(&plan, &ctx).unwrap();
         assert_eq!(sorted_rows(&base), sorted_rows(&got));
     }
@@ -2283,7 +2273,7 @@ mod tests {
                 OutCol { name: "v".into(), ty: LogicalType::Int },
             ],
         };
-        let mut o = opts_cand(1, 1024);
+        let mut o = opts(1, 1024);
         o.use_imprints = false;
         let ctx = ExecContext::new(&tables, o);
         let out = execute_streaming(&plan, &ctx).unwrap();
@@ -2293,13 +2283,10 @@ mod tests {
         // Zones are 8Ki rows; only zone 0 matches, so every morsel beyond
         // the first zone (and none inside it) skips.
         assert!(skipped >= 50, "expected most of the 63 tail morsels skipped, got {skipped}");
-        // Zonemaps off: same rows, no skips.
-        let mut o2 = opts(1, 1024);
-        o2.use_imprints = false;
-        o2.use_zonemaps = false;
-        let ctx2 = ExecContext::new(&tables, o2);
-        let out2 = execute_streaming(&plan, &ctx2).unwrap();
-        assert_eq!(out2.rows, 320);
+        // The materialized engine scans the table unranged, and zone 0
+        // holds matches: same rows, no skips.
+        let (base, ctx2) = materialized(&plan, &tables);
+        assert_eq!(sorted_rows(&base), sorted_rows(&out));
         assert_eq!(ctx2.counters.vectors_skipped.load(Ordering::Relaxed), 0);
     }
 
@@ -2348,7 +2335,7 @@ mod tests {
         for plan in [&join, &distinct] {
             let (base, _) = materialized(plan, &tables);
             for threads in [1, 4] {
-                let ctx = ExecContext::new(&tables, opts_cand(threads, 1024));
+                let ctx = ExecContext::new(&tables, opts(threads, 1024));
                 let got = execute_streaming(plan, &ctx).unwrap();
                 assert_eq!(sorted_rows(&base), sorted_rows(&got), "threads={threads}");
             }

@@ -47,8 +47,9 @@ pub struct IdxCache {
     /// Order index — only ever created via `CREATE ORDER INDEX`.
     pub order: Option<Arc<OrderIndex>>,
     /// Per-zone min/max summary — built on the first zonemap-eligible
-    /// scan (or loaded from the checkpoint's `.zm` sidecar), used to skip
-    /// whole vectors before any kernel runs.
+    /// scan (or loaded from the checkpoint's `.zm` sidecar; a VARCHAR
+    /// column's, over its dictionary codes, is never persisted), used to
+    /// skip whole vectors before any kernel runs.
     pub zonemap: Option<Arc<Zonemap>>,
     /// Column statistics (row/null counts, NDV sketch, min/max) — built
     /// on first optimizer use (or loaded from the checkpoint's `.st`
@@ -213,10 +214,16 @@ impl ColumnEntry {
     /// cache, then the checkpoint's `.zm` sidecar (so a cold column can
     /// be skipped without faulting its data in), then a one-pass build
     /// from the column. Sidecar validation failures are cache misses, not
-    /// errors.
+    /// errors. A VARCHAR column's zonemap is built over its dictionary's
+    /// codes ([`ColumnEntry::dict`]) and kept in memory only.
     pub fn zonemap(&self) -> Result<Arc<Zonemap>> {
         if let Some(z) = &self.idx.lock().zonemap {
             return Ok(z.clone());
+        }
+        if self.ty == LogicalType::Varchar {
+            let built = Arc::new(Zonemap::of_codes(self.dict()?.codes()));
+            let mut g = self.idx.lock();
+            return Ok(g.zonemap.get_or_insert(built).clone());
         }
         if let Some(p) = self.backing_path() {
             let zp = crate::persist::zonemap_sidecar(&p);

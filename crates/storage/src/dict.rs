@@ -11,9 +11,10 @@
 //!   trees, functions of the column) evaluates once per *distinct value*
 //!   ([`StrDict::values`]) instead of once per row, into a bitmask over the
 //!   (small) dictionary domain — LIKE prefixes reduce to a code range;
-//! * per-zone min/max code summaries give VARCHAR the same morsel-skipping
-//!   the integer zonemaps provide, which plain zonemaps cannot (strings
-//!   have no order-preserving `i64` key).
+//! * the codes are the VARCHAR column's zonemap keys
+//!   ([`Zonemap::of_codes`](crate::index::Zonemap::of_codes)): per-zone
+//!   min/max codes skip morsels for any dictionary-served predicate, as
+//!   a fixed-width column's zonemap does for a range.
 //!
 //! Like the other column caches the dictionary is disposable: it is built
 //! lazily (or loaded from the checkpoint's `.dict` sidecar), carried
@@ -22,7 +23,6 @@
 
 use crate::bat::Bat;
 use crate::heap::{StringHeap, NULL_OFFSET};
-use crate::index::ZONE_ROWS;
 use std::collections::HashMap;
 
 /// Code denoting a NULL row (never a valid dictionary index).
@@ -37,11 +37,6 @@ pub struct StrDict {
     val_offs: Vec<u32>,
     /// One code per physical row ([`NULL_CODE`] for NULL rows).
     codes: Vec<u32>,
-    /// Per-[`ZONE_ROWS`] min code over non-NULL rows ([`NULL_CODE`] for
-    /// an all-NULL zone, paired with `zone_max = 0`: an empty range).
-    zone_min: Vec<u32>,
-    /// Per-zone max code over non-NULL rows.
-    zone_max: Vec<u32>,
 }
 
 impl StrDict {
@@ -75,8 +70,7 @@ impl StrDict {
             .map(|&o| if o == NULL_OFFSET { NULL_CODE } else { by_off[&o] })
             .collect();
         let (val_buf, val_offs) = pack_values(&distinct);
-        let (zone_min, zone_max) = build_zones(&codes);
-        Some(StrDict { val_buf, val_offs, codes, zone_min, zone_max })
+        Some(StrDict { val_buf, val_offs, codes })
     }
 
     /// Number of distinct values.
@@ -153,29 +147,6 @@ impl StrDict {
         lo as u32
     }
 
-    /// Min/max code over the non-NULL rows of `[row_lo, row_hi)`, from the
-    /// zone summaries (conservative: zone-aligned). `None` when every
-    /// covered zone is all-NULL — such a range cannot match any predicate.
-    pub fn zone_bounds(&self, row_lo: usize, row_hi: usize) -> Option<(u32, u32)> {
-        if self.zone_min.is_empty() || row_hi <= row_lo {
-            return None;
-        }
-        let z0 = (row_lo / ZONE_ROWS).min(self.zone_min.len() - 1);
-        let z1 = ((row_hi - 1) / ZONE_ROWS).min(self.zone_min.len() - 1);
-        let mut mn = NULL_CODE;
-        let mut mx = 0u32;
-        let mut any = false;
-        for z in z0..=z1 {
-            if self.zone_min[z] == NULL_CODE {
-                continue;
-            }
-            mn = mn.min(self.zone_min[z]);
-            mx = mx.max(self.zone_max[z]);
-            any = true;
-        }
-        any.then_some((mn, mx))
-    }
-
     /// New dictionary covering this column plus appended VARCHAR segments
     /// (consolidation carry-forward): a sorted merge of the value tables
     /// and a code remap, never a rescan of the base rows' strings.
@@ -226,16 +197,12 @@ impl StrDict {
             }
         }
         let (val_buf, val_offs) = pack_values(&merged);
-        let (zone_min, zone_max) = build_zones(&codes);
-        Some(StrDict { val_buf, val_offs, codes, zone_min, zone_max })
+        Some(StrDict { val_buf, val_offs, codes })
     }
 
     /// Approximate size in bytes (cache accounting).
     pub fn size_bytes(&self) -> usize {
-        self.val_buf.len()
-            + self.val_offs.len() * 4
-            + self.codes.len() * 4
-            + self.zone_min.len() * 8
+        self.val_buf.len() + self.val_offs.len() * 4 + self.codes.len() * 4
     }
 
     /// The raw parts for persistence: (value offsets, value bytes, codes).
@@ -245,8 +212,7 @@ impl StrDict {
 
     /// Reassemble from persisted parts, revalidating every invariant a
     /// sidecar could violate (shape, UTF-8, sortedness, code bounds);
-    /// `None` on any mismatch — callers treat it as a cache miss. Zone
-    /// summaries are rebuilt rather than trusted.
+    /// `None` on any mismatch — callers treat it as a cache miss.
     pub fn from_parts(val_offs: Vec<u32>, val_buf: Vec<u8>, codes: Vec<u32>) -> Option<StrDict> {
         if val_offs.first() != Some(&0) || *val_offs.last()? as usize != val_buf.len() {
             return None;
@@ -257,7 +223,7 @@ impl StrDict {
                 return None;
             }
         }
-        let d = StrDict { val_buf, val_offs, codes, zone_min: Vec::new(), zone_max: Vec::new() };
+        let d = StrDict { val_buf, val_offs, codes };
         for c in 0..n {
             let (lo, hi) = (d.val_offs[c] as usize, d.val_offs[c + 1] as usize);
             std::str::from_utf8(&d.val_buf[lo..hi]).ok()?;
@@ -268,8 +234,7 @@ impl StrDict {
         if d.codes.iter().any(|&c| c != NULL_CODE && c as usize >= n) {
             return None;
         }
-        let (zone_min, zone_max) = build_zones(&d.codes);
-        Some(StrDict { zone_min, zone_max, ..d })
+        Some(d)
     }
 }
 
@@ -282,35 +247,6 @@ fn pack_values(sorted: &[&str]) -> (Vec<u8>, Vec<u32>) {
         offs.push(buf.len() as u32);
     }
     (buf, offs)
-}
-
-fn build_zones(codes: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let nz = codes.len().div_ceil(ZONE_ROWS);
-    let mut mins = Vec::with_capacity(nz);
-    let mut maxs = Vec::with_capacity(nz);
-    for z in 0..nz {
-        let lo = z * ZONE_ROWS;
-        let hi = ((z + 1) * ZONE_ROWS).min(codes.len());
-        let mut mn = NULL_CODE;
-        let mut mx = 0u32;
-        let mut any = false;
-        for &c in &codes[lo..hi] {
-            if c == NULL_CODE {
-                continue;
-            }
-            mn = mn.min(c);
-            mx = mx.max(c);
-            any = true;
-        }
-        if any {
-            mins.push(mn);
-            maxs.push(mx);
-        } else {
-            mins.push(NULL_CODE);
-            maxs.push(0);
-        }
-    }
-    (mins, maxs)
 }
 
 #[cfg(test)]
@@ -365,20 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn zone_bounds_skip_all_null_zones() {
-        // Two zones: first all-NULL, second holds values.
-        let mut vals: Vec<Option<String>> = vec![None; ZONE_ROWS];
-        vals.extend((0..10).map(|i| Some(format!("v{i}"))));
-        let bat = Bat::from_buffer(&ColumnBuffer::Varchar(vals));
-        let d = StrDict::build(&bat).unwrap();
-        assert_eq!(d.zone_bounds(0, ZONE_ROWS), None, "all-NULL zone matches nothing");
-        let (mn, mx) = d.zone_bounds(ZONE_ROWS, ZONE_ROWS + 10).unwrap();
-        assert_eq!((mn, mx), (0, 9));
-        let (mn, mx) = d.zone_bounds(0, ZONE_ROWS + 10).unwrap();
-        assert_eq!((mn, mx), (0, 9), "union over zones ignores the NULL zone");
-    }
-
-    #[test]
     fn extended_remaps_and_inserts() {
         let base = vc(vec![Some("b"), Some("d"), None]);
         let d = StrDict::build(&base).unwrap();
@@ -415,11 +337,9 @@ mod tests {
         let d = StrDict::build(&vc(vec![])).unwrap();
         assert!(d.is_empty());
         assert_eq!(d.rows(), 0);
-        assert_eq!(d.zone_bounds(0, 0), None);
         let d = StrDict::build(&vc(vec![None, None])).unwrap();
         assert!(d.is_empty());
         assert_eq!(d.codes(), &[NULL_CODE, NULL_CODE]);
-        assert_eq!(d.zone_bounds(0, 2), None);
     }
 
     proptest! {

@@ -13,19 +13,22 @@
 //!   by `CREATE ORDER INDEX`; answers point/range queries by binary search
 //!   and feeds merge joins.
 //! * [`Zonemap`] — per-zone min/max summaries ([`ZONE_ROWS`] rows per
-//!   zone) that let vectorized scans skip whole vectors for constant
-//!   range predicates *before* any kernel runs. Coarser but far cheaper
-//!   than imprints (16 bytes per zone), checked per morsel, and the only
-//!   index that is persisted (as a `.zm` sidecar at checkpoint) so a
-//!   restarted process can skip vectors without faulting the column in.
+//!   zone) that let vectorized scans skip whole vectors *before* any
+//!   kernel runs: a constant range predicate over a fixed-width column,
+//!   or any dictionary-served predicate over a VARCHAR column's codes.
+//!   Coarser but far cheaper than imprints (16 bytes per zone), checked
+//!   per morsel, and the only index that is persisted (as a `.zm`
+//!   sidecar at checkpoint, fixed-width columns only) so a restarted
+//!   process can skip vectors without faulting the column in.
 //!
 //! Imprints, zonemaps and the order index work over a uniform
-//! order-preserving `i64` key domain ([`bat_keys`]); the hash index over
-//! the hash-key domain of [`crate::hash::hash_rows`], with caller-side
-//! verification (exactly the "candidates, then check" discipline MonetDB
-//! uses).
+//! order-preserving `i64` key domain ([`bat_keys`]; a VARCHAR zonemap
+//! over dictionary codes); the hash index over the hash-key domain of
+//! [`crate::hash::hash_rows`], with caller-side verification (exactly
+//! the "candidates, then check" discipline MonetDB uses).
 
 use crate::bat::Bat;
+use crate::dict::NULL_CODE;
 use crate::hash::HashTable;
 use crate::heap::NULL_OFFSET;
 
@@ -210,14 +213,15 @@ fn range_mask(lo_bin: usize, hi_bin: usize) -> u64 {
 /// negligible (16 bytes per 8Ki rows ≈ 0.0002% of an i64 column).
 pub const ZONE_ROWS: usize = 8 * 1024;
 
-/// Per-zone min/max of the non-NULL keys of a column, in the
-/// order-preserving `i64` key domain of [`key_at`].
+/// Per-zone min/max of the non-NULL keys of a column: the one per-zone
+/// summary every scan filter skips by. A fixed-width column's keys are
+/// the order-preserving `i64` domain of [`key_at`]; a VARCHAR column's
+/// are its dictionary's codes ([`Zonemap::of_codes`]), which sort as the
+/// strings do.
 ///
 /// A zone whose every row is NULL stores the empty range
-/// `(i64::MAX, i64::MIN)`: NULL never satisfies a comparison, so such a
-/// zone is always skippable. VARCHAR columns (no order-preserving key
-/// domain) store the full range for every zone — never skipped, never
-/// wrong.
+/// `(i64::MAX, i64::MIN)`: NULL never satisfies a filter the scan skips
+/// by, so such a zone is always skippable.
 #[derive(Debug, Clone)]
 pub struct Zonemap {
     mins: Vec<i64>,
@@ -226,32 +230,35 @@ pub struct Zonemap {
 }
 
 impl Zonemap {
-    /// Build the zonemap of a column (one pass, NULLs excluded).
+    /// Build the zonemap of a fixed-width column (one pass, NULLs
+    /// excluded).
     pub fn build(bat: &Bat) -> Zonemap {
-        let rows = bat.len();
-        let nz = rows.div_ceil(ZONE_ROWS);
-        let mut mins = Vec::with_capacity(nz);
-        let mut maxs = Vec::with_capacity(nz);
-        for z in 0..nz {
-            let lo = z * ZONE_ROWS;
-            let hi = ((z + 1) * ZONE_ROWS).min(rows);
-            match bat.key_range(lo, hi) {
-                Some((mn, mx)) => {
-                    mins.push(mn);
-                    maxs.push(mx);
-                }
-                None if orderable(bat) => {
-                    // All-NULL zone: empty range, always skippable.
-                    mins.push(i64::MAX);
-                    maxs.push(i64::MIN);
-                }
-                None => {
-                    // VARCHAR: no key domain — full range, never skipped.
-                    mins.push(i64::MIN);
-                    maxs.push(i64::MAX);
-                }
+        assert!(orderable(bat), "a VARCHAR zonemap is built over dictionary codes");
+        Zonemap::of_zones(bat.len(), |lo, hi| bat.key_range(lo, hi))
+    }
+
+    /// Build the zonemap of a VARCHAR column over its dictionary codes
+    /// ([`StrDict::codes`](crate::dict::StrDict::codes); [`NULL_CODE`]
+    /// rows excluded).
+    pub fn of_codes(codes: &[u32]) -> Zonemap {
+        Zonemap::of_zones(codes.len(), |lo, hi| {
+            let (mut mn, mut mx) = (NULL_CODE, 0);
+            for &c in codes[lo..hi].iter().filter(|&&c| c != NULL_CODE) {
+                (mn, mx) = (mn.min(c), mx.max(c));
             }
-        }
+            (mn <= mx).then_some((mn as i64, mx as i64))
+        })
+    }
+
+    /// One `[min, max]` per zone of `rows` rows, from `range` over each
+    /// zone's row span (`None`: every row is NULL).
+    fn of_zones(rows: usize, range: impl Fn(usize, usize) -> Option<(i64, i64)>) -> Zonemap {
+        let (mins, maxs) = (0..rows.div_ceil(ZONE_ROWS))
+            .map(|z| {
+                range(z * ZONE_ROWS, ((z + 1) * ZONE_ROWS).min(rows))
+                    .unwrap_or((i64::MAX, i64::MIN))
+            })
+            .unzip();
         Zonemap { mins, maxs, rows }
     }
 
@@ -289,19 +296,30 @@ impl Zonemap {
         self.mins.len() * 16
     }
 
-    #[inline]
-    fn zone_may_match(&self, z: usize, lo: Option<i64>, hi: Option<i64>) -> bool {
-        let (zmin, zmax) = (self.mins[z], self.maxs[z]);
-        if zmin > zmax {
-            return false; // all-NULL zone
+    /// Whether some zone overlapping `[row_lo, row_hi)` holds a non-NULL
+    /// row and passes `may` on its inclusive key range `(min, max)`. With
+    /// `may` true whenever a key in that range could satisfy a filter,
+    /// `false` proves the rows free of matches and the caller can skip
+    /// them; `true` is a guaranteed superset of the truth.
+    pub fn any_zone(
+        &self,
+        row_lo: usize,
+        row_hi: usize,
+        mut may: impl FnMut(i64, i64) -> bool,
+    ) -> bool {
+        if self.rows == 0 || row_lo >= row_hi || self.mins.is_empty() {
+            return false;
         }
-        lo.is_none_or(|lo| zmax >= lo) && hi.is_none_or(|hi| zmin <= hi)
+        let z0 = (row_lo / ZONE_ROWS).min(self.n_zones() - 1);
+        let z1 = ((row_hi - 1) / ZONE_ROWS).min(self.n_zones() - 1);
+        (z0..=z1).any(|z| self.mins[z] <= self.maxs[z] && may(self.mins[z], self.maxs[z]))
     }
 
     /// Whether any row in `[row_lo, row_hi)` *may* have a key in the
-    /// inclusive range `[lo, hi]` (`None` = unbounded). `false` means the
-    /// whole row range is provably free of matches and the caller can
-    /// skip it; `true` is a guaranteed superset of the truth.
+    /// inclusive range `[lo, hi]` (`None` = unbounded) — [`any_zone`]
+    /// for a range predicate.
+    ///
+    /// [`any_zone`]: Zonemap::any_zone
     pub fn range_may_match(
         &self,
         row_lo: usize,
@@ -309,12 +327,9 @@ impl Zonemap {
         lo: Option<i64>,
         hi: Option<i64>,
     ) -> bool {
-        if self.rows == 0 || row_lo >= row_hi || self.mins.is_empty() {
-            return false;
-        }
-        let z0 = (row_lo / ZONE_ROWS).min(self.n_zones() - 1);
-        let z1 = ((row_hi - 1) / ZONE_ROWS).min(self.n_zones() - 1);
-        (z0..=z1).any(|z| self.zone_may_match(z, lo, hi))
+        self.any_zone(row_lo, row_hi, |zmin, zmax| {
+            lo.is_none_or(|lo| zmax >= lo) && hi.is_none_or(|hi| zmin <= hi)
+        })
     }
 }
 
@@ -466,15 +481,43 @@ mod tests {
     }
 
     #[test]
-    fn zonemap_null_zones_always_skip_and_varchar_never_skips() {
-        use monetlite_types::ColumnBuffer;
+    fn zonemap_null_zones_always_skip() {
         let bat = Bat::Int(vec![i32::MIN; 100]); // all NULL
         let zm = Zonemap::build(&bat);
         assert!(!zm.range_may_match(0, 100, Some(i64::MIN), None));
         assert!(!zm.range_may_match(0, 100, None, None));
-        let s = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("a".into()); 10]));
-        let zs = Zonemap::build(&s);
-        assert!(zs.range_may_match(0, 10, Some(0), Some(0)), "varchar zones never skip");
+    }
+
+    #[test]
+    fn zonemap_over_codes_skips_all_null_zones() {
+        use crate::dict::StrDict;
+        use monetlite_types::ColumnBuffer;
+        let codes_of = |vals: Vec<Option<String>>| {
+            StrDict::build(&Bat::from_buffer(&ColumnBuffer::Varchar(vals)))
+                .unwrap()
+                .codes()
+                .to_vec()
+        };
+        // Two zones: first all-NULL, second holds values.
+        let mut vals: Vec<Option<String>> = vec![None; ZONE_ROWS];
+        vals.extend((0..10).map(|i| Some(format!("v{i}"))));
+        let zm = Zonemap::of_codes(&codes_of(vals));
+        let bounds = |lo, hi| {
+            let mut seen = Vec::new();
+            zm.any_zone(lo, hi, |mn, mx| {
+                seen.push((mn, mx));
+                false
+            });
+            seen
+        };
+        assert_eq!(bounds(0, ZONE_ROWS), [], "all-NULL zone matches nothing");
+        assert_eq!(bounds(ZONE_ROWS, ZONE_ROWS + 10), [(0, 9)]);
+        assert_eq!(bounds(0, ZONE_ROWS + 10), [(0, 9)], "the NULL zone is never tested");
+        // Empty and all-NULL columns: nothing to test either.
+        for codes in [codes_of(vec![]), codes_of(vec![None, None])] {
+            let zm = Zonemap::of_codes(&codes);
+            assert!(!zm.any_zone(0, codes.len(), |_, _| true));
+        }
     }
 
     #[test]
@@ -572,21 +615,51 @@ mod tests {
             prop_assert_eq!(got, naive_range(&keys, Some(lo), Some(hi)));
         }
 
+        // Neither summary loses a row: an INT column and its dictionary
+        // codes (`(k + 500) / 10`, order-preserving), in runs of equal
+        // keys spanning several zones, with NULL rows (keys below -500)
+        // and, when it exists, zone `null_zone` all NULL; probed over a
+        // row range that is not zone-aligned by a key range, a code range
+        // and a code mask.
         #[test]
-        fn prop_zonemap_never_loses_rows(vals in proptest::collection::vec(-500i32..500, 0..300),
+        fn prop_zonemap_never_loses_rows(vals in proptest::collection::vec(-600i32..500, 1..12),
+                                         run in 1usize..30_000, null_zone in 0usize..8,
                                          lo in -500i64..500, width in 0i64..200,
-                                         row_lo in 0usize..300, span in 1usize..300) {
+                                         from in 0usize..1000, span in 1usize..20_000,
+                                         mask in any::<u64>()) {
+            let mut keys: Vec<Option<i32>> = vals
+                .iter()
+                .flat_map(|&v| std::iter::repeat_n((v >= -500).then_some(v), run))
+                .collect();
+            let n = keys.len();
+            let z = (null_zone * ZONE_ROWS).min(n);
+            keys[z..(z + ZONE_ROWS).min(n)].fill(None);
+            let row_lo = from * n / 1000;
+            let row_hi = (row_lo + span).min(n);
+            let hit = |pred: &dyn Fn(i64) -> bool| {
+                keys[row_lo..row_hi].iter().flatten().any(|&k| pred(k as i64))
+            };
             let hi = lo + width;
-            let bat = Bat::Int(vals.clone());
-            let zm = Zonemap::build(&bat);
-            let row_lo = row_lo.min(vals.len());
-            let row_hi = (row_lo + span).min(vals.len());
-            let truly_matches = (row_lo..row_hi).any(|r| {
-                vals[r] != i32::MIN && (lo..=hi).contains(&(vals[r] as i64))
-            });
-            if truly_matches {
+            let zm = Zonemap::build(&Bat::Int(keys.iter().map(|k| k.unwrap_or(i32::MIN)).collect()));
+            if hit(&|k| (lo..=hi).contains(&k)) {
                 prop_assert!(zm.range_may_match(row_lo, row_hi, Some(lo), Some(hi)),
                     "zonemap lost a matching row");
+            }
+            let code = |k: i64| (k + 500) / 10;
+            let codes: Vec<u32> =
+                keys.iter().map(|k| k.map_or(NULL_CODE, |k| code(k as i64) as u32)).collect();
+            let zc = Zonemap::of_codes(&codes);
+            // A code range [clo, chi), tested as a dictionary range is.
+            let (clo, chi) = (code(lo), code(hi) + 1);
+            if hit(&|k| (clo..chi).contains(&code(k))) {
+                prop_assert!(zc.any_zone(row_lo, row_hi, |mn, mx| mn < chi && mx >= clo),
+                    "code zonemap lost a row matching a range");
+            }
+            // A code mask, tested as a dictionary mask is.
+            let bit = |c: i64| mask.rotate_right(c as u32) & 1 == 1;
+            if hit(&|k| bit(code(k))) {
+                prop_assert!(zc.any_zone(row_lo, row_hi, |mn, mx| (mn..=mx).any(bit)),
+                    "code zonemap lost a row matching a mask");
             }
         }
 

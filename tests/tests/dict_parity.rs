@@ -204,7 +204,6 @@ fn q12_and_q19_string_filters_are_served_by_dictionaries() {
         timeout: None,
         memory_budget: usize::MAX,
         spill_quota: usize::MAX,
-        use_zonemaps: true,
         use_dict: true,
         use_plan_cache: false,
         use_result_cache: false,

@@ -14,7 +14,7 @@
 //! * a scalar subquery yielding more than one row is an error.
 
 use monetlite::exec::{ExecMode, ExecOptions};
-use monetlite_types::Value;
+use monetlite_types::{LogicalType, Value};
 
 const DDL: &str = "CREATE TABLE probe (x INT); \
      INSERT INTO probe VALUES (1), (2), (NULL); \
@@ -39,8 +39,9 @@ fn fmt(v: &Value) -> String {
     }
 }
 
-/// Run `sql` on every engine; return each engine's sorted row images.
-fn run_everywhere(sql: &str) -> Vec<(String, Vec<String>)> {
+/// Run `sql` on every engine; return each engine's header types and
+/// sorted row images.
+fn run_everywhere(sql: &str) -> Vec<(String, Vec<LogicalType>, Vec<String>)> {
     let mut out = Vec::new();
     let db = monetlite::Database::open_in_memory();
     db.connect().run_script(DDL).unwrap();
@@ -63,7 +64,7 @@ fn run_everywhere(sql: &str) -> Vec<(String, Vec<String>)> {
             .map(|i| (0..r.ncols()).map(|c| fmt(&r.value(i, c))).collect::<Vec<_>>().join("|"))
             .collect();
         rows.sort();
-        out.push((label.to_string(), rows));
+        out.push((label.to_string(), r.types().to_vec(), rows));
     }
     let rdb = monetlite_rowstore::RowDb::in_memory();
     rdb.run_script(DDL).unwrap();
@@ -71,7 +72,7 @@ fn run_everywhere(sql: &str) -> Vec<(String, Vec<String>)> {
     let mut rows: Vec<String> =
         r.rows.iter().map(|row| row.iter().map(fmt).collect::<Vec<_>>().join("|")).collect();
     rows.sort();
-    out.push(("rowstore".to_string(), rows));
+    out.push(("rowstore".to_string(), r.types, rows));
     out
 }
 
@@ -79,9 +80,17 @@ fn run_everywhere(sql: &str) -> Vec<(String, Vec<String>)> {
 fn expect(sql: &str, want: &[&str]) {
     let mut want: Vec<String> = want.iter().map(|s| s.to_string()).collect();
     want.sort();
-    for (label, got) in run_everywhere(sql) {
+    for (label, _, got) in run_everywhere(sql) {
         assert_eq!(got, want, "{label} disagrees with the SQL standard for: {sql}");
     }
+}
+
+/// [`expect`], and the result columns' types on every engine.
+fn expect_typed(sql: &str, types: &[LogicalType], want: &[&str]) {
+    for (label, got, _) in run_everywhere(sql) {
+        assert_eq!(got, types, "{label}: result column types of {sql}");
+    }
+    expect(sql, want);
 }
 
 #[test]
@@ -270,4 +279,36 @@ fn null_literal_compared_with_any_type_is_unknown() {
     expect("SELECT dt FROM days WHERE dt BETWEEN NULL AND DATE '1999-01-01'", &[]);
     expect("SELECT a FROM t WHERE NULL = NULL", &[]);
     expect("SELECT a FROM t WHERE NOT (NULL = NULL)", &[]);
+}
+
+/// `CAST(NULL AS t)` is a NULL of type `t`, not an INTEGER NULL: the
+/// result column has type `t`, and a function of `t` accepts it.
+#[test]
+fn cast_null_keeps_its_type() {
+    use LogicalType::{Date, Int, Varchar};
+    expect_typed("SELECT CAST(NULL AS VARCHAR) FROM t", &[Varchar], &["NULL"; 3]);
+    expect_typed("SELECT CAST(NULL AS DATE) FROM t", &[Date], &["NULL"; 3]);
+    expect_typed("SELECT UPPER(CAST(NULL AS VARCHAR)) FROM t", &[Varchar], &["NULL"; 3]);
+    expect_typed("SELECT a, CAST(NULL AS DATE) FROM t WHERE a = 1", &[Int, Date], &["1|NULL"]);
+}
+
+/// An untyped NULL argument of a scalar function takes the parameter's
+/// type, as it takes the other operand's in a comparison: the call binds
+/// and yields NULL.
+#[test]
+fn untyped_null_function_argument_takes_the_parameter_type() {
+    use LogicalType::{Int, Varchar};
+    expect_typed("SELECT UPPER(NULL), LOWER(NULL) FROM t", &[Varchar, Varchar], &["NULL|NULL"; 3]);
+    expect_typed(
+        "SELECT LENGTH(NULL), SUBSTRING(NULL, 1, 2) FROM t",
+        &[Int, Varchar],
+        &["NULL|NULL"; 3],
+    );
+    expect_typed(
+        "SELECT EXTRACT(YEAR FROM NULL), year(NULL), month(NULL), day(NULL) FROM days",
+        &[Int; 4],
+        &["NULL|NULL|NULL|NULL"; 2],
+    );
+    expect("SELECT a FROM t WHERE LENGTH(NULL) > 1", &[]);
+    expect("SELECT count(*) FROM t WHERE UPPER(NULL) IS NULL", &["3"]);
 }

@@ -1,8 +1,8 @@
 //! Streaming-vs-materialized engine parity: the chunk-at-a-time pipeline
 //! engine must produce exactly the results of the paper's
 //! operator-at-a-time engine on every workload -- the full TPC-H Q1-Q22
-//! suite under the thread/vector matrix, a 24kB spill budget, and
-//! zonemaps on/off -- at every thread count, including chunk-boundary
+//! suite under the thread/vector matrix and a 24kB spill budget -- at
+//! every thread count, including chunk-boundary
 //! edge cases (empty tables, sub-vector tables, NULL sentinels straddling
 //! vector boundaries, LIMIT early-exit).
 
@@ -116,20 +116,6 @@ fn tpch_queries_agree_spilled_vs_unspilled() {
     assert!(total_spilled.get() > 0, "a 24kB budget must force spilling somewhere in Q1–Q22");
 }
 
-/// Streaming options with zonemaps forced off (the no-skipping
-/// reference of the zonemap tests).
-fn zonemaps_off(mut o: ExecOptions) -> ExecOptions {
-    o.use_zonemaps = false;
-    o
-}
-
-/// Streaming options with zonemaps forced on, regardless of the CI env
-/// matrix (MONETLITE_ZONEMAPS=0 leg).
-fn zonemaps_on(mut o: ExecOptions) -> ExecOptions {
-    o.use_zonemaps = true;
-    o
-}
-
 #[test]
 fn tpch_queries_agree_with_candidates_on_and_off() {
     // Candidate-list execution must be invisible in results: every TPC-H
@@ -146,7 +132,7 @@ fn tpch_queries_agree_with_candidates_on_and_off() {
         with_query_setup(&db, n, || {
             let base = run(&db, sql, materialized());
             for (threads, vs) in [(1, 1024), (1, 333), (4, 1024)] {
-                let got = run(&db, sql, zonemaps_on(streaming(threads, vs)));
+                let got = run(&db, sql, streaming(threads, vs));
                 assert_rows_eq(sql, &base, &got, &format!("Q{n} candidates t={threads} v={vs}"));
             }
         });
@@ -177,7 +163,8 @@ fn q6_zonemap_skips_on_date_clustered_lineitem() {
     // The acceptance shape: lineitem ingested in ship-date order (the
     // canonical clustered fact table) lets Q6's one-year date range skip
     // whole vectors via zonemaps — with results identical to the
-    // zonemaps-off run. SF 0.02 gives ~120k lineitem rows, i.e.
+    // materialized engine at one thread, whose unranged scan cannot skip
+    // a zone that holds a match. SF 0.02 gives ~120k lineitem rows, i.e.
     // many 8Ki-row zones.
     let mut data = generate(0.02, 7);
     let ship_col = data.lineitem.schema.index_of("l_shipdate").expect("lineitem has l_shipdate");
@@ -192,8 +179,8 @@ fn q6_zonemap_skips_on_date_clustered_lineitem() {
     load_monet(&mut conn, &data).unwrap();
     drop(conn);
     let sql = queries::sql(6);
-    let base = run(&db, sql, zonemaps_off(streaming(1, 2048)));
-    let (got, counters) = run_counting(&db, sql, zonemaps_on(streaming(1, 2048)));
+    let base = run(&db, sql, ExecOptions { threads: 1, ..materialized() });
+    let (got, counters) = run_counting(&db, sql, streaming(1, 2048));
     assert_rows_eq(sql, &base, &got, "Q6 date-clustered");
     assert!(
         counters.vectors_skipped > 0,
@@ -206,8 +193,9 @@ fn q6_zonemap_skips_on_date_clustered_lineitem() {
 fn zonemap_skipping_correct_across_deletes_and_vector_boundaries() {
     // Deletes shrink the set of matches but never invalidate a zonemap
     // skip; probes landing exactly on zone / vector boundaries must not
-    // lose rows. Compare zonemaps on vs off at awkward vector
-    // sizes, over a clustered key with a deleted stripe.
+    // lose rows. Compare against the materialized engine at one thread
+    // (its unranged scan cannot skip a zone that holds a match) at
+    // awkward vector sizes, over a clustered key with a deleted stripe.
     let db = monetlite::Database::open_in_memory();
     let mut conn = db.connect();
     conn.execute("CREATE TABLE t (k INTEGER NOT NULL, v INTEGER NOT NULL)").unwrap();
@@ -239,9 +227,9 @@ fn zonemap_skipping_correct_across_deletes_and_vector_boundaries() {
     ];
     let mut any_skipped = 0u64;
     for sql in &queries {
-        let base = run(&db, sql, zonemaps_off(streaming(1, 1024)));
+        let base = run(&db, sql, ExecOptions { threads: 1, ..materialized() });
         for vs in [512, 1000, 1024, 8192, 64 * 1024] {
-            let (got, counters) = run_counting(&db, sql, zonemaps_on(streaming(1, vs)));
+            let (got, counters) = run_counting(&db, sql, streaming(1, vs));
             assert_rows_eq(sql, &base, &got, &format!("v={vs}"));
             any_skipped += counters.vectors_skipped;
         }
@@ -670,25 +658,24 @@ fn filter_only_scans_agree_across_engines_and_options() {
         "count(*) over a filtered scan emits no column:\n{}",
         text.join("\n")
     );
-    let both = |mut o: ExecOptions, zonemaps: bool, dict: bool| {
-        o.use_zonemaps = zonemaps;
+    let both = |mut o: ExecOptions, dict: bool| {
         o.use_dict = dict;
         o.use_result_cache = false;
         o
     };
     for sql in sqls {
-        let base = run(&db, sql, both(materialized(), true, true));
+        let base = run(&db, sql, both(materialized(), true));
         let mut legs = Vec::new();
         for threads in [1, 4] {
-            let mut m = both(materialized(), true, true);
+            let mut m = both(materialized(), true);
             m.threads = threads;
             m.mitosis_min_rows = 1000;
             legs.push((format!("materialized t={threads}"), m));
             for vs in [64 * 1024, 512, 333] {
-                for (zonemaps, dict) in [(true, true), (false, true), (true, false)] {
+                for dict in [true, false] {
                     legs.push((
-                        format!("streaming t={threads} v={vs} zonemaps={zonemaps} dict={dict}"),
-                        both(streaming(threads, vs), zonemaps, dict),
+                        format!("streaming t={threads} v={vs} dict={dict}"),
+                        both(streaming(threads, vs), dict),
                     ));
                 }
             }
@@ -700,7 +687,7 @@ fn filter_only_scans_agree_across_engines_and_options() {
     // The join paths the scan's output width feeds still fire: a filtered
     // dimension pushes its bloom into the probe scan, and an unfiltered
     // one is probed through its automatic hash index.
-    let opts = both(streaming(1, 512), true, true);
+    let opts = both(streaming(1, 512), true);
     let (_, c) = run_counting(&db, sqls[6], ExecOptions { use_hash_index: false, ..opts });
     assert!(c.bloom_pruned > 0, "bloom into a scan with filter-only columns: {c:?}");
     let (_, c) = run_counting(&db, sqls[7], ExecOptions { use_hash_index: true, ..opts });

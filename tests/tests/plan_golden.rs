@@ -45,7 +45,6 @@ fn pinned_exec() -> ExecOptions {
         timeout: None,
         memory_budget: usize::MAX,
         spill_quota: usize::MAX,
-        use_zonemaps: true,
         use_dict: true,
         // Caches pinned off: cache-status tags must never reach the
         // rendered plan snapshots.
