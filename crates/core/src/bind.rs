@@ -1109,13 +1109,13 @@ impl<'a> Binder<'a> {
 
     fn bind_expr_bool(&self, e: &ast::Expr, scope: &Scope, outer: Option<&Scope>) -> Result<BExpr> {
         let b = self.bind_expr_outer(e, scope, outer)?;
-        if b.ty() != LogicalType::Bool {
+        if b.ty() != LogicalType::Bool && !untyped_null(&b) {
             return Err(MlError::TypeMismatch(format!(
                 "predicate must be BOOLEAN, got {}",
                 b.ty()
             )));
         }
-        Ok(b)
+        typed_arg("a predicate", b, LogicalType::Bool)
     }
 
     /// Bind an expression in a plain scope.
@@ -1137,10 +1137,7 @@ impl<'a> Binder<'a> {
             }
             ast::Expr::Binary { op, left, right } => self.bind_binary(*op, left, right, scope),
             ast::Expr::Not(inner) => {
-                let b = self.bind_expr(inner, scope)?;
-                if b.ty() != LogicalType::Bool {
-                    return Err(MlError::TypeMismatch("NOT requires a BOOLEAN".into()));
-                }
+                let b = typed_arg("NOT", self.bind_expr(inner, scope)?, LogicalType::Bool)?;
                 Ok(BExpr::Not(Box::new(b)))
             }
             ast::Expr::Neg(inner) => {
@@ -1220,10 +1217,7 @@ impl<'a> Binder<'a> {
             ast::Expr::Case { branches, else_expr } => {
                 let mut bound: Vec<(BExpr, BExpr)> = Vec::new();
                 for (c, v) in branches {
-                    let bc = self.bind_expr(c, scope)?;
-                    if bc.ty() != LogicalType::Bool {
-                        return Err(MlError::TypeMismatch("WHEN condition must be BOOLEAN".into()));
-                    }
+                    let bc = typed_arg("WHEN", self.bind_expr(c, scope)?, LogicalType::Bool)?;
                     bound.push((bc, self.bind_expr(v, scope)?));
                 }
                 let belse = else_expr.as_ref().map(|e| self.bind_expr(e, scope)).transpose()?;
@@ -1265,11 +1259,8 @@ impl<'a> Binder<'a> {
         use ast::BinOp as B;
         match op {
             B::And | B::Or => {
-                let l = self.bind_expr(left, scope)?;
-                let r = self.bind_expr(right, scope)?;
-                if l.ty() != LogicalType::Bool || r.ty() != LogicalType::Bool {
-                    return Err(MlError::TypeMismatch("AND/OR require BOOLEAN operands".into()));
-                }
+                let operand = |e| typed_arg("AND/OR", self.bind_expr(e, scope)?, LogicalType::Bool);
+                let (l, r) = (operand(left)?, operand(right)?);
                 Ok(if op == B::And {
                     BExpr::And(Box::new(l), Box::new(r))
                 } else {
@@ -1951,9 +1942,9 @@ fn untyped_null(e: &BExpr) -> bool {
     matches!(e, BExpr::Lit(Value::Null) | BExpr::Param { value: Value::Null, .. })
 }
 
-/// A scalar function's argument of parameter type `ty`: an untyped NULL
-/// takes that type (the call then yields NULL); any other argument must
-/// have it already.
+/// An operand of type `ty` (a scalar function's parameter, a boolean
+/// operator's operand or a predicate): an untyped NULL takes that type
+/// (the call then yields NULL); any other operand must have it already.
 fn typed_arg(func: &str, a: BExpr, ty: LogicalType) -> Result<BExpr> {
     if untyped_null(&a) {
         return cast_to(a, ty);

@@ -1,10 +1,13 @@
-//! Cross-engine result equality: the columnar engine, the volcano row
-//! store and the hand-written dataframe scripts must agree on every TPC-H
-//! query (Q1–Q22) over identical data — plus a property-based
-//! differential fuzz over random small SELECTs with NULL-bearing tables.
+//! Cross-engine result equality. The volcano row store and the
+//! hand-written dataframe scripts must agree with the columnar engine on
+//! every TPC-H query (Q1–Q22) over identical data, and two differential
+//! fuzzes — random small SELECTs over NULL-bearing tables, and the shapes
+//! the early-reduction rewrites change — run every configuration of the
+//! lattice against the row store.
 
 use monetlite::exec::{ExecMode, ExecOptions};
-use monetlite::opt::{OptFlags, StatsMode};
+use monetlite::opt::OptFlags;
+use monetlite_tests::{pinned, Corpus, Twin};
 use monetlite_tpch::{frames, generate, load_monet, load_rowdb, queries};
 use monetlite_types::{MlError, Value};
 use proptest::prelude::*;
@@ -43,12 +46,6 @@ fn tpch_q1_to_q22_all_engines_agree() {
     let session = monetlite_frame::Session::unlimited();
     let fr = frames::TpchFrames::load(&session, &data).unwrap();
 
-    // A second columnar connection planning under adversarially wrong
-    // statistics: TPC-H-complexity plans may change shape, answers may
-    // not.
-    let mut adv = db.connect();
-    adv.set_stats_mode(StatsMode::Adversarial(20260727));
-
     for (n, sql) in queries::all() {
         if let Some(ddl) = queries::setup_sql(n) {
             conn.execute(ddl).unwrap_or_else(|e| panic!("monetlite Q{n} setup: {e}"));
@@ -58,9 +55,6 @@ fn tpch_q1_to_q22_all_engines_agree() {
         let mrows: Vec<Vec<Value>> = (0..m.nrows()).map(|i| m.row(i)).collect();
         let r = rdb.query(sql).unwrap_or_else(|e| panic!("rowstore Q{n}: {e}"));
         rows_match(n, &mrows, &r.rows, "monet vs rowstore");
-        let a = adv.query(sql).unwrap_or_else(|e| panic!("adversarial Q{n}: {e}"));
-        let arows: Vec<Vec<Value>> = (0..a.nrows()).map(|i| a.row(i)).collect();
-        rows_match(n, &mrows, &arows, "real vs adversarial stats");
         if let Some(ddl) = queries::teardown_sql(n) {
             conn.execute(ddl).unwrap_or_else(|e| panic!("monetlite Q{n} teardown: {e}"));
             rdb.execute(ddl).unwrap_or_else(|e| panic!("rowstore Q{n} teardown: {e}"));
@@ -113,8 +107,8 @@ impl Gen {
     /// Predicate over t's columns (a INT, b INT, s VARCHAR).
     fn pred(&mut self, depth: u32) -> String {
         if depth > 0 && self.below(3) == 0 {
-            let l = self.pred(depth - 1);
-            let r = self.pred(depth - 1);
+            let l = self.operand(depth - 1);
+            let r = self.operand(depth - 1);
             return match self.below(3) {
                 0 => format!("({l} AND {r})"),
                 1 => format!("({l} OR {r})"),
@@ -132,6 +126,16 @@ impl Gen {
                 format!("a BETWEEN {} AND {}", lo.min(hi), lo.max(hi))
             }
             _ => format!("b IN ({}, {})", self.below(6), self.below(6)),
+        }
+    }
+
+    /// An operand of AND, OR or NOT: a predicate, or now and then a bare
+    /// NULL, so three-valued logic runs through every boolean operator.
+    fn operand(&mut self, depth: u32) -> String {
+        if self.below(6) == 0 {
+            "NULL".to_string()
+        } else {
+            self.pred(depth)
         }
     }
 
@@ -222,25 +226,19 @@ fn fuzz_inserts(g: &mut Gen) -> Vec<String> {
     out
 }
 
-/// Canonical multiset image of a result: formatted rows, sorted. Row
-/// ORDER is not asserted (the generated queries have no ORDER BY), the
-/// exact row multiset is.
-fn canonical(rows: &[Vec<Value>]) -> Vec<String> {
-    let mut v: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            r.iter()
-                .map(|c| match c {
-                    Value::Null => "NULL".to_string(),
-                    Value::Double(d) => format!("{d:.4}"),
-                    other => other.to_string(),
-                })
-                .collect::<Vec<_>>()
-                .join("|")
-        })
-        .collect();
-    v.sort();
-    v
+/// The fuzz tables hold up to a dozen rows: two-row vectors split them.
+fn fuzz_corpus(seed: u64) -> Corpus {
+    Corpus { tiny: 2, seed, cross_products: true }
+}
+
+/// The fuzz tables in both databases, with `oracle` as the row store.
+fn fuzz_twin(oracle: monetlite_rowstore::RowDb, inserts: &[String]) -> Twin {
+    let twin = Twin::new(oracle);
+    twin.script(FUZZ_DDL);
+    for ins in inserts {
+        twin.script(ins);
+    }
+    twin
 }
 
 proptest! {
@@ -251,161 +249,7 @@ proptest! {
         let mut g = Gen { rng: proptest::TestRng::new(seed) };
         let inserts = fuzz_inserts(&mut g);
         let sql = g.query();
-
-        // Columnar engine, materialized and streaming (tiny vectors force
-        // chunk boundaries through every operator).
-        let db = monetlite::Database::open_in_memory();
-        let mut conn = db.connect();
-        conn.run_script(FUZZ_DDL).unwrap();
-        for ins in &inserts {
-            conn.execute(ins).unwrap();
-        }
-        let mut engines: Vec<(&str, Vec<String>)> = Vec::new();
-        for (label, opts, stats, flags) in [
-            (
-                "materialized",
-                ExecOptions { mode: ExecMode::Materialized, ..Default::default() },
-                StatsMode::Real,
-                OptFlags::default(),
-            ),
-            (
-                // `use_dict` forced on so the dict-off legs below stay a
-                // true differential even under the MONETLITE_DICT=0 CI leg.
-                "streaming v3",
-                ExecOptions {
-                    mode: ExecMode::Streaming,
-                    threads: 1,
-                    vector_size: 3,
-                    use_dict: true,
-                    ..Default::default()
-                },
-                StatsMode::Real,
-                OptFlags::default(),
-            ),
-            (
-                "streaming t2",
-                ExecOptions { mode: ExecMode::Streaming, threads: 2, vector_size: 2, ..Default::default() },
-                StatsMode::Real,
-                OptFlags::default(),
-            ),
-            // Stats-fuzzing legs: no column statistics, adversarially
-            // wrong statistics (random row counts / NDVs / ranges derived
-            // from the case seed), and the greedy-ordering ablation.
-            // Plans may differ — the row multiset must not.
-            (
-                "no column stats",
-                ExecOptions::default(),
-                StatsMode::TableRowsOnly,
-                OptFlags::default(),
-            ),
-            (
-                "adversarial stats",
-                ExecOptions::default(),
-                StatsMode::Adversarial(seed),
-                OptFlags::default(),
-            ),
-            (
-                "adversarial stats v3",
-                ExecOptions { vector_size: 3, ..Default::default() },
-                StatsMode::Adversarial(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                OptFlags::default(),
-            ),
-            // Dictionary-execution ablation: string predicates, joins and
-            // group-bys run over the string kernels instead of dictionary
-            // codes. Answers must be byte-identical to the dict-on legs
-            // above (which run with the default `use_dict: true`).
-            (
-                "dict off v3",
-                ExecOptions {
-                    mode: ExecMode::Streaming,
-                    threads: 1,
-                    vector_size: 3,
-                    use_dict: false,
-                    ..Default::default()
-                },
-                StatsMode::Real,
-                OptFlags::default(),
-            ),
-            (
-                "dict off t2",
-                ExecOptions { threads: 2, vector_size: 2, use_dict: false, ..Default::default() },
-                StatsMode::Real,
-                OptFlags::default(),
-            ),
-            (
-                "greedy join order",
-                ExecOptions::default(),
-                StatsMode::Real,
-                OptFlags { join_dp: false, ..OptFlags::default() },
-            ),
-            (
-                "greedy adversarial",
-                ExecOptions::default(),
-                StatsMode::Adversarial(!seed),
-                OptFlags { join_dp: false, ..OptFlags::default() },
-            ),
-            // Cache-tier legs forced on: the identical repeat below
-            // replays the cached template/result even under the
-            // MONETLITE_PLAN_CACHE=0 / MONETLITE_RESULT_CACHE=0 CI legs.
-            (
-                "caches forced on",
-                ExecOptions { use_plan_cache: true, use_result_cache: true, ..Default::default() },
-                StatsMode::Real,
-                OptFlags::default(),
-            ),
-            (
-                "plan cache only v3",
-                ExecOptions {
-                    vector_size: 3,
-                    use_plan_cache: true,
-                    use_result_cache: false,
-                    ..Default::default()
-                },
-                StatsMode::Real,
-                OptFlags::default(),
-            ),
-        ] {
-            let mut c = db.connect();
-            c.set_exec_options(opts);
-            c.set_stats_mode(stats);
-            c.set_opt_flags(flags);
-            let r = c.query(&sql).unwrap_or_else(|e| panic!("{label}: {e}\nsql: {sql}"));
-            let rows: Vec<Vec<Value>> = (0..r.nrows()).map(|i| r.row(i)).collect();
-            let first = canonical(&rows);
-            // Repeat-each-query-twice mode: the second execution of the
-            // identical statement may be served by the plan or result
-            // cache and must produce the same multiset as the first.
-            let r2 = c.query(&sql).unwrap_or_else(|e| panic!("{label} repeat: {e}\nsql: {sql}"));
-            let rows2: Vec<Vec<Value>> = (0..r2.nrows()).map(|i| r2.row(i)).collect();
-            prop_assert_eq!(
-                &first,
-                &canonical(&rows2),
-                "{} repeat diverged (seed {})\nsql: {}\ninserts: {:?}",
-                label,
-                seed,
-                sql,
-                inserts
-            );
-            engines.push((label, first));
-        }
-
-        // Volcano rowstore over identical data.
-        let rdb = monetlite_rowstore::RowDb::in_memory();
-        rdb.run_script(FUZZ_DDL).unwrap();
-        for ins in &inserts {
-            rdb.execute(ins).unwrap();
-        }
-        let r = rdb.query(&sql).unwrap_or_else(|e| panic!("rowstore: {e}\nsql: {sql}"));
-        engines.push(("rowstore", canonical(&r.rows)));
-
-        let (base_label, base) = &engines[0];
-        for (label, got) in &engines[1..] {
-            prop_assert_eq!(
-                base, got,
-                "{} vs {} diverge (seed {})\nsql: {}\ninserts: {:?}",
-                base_label, label, seed, sql, inserts
-            );
-        }
+        fuzz_twin(monetlite_rowstore::RowDb::in_memory(), &inserts).check(&[&sql], fuzz_corpus(seed));
     }
 }
 
@@ -468,10 +312,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     // Semi-join sinking and disjunction-derived filters may change
-    // plans, never answers: every columnar leg — real, no and
-    // adversarial statistics, both engines, the rewrites off — must
-    // return the multiset a row store computes with the optimizer's
-    // push-down and join ordering switched off.
+    // plans, never answers: every lattice row must return the multiset a
+    // row store computes with the optimizer's push-down and join ordering
+    // switched off — and so must the row store with them on.
     #[test]
     fn early_reduction_shapes_agree_with_the_unoptimized_rowstore(seed in 0u64..u64::MAX) {
         let mut g = Gen { rng: proptest::TestRng::new(seed) };
@@ -482,55 +325,19 @@ proptest! {
             ..Default::default()
         })
         .unwrap();
-        plain.run_script(FUZZ_DDL).unwrap();
-        let db = monetlite::Database::open_in_memory();
-        let mut conn = db.connect();
-        conn.run_script(FUZZ_DDL).unwrap();
+        let twin = fuzz_twin(plain, &inserts);
+        twin.check(&[&sql], fuzz_corpus(seed));
+        let optimized = monetlite_rowstore::RowDb::in_memory();
+        optimized.run_script(FUZZ_DDL).unwrap();
         for ins in &inserts {
-            conn.execute(ins).unwrap();
-            plain.execute(ins).unwrap();
+            optimized.execute(ins).unwrap();
         }
-        let want = canonical(&plain.query(&sql).unwrap_or_else(|e| panic!("oracle: {e}\nsql: {sql}")).rows);
-        let materialized = ExecOptions { mode: ExecMode::Materialized, ..Default::default() };
-        let small_vectors = ExecOptions { threads: 2, vector_size: 2, ..Default::default() };
-        for (label, opts, stats, flags) in [
-            ("real", ExecOptions::default(), StatsMode::Real, OptFlags::default()),
-            ("real materialized", materialized, StatsMode::Real, OptFlags::default()),
-            ("real t2 v2", small_vectors, StatsMode::Real, OptFlags::default()),
-            ("no column stats", ExecOptions::default(), StatsMode::TableRowsOnly, OptFlags::default()),
-            ("no column stats materialized", materialized, StatsMode::TableRowsOnly, OptFlags::default()),
-            ("adversarial", ExecOptions::default(), StatsMode::Adversarial(seed), OptFlags::default()),
-            ("adversarial t2 v2", small_vectors, StatsMode::Adversarial(!seed), OptFlags::default()),
-            (
-                "push-down off",
-                ExecOptions::default(),
-                StatsMode::Real,
-                OptFlags { pushdown: false, ..OptFlags::default() },
-            ),
-        ] {
-            let mut c = db.connect();
-            c.set_exec_options(ExecOptions { use_result_cache: false, ..opts });
-            c.set_stats_mode(stats);
-            c.set_opt_flags(flags);
-            let r = c.query(&sql).unwrap_or_else(|e| panic!("{label}: {e}\nsql: {sql}"));
-            let rows: Vec<Vec<Value>> = (0..r.nrows()).map(|i| r.row(i)).collect();
-            prop_assert_eq!(
-                &want,
-                &canonical(&rows),
-                "{} diverges from the unoptimized rowstore (seed {})\nsql: {}\ninserts: {:?}",
-                label,
-                seed,
-                sql,
-                inserts
-            );
-        }
-        let rdb = monetlite_rowstore::RowDb::in_memory();
-        rdb.run_script(FUZZ_DDL).unwrap();
-        for ins in &inserts {
-            rdb.execute(ins).unwrap();
-        }
-        let r = rdb.query(&sql).unwrap_or_else(|e| panic!("rowstore: {e}\nsql: {sql}"));
-        prop_assert_eq!(&want, &canonical(&r.rows), "optimized rowstore (seed {})\nsql: {}", seed, sql);
+        let query = |rdb: &monetlite_rowstore::RowDb| {
+            let r = rdb.query(&sql).unwrap_or_else(|e| panic!("rowstore: {e}\nsql: {sql}"));
+            monetlite_tests::answer_image(&sql, &r.rows)
+        };
+        let (want, got) = (query(&twin.rows), query(&optimized));
+        prop_assert_eq!(want, got, "optimized rowstore (seed {})\nsql: {}", seed, sql);
     }
 }
 
@@ -541,27 +348,23 @@ fn keyless_left_join_with_build_only_on_is_not_a_scalar_join() {
     // behind the binder's scalar-join shape (key-less LEFT + no
     // residual), which enforces "at most one build row". A user LEFT
     // JOIN like this must cross-pair matches and NULL-pad, never error.
-    let ddl = "CREATE TABLE lt (a INT); INSERT INTO lt VALUES (1), (2); \
-               CREATE TABLE rt (v INT); INSERT INTO rt VALUES (10), (20), (30);";
-    for (sql, want_rows) in [
-        // Every build row matches: 2 probe × 3 build pairs.
-        ("SELECT lt.a, rt.v FROM lt LEFT JOIN rt ON rt.v >= 0", 6),
-        // No build row matches: each probe row pads NULL once.
-        ("SELECT lt.a, rt.v FROM lt LEFT JOIN rt ON rt.v > 100", 2),
-    ] {
-        let db = monetlite::Database::open_in_memory();
-        db.connect().run_script(ddl).unwrap();
-        for mode in [ExecMode::Materialized, ExecMode::Streaming] {
-            let mut c = db.connect();
-            c.set_exec_options(ExecOptions { mode, ..Default::default() });
-            let r = c.query(sql).unwrap_or_else(|e| panic!("{mode:?}: {e} for {sql}"));
-            assert_eq!(r.nrows(), want_rows, "{mode:?}: {sql}");
-        }
-        let rdb = monetlite_rowstore::RowDb::in_memory();
-        rdb.run_script(ddl).unwrap();
-        let r = rdb.query(sql).unwrap_or_else(|e| panic!("rowstore: {e} for {sql}"));
-        assert_eq!(r.rows.len(), want_rows, "rowstore: {sql}");
-    }
+    let twin = Twin::default();
+    twin.script(
+        "CREATE TABLE lt (a INT); INSERT INTO lt VALUES (1), (2); \
+         CREATE TABLE rt (v INT); INSERT INTO rt VALUES (10), (20), (30);",
+    );
+    // Every build row matches: 2 probe × 3 build pairs.
+    twin.expect(
+        "SELECT lt.a, rt.v FROM lt LEFT JOIN rt ON rt.v >= 0",
+        Corpus::tiny(2),
+        &["1|10", "1|20", "1|30", "2|10", "2|20", "2|30"],
+    );
+    // No build row matches: each probe row pads NULL once.
+    twin.expect(
+        "SELECT lt.a, rt.v FROM lt LEFT JOIN rt ON rt.v > 100",
+        Corpus::tiny(2),
+        &["1|NULL", "2|NULL"],
+    );
 }
 
 #[test]
@@ -597,7 +400,7 @@ fn bigint_modulo_by_zero_errors_on_every_engine() {
     db.connect().run_script(ddl).unwrap();
     for mode in [ExecMode::Materialized, ExecMode::Streaming] {
         let mut c = db.connect();
-        c.set_exec_options(ExecOptions { mode, ..Default::default() });
+        c.set_exec_options(ExecOptions { mode, ..pinned(1, 64 * 1024) });
         assert!(is_div_zero(c.query(sql).map(drop)), "{mode:?}: {sql}");
     }
     let rdb = monetlite_rowstore::RowDb::in_memory();
@@ -610,35 +413,14 @@ fn an_and_under_an_or_agrees_on_every_engine() {
     // The selecting evaluator narrows an AND's right side to its left
     // side's survivors; under an OR both sides see every row, as in the
     // dense evaluation (10 / 0 is NULL, not an error).
-    let ddl = "CREATE TABLE t (a INT, s VARCHAR); INSERT INTO t VALUES \
-               (0, 'q'), (0, 'p'), (2, 'p'), (20, 'p'), (NULL, 'q'), (NULL, NULL);";
-    let sql = "SELECT a, s FROM t WHERE (a <> 0 AND 10 / a > 1) OR s = 'q'";
-    let want = ["0|q", "2|p", "NULL|q"];
-    let show = |row: Vec<Value>| {
-        row.iter()
-            .map(|v| if v.is_null() { "NULL".to_string() } else { v.to_string() })
-            .collect::<Vec<_>>()
-            .join("|")
-    };
-    let db = monetlite::Database::open_in_memory();
-    db.connect().run_script(ddl).unwrap();
-    for (mode, vector_size) in
-        [(ExecMode::Materialized, 0), (ExecMode::Streaming, 0), (ExecMode::Streaming, 2)]
-    {
-        let mut c = db.connect();
-        let defaults = ExecOptions::default();
-        let vector_size = if vector_size == 0 { defaults.vector_size } else { vector_size };
-        c.set_exec_options(ExecOptions { mode, vector_size, ..defaults });
-        let r = c.query(sql).unwrap_or_else(|e| panic!("{mode:?}: {e} for {sql}"));
-        let mut got: Vec<String> =
-            (0..r.nrows()).map(|i| show((0..2).map(|j| r.value(i, j)).collect())).collect();
-        got.sort();
-        assert_eq!(got, want, "{mode:?} at vector size {vector_size}: {sql}");
-    }
-    let rdb = monetlite_rowstore::RowDb::in_memory();
-    rdb.run_script(ddl).unwrap();
-    let r = rdb.query(sql).unwrap_or_else(|e| panic!("rowstore: {e} for {sql}"));
-    let mut got: Vec<String> = r.rows.into_iter().map(show).collect();
-    got.sort();
-    assert_eq!(got, want, "rowstore: {sql}");
+    let twin = Twin::default();
+    twin.script(
+        "CREATE TABLE t (a INT, s VARCHAR); INSERT INTO t VALUES \
+         (0, 'q'), (0, 'p'), (2, 'p'), (20, 'p'), (NULL, 'q'), (NULL, NULL);",
+    );
+    twin.expect(
+        "SELECT a, s FROM t WHERE (a <> 0 AND 10 / a > 1) OR s = 'q'",
+        Corpus::tiny(2),
+        &["0|q", "2|p", "NULL|q"],
+    );
 }

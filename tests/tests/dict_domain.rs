@@ -6,15 +6,15 @@
 //! This suite generates random single-column predicate trees — `=`, `<>`,
 //! `<`, `>=`, IN, LIKE with `%`/`_` over non-ASCII text, `substring`,
 //! `length`, `upper`, IS NULL, COALESCE (spelled as its CASE definition),
-//! CASE, and AND/OR/NOT over them — and checks that both engines return
-//! the same answer with dictionary execution on and off, over a column
-//! with NULLs, deleted rows and several morsels. Two fixed cases pin the
-//! guards: a predicate that holds on NULL is never served, and one that
-//! errors only on a value held by deleted rows never raises.
+//! CASE, and AND/OR/NOT over them — and checks that every configuration
+//! of the lattice, dictionary execution on and off, returns the row
+//! store's answer over a column with NULLs, deleted rows and several
+//! morsels. Two fixed cases pin the guards: a predicate that holds on
+//! NULL is never served, and one that errors only on a value held by
+//! deleted rows never raises.
 
-use monetlite::exec::{CountersSnapshot, ExecMode, ExecOptions};
-use monetlite::Database;
-use monetlite_types::{ColumnBuffer, Value};
+use monetlite_tests::{image, pinned, rows_of, run_pinned, Corpus, Twin};
+use monetlite_types::ColumnBuffer;
 
 const ROWS: i32 = 3000;
 
@@ -32,10 +32,9 @@ const PIECES: [&str; 10] = ["%", "_", "a", "é", "日", "b", "x", "AI", "ß", "%
 /// larger dictionary (still ≥ 8 rows per value, so masks are served),
 /// and every 11th row deleted. `dates(v, n)`: dates as text, with
 /// `'oops'` held only by rows that are deleted.
-fn database() -> Database {
-    let db = Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute("CREATE TABLE s (v VARCHAR(16), n INT)").unwrap();
+fn database() -> Twin {
+    let twin = Twin::default();
+    twin.script("CREATE TABLE s (v VARCHAR(16), n INT); CREATE TABLE dates (v VARCHAR(10), n INT)");
     let v = (0..ROWS)
         .map(|i| {
             let w = WORDS[(i as usize * 7) % WORDS.len()];
@@ -46,61 +45,47 @@ fn database() -> Database {
             }
         })
         .collect();
-    conn.append("s", vec![ColumnBuffer::Varchar(v), ColumnBuffer::Int((0..ROWS).collect())])
-        .unwrap();
-    conn.execute("DELETE FROM s WHERE n % 11 = 0").unwrap();
-    conn.execute("CREATE TABLE dates (v VARCHAR(10), n INT)").unwrap();
+    twin.append("s", vec![ColumnBuffer::Varchar(v), ColumnBuffer::Int((0..ROWS).collect())]);
     let v = (0..ROWS)
         .map(|i| {
             Some(if i % 97 == 0 { "oops".into() } else { format!("1995-01-{:02}", i % 28 + 1) })
         })
         .collect();
-    conn.append("dates", vec![ColumnBuffer::Varchar(v), ColumnBuffer::Int((0..ROWS).collect())])
-        .unwrap();
-    conn.execute("DELETE FROM dates WHERE n % 97 = 0").unwrap();
-    db
+    twin.append("dates", vec![ColumnBuffer::Varchar(v), ColumnBuffer::Int((0..ROWS).collect())]);
+    twin.script("DELETE FROM s WHERE n % 11 = 0; DELETE FROM dates WHERE n % 97 = 0");
+    twin
 }
 
-/// The execution shapes compared: both engines, several morsels per
-/// scan, two streaming workers, and the environment's own shape (so
-/// every CI leg — threads, vector size, spill budget — runs this suite).
-fn shapes() -> Vec<(&'static str, ExecOptions)> {
-    let base = ExecOptions { use_result_cache: false, ..Default::default() };
-    vec![
-        ("env", base),
-        ("streaming t1 v512", ExecOptions { threads: 1, vector_size: 512, ..base }),
-        ("streaming t2 v512", ExecOptions { threads: 2, vector_size: 512, ..base }),
-        ("materialized", ExecOptions { mode: ExecMode::Materialized, threads: 1, ..base }),
-    ]
+/// Several 512-row morsels per 3000-row scan.
+const STRINGS: Corpus = Corpus::tiny(512);
+
+/// The statement each predicate is checked by.
+fn probe(table: &str, pred: &str) -> String {
+    format!("SELECT count(*), sum(n), min(v), max(v) FROM {table} WHERE {pred}")
 }
 
-fn run(db: &Database, sql: &str, opts: ExecOptions) -> (Vec<Vec<Value>>, CountersSnapshot) {
-    let mut conn = db.connect();
-    conn.set_exec_options(opts);
-    let r = conn.query(sql).unwrap_or_else(|e| panic!("{e} for {sql}"));
-    let rows = (0..r.nrows()).map(|i| r.row(i)).collect();
-    (rows, conn.last_exec_counters().expect("counters after query"))
-}
-
-/// Every shape, dictionary on and off, gives the dictionary-off
-/// streaming answer. Returns whether any dictionary-on run served a
-/// predicate from the dictionary.
-fn check(db: &Database, table: &str, pred: &str) -> bool {
-    let sql = format!("SELECT count(*), sum(n), min(v), max(v) FROM {table} WHERE {pred}");
-    let off = |o: ExecOptions| ExecOptions { use_dict: false, ..o };
-    let (want, _) = run(db, &sql, off(shapes()[1].1));
-    let mut served = false;
-    for (name, opts) in shapes() {
-        for dict in [false, true] {
-            let (got, counters) = run(db, &sql, ExecOptions { use_dict: dict, ..opts });
-            assert_eq!(got, want, "{sql} ({name}, dict={dict})");
-            if !dict {
-                assert_eq!(counters.dict_hits, 0, "{sql} ({name}): dict off served a predicate");
-            }
-            served |= counters.dict_hits > 0;
-        }
-    }
-    served
+/// Every lattice row, dictionary on and off, gives the row store's
+/// answer for each predicate, and no row with the dictionary off consults
+/// one. Returns, per predicate, whether any row served it from the
+/// dictionary.
+fn check(twin: &Twin, table: &str, preds: &[&str]) -> Vec<bool> {
+    let sqls: Vec<String> = preds.iter().map(|p| probe(table, p)).collect();
+    let sqls: Vec<&str> = sqls.iter().map(String::as_str).collect();
+    let answers = twin.check(&sqls, STRINGS);
+    sqls.iter()
+        .zip(answers)
+        .map(|(sql, answers)| {
+            answers.iter().fold(false, |served, a| {
+                let dict = a.config.is_some_and(|c| c.exec.use_dict);
+                assert!(
+                    dict || a.counters.dict_hits == 0,
+                    "{sql} ({}): dict off served it",
+                    a.label
+                );
+                served || a.counters.dict_hits > 0
+            })
+        })
+        .collect()
 }
 
 /// splitmix64: a deterministic source for predicate trees.
@@ -188,53 +173,55 @@ impl Gen {
 
 #[test]
 fn random_single_column_predicate_trees_agree_with_the_row_kernels() {
-    let db = database();
+    let twin = database();
     let mut gen = Gen(20260611);
     let cases = 120;
-    let mut served = 0;
-    for _ in 0..cases {
-        let pred = gen.tree(3);
-        served += check(&db, "s", &pred) as usize;
-    }
+    let preds: Vec<String> = (0..cases).map(|_| gen.tree(3)).collect();
+    let preds: Vec<&str> = preds.iter().map(String::as_str).collect();
+    let served = check(&twin, "s", &preds).into_iter().filter(|&s| s).count();
     // Most trees do not hold on NULL, so the dictionary must serve many.
     assert!(served * 3 > cases, "only {served} of {cases} trees were served by the dictionary");
 }
 
 #[test]
 fn in_lists_and_negations_are_served_on_both_engines() {
-    let db = database();
-    for pred in ["v IN ('ab', 'é', 'MAIL', '日本')", "v <> 'ab' AND v <> 'b'", "NOT (v LIKE '%é%')"]
-    {
-        let sql = format!("SELECT count(*), sum(n) FROM s WHERE {pred}");
-        for (name, opts) in shapes() {
-            let (_, counters) = run(&db, &sql, ExecOptions { use_dict: true, ..opts });
-            assert!(counters.dict_hits > 0, "{pred} ({name}) not served: {counters:?}");
+    let twin = database();
+    let preds =
+        ["v IN ('ab', 'é', 'MAIL', '日本')", "v <> 'ab' AND v <> 'b'", "NOT (v LIKE '%é%')"];
+    let sqls: Vec<String> = preds.iter().map(|p| probe("s", p)).collect();
+    let sqls: Vec<&str> = sqls.iter().map(String::as_str).collect();
+    for (pred, answers) in preds.iter().zip(twin.check(&sqls, STRINGS)) {
+        for a in answers {
+            // Only a filter pushed into the scan can be served.
+            let served = a.config.is_some_and(|c| c.exec.use_dict && c.flags.pushdown);
+            assert!(!served || a.counters.dict_hits > 0, "{pred} ({}) not served", a.label);
         }
-        check(&db, "s", pred);
     }
 }
 
 #[test]
 fn a_predicate_true_on_null_is_never_served() {
-    let db = database();
-    for pred in [
+    let twin = database();
+    let preds = [
         "v IS NULL OR v = 'ab'",
         "(CASE WHEN v IS NULL THEN 'x' ELSE v END) = 'x'",
         "NOT (v IS NOT NULL)",
-    ] {
-        assert!(!check(&db, "s", pred), "{pred} holds on NULL rows but was served");
+    ];
+    for (pred, served) in preds.iter().zip(check(&twin, "s", &preds)) {
+        assert!(!served, "{pred} holds on NULL rows but was served");
     }
 }
 
 #[test]
 fn an_error_only_on_a_deleted_value_never_raises() {
-    let db = database();
+    let twin = database();
     // CAST('oops' AS DATE) fails, and 'oops' is in the dictionary, but
     // every row holding it is deleted: the row kernels never see it, so
     // the scan falls back to them silently instead of raising.
     let pred = "CAST(v AS DATE) >= DATE '1995-01-20'";
-    assert!(!check(&db, "dates", pred), "an erroring dictionary evaluation was served");
-    let (rows, _) = run(&db, &format!("SELECT count(*) FROM dates WHERE {pred}"), shapes()[1].1);
-    let live = (0..ROWS).filter(|i| i % 97 != 0 && i % 28 >= 19).count() as i64;
-    assert_eq!(rows, vec![vec![Value::Bigint(live)]]);
+    assert!(!check(&twin, "dates", &[pred])[0], "an erroring dictionary evaluation was served");
+    let sql = format!("SELECT count(*) FROM dates WHERE {pred}");
+    let (r, _) = run_pinned(&twin.db, &sql, pinned(1, 512));
+    let live = (0..ROWS).filter(|i| i % 97 != 0 && i % 28 >= 19).count();
+    assert_eq!(image(&rows_of(&r)), [live.to_string()]);
 }

@@ -1,7 +1,7 @@
 //! Three-valued-logic regression suite: the classic NULL traps of
 //! `NOT IN`, `NOT EXISTS` and scalar subqueries, each asserted against
-//! the SQL-standard answer — on the materialized engine, the streaming
-//! engine, and the volcano rowstore.
+//! the SQL-standard answer — on every configuration of the lattice and on
+//! the volcano row store.
 //!
 //! The trap matrix:
 //! * `x NOT IN (empty)` is TRUE for every `x`, including NULL;
@@ -14,7 +14,8 @@
 //! * a scalar subquery yielding more than one row is an error.
 
 use monetlite::exec::{ExecMode, ExecOptions};
-use monetlite_types::{LogicalType, Value};
+use monetlite_tests::{pinned, Corpus, Twin};
+use monetlite_types::LogicalType;
 
 const DDL: &str = "CREATE TABLE probe (x INT); \
      INSERT INTO probe VALUES (1), (2), (NULL); \
@@ -32,65 +33,19 @@ const DDL: &str = "CREATE TABLE probe (x INT); \
      CREATE TABLE days (dt DATE); \
      INSERT INTO days VALUES ('1998-12-01'), (NULL);";
 
-fn fmt(v: &Value) -> String {
-    match v {
-        Value::Null => "NULL".to_string(),
-        other => other.to_string(),
-    }
-}
-
-/// Run `sql` on every engine; return each engine's header types and
-/// sorted row images.
-fn run_everywhere(sql: &str) -> Vec<(String, Vec<LogicalType>, Vec<String>)> {
-    let mut out = Vec::new();
-    let db = monetlite::Database::open_in_memory();
-    db.connect().run_script(DDL).unwrap();
-    for (label, opts) in [
-        ("materialized", ExecOptions { mode: ExecMode::Materialized, ..Default::default() }),
-        (
-            "streaming",
-            ExecOptions {
-                mode: ExecMode::Streaming,
-                threads: 2,
-                vector_size: 2,
-                ..Default::default()
-            },
-        ),
-    ] {
-        let mut c = db.connect();
-        c.set_exec_options(opts);
-        let r = c.query(sql).unwrap_or_else(|e| panic!("{label}: {e}\nsql: {sql}"));
-        let mut rows: Vec<String> = (0..r.nrows())
-            .map(|i| (0..r.ncols()).map(|c| fmt(&r.value(i, c))).collect::<Vec<_>>().join("|"))
-            .collect();
-        rows.sort();
-        out.push((label.to_string(), r.types().to_vec(), rows));
-    }
-    let rdb = monetlite_rowstore::RowDb::in_memory();
-    rdb.run_script(DDL).unwrap();
-    let r = rdb.query(sql).unwrap_or_else(|e| panic!("rowstore: {e}\nsql: {sql}"));
-    let mut rows: Vec<String> =
-        r.rows.iter().map(|row| row.iter().map(fmt).collect::<Vec<_>>().join("|")).collect();
-    rows.sort();
-    out.push(("rowstore".to_string(), r.types, rows));
-    out
-}
+/// The trap tables hold two to four rows: two-row vectors split them.
+const TRAPS: Corpus = Corpus::tiny(2);
 
 /// Assert the SQL-standard answer on every engine.
 fn expect(sql: &str, want: &[&str]) {
-    let mut want: Vec<String> = want.iter().map(|s| s.to_string()).collect();
-    want.sort();
-    for (label, _, got) in run_everywhere(sql) {
-        assert_eq!(got, want, "{label} disagrees with the SQL standard for: {sql}");
-    }
+    Twin::default().script(DDL).expect(sql, TRAPS, want);
 }
 
 /// [`expect`], and the result columns' types on every engine.
 fn expect_typed(sql: &str, types: &[LogicalType], want: &[&str]) {
-    for (label, got, _) in run_everywhere(sql) {
-        assert_eq!(got, types, "{label}: result column types of {sql}");
+    for a in Twin::default().script(DDL).expect(sql, TRAPS, want) {
+        assert_eq!(a.types, types, "{}: result column types of {sql}", a.label);
     }
-    expect(sql, want);
 }
 
 #[test]
@@ -181,7 +136,7 @@ fn scalar_subquery_with_more_than_one_row_errors() {
     db.connect().run_script(DDL).unwrap();
     for mode in [ExecMode::Materialized, ExecMode::Streaming] {
         let mut c = db.connect();
-        c.set_exec_options(ExecOptions { mode, ..Default::default() });
+        c.set_exec_options(ExecOptions { mode, ..pinned(1, 64 * 1024) });
         let e = c.query(sql).expect_err("two-row scalar subquery must error");
         assert!(e.to_string().contains("scalar subquery"), "{mode:?}: {e}");
     }
@@ -237,7 +192,7 @@ fn negative_zero_and_zero_are_one_key_in_every_hash_operator() {
     for mode in [ExecMode::Materialized, ExecMode::Streaming] {
         for use_hash_index in [true, false] {
             let mut c = db.connect();
-            c.set_exec_options(ExecOptions { mode, use_hash_index, ..Default::default() });
+            c.set_exec_options(ExecOptions { mode, use_hash_index, ..pinned(1, 64 * 1024) });
             let mut rows = |sql: &str| {
                 c.query(sql).unwrap_or_else(|e| panic!("{mode:?}/{use_hash_index}: {e}")).nrows()
             };
@@ -311,4 +266,48 @@ fn untyped_null_function_argument_takes_the_parameter_type() {
     );
     expect("SELECT a FROM t WHERE LENGTH(NULL) > 1", &[]);
     expect("SELECT count(*) FROM t WHERE UPPER(NULL) IS NULL", &["3"]);
+}
+
+/// An untyped NULL where a BOOLEAN belongs — a predicate, an operand of
+/// AND, OR or NOT, a CASE condition — is a BOOLEAN UNKNOWN, not an
+/// INTEGER that fails to bind.
+#[test]
+fn untyped_null_boolean_operand_is_unknown() {
+    use LogicalType::{Bigint, Bool, Int};
+    expect_typed("SELECT a FROM t WHERE NULL", &[Int], &[]);
+    expect_typed("SELECT count(*) FROM t WHERE NULL", &[Bigint], &["0"]);
+    expect_typed("SELECT a FROM t WHERE a = 1 AND NULL", &[Int], &[]);
+    expect_typed("SELECT a FROM t WHERE a = 1 OR NULL", &[Int], &["1"]);
+    expect_typed("SELECT a FROM t WHERE NULL OR a = 2", &[Int], &["2"]);
+    expect_typed("SELECT a FROM t WHERE NOT (a = 1 AND NULL)", &[Int], &["2"]);
+    expect_typed("SELECT a = 1 AND NULL FROM t", &[Bool], &["NULL", "false", "NULL"]);
+    expect_typed("SELECT CASE WHEN NULL THEN 1 ELSE 2 END FROM t", &[Int], &["2"; 3]);
+}
+
+/// The plan cache replays a template whose NULL operand became a BOOLEAN
+/// parameter; an INTEGER in the NULL's place is no BOOLEAN, so it must
+/// miss the template and fail to bind as it would uncached.
+#[test]
+fn a_cached_null_boolean_operand_admits_no_integer() {
+    let db = monetlite::Database::open_in_memory();
+    db.connect().run_script(DDL).unwrap();
+    let mut c = db.connect();
+    c.set_exec_options(ExecOptions {
+        use_plan_cache: true,
+        plan_cache_bytes: 64 << 20,
+        ..pinned(1, 64 * 1024)
+    });
+    for (null, int) in [
+        ("SELECT a FROM t WHERE NULL", "SELECT a FROM t WHERE 1"),
+        ("SELECT a FROM t WHERE a = 1 AND NULL", "SELECT a FROM t WHERE a = 1 AND 1"),
+        ("SELECT a FROM t WHERE NULL OR a = 2", "SELECT a FROM t WHERE 1 OR a = 2"),
+        ("SELECT a FROM t WHERE NOT (a = 1 AND NULL)", "SELECT a FROM t WHERE NOT (a = 1 AND 1)"),
+    ] {
+        let first = c.query(null).unwrap_or_else(|e| panic!("{null}: {e}"));
+        let again = c.query(null).unwrap_or_else(|e| panic!("{null} (cached): {e}"));
+        assert_eq!(first.nrows(), again.nrows(), "{null}");
+        assert_eq!(c.last_exec_counters().unwrap().plan_cache_hits, 1, "{null}: no plan hit");
+        let e = c.query(int).expect_err(int);
+        assert!(e.to_string().contains("BOOLEAN"), "{int}: {e}");
+    }
 }

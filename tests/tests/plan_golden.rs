@@ -13,58 +13,18 @@
 //! ```
 //!
 //! Execution options and optimizer flags are pinned to literals (not
-//! `Default::default()`) so the CI env matrix (threads / vector size /
-//! candidates / join-order ablations) cannot change the rendered plans.
+//! `Default::default()`) so the CI env legs (threads / vector size /
+//! join-order ablations) cannot change the rendered plans.
 
-use monetlite::exec::{ExecMode, ExecOptions};
 use monetlite::opt::OptFlags;
-use monetlite_tpch::{generate, load_monet, queries};
-use std::path::PathBuf;
+use monetlite_tests::{blessing, connect_pinned, golden_path, pinned, tpch_db, PINNED_FLAGS};
+use monetlite_tpch::queries;
 
-const GOLDEN_SF: f64 = 0.02;
-const GOLDEN_SEED: u64 = 20260727;
-
-fn golden_path(n: usize) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("golden")
-        .join("plans")
-        .join(format!("q{n:02}.txt"))
-}
-
-/// Fully pinned execution shape: EXPLAIN's morsel counts and spill
-/// annotations depend on these, so they must not follow the environment.
-fn pinned_exec() -> ExecOptions {
-    ExecOptions {
-        mode: ExecMode::Streaming,
-        threads: 1,
-        vector_size: 64 * 1024,
-        mitosis_min_rows: 64 * 1024,
-        use_imprints: true,
-        use_hash_index: true,
-        use_order_index: true,
-        timeout: None,
-        memory_budget: usize::MAX,
-        spill_quota: usize::MAX,
-        use_dict: true,
-        // Caches pinned off: cache-status tags must never reach the
-        // rendered plan snapshots.
-        use_plan_cache: false,
-        use_result_cache: false,
-        plan_cache_bytes: 0,
-        result_cache_bytes: 0,
-    }
-}
-
-/// Fully pinned optimizer flags (cost-based DP ordering on).
-fn pinned_flags() -> OptFlags {
-    OptFlags {
-        pushdown: true,
-        join_order: true,
-        join_dp: true,
-        topn: true,
-        fold: true,
-        build_side: true,
-    }
+/// EXPLAIN's morsel counts and spill annotations depend on the execution
+/// shape, so it is pinned, not taken from the environment; the caches are
+/// off so cache-status tags never reach the rendered plan snapshots.
+fn connect() -> monetlite::Connection {
+    connect_pinned(tpch_db(), pinned(1, 64 * 1024))
 }
 
 fn explain_text(conn: &mut monetlite::Connection, n: usize) -> String {
@@ -85,28 +45,17 @@ fn explain_text(conn: &mut monetlite::Connection, n: usize) -> String {
     out
 }
 
-fn connect_pinned(db: &monetlite::Database) -> monetlite::Connection {
-    let mut conn = db.connect();
-    conn.set_exec_options(pinned_exec());
-    conn.set_opt_flags(pinned_flags());
-    conn
-}
-
 #[test]
 fn all_22_plans_match_golden_snapshots() {
-    let bless = std::env::var("MONETLITE_BLESS").as_deref() == Ok("1");
-    let data = generate(GOLDEN_SF, GOLDEN_SEED);
-    let db = monetlite::Database::open_in_memory();
-    let mut load_conn = db.connect();
-    load_monet(&mut load_conn, &data).unwrap();
-    let mut conn = connect_pinned(&db);
+    let bless = blessing();
+    let mut conn = connect();
     let mut failures = Vec::new();
     for (n, _) in queries::all() {
         let got = explain_text(&mut conn, n);
         assert!(got.contains("-- relational plan"), "Q{n}: no plan section");
         assert!(got.contains("-- stats"), "Q{n}: no stats section");
         assert!(got.contains("est_rows="), "Q{n}: no estimates");
-        let path = golden_path(n);
+        let path = golden_path(&format!("plans/q{n:02}.txt"));
         if bless {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, &got).unwrap();
@@ -149,12 +98,8 @@ fn all_22_plans_match_golden_snapshots() {
 /// fact table left to luck.
 #[test]
 fn join_heavy_queries_lead_with_the_filtered_small_side() {
-    let data = generate(GOLDEN_SF, GOLDEN_SEED);
-    let db = monetlite::Database::open_in_memory();
-    let mut load_conn = db.connect();
-    load_monet(&mut load_conn, &data).unwrap();
-    let mut conn = connect_pinned(&db);
-    conn.set_opt_flags(OptFlags { build_side: false, ..pinned_flags() });
+    let mut conn = connect();
+    conn.set_opt_flags(OptFlags { build_side: false, ..PINNED_FLAGS });
     for (n, lead, filter_frag) in [
         // Q5: r_name = 'ASIA' over the 5-row region table.
         (5, "region", "'ASIA'"),
@@ -215,11 +160,7 @@ fn join_heavy_queries_lead_with_the_filtered_small_side() {
 /// both nation scans, and Q13's `o_comment` is read by its filter only.
 #[test]
 fn early_reduction_shapes_on_q7_q13_q18_q21() {
-    let data = generate(GOLDEN_SF, GOLDEN_SEED);
-    let db = monetlite::Database::open_in_memory();
-    let mut load_conn = db.connect();
-    load_monet(&mut load_conn, &data).unwrap();
-    let mut conn = connect_pinned(&db);
+    let mut conn = connect();
     let tree = |conn: &mut monetlite::Connection, n: usize| -> Vec<String> {
         explain_text(conn, n)
             .lines()
@@ -267,34 +208,4 @@ fn early_reduction_shapes_on_q7_q13_q18_q21() {
         orders.contains("cols=[0, 1] filter-only=[8]"),
         "Q13: o_comment must be read by its filter only: {orders}"
     );
-}
-
-/// Answer sweep with DP ordering ablated: the greedy fallback must still
-/// produce byte-identical answers for all 22 queries (plans may differ —
-/// results may not). Mirrors the `MONETLITE_JOINORDER=0` CI leg.
-#[test]
-fn greedy_fallback_matches_answer_goldens() {
-    if std::env::var("MONETLITE_BLESS").as_deref() == Ok("1") {
-        return; // answer goldens are blessed by tpch_golden.rs
-    }
-    let data = generate(GOLDEN_SF, GOLDEN_SEED);
-    let db = monetlite::Database::open_in_memory();
-    let mut load_conn = db.connect();
-    load_monet(&mut load_conn, &data).unwrap();
-    let mut conn = connect_pinned(&db);
-    conn.set_opt_flags(OptFlags { join_dp: false, ..pinned_flags() });
-    for (n, sql) in queries::all() {
-        if let Some(s) = queries::setup_sql(n) {
-            conn.execute(s).unwrap_or_else(|e| panic!("Q{n} setup: {e}"));
-        }
-        let r = conn.query(sql).unwrap_or_else(|e| panic!("Q{n} (greedy): {e}"));
-        if let Some(s) = queries::teardown_sql(n) {
-            conn.execute(s).unwrap_or_else(|e| panic!("Q{n} teardown: {e}"));
-        }
-        let got = monetlite_tests::fmt_golden_rows(&r);
-        let want_path =
-            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden").join(format!("q{n:02}.tbl"));
-        let want = std::fs::read_to_string(&want_path).expect("answer goldens checked in");
-        assert_eq!(got, want, "Q{n}: greedy join order changed the answer");
-    }
 }

@@ -5,12 +5,8 @@
 //! next query (paper §3.4: corrupt or failing state produces "a simple
 //! error being thrown").
 
-use monetlite::exec::{ExecMode, ExecOptions};
+use monetlite_tests::{each_row, pinned, Corpus};
 use monetlite_types::{MlError, Value};
-
-fn streaming(threads: usize, vector_size: usize) -> ExecOptions {
-    ExecOptions { mode: ExecMode::Streaming, threads, vector_size, ..Default::default() }
-}
 
 /// A table whose `b` column is non-zero everywhere except deep inside a
 /// late morsel, so `a % b` errors only after the fan-out has dispatched
@@ -40,7 +36,7 @@ fn worker_error_mid_pipeline_keeps_connection_usable() {
     let rows = 4096;
     let db = poisoned_db(rows, rows - 100);
     let mut conn = db.connect();
-    conn.set_exec_options(streaming(4, 256));
+    conn.set_exec_options(pinned(4, 256));
     match conn.query("SELECT a % b FROM t") {
         Err(MlError::Execution(m)) => {
             assert!(m.contains("division by zero"), "unexpected message: {m}")
@@ -55,29 +51,23 @@ fn worker_error_mid_pipeline_keeps_connection_usable() {
     );
 }
 
-/// Same failure under every engine shape: single-threaded streaming,
-/// parallel streaming, and the materialized engine all degrade to the
-/// same error and stay usable.
+/// Same failure under every configuration of the lattice, each with many
+/// 64-row morsels: every engine shape degrades to the same error (twice,
+/// when a cache is on) and stays usable.
 #[test]
 fn worker_error_consistent_across_engine_shapes() {
     let rows = 2048;
     let db = poisoned_db(rows, rows / 2);
-    let shapes = [
-        streaming(1, 256),
-        streaming(4, 256),
-        streaming(8, 64),
-        ExecOptions { mode: ExecMode::Materialized, ..Default::default() },
-    ];
-    for opts in shapes {
-        let mut conn = db.connect();
-        conn.set_exec_options(opts);
+    each_row(|row| {
+        let mut conn = row.connect(&db, Corpus::tiny(64));
         assert!(
-            matches!(conn.query("SELECT a % b FROM t"), Err(MlError::Execution(_))),
-            "engine shape must surface the kernel error"
+            matches!(row.run(&mut conn, "SELECT a % b FROM t"), Err(MlError::Execution(_))),
+            "{}: the kernel error must surface",
+            row.label
         );
         let r = conn.query("SELECT COUNT(*) FROM t").unwrap();
-        assert_eq!(r.row(0), vec![Value::Bigint(rows as i64)]);
-    }
+        assert_eq!(r.row(0), vec![Value::Bigint(rows as i64)], "{}", row.label);
+    });
 }
 
 /// An error inside a pipeline *breaker* (aggregation over the failing
@@ -88,7 +78,7 @@ fn worker_error_inside_aggregate_breaker() {
     let rows = 2048;
     let db = poisoned_db(rows, rows - 1);
     let mut conn = db.connect();
-    conn.set_exec_options(streaming(4, 128));
+    conn.set_exec_options(pinned(4, 128));
     assert!(matches!(conn.query("SELECT SUM(a % b) FROM t"), Err(MlError::Execution(_))));
     let r = conn.query("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.row(0), vec![Value::Bigint(rows as i64)]);

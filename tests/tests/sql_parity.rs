@@ -1,64 +1,31 @@
 //! Randomised cross-engine parity: generated predicates/aggregations must
-//! return identical results from the columnar engine and the row store.
+//! return the row store's results on every configuration of the lattice.
 
-use monetlite_rowstore::RowDb;
-use monetlite_types::{ColumnBuffer, Value};
+use monetlite_tests::{Corpus, Twin};
+use monetlite_types::ColumnBuffer;
 use proptest::prelude::*;
 
-fn setup(seed: i32) -> (monetlite::Database, RowDb) {
+/// 300 rows: seven-row vectors split them into ~43 morsels, and the
+/// self-join's cross product would hold 90k rows.
+const CORPUS: Corpus = Corpus { tiny: 7, seed: 0, cross_products: false };
+
+fn setup(seed: i32) -> Twin {
     let n = 300;
-    let ints: Vec<i32> = (0..n).map(|i| (i * seed.wrapping_add(7)) % 50).collect();
-    let strs: Vec<Option<String>> =
-        (0..n).map(|i| if i % 11 == 0 { None } else { Some(format!("s{}", i % 13)) }).collect();
-    let dbls: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25).collect();
-    let ddl = "CREATE TABLE t (a INT, b VARCHAR(8), c DOUBLE)";
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    conn.execute(ddl).unwrap();
-    conn.append(
+    let twin = Twin::default();
+    twin.script("CREATE TABLE t (a INT, b VARCHAR(8), c DOUBLE)");
+    twin.append(
         "t",
         vec![
-            ColumnBuffer::Int(ints.clone()),
-            ColumnBuffer::Varchar(strs.clone()),
-            ColumnBuffer::Double(dbls.clone()),
+            ColumnBuffer::Int((0..n).map(|i| (i * seed.wrapping_add(7)) % 50).collect()),
+            ColumnBuffer::Varchar(
+                (0..n)
+                    .map(|i| if i % 11 == 0 { None } else { Some(format!("s{}", i % 13)) })
+                    .collect(),
+            ),
+            ColumnBuffer::Double((0..n).map(|i| (i as f64) * 0.25).collect()),
         ],
-    )
-    .unwrap();
-    drop(conn);
-    let rdb = RowDb::in_memory();
-    rdb.execute(ddl).unwrap();
-    let rows: Vec<Vec<Value>> = (0..n as usize)
-        .map(|i| {
-            vec![
-                Value::Int(ints[i]),
-                strs[i].clone().map(Value::Str).unwrap_or(Value::Null),
-                Value::Double(dbls[i]),
-            ]
-        })
-        .collect();
-    rdb.insert_rows("t", rows).unwrap();
-    (db, rdb)
-}
-
-fn both(db: &monetlite::Database, rdb: &RowDb, sql: &str) -> (Vec<Vec<Value>>, Vec<Vec<Value>>) {
-    let mut conn = db.connect();
-    let m = conn.query(sql).unwrap_or_else(|e| panic!("monet: {e} for {sql}"));
-    let mrows: Vec<Vec<Value>> = (0..m.nrows()).map(|i| m.row(i)).collect();
-    let r = rdb.query(sql).unwrap_or_else(|e| panic!("rowstore: {e} for {sql}"));
-    (mrows, r.rows)
-}
-
-fn assert_same(sql: &str, a: Vec<Vec<Value>>, b: Vec<Vec<Value>>) {
-    assert_eq!(a.len(), b.len(), "row count for {sql}");
-    for (x, y) in a.iter().zip(&b) {
-        for (u, v) in x.iter().zip(y) {
-            let ok = match (u.as_f64(), v.as_f64()) {
-                (Ok(a), Ok(b)) => (a - b).abs() < 1e-9 * a.abs().max(1.0),
-                _ => u == v,
-            };
-            assert!(ok, "{sql}: {u:?} vs {v:?}");
-        }
-    }
+    );
+    twin
 }
 
 proptest! {
@@ -66,55 +33,46 @@ proptest! {
 
     #[test]
     fn filters_agree(k in -10i32..60, op in 0usize..4, seed in 1i32..5) {
-        let (db, rdb) = setup(seed);
         let ops = ["<", "<=", ">", "="];
         let sql = format!("SELECT a, c FROM t WHERE a {} {} ORDER BY a, c", ops[op], k);
-        let (a, b) = both(&db, &rdb, &sql);
-        assert_same(&sql, a, b);
+        setup(seed).check(&[&sql], CORPUS);
     }
 
     #[test]
     fn aggregates_agree(lo in 0i32..40, seed in 1i32..5) {
-        let (db, rdb) = setup(seed);
         let sql = format!(
             "SELECT b, count(*), sum(a), avg(c), min(a), max(c) FROM t \
              WHERE a >= {lo} GROUP BY b ORDER BY b"
         );
-        let (a, b) = both(&db, &rdb, &sql);
-        assert_same(&sql, a, b);
+        setup(seed).check(&[&sql], CORPUS);
     }
 
     #[test]
     fn like_and_null_predicates_agree(pct in 0usize..3, seed in 1i32..5) {
-        let (db, rdb) = setup(seed);
         let pat = ["s1%", "%2", "s_"][pct];
         let sql = format!(
             "SELECT count(*) FROM t WHERE b LIKE '{pat}' OR b IS NULL"
         );
-        let (a, b) = both(&db, &rdb, &sql);
-        assert_same(&sql, a, b);
+        setup(seed).check(&[&sql], CORPUS);
     }
 
     #[test]
     fn self_join_agrees(k in 0i32..20, seed in 1i32..4) {
-        let (db, rdb) = setup(seed);
         let sql = format!(
             "SELECT count(*) FROM t x, t y WHERE x.a = y.a AND x.a < {k}"
         );
-        let (a, b) = both(&db, &rdb, &sql);
-        assert_same(&sql, a, b);
+        setup(seed).check(&[&sql], CORPUS);
     }
 }
 
 #[test]
 fn distinct_and_topn_agree() {
-    let (db, rdb) = setup(3);
-    for sql in [
-        "SELECT DISTINCT b FROM t ORDER BY b",
-        "SELECT a, c FROM t ORDER BY c DESC, a LIMIT 7",
-        "SELECT b, sum(a) AS s FROM t GROUP BY b HAVING sum(a) > 100 ORDER BY s DESC",
-    ] {
-        let (a, b) = both(&db, &rdb, sql);
-        assert_same(sql, a, b);
-    }
+    setup(3).check(
+        &[
+            "SELECT DISTINCT b FROM t ORDER BY b",
+            "SELECT a, c FROM t ORDER BY c DESC, a LIMIT 7",
+            "SELECT b, sum(a) AS s FROM t GROUP BY b HAVING sum(a) > 100 ORDER BY s DESC, b",
+        ],
+        CORPUS,
+    );
 }

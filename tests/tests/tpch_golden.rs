@@ -1,47 +1,39 @@
-//! Golden-answer harness: all 22 TPC-H queries run at a fixed scale
-//! factor and seed, and their formatted output must match the checked-in
-//! answer files byte for byte (`tests/golden/q01.tbl` … `q22.tbl`).
+//! Golden-answer harness and the TPC-H corpus of the configuration
+//! lattice: all 22 TPC-H queries run at a fixed scale factor and seed,
+//! under every lattice row, and their formatted output must match the
+//! checked-in answer files byte for byte (`tests/golden/q01.tbl` …
+//! `q22.tbl`).
 //!
 //! The files were generated once by this harness (Q1/Q6/Q14 reviewed by
 //! hand against the spec's arithmetic — see `tpch_validation.rs` for the
 //! straight-line recomputations) and lock the semantics in: any later
-//! engine change (pipeline, spill, candidates, optimizer) that alters a
-//! result fails here. Regeneration is deliberately gated:
+//! engine change (pipeline, spill, candidates, optimizer, caches) that
+//! alters a result under any configuration fails here. Regeneration is
+//! deliberately gated:
 //!
 //! ```sh
 //! MONETLITE_BLESS=1 cargo test -p monetlite-tests --test tpch_golden
 //! ```
-//!
-//! DOUBLE columns are formatted at 4 decimal places: enough to catch any
-//! semantic change, while tolerating the last-bit float-sum reassociation
-//! of morsel-parallel aggregation under the CI thread matrix.
 
-use monetlite_tests::fmt_golden_rows;
-use monetlite_tpch::{generate, load_monet, queries};
-use std::path::PathBuf;
+use monetlite::exec::ExecOptions;
+use monetlite_tests::{
+    blessing, fmt_golden_rows, golden_answer, golden_path, parallel, tpch_data, tpch_db,
+    with_tpch_views, Corpus, LATTICE,
+};
+use monetlite_tpch::{load_monet, queries};
 
-/// Fixed golden corpus parameters. Changing either invalidates every
-/// answer file — regenerate with MONETLITE_BLESS=1 and re-review.
-const GOLDEN_SF: f64 = 0.02;
-const GOLDEN_SEED: u64 = 20260727;
+/// TPC-H's tiny vector class is a third of a 1024-row vector, so vectors
+/// and mitosis chunks end mid-zone and mid-morsel. Its comma joins need
+/// push-down: Q2 alone would build a 1.6 GB cross product without it.
+const TPCH: Corpus = Corpus { tiny: 333, seed: 0, cross_products: false };
 
-fn golden_path(n: usize) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden").join(format!("q{n:02}.tbl"))
-}
-
-fn run_query(conn: &mut monetlite::Connection, n: usize) -> String {
-    if let Some(s) = queries::setup_sql(n) {
-        conn.execute(s).unwrap_or_else(|e| panic!("Q{n} setup: {e}"));
-    }
-    // EXPLAIN must render every query's plan (MAL + pipelines section).
+/// Check what holds for every answer to query `n` on `conn`: EXPLAIN
+/// renders the plan, and `r` has the spec's arity, LIMIT and key columns.
+fn check_shape(conn: &mut monetlite::Connection, n: usize, r: &monetlite::QueryResult) {
     let ex = conn
         .query(&format!("EXPLAIN {}", queries::sql(n)))
         .unwrap_or_else(|e| panic!("EXPLAIN Q{n}: {e}"));
     assert!(ex.nrows() > 0, "EXPLAIN Q{n} produced no output");
-    let r = conn.query(queries::sql(n)).unwrap_or_else(|e| panic!("Q{n}: {e}"));
-    if let Some(s) = queries::teardown_sql(n) {
-        conn.execute(s).unwrap_or_else(|e| panic!("Q{n} teardown: {e}"));
-    }
     let shape = queries::shape(n);
     assert_eq!(r.ncols(), shape.cols, "Q{n}: output arity vs spec shape");
     if let Some(cap) = shape.limit {
@@ -54,53 +46,71 @@ fn run_query(conn: &mut monetlite::Connection, n: usize) -> String {
             r.names()
         );
     }
-    fmt_golden_rows(&r)
 }
 
+/// Where two answers first differ.
+fn first_diff(got: &str, want: &str) -> String {
+    got.lines()
+        .zip(want.lines())
+        .position(|(g, w)| g != w)
+        .map(|i| {
+            format!(
+                "first diff at row {i}:\n  got:  {}\n  want: {}",
+                got.lines().nth(i).unwrap_or("<eof>"),
+                want.lines().nth(i).unwrap_or("<eof>")
+            )
+        })
+        .unwrap_or_else(|| {
+            format!("row counts differ: got {}, want {}", got.lines().count(), want.lines().count())
+        })
+}
+
+/// Every lattice row must return the golden answers. The single-row
+/// pass — the first row, the shipped defaults — also checks EXPLAIN and
+/// the spec's shapes, and is what blessing writes. Streaming rows under
+/// the spilling budget must spill somewhere in Q1–Q22.
 #[test]
 fn all_22_queries_match_golden_answers() {
-    let bless = std::env::var("MONETLITE_BLESS").as_deref() == Ok("1");
-    let data = generate(GOLDEN_SF, GOLDEN_SEED);
-    let db = monetlite::Database::open_in_memory();
-    let mut conn = db.connect();
-    load_monet(&mut conn, &data).unwrap();
+    let db = tpch_db();
+    let jobs: Vec<(usize, &str, usize)> =
+        queries::all().flat_map(|(n, sql)| (0..LATTICE.len()).map(move |i| (n, sql, i))).collect();
+    let answers = with_tpch_views(db, || {
+        parallel(jobs.len(), |j| {
+            let (n, sql, i) = jobs[j];
+            let row = &LATTICE[i];
+            let mut conn = row.connect(db, TPCH);
+            let (r, counters) =
+                row.run(&mut conn, sql).unwrap_or_else(|e| panic!("Q{n} ({}): {e}", row.label));
+            if i == 0 {
+                check_shape(&mut conn, n, &r);
+            }
+            (fmt_golden_rows(&r), counters.spilled_partitions)
+        })
+    });
+    if blessing() {
+        for ((n, _, i), (got, _)) in jobs.iter().zip(&answers) {
+            if *i == 0 {
+                let path = golden_path(&format!("q{n:02}.tbl"));
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                std::fs::write(&path, got).unwrap();
+                eprintln!("blessed {} ({} rows)", path.display(), got.lines().count());
+            }
+        }
+        return;
+    }
     let mut failures = Vec::new();
-    for (n, _) in queries::all() {
-        let got = run_query(&mut conn, n);
-        let path = golden_path(n);
-        if bless {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, &got).unwrap();
-            eprintln!("blessed {} ({} rows)", path.display(), got.lines().count());
-            continue;
-        }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!("Q{n}: missing golden file {} ({e}); run with MONETLITE_BLESS=1", path.display())
-        });
+    let mut spilled = vec![0u64; LATTICE.len()];
+    for ((n, _, i), (got, spills)) in jobs.iter().zip(answers) {
+        let want = golden_answer(*n);
         if got != want {
-            let diff_at = got
-                .lines()
-                .zip(want.lines())
-                .position(|(g, w)| g != w)
-                .map(|i| {
-                    format!(
-                        "first diff at row {}:\n  got:  {}\n  want: {}",
-                        i,
-                        got.lines().nth(i).unwrap_or("<eof>"),
-                        want.lines().nth(i).unwrap_or("<eof>")
-                    )
-                })
-                .unwrap_or_else(|| {
-                    format!(
-                        "row counts differ: got {}, want {}",
-                        got.lines().count(),
-                        want.lines().count()
-                    )
-                });
-            failures.push(format!("Q{n}: {diff_at}"));
+            failures.push(format!("Q{n} ({}): {}", LATTICE[*i].label, first_diff(&got, &want)));
         }
+        spilled[*i] += spills;
     }
     assert!(failures.is_empty(), "golden mismatches:\n{}", failures.join("\n"));
+    for (row, spilled) in LATTICE.iter().zip(spilled) {
+        assert!(!row.must_spill() || spilled > 0, "{}: nothing spilled in Q1–Q22", row.label);
+    }
 }
 
 #[test]
@@ -108,16 +118,10 @@ fn golden_corpus_is_nontrivial() {
     // The corpus must actually exercise the queries: most answers are
     // non-empty at the golden scale factor, so an engine regression that
     // silently returns nothing cannot hide behind an empty golden file.
-    if std::env::var("MONETLITE_BLESS").as_deref() == Ok("1") {
+    if blessing() {
         return;
     }
-    let mut nonempty = 0;
-    for (n, _) in queries::all() {
-        let want = std::fs::read_to_string(golden_path(n)).expect("golden files checked in");
-        if !want.trim().is_empty() {
-            nonempty += 1;
-        }
-    }
+    let nonempty = queries::all().filter(|(n, _)| !golden_answer(*n).trim().is_empty()).count();
     assert!(nonempty >= 18, "only {nonempty}/22 golden answers are non-empty");
 }
 
@@ -130,14 +134,14 @@ fn inherited_operator_budget_keeps_spill_partitions_bounded() {
     // thousands of tiny spill files this way. The inherited budget is
     // floored at a share of the vmem budget, so the same runs stay within
     // a few hundred partitions — and still return the golden answers.
-    if std::env::var("MONETLITE_BLESS").as_deref() == Ok("1") {
+    if blessing() {
         return;
     }
-    let data = generate(GOLDEN_SF, GOLDEN_SEED);
+    let data = tpch_data();
     let dir = tempfile::tempdir().unwrap();
     {
         let db = monetlite::Database::open(dir.path()).unwrap();
-        load_monet(&mut db.connect(), &data).unwrap();
+        load_monet(&mut db.connect(), data).unwrap();
         db.checkpoint().unwrap();
     }
     for divisor in [8, 6] {
@@ -148,15 +152,12 @@ fn inherited_operator_budget_keeps_spill_partitions_bounded() {
         })
         .unwrap();
         let mut conn = db.connect();
-        // Unset, whatever MONETLITE_MEMORY_BUDGET the CI matrix exports.
-        conn.set_exec_options(monetlite::exec::ExecOptions {
-            memory_budget: usize::MAX,
-            ..Default::default()
-        });
+        // Unset, whatever MONETLITE_MEMORY_BUDGET the environment exports.
+        conn.set_exec_options(ExecOptions { memory_budget: usize::MAX, ..Default::default() });
         // In query order, so each query inherits its predecessors'
         // resident columns.
         for n in 1..=7 {
-            let got = run_query(&mut conn, n);
+            let r = conn.query(queries::sql(n)).unwrap_or_else(|e| panic!("Q{n}: {e}"));
             if n == 4 || n == 7 {
                 let c = conn.last_exec_counters().expect("counters");
                 assert!(
@@ -164,9 +165,13 @@ fn inherited_operator_budget_keeps_spill_partitions_bounded() {
                     "Q{n} at vmem_budget = bytes/{divisor}: {} spill partitions",
                     c.spilled_partitions
                 );
-                let want = std::fs::read_to_string(golden_path(n)).expect("goldens checked in");
-                assert_eq!(got, want, "Q{n} at vmem_budget = bytes/{divisor}");
+                assert_eq!(
+                    fmt_golden_rows(&r),
+                    golden_answer(n),
+                    "Q{n} at vmem_budget = bytes/{divisor}"
+                );
             }
+            check_shape(&mut conn, n, &r);
         }
     }
 }
