@@ -390,8 +390,7 @@ pub fn tpch_data() -> &'static monetlite_tpch::TpchData {
 }
 
 /// An in-memory database holding [`tpch_data`], loaded once per test
-/// binary. Q15's view lives in it only while [`with_tpch_views`] runs, so
-/// one test per binary may run Q15.
+/// binary. Q15's view lives in it only while [`with_tpch_views`] runs.
 pub fn tpch_db() -> &'static Database {
     static DB: OnceLock<Database> = OnceLock::new();
     DB.get_or_init(|| {
@@ -402,9 +401,18 @@ pub fn tpch_db() -> &'static Database {
 }
 
 /// Run every query's setup DDL (Q15's view, which no other query reads)
-/// on `db`, then `f`, then every teardown.
+/// on `db`, then `f`, then every teardown. Calls in one test binary take
+/// turns, so tests running concurrently never create the view twice.
 pub fn with_tpch_views<T>(db: &Database, f: impl FnOnce() -> T) -> T {
     use monetlite_tpch::queries::{setup_sql, teardown_sql};
+    static VIEWS: Mutex<()> = Mutex::new(());
+    // A test that panicked inside `f` left its views behind: drop them.
+    let _turn = VIEWS.lock().unwrap_or_else(|poisoned| {
+        for sql in (1..=22).filter_map(teardown_sql) {
+            let _ = db.connect().execute(sql);
+        }
+        poisoned.into_inner()
+    });
     let ddl = |what: fn(usize) -> Option<&'static str>| {
         for sql in (1..=22).filter_map(what) {
             db.connect().execute(sql).unwrap_or_else(|e| panic!("{e}\n{sql}"));
@@ -414,6 +422,143 @@ pub fn with_tpch_views<T>(db: &Database, f: impl FnOnce() -> T) -> T {
     let out = f();
     ddl(teardown_sql);
     out
+}
+
+// ---------------------------------------------------------------------------
+// The TPC-H corpus
+// ---------------------------------------------------------------------------
+
+/// TPC-H's tiny vector class is a third of a 1024-row vector, so vectors
+/// and mitosis chunks end mid-zone and mid-morsel. Its comma joins need
+/// push-down: Q2 alone would build a 1.6 GB cross product without it.
+pub const TPCH: Corpus = Corpus { tiny: 333, seed: 0, cross_products: false };
+
+/// The TPC-H corpus's lattice rows, split between the tests that run
+/// them: each row runs Q1–Q22 once per test run, and a mismatch is
+/// reported under the test of the axis its row varies. The first slice
+/// holds the shipped defaults, which bless the goldens. The tests below
+/// prove every lattice row is in exactly one slice.
+#[rustfmt::skip]
+pub const TPCH_SLICES: &[(&str, &[&str])] = &[
+    ("tpch_golden::all_22_queries_match_golden_answers",
+        &["ci default", "t4 no column stats"]),
+    ("pipeline_parity::tpch_queries_agree_across_engines_and_threads",
+        &["ci t2", "ci t4", "ci t4 v1024", "materialized t4 v1024"]),
+    ("pipeline_parity::tpch_queries_agree_spilled_vs_unspilled",
+        &["ci spilled t4", "spilled t1 greedy"]),
+    ("pipeline_parity::tpch_queries_agree_with_candidates_on_and_off",
+        &["ci t1 v1024", "t2 tiny adversarial", "materialized tiny", "materialized t4 tiny"]),
+    ("dict_parity::tpch_goldens_byte_identical_with_dict_on_and_off",
+        &["ci dict off"]),
+    ("dict_parity::tpch_queries_agree_dict_off_under_spill_and_candidates_off",
+        &["materialized adversarial", "materialized t2 v1024"]),
+    ("cache_parity::all_22_goldens_byte_identical_cache_on_off_and_hit",
+        &["ci plan cache off", "ci result cache off", "ci t4 result cache off"]),
+    ("plan_golden::greedy_fallback_matches_answer_goldens",
+        &["ci greedy join order"]),
+];
+
+/// The lattice rows of `test`'s slice of [`TPCH_SLICES`].
+fn tpch_slice(test: &str) -> Vec<&'static Config> {
+    let (_, labels) = TPCH_SLICES
+        .iter()
+        .find(|(t, _)| *t == test)
+        .unwrap_or_else(|| panic!("{test} runs no slice of the TPC-H corpus"));
+    labels
+        .iter()
+        .map(|l| LATTICE.iter().find(|c| c.label == *l).unwrap_or_else(|| panic!("no row {l}")))
+        .collect()
+}
+
+/// Check what holds for every answer to query `n` on `conn`: EXPLAIN
+/// renders the plan, and `r` has the spec's arity, LIMIT and key columns.
+pub fn check_shape(conn: &mut Connection, n: usize, r: &QueryResult) {
+    use monetlite_tpch::queries;
+    let ex = conn
+        .query(&format!("EXPLAIN {}", queries::sql(n)))
+        .unwrap_or_else(|e| panic!("EXPLAIN Q{n}: {e}"));
+    assert!(ex.nrows() > 0, "EXPLAIN Q{n} produced no output");
+    let shape = queries::shape(n);
+    assert_eq!(r.ncols(), shape.cols, "Q{n}: output arity vs spec shape");
+    if let Some(cap) = shape.limit {
+        assert!(r.nrows() as u64 <= cap, "Q{n}: {} rows exceed LIMIT {cap}", r.nrows());
+    }
+    for key in shape.key_cols {
+        assert!(
+            r.names().iter().any(|c| c == key),
+            "Q{n}: key column '{key}' missing from {:?}",
+            r.names()
+        );
+    }
+}
+
+/// Where two answers first differ.
+fn first_diff(got: &str, want: &str) -> String {
+    got.lines()
+        .zip(want.lines())
+        .position(|(g, w)| g != w)
+        .map(|i| {
+            format!(
+                "first diff at row {i}:\n  got:  {}\n  want: {}",
+                got.lines().nth(i).unwrap_or("<eof>"),
+                want.lines().nth(i).unwrap_or("<eof>")
+            )
+        })
+        .unwrap_or_else(|| {
+            format!("row counts differ: got {}, want {}", got.lines().count(), want.lines().count())
+        })
+}
+
+/// The TPC-H corpus under `test`'s slice of the lattice: every row must
+/// return the golden answers. The shipped defaults — the lattice's first
+/// row — also check EXPLAIN and the spec's shapes, and are what blessing
+/// writes. Streaming rows under the spilling budget must spill somewhere
+/// in Q1–Q22.
+pub fn tpch_slice_matches_goldens(test: &str) {
+    use monetlite_tpch::queries;
+    let defaults = &LATTICE[0];
+    let mut rows = tpch_slice(test);
+    if blessing() {
+        rows.retain(|c| std::ptr::eq(*c, defaults));
+    }
+    let db = tpch_db();
+    let jobs: Vec<(usize, &str, &Config)> =
+        queries::all().flat_map(|(n, sql)| rows.iter().map(move |c| (n, sql, *c))).collect();
+    let answers = with_tpch_views(db, || {
+        parallel(jobs.len(), |j| {
+            let (n, sql, row) = jobs[j];
+            let mut conn = row.connect(db, TPCH);
+            let (r, counters) =
+                row.run(&mut conn, sql).unwrap_or_else(|e| panic!("Q{n} ({}): {e}", row.label));
+            if std::ptr::eq(row, defaults) {
+                check_shape(&mut conn, n, &r);
+            }
+            (fmt_golden_rows(&r), counters.spilled_partitions)
+        })
+    });
+    if blessing() {
+        for ((n, _, _), (got, _)) in jobs.iter().zip(&answers) {
+            let path = golden_path(&format!("q{n:02}.tbl"));
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, got).unwrap();
+            eprintln!("blessed {} ({} rows)", path.display(), got.lines().count());
+        }
+        return;
+    }
+    let mut failures = Vec::new();
+    let mut spilled = vec![0u64; rows.len()];
+    for ((n, _, row), (got, spills)) in jobs.iter().zip(answers) {
+        let want = golden_answer(*n);
+        if got != want {
+            failures.push(format!("Q{n} ({}): {}", row.label, first_diff(&got, &want)));
+        }
+        let i = rows.iter().position(|c| std::ptr::eq(*c, *row)).expect("a slice row");
+        spilled[i] += spills;
+    }
+    assert!(failures.is_empty(), "golden mismatches:\n{}", failures.join("\n"));
+    for (row, spilled) in rows.iter().zip(spilled) {
+        assert!(!row.must_spill() || spilled > 0, "{}: nothing spilled in Q1–Q22", row.label);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -636,6 +781,22 @@ mod tests {
             join_dp.to_string(),
             pushdown.to_string(),
         ]
+    }
+
+    #[test]
+    fn every_row_is_in_exactly_one_tpch_slice() {
+        for row in LATTICE {
+            let slices: Vec<&str> = TPCH_SLICES
+                .iter()
+                .filter(|(_, labels)| labels.contains(&row.label))
+                .map(|(test, _)| *test)
+                .collect();
+            assert_eq!(slices.len(), 1, "{} is in the TPC-H slices {slices:?}", row.label);
+        }
+        for (test, labels) in TPCH_SLICES {
+            assert_eq!(tpch_slice(test).len(), labels.len(), "{test}");
+        }
+        assert_eq!(TPCH_SLICES[0].1[0], LATTICE[0].label, "the defaults bless");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use monetlite::exec::ExecOptions;
 use monetlite::opt::{OptFlags, StatsMode};
 use monetlite_sql::canon::{canon_select_full, normalize_select, restore_literals};
 use monetlite_sql::{parse_statement, SelectStmt, Statement};
-use monetlite_tests::pinned;
+use monetlite_tests::{pinned, tpch_slice_matches_goldens};
 use monetlite_tpch::queries;
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -35,6 +35,14 @@ fn cached_opts() -> ExecOptions {
         result_cache_bytes: 256 << 20,
         ..pinned(1, 64 * 1024)
     }
+}
+
+/// The goldens with the plan cache off and with the result cache off;
+/// where a cache is on, each query runs twice and the repeat must be a
+/// result-cache hit with the same answer.
+#[test]
+fn all_22_goldens_byte_identical_cache_on_off_and_hit() {
+    tpch_slice_matches_goldens("cache_parity::all_22_goldens_byte_identical_cache_on_off_and_hit");
 }
 
 /// Fresh single-table corpus for the invalidation tests.

@@ -2,19 +2,36 @@
 //! pushdown, dictionary-domain LIKE with zone skipping on codes, and
 //! string-heap accounting under a spill budget. Each runs with pinned
 //! options and is checked against the TPC-H answer goldens, the row store
-//! or an answer computed by hand; the TPC-H corpus of the configuration
-//! lattice (`tpch_golden.rs`) covers every query with the dictionary on
-//! and off.
+//! or an answer computed by hand. The lattice rows of the TPC-H corpus
+//! that turn the dictionary off run here, against the answer goldens.
 
 use monetlite::exec::ExecOptions;
 use monetlite_tests::{
-    fmt_golden_rows, golden_answer, image, pinned, rows_of, run_pinned, tpch_db, Corpus, Twin,
+    fmt_golden_rows, golden_answer, image, pinned, rows_of, run_pinned, tpch_db,
+    tpch_slice_matches_goldens, Corpus, Twin,
 };
 use monetlite_tpch::queries;
 use monetlite_types::ColumnBuffer;
 
 fn dict(o: ExecOptions, on: bool) -> ExecOptions {
     ExecOptions { use_dict: on, ..o }
+}
+
+/// All 22 answer goldens byte-identical with the dictionary off; every
+/// other TPC-H row of the lattice runs with it on.
+#[test]
+fn tpch_goldens_byte_identical_with_dict_on_and_off() {
+    tpch_slice_matches_goldens("dict_parity::tpch_goldens_byte_identical_with_dict_on_and_off");
+}
+
+/// The dictionary off under the spilling budget and without candidate
+/// lists — on the materialized engine, which gathers every selection the
+/// dict row filter would produce — still returns the goldens.
+#[test]
+fn tpch_queries_agree_dict_off_under_spill_and_candidates_off() {
+    tpch_slice_matches_goldens(
+        "dict_parity::tpch_queries_agree_dict_off_under_spill_and_candidates_off",
+    );
 }
 
 /// The dict scan path and bloom pushdown must actually fire on TPC-H:

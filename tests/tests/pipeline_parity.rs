@@ -14,7 +14,7 @@ use monetlite_storage::index::{Zonemap, ZONE_ROWS};
 use monetlite_storage::{Bat, NULL_CODE};
 use monetlite_tests::{
     connect_pinned, fmt_golden_rows, golden_answer, image, pinned, rows_of, run_pinned, tpch_data,
-    tpch_db, Corpus, Twin,
+    tpch_db, tpch_slice_matches_goldens, Corpus, Twin,
 };
 use monetlite_tpch::queries;
 use monetlite_types::nulls::NULL_I32;
@@ -38,6 +38,31 @@ fn permuted(cols: &[ColumnBuffer], perm: &[usize]) -> Vec<ColumnBuffer> {
             C::Date(v) => C::Date(pick(v)),
         })
         .collect()
+}
+
+/// The TPC-H corpus under both engines and every thread count: the
+/// streaming rows at 2 and 4 threads and the materialized engine at 4
+/// return the golden answers.
+#[test]
+fn tpch_queries_agree_across_engines_and_threads() {
+    tpch_slice_matches_goldens("pipeline_parity::tpch_queries_agree_across_engines_and_threads");
+}
+
+/// Out of core: under a 24 KiB budget the pipeline breakers (grouping
+/// tables, join build sides, sort buffers) spill, single- and
+/// multi-threaded, and the answers are still the golden ones.
+#[test]
+fn tpch_queries_agree_spilled_vs_unspilled() {
+    tpch_slice_matches_goldens("pipeline_parity::tpch_queries_agree_spilled_vs_unspilled");
+}
+
+/// Candidate lists are invisible in results: the streaming engine, which
+/// carries selections and skips zones, and the materialized engine, which
+/// never does, return the golden answers at vector sizes that end
+/// mid-zone and mid-morsel.
+#[test]
+fn tpch_queries_agree_with_candidates_on_and_off() {
+    tpch_slice_matches_goldens("pipeline_parity::tpch_queries_agree_with_candidates_on_and_off");
 }
 
 #[test]

@@ -17,7 +17,10 @@
 //! join-order ablations) cannot change the rendered plans.
 
 use monetlite::opt::OptFlags;
-use monetlite_tests::{blessing, connect_pinned, golden_path, pinned, tpch_db, PINNED_FLAGS};
+use monetlite_tests::{
+    blessing, connect_pinned, golden_path, pinned, tpch_db, tpch_slice_matches_goldens,
+    with_tpch_views, PINNED_FLAGS,
+};
 use monetlite_tpch::queries;
 
 /// EXPLAIN's morsel counts and spill annotations depend on the execution
@@ -28,15 +31,8 @@ fn connect() -> monetlite::Connection {
 }
 
 fn explain_text(conn: &mut monetlite::Connection, n: usize) -> String {
-    if let Some(s) = queries::setup_sql(n) {
-        conn.execute(s).unwrap_or_else(|e| panic!("Q{n} setup: {e}"));
-    }
-    let r = conn
-        .query(&format!("EXPLAIN {}", queries::sql(n)))
+    let r = with_tpch_views(tpch_db(), || conn.query(&format!("EXPLAIN {}", queries::sql(n))))
         .unwrap_or_else(|e| panic!("EXPLAIN Q{n}: {e}"));
-    if let Some(s) = queries::teardown_sql(n) {
-        conn.execute(s).unwrap_or_else(|e| panic!("Q{n} teardown: {e}"));
-    }
     let mut out = String::new();
     for i in 0..r.nrows() {
         out.push_str(&r.value(i, 0).to_string());
@@ -208,4 +204,12 @@ fn early_reduction_shapes_on_q7_q13_q18_q21() {
         orders.contains("cols=[0, 1] filter-only=[8]"),
         "Q13: o_comment must be read by its filter only: {orders}"
     );
+}
+
+/// Answers with DP join ordering ablated: the greedy fallback must still
+/// return the golden answers for all 22 queries (plans may differ,
+/// results may not).
+#[test]
+fn greedy_fallback_matches_answer_goldens() {
+    tpch_slice_matches_goldens("plan_golden::greedy_fallback_matches_answer_goldens");
 }

@@ -2,7 +2,8 @@
 //! lattice: all 22 TPC-H queries run at a fixed scale factor and seed,
 //! under every lattice row, and their formatted output must match the
 //! checked-in answer files byte for byte (`tests/golden/q01.tbl` …
-//! `q22.tbl`).
+//! `q22.tbl`). The rows are split between this file and the parity
+//! suites of the axes they vary (`monetlite_tests::TPCH_SLICES`).
 //!
 //! The files were generated once by this harness (Q1/Q6/Q14 reviewed by
 //! hand against the spec's arithmetic — see `tpch_validation.rs` for the
@@ -17,100 +18,16 @@
 
 use monetlite::exec::ExecOptions;
 use monetlite_tests::{
-    blessing, fmt_golden_rows, golden_answer, golden_path, parallel, tpch_data, tpch_db,
-    with_tpch_views, Corpus, LATTICE,
+    blessing, check_shape, fmt_golden_rows, golden_answer, tpch_data, tpch_slice_matches_goldens,
 };
 use monetlite_tpch::{load_monet, queries};
 
-/// TPC-H's tiny vector class is a third of a 1024-row vector, so vectors
-/// and mitosis chunks end mid-zone and mid-morsel. Its comma joins need
-/// push-down: Q2 alone would build a 1.6 GB cross product without it.
-const TPCH: Corpus = Corpus { tiny: 333, seed: 0, cross_products: false };
-
-/// Check what holds for every answer to query `n` on `conn`: EXPLAIN
-/// renders the plan, and `r` has the spec's arity, LIMIT and key columns.
-fn check_shape(conn: &mut monetlite::Connection, n: usize, r: &monetlite::QueryResult) {
-    let ex = conn
-        .query(&format!("EXPLAIN {}", queries::sql(n)))
-        .unwrap_or_else(|e| panic!("EXPLAIN Q{n}: {e}"));
-    assert!(ex.nrows() > 0, "EXPLAIN Q{n} produced no output");
-    let shape = queries::shape(n);
-    assert_eq!(r.ncols(), shape.cols, "Q{n}: output arity vs spec shape");
-    if let Some(cap) = shape.limit {
-        assert!(r.nrows() as u64 <= cap, "Q{n}: {} rows exceed LIMIT {cap}", r.nrows());
-    }
-    for key in shape.key_cols {
-        assert!(
-            r.names().iter().any(|c| c == key),
-            "Q{n}: key column '{key}' missing from {:?}",
-            r.names()
-        );
-    }
-}
-
-/// Where two answers first differ.
-fn first_diff(got: &str, want: &str) -> String {
-    got.lines()
-        .zip(want.lines())
-        .position(|(g, w)| g != w)
-        .map(|i| {
-            format!(
-                "first diff at row {i}:\n  got:  {}\n  want: {}",
-                got.lines().nth(i).unwrap_or("<eof>"),
-                want.lines().nth(i).unwrap_or("<eof>")
-            )
-        })
-        .unwrap_or_else(|| {
-            format!("row counts differ: got {}, want {}", got.lines().count(), want.lines().count())
-        })
-}
-
-/// Every lattice row must return the golden answers. The single-row
-/// pass — the first row, the shipped defaults — also checks EXPLAIN and
-/// the spec's shapes, and is what blessing writes. Streaming rows under
-/// the spilling budget must spill somewhere in Q1–Q22.
+/// The shipped defaults, and the row without column statistics, return
+/// the golden answers; the defaults also check EXPLAIN and the spec's
+/// shapes, and are what blessing writes.
 #[test]
 fn all_22_queries_match_golden_answers() {
-    let db = tpch_db();
-    let jobs: Vec<(usize, &str, usize)> =
-        queries::all().flat_map(|(n, sql)| (0..LATTICE.len()).map(move |i| (n, sql, i))).collect();
-    let answers = with_tpch_views(db, || {
-        parallel(jobs.len(), |j| {
-            let (n, sql, i) = jobs[j];
-            let row = &LATTICE[i];
-            let mut conn = row.connect(db, TPCH);
-            let (r, counters) =
-                row.run(&mut conn, sql).unwrap_or_else(|e| panic!("Q{n} ({}): {e}", row.label));
-            if i == 0 {
-                check_shape(&mut conn, n, &r);
-            }
-            (fmt_golden_rows(&r), counters.spilled_partitions)
-        })
-    });
-    if blessing() {
-        for ((n, _, i), (got, _)) in jobs.iter().zip(&answers) {
-            if *i == 0 {
-                let path = golden_path(&format!("q{n:02}.tbl"));
-                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-                std::fs::write(&path, got).unwrap();
-                eprintln!("blessed {} ({} rows)", path.display(), got.lines().count());
-            }
-        }
-        return;
-    }
-    let mut failures = Vec::new();
-    let mut spilled = vec![0u64; LATTICE.len()];
-    for ((n, _, i), (got, spills)) in jobs.iter().zip(answers) {
-        let want = golden_answer(*n);
-        if got != want {
-            failures.push(format!("Q{n} ({}): {}", LATTICE[*i].label, first_diff(&got, &want)));
-        }
-        spilled[*i] += spills;
-    }
-    assert!(failures.is_empty(), "golden mismatches:\n{}", failures.join("\n"));
-    for (row, spilled) in LATTICE.iter().zip(spilled) {
-        assert!(!row.must_spill() || spilled > 0, "{}: nothing spilled in Q1–Q22", row.label);
-    }
+    tpch_slice_matches_goldens("tpch_golden::all_22_queries_match_golden_answers");
 }
 
 #[test]
