@@ -79,6 +79,39 @@ pub struct Config {
     pub stats: StatsMode,
     /// Optimizer switches.
     pub flags: OptFlags,
+    /// The test that runs this row's TPC-H corpus.
+    pub tpch: TpchTest,
+}
+
+/// The tests the TPC-H corpus's rows are split between, so that each row
+/// runs Q1–Q22 once per test run and a mismatch is reported under the
+/// test of the axis its row varies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TpchTest {
+    /// `tpch_golden::all_22_queries_match_golden_answers`: the shipped
+    /// defaults, which bless the goldens, and the row without column
+    /// statistics.
+    Golden,
+    /// `pipeline_parity::tpch_queries_agree_across_engines_and_threads`:
+    /// the multi-threaded rows of both engines that no other test claims.
+    Threads,
+    /// `pipeline_parity::tpch_queries_agree_spilled_vs_unspilled`: the
+    /// rows under the spilling budget with the dictionary on.
+    Spill,
+    /// `pipeline_parity::tpch_queries_agree_with_candidates_on_and_off`:
+    /// the single- and two-threaded rows with small vectors, where
+    /// candidate lists cross vector, zone and morsel boundaries.
+    Candidates,
+    /// `dict_parity::tpch_goldens_byte_identical_with_dict_on_and_off`.
+    Dict,
+    /// `dict_parity::tpch_queries_agree_dict_off_under_spill_and_candidates_off`:
+    /// the materialized rows with the dictionary off under the spilling
+    /// budget.
+    DictSpill,
+    /// `cache_parity::all_22_goldens_byte_identical_cache_on_off_and_hit`.
+    Cache,
+    /// `plan_golden::greedy_fallback_matches_answer_goldens`.
+    Greedy,
 }
 
 /// The tiny vector class: a placeholder each corpus maps to a size that
@@ -106,7 +139,7 @@ macro_rules! lattice {
     ($($label:literal: $mode:ident $threads:literal $vector:ident $budget:ident
         $imprints:literal $hash_index:literal $order_index:literal $dict:literal
         $plan_cache:literal $result_cache:literal $stats:ident $join_dp:literal
-        $pushdown:literal;)*) => {
+        $pushdown:literal $tpch:ident;)*) => {
         &[$(Config {
             label: $label,
             exec: ExecOptions {
@@ -135,39 +168,44 @@ macro_rules! lattice {
                 fold: true,
                 build_side: true,
             },
+            tpch: TpchTest::$tpch,
         }),*]
     };
 }
 
 /// Every configuration under test. The first eleven rows are the CI env
 /// legs (`ExecOptions::default()` under each leg's `MONETLITE_*`); the
-/// rest complete the pairwise cover, one of them spilling single-threaded,
-/// at the least TPC-H cost found. Columns: mode, threads, vector
-/// class, memory budget, then 1/0 for imprints, hash index, order index,
-/// dictionary, plan cache and result cache, then statistics, DP join
-/// ordering and push-down.
+/// next two run the streaming defaults at the tiny vector class on one
+/// and four threads; the rest complete the pairwise cover, one of them
+/// spilling single-threaded, at the least TPC-H cost found. Columns:
+/// mode, threads, vector class, memory budget, then 1/0 for imprints,
+/// hash index, order index, dictionary, plan cache and result cache, then
+/// statistics, DP join ordering, push-down and the test that runs the
+/// row's TPC-H corpus.
 #[rustfmt::skip]
 pub const LATTICE: &[Config] = lattice! {
-    //                          mode         thr vector budget     imp hix oix dic pc rc stats dp pd
-    "ci default":               Streaming    1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1;
-    "ci t1 v1024":              Streaming    1   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1;
-    "ci t4 v1024":              Streaming    4   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1;
-    "ci greedy join order":     Streaming    1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  0  1;
-    "ci dict off":              Streaming    1   MID    UNLIMITED  1   1   1   0   1  1  REAL  1  1;
-    "ci plan cache off":        Streaming    1   MID    UNLIMITED  1   1   1   1   0  1  REAL  1  1;
-    "ci result cache off":      Streaming    1   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1;
-    "ci t2":                    Streaming    2   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1;
-    "ci t4":                    Streaming    4   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1;
-    "ci spilled t4":            Streaming    4   MID    SPILL      1   1   1   1   1  1  REAL  1  1;
-    "ci t4 result cache off":   Streaming    4   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1;
-    "spilled t1 greedy":        Streaming    1   FULL   SPILL      1   0   0   1   0  1  REAL  0  1;
-    "t4 no column stats":       Streaming    4   FULL   UNLIMITED  0   0   0   1   0  0  ROWS  1  0;
-    "t2 tiny adversarial":      Streaming    2   TINY   UNLIMITED  1   0   1   1   0  0  ADV   0  0;
-    "materialized tiny":        Materialized 1   TINY   UNLIMITED  1   0   1   0   1  1  ROWS  1  1;
-    "materialized adversarial": Materialized 1   FULL   SPILL      0   1   1   0   1  1  ADV   1  0;
-    "materialized t2 v1024":    Materialized 2   MID    SPILL      0   1   0   0   0  0  ROWS  0  0;
-    "materialized t4 v1024":    Materialized 4   MID    UNLIMITED  0   0   0   0   1  1  ADV   0  1;
-    "materialized t4 tiny":     Materialized 4   TINY   SPILL      0   1   0   1   0  0  REAL  1  0;
+    //                          mode         thr vector budget     imp hix oix dic pc rc stats dp pd tpch
+    "ci default":               Streaming    1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+    "ci t1 v1024":              Streaming    1   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Candidates;
+    "ci t4 v1024":              Streaming    4   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Threads;
+    "ci greedy join order":     Streaming    1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  0  1  Greedy;
+    "ci dict off":              Streaming    1   MID    UNLIMITED  1   1   1   0   1  1  REAL  1  1  Dict;
+    "ci plan cache off":        Streaming    1   MID    UNLIMITED  1   1   1   1   0  1  REAL  1  1  Cache;
+    "ci result cache off":      Streaming    1   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1  Cache;
+    "ci t2":                    Streaming    2   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Threads;
+    "ci t4":                    Streaming    4   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Threads;
+    "ci spilled t4":            Streaming    4   MID    SPILL      1   1   1   1   1  1  REAL  1  1  Spill;
+    "ci t4 result cache off":   Streaming    4   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1  Cache;
+    "t1 tiny":                  Streaming    1   TINY   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Candidates;
+    "t4 tiny":                  Streaming    4   TINY   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Threads;
+    "spilled t1 greedy":        Streaming    1   FULL   SPILL      1   0   0   1   0  1  REAL  0  1  Spill;
+    "t4 no column stats":       Streaming    4   FULL   UNLIMITED  0   0   0   1   0  0  ROWS  1  0  Golden;
+    "t2 tiny adversarial":      Streaming    2   TINY   UNLIMITED  1   0   1   1   0  0  ADV   0  0  Candidates;
+    "materialized tiny":        Materialized 1   TINY   UNLIMITED  1   0   1   0   1  1  ROWS  1  1  Candidates;
+    "materialized adversarial": Materialized 1   FULL   SPILL      0   1   1   0   1  1  ADV   1  0  DictSpill;
+    "materialized t2 v1024":    Materialized 2   MID    SPILL      0   1   0   0   0  0  ROWS  0  0  DictSpill;
+    "materialized t4 v1024":    Materialized 4   MID    UNLIMITED  0   0   0   0   1  1  ADV   0  1  Threads;
+    "materialized t4 tiny":     Materialized 4   TINY   SPILL      0   1   0   1   0  0  REAL  1  0  Spill;
 };
 
 /// What a corpus fixes about the lattice.
@@ -433,43 +471,6 @@ pub fn with_tpch_views<T>(db: &Database, f: impl FnOnce() -> T) -> T {
 /// push-down: Q2 alone would build a 1.6 GB cross product without it.
 pub const TPCH: Corpus = Corpus { tiny: 333, seed: 0, cross_products: false };
 
-/// The TPC-H corpus's lattice rows, split between the tests that run
-/// them: each row runs Q1–Q22 once per test run, and a mismatch is
-/// reported under the test of the axis its row varies. The first slice
-/// holds the shipped defaults, which bless the goldens. The tests below
-/// prove every lattice row is in exactly one slice.
-#[rustfmt::skip]
-pub const TPCH_SLICES: &[(&str, &[&str])] = &[
-    ("tpch_golden::all_22_queries_match_golden_answers",
-        &["ci default", "t4 no column stats"]),
-    ("pipeline_parity::tpch_queries_agree_across_engines_and_threads",
-        &["ci t2", "ci t4", "ci t4 v1024", "materialized t4 v1024"]),
-    ("pipeline_parity::tpch_queries_agree_spilled_vs_unspilled",
-        &["ci spilled t4", "spilled t1 greedy"]),
-    ("pipeline_parity::tpch_queries_agree_with_candidates_on_and_off",
-        &["ci t1 v1024", "t2 tiny adversarial", "materialized tiny", "materialized t4 tiny"]),
-    ("dict_parity::tpch_goldens_byte_identical_with_dict_on_and_off",
-        &["ci dict off"]),
-    ("dict_parity::tpch_queries_agree_dict_off_under_spill_and_candidates_off",
-        &["materialized adversarial", "materialized t2 v1024"]),
-    ("cache_parity::all_22_goldens_byte_identical_cache_on_off_and_hit",
-        &["ci plan cache off", "ci result cache off", "ci t4 result cache off"]),
-    ("plan_golden::greedy_fallback_matches_answer_goldens",
-        &["ci greedy join order"]),
-];
-
-/// The lattice rows of `test`'s slice of [`TPCH_SLICES`].
-fn tpch_slice(test: &str) -> Vec<&'static Config> {
-    let (_, labels) = TPCH_SLICES
-        .iter()
-        .find(|(t, _)| *t == test)
-        .unwrap_or_else(|| panic!("{test} runs no slice of the TPC-H corpus"));
-    labels
-        .iter()
-        .map(|l| LATTICE.iter().find(|c| c.label == *l).unwrap_or_else(|| panic!("no row {l}")))
-        .collect()
-}
-
 /// Check what holds for every answer to query `n` on `conn`: EXPLAIN
 /// renders the plan, and `r` has the spec's arity, LIMIT and key columns.
 pub fn check_shape(conn: &mut Connection, n: usize, r: &QueryResult) {
@@ -509,15 +510,15 @@ fn first_diff(got: &str, want: &str) -> String {
         })
 }
 
-/// The TPC-H corpus under `test`'s slice of the lattice: every row must
+/// The TPC-H corpus under the lattice rows `test` runs: every row must
 /// return the golden answers. The shipped defaults — the lattice's first
 /// row — also check EXPLAIN and the spec's shapes, and are what blessing
 /// writes. Streaming rows under the spilling budget must spill somewhere
 /// in Q1–Q22.
-pub fn tpch_slice_matches_goldens(test: &str) {
+pub fn tpch_slice_matches_goldens(test: TpchTest) {
     use monetlite_tpch::queries;
     let defaults = &LATTICE[0];
-    let mut rows = tpch_slice(test);
+    let mut rows: Vec<&Config> = LATTICE.iter().filter(|c| c.tpch == test).collect();
     if blessing() {
         rows.retain(|c| std::ptr::eq(*c, defaults));
     }
@@ -784,22 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn every_row_is_in_exactly_one_tpch_slice() {
-        for row in LATTICE {
-            let slices: Vec<&str> = TPCH_SLICES
-                .iter()
-                .filter(|(_, labels)| labels.contains(&row.label))
-                .map(|(test, _)| *test)
-                .collect();
-            assert_eq!(slices.len(), 1, "{} is in the TPC-H slices {slices:?}", row.label);
-        }
-        for (test, labels) in TPCH_SLICES {
-            assert_eq!(tpch_slice(test).len(), labels.len(), "{test}");
-        }
-        assert_eq!(TPCH_SLICES[0].1[0], LATTICE[0].label, "the defaults bless");
-    }
-
-    #[test]
     fn every_pair_of_axis_values_appears_in_some_row() {
         let rows: Vec<[String; 13]> = LATTICE.iter().map(axes).collect();
         for row in &rows {
@@ -824,82 +809,38 @@ mod tests {
         assert_eq!(labels.len(), LATTICE.len(), "labels are unique");
     }
 
-    /// One CI env leg: the `MONETLITE_*` values it exported.
-    struct Leg {
-        name: &'static str,
-        threads: usize,
-        vector: usize,
-        budget: usize,
-        joinorder: bool,
-        dict: bool,
-        plan_cache: bool,
-        result_cache: bool,
-    }
-
-    const fn leg(name: &'static str, threads: usize, vector: usize) -> Leg {
-        Leg {
-            name,
-            threads,
-            vector,
-            budget: UNLIMITED,
-            joinorder: true,
-            dict: true,
-            plan_cache: true,
-            result_cache: true,
-        }
-    }
-
-    /// The CI env legs of `build-test` (7) and of `tpch-full` before the
-    /// lattice replaced its matrix (9).
-    const CI_LEGS: [Leg; 16] = [
-        leg("build-test default", 1, FULL),
-        leg("build-test small-vectors", 1, MID),
-        leg("build-test parallel-small-vectors", 4, MID),
-        Leg { joinorder: false, ..leg("build-test greedy-joinorder", 1, FULL) },
-        Leg { dict: false, ..leg("build-test no-dict", 1, MID) },
-        Leg { plan_cache: false, ..leg("build-test no-plan-cache", 1, MID) },
-        Leg { result_cache: false, ..leg("build-test no-result-cache", 1, MID) },
-        leg("tpch-full t1-v65536", 1, FULL),
-        leg("tpch-full t1-v1024", 1, MID),
-        leg("tpch-full t2-v65536", 2, FULL),
-        leg("tpch-full t4-v65536", 4, FULL),
-        leg("tpch-full t4-v1024", 4, MID),
-        Leg { budget: SPILL, ..leg("tpch-full spilled", 4, MID) },
-        Leg { dict: false, ..leg("tpch-full no-dict", 1, MID) },
-        Leg { plan_cache: false, ..leg("tpch-full no-plan-cache", 1, MID) },
-        Leg { result_cache: false, ..leg("tpch-full no-result-cache", 4, MID) },
-    ];
+    /// The CI env legs of `build-test` (7) and of the `tpch-full` job the
+    /// lattice replaced (9): `ExecOptions::default()` and
+    /// `OptFlags::default()` under each leg's `MONETLITE_*` values. The
+    /// `tpch` column is not an axis.
+    #[rustfmt::skip]
+    const CI_LEGS: &[Config] = lattice! {
+        //                                   mode      thr vector budget     imp hix oix dic pc rc stats dp pd tpch
+        "build-test default":                Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "build-test small-vectors":          Streaming 1   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "build-test parallel-small-vectors": Streaming 4   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "build-test greedy-joinorder":       Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  0  1  Golden;
+        "build-test no-dict":                Streaming 1   MID    UNLIMITED  1   1   1   0   1  1  REAL  1  1  Golden;
+        "build-test no-plan-cache":          Streaming 1   MID    UNLIMITED  1   1   1   1   0  1  REAL  1  1  Golden;
+        "build-test no-result-cache":        Streaming 1   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1  Golden;
+        "tpch-full t1-v65536":               Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "tpch-full t1-v1024":                Streaming 1   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "tpch-full t2-v65536":               Streaming 2   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "tpch-full t4-v65536":               Streaming 4   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "tpch-full t4-v1024":                Streaming 4   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+        "tpch-full spilled":                 Streaming 4   MID    SPILL      1   1   1   1   1  1  REAL  1  1  Golden;
+        "tpch-full no-dict":                 Streaming 1   MID    UNLIMITED  1   1   1   0   1  1  REAL  1  1  Golden;
+        "tpch-full no-plan-cache":           Streaming 1   MID    UNLIMITED  1   1   1   1   0  1  REAL  1  1  Golden;
+        "tpch-full no-result-cache":         Streaming 4   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1  Golden;
+    };
 
     #[test]
     fn every_ci_env_leg_is_a_row() {
-        for leg in &CI_LEGS {
-            let want = Config {
-                label: leg.name,
-                exec: ExecOptions {
-                    mode: ExecMode::Streaming,
-                    threads: leg.threads,
-                    vector_size: leg.vector,
-                    mitosis_min_rows: leg.vector,
-                    use_imprints: true,
-                    use_hash_index: true,
-                    use_order_index: true,
-                    timeout: None,
-                    memory_budget: leg.budget,
-                    spill_quota: usize::MAX,
-                    use_dict: leg.dict,
-                    use_plan_cache: leg.plan_cache,
-                    use_result_cache: leg.result_cache,
-                    plan_cache_bytes: 64 << 20,
-                    result_cache_bytes: 256 << 20,
-                },
-                stats: StatsMode::Real,
-                flags: OptFlags { join_dp: leg.joinorder, ..OptFlags::default() },
-            };
-            assert!(
-                LATTICE.iter().any(|c| axes(c) == axes(&want)),
-                "CI leg {} is not a lattice row",
-                leg.name
-            );
+        assert_eq!(CI_LEGS.len(), 16);
+        assert_eq!(LATTICE[0].tpch, TpchTest::Golden, "the defaults bless the goldens");
+        for leg in CI_LEGS {
+            let row = LATTICE.iter().find(|c| axes(c) == axes(leg));
+            assert!(row.is_some(), "CI leg {} is not a lattice row", leg.label);
         }
     }
 }

@@ -22,7 +22,7 @@ use monetlite::exec::ExecOptions;
 use monetlite::opt::{OptFlags, StatsMode};
 use monetlite_sql::canon::{canon_select_full, normalize_select, restore_literals};
 use monetlite_sql::{parse_statement, SelectStmt, Statement};
-use monetlite_tests::{pinned, tpch_slice_matches_goldens};
+use monetlite_tests::{pinned, tpch_slice_matches_goldens, TpchTest};
 use monetlite_tpch::queries;
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -42,7 +42,7 @@ fn cached_opts() -> ExecOptions {
 /// result-cache hit with the same answer.
 #[test]
 fn all_22_goldens_byte_identical_cache_on_off_and_hit() {
-    tpch_slice_matches_goldens("cache_parity::all_22_goldens_byte_identical_cache_on_off_and_hit");
+    tpch_slice_matches_goldens(TpchTest::Cache);
 }
 
 /// Fresh single-table corpus for the invalidation tests.

@@ -2,13 +2,13 @@
 //! pushdown, dictionary-domain LIKE with zone skipping on codes, and
 //! string-heap accounting under a spill budget. Each runs with pinned
 //! options and is checked against the TPC-H answer goldens, the row store
-//! or an answer computed by hand. The lattice rows of the TPC-H corpus
-//! that turn the dictionary off run here, against the answer goldens.
+//! or an answer computed by hand. Three of the lattice rows that turn the
+//! dictionary off run their TPC-H corpus here, against the answer goldens.
 
 use monetlite::exec::ExecOptions;
 use monetlite_tests::{
     fmt_golden_rows, golden_answer, image, pinned, rows_of, run_pinned, tpch_db,
-    tpch_slice_matches_goldens, Corpus, Twin,
+    tpch_slice_matches_goldens, Corpus, TpchTest, Twin,
 };
 use monetlite_tpch::queries;
 use monetlite_types::ColumnBuffer;
@@ -21,7 +21,7 @@ fn dict(o: ExecOptions, on: bool) -> ExecOptions {
 /// other TPC-H row of the lattice runs with it on.
 #[test]
 fn tpch_goldens_byte_identical_with_dict_on_and_off() {
-    tpch_slice_matches_goldens("dict_parity::tpch_goldens_byte_identical_with_dict_on_and_off");
+    tpch_slice_matches_goldens(TpchTest::Dict);
 }
 
 /// The dictionary off under the spilling budget and without candidate
@@ -29,9 +29,7 @@ fn tpch_goldens_byte_identical_with_dict_on_and_off() {
 /// dict row filter would produce — still returns the goldens.
 #[test]
 fn tpch_queries_agree_dict_off_under_spill_and_candidates_off() {
-    tpch_slice_matches_goldens(
-        "dict_parity::tpch_queries_agree_dict_off_under_spill_and_candidates_off",
-    );
+    tpch_slice_matches_goldens(TpchTest::DictSpill);
 }
 
 /// The dict scan path and bloom pushdown must actually fire on TPC-H:

@@ -14,7 +14,7 @@ use monetlite_storage::index::{Zonemap, ZONE_ROWS};
 use monetlite_storage::{Bat, NULL_CODE};
 use monetlite_tests::{
     connect_pinned, fmt_golden_rows, golden_answer, image, pinned, rows_of, run_pinned, tpch_data,
-    tpch_db, tpch_slice_matches_goldens, Corpus, Twin,
+    tpch_db, tpch_slice_matches_goldens, Corpus, TpchTest, Twin,
 };
 use monetlite_tpch::queries;
 use monetlite_types::nulls::NULL_I32;
@@ -41,28 +41,30 @@ fn permuted(cols: &[ColumnBuffer], perm: &[usize]) -> Vec<ColumnBuffer> {
 }
 
 /// The TPC-H corpus under both engines and every thread count: the
-/// streaming rows at 2 and 4 threads and the materialized engine at 4
-/// return the golden answers.
+/// streaming rows at 2 and 4 threads (one of them at vectors of 333
+/// rows) and the materialized engine at 4 return the golden answers.
 #[test]
 fn tpch_queries_agree_across_engines_and_threads() {
-    tpch_slice_matches_goldens("pipeline_parity::tpch_queries_agree_across_engines_and_threads");
+    tpch_slice_matches_goldens(TpchTest::Threads);
 }
 
 /// Out of core: under a 24 KiB budget the pipeline breakers (grouping
 /// tables, join build sides, sort buffers) spill, single- and
-/// multi-threaded, and the answers are still the golden ones.
+/// multi-threaded, and the answers are still the golden ones — as they
+/// are on the materialized engine, which never spills, under the same
+/// budget.
 #[test]
 fn tpch_queries_agree_spilled_vs_unspilled() {
-    tpch_slice_matches_goldens("pipeline_parity::tpch_queries_agree_spilled_vs_unspilled");
+    tpch_slice_matches_goldens(TpchTest::Spill);
 }
 
 /// Candidate lists are invisible in results: the streaming engine, which
 /// carries selections and skips zones, and the materialized engine, which
 /// never does, return the golden answers at vector sizes that end
-/// mid-zone and mid-morsel.
+/// mid-zone and mid-morsel, on one and two threads.
 #[test]
 fn tpch_queries_agree_with_candidates_on_and_off() {
-    tpch_slice_matches_goldens("pipeline_parity::tpch_queries_agree_with_candidates_on_and_off");
+    tpch_slice_matches_goldens(TpchTest::Candidates);
 }
 
 #[test]

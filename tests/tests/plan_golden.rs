@@ -19,7 +19,7 @@
 use monetlite::opt::OptFlags;
 use monetlite_tests::{
     blessing, connect_pinned, golden_path, pinned, tpch_db, tpch_slice_matches_goldens,
-    with_tpch_views, PINNED_FLAGS,
+    with_tpch_views, TpchTest, PINNED_FLAGS,
 };
 use monetlite_tpch::queries;
 
@@ -211,5 +211,5 @@ fn early_reduction_shapes_on_q7_q13_q18_q21() {
 /// results may not).
 #[test]
 fn greedy_fallback_matches_answer_goldens() {
-    tpch_slice_matches_goldens("plan_golden::greedy_fallback_matches_answer_goldens");
+    tpch_slice_matches_goldens(TpchTest::Greedy);
 }

@@ -3,7 +3,8 @@
 //! under every lattice row, and their formatted output must match the
 //! checked-in answer files byte for byte (`tests/golden/q01.tbl` …
 //! `q22.tbl`). The rows are split between this file and the parity
-//! suites of the axes they vary (`monetlite_tests::TPCH_SLICES`).
+//! suites of the axes they vary (each row's `tpch` column in
+//! `monetlite_tests::LATTICE`).
 //!
 //! The files were generated once by this harness (Q1/Q6/Q14 reviewed by
 //! hand against the spec's arithmetic — see `tpch_validation.rs` for the
@@ -19,6 +20,7 @@
 use monetlite::exec::ExecOptions;
 use monetlite_tests::{
     blessing, check_shape, fmt_golden_rows, golden_answer, tpch_data, tpch_slice_matches_goldens,
+    TpchTest,
 };
 use monetlite_tpch::{load_monet, queries};
 
@@ -27,7 +29,7 @@ use monetlite_tpch::{load_monet, queries};
 /// shapes, and are what blessing writes.
 #[test]
 fn all_22_queries_match_golden_answers() {
-    tpch_slice_matches_goldens("tpch_golden::all_22_queries_match_golden_answers");
+    tpch_slice_matches_goldens(TpchTest::Golden);
 }
 
 #[test]
