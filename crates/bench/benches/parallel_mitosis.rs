@@ -1,12 +1,13 @@
 //! Parallel-execution benches.
 //!
-//! * `fig2_mitosis` — the paper's Figure 2: the materialized engine's
-//!   mitosis on SELECT MEDIAN(SQRT(i*2)) FROM tbl (parallelizable prefix,
-//!   blocking median).
-//! * `pipeline` — the streaming engine's generalized morsel parallelism
+//! * `fig2_mitosis` — the paper's Figure 2: the operator-at-a-time
+//!   policy's mitosis on SELECT MEDIAN(SQRT(i*2)) FROM tbl
+//!   (parallelizable prefix, blocking median).
+//! * `pipeline` — the streaming policy's generalized morsel parallelism
 //!   on a grouped aggregation, a shape mitosis cannot parallelise at all:
-//!   materialized runs it single-threaded regardless of `threads`, the
-//!   streaming engine scales with per-thread partial hash aggregation.
+//!   the operator-at-a-time policy runs it single-threaded regardless of
+//!   `threads`, the streaming policy scales with per-thread partial hash
+//!   aggregation.
 //!
 //! Run with `MONETLITE_BENCH_JSON=BENCH_pipeline.json cargo bench --bench
 //! parallel_mitosis` to record results.
@@ -28,7 +29,7 @@ fn bench_mitosis(c: &mut Criterion) {
         conn.set_exec_options(ExecOptions {
             mode: ExecMode::Materialized,
             threads,
-            mitosis_min_rows: 16 * 1024,
+            vector_size: 16 * 1024,
             ..monetlite_bench::uncached_opts()
         });
         g.bench_function(format!("median_sqrt_{threads}threads"), |b| {

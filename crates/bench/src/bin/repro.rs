@@ -81,7 +81,7 @@ fn main() {
                 );
             }
             "fig2" => {
-                let (cells, explain) = fig2_mitosis(2_000_000, &[1, 2, 4, 8]);
+                let (cells, explain, _) = fig2_mitosis(2_000_000, &[1, 2, 4, 8]);
                 print_figure("Figure 2: SELECT MEDIAN(SQRT(i*2)) FROM tbl (2M rows) (s)", &cells);
                 println!("\n-- EXPLAIN (8 threads) --\n{explain}");
             }
@@ -205,6 +205,6 @@ fn ablations(cfg: &BenchConfig) {
     print_figure("Ablation: string heap duplicate elimination (200k strings, 1k distinct)", &rows);
 
     // 6. Mitosis thread scaling on the Figure 2 query.
-    let (cells, _) = fig2_mitosis(1_000_000, &[1, 2, 4, 8]);
+    let (cells, _, _) = fig2_mitosis(1_000_000, &[1, 2, 4, 8]);
     print_figure("Ablation: mitosis thread scaling (1M-row median)", &cells);
 }

@@ -573,9 +573,10 @@ pub fn table1(cfg: &BenchConfig, sf10: bool) -> (Vec<String>, Vec<(String, Vec<C
 // Figure 2: mitosis (SELECT MEDIAN(SQRT(i*2)) FROM tbl)
 // ---------------------------------------------------------------------------
 
-/// Figure 2: the parallel-execution example. Returns (threads, seconds)
-/// plus the EXPLAIN text showing the packed plan.
-pub fn fig2_mitosis(rows: usize, threads: &[usize]) -> (Vec<(String, Cell)>, String) {
+/// Figure 2: the parallel-execution example. Returns (threads, seconds),
+/// the EXPLAIN text showing the packed plan, and the morsels the query
+/// ran as at each thread count.
+pub fn fig2_mitosis(rows: usize, threads: &[usize]) -> (Vec<(String, Cell)>, String, Vec<u64>) {
     let db = uncached_db();
     let mut conn = db.connect();
     conn.execute("CREATE TABLE tbl (i INTEGER NOT NULL)").unwrap();
@@ -583,18 +584,19 @@ pub fn fig2_mitosis(rows: usize, threads: &[usize]) -> (Vec<(String, Cell)>, Str
         .unwrap();
     let sql = "SELECT median(sqrt(i * 2)) FROM tbl";
     let mut out = Vec::new();
-    // Figure 2 reproduces the paper's mitosis, which lives in the
-    // materialized (operator-at-a-time) engine; the streaming engine's
-    // parallelism is measured by the pipeline benches instead.
+    let mut morsels = Vec::new();
+    // Figure 2 reproduces the paper's mitosis, the fan-out of the
+    // operator-at-a-time policy, with 16Ki-row slices as its unit; the
+    // streaming policy's parallelism is measured by the pipeline benches.
+    let opts = |threads| ExecOptions {
+        mode: monetlite::exec::ExecMode::Materialized,
+        threads,
+        vector_size: 16 * 1024,
+        timeout: None,
+        ..uncached_opts()
+    };
     for &t in threads {
-        let mut opts = ExecOptions {
-            mode: monetlite::exec::ExecMode::Materialized,
-            threads: t,
-            mitosis_min_rows: 16 * 1024,
-            ..uncached_opts()
-        };
-        opts.timeout = None;
-        conn.set_exec_options(opts);
+        conn.set_exec_options(opts(t));
         out.push((
             format!("{t} thread(s)"),
             measure(3, || {
@@ -602,17 +604,12 @@ pub fn fig2_mitosis(rows: usize, threads: &[usize]) -> (Vec<(String, Cell)>, Str
                 Ok(())
             }),
         ));
+        morsels.push(conn.last_exec_counters().map_or(0, |c| c.morsels));
     }
-    let mut opts = ExecOptions {
-        mode: monetlite::exec::ExecMode::Materialized,
-        threads: 8,
-        ..uncached_opts()
-    };
-    opts.mitosis_min_rows = 16 * 1024;
-    conn.set_exec_options(opts);
+    conn.set_exec_options(opts(8));
     let explain = conn.query(&format!("EXPLAIN {sql}")).unwrap();
     let text: Vec<String> = (0..explain.nrows()).map(|i| explain.value(i, 0).to_string()).collect();
-    (out, text.join("\n"))
+    (out, text.join("\n"), morsels)
 }
 
 // ---------------------------------------------------------------------------
@@ -837,8 +834,11 @@ mod tests {
 
     #[test]
     fn fig2_parallel_speedup_shape() {
-        let (cells, explain) = fig2_mitosis(400_000, &[1, 4]);
-        assert!(explain.contains("mitosis"));
+        let (cells, explain, morsels) = fig2_mitosis(400_000, &[1, 4]);
+        assert!(explain.contains("mitosis"), "{explain}");
+        // One morsel per pipeline at one thread; four threads fan the
+        // scan prefix out into more.
+        assert!(morsels[1] >= 2 && morsels[1] > morsels[0], "{morsels:?}");
         let t1 = cells[0].1.seconds().unwrap();
         let t4 = cells[1].1.seconds().unwrap();
         // Parallel must not be dramatically slower (allow noise).

@@ -2,10 +2,10 @@
 //!
 //! Grouping hashes composite keys (NULLs group together, SQL semantics),
 //! assigning each row a dense group id; the per-function accumulators then
-//! run column-at-a-time over the group-id vector. MEDIAN is the blocking
-//! aggregate of the paper's Figure 2: it buffers all values per group, so
-//! mitosis must pack chunks before it runs; SUM/COUNT/MIN/MAX/AVG expose
-//! partial/merge forms used by the parallel executor.
+//! run column-at-a-time over the group-id vector. Per-worker partial
+//! states merge ([`AggState::merge`]), whatever the cut into morsels. MEDIAN
+//! is the blocking aggregate of the paper's Figure 2: it buffers every
+//! value and finishes only once all partials have merged.
 
 use crate::expr::PAggFunc;
 use crate::rows::{visit_keys, KeyCols, KeyVisitor};
@@ -63,7 +63,7 @@ impl KeyVisitor for Group<'_> {
     }
 }
 
-/// An incremental grouping table for the streaming engine: group keys are
+/// An incremental grouping table for the pipeline engine: group keys are
 /// interned vector-at-a-time into dense ids, with representative key
 /// values accumulated as they are first seen (NULLs group together, SQL
 /// semantics). Unlike [`hash_group`], which needs the whole input
@@ -405,7 +405,7 @@ impl AggState {
     }
 
     /// Grow the state to cover `n` groups (new groups start empty). The
-    /// streaming engine's group tables grow as vectors arrive, so states
+    /// pipeline engine's group tables grow as vectors arrive, so states
     /// must be resizable — the batch constructor fixes `n` up front.
     pub fn ensure_groups(&mut self, n: usize) {
         match self {
@@ -429,7 +429,7 @@ impl AggState {
     }
 
     /// Approximate resident bytes of the accumulator — drives the
-    /// spill-or-not decision of the streaming engine's partial hash
+    /// spill-or-not decision of the pipeline engine's partial hash
     /// aggregation. Holistic states (MEDIAN buffers, COUNT(DISTINCT)
     /// sets) grow with input, not group count, so they are measured by
     /// content.

@@ -1,33 +1,28 @@
-//! The column-at-a-time executor.
+//! Execution options, counters and context, the [`Chunk`] every operator
+//! passes on, and the scan, dictionary-predicate and join-output code the
+//! pipeline engine ([`crate::pipeline`]) runs.
 //!
-//! Each plan node materialises its full output before the parent runs
-//! (paper §3.1: "Each MAL operator processes the full column before moving
-//! on to the next operator"). Tactical decisions — index use, join
-//! algorithm, parallelisation — happen here at execution time ("during
+//! Tactical decisions happen here at execution time (paper §3.1: "during
 //! execution tactical decisions are made about how specific operations
 //! should be executed, such as which join implementation to use").
 //!
 //! **Automatic indexing** (paper §3.1): the first range select over a
 //! persistent column builds its [imprints]; the first equi-join probing a
 //! bare persistent column builds its hash table; `CREATE ORDER INDEX`
-//! columns answer range selects by binary search and inner equi-joins by
-//! merge join.
+//! columns answer range selects by binary search.
 //!
-//! **Mitosis** (paper Figure 2): large scans split into chunks; the
-//! parallelizable prefix (select/project, decomposable aggregates) fans
-//! out over threads and results are packed before blocking operators
-//! (sort, median finalisation, joins).
+//! **Operator-at-a-time** (paper §3.1, Figure 2) is a morsel policy,
+//! [`ExecMode::Materialized`]: each pipeline runs as one morsel over its
+//! whole source, and only a mitosis prefix fans out over threads.
 //!
 //! [imprints]: monetlite_storage::index::Imprints
 
-use crate::agg::{hash_group, AggState};
 use crate::bloom::Bloom;
 use crate::expr::{BExpr, CmpOp};
-use crate::join::{cross_join, hash_join, merge_join, scalar_left_pairs, JoinSel};
+use crate::join::JoinSel;
 use crate::kernels::{self, bool_to_sel, compile_like, eval, Cands, Emit, LikePlan};
 use crate::plan::{PJoinKind, Plan};
 use crate::rows::take_padded;
-use crate::sort::{sort_perm, topn_perm};
 use monetlite_storage::catalog::{ColumnEntry, TableMeta};
 use monetlite_storage::hash::hash_rows;
 use monetlite_storage::index::{f64_ordered, Zonemap, IMPRINT_LINE};
@@ -37,20 +32,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Which execution engine drives the plan.
-///
-/// * [`ExecMode::Streaming`] (default) — the chunk-at-a-time pipeline
-///   engine ([`crate::pipeline`]): plans are broken at pipeline breakers
-///   and driven over fixed-size vectors with morsel parallelism.
-/// * [`ExecMode::Materialized`] — the paper's operator-at-a-time model:
-///   every node materialises its full output before the parent runs, and
-///   parallelism is restricted to the mitosis prefix.
+/// How the pipeline engine cuts each pipeline into morsels (the policy is
+/// `pipeline::morsel_rows`): [`ExecMode::Streaming`] (default) into
+/// `vector_size`-row morsels, [`ExecMode::Materialized`] — the paper's
+/// operator-at-a-time model — into one morsel over the whole source,
+/// except that a mitosis prefix fans out over `threads`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Vectorized streaming pipelines with morsel parallelism.
+    /// Vector-sized morsels with morsel parallelism.
     #[default]
     Streaming,
-    /// Full-column materialization (the paper's §3.1 model).
+    /// Whole-source morsels, fanned out only over a mitosis prefix (the
+    /// paper's §3.1 model).
     Materialized,
 }
 
@@ -58,22 +51,21 @@ pub enum ExecMode {
 /// fairness" configuration of the paper's §4.1 set these.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Engine selection (streaming pipelines vs full materialization).
+    /// Morsel policy (vector-sized morsels vs operator-at-a-time).
     pub mode: ExecMode,
-    /// Worker threads (morsel workers in streaming mode, mitosis fan-out
-    /// in materialized mode; 1 = sequential, the paper's benchmark
-    /// configuration).
+    /// Worker threads (morsel workers; under the materialized policy only
+    /// a mitosis prefix uses more than one; 1 = sequential, the paper's
+    /// benchmark configuration).
     pub threads: usize,
-    /// Rows per streaming vector (and per morsel) in streaming mode.
+    /// Rows per vector: the streaming morsel, the unit that breakers
+    /// re-slice spilled state into, and the materialized policy's mitosis
+    /// unit ("the optimizer will not split up small columns").
     pub vector_size: usize,
-    /// Minimum rows per mitosis chunk ("the optimizer will not split up
-    /// small columns"); materialized mode only.
-    pub mitosis_min_rows: usize,
     /// Build/use column imprints on range selects.
     pub use_imprints: bool,
     /// Build/use hash indexes on join probes.
     pub use_hash_index: bool,
-    /// Use order indexes (range selects + merge joins).
+    /// Use order indexes to answer range selects.
     pub use_order_index: bool,
     /// Per-query timeout.
     pub timeout: Option<Duration>,
@@ -146,7 +138,6 @@ impl Default for ExecOptions {
             mode: ExecMode::Streaming,
             threads: env_usize("MONETLITE_THREADS", 1),
             vector_size: env_usize("MONETLITE_VECTOR_SIZE", 64 * 1024),
-            mitosis_min_rows: 64 * 1024,
             use_imprints: true,
             use_hash_index: true,
             use_order_index: true,
@@ -189,17 +180,12 @@ pub struct ExecCounters {
     pub order_index_selects: AtomicU64,
     /// Joins probing an automatic per-column hash index.
     pub hash_index_joins: AtomicU64,
-    /// Merge joins over order indexes.
-    pub merge_joins: AtomicU64,
-    /// Mitosis fan-outs performed.
-    pub mitosis_runs: AtomicU64,
-    /// Total chunks executed in parallel.
-    pub mitosis_chunks: AtomicU64,
-    /// Streaming pipelines driven.
+    /// Pipelines driven.
     pub pipelines: AtomicU64,
-    /// Morsels dispatched to streaming workers.
+    /// Morsels dispatched to pipeline workers (more than one per pipeline
+    /// shows a fan-out).
     pub morsels: AtomicU64,
-    /// Vectors pushed through streaming operator chains.
+    /// Vectors pushed through pipeline operator chains.
     pub vectors: AtomicU64,
     /// Spill partitions / sorted runs written by pipeline breakers that
     /// exceeded the memory budget.
@@ -232,17 +218,12 @@ pub struct CountersSnapshot {
     pub order_index_selects: u64,
     /// Joins probing an automatic per-column hash index.
     pub hash_index_joins: u64,
-    /// Merge joins over order indexes.
-    pub merge_joins: u64,
-    /// Mitosis fan-outs performed.
-    pub mitosis_runs: u64,
-    /// Total chunks executed in parallel.
-    pub mitosis_chunks: u64,
-    /// Streaming pipelines driven.
+    /// Pipelines driven.
     pub pipelines: u64,
-    /// Morsels dispatched to streaming workers.
+    /// Morsels dispatched to pipeline workers (more than one per pipeline
+    /// shows a fan-out).
     pub morsels: u64,
-    /// Vectors pushed through streaming operator chains.
+    /// Vectors pushed through pipeline operator chains.
     pub vectors: u64,
     /// Spill partitions / sorted runs written.
     pub spilled_partitions: u64,
@@ -286,9 +267,6 @@ impl ExecCounters {
             imprint_selects: g(&self.imprint_selects),
             order_index_selects: g(&self.order_index_selects),
             hash_index_joins: g(&self.hash_index_joins),
-            merge_joins: g(&self.merge_joins),
-            mitosis_runs: g(&self.mitosis_runs),
-            mitosis_chunks: g(&self.mitosis_chunks),
             pipelines: g(&self.pipelines),
             morsels: g(&self.morsels),
             vectors: g(&self.vectors),
@@ -412,11 +390,10 @@ impl<'a> ExecContext<'a> {
 /// rows — a fully materialised chunk. With a selection, the columns are
 /// *wider* shared arrays (often the base table's own columns, zero-copy)
 /// and `sel` lists the `rows` physical positions that logically belong
-/// to the chunk, in ascending order. Only the streaming engine carries
-/// selections. Filters refine the selection instead of gathering;
-/// consumers evaluate kernels at the selected positions ([`Chunk::eval`],
-/// which hands `sel` to [`crate::kernels::eval`]) or call
-/// [`Chunk::materialize`] once at the pipeline sink.
+/// to the chunk, in ascending order. Filters refine the selection instead
+/// of gathering; consumers evaluate kernels at the selected positions
+/// ([`Chunk::eval`], which hands `sel` to [`crate::kernels::eval`]) or
+/// call [`Chunk::materialize`] once at the pipeline sink.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     /// Columns (all the same physical length; equals `rows` when `sel`
@@ -476,7 +453,7 @@ impl Chunk {
         }
     }
 
-    /// Concatenate chunks column-wise (the mitosis/pipeline "pack" step),
+    /// Concatenate chunks column-wise (the pipeline "pack" step),
     /// materialising any candidate lists.
     ///
     /// A single dense input chunk passes through untouched (keeping
@@ -551,88 +528,19 @@ impl Chunk {
     }
 }
 
-/// Execute a plan to completion with the engine selected by
-/// [`ExecOptions::mode`]. The result is always dense — any candidate
-/// list still pending at the top of the plan materialises here, exactly
-/// once.
+/// Execute a plan to completion. [`ExecOptions::mode`] picks only the
+/// morsel policy of the one pipeline engine ([`crate::pipeline`]). The
+/// result is always dense — any candidate list still pending at the top
+/// of the plan materialises here, exactly once.
 pub fn execute(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
-    let out = match ctx.opts.mode {
-        ExecMode::Streaming => crate::pipeline::execute_streaming(plan, ctx)?,
-        ExecMode::Materialized => exec_node(plan, ctx, None)?,
-    };
-    Ok(out.materialize())
-}
-
-pub(crate) fn exec_node(
-    plan: &Plan,
-    ctx: &ExecContext,
-    range: Option<(u32, u32)>,
-) -> Result<Chunk> {
-    ctx.check_deadline()?;
-    // Mitosis: only attempted at unranged entry into a parallelizable
-    // shape.
-    if range.is_none() && ctx.opts.threads > 1 {
-        if let Some(result) = try_mitosis(plan, ctx)? {
-            return Ok(result);
-        }
-    }
-    match plan {
-        Plan::Scan { table, projected, filters, schema } => {
-            exec_scan(table, projected, schema.len(), filters, ctx, range)
-        }
-        Plan::Filter { input, pred } => {
-            let chunk = exec_node(input, ctx, range)?;
-            let mask = chunk.eval(pred)?;
-            let sel = bool_to_sel(&mask, None)?;
-            Ok(chunk.take(&sel))
-        }
-        Plan::Project { input, exprs, .. } => {
-            let chunk = exec_node(input, ctx, range)?;
-            Ok(Chunk::dense(project_cols(exprs, &chunk)?, chunk.rows))
-        }
-        Plan::Join { left, right, kind, left_keys, right_keys, residual, .. } => {
-            exec_join(left, right, *kind, left_keys, right_keys, residual.as_ref(), ctx)
-        }
-        Plan::Aggregate { input, groups, aggs, schema } => {
-            let chunk = exec_node(input, ctx, range)?;
-            exec_aggregate(&chunk, groups, aggs, schema, ctx)
-        }
-        Plan::Sort { input, keys } => {
-            let chunk = exec_node(input, ctx, range)?;
-            let key_refs: Vec<(&Bat, bool)> =
-                keys.iter().map(|&(c, d)| (&*chunk.cols[c], d)).collect();
-            let perm = sort_perm(&key_refs, chunk.rows);
-            Ok(chunk.take(&perm))
-        }
-        Plan::TopN { input, keys, n } => {
-            let chunk = exec_node(input, ctx, range)?;
-            let key_refs: Vec<(&Bat, bool)> =
-                keys.iter().map(|&(c, d)| (&*chunk.cols[c], d)).collect();
-            let perm = topn_perm(&key_refs, chunk.rows, *n as usize);
-            Ok(chunk.take(&perm))
-        }
-        Plan::Limit { input, n } => {
-            let chunk = exec_node(input, ctx, range)?;
-            let n = (*n as usize).min(chunk.rows);
-            let sel: Vec<u32> = (0..n as u32).collect();
-            Ok(chunk.take(&sel))
-        }
-        Plan::Distinct { input } => {
-            let chunk = exec_node(input, ctx, range)?;
-            let refs: Vec<&Bat> = chunk.cols.iter().map(|c| &**c).collect();
-            let grouping = hash_group(&refs, None);
-            Ok(chunk.take(&grouping.repr_rows))
-        }
-        Plan::Values { rows, schema } => exec_values(rows, schema),
-    }
+    Ok(crate::pipeline::execute_streaming(plan, ctx)?.materialize())
 }
 
 /// Project `exprs` over a chunk, with common-subexpression elimination at
 /// the MAL level (paper: "further optimizations are performed such as
 /// common sub-expression elimination"): identical projection expressions
 /// are evaluated once, and bare column references share the input column
-/// (no copy). Shared by the materialized and streaming engines; a
-/// candidate chunk's columns compact to its selection.
+/// (no copy). A candidate chunk's columns compact to its selection.
 pub(crate) fn project_cols(exprs: &[BExpr], chunk: &Chunk) -> Result<Vec<Arc<Bat>>> {
     let mut cols = Vec::with_capacity(exprs.len());
     let mut memo: Vec<(usize, Arc<Bat>)> = Vec::new();
@@ -648,7 +556,7 @@ pub(crate) fn project_cols(exprs: &[BExpr], chunk: &Chunk) -> Result<Vec<Arc<Bat
     Ok(cols)
 }
 
-/// Materialise a VALUES node (shared by both engines).
+/// Materialise a VALUES node.
 pub(crate) fn exec_values(rows: &[Vec<BExpr>], schema: &[crate::plan::OutCol]) -> Result<Chunk> {
     let mut cols: Vec<Bat> = schema.iter().map(|c| Bat::new(c.ty)).collect();
     for row in rows {
@@ -679,10 +587,23 @@ pub(crate) fn check_candidate_width(phys_rows: usize) -> Result<()> {
     Ok(())
 }
 
-/// Dense scan (the materialized engine, which never carries a
-/// selection): any selection gathers before the chunk is returned.
+/// Selections covering at least this fraction (in tenths) of the scanned
+/// span materialise eagerly — dense chains must not pay indexed access
+/// downstream for a selection that kept almost everything.
+pub(crate) const SEL_DENSITY_CUTOFF_TENTHS: usize = 9;
+
+/// Scan one morsel `range` of `table` (`None`: the whole table, which
+/// keeps imprint/order-index selection and zero-copy column sharing).
 /// `projected` is the scan's read list, of which the first `width`
-/// columns are output (see [`Plan::Scan`]).
+/// columns are output (see [`Plan::Scan`]). A sparse enough selection is
+/// *carried* on the chunk (columns stay the zero-copy base arrays) instead
+/// of gathered; the density cutoff keeps near-full selections on the dense
+/// path so unselective chains don't regress. `blooms` are pushed-down join
+/// build-side filters keyed by scan-output column position; `extras` are
+/// synthetic full-length physical columns (dictionary code columns)
+/// appended after the `width` output columns in every output shape.
+/// `state` is shared by every morsel of the scan.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_scan(
     table: &str,
     projected: &[usize],
@@ -690,51 +611,9 @@ pub(crate) fn exec_scan(
     filters: &[BExpr],
     ctx: &ExecContext,
     range: Option<(u32, u32)>,
-) -> Result<Chunk> {
-    let state = ScanState::default();
-    exec_scan_inner(table, projected, width, filters, ctx, range, &state, &[], &[], false)
-}
-
-/// Streaming scan: a sparse enough selection is *carried* on the chunk
-/// (columns stay the zero-copy base arrays) instead of gathered; the
-/// density cutoff keeps near-full selections on the dense path so
-/// unselective chains don't regress. `blooms` are pushed-down join build
-/// -side filters keyed by scan-output column position; `extras` are
-/// synthetic full-length physical columns (dictionary code columns)
-/// appended after the `width` output columns in every output shape.
-/// `state` is shared by every morsel of the scan.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_scan_streaming(
-    table: &str,
-    projected: &[usize],
-    width: usize,
-    filters: &[BExpr],
-    ctx: &ExecContext,
-    range: Option<(u32, u32)>,
     state: &ScanState,
     blooms: &[(usize, Arc<Bloom>)],
     extras: &[Arc<Bat>],
-) -> Result<Chunk> {
-    exec_scan_inner(table, projected, width, filters, ctx, range, state, blooms, extras, true)
-}
-
-/// Selections covering at least this fraction (in tenths) of the scanned
-/// span materialise eagerly — dense chains must not pay indexed access
-/// downstream for a selection that kept almost everything.
-pub(crate) const SEL_DENSITY_CUTOFF_TENTHS: usize = 9;
-
-#[allow(clippy::too_many_arguments)]
-fn exec_scan_inner(
-    table: &str,
-    projected: &[usize],
-    width: usize,
-    filters: &[BExpr],
-    ctx: &ExecContext,
-    range: Option<(u32, u32)>,
-    state: &ScanState,
-    blooms: &[(usize, Arc<Bloom>)],
-    extras: &[Arc<Bat>],
-    allow_sel: bool,
 ) -> Result<Chunk> {
     let meta = ctx.tables.table_meta(table)?;
     let phys_rows = meta.data.rows;
@@ -803,8 +682,8 @@ fn exec_scan_inner(
     // The index-selected filter, when its candidates still need checking.
     let mut unverified: Option<&BExpr> = None;
     // Index-assisted first filter. Works for subranges too (candidates
-    // clip to `[lo, hi)`, so every morsel of a streaming scan and every
-    // mitosis chunk keeps imprint/order-index acceleration) — but not
+    // clip to `[lo, hi)`, so every morsel of a scan keeps
+    // imprint/order-index acceleration) — but not
     // under deletion masks, where candidate row ids could be stale.
     if meta.data.deleted.is_none() {
         let probe_hit = remaining
@@ -932,7 +811,7 @@ fn exec_scan_inner(
             // the pipeline sink. Near-full selections gather here (the
             // density cutoff) so dense chains keep contiguous access.
             let span = hi - lo;
-            if allow_sel && sel.len() * 10 < span * SEL_DENSITY_CUTOFF_TENTHS {
+            if sel.len() * 10 < span * SEL_DENSITY_CUTOFF_TENTHS {
                 let mut cols = out_cols()?;
                 cols.extend(extras.iter().cloned());
                 let rows = sel.len();
@@ -1342,76 +1221,6 @@ fn value_key(v: &Value, ty: LogicalType) -> Option<i64> {
 // Joins
 // ---------------------------------------------------------------------------
 
-fn exec_join(
-    left: &Plan,
-    right: &Plan,
-    kind: PJoinKind,
-    left_keys: &[BExpr],
-    right_keys: &[BExpr],
-    residual: Option<&BExpr>,
-    ctx: &ExecContext,
-) -> Result<Chunk> {
-    let lchunk = exec_node(left, ctx, None)?;
-    let rchunk = exec_node(right, ctx, None)?;
-    ctx.check_deadline()?;
-    let probe_kind = pair_probe_kind(kind, residual);
-    let sel: JoinSel = if kind == PJoinKind::Cross || left_keys.is_empty() {
-        if matches!(kind, PJoinKind::Semi | PJoinKind::Anti) {
-            return Err(MlError::Execution("semi/anti join requires keys".into()));
-        }
-        if kind == PJoinKind::Left && residual.is_none() {
-            // Binder-planned scalar join: `x <op> (SELECT ...)`.
-            scalar_left_pairs(lchunk.rows, rchunk.rows)?
-        } else {
-            // Key-less LEFT with a residual uses cross pairs; the
-            // finisher pads probe rows whose matches all fail.
-            cross_join(lchunk.rows, rchunk.rows)
-        }
-    } else {
-        let lkey_bats: Vec<Bat> =
-            left_keys.iter().map(|k| lchunk.eval(k)).collect::<Result<_>>()?;
-        let rkey_bats: Vec<Bat> =
-            right_keys.iter().map(|k| rchunk.eval(k)).collect::<Result<_>>()?;
-        let lrefs: Vec<&Bat> = lkey_bats.iter().collect();
-        let rrefs: Vec<&Bat> = rkey_bats.iter().collect();
-        // Merge join when both sides are order-indexed bare scans.
-        if kind == PJoinKind::Inner && left_keys.len() == 1 && ctx.opts.use_order_index {
-            if let (Some(le), Some(re)) = (
-                bare_scan_key_entry(left, left_keys, ctx),
-                bare_scan_key_entry(right, right_keys, ctx),
-            ) {
-                ctx.counters.bump(&ctx.counters.merge_joins);
-                let (loi, roi) = (le.order_index()?, re.order_index()?);
-                let sel = merge_join(&lrefs[0].clone(), &loi, &rrefs[0].clone(), &roi);
-                ctx.check_deadline()?;
-                return finish_join_output(
-                    &lchunk.cols,
-                    &rchunk.cols,
-                    sel,
-                    kind,
-                    residual,
-                    lchunk.rows,
-                );
-            }
-        }
-        // Automatic hash index on a bare persistent build column.
-        let prebuilt = if right_keys.len() == 1 && ctx.opts.use_hash_index {
-            match bare_scan_hash_entry(right, right_keys, ctx) {
-                Some(e) => {
-                    ctx.counters.bump(&ctx.counters.hash_index_joins);
-                    Some(e.hash_index()?)
-                }
-                None => None,
-            }
-        } else {
-            None
-        };
-        hash_join(&lrefs, &rrefs, probe_kind, prebuilt.as_deref())?
-    };
-    ctx.check_deadline()?;
-    finish_join_output(&lchunk.cols, &rchunk.cols, sel, kind, residual, lchunk.rows)
-}
-
 /// Probe kind producing the row pairs `finish_join_output` needs for
 /// `kind` with `residual`: semi/anti with a residual probe as Inner so
 /// every candidate match is available for the per-pair residual check.
@@ -1423,9 +1232,8 @@ pub(crate) fn pair_probe_kind(kind: PJoinKind, residual: Option<&BExpr>) -> PJoi
 }
 
 /// Turn a join's row-id pairs into its output chunk, applying SQL ON
-/// semantics for the residual predicate. Shared by the materialized
-/// engine, the streaming probe operator and the grace join, so the paths
-/// cannot diverge:
+/// semantics for the residual predicate. Shared by the pipeline probe
+/// operator and the grace join, so the paths cannot diverge:
 /// * inner/cross — pairs failing the residual drop (a plain filter);
 /// * semi/anti — `sel` holds **Inner** pairs (see [`pair_probe_kind`]); a
 ///   probe row qualifies when at least one of its matches passes the
@@ -1518,30 +1326,9 @@ pub(crate) fn finish_join_output(
     }
 }
 
-/// If `plan` is a filterless scan and the single key is a plain column
-/// reference, return that column's catalog entry.
-fn bare_scan_key_entry(plan: &Plan, keys: &[BExpr], ctx: &ExecContext) -> Option<Arc<ColumnEntry>> {
-    let Plan::Scan { table, projected, filters, .. } = plan else {
-        return None;
-    };
-    if !filters.is_empty() {
-        return None;
-    }
-    let [BExpr::ColRef { idx, .. }] = keys else {
-        return None;
-    };
-    let meta = ctx.tables.table_meta(table).ok()?;
-    if meta.data.deleted.is_some() {
-        return None; // physical ids shift under deletion masks
-    }
-    let base = *projected.get(*idx)?;
-    if !meta.ordered_cols.contains(&base) {
-        return None;
-    }
-    meta.data.cols[base].entry().ok()
-}
-
-/// Hash-index variant: same shape but no order-index requirement.
+/// If `plan` is a filterless scan of an undeleted table and the single
+/// key is a plain column reference, that column's catalog entry (whose
+/// automatic hash index a join probe can use as its build table).
 pub(crate) fn bare_scan_hash_entry(
     plan: &Plan,
     keys: &[BExpr],
@@ -1562,174 +1349,6 @@ pub(crate) fn bare_scan_hash_entry(
     }
     let base = *projected.get(*idx)?;
     meta.data.cols[base].entry().ok()
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation
-// ---------------------------------------------------------------------------
-
-fn exec_aggregate(
-    chunk: &Chunk,
-    groups: &[BExpr],
-    aggs: &[crate::expr::AggSpec],
-    schema: &[crate::plan::OutCol],
-    ctx: &ExecContext,
-) -> Result<Chunk> {
-    ctx.check_deadline()?;
-    let group_bats: Vec<Bat> = groups.iter().map(|g| chunk.eval(g)).collect::<Result<_>>()?;
-    let (group_ids, repr_rows, n_groups) = if groups.is_empty() {
-        (vec![0u32; chunk.rows], vec![], 1usize)
-    } else {
-        let refs: Vec<&Bat> = group_bats.iter().collect();
-        let g = hash_group(&refs, None);
-        let n = g.repr_rows.len();
-        (g.group_ids, g.repr_rows, n)
-    };
-    let mut out_cols: Vec<Arc<Bat>> = Vec::with_capacity(schema.len());
-    for b in &group_bats {
-        out_cols.push(Arc::new(b.take(&repr_rows)));
-    }
-    for (i, spec) in aggs.iter().enumerate() {
-        let arg_bat = spec.arg.as_ref().map(|a| chunk.eval(a)).transpose()?;
-        let mut state =
-            AggState::new(spec.func, spec.arg.as_ref().map(|a| a.ty()), spec.distinct, n_groups)?;
-        state.update(arg_bat.as_ref(), &group_ids)?;
-        let finished = state.finish(schema[groups.len() + i].ty)?;
-        out_cols.push(Arc::new(finished));
-    }
-    let rows = if groups.is_empty() { 1 } else { repr_rows.len() };
-    Ok(Chunk::dense(out_cols, rows))
-}
-
-// ---------------------------------------------------------------------------
-// Mitosis (paper Figure 2)
-// ---------------------------------------------------------------------------
-
-/// Attempt parallel execution. Two shapes qualify:
-/// * a global (ungrouped) aggregate over a pipeline — chunked partial
-///   aggregation, merged, then finalised (MEDIAN's final sort is the
-///   blocking step);
-/// * a bare pipeline (Filter/Project over a Scan) — chunked and packed.
-fn try_mitosis(plan: &Plan, ctx: &ExecContext) -> Result<Option<Chunk>> {
-    match plan {
-        Plan::Aggregate { input, groups, aggs, schema } if groups.is_empty() => {
-            let Some((table, rows)) = pipeline_base(input, ctx) else {
-                return Ok(None);
-            };
-            let _ = table;
-            let Some(ranges) = chunk_ranges(rows, &ctx.opts) else {
-                return Ok(None);
-            };
-            if aggs.iter().any(|a| a.distinct) {
-                return Ok(None);
-            }
-            ctx.counters.bump(&ctx.counters.mitosis_runs);
-            ctx.counters.mitosis_chunks.fetch_add(ranges.len() as u64, Ordering::Relaxed);
-            // Per-chunk partial states, merged sequentially.
-            let partials: Vec<Result<Vec<AggState>>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&r| {
-                        scope.spawn(move || -> Result<Vec<AggState>> {
-                            let chunk = exec_node(input, ctx, Some(r))?;
-                            let gids = vec![0u32; chunk.rows];
-                            let mut states = Vec::with_capacity(aggs.len());
-                            for spec in aggs {
-                                let arg = spec.arg.as_ref().map(|a| chunk.eval(a)).transpose()?;
-                                let mut st = AggState::new(
-                                    spec.func,
-                                    spec.arg.as_ref().map(|a| a.ty()),
-                                    false,
-                                    1,
-                                )?;
-                                st.update(arg.as_ref(), &gids)?;
-                                states.push(st);
-                            }
-                            Ok(states)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic_error(&*p))))
-                    .collect()
-            });
-            let mut merged: Option<Vec<AggState>> = None;
-            for p in partials {
-                let states = p?;
-                match &mut merged {
-                    None => merged = Some(states),
-                    Some(acc) => {
-                        for (a, s) in acc.iter_mut().zip(states) {
-                            a.merge(s)?;
-                        }
-                    }
-                }
-            }
-            let merged = merged
-                .ok_or_else(|| MlError::Execution("mitosis produced no partial states".into()))?;
-            let mut cols = Vec::with_capacity(aggs.len());
-            for (i, st) in merged.into_iter().enumerate() {
-                cols.push(Arc::new(st.finish(schema[i].ty)?));
-            }
-            Ok(Some(Chunk::dense(cols, 1)))
-        }
-        Plan::Filter { .. } | Plan::Project { .. } => {
-            let Some((_, rows)) = pipeline_base(plan, ctx) else {
-                return Ok(None);
-            };
-            let Some(ranges) = chunk_ranges(rows, &ctx.opts) else {
-                return Ok(None);
-            };
-            ctx.counters.bump(&ctx.counters.mitosis_runs);
-            ctx.counters.mitosis_chunks.fetch_add(ranges.len() as u64, Ordering::Relaxed);
-            let parts: Vec<Result<Chunk>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .map(|&r| scope.spawn(move || exec_node(plan, ctx, Some(r))))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| Err(worker_panic_error(&*p))))
-                    .collect()
-            });
-            let chunks: Vec<Chunk> = parts.into_iter().collect::<Result<_>>()?;
-            Ok(Some(Chunk::pack(chunks)?))
-        }
-        _ => Ok(None),
-    }
-}
-
-/// If `plan` is a Filter/Project pipeline over a single Scan, return the
-/// scan's table and physical row count.
-fn pipeline_base<'p>(plan: &'p Plan, ctx: &ExecContext) -> Option<(&'p str, usize)> {
-    match plan {
-        Plan::Scan { table, .. } => {
-            let meta = ctx.tables.table_meta(table).ok()?;
-            Some((table.as_str(), meta.data.rows))
-        }
-        Plan::Filter { input, .. } | Plan::Project { input, .. } => pipeline_base(input, ctx),
-        _ => None,
-    }
-}
-
-/// The mitosis chunking heuristic (paper: "decided by a set of heuristics
-/// based on base table size, the amount of cores and the amount of
-/// available memory ... will not split up small columns").
-fn chunk_ranges(rows: usize, opts: &ExecOptions) -> Option<Vec<(u32, u32)>> {
-    if rows < opts.mitosis_min_rows * 2 || opts.threads <= 1 {
-        return None;
-    }
-    let k = (rows / opts.mitosis_min_rows).clamp(2, opts.threads * 2);
-    let per = rows.div_ceil(k);
-    let mut out = Vec::with_capacity(k);
-    let mut start = 0usize;
-    while start < rows {
-        let end = (start + per).min(rows);
-        out.push((start as u32, end as u32));
-        start = end;
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -1770,10 +1389,6 @@ mod tests {
         })
     }
 
-    fn ctx_with(tables: &TestTables, opts: ExecOptions) -> ExecContext<'_> {
-        ExecContext::new(tables, opts)
-    }
-
     fn scan_plan(table: &str, ncols: usize, tys: Vec<LogicalType>) -> Plan {
         Plan::Scan {
             table: table.into(),
@@ -1801,7 +1416,7 @@ mod tests {
         let t = make_table("t", vec![("a", Bat::Int(vec![1, 2, 3]))], vec![]);
         let base = t.data.cols[0].entry().unwrap().bat().unwrap();
         let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
-        let ctx = ctx_with(&tables, ExecOptions::default());
+        let ctx = ExecContext::new(&tables, ExecOptions::default());
         let plan = scan_plan("t", 1, vec![LogicalType::Int]);
         let chunk = execute(&plan, &ctx).unwrap();
         assert!(Arc::ptr_eq(&chunk.cols[0], &base), "unfiltered scan must share the array");
@@ -1814,7 +1429,8 @@ mod tests {
         let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
         // One probe per morsel: pin the vector size so the count is exact
         // under the CI env matrix (MONETLITE_VECTOR_SIZE).
-        let ctx = ctx_with(&tables, ExecOptions { vector_size: 64 * 1024, ..Default::default() });
+        let ctx =
+            ExecContext::new(&tables, ExecOptions { vector_size: 64 * 1024, ..Default::default() });
         let plan = Plan::Scan {
             table: "t".into(),
             projected: vec![0],
@@ -1837,7 +1453,7 @@ mod tests {
     fn order_index_answers_range_select() {
         let t = make_table("t", vec![("a", Bat::Int(vec![5, 1, 9, 3, 7]))], vec![0]);
         let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
-        let ctx = ctx_with(&tables, ExecOptions::default());
+        let ctx = ExecContext::new(&tables, ExecOptions::default());
         let plan = Plan::Scan {
             table: "t".into(),
             projected: vec![0],
@@ -1866,7 +1482,7 @@ mod tests {
             ordered_cols: vec![],
         });
         let tables = TestTables { tables: HashMap::from([("t".into(), deleted)]) };
-        let ctx = ctx_with(&tables, ExecOptions::default());
+        let ctx = ExecContext::new(&tables, ExecOptions::default());
         let plan = scan_plan("t", 1, vec![LogicalType::Int]);
         let chunk = execute(&plan, &ctx).unwrap();
         assert_eq!(chunk.rows, 2);
@@ -1901,37 +1517,37 @@ mod tests {
                 crate::plan::OutCol { name: "m".into(), ty: LogicalType::Double },
             ],
         };
-        // Mitosis is the materialized engine's parallelism.
-        let seq_ctx = ctx_with(
+        // Operator-at-a-time: one morsel over the whole table.
+        let seq_ctx = ExecContext::new(
             &tables,
             ExecOptions { mode: ExecMode::Materialized, threads: 1, ..Default::default() },
         );
         let seq = execute(&plan, &seq_ctx).unwrap();
-        let par_ctx = ctx_with(
+        assert_eq!(seq_ctx.counters.morsels.load(Ordering::Relaxed), 1);
+        // Mitosis: the prefix fans out into clamp(300_000 / 10_000, 2, 2·4)
+        // slices, whose partial states merge before the blocking median.
+        let par_ctx = ExecContext::new(
             &tables,
             ExecOptions {
                 mode: ExecMode::Materialized,
                 threads: 4,
-                mitosis_min_rows: 10_000,
+                vector_size: 10_000,
                 ..Default::default()
             },
         );
         let par = execute(&plan, &par_ctx).unwrap();
         assert_eq!(seq.cols[0].get(0), par.cols[0].get(0));
         assert_eq!(seq.cols[1].get(0), par.cols[1].get(0));
-        assert!(par_ctx.counters.mitosis_runs.load(Ordering::Relaxed) >= 1);
-        assert!(par_ctx.counters.mitosis_chunks.load(Ordering::Relaxed) >= 2);
-        assert_eq!(seq_ctx.counters.mitosis_runs.load(Ordering::Relaxed), 0);
-        // The streaming engine agrees with both, morsel-parallel.
-        let stream_ctx = ctx_with(
+        assert_eq!(par_ctx.counters.morsels.load(Ordering::Relaxed), 8);
+        // The streaming policy agrees, one morsel per vector.
+        let stream_ctx = ExecContext::new(
             &tables,
             ExecOptions { threads: 4, vector_size: 10_000, ..Default::default() },
         );
         let stream = execute(&plan, &stream_ctx).unwrap();
         assert_eq!(seq.cols[0].get(0), stream.cols[0].get(0));
         assert_eq!(seq.cols[1].get(0), stream.cols[1].get(0));
-        assert!(stream_ctx.counters.morsels.load(Ordering::Relaxed) >= 2);
-        assert_eq!(stream_ctx.counters.mitosis_runs.load(Ordering::Relaxed), 0);
+        assert_eq!(stream_ctx.counters.morsels.load(Ordering::Relaxed), 30);
     }
 
     #[test]
@@ -1952,12 +1568,18 @@ mod tests {
                 right: Box::new(BExpr::Lit(Value::Int(0))),
             },
         };
-        let par_ctx = ctx_with(
+        let par_ctx = ExecContext::new(
             &tables,
-            ExecOptions { threads: 4, mitosis_min_rows: 10_000, ..Default::default() },
+            ExecOptions {
+                mode: ExecMode::Materialized,
+                threads: 4,
+                vector_size: 10_000,
+                ..Default::default()
+            },
         );
         let out = execute(&plan, &par_ctx).unwrap();
         assert_eq!(out.rows, 200);
+        assert_eq!(par_ctx.counters.morsels.load(Ordering::Relaxed), 8);
         // Packed in scan order.
         assert_eq!(out.cols[0].get(0), Value::Int(0));
         assert_eq!(out.cols[0].get(1), Value::Int(1000));
@@ -1971,7 +1593,7 @@ mod tests {
         let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
         let mut opts = ExecOptions { timeout: Some(Duration::from_nanos(1)), ..Default::default() };
         opts.use_imprints = false;
-        let ctx = ctx_with(&tables, opts);
+        let ctx = ExecContext::new(&tables, opts);
         std::thread::sleep(Duration::from_millis(2));
         let plan = scan_plan("t", 1, vec![LogicalType::Int]);
         assert!(matches!(execute(&plan, &ctx), Err(MlError::Timeout { .. })));
@@ -1988,7 +1610,7 @@ mod tests {
         let tables = TestTables {
             tables: HashMap::from([("probe".into(), probe), ("build".into(), build)]),
         };
-        let ctx = ctx_with(&tables, ExecOptions::default());
+        let ctx = ExecContext::new(&tables, ExecOptions::default());
         let plan = Plan::Join {
             left: Box::new(scan_plan("probe", 1, vec![LogicalType::Int])),
             right: Box::new(scan_plan("build", 2, vec![LogicalType::Int, LogicalType::Int])),
@@ -2006,35 +1628,11 @@ mod tests {
         assert_eq!(out.rows, 3);
         assert_eq!(ctx.counters.hash_index_joins.load(Ordering::Relaxed), 1);
         // Disable the flag: same answer, no index.
-        let ctx2 = ctx_with(&tables, ExecOptions { use_hash_index: false, ..Default::default() });
+        let ctx2 =
+            ExecContext::new(&tables, ExecOptions { use_hash_index: false, ..Default::default() });
         let out2 = execute(&plan, &ctx2).unwrap();
         assert_eq!(out2.rows, 3);
         assert_eq!(ctx2.counters.hash_index_joins.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn merge_join_used_with_order_indexes() {
-        let l = make_table("l", vec![("k", Bat::Int(vec![3, 1, 2]))], vec![0]);
-        let r = make_table("r", vec![("k", Bat::Int(vec![2, 3, 4]))], vec![0]);
-        let tables = TestTables { tables: HashMap::from([("l".into(), l), ("r".into(), r)]) };
-        // Merge join is a materialized-engine tactical decision.
-        let ctx =
-            ctx_with(&tables, ExecOptions { mode: ExecMode::Materialized, ..Default::default() });
-        let plan = Plan::Join {
-            left: Box::new(scan_plan("l", 1, vec![LogicalType::Int])),
-            right: Box::new(scan_plan("r", 1, vec![LogicalType::Int])),
-            kind: PJoinKind::Inner,
-            left_keys: vec![BExpr::ColRef { idx: 0, ty: LogicalType::Int }],
-            right_keys: vec![BExpr::ColRef { idx: 0, ty: LogicalType::Int }],
-            residual: None,
-            schema: vec![
-                crate::plan::OutCol { name: "k".into(), ty: LogicalType::Int },
-                crate::plan::OutCol { name: "k2".into(), ty: LogicalType::Int },
-            ],
-        };
-        let out = execute(&plan, &ctx).unwrap();
-        assert_eq!(out.rows, 2);
-        assert_eq!(ctx.counters.merge_joins.load(Ordering::Relaxed), 1);
     }
 
     // -- dictionary predicate compilation ----------------------------------
@@ -2241,7 +1839,7 @@ mod tests {
         let t = make_table("t", vec![("a", ints), ("s", s)], vec![]);
         let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
         let opts = ExecOptions { use_dict: true, ..Default::default() };
-        let ctx = ctx_with(&tables, opts);
+        let ctx = ExecContext::new(&tables, opts);
         let col = |idx, ty| Box::new(BExpr::ColRef { idx, ty });
         let is_q = BExpr::Cmp {
             op: CmpOp::Eq,
@@ -2255,7 +1853,7 @@ mod tests {
         };
         let scan = |filters: &[BExpr], range, blooms: &[(usize, Arc<Bloom>)]| {
             let state = ScanState::default();
-            exec_scan_streaming("t", &[0, 1], 2, filters, &ctx, range, &state, blooms, &[]).unwrap()
+            exec_scan("t", &[0, 1], 2, filters, &ctx, range, &state, blooms, &[]).unwrap()
         };
         let empty = |c: &Chunk| {
             c.rows == 0

@@ -1,5 +1,5 @@
-//! Join kernels: hash join (inner/left/semi/anti), merge join over order
-//! indexes, and cross products.
+//! Join kernels: hash-join probes (inner/left/semi/anti) and cross
+//! products.
 //!
 //! The hash join "builds" on the right input: a [`HashTable`] over the
 //! build keys, chains ascending so matches come out in build-row order.
@@ -8,15 +8,13 @@
 //! (paper §3.1: "Hash tables are also automatically created for
 //! persistent columns when they are used in groupings or as join keys in
 //! equi-joins") — and the build phase disappears entirely. Either way one
-//! probe loop runs. The order-index merge join implements the paper's
-//! "For joins, the order index is used for a merge join."
+//! probe loop runs.
 //!
 //! [`HashIndex`]: monetlite_storage::index::HashIndex
 
 use crate::plan::PJoinKind;
 use crate::rows::{visit_keys, KeyCols, KeyVisitor, NO_ROW};
 use monetlite_storage::hash::{hash_rows, HashTable};
-use monetlite_storage::index::{key_at, OrderIndex};
 use monetlite_storage::Bat;
 use monetlite_types::{MlError, Result};
 
@@ -41,32 +39,6 @@ impl JoinSel {
             *l = sel[*l as usize];
         }
     }
-}
-
-/// Hash join over aligned key column sets: build then probe in one call
-/// (the materialized engine's entry point). `prebuilt` is the build
-/// column's hash index (single-key joins over a bare persistent column);
-/// without it a transient table is built over `rkeys`. The streaming
-/// engine builds once ([`HashTable::from_hashes`]) and probes
-/// vector-at-a-time with [`probe`].
-pub fn hash_join(
-    lkeys: &[&Bat],
-    rkeys: &[&Bat],
-    kind: PJoinKind,
-    prebuilt: Option<&HashTable>,
-) -> Result<JoinSel> {
-    if lkeys.len() != rkeys.len() || lkeys.is_empty() {
-        return Err(MlError::Execution("hash join requires aligned non-empty keys".into()));
-    }
-    let built;
-    let table = match prebuilt {
-        Some(t) => t,
-        None => {
-            built = HashTable::build(rkeys);
-            &built
-        }
-    };
-    Ok(probe(lkeys, rkeys, table, kind))
 }
 
 /// Probe a build table (transient or a prebuilt hash index) with a block
@@ -144,53 +116,6 @@ fn finish_probe(out: &mut JoinSel, kind: PJoinKind, l: u32, matched: bool) {
     }
 }
 
-/// Inner merge join over two order indexes (single equi-key). Produces
-/// the same pairs as [`hash_join`], in key order.
-pub fn merge_join(lkey: &Bat, lidx: &OrderIndex, rkey: &Bat, ridx: &OrderIndex) -> JoinSel {
-    let lperm = lidx.perm();
-    let rperm = ridx.perm();
-    let mut out = JoinSel::default();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lperm.len() && j < rperm.len() {
-        let li = lperm[i] as usize;
-        let rj = rperm[j] as usize;
-        if lkey.is_null_at(li) {
-            i += 1;
-            continue;
-        }
-        if rkey.is_null_at(rj) {
-            j += 1;
-            continue;
-        }
-        let lk = key_at(lkey, li);
-        let rk = key_at(rkey, rj);
-        match lk.cmp(&rk) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // Emit the full cartesian block of equal keys.
-                let mut jend = j;
-                while jend < rperm.len() && key_at(rkey, rperm[jend] as usize) == rk {
-                    jend += 1;
-                }
-                let mut iend = i;
-                while iend < lperm.len() && key_at(lkey, lperm[iend] as usize) == lk {
-                    iend += 1;
-                }
-                for &lr in &lperm[i..iend] {
-                    for &rr in &rperm[j..jend] {
-                        out.lsel.push(lr);
-                        out.rsel.push(rr);
-                    }
-                }
-                i = iend;
-                j = jend;
-            }
-        }
-    }
-    out
-}
-
 /// Pairs of a **scalar join** — a key-less LEFT join as planned by the
 /// binder for uncorrelated scalar subqueries: the right side must hold at
 /// most one row; zero rows pad every probe row with NULL (SQL's empty
@@ -224,7 +149,6 @@ pub fn cross_join(lrows: usize, rrows: usize) -> JoinSel {
 mod tests {
     use super::*;
     use crate::rows::model::{any_null, key_columns, rows_eq};
-    use monetlite_storage::index::OrderIndex;
     use monetlite_types::nulls::NULL_I32;
 
     fn pairs(sel: &JoinSel) -> Vec<(u32, u32)> {
@@ -232,6 +156,18 @@ mod tests {
             sel.lsel.iter().copied().zip(sel.rsel.iter().copied()).collect();
         v.sort_unstable();
         v
+    }
+
+    /// Build then probe in one call, through `prebuilt` (a build column's
+    /// hash index) when given.
+    fn hash_join(
+        l: &[&Bat],
+        r: &[&Bat],
+        kind: PJoinKind,
+        prebuilt: Option<&HashTable>,
+    ) -> Result<JoinSel> {
+        let built = HashTable::build(r);
+        Ok(probe(l, r, prebuilt.unwrap_or(&built), kind))
     }
 
     #[test]
@@ -444,17 +380,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_join_matches_hash_join() {
-        let l = Bat::Int(vec![5, 3, 1, 3]);
-        let r = Bat::Int(vec![3, 5, 3, 7]);
-        let lidx = OrderIndex::build(&(0..l.len()).map(|i| key_at(&l, i)).collect::<Vec<_>>());
-        let ridx = OrderIndex::build(&(0..r.len()).map(|i| key_at(&r, i)).collect::<Vec<_>>());
-        let merged = merge_join(&l, &lidx, &r, &ridx);
-        let hashed = hash_join(&[&l], &[&r], PJoinKind::Inner, None).unwrap();
-        assert_eq!(pairs(&merged), pairs(&hashed));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! MAL operator processes the full column before moving on to the next
 //! operator."). A predicate kernel is generic over where its answers go
 //! ([`Emit`]): a value context (a CASE condition, a projected comparison,
-//! the materialized engine's `Plan::Filter`, a DML `WHERE`) takes a
+//! a join residual, a DML `WHERE`) takes a
 //! BOOLEAN column ([`Bools`]); a scan or pipeline filter
 //! (`exec::refine`) takes the candidate list of the positions answered
 //! TRUE ([`Cands`]) — `Vec<u32>` row ids, the monetlite equivalent of

@@ -20,8 +20,12 @@
 //!   elimination, vmem paging, WAL, optimistic-concurrency catalog.
 //! * [`bind`] / [`plan`] / [`opt`] — SQL → relational algebra → optimized
 //!   plan (filter/projection push-down, join ordering, decorrelation).
-//! * [`exec`] — column-at-a-time execution with candidate lists, automatic
-//!   indexes (imprints, hash tables, order index) and mitosis parallelism.
+//! * [`pipeline`] — the one executor: plans cut at pipeline breakers run
+//!   morsel by morsel, vector-at-a-time (streaming) or operator-at-a-time
+//!   with mitosis (the paper's model), as [`exec::ExecMode`] chooses.
+//! * [`exec`] — execution options and counters, candidate-list chunks,
+//!   and scans served by automatic indexes (imprints, hash tables, order
+//!   index), zonemaps and string dictionaries.
 //! * [`mal`] — EXPLAIN rendering in MAL form.
 //! * [`host`] — the embedding boundary: zero-copy, eager and lazy result
 //!   transfer into host-native arrays (§3.3).

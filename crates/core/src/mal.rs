@@ -3,19 +3,19 @@
 //! The engine executes the plan tree directly, but EXPLAIN presents it in
 //! the shape MonetDB users know: a straight-line program of column-at-a-
 //! time instructions over SSA registers (`X_n` value columns, `C_n`
-//! candidate lists), plus the mitosis annotation when the executor would
-//! parallelise (paper §3.1 *Parallel Execution*, Figure 2).
+//! candidate lists). The pipeline section before it marks where the
+//! operator-at-a-time policy fans a pipeline out (paper §3.1 *Parallel
+//! Execution*, Figure 2).
 
-use crate::exec::{ExecMode, ExecOptions};
+use crate::exec::ExecOptions;
 use crate::expr::BExpr;
 use crate::opt::Stats;
 use crate::plan::{PJoinKind, Plan};
 use std::fmt::Write;
 
 /// Render the full EXPLAIN text: relational tree, per-operator
-/// cardinality estimates (`-- stats`), the streaming pipeline
-/// decomposition (with morsel counts when `stats` are available), and the
-/// MAL program.
+/// cardinality estimates (`-- stats`), the pipeline decomposition (with
+/// morsel counts when `stats` are available), and the MAL program.
 pub fn explain(plan: &Plan, opts: &ExecOptions, stats: Option<&dyn Stats>) -> String {
     let mut out = String::new();
     out.push_str("-- relational plan\n");
@@ -24,12 +24,10 @@ pub fn explain(plan: &Plan, opts: &ExecOptions, stats: Option<&dyn Stats>) -> St
         out.push_str("-- stats\n");
         render_estimates(plan, s, &mut out, 0);
     }
-    if opts.mode == ExecMode::Streaming {
-        out.push_str(&crate::pipeline::describe(plan, opts, stats));
-    }
+    out.push_str(&crate::pipeline::describe(plan, opts, stats));
     out.push_str("-- MAL program\n");
     out.push_str("function user.main():void;\n");
-    let mut r = Renderer { next: 0, out: String::new(), opts: *opts };
+    let mut r = Renderer { next: 0, out: String::new() };
     let regs = r.node(plan);
     let _ = writeln!(r.out, "    sql.resultSet({});", regs.join(", "));
     out.push_str(&r.out);
@@ -89,7 +87,6 @@ fn render_estimates(plan: &Plan, stats: &dyn Stats, out: &mut String, depth: usi
 struct Renderer {
     next: usize,
     out: String,
-    opts: ExecOptions,
 }
 
 impl Renderer {
@@ -208,16 +205,6 @@ impl Renderer {
                 regs
             }
             Plan::Aggregate { input, groups, aggs, .. } => {
-                let mitosis = self.opts.mode == ExecMode::Materialized
-                    && self.opts.threads > 1
-                    && groups.is_empty();
-                if mitosis {
-                    let _ = writeln!(
-                        self.out,
-                        "    -- mitosis: parallelizable prefix fans out over {} threads, packed before blocking aggregate",
-                        self.opts.threads
-                    );
-                }
                 let inregs = self.node(input);
                 let mut regs = Vec::new();
                 let (g, e, h) = (self.reg("G"), self.reg("E"), self.reg("H"));
@@ -323,6 +310,16 @@ fn mal_expr_over(e: &BExpr, regs: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::ExecMode;
+
+    /// Statistics that give every table `self.0` rows.
+    struct FixedStats(usize);
+
+    impl Stats for FixedStats {
+        fn table_rows(&self, _n: &str) -> usize {
+            self.0
+        }
+    }
     use crate::plan::OutCol;
     use monetlite_types::LogicalType;
 
@@ -346,12 +343,6 @@ mod tests {
 
     #[test]
     fn pipeline_section_shows_morsel_counts() {
-        struct FixedStats;
-        impl crate::opt::Stats for FixedStats {
-            fn table_rows(&self, _n: &str) -> usize {
-                200_000
-            }
-        }
         let plan = Plan::Scan {
             table: "t".into(),
             projected: vec![0],
@@ -361,24 +352,60 @@ mod tests {
         // Pin the vector size: the morsel count below is exact and must
         // not drift under the CI env matrix (MONETLITE_VECTOR_SIZE).
         let opts = ExecOptions { threads: 4, vector_size: 64 * 1024, ..Default::default() };
-        let s = explain(&plan, &opts, Some(&FixedStats));
+        let s = explain(&plan, &opts, Some(&FixedStats(200_000)));
         // 200_000 rows / 65_536-row vectors = 4 morsels.
         assert!(s.contains("scan t [morsels=4]"), "{s}");
         assert!(s.contains("threads=4"), "{s}");
-        // Materialized mode omits the pipeline section entirely.
-        let mat = ExecOptions { mode: crate::exec::ExecMode::Materialized, ..Default::default() };
-        let s2 = explain(&plan, &mat, Some(&FixedStats));
-        assert!(!s2.contains("-- pipelines"), "{s2}");
+        // The operator-at-a-time policy passes a bare scan through as one
+        // morsel, and announces no mitosis.
+        let mat = ExecOptions { mode: ExecMode::Materialized, ..opts };
+        let s2 = explain(&plan, &mat, Some(&FixedStats(200_000)));
+        assert!(s2.contains("-- pipelines: operator-at-a-time policy"), "{s2}");
+        assert!(s2.contains("scan t [morsels=1]"), "{s2}");
+        assert!(!s2.contains("mitosis"), "{s2}");
+    }
+
+    /// EXPLAIN claims a mitosis exactly where the pipeline driver fans
+    /// out: not for a table below two vectors, a probe pipeline or a
+    /// DISTINCT aggregate.
+    #[test]
+    fn explain_claims_mitosis_only_where_a_pipeline_fans_out() {
+        let db = crate::Database::open_in_memory();
+        let mut conn = db.connect();
+        conn.run_script(
+            "CREATE TABLE t (a INT); CREATE TABLE u (b INT); CREATE TABLE big (a INT);
+             INSERT INTO t VALUES (1), (2), (3); INSERT INTO u VALUES (2), (3), (4)",
+        )
+        .unwrap();
+        let rows: Vec<i32> = (0..40_000).map(|i| i % 100).collect();
+        conn.append("big", vec![monetlite_types::ColumnBuffer::Int(rows)]).unwrap();
+        let opts = ExecOptions { threads: 4, vector_size: 1024, ..Default::default() };
+        conn.set_exec_options(ExecOptions { mode: ExecMode::Materialized, ..opts });
+        let mut text = String::new();
+        for (sql, fans_out) in [
+            ("SELECT count(*) FROM t", false),
+            ("SELECT count(*) FROM t, u WHERE a = b", false),
+            ("SELECT count(DISTINCT a) FROM t", false),
+            ("SELECT count(DISTINCT a) FROM big", false),
+            ("SELECT a, count(*) FROM big GROUP BY a", false),
+            ("SELECT count(*) FROM big, u WHERE a = b", false),
+            ("SELECT count(*) FROM big", true),
+        ] {
+            let r = conn.query(&format!("EXPLAIN {sql}")).unwrap();
+            text = (0..r.nrows()).map(|i| r.value(i, 0).to_string()).collect::<Vec<_>>().join("\n");
+            assert_eq!(text.contains("-- mitosis"), fans_out, "{sql}\n{text}");
+            conn.query(sql).unwrap();
+            let c = conn.last_exec_counters().unwrap();
+            assert_eq!(c.morsels > c.pipelines, fans_out, "{sql}: {c:?}");
+        }
+        // The last, 40_000 rows of 1024-row vectors: clamp(39, 2, 2·4) = 8
+        // slices.
+        assert!(text.contains("fans out into 8 slices over 4 threads"), "{text}");
+        assert!(text.contains("scan big [morsels=8]"), "{text}");
     }
 
     #[test]
     fn stats_section_annotates_estimates() {
-        struct FixedStats;
-        impl crate::opt::Stats for FixedStats {
-            fn table_rows(&self, _n: &str) -> usize {
-                50_000
-            }
-        }
         let scan = Plan::Scan {
             table: "t".into(),
             projected: vec![0],
@@ -386,7 +413,7 @@ mod tests {
             schema: vec![OutCol { name: "a".into(), ty: LogicalType::Int }],
         };
         let plan = Plan::Limit { input: Box::new(scan), n: 7 };
-        let s = explain(&plan, &ExecOptions::default(), Some(&FixedStats));
+        let s = explain(&plan, &ExecOptions::default(), Some(&FixedStats(50_000)));
         assert!(s.contains("-- stats"), "{s}");
         assert!(s.contains("limit est_rows=7"), "{s}");
         assert!(s.contains("scan t est_rows=50000"), "{s}");
@@ -464,31 +491,22 @@ mod tests {
             }],
             schema: vec![OutCol { name: "m".into(), ty: LogicalType::Double }],
         };
-        // Mitosis is a materialized-engine tactic; the annotation only
-        // renders there.
-        let par = explain(
-            &plan,
-            &ExecOptions {
-                mode: crate::exec::ExecMode::Materialized,
-                threads: 8,
-                ..Default::default()
-            },
-            None,
-        );
+        // Mitosis is the operator-at-a-time policy's fan-out; the
+        // annotation only renders there, and needs the table's size.
+        let mat = ExecOptions {
+            mode: ExecMode::Materialized,
+            threads: 8,
+            vector_size: 64 * 1024,
+            ..Default::default()
+        };
+        let par = explain(&plan, &mat, Some(&FixedStats(200_000)));
         assert!(par.contains("mitosis"), "{par}");
         assert!(par.contains("blocking"), "{par}");
         // threads pinned to 1: the annotation must not appear for a
         // sequential plan even under the CI env matrix.
-        let seq = explain(
-            &plan,
-            &ExecOptions {
-                mode: crate::exec::ExecMode::Materialized,
-                threads: 1,
-                ..Default::default()
-            },
-            None,
-        );
+        let seq = explain(&plan, &ExecOptions { threads: 1, ..mat }, Some(&FixedStats(200_000)));
         assert!(!seq.contains("mitosis"));
+        assert!(!explain(&plan, &mat, None).contains("mitosis"), "row count unknown");
         // Streaming EXPLAIN shows the aggregate as a pipeline sink instead.
         let stream = explain(&plan, &ExecOptions { threads: 8, ..Default::default() }, None);
         assert!(stream.contains("global-aggregate"), "{stream}");

@@ -1,37 +1,37 @@
-//! The streaming vectorized execution engine.
-//!
-//! Where [`crate::exec`] reproduces the paper's operator-at-a-time model —
-//! every node materialises its full output before the parent runs — this
-//! module executes plans as **pipelines over fixed-size vectors**
-//! (~64K rows, [`ExecOptions::vector_size`]), the chunk-at-a-time design
-//! of MonetDBLite's successor lineage (DuckDB; see PAPERS.md).
+//! The pipeline execution engine, the only executor.
 //!
 //! A plan tree is broken at **pipeline breakers** — operators that must
 //! see their whole input before producing output: hash-join *build*,
 //! aggregation, sort/top-n, distinct, and limit's final assembly. The
 //! non-breaking spine between breakers (scan → filter → project → probe)
-//! becomes one [`Pipeline`]: its source rows are carved into **morsels**
-//! of one vector each, and a shared atomic cursor hands morsels to worker
-//! threads (morsel-driven parallelism). Each worker pushes its vector
-//! through the operator chain and folds the result into a thread-local
-//! partial sink state; partials merge once all morsels are drained.
+//! becomes one [`Pipeline`]: its source rows are carved into **morsels**,
+//! and a shared atomic cursor hands morsels to worker threads
+//! (morsel-driven parallelism). Each worker pushes its morsel through the
+//! operator chain and folds the result into a thread-local partial sink
+//! state; partials merge once all morsels are drained.
 //!
-//! Compared to the materialized engine's mitosis (which parallelises only
-//! a select/project/decomposable-global-aggregate prefix), morsel
-//! parallelism here covers whole query shapes: parallel scans feed
-//! per-thread **partial hash aggregation** with a mapped merge
-//! ([`GroupTable`] + [`AggState::merge_mapped`]), parallel **hash-join
-//! probes** over a build table constructed once, and order-preserving
-//! parallel collection for sort/top-n/limit/distinct.
+//! [`ExecOptions::mode`] chooses only how [`drive`] cuts a pipeline into
+//! morsels ([`morsel_rows`]):
+//! * **Streaming** — one vector (~64K rows, [`ExecOptions::vector_size`])
+//!   per morsel, the chunk-at-a-time design of MonetDBLite's successor
+//!   lineage (DuckDB; see PAPERS.md). Parallelism covers whole query
+//!   shapes: per-thread **partial hash aggregation** with a mapped merge
+//!   ([`GroupTable`] + [`AggState::merge_mapped`]), parallel **hash-join
+//!   probes** over a build table constructed once, and order-preserving
+//!   parallel collection for sort/top-n/limit/distinct.
+//! * **Materialized** — the paper's operator-at-a-time model (§3.1): one
+//!   morsel over the whole source, so every operator sees a full column
+//!   before the next one runs. Only a mitosis prefix (Figure 2) fans out
+//!   over threads.
 //!
-//! Both engines produce identical results; `ExecOptions::mode` selects
-//! between them and the parity suites assert agreement.
+//! Both policies return the same answers; the parity suites check every
+//! configuration against the goldens and the row store.
 
 use crate::agg::{hash_group, AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
-    bare_scan_hash_entry, exec_scan_streaming, exec_values, finish_join_output, project_cols,
-    refine, Chunk, ExecContext, ExecOptions, ScanState,
+    bare_scan_hash_entry, exec_scan, exec_values, finish_join_output, project_cols, refine, Chunk,
+    ExecContext, ExecMode, ExecOptions, ScanState,
 };
 use crate::expr::{AggSpec, BExpr};
 use crate::plan::{OutCol, PJoinKind, Plan};
@@ -91,9 +91,7 @@ impl Source<'_> {
                 // column sharing. The streaming scan may return a chunk
                 // carrying a candidate list over the base columns.
                 let range = if whole { None } else { Some((lo as u32, hi as u32)) };
-                exec_scan_streaming(
-                    table, projected, *width, filters, ctx, range, state, blooms, extras,
-                )
+                exec_scan(table, projected, *width, filters, ctx, range, state, blooms, extras)
             }
             Source::Mem(c) => Ok(c.slice(lo, hi)),
         }
@@ -312,13 +310,66 @@ impl KeyVisitor for BloomFill<'_> {
 // Morsel driver
 // ---------------------------------------------------------------------------
 
-/// Drive a pipeline morsel-by-morsel. Each worker owns a partial sink
-/// state created by `new_partial`; `consume(partial, morsel_id, vector)`
-/// folds one processed vector in and may return `Ok(false)` to stop all
-/// workers (limit early-exit). Returns every worker's partial.
+/// What a pipeline feeds, as far as the morsel policy cares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sink {
+    /// A global, non-DISTINCT aggregate: partial states merge, so even a
+    /// bare scan fans out under it (the paper's Figure 2).
+    Merge,
+    /// Rows collected, sorted, limited, deduplicated or partitioned: a
+    /// chain that filters or computes fans out, then packs.
+    Rows,
+    /// A grouped or DISTINCT aggregate: never fed a fanned-out prefix.
+    Whole,
+}
+
+impl Sink {
+    /// The sink of an aggregate with these groups and aggregates.
+    fn of_aggregate(groups: &[BExpr], aggs: &[AggSpec]) -> Sink {
+        if groups.is_empty() && !aggs.iter().any(|a| a.distinct) {
+            Sink::Merge
+        } else {
+            Sink::Whole
+        }
+    }
+
+    /// Whether a probe-free chain over a base-table scan feeding this sink
+    /// is a mitosis prefix; `computes`: the chain has a Filter or Project.
+    fn takes_prefix(self, computes: bool) -> bool {
+        self == Sink::Merge || (self == Sink::Rows && computes)
+    }
+}
+
+/// The morsel policy: rows per morsel of a pipeline over `rows` source
+/// rows. `prefix` says the pipeline is a mitosis prefix (paper Figure 2):
+/// a probe-free chain over a base-table scan that its sink takes (see
+/// [`Sink`]).
+///
+/// Streaming cuts every pipeline into vectors. Materialized runs each
+/// pipeline as one morsel over its whole source; a prefix holding at least
+/// two vectors splits into `clamp(rows / vector_size, 2, 2·threads)`
+/// slices when more than one thread runs ("the optimizer will not split
+/// up small columns").
+fn morsel_rows(rows: usize, prefix: bool, opts: &ExecOptions) -> usize {
+    let vs = opts.vector_size.max(1);
+    match opts.mode {
+        ExecMode::Streaming => vs,
+        ExecMode::Materialized if prefix && opts.threads > 1 && rows / 2 >= vs => {
+            rows.div_ceil((rows / vs).clamp(2, opts.threads.saturating_mul(2)))
+        }
+        ExecMode::Materialized => rows.max(1),
+    }
+}
+
+/// Drive a pipeline into `sink` morsel-by-morsel, cut by
+/// [`morsel_rows`]. Each worker owns a partial sink state created by
+/// `new_partial`; `consume(partial, morsel_id, vector)` folds one
+/// processed vector in and may return `Ok(false)` to stop all workers
+/// (limit early-exit). Returns every worker's partial.
 fn drive<'p, P, NF, CF>(
     pipe: &Pipeline<'p>,
     ctx: &ExecContext,
+    sink: Sink,
     new_partial: NF,
     consume: CF,
 ) -> Result<Vec<P>>
@@ -328,8 +379,11 @@ where
     CF: Fn(&mut P, usize, Chunk) -> Result<bool> + Sync,
 {
     let rows = pipe.source.rows();
-    let vs = ctx.opts.vector_size.max(1);
-    let n_morsels = rows.div_ceil(vs);
+    let prefix = matches!(pipe.source, Source::Table { .. })
+        && !pipe.ops.iter().any(|op| matches!(op, PipeOp::Probe { .. }))
+        && sink.takes_prefix(!pipe.ops.is_empty());
+    let per = morsel_rows(rows, prefix, &ctx.opts);
+    let n_morsels = rows.div_ceil(per);
     ctx.counters.bump(&ctx.counters.pipelines);
     if n_morsels == 0 {
         return Ok(Vec::new());
@@ -348,7 +402,7 @@ where
             // leaves the tail unscanned and uncounted.
             ctx.counters.bump(&ctx.counters.morsels);
             ctx.check_deadline()?;
-            let (lo, hi) = (m * vs, ((m + 1) * vs).min(rows));
+            let (lo, hi) = (m * per, ((m + 1) * per).min(rows));
             let chunk = pipe.source.fetch(ctx, lo, hi, n_morsels == 1)?;
             ctx.counters.bump(&ctx.counters.vectors);
             let chunk = apply_ops(chunk, &pipe.ops, ctx)?;
@@ -361,8 +415,7 @@ where
 
     if threads == 1 {
         // Sequential fast path: no thread spawn, deterministic morsel
-        // order (streaming single-threaded results match the materialized
-        // engine row-for-row).
+        // order.
         let mut part = new_partial();
         worker(&mut part)?;
         return Ok(vec![part]);
@@ -473,10 +526,10 @@ fn apply_ops(mut chunk: Chunk, ops: &[PipeOp], ctx: &ExecContext) -> Result<Chun
 /// gathering. A chunk already carrying a selection evaluates the
 /// predicate at its positions only, so a row-level evaluation error
 /// (e.g. division by zero) can never surface from a row an earlier
-/// filter removed, exactly matching the gather-based materialized
-/// engine. A near-full result (the ~90% density cutoff) materialises
-/// eagerly, so unselective filters don't trade contiguous access for
-/// indexed access downstream.
+/// filter removed, exactly as if each filter gathered its survivors. A
+/// near-full result (the ~90% density cutoff) materialises eagerly, so
+/// unselective filters don't trade contiguous access for indexed access
+/// downstream.
 fn filter_chunk(chunk: Chunk, pred: &BExpr) -> Result<Chunk> {
     let new_sel = refine(pred, &chunk.cols, chunk.rows, chunk.positions())?;
     let rows = new_sel.len();
@@ -495,8 +548,11 @@ fn filter_chunk(chunk: Chunk, pred: &BExpr) -> Result<Chunk> {
 // Sinks
 // ---------------------------------------------------------------------------
 
+/// One worker's chunks, tagged with their morsel ids.
+type Tagged = Vec<(usize, Chunk)>;
+
 /// Order-preserving collection: per-morsel chunks packed in morsel order.
-fn collect_ordered(parts: Vec<Vec<(usize, Chunk)>>, schema: &[OutCol]) -> Result<Chunk> {
+fn collect_ordered(parts: Vec<Tagged>, schema: &[OutCol]) -> Result<Chunk> {
     let mut all: Vec<(usize, Chunk)> = parts.into_iter().flatten().collect();
     if all.is_empty() {
         return Ok(Chunk::empty(schema));
@@ -528,7 +584,7 @@ fn collect(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
             };
         }
     }
-    let parts = drive(&pipe, ctx, Vec::new, |p: &mut Vec<(usize, Chunk)>, m, c| {
+    let parts = drive(&pipe, ctx, Sink::Rows, Vec::new, |p: &mut Tagged, m, c| {
         if c.rows > 0 {
             // The pipeline sink: a candidate chunk materialises here,
             // exactly once.
@@ -772,6 +828,7 @@ fn run_aggregate(
     let parts: Vec<Result<AggWorker>> = drive(
         &pipe,
         ctx,
+        Sink::of_aggregate(groups, aggs),
         || new_agg_partial(groups, aggs).map(|part| AggWorker { part, spill: None }),
         |p: &mut Result<AggWorker>, _m, c| {
             if let Ok(w) = p.as_mut() {
@@ -858,7 +915,7 @@ fn decode_codes(codes: &Bat, d: &StrDict) -> Result<Bat> {
 // Entry point
 // ---------------------------------------------------------------------------
 
-/// Execute a plan with the streaming engine. Pipeline breakers run their
+/// Execute a plan under either morsel policy. Pipeline breakers run their
 /// input pipelines to completion (morsel-parallel), then produce the
 /// chunk the enclosing pipeline streams from.
 pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
@@ -887,7 +944,7 @@ pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
             // Per-morsel compaction: a row outside its own morsel's top-n
             // can never be in the global top-n (topn_perm is a total
             // order), so workers keep at most n rows per vector.
-            let parts = drive(&pipe, ctx, Vec::new, |p: &mut Vec<(usize, Chunk)>, m, c| {
+            let parts = drive(&pipe, ctx, Sink::Rows, Vec::new, |p: &mut Tagged, m, c| {
                 if c.rows == 0 {
                     return Ok(true);
                 }
@@ -917,7 +974,7 @@ pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
             // prefix with >= n rows, no later morsel can contribute to
             // the first n rows in scan order — stop the scan.
             let done: Mutex<HashMap<usize, usize>> = Mutex::new(HashMap::new());
-            let parts = drive(&pipe, ctx, Vec::new, |p: &mut Vec<(usize, Chunk)>, m, c| {
+            let parts = drive(&pipe, ctx, Sink::Rows, Vec::new, |p: &mut Tagged, m, c| {
                 let rows = c.rows;
                 p.push((m, c.materialize()));
                 let mut map = done
@@ -956,9 +1013,9 @@ pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
             let pipe = decompose(input, ctx)?;
             // Per-morsel local dedup (first occurrence wins within a
             // vector), then a global dedup over the packed survivors —
-            // first-occurrence order in morsel order, matching the
-            // materialized engine exactly.
-            let parts = drive(&pipe, ctx, Vec::new, |p: &mut Vec<(usize, Chunk)>, m, c| {
+            // first-occurrence order in morsel order, which is scan
+            // order under any cut into morsels.
+            let parts = drive(&pipe, ctx, Sink::Rows, Vec::new, |p: &mut Tagged, m, c| {
                 if c.rows == 0 {
                     return Ok(true);
                 }
@@ -1041,6 +1098,7 @@ fn grace_hash_join(
     drive(
         probe_pipe,
         ctx,
+        Sink::Rows,
         || (),
         |_, _m, c| {
             if c.rows == 0 {
@@ -1386,6 +1444,7 @@ fn external_sort(
     let parts: Vec<Result<SortWorker>> = drive(
         &pipe,
         ctx,
+        Sink::Rows,
         || Ok(SortWorker::default()),
         |p: &mut Result<SortWorker>, m, c| {
             let Ok(w) = p.as_mut() else { return Ok(false) };
@@ -1498,9 +1557,13 @@ pub fn describe(plan: &Plan, opts: &ExecOptions, stats: Option<&dyn crate::opt::
             opts.memory_budget
         )
     };
+    let policy = match opts.mode {
+        ExecMode::Streaming => "streaming engine",
+        ExecMode::Materialized => "operator-at-a-time policy",
+    };
     let _ = writeln!(
         out,
-        "-- pipelines: streaming engine, vector={}, threads={}{budget}",
+        "-- pipelines: {policy}, vector={}, threads={}{budget}",
         opts.vector_size,
         opts.threads.max(1)
     );
@@ -1520,7 +1583,7 @@ fn desc_node(
     sink: String,
 ) -> usize {
     match plan {
-        Plan::Aggregate { input, groups, .. } => {
+        Plan::Aggregate { input, groups, aggs, .. } => {
             let spillable = if groups.is_empty() || opts.memory_budget == usize::MAX {
                 ""
             } else {
@@ -1531,7 +1594,7 @@ fn desc_node(
             } else {
                 format!("partial hash-aggregate + mapped merge{spillable} -> {sink}")
             };
-            desc_chain(input, out, next, opts, stats, s)
+            desc_chain(input, out, next, opts, stats, Sink::of_aggregate(groups, aggs), s)
         }
         Plan::Sort { input, keys } => {
             let how = if opts.memory_budget == usize::MAX {
@@ -1539,40 +1602,43 @@ fn desc_node(
             } else {
                 "external merge [spillable]"
             };
-            desc_chain(input, out, next, opts, stats, format!("sort{keys:?} ({how}) -> {sink}"))
+            let s = format!("sort{keys:?} ({how}) -> {sink}");
+            desc_chain(input, out, next, opts, stats, Sink::Rows, s)
         }
-        Plan::TopN { input, keys, n } => desc_chain(
-            input,
-            out,
-            next,
-            opts,
-            stats,
-            format!("top-{n}{keys:?} (per-morsel compaction) -> {sink}"),
-        ),
+        Plan::TopN { input, keys, n } => {
+            let s = format!("top-{n}{keys:?} (per-morsel compaction) -> {sink}");
+            desc_chain(input, out, next, opts, stats, Sink::Rows, s)
+        }
         Plan::Limit { input, n } => {
-            desc_chain(input, out, next, opts, stats, format!("limit {n} (early-exit) -> {sink}"))
+            let s = format!("limit {n} (early-exit) -> {sink}");
+            desc_chain(input, out, next, opts, stats, Sink::Rows, s)
         }
         Plan::Distinct { input } => {
-            desc_chain(input, out, next, opts, stats, format!("distinct (local+global) -> {sink}"))
+            let s = format!("distinct (local+global) -> {sink}");
+            desc_chain(input, out, next, opts, stats, Sink::Rows, s)
         }
-        other => desc_chain(other, out, next, opts, stats, sink),
+        other => desc_chain(other, out, next, opts, stats, Sink::Rows, sink),
     }
 }
 
-/// Describe the non-breaking spine of a plan as one pipeline line.
+/// Describe the non-breaking spine of a plan, feeding `into`, as one
+/// pipeline line, with the morsels [`drive`] cuts it into when `stats`
+/// give its scan's rows; a mitosis line follows a fanned-out prefix.
 fn desc_chain(
     plan: &Plan,
     out: &mut String,
     next: &mut usize,
     opts: &ExecOptions,
     stats: Option<&dyn crate::opt::Stats>,
+    into: Sink,
     sink: String,
 ) -> usize {
     use std::fmt::Write;
     let mut ops: Vec<String> = Vec::new();
     let mut cur = plan;
-    // Does any probe of this chain push its bloom into the source scan?
-    let mut bloom = false;
+    // Does the chain probe, and does any probe push its bloom into the
+    // source scan?
+    let (mut probes, mut bloom) = (false, false);
     loop {
         match cur {
             Plan::Filter { input, pred } => {
@@ -1588,21 +1654,19 @@ fn desc_chain(
                     desc_node(right, out, next, opts, stats, format!("hash-join build ({kind})"));
                 ops.push(format!("probe({kind}, build=P{bid})"));
                 bloom |= opts.use_dict && bloom_scan_col(*kind, left, left_keys).is_some();
-                cur = left;
+                (cur, probes) = (left, true);
             }
             _ => break,
         }
     }
     ops.reverse();
+    let mut morsels = None;
     let src = match cur {
         Plan::Scan { table, filters, .. } => {
-            let morsels = match stats {
-                Some(s) => {
-                    let rows = s.table_rows(table);
-                    rows.div_ceil(opts.vector_size.max(1)).to_string()
-                }
-                None => "?".to_string(),
-            };
+            let prefix = !probes && into.takes_prefix(!ops.is_empty());
+            morsels = stats
+                .map(|s| s.table_rows(table))
+                .map(|rows| rows.div_ceil(morsel_rows(rows, prefix, opts)));
             // Mark scans whose filters can skip whole vectors by zonemap.
             let zm = if filters.iter().any(|f| crate::exec::zone_probe_of(f).is_some()) {
                 " [zonemap]"
@@ -1619,7 +1683,8 @@ fn desc_chain(
                 ""
             };
             let bloom = if bloom { " [bloom]" } else { "" };
-            format!("scan {table} [morsels={morsels}]{zm}{dict}{bloom}")
+            let m = morsels.map_or("?".to_string(), |m| m.to_string());
+            format!("scan {table} [morsels={m}]{zm}{dict}{bloom}")
         }
         Plan::Values { rows, .. } => format!("values [{} row(s)]", rows.len()),
         other => {
@@ -1635,6 +1700,13 @@ fn desc_chain(
         let _ = write!(line, " -> {op}");
     }
     let _ = writeln!(out, "{line} -> sink: {sink}");
+    if let Some(k) = morsels.filter(|&k| k > 1 && opts.mode == ExecMode::Materialized) {
+        let threads = opts.threads.min(k);
+        let _ = writeln!(
+            out,
+            "-- mitosis: P{id}'s parallelizable prefix fans out into {k} slices over {threads} threads, packed before its sink"
+        );
+    }
     id
 }
 
@@ -2134,19 +2206,25 @@ mod tests {
         }
     }
 
-    /// The gather-based reference: the materialized engine, which never
-    /// carries a candidate list.
-    fn materialized<'a>(plan: &Plan, tables: &'a TestTables) -> (Chunk, ExecContext<'a>) {
-        let o = crate::exec::ExecOptions { mode: ExecMode::Materialized, ..opts(1, 1024) };
-        let ctx = ExecContext::new(tables, o);
-        (crate::exec::execute(plan, &ctx).unwrap(), ctx)
+    /// Hand-computed rows in [`sorted_rows`] form.
+    fn want_rows(rows: impl IntoIterator<Item = Vec<Value>>) -> Vec<Vec<String>> {
+        let mut rows: Vec<Vec<String>> =
+            rows.into_iter().map(|r| r.iter().map(|v| format!("{v:?}")).collect()).collect();
+        rows.sort();
+        rows
+    }
+
+    /// Both morsel policies at `threads` workers and 1024-row vectors.
+    fn policies(threads: usize) -> [crate::exec::ExecOptions; 2] {
+        let streaming = opts(threads, 1024);
+        [streaming, crate::exec::ExecOptions { mode: ExecMode::Materialized, ..streaming }]
     }
 
     #[test]
     fn selective_filter_carries_candidate_list_to_the_agg_sink() {
         // A sparse filter must not gather: the chunk rides its candidate
-        // list into grouped-aggregate ingest (sel_vectors counts it) and
-        // the result matches the gather-based materialized engine exactly.
+        // list into grouped-aggregate ingest (sel_vectors counts it) under
+        // either policy, and the groups are the hand-computed ones.
         let n = 40_000i32;
         let t = make_table(
             "t",
@@ -2174,12 +2252,15 @@ mod tests {
                 OutCol { name: "s".into(), ty: LogicalType::Bigint },
             ],
         };
-        let (base, base_ctx) = materialized(&plan, &tables);
-        assert_eq!(base_ctx.counters.sel_vectors.load(Ordering::Relaxed), 0);
-        for threads in [1, 4] {
-            let ctx = ExecContext::new(&tables, opts(threads, 1024));
+        let mut sums = std::collections::BTreeMap::new();
+        for i in (0..n).filter(|i| (i * 131) % 10_000 < 100) {
+            *sums.entry(i % 7).or_insert(0i64) += i as i64;
+        }
+        let want = want_rows(sums.into_iter().map(|(g, s)| vec![Value::Int(g), Value::Bigint(s)]));
+        for o in [1, 4].into_iter().flat_map(policies) {
+            let ctx = ExecContext::new(&tables, o);
             let got = execute_streaming(&plan, &ctx).unwrap();
-            assert_eq!(sorted_rows(&base), sorted_rows(&got), "threads={threads}");
+            assert_eq!(sorted_rows(&got), want, "{o:?}");
             assert!(
                 ctx.counters.sel_vectors.load(Ordering::Relaxed) > 0,
                 "sparse filters must carry candidate lists"
@@ -2190,7 +2271,7 @@ mod tests {
     #[test]
     fn dense_selections_fall_back_to_gather() {
         // A ~99% filter is above the density cutoff: the chunk gathers
-        // (as the materialized engine would) and no candidate list is carried —
+        // and no candidate list is carried —
         // sel_vectors stays 0, which the sink's materialize() could not
         // fake.
         let n = 10_000i32;
@@ -2212,7 +2293,7 @@ mod tests {
     fn stacked_filters_only_evaluate_surviving_rows() {
         // Division by zero on rows an earlier filter removed must not
         // surface: the second predicate runs at the survivors' positions
-        // only, matching the gather-based materialized engine.
+        // only, under either policy.
         let n = 4_000i32;
         let t = make_table(
             "t",
@@ -2247,10 +2328,16 @@ mod tests {
                 right: Box::new(BExpr::Lit(Value::Int(0))),
             },
         };
-        let (base, _) = materialized(&plan, &tables);
-        let ctx = ExecContext::new(&tables, opts(1, 1024));
-        let got = execute_streaming(&plan, &ctx).unwrap();
-        assert_eq!(sorted_rows(&base), sorted_rows(&got));
+        let b = |i: i32| if i % 20 == 0 { 0 } else { i % 7 + 1 };
+        let want = want_rows(
+            (0..n)
+                .filter(|&i| b(i) != 0 && i % b(i) == 0)
+                .map(|i| vec![Value::Int(i), Value::Int(b(i))]),
+        );
+        for o in policies(1) {
+            let got = execute_streaming(&plan, &ExecContext::new(&tables, o)).unwrap();
+            assert_eq!(sorted_rows(&got), want, "{o:?}");
+        }
     }
 
     #[test]
@@ -2283,10 +2370,14 @@ mod tests {
         // Zones are 8Ki rows; only zone 0 matches, so every morsel beyond
         // the first zone (and none inside it) skips.
         assert!(skipped >= 50, "expected most of the 63 tail morsels skipped, got {skipped}");
-        // The materialized engine scans the table unranged, and zone 0
-        // holds matches: same rows, no skips.
-        let (base, ctx2) = materialized(&plan, &tables);
+        // The materialized policy scans the table as one morsel, and zone
+        // 0 holds matches: same rows, no skips.
+        let [_, whole] = policies(1);
+        let ctx2 =
+            ExecContext::new(&tables, crate::exec::ExecOptions { use_imprints: false, ..whole });
+        let base = execute_streaming(&plan, &ctx2).unwrap();
         assert_eq!(sorted_rows(&base), sorted_rows(&out));
+        assert_eq!(ctx2.counters.morsels.load(Ordering::Relaxed), 1);
         assert_eq!(ctx2.counters.vectors_skipped.load(Ordering::Relaxed), 0);
     }
 
@@ -2332,12 +2423,19 @@ mod tests {
                 pred: lt_filter(1, 20),
             }),
         };
-        for plan in [&join, &distinct] {
-            let (base, _) = materialized(plan, &tables);
-            for threads in [1, 4] {
-                let ctx = ExecContext::new(&tables, opts(threads, 1024));
-                let got = execute_streaming(plan, &ctx).unwrap();
-                assert_eq!(sorted_rows(&base), sorted_rows(&got), "threads={threads}");
+        // Surviving probe rows as (k, f), in scan order.
+        let kept: Vec<(i32, i32)> =
+            (0..n).map(|i| ((i * 7) % 500, (i * 131) % 1000)).filter(|&(_, f)| f < 20).collect();
+        let joined = kept
+            .iter()
+            .filter(|&&(k, _)| k < 250)
+            .map(|&(k, f)| vec![Value::Int(k), Value::Int(f), Value::Int(k), Value::Int(k)]);
+        let unique: std::collections::BTreeSet<(i32, i32)> = kept.iter().copied().collect();
+        let distinct_rows = unique.into_iter().map(|(k, f)| vec![Value::Int(k), Value::Int(f)]);
+        for (plan, want) in [(&join, want_rows(joined)), (&distinct, want_rows(distinct_rows))] {
+            for o in [1, 4].into_iter().flat_map(policies) {
+                let got = execute_streaming(plan, &ExecContext::new(&tables, o)).unwrap();
+                assert_eq!(sorted_rows(&got), want, "{o:?}");
             }
         }
     }

@@ -155,7 +155,7 @@ pub enum Plan {
 
 impl Plan {
     /// Is this node a **pipeline breaker** — an operator that must see
-    /// its whole input before emitting output? The streaming engine
+    /// its whole input before emitting output? The pipeline engine
     /// ([`crate::pipeline`]) cuts plans at these nodes: breakers drain
     /// their input pipeline to completion, everything else streams
     /// vector-at-a-time. Joins are the half-breaking case — the build

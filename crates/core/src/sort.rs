@@ -19,7 +19,7 @@ pub fn sort_perm(keys: &[(&Bat, bool)], rows: usize) -> Vec<u32> {
 ///
 /// Ties are broken by input row id, making the result a total order and
 /// therefore exactly the prefix of the stable [`sort_perm`]. The
-/// streaming engine relies on this: per-morsel top-n compaction followed
+/// pipeline engine relies on this: per-morsel top-n compaction followed
 /// by a top-n over the packed survivors yields the same rows as a
 /// single-pass top-n, even when sort keys tie at the cut-off.
 pub fn topn_perm(keys: &[(&Bat, bool)], rows: usize, n: usize) -> Vec<u32> {

@@ -123,11 +123,11 @@ impl VolcanoExec<'_> {
                 Ok(out)
             }
             Plan::Join { left, right, kind, left_keys, right_keys, residual, .. } => {
-                self.exec_join(left, right, *kind, left_keys, right_keys, residual.as_ref())
+                self.join_rows(left, right, *kind, left_keys, right_keys, residual.as_ref())
             }
             Plan::Aggregate { input, groups, aggs, .. } => {
                 let rows = self.exec(input)?;
-                self.exec_aggregate(rows, groups, aggs)
+                self.aggregate_rows(rows, groups, aggs)
             }
             Plan::Sort { input, keys } => {
                 let mut rows = self.exec(input)?;
@@ -172,7 +172,7 @@ impl VolcanoExec<'_> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn exec_join(
+    fn join_rows(
         &mut self,
         left: &Plan,
         right: &Plan,
@@ -331,7 +331,7 @@ impl VolcanoExec<'_> {
         Ok(out)
     }
 
-    fn exec_aggregate(
+    fn aggregate_rows(
         &mut self,
         rows: Vec<Vec<Value>>,
         groups: &[BExpr],

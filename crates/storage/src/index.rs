@@ -366,11 +366,6 @@ impl OrderIndex {
         OrderIndex { perm, sorted_keys }
     }
 
-    /// The full permutation (used for merge joins and sorted scans).
-    pub fn perm(&self) -> &[u32] {
-        &self.perm
-    }
-
     /// Row ids whose key lies in `[lo, hi]` (inclusive bounds, `None` =
     /// unbounded), answered by binary search on the sorted key array.
     pub fn range(&self, lo: Option<i64>, hi: Option<i64>) -> &[u32] {
@@ -572,7 +567,7 @@ mod tests {
     fn order_index_perm_is_sorted() {
         let keys = vec![3, 1, 4, 1, 5, 9, 2, 6];
         let idx = OrderIndex::build(&keys);
-        let sorted: Vec<i64> = idx.perm().iter().map(|&r| keys[r as usize]).collect();
+        let sorted: Vec<i64> = idx.range(None, None).iter().map(|&r| keys[r as usize]).collect();
         assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     }
 

@@ -71,9 +71,9 @@ pub fn answer_image(sql: &str, rows: &[Vec<Value>]) -> Vec<String> {
 pub struct Config {
     /// Names the row in every failure message.
     pub label: &'static str,
-    /// Execution options. `vector_size` and `mitosis_min_rows` (the
-    /// materialized engine's fan-out unit) hold the row's vector class,
-    /// where [`TINY`] stands for the corpus's [`Corpus::tiny`].
+    /// Execution options. `vector_size` holds the row's vector class (the
+    /// streaming morsel and the materialized policy's mitosis unit), where
+    /// [`TINY`] stands for the corpus's [`Corpus::tiny`].
     pub exec: ExecOptions,
     /// Statistics; an adversarial seed is mixed with [`Corpus::seed`].
     pub stats: StatsMode,
@@ -120,8 +120,8 @@ const TINY: usize = 0;
 const MID: usize = 1024;
 const FULL: usize = 64 * 1024;
 const UNLIMITED: usize = usize::MAX;
-/// The spilling budget: the streaming engine's breakers spill under it at
-/// the golden scale factor. (The materialized engine never spills.)
+/// The spilling budget: breakers spill under it at the golden scale
+/// factor, under either morsel policy.
 const SPILL: usize = 24 * 1024;
 const REAL: StatsMode = StatsMode::Real;
 const ROWS: StatsMode = StatsMode::TableRowsOnly;
@@ -146,7 +146,6 @@ macro_rules! lattice {
                 mode: ExecMode::$mode,
                 threads: $threads,
                 vector_size: $vector,
-                mitosis_min_rows: $vector,
                 use_imprints: on($imprints),
                 use_hash_index: on($hash_index),
                 use_order_index: on($order_index),
@@ -233,7 +232,7 @@ impl Corpus {
 impl Config {
     /// Whether the row must spill somewhere in the TPC-H corpus.
     pub fn must_spill(&self) -> bool {
-        self.exec.memory_budget == SPILL && self.exec.mode == ExecMode::Streaming
+        self.exec.memory_budget == SPILL
     }
 
     /// A connection to `db` configured as this row for `corpus`.
@@ -241,7 +240,6 @@ impl Config {
         let mut exec = self.exec;
         if exec.vector_size == TINY {
             exec.vector_size = corpus.tiny;
-            exec.mitosis_min_rows = corpus.tiny;
         }
         let stats = match self.stats {
             StatsMode::Adversarial(s) => StatsMode::Adversarial(s ^ corpus.seed),
@@ -352,7 +350,6 @@ pub const fn pinned(threads: usize, vector_size: usize) -> ExecOptions {
         mode: ExecMode::Streaming,
         threads,
         vector_size,
-        mitosis_min_rows: 64 * 1024,
         use_imprints: true,
         use_hash_index: true,
         use_order_index: true,
@@ -467,7 +464,7 @@ pub fn with_tpch_views<T>(db: &Database, f: impl FnOnce() -> T) -> T {
 // ---------------------------------------------------------------------------
 
 /// TPC-H's tiny vector class is a third of a 1024-row vector, so vectors
-/// and mitosis chunks end mid-zone and mid-morsel. Its comma joins need
+/// and mitosis slices end mid-zone and mid-morsel. Its comma joins need
 /// push-down: Q2 alone would build a 1.6 GB cross product without it.
 pub const TPCH: Corpus = Corpus { tiny: 333, seed: 0, cross_products: false };
 
@@ -513,8 +510,8 @@ fn first_diff(got: &str, want: &str) -> String {
 /// The TPC-H corpus under the lattice rows `test` runs: every row must
 /// return the golden answers. The shipped defaults — the lattice's first
 /// row — also check EXPLAIN and the spec's shapes, and are what blessing
-/// writes. Streaming rows under the spilling budget must spill somewhere
-/// in Q1–Q22.
+/// writes. Rows under the spilling budget must spill somewhere in
+/// Q1–Q22.
 pub fn tpch_slice_matches_goldens(test: TpchTest) {
     use monetlite_tpch::queries;
     let defaults = &LATTICE[0];
@@ -723,8 +720,6 @@ mod tests {
             mode,
             threads,
             vector_size,
-            // The materialized engine's fan-out unit: on the vector axis.
-            mitosis_min_rows,
             use_imprints,
             use_hash_index,
             use_order_index,
@@ -751,7 +746,6 @@ mod tests {
             fold,
             build_side,
         } = c.flags;
-        assert_eq!(mitosis_min_rows, vector_size, "{}: one vector class", c.label);
         assert!(join_order && topn && fold && build_side, "{}: a pass is off", c.label);
         let vector = match vector_size {
             TINY => "tiny".to_string(),
@@ -809,20 +803,12 @@ mod tests {
         assert_eq!(labels.len(), LATTICE.len(), "labels are unique");
     }
 
-    /// The CI env legs of `build-test` (7) and of the `tpch-full` job the
-    /// lattice replaced (9): `ExecOptions::default()` and
-    /// `OptFlags::default()` under each leg's `MONETLITE_*` values. The
-    /// `tpch` column is not an axis.
+    /// The CI env legs of the `tpch-full` job the lattice replaced (9):
+    /// `ExecOptions::default()` and `OptFlags::default()` under each leg's
+    /// `MONETLITE_*` values. The `tpch` column is not an axis.
     #[rustfmt::skip]
-    const CI_LEGS: &[Config] = lattice! {
+    const TPCH_FULL_LEGS: &[Config] = lattice! {
         //                                   mode      thr vector budget     imp hix oix dic pc rc stats dp pd tpch
-        "build-test default":                Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "build-test small-vectors":          Streaming 1   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "build-test parallel-small-vectors": Streaming 4   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "build-test greedy-joinorder":       Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  0  1  Golden;
-        "build-test no-dict":                Streaming 1   MID    UNLIMITED  1   1   1   0   1  1  REAL  1  1  Golden;
-        "build-test no-plan-cache":          Streaming 1   MID    UNLIMITED  1   1   1   1   0  1  REAL  1  1  Golden;
-        "build-test no-result-cache":        Streaming 1   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1  Golden;
         "tpch-full t1-v65536":               Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
         "tpch-full t1-v1024":                Streaming 1   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
         "tpch-full t2-v65536":               Streaming 2   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
@@ -834,13 +820,99 @@ mod tests {
         "tpch-full no-result-cache":         Streaming 4   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1  Golden;
     };
 
+    /// The shipped defaults with no `MONETLITE_*` variable set.
+    #[rustfmt::skip]
+    const ENV_DEFAULTS: &[Config] = lattice! {
+        "defaults":                          Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
+    };
+
+    /// `key: value` with the value unquoted, for one line of YAML.
+    fn yaml_pair(line: &str) -> Option<(&str, &str)> {
+        let (k, v) = line.trim().trim_start_matches("- ").split_once(':')?;
+        Some((k.trim(), v.trim().trim_matches(|c| c == '\'' || c == '"')))
+    }
+
+    /// The `build-test` job's legs as read from the CI workflow: each leg's
+    /// name and `ExecOptions::default()`/`OptFlags::default()` under the
+    /// `MONETLITE_*` values the job's `env:` block gives it.
+    fn build_test_legs() -> Vec<(String, Config)> {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.github/workflows/ci.yml");
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let indent = |l: &str| l.len() - l.trim_start().len();
+        let job: Vec<&str> = text
+            .lines()
+            .skip_while(|l| l.trim() != "build-test:")
+            .skip(1)
+            .take_while(|l| l.trim().is_empty() || indent(l) > 2)
+            .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
+            .collect();
+        let block = |name: &str| -> Vec<&str> {
+            let Some(at) = job.iter().position(|l| l.trim() == name) else {
+                panic!("build-test has no `{name}` block");
+            };
+            job[at + 1..].iter().take_while(|l| indent(l) > indent(job[at])).copied().collect()
+        };
+        // Matrix entries: `- name: ...` opens a leg, deeper lines extend it.
+        let mut legs: Vec<Vec<(&str, &str)>> = Vec::new();
+        for line in block("include:") {
+            let pair = yaml_pair(line).unwrap_or_else(|| panic!("not a matrix pair: {line}"));
+            if line.trim_start().starts_with("- ") {
+                legs.push(Vec::new());
+            }
+            legs.last_mut().expect("a leg opens with `- `").push(pair);
+        }
+        // Each variable reads `${{ matrix.<key> }}`, maybe `|| '<default>'`.
+        let env: Vec<(&str, &str, Option<&str>)> = block("env:")
+            .into_iter()
+            .filter_map(yaml_pair)
+            .map(|(var, expr)| {
+                let expr = expr.trim_start_matches("${{").trim_end_matches("}}").trim();
+                let (key, default) = match expr.split_once("||") {
+                    Some((k, d)) => (k.trim(), Some(d.trim().trim_matches('\''))),
+                    None => (expr, None),
+                };
+                (var, key.strip_prefix("matrix.").expect("env reads the matrix"), default)
+            })
+            .collect();
+        legs.iter()
+            .map(|leg| {
+                let get = |key: &str| leg.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+                for (key, _) in leg {
+                    assert!(
+                        *key == "name" || env.iter().any(|(_, k, _)| k == key),
+                        "matrix key `{key}` reaches no MONETLITE_* variable"
+                    );
+                }
+                let mut c = ENV_DEFAULTS[0];
+                for (var, key, default) in &env {
+                    let Some(v) = get(key).or(*default) else { continue };
+                    let on = !matches!(v.to_ascii_lowercase().as_str(), "0" | "false" | "off");
+                    let num = || v.parse::<usize>().unwrap_or_else(|e| panic!("{var}={v}: {e}"));
+                    match *var {
+                        "MONETLITE_THREADS" => c.exec.threads = num(),
+                        "MONETLITE_VECTOR_SIZE" => c.exec.vector_size = num(),
+                        "MONETLITE_JOINORDER" => c.flags.join_dp = on,
+                        "MONETLITE_DICT" => c.exec.use_dict = on,
+                        "MONETLITE_PLAN_CACHE" => c.exec.use_plan_cache = on,
+                        "MONETLITE_RESULT_CACHE" => c.exec.use_result_cache = on,
+                        other => panic!("CI sets {other}, which this test does not map"),
+                    }
+                }
+                (get("name").expect("every leg is named").to_string(), c)
+            })
+            .collect()
+    }
+
     #[test]
     fn every_ci_env_leg_is_a_row() {
-        assert_eq!(CI_LEGS.len(), 16);
         assert_eq!(LATTICE[0].tpch, TpchTest::Golden, "the defaults bless the goldens");
-        for leg in CI_LEGS {
-            let row = LATTICE.iter().find(|c| axes(c) == axes(leg));
-            assert!(row.is_some(), "CI leg {} is not a lattice row", leg.label);
+        let build_test = build_test_legs();
+        assert!(!build_test.is_empty(), "no build-test leg found in the workflow");
+        let tpch_full = TPCH_FULL_LEGS.iter().map(|c| (c.label.to_string(), *c));
+        for (name, leg) in build_test.iter().cloned().chain(tpch_full) {
+            let row = LATTICE.iter().find(|c| axes(c) == axes(&leg));
+            assert!(row.is_some(), "CI leg {name} is not a lattice row: {:?}", axes(&leg));
         }
     }
 }
