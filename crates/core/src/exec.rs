@@ -24,7 +24,7 @@ use crate::kernels::{self, bool_to_sel, compile_like, eval, Cands, Emit, LikePla
 use crate::plan::{PJoinKind, Plan};
 use crate::rows::take_padded;
 use monetlite_storage::catalog::{ColumnEntry, TableMeta};
-use monetlite_storage::hash::hash_rows;
+use monetlite_storage::hash::{hash_key, hash_rows};
 use monetlite_storage::index::{f64_ordered, Zonemap, IMPRINT_LINE};
 use monetlite_storage::{Bat, StrDict};
 use monetlite_types::{LogicalType, MlError, Result, Value};
@@ -180,6 +180,9 @@ pub struct ExecCounters {
     pub order_index_selects: AtomicU64,
     /// Joins probing an automatic per-column hash index.
     pub hash_index_joins: AtomicU64,
+    /// Point selects (`col = literal`) answered through a column's
+    /// automatic hash index.
+    pub hash_selects: AtomicU64,
     /// Pipelines driven.
     pub pipelines: AtomicU64,
     /// Morsels dispatched to pipeline workers (more than one per pipeline
@@ -218,6 +221,8 @@ pub struct CountersSnapshot {
     pub order_index_selects: u64,
     /// Joins probing an automatic per-column hash index.
     pub hash_index_joins: u64,
+    /// Point selects answered through a column's automatic hash index.
+    pub hash_selects: u64,
     /// Pipelines driven.
     pub pipelines: u64,
     /// Morsels dispatched to pipeline workers (more than one per pipeline
@@ -267,6 +272,7 @@ impl ExecCounters {
             imprint_selects: g(&self.imprint_selects),
             order_index_selects: g(&self.order_index_selects),
             hash_index_joins: g(&self.hash_index_joins),
+            hash_selects: g(&self.hash_selects),
             pipelines: g(&self.pipelines),
             morsels: g(&self.morsels),
             vectors: g(&self.vectors),
@@ -690,42 +696,56 @@ pub(crate) fn exec_scan(
             .iter()
             .enumerate()
             .find_map(|(i, f)| probe_of(f, &entries, &meta, projected, ctx).map(|p| (i, p)));
-        if let Some((pos, (col_pos, plo, phi, exact))) = probe_hit {
+        if let Some((pos, (col_pos, plo, phi, path))) = probe_hit {
             let f = remaining.remove(pos);
             let entry = &entries[col_pos];
-            let base_col = projected[col_pos];
-            let use_order = ctx.opts.use_order_index && meta.ordered_cols.contains(&base_col);
-            if use_order {
-                // Order index answers the range exactly by binary search.
-                let oi = entry.order_index()?;
-                let mut rows: Vec<u32> = oi.range(plo, phi).to_vec();
-                rows.retain(|&r| (lo as u32..hi as u32).contains(&r));
-                rows.sort_unstable();
-                ctx.counters.bump(&ctx.counters.order_index_selects);
-                // Bounds were widened (e.g. NotEq unsupported): verify.
-                unverified = (!exact).then_some(f);
-                sel = Some(rows);
-            } else {
-                // Imprints: candidate cache lines (clipped to the scan
-                // range), then exact check. Only lines overlapping
-                // [lo, hi) are considered, so a morsel's probe costs
-                // O(morsel), not O(table).
-                let imp = entry.imprints()?;
-                ctx.counters.bump(&ctx.counters.imprint_selects);
-                let (first_line, last_line) = (lo / IMPRINT_LINE, hi.div_ceil(IMPRINT_LINE));
-                let lines = imp.candidate_lines(plo, phi);
-                let mut cands = Vec::with_capacity(hi - lo);
-                for line in lines {
-                    let line = line as usize;
-                    if line < first_line || line >= last_line {
-                        continue;
-                    }
-                    let start = (line * IMPRINT_LINE).max(lo);
-                    let end = (line * IMPRINT_LINE + IMPRINT_LINE).min(hi);
-                    cands.extend(start as u32..end as u32);
+            match path {
+                AccessPath::Order => {
+                    // Order index answers the range exactly by binary
+                    // search.
+                    let oi = entry.order_index()?;
+                    let mut rows: Vec<u32> = oi.range(plo, phi).to_vec();
+                    rows.retain(|&r| (lo as u32..hi as u32).contains(&r));
+                    rows.sort_unstable();
+                    ctx.counters.bump(&ctx.counters.order_index_selects);
+                    sel = Some(rows);
                 }
-                unverified = Some(f);
-                sel = Some(cands);
+                AccessPath::Hash(key) => {
+                    // The hash index chains the key's rows in ascending
+                    // order: clip them to the scan range, then verify
+                    // them as imprint candidates are verified.
+                    let index = entry.hash_index()?;
+                    ctx.counters.bump(&ctx.counters.hash_selects);
+                    let cands = index
+                        .candidates(hash_key(key))
+                        .skip_while(|&r| (r as usize) < lo)
+                        .take_while(|&r| (r as usize) < hi)
+                        .collect();
+                    unverified = Some(f);
+                    sel = Some(cands);
+                }
+                AccessPath::Imprints => {
+                    // Imprints: candidate cache lines (clipped to the scan
+                    // range), then exact check. Only lines overlapping
+                    // [lo, hi) are considered, so a morsel's probe costs
+                    // O(morsel), not O(table).
+                    let imp = entry.imprints()?;
+                    ctx.counters.bump(&ctx.counters.imprint_selects);
+                    let (first_line, last_line) = (lo / IMPRINT_LINE, hi.div_ceil(IMPRINT_LINE));
+                    let lines = imp.candidate_lines(plo, phi);
+                    let mut cands = Vec::with_capacity(hi - lo);
+                    for line in lines {
+                        let line = line as usize;
+                        if line < first_line || line >= last_line {
+                            continue;
+                        }
+                        let start = (line * IMPRINT_LINE).max(lo);
+                        let end = (line * IMPRINT_LINE + IMPRINT_LINE).min(hi);
+                        cands.extend(start as u32..end as u32);
+                    }
+                    unverified = Some(f);
+                    sel = Some(cands);
+                }
             }
         }
     }
@@ -1175,28 +1195,73 @@ pub(crate) fn zone_probe_of(f: &BExpr) -> Option<(usize, Option<i64>, Option<i64
     })
 }
 
-/// Recognise range probes answerable by an index (imprints / order
-/// index) over orderable persistent columns, returning (column position,
-/// lo, hi, bounds_are_exact) in the order-key domain.
-#[allow(clippy::type_complexity)]
+/// The tactical-index ratio, shared by both rules that let the automatic
+/// hash index serve point work, so neither builds an index it will not
+/// use:
+/// * a point select reads a column's hash index when the column holds at
+///   least one distinct value per this many rows (`ndv × 64 ≥ rows`);
+/// * a join probes its probe column's hash index with the build keys when
+///   the build side has at most one row per this many distinct probe
+///   keys (`build rows × 64 ≤ ndv`), and falls back to the hash join once
+///   the pairs pass this fraction of the probe rows.
+pub(crate) const INDEX_RATIO: usize = 64;
+
+/// How a scan's index-assisted first filter finds its candidates. The
+/// order of the variants is the order of precedence.
+#[derive(Debug, Clone, Copy)]
+enum AccessPath {
+    /// A `CREATE ORDER INDEX` answers the range exactly.
+    Order,
+    /// The column's automatic hash index lists the rows holding this key
+    /// (an order key; the candidates are verified).
+    Hash(i64),
+    /// Imprint cache lines that may hold the range (verified).
+    Imprints,
+}
+
+/// Recognise range probes answerable by an index over orderable
+/// persistent columns, returning (column position, lo, hi, access path)
+/// in the order-key domain. An equality on an INT, BIGINT, DATE or
+/// DECIMAL column takes the hash index when the column's statistics say
+/// the key is selective (see [`INDEX_RATIO`]); DOUBLE keeps imprints.
 fn probe_of(
     f: &BExpr,
     entries: &[Arc<ColumnEntry>],
     meta: &TableMeta,
     projected: &[usize],
     ctx: &ExecContext,
-) -> Option<(usize, Option<i64>, Option<i64>, bool)> {
+) -> Option<(usize, Option<i64>, Option<i64>, AccessPath)> {
     let (col, plo, phi) = zone_probe_of(f)?;
     // Only fixed-width types admit order-based indexes; the type is known
     // without paging the column in.
-    if entries.get(col)?.ty() == LogicalType::Varchar {
+    let entry = entries.get(col)?;
+    if entry.ty() == LogicalType::Varchar {
         return None;
     }
-    let have_order = ctx.opts.use_order_index && meta.ordered_cols.contains(&projected[col]);
-    if !have_order && !ctx.opts.use_imprints {
+    let point = plo.filter(|_| plo == phi);
+    let path = if ctx.opts.use_order_index && meta.ordered_cols.contains(&projected[col]) {
+        AccessPath::Order
+    } else if let Some(key) = point.filter(|_| hash_selects_points(entry, ctx)) {
+        AccessPath::Hash(key)
+    } else if ctx.opts.use_imprints {
+        AccessPath::Imprints
+    } else {
         return None;
-    }
-    Some((col, plo, phi, true))
+    };
+    Some((col, plo, phi, path))
+}
+
+/// Whether `entry`'s hash index should answer its point selects: the
+/// index is on, the type hashes its order key ([`hash_key`]) and the
+/// column averages at most [`INDEX_RATIO`] rows per distinct value.
+fn hash_selects_points(entry: &ColumnEntry, ctx: &ExecContext) -> bool {
+    let hashes_its_key = matches!(
+        entry.ty(),
+        LogicalType::Int | LogicalType::Bigint | LogicalType::Date | LogicalType::Decimal { .. }
+    );
+    ctx.opts.use_hash_index
+        && hashes_its_key
+        && entry.stats().is_ok_and(|s| s.ndv() * INDEX_RATIO as f64 >= entry.len() as f64)
 }
 
 /// Map a literal into the column's order-key domain (see
@@ -1328,7 +1393,8 @@ pub(crate) fn finish_join_output(
 
 /// If `plan` is a filterless scan of an undeleted table and the single
 /// key is a plain column reference, that column's catalog entry (whose
-/// automatic hash index a join probe can use as its build table).
+/// automatic hash index a join can use as its build table, or probe with
+/// a tiny build side's keys).
 pub(crate) fn bare_scan_hash_entry(
     plan: &Plan,
     keys: &[BExpr],
@@ -1447,6 +1513,43 @@ mod tests {
         // Re-run: imprints are cached on the column entry.
         let chunk2 = execute(&plan, &ctx).unwrap();
         assert_eq!(chunk2.rows, 100);
+    }
+
+    #[test]
+    fn point_select_access_path_precedence() {
+        // Distinct keys (a permutation) in `a`, 50 distinct values in `b`.
+        let n = 10_000;
+        let a = Bat::Int((0..n).map(|i| i * 7919 % n).collect());
+        let b = Bat::Int((0..n).map(|i| i % 50).collect());
+        let eq = |col: usize, k: i32| Plan::Scan {
+            table: "t".into(),
+            projected: vec![0, 1],
+            filters: vec![BExpr::Cmp {
+                op: CmpOp::Eq,
+                left: Box::new(BExpr::ColRef { idx: col, ty: LogicalType::Int }),
+                right: Box::new(BExpr::Lit(Value::Int(k))),
+            }],
+            schema: scan_plan("t", 2, vec![LogicalType::Int; 2]).schema().to_vec(),
+        };
+        // (ordered columns, hash index on, filtered column) -> the
+        // (order, hash, imprint) selects one scan makes.
+        let cases = [
+            (vec![], true, 0, (0, 1, 0)),
+            (vec![], false, 0, (0, 0, 1)),
+            (vec![], true, 1, (0, 0, 1)),
+            (vec![0], true, 0, (1, 0, 0)),
+        ];
+        for (ordered, hash, col, want) in cases {
+            let t = make_table("t", vec![("a", a.clone()), ("b", b.clone())], ordered.clone());
+            let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
+            let opts = ExecOptions { use_hash_index: hash, ..Default::default() };
+            let ctx = ExecContext::new(&tables, ExecOptions { vector_size: 64 * 1024, ..opts });
+            let chunk = execute(&eq(col, 42), &ctx).unwrap();
+            assert_eq!(chunk.rows, if col == 0 { 1 } else { n as usize / 50 });
+            let c = ctx.counters.snapshot();
+            let got = (c.order_index_selects, c.hash_selects, c.imprint_selects);
+            assert_eq!(got, want, "ordered {ordered:?}, hash {hash}, column {col}");
+        }
     }
 
     #[test]

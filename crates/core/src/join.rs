@@ -103,6 +103,52 @@ impl KeyVisitor for Probe<'_> {
     }
 }
 
+/// An index nested-loop probe: look each row of a small block of `keys`
+/// up in the `index` over the (large) key column `indexed`, with the
+/// block's hashes supplied. Returns `(indexed row, key row)` pairs, or
+/// `None` as soon as there are more than `cap` of them (a skewed key,
+/// for which a hash join beats gathering that many rows).
+pub fn probe_index(
+    keys: &[&Bat],
+    hashes: &[u64],
+    indexed: &[&Bat],
+    index: &HashTable,
+    cap: usize,
+) -> Option<Vec<(u32, u32)>> {
+    visit_keys(keys, indexed, IndexProbe { hashes, index, cap })
+}
+
+/// The index nested-loop probe, instantiated per typed key
+/// representation.
+struct IndexProbe<'a> {
+    hashes: &'a [u64],
+    index: &'a HashTable,
+    cap: usize,
+}
+
+impl KeyVisitor for IndexProbe<'_> {
+    type Out = Option<Vec<(u32, u32)>>;
+
+    fn visit<K: KeyCols>(self, keys: &K, indexed: &K) -> Option<Vec<(u32, u32)>> {
+        let mut pairs = Vec::new();
+        for (k, &h) in self.hashes.iter().enumerate() {
+            // A NULL key never matches (NULL rows are not in the index).
+            if keys.null(k) {
+                continue;
+            }
+            for r in self.index.candidates(h) {
+                if keys.same(k, indexed, r as usize) {
+                    if pairs.len() == self.cap {
+                        return None;
+                    }
+                    pairs.push((r, k as u32));
+                }
+            }
+        }
+        Some(pairs)
+    }
+}
+
 #[inline]
 fn finish_probe(out: &mut JoinSel, kind: PJoinKind, l: u32, matched: bool) {
     match kind {
@@ -233,6 +279,17 @@ mod tests {
             assert_eq!(pairs(&with_idx), pairs(&without), "{kind:?}");
             assert_eq!(with_idx.lsel.len(), without.lsel.len());
         }
+    }
+
+    #[test]
+    fn index_probe_pairs_every_match_and_gives_up_past_its_cap() {
+        let indexed = Bat::Int(vec![5, 1, 5, NULL_I32, 9, 5]);
+        let keys = Bat::Int(vec![5, 7, NULL_I32, 1]);
+        let index = monetlite_storage::index::HashIndex::build(&[&indexed]);
+        let h = hash_rows(&[&keys], None);
+        let pairs = probe_index(&[&keys], &h, &[&indexed], &index, 4);
+        assert_eq!(pairs, Some(vec![(0, 0), (2, 0), (5, 0), (1, 3)]));
+        assert_eq!(probe_index(&[&keys], &h, &[&indexed], &index, 3), None);
     }
 
     #[test]

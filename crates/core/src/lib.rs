@@ -112,7 +112,7 @@ pub struct Database {
     /// View definitions, shared by every connection. Views live for the
     /// database handle's lifetime (they are not checkpointed) and apply
     /// immediately — CREATE/DROP VIEW are not transactional.
-    views: Arc<std::sync::Mutex<HashMap<String, ViewDef>>>,
+    views: Arc<std::sync::Mutex<Arc<HashMap<String, ViewDef>>>>,
     /// Monotone counter bumped on every view-catalog change; part of
     /// every cache key, so view DDL invalidates by moving the key space
     /// rather than by scanning entries. Bumped under the `views` lock.
@@ -288,8 +288,10 @@ impl QueryResult {
 struct ActiveTxn {
     /// The catalog snapshot this transaction reads (snapshot isolation).
     base: Arc<CatalogSnapshot>,
-    /// Effective table map: snapshot plus this transaction's own writes.
-    tables: HashMap<String, Arc<TableMeta>>,
+    /// Effective table map once this transaction has written: a copy of
+    /// the snapshot's, made at the first write. Until then statements
+    /// read the snapshot's map, so a read-only statement copies nothing.
+    own_tables: Option<HashMap<String, Arc<TableMeta>>>,
     /// Writes to submit at commit.
     writes: TxWrites,
     /// Temp id allocator for in-transaction creates.
@@ -297,11 +299,25 @@ struct ActiveTxn {
     /// Started by explicit BEGIN (vs autocommit wrapper).
     explicit: bool,
     /// View definitions visible to this transaction (snapshot taken at
-    /// txn start; CREATE/DROP VIEW update it immediately).
-    views: HashMap<String, ViewDef>,
+    /// txn start; CREATE/DROP VIEW update it immediately). Shared with the
+    /// database's map until either side changes (copy-on-write).
+    views: Arc<HashMap<String, ViewDef>>,
     /// View-catalog epoch matching `views` (cache-key component; bumped
     /// along with the global epoch when this transaction runs view DDL).
     views_epoch: u64,
+}
+
+impl ActiveTxn {
+    /// The effective table map: the snapshot's plus this transaction's
+    /// own writes.
+    fn tables(&self) -> &HashMap<String, Arc<TableMeta>> {
+        self.own_tables.as_ref().unwrap_or(&self.base.tables)
+    }
+
+    /// The catalog view statements of this transaction bind and run on.
+    fn view(&self) -> TxnView<'_> {
+        TxnView { tables: self.tables(), views: &self.views }
+    }
 }
 
 /// A connection: holds the per-query context and transaction state.
@@ -315,7 +331,7 @@ pub struct Connection {
     fingerprint: Arc<Fingerprint>,
     txn: Option<ActiveTxn>,
     last_counters: Option<exec::CountersSnapshot>,
-    db_views: Arc<std::sync::Mutex<HashMap<String, ViewDef>>>,
+    db_views: Arc<std::sync::Mutex<Arc<HashMap<String, ViewDef>>>>,
     views_epoch: Arc<AtomicU64>,
     plan_cache: Arc<PlanCache>,
     result_cache: Arc<ResultCache>,
@@ -533,7 +549,7 @@ impl Connection {
         let table = table.to_ascii_lowercase();
         let schema = {
             let txn = self.txn.as_ref().expect("txn ensured");
-            let view = TxnView { tables: &txn.tables, views: &txn.views };
+            let view = txn.view();
             view.table_schema(&table)?
         };
         if cols.len() != schema.len() {
@@ -588,7 +604,7 @@ impl Connection {
             (g.clone(), self.views_epoch.load(Ordering::SeqCst))
         };
         self.txn = Some(ActiveTxn {
-            tables: snapshot.tables.clone(),
+            own_tables: None,
             base: snapshot,
             writes: TxWrites::default(),
             next_temp_id: monetlite_storage::store::TEMP_TABLE_ID_BASE,
@@ -638,7 +654,8 @@ impl Connection {
                 txn.writes.base_versions.entry(t).or_insert(meta.version);
             }
         }
-        monetlite_storage::store::apply_record(&mut txn.tables, &op, &mut txn.next_temp_id)?;
+        let tables = txn.own_tables.get_or_insert_with(|| txn.base.tables.clone());
+        monetlite_storage::store::apply_record(tables, &op, &mut txn.next_temp_id)?;
         txn.writes.ops.push(op);
         Ok(())
     }
@@ -705,7 +722,7 @@ impl Connection {
             }
             ast::Statement::DropTable { name, if_exists } => {
                 let lname = name.to_ascii_lowercase();
-                let exists = self.txn.as_ref().expect("txn").tables.contains_key(&lname);
+                let exists = self.txn.as_ref().expect("txn").tables().contains_key(&lname);
                 if !exists {
                     if if_exists {
                         return Ok(QueryResult::empty(0));
@@ -720,14 +737,14 @@ impl Connection {
                 let vd = ViewDef { columns, query: *query };
                 {
                     let txn = self.txn.as_ref().expect("txn");
-                    if txn.tables.contains_key(&lname) {
+                    if txn.tables().contains_key(&lname) {
                         return Err(MlError::Catalog(format!(
                             "'{name}' already exists as a table"
                         )));
                     }
                     // Validate eagerly: the definition must bind, and a
                     // rename list must match the output width.
-                    let view = TxnView { tables: &txn.tables, views: &txn.views };
+                    let view = txn.view();
                     let plan = Binder::new(&view).bind_select(&vd.query)?;
                     if let Some(cols) = &vd.columns {
                         if cols.len() != plan.schema().len() {
@@ -749,22 +766,25 @@ impl Connection {
                     {
                         return Err(MlError::Catalog(format!("view '{name}' already exists")));
                     }
-                    shared.insert(lname.clone(), vd.clone());
+                    Arc::make_mut(&mut shared).insert(lname.clone(), vd.clone());
                     // Move the cache-key epoch under the same lock: plan
                     // and result entries keyed under the old view catalog
                     // become unreachable.
                     let e = self.views_epoch.fetch_add(1, Ordering::SeqCst) + 1;
                     self.txn.as_mut().expect("txn").views_epoch = e;
                 }
-                self.txn.as_mut().expect("txn").views.insert(lname, vd);
+                Arc::make_mut(&mut self.txn.as_mut().expect("txn").views).insert(lname, vd);
                 Ok(QueryResult::empty(0))
             }
             ast::Statement::DropView { name, if_exists } => {
                 let lname = name.to_ascii_lowercase();
-                let known = self.txn.as_mut().expect("txn").views.remove(&lname).is_some();
+                let txn = self.txn.as_mut().expect("txn");
+                let known = txn.views.contains_key(&lname)
+                    && Arc::make_mut(&mut txn.views).remove(&lname).is_some();
                 let shared = {
                     let mut g = self.db_views.lock().expect("views lock");
-                    let removed = g.remove(&lname).is_some();
+                    let removed =
+                        g.contains_key(&lname) && Arc::make_mut(&mut g).remove(&lname).is_some();
                     if removed || known {
                         let e = self.views_epoch.fetch_add(1, Ordering::SeqCst) + 1;
                         self.txn.as_mut().expect("txn").views_epoch = e;
@@ -787,8 +807,7 @@ impl Connection {
                 let lname = table.to_ascii_lowercase();
                 let (col_idx, meta) = {
                     let txn = self.txn.as_ref().expect("txn");
-                    let meta =
-                        TxnView { tables: &txn.tables, views: &txn.views }.table_meta(&lname)?;
+                    let meta = txn.view().table_meta(&lname)?;
                     let idx = meta
                         .schema
                         .index_of(&column)
@@ -821,7 +840,7 @@ impl Connection {
     fn run_select(&mut self, sel: &ast::SelectStmt) -> Result<QueryResult> {
         let (chunk, names, types, counters) = {
             let txn = self.txn.as_ref().expect("txn");
-            let view = TxnView { tables: &txn.tables, views: &txn.views };
+            let view = txn.view();
             let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
             let plan = Binder::new(&view).bind_select(sel)?;
             let plan = opt::optimize(plan, self.opt_flags, &stats, &view)?;
@@ -872,7 +891,7 @@ impl Connection {
             // still behave like a real statement — honour a pending
             // interrupt and the per-query timeout, and publish counters.
             if use_result && cacheable {
-                if let Some(entry) = self.result_cache.get_valid(&rkey, &txn.tables) {
+                if let Some(entry) = self.result_cache.get_valid(&rkey, txn.tables()) {
                     if self.interrupt.load(std::sync::atomic::Ordering::SeqCst) {
                         return Err(MlError::Interrupted);
                     }
@@ -895,7 +914,7 @@ impl Connection {
                 self.result_cache.misses.fetch_add(1, Ordering::Relaxed);
             }
 
-            let view = TxnView { tables: &txn.tables, views: &txn.views };
+            let view = txn.view();
             let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
             let pkey = CacheKey::new(&self.fingerprint, txn.views_epoch, &memo.shape.plan_key);
 
@@ -905,7 +924,7 @@ impl Connection {
             // header and dependency list rather than rebuilding them.
             let mut planned: Option<(plan::Plan, Option<Arc<PlanEntry>>)> = None;
             if use_plan && cacheable {
-                if let Some(entry) = self.plan_cache.get_valid(&pkey, &txn.tables) {
+                if let Some(entry) = self.plan_cache.get_valid(&pkey, txn.tables()) {
                     // A failed coercion (literal cannot take the
                     // template's type) falls through to a full replan.
                     planned = plan_cache::substitute_params(&entry.plan, &memo.params)
@@ -927,7 +946,7 @@ impl Connection {
                     let substituted = plan_cache::substitute_params(&template, &memo.params)
                         .unwrap_or_else(|| template.clone());
                     let entry = cacheable
-                        .then(|| plan_cache::collect_deps(&template, &txn.tables))
+                        .then(|| plan_cache::collect_deps(&template, txn.tables()))
                         .flatten()
                         .map(|deps| {
                             let entry = Arc::new(PlanEntry::new(template, deps));
@@ -977,7 +996,7 @@ impl Connection {
             let store_result = (use_result && cacheable)
                 .then(|| match &template {
                     Some(t) => Some(t.deps.clone()),
-                    None => plan_cache::collect_deps(&plan, &txn.tables),
+                    None => plan_cache::collect_deps(&plan, txn.tables()),
                 })
                 .flatten()
                 .map(|deps| (rkey, deps, counters.estimated_rows));
@@ -999,7 +1018,7 @@ impl Connection {
             return Err(MlError::Unsupported("EXPLAIN is only supported for SELECT".into()));
         };
         let txn = self.txn.as_ref().expect("txn");
-        let view = TxnView { tables: &txn.tables, views: &txn.views };
+        let view = txn.view();
         let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
         let plan = Binder::new(&view).bind_select(&sel)?;
         let plan = opt::optimize(plan, self.opt_flags, &stats, &view)?;
@@ -1013,9 +1032,9 @@ impl Connection {
             let memo = self.plan_cache.normalize(*sel, self.exec_opts.plan_cache_bytes);
             let key = |statement| CacheKey::new(&self.fingerprint, txn.views_epoch, statement);
             let plan_cached = self.exec_opts.use_plan_cache
-                && self.plan_cache.get_valid(&key(&memo.shape.plan_key), &txn.tables).is_some();
+                && self.plan_cache.get_valid(&key(&memo.shape.plan_key), txn.tables()).is_some();
             let result_cached = self.exec_opts.use_result_cache
-                && self.result_cache.get_valid(&key(&memo.result_key), &txn.tables).is_some();
+                && self.result_cache.get_valid(&key(&memo.result_key), txn.tables()).is_some();
             text.push_str(&mal::cache_tags(plan_cached, result_cached));
         }
         let lines: Vec<Option<String>> = text.lines().map(|l| Some(l.to_string())).collect();
@@ -1038,7 +1057,7 @@ impl Connection {
         let lname = table.to_ascii_lowercase();
         let schema = {
             let txn = self.txn.as_ref().expect("txn");
-            TxnView { tables: &txn.tables, views: &txn.views }.table_schema(&lname)?
+            txn.view().table_schema(&lname)?
         };
         // Map provided columns to schema positions.
         let positions: Vec<usize> = match columns {
@@ -1103,7 +1122,7 @@ impl Connection {
             return Ok((0..meta.data.rows as u32).filter(visible).collect());
         };
         let txn = self.txn.as_ref().expect("txn");
-        let view = TxnView { tables: &txn.tables, views: &txn.views };
+        let view = txn.view();
         let (pred, _) = Binder::new(&view).bind_table_expr(&meta.name, filter)?;
         let mut used = Vec::new();
         pred.collect_cols(&mut used);
@@ -1122,7 +1141,7 @@ impl Connection {
         let lname = table.to_ascii_lowercase();
         let meta = {
             let txn = self.txn.as_ref().expect("txn");
-            TxnView { tables: &txn.tables, views: &txn.views }.table_meta(&lname)?
+            txn.view().table_meta(&lname)?
         };
         let rows = self.matching_rows(&meta, filter)?;
         let n = rows.len() as u64;
@@ -1143,7 +1162,7 @@ impl Connection {
         let lname = table.to_ascii_lowercase();
         let meta = {
             let txn = self.txn.as_ref().expect("txn");
-            TxnView { tables: &txn.tables, views: &txn.views }.table_meta(&lname)?
+            txn.view().table_meta(&lname)?
         };
         let rows = self.matching_rows(&meta, filter)?;
         if rows.is_empty() {
@@ -1153,7 +1172,7 @@ impl Connection {
         let mut set_exprs: HashMap<usize, expr::BExpr> = HashMap::new();
         {
             let txn = self.txn.as_ref().expect("txn");
-            let view = TxnView { tables: &txn.tables, views: &txn.views };
+            let view = txn.view();
             let binder = Binder::new(&view);
             for (col, e) in sets {
                 let idx = meta

@@ -30,16 +30,18 @@
 use crate::agg::{hash_group, AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
-    bare_scan_hash_entry, exec_scan, exec_values, finish_join_output, project_cols, refine, Chunk,
-    ExecContext, ExecMode, ExecOptions, ScanState,
+    bare_scan_hash_entry, exec_scan, exec_values, finish_join_output, pair_probe_kind,
+    project_cols, refine, Chunk, ExecContext, ExecMode, ExecOptions, ScanState, INDEX_RATIO,
 };
 use crate::expr::{AggSpec, BExpr};
+use crate::join::JoinSel;
 use crate::plan::{OutCol, PJoinKind, Plan};
 use crate::rows::{col_cmp2, visit_keys, KeyCols, KeyVisitor};
 use crate::sort::{sort_perm, topn_perm};
 use crate::spill::{PartitionWriter, SpillFile, SpillReader, MAX_SPILL_DEPTH};
+use monetlite_storage::catalog::ColumnEntry;
 use monetlite_storage::hash::{hash_rows, HashTable};
-use monetlite_storage::{Bat, StrDict, NULL_CODE};
+use monetlite_storage::{Bat, StrDict};
 use monetlite_types::nulls::NULL_I32;
 use monetlite_types::{LogicalType, MlError, Result, Value};
 use std::collections::HashMap;
@@ -177,12 +179,32 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
             } else {
                 None
             };
+            let probe_entry = index_join_entry(left, left_keys, *kind, build_chunk.rows, ctx);
             // A transient build side is hashed once, a vector for the
-            // whole side: the bloom filter, the grace partitions and the
-            // join table all read these hashes.
+            // whole side: the index nested-loop join, the bloom filter,
+            // the grace partitions and the join table all read these
+            // hashes.
             let rrefs: Vec<&Bat> = build_keys.iter().map(|a| &**a).collect();
-            let build_hashes =
-                if index_entry.is_none() { hash_rows(&rrefs, None) } else { Vec::new() };
+            let build_hashes = if index_entry.is_none() || probe_entry.is_some() {
+                hash_rows(&rrefs, None)
+            } else {
+                Vec::new()
+            };
+            if let Some(entry) = probe_entry {
+                let joined = index_nested_loop(
+                    &p,
+                    &entry,
+                    *kind,
+                    residual.as_ref(),
+                    &build_chunk,
+                    &rrefs,
+                    &build_hashes,
+                    ctx,
+                )?;
+                if let Some(joined) = joined {
+                    return Ok(Pipeline { source: Source::Mem(joined), ops: Vec::new() });
+                }
+            }
             // Sideways information passing: summarise the build side's key
             // hashes into a bloom filter and push it into the probe-side
             // scan, where it drops definite non-matches per morsel before
@@ -249,6 +271,70 @@ fn decompose<'p>(plan: &'p Plan, ctx: &ExecContext) -> Result<Pipeline<'p>> {
             Ok(Pipeline { source: Source::Mem(chunk), ops: Vec::new() })
         }
     }
+}
+
+/// The probe column whose automatic hash index an Inner or Semi join
+/// should probe with its `build_rows` build keys (an index nested-loop
+/// join), or `None`. The probe side must be a bare scan with one
+/// bare-column key ([`bare_scan_hash_entry`]: no filter, no deletion
+/// mask), and the column's statistics must show at least [`INDEX_RATIO`]
+/// distinct values per build row, so that the index is built only where
+/// it replaces streaming most of the probe table past the build side.
+fn index_join_entry(
+    probe: &Plan,
+    left_keys: &[BExpr],
+    kind: PJoinKind,
+    build_rows: usize,
+    ctx: &ExecContext,
+) -> Option<Arc<ColumnEntry>> {
+    if !matches!(kind, PJoinKind::Inner | PJoinKind::Semi) || !ctx.opts.use_hash_index {
+        return None;
+    }
+    let entry = bare_scan_hash_entry(probe, left_keys, ctx)?;
+    let stats = entry.stats().ok()?;
+    (build_rows.saturating_mul(INDEX_RATIO) as f64 <= stats.ndv()).then_some(entry)
+}
+
+/// The index nested-loop join: probe `entry`'s hash index with each build
+/// key and gather only the matching rows of the probe scan `p`, instead
+/// of streaming the whole probe table past the build side. The pairs are
+/// sorted by (probe row, build row), the order a hash-join probe emits,
+/// so the output is row-for-row the hash join's. `None` when the pairs
+/// pass [`INDEX_RATIO`]'s fraction of the probe rows (a skewed key): the
+/// caller falls back to the hash join.
+#[allow(clippy::too_many_arguments)]
+fn index_nested_loop(
+    p: &Pipeline,
+    entry: &ColumnEntry,
+    kind: PJoinKind,
+    residual: Option<&BExpr>,
+    build_chunk: &Chunk,
+    build_keys: &[&Bat],
+    build_hashes: &[u64],
+    ctx: &ExecContext,
+) -> Result<Option<Chunk>> {
+    let probe_rows = p.source.rows();
+    // An empty build side joins nothing: no index is built for it.
+    let pairs = if build_chunk.rows == 0 {
+        Some(Vec::new())
+    } else {
+        let (index, column) = (entry.hash_index()?, entry.bat()?);
+        let cap = probe_rows / INDEX_RATIO;
+        crate::join::probe_index(build_keys, build_hashes, &[&*column], &index, cap)
+    };
+    let Some(mut pairs) = pairs else {
+        return Ok(None);
+    };
+    pairs.sort_unstable();
+    let (mut lsel, mut rsel): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+    if pair_probe_kind(kind, residual) == PJoinKind::Semi {
+        lsel.dedup();
+        rsel.clear();
+    }
+    ctx.counters.bump(&ctx.counters.hash_index_joins);
+    let probe = p.source.fetch(ctx, 0, probe_rows, true)?;
+    let sel = JoinSel { lsel, rsel };
+    finish_join_output(&probe.cols, &build_chunk.cols, sel, kind, residual, probe_rows).map(Some)
 }
 
 /// The probe-side scan column at which the build-side bloom filter of a
@@ -481,7 +567,7 @@ fn apply_ops(mut chunk: Chunk, ops: &[PipeOp], ctx: &ExecContext) -> Result<Chun
                     chunk = chunk.materialize();
                 }
                 let base_sel = chunk.sel.clone();
-                let probe_kind = crate::exec::pair_probe_kind(*kind, *residual);
+                let probe_kind = pair_probe_kind(*kind, *residual);
                 let mut sel = if *kind == PJoinKind::Cross || left_keys.is_empty() {
                     if *kind == PJoinKind::Left && residual.is_none() {
                         crate::join::scalar_left_pairs(chunk.rows, build_chunk.rows)?
@@ -802,17 +888,11 @@ fn run_aggregate(
                         continue;
                     }
                     let Ok(d) = entry.dict() else { continue };
-                    // Codes must fit the Int domain (NULL_I32 excluded).
-                    if d.len() >= i32::MAX as usize {
-                        continue;
-                    }
-                    let codes: Vec<i32> = d
-                        .codes()
-                        .iter()
-                        .map(|&c| if c == NULL_CODE { NULL_I32 } else { c as i32 })
-                        .collect();
+                    // Built once per dictionary and shared: the aggregate
+                    // reads the cached column, it never copies the codes.
+                    let Ok(Some(codes)) = entry.dict_codes() else { continue };
                     let pos = *width + extras.len();
-                    extras.push(Arc::new(Bat::Int(codes)));
+                    extras.push(codes);
                     *key = BExpr::ColRef { idx: pos, ty: LogicalType::Int };
                     rehydrate.push((g, d));
                     ctx.counters.bump(&ctx.counters.dict_hits);

@@ -59,6 +59,10 @@ pub struct IdxCache {
     /// dictionary-eligible scan (or loaded from the checkpoint's `.dict`
     /// sidecar), extended forward across appends at consolidation.
     pub dict: Option<Arc<StrDict>>,
+    /// The dictionary's codes as an INT column ([`StrDict::code_column`]),
+    /// built on the first group-by over the column and dropped with the
+    /// dictionary it was read from.
+    pub dict_codes: Option<Arc<Bat>>,
 }
 
 /// A handle to one physical column: its data (resident or off-loaded to a
@@ -327,7 +331,23 @@ impl ColumnEntry {
     /// segment's dictionary; checkpoint caches what it writes to the
     /// sidecar).
     pub fn install_dict(&self, d: Arc<StrDict>) {
-        self.idx.lock().dict = Some(d);
+        let mut g = self.idx.lock();
+        g.dict = Some(d);
+        g.dict_codes = None;
+    }
+
+    /// The dictionary's codes as an INT column, built once per dictionary
+    /// and shared by every aggregate that groups on the column; `None`
+    /// when the codes do not fit the INT domain.
+    pub fn dict_codes(&self) -> Result<Option<Arc<Bat>>> {
+        if let Some(c) = &self.idx.lock().dict_codes {
+            return Ok(Some(c.clone()));
+        }
+        let Some(built) = self.dict()?.code_column() else {
+            return Ok(None);
+        };
+        let mut g = self.idx.lock();
+        Ok(Some(g.dict_codes.get_or_insert(Arc::new(built)).clone()))
     }
 
     /// Get or build the order index (CREATE ORDER INDEX and its users).

@@ -23,6 +23,7 @@
 
 use crate::bat::Bat;
 use crate::heap::{StringHeap, NULL_OFFSET};
+use monetlite_types::nulls::NULL_I32;
 use std::collections::HashMap;
 
 /// Code denoting a NULL row (never a valid dictionary index).
@@ -91,6 +92,20 @@ impl StrDict {
     /// The per-row codes.
     pub fn codes(&self) -> &[u32] {
         &self.codes
+    }
+
+    /// The per-row codes as an INT column, NULL rows NULL: the group key a
+    /// scan hands an aggregate in place of the strings. `None` when the
+    /// codes do not fit the INT domain.
+    pub fn code_column(&self) -> Option<Bat> {
+        (self.len() < i32::MAX as usize).then(|| {
+            Bat::Int(
+                self.codes
+                    .iter()
+                    .map(|&c| if c == NULL_CODE { NULL_I32 } else { c as i32 })
+                    .collect(),
+            )
+        })
     }
 
     /// The value of a code.

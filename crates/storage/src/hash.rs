@@ -121,6 +121,15 @@ pub fn hash_rows(cols: &[&Bat], sel: Option<&[u32]>) -> Vec<u64> {
     hashes
 }
 
+/// The hash [`hash_rows`] gives a one-column row whose non-NULL key, in
+/// the order-key domain of [`crate::index::key_at`], is `key`: INT, DATE,
+/// BIGINT and DECIMAL columns hash their order key unchanged (DOUBLE folds
+/// `-0.0`, so it is not covered). A point select reads the column's hash
+/// index with it.
+pub fn hash_key(key: i64) -> u64 {
+    combine(SEED, key as u64)
+}
+
 #[inline]
 fn fold<T: Copy>(
     hashes: &mut [u64],
@@ -482,6 +491,22 @@ mod tests {
         assert_eq!(h[0], h[1]);
         assert_ne!(h[0], h[2]);
         assert_ne!(key_at(&d, 0), key_at(&d, 1), "the order-key domain is untouched");
+    }
+
+    #[test]
+    fn hash_key_is_the_row_hash_of_every_integer_backed_type() {
+        let cols = [
+            Bat::Int(vec![-7, 0, 42]),
+            Bat::Date(vec![-7, 0, 42]),
+            Bat::Bigint(vec![-7, 0, i64::MAX]),
+            Bat::Decimal { data: vec![-7, 0, 12_345], scale: 2 },
+        ];
+        for col in &cols {
+            let h = hash_rows(&[col], None);
+            for (row, &want) in h.iter().enumerate() {
+                assert_eq!(hash_key(key_at(col, row)), want, "{col:?} row {row}");
+            }
+        }
     }
 
     #[test]
