@@ -60,7 +60,7 @@ use monetlite_storage::wal::WalRecord;
 use monetlite_storage::Bat;
 use monetlite_types::{ColumnBuffer, Field, LogicalType, MlError, Result, Schema, Value};
 use opt::OptFlags;
-use plan_cache::{CacheKey, Fingerprint, PlanCache, PlanEntry, StmtMemo};
+use plan_cache::{CacheKey, Fingerprint, PlanCache, PlanEntry, Skeleton, StmtMemo};
 use result_cache::{ResultCache, ResultEntry};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -172,7 +172,7 @@ impl Database {
             stats_mode,
             fingerprint: Fingerprint::new(self.opts.opt_flags, stats_mode, &self.opts.exec),
             txn: None,
-            last_counters: None,
+            last: None,
             db_views: self.views.clone(),
             views_epoch: self.views_epoch.clone(),
             plan_cache: self.plan_cache.clone(),
@@ -318,6 +318,119 @@ impl ActiveTxn {
     fn view(&self) -> TxnView<'_> {
         TxnView { tables: self.tables(), views: &self.views }
     }
+
+    /// The effective table map as it stands now, kept past this
+    /// transaction: the snapshot itself until the transaction writes.
+    fn pin_tables(&self) -> Arc<CatalogSnapshot> {
+        match &self.own_tables {
+            None => self.base.clone(),
+            Some(tables) => Arc::new(CatalogSnapshot { tables: tables.clone() }),
+        }
+    }
+}
+
+/// The counters of a connection's last successful SELECT. Its
+/// cardinality estimate is computed when the counters are read rather
+/// than on every statement.
+struct LastSelect {
+    /// Counters as executed; `estimated_rows` is filled by `settle`.
+    counters: exec::CountersSnapshot,
+    /// What the estimate is computed from, until a write settles it.
+    basis: Option<EstimateBasis>,
+}
+
+impl LastSelect {
+    fn new(counters: exec::CountersSnapshot, basis: EstimateBasis) -> LastSelect {
+        LastSelect { counters, basis: Some(basis) }
+    }
+
+    /// Compute the estimate now and release the snapshot it needed.
+    fn settle(&mut self, plan_cache: &PlanCache) {
+        if let Some(basis) = self.basis.take() {
+            self.counters.estimated_rows = basis.estimate(plan_cache);
+        }
+    }
+}
+
+/// A statement's plan and the snapshot it read: the one snapshot a
+/// connection pins between statements, until the next SELECT replaces it
+/// or the connection's next write settles the estimate. No cache entry
+/// pins one.
+struct EstimateBasis {
+    tables: Arc<CatalogSnapshot>,
+    views: Arc<HashMap<String, ViewDef>>,
+    stats_mode: opt::StatsMode,
+    plan: LastPlan,
+}
+
+enum LastPlan {
+    /// The plan that ran.
+    Ran(plan::Plan),
+    /// A result-cache hit, which planned nothing: the plan its result was
+    /// executed from is derived again on read, from the same template when
+    /// the plan cache still holds it.
+    Served { memo: Arc<StmtMemo>, plan_key: CacheKey, opt_flags: OptFlags, use_plan: bool },
+}
+
+impl EstimateBasis {
+    /// `plan` over what `txn` sees now.
+    fn new(txn: &ActiveTxn, stats_mode: opt::StatsMode, plan: LastPlan) -> EstimateBasis {
+        EstimateBasis { tables: txn.pin_tables(), views: txn.views.clone(), stats_mode, plan }
+    }
+
+    /// The optimizer's estimate for the statement's plan, from statistics
+    /// already materialised only: a joinless query whose planning never
+    /// consulted statistics must not pay a column scan for a diagnostic.
+    /// 0 when the plan cannot be derived again.
+    fn estimate(&self, plan_cache: &PlanCache) -> u64 {
+        let view = TxnView { tables: &self.tables.tables, views: &self.views };
+        let served;
+        let plan = match &self.plan {
+            LastPlan::Ran(plan) => plan,
+            LastPlan::Served { memo, plan_key, opt_flags, use_plan } => {
+                let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
+                let template = use_plan
+                    .then(|| plan_cache.peek_valid(plan_key, view.tables))
+                    .flatten()
+                    .and_then(|t| plan_cache::substitute_params(&t.plan, &memo.params));
+                let plan = match template {
+                    Some(p) => Ok(p),
+                    None => plan_fresh(&view, &stats, *opt_flags, memo, *use_plan).map(|p| p.0),
+                };
+                match plan.and_then(opt::fold_constants) {
+                    Ok(p) => served = p,
+                    Err(_) => return 0,
+                }
+                &served
+            }
+        };
+        let cached = CachedTxnStats(&view);
+        let stats = opt::ModedStats { inner: &cached, mode: self.stats_mode };
+        opt::estimate_rows(plan, &stats).round() as u64
+    }
+}
+
+/// Plan `memo` without a stored template. With the plan cache on, bind
+/// and optimize the parameterized statement and return the template with
+/// this statement's literals substituted, plus the template itself; with
+/// it off, bind and optimize the statement as written.
+fn plan_fresh(
+    view: &TxnView<'_>,
+    stats: &dyn opt::Stats,
+    flags: OptFlags,
+    memo: &StmtMemo,
+    use_plan: bool,
+) -> Result<(plan::Plan, Option<plan::Plan>)> {
+    if !use_plan {
+        let p = Binder::new(view).bind_select(&memo.original_stmt())?;
+        return Ok((opt::optimize(p, flags, stats, view)?, None));
+    }
+    let template =
+        Binder::with_params(view, memo.params.clone()).bind_select(&memo.shape.template_stmt)?;
+    let template = opt::optimize(template, flags, stats, view)?;
+    let substituted =
+        plan_cache::substitute_params(&template, &memo.params).unwrap_or_else(|| template.clone());
+    Ok((substituted, Some(template)))
 }
 
 /// A connection: holds the per-query context and transaction state.
@@ -330,7 +443,7 @@ pub struct Connection {
     /// by their setters, never per statement.
     fingerprint: Arc<Fingerprint>,
     txn: Option<ActiveTxn>,
-    last_counters: Option<exec::CountersSnapshot>,
+    last: Option<LastSelect>,
     db_views: Arc<std::sync::Mutex<Arc<HashMap<String, ViewDef>>>>,
     views_epoch: Arc<AtomicU64>,
     plan_cache: Arc<PlanCache>,
@@ -473,9 +586,18 @@ impl Connection {
     /// Execution counters of the last successful SELECT on this
     /// connection (`None` before the first one): tactical decisions,
     /// pipeline/morsel traffic, and — under a memory budget — spill
-    /// activity (`spilled_partitions` / `spill_bytes`).
+    /// activity (`spilled_partitions` / `spill_bytes`). The cardinality
+    /// estimate is computed here, from the statement's plan and snapshot,
+    /// so a statement nobody asks about does not pay for it.
     pub fn last_exec_counters(&self) -> Option<exec::CountersSnapshot> {
-        self.last_counters
+        let last = self.last.as_ref()?;
+        Some(match &last.basis {
+            Some(basis) => exec::CountersSnapshot {
+                estimated_rows: basis.estimate(&self.plan_cache),
+                ..last.counters
+            },
+            None => last.counters,
+        })
     }
 
     /// A handle other threads can use to cancel this connection's running
@@ -490,18 +612,30 @@ impl Connection {
         // Each statement starts un-interrupted: an interrupt delivered
         // while the connection was idle must not kill the next query.
         self.interrupt.store(false, std::sync::atomic::Ordering::SeqCst);
-        let caches_on = self.exec_opts.use_plan_cache || self.exec_opts.use_result_cache;
-        // Statement-text memo: a repeat of the exact text skips even the
-        // parser (the memo is a pure function of the text, never stale).
-        if caches_on {
-            if let Some(memo) = self.plan_cache.memo_get(sql) {
-                return self.run_select_memo(&memo);
-            }
+        if !(self.exec_opts.use_plan_cache || self.exec_opts.use_result_cache) {
+            return self.run_statement(monetlite_sql::parse_statement(sql)?);
         }
-        match monetlite_sql::parse_statement(sql)? {
-            ast::Statement::Select(sel) if caches_on => {
-                let budget = self.exec_opts.plan_cache_bytes;
+        // Statement-text memo: a repeat of the exact text skips even the
+        // lexer (the memo is a pure function of the text, never stale).
+        if let Some(memo) = self.plan_cache.memo_get(sql) {
+            return self.run_select_memo(&memo);
+        }
+        // A fresh text is lexed; when its skeleton is recorded, the memo
+        // is built from the tokens and the parser is skipped.
+        let budget = self.exec_opts.plan_cache_bytes;
+        let tokens = monetlite_sql::lexer::tokenize(sql)?;
+        let skeleton = Skeleton::of(&tokens);
+        if let Some(memo) = skeleton.as_ref().and_then(|sk| self.plan_cache.skeleton_get(sk)) {
+            let memo = Arc::new(memo);
+            self.plan_cache.memo_put(sql, memo.clone(), budget);
+            return self.run_select_memo(&memo);
+        }
+        match monetlite_sql::parse_tokens(&tokens)? {
+            ast::Statement::Select(sel) => {
                 let memo = Arc::new(self.plan_cache.normalize(*sel, budget));
+                if let Some(sk) = &skeleton {
+                    self.plan_cache.skeleton_put(sk, &memo, budget);
+                }
                 self.plan_cache.memo_put(sql, memo.clone(), budget);
                 self.run_select_memo(&memo)
             }
@@ -511,7 +645,7 @@ impl Connection {
 
     /// Autocommit wrapper around the cached SELECT path (mirrors
     /// `run_statement`'s handling of a bare SELECT).
-    fn run_select_memo(&mut self, memo: &StmtMemo) -> Result<QueryResult> {
+    fn run_select_memo(&mut self, memo: &Arc<StmtMemo>) -> Result<QueryResult> {
         let implicit = self.ensure_txn();
         let r = self.run_select_cached(memo);
         self.finish_implicit(implicit, r.is_ok())?;
@@ -640,6 +774,12 @@ impl Connection {
     /// Record a write op: apply to the transaction-local view (so later
     /// statements see it) and queue for commit.
     fn apply_write(&mut self, op: WalRecord) -> Result<()> {
+        // The data moves on: the last SELECT's snapshot is not kept past
+        // the writes that would otherwise leave it the only holder of
+        // their tables' old versions.
+        if let Some(last) = &mut self.last {
+            last.settle(&self.plan_cache);
+        }
         let txn = self.txn.as_mut().expect("txn ensured");
         // Base-version bookkeeping for conflict detection.
         let target = match &op {
@@ -690,7 +830,7 @@ impl Connection {
                     // Script / non-memoized entry: normalize here so the
                     // statement still shares plan and result entries.
                     let memo = self.plan_cache.normalize(*sel, self.exec_opts.plan_cache_bytes);
-                    self.run_select_cached(&memo)
+                    self.run_select_cached(&Arc::new(memo))
                 } else {
                     self.run_select(&sel)
                 }
@@ -838,7 +978,7 @@ impl Connection {
     }
 
     fn run_select(&mut self, sel: &ast::SelectStmt) -> Result<QueryResult> {
-        let (chunk, names, types, counters) = {
+        let (chunk, names, types, last) = {
             let txn = self.txn.as_ref().expect("txn");
             let view = txn.view();
             let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
@@ -853,16 +993,13 @@ impl Connection {
                 .with_interrupt(self.interrupt.clone());
             let chunk = exec::execute(&plan, &ctx)?;
             let (names, types) = plan_cache::header(&plan);
-            // The counter estimate reads only *cached* statistics: a
-            // joinless query whose planning never consulted stats must
-            // not pay a full column scan for a diagnostic.
-            let cached = CachedTxnStats(&view);
-            let counter_stats = opt::ModedStats { inner: &cached, mode: self.stats_mode };
-            let mut counters = ctx.counters.snapshot();
-            counters.estimated_rows = opt::estimate_rows(&plan, &counter_stats).round() as u64;
-            (chunk, names, types, counters)
+            let last = LastSelect::new(
+                ctx.counters.snapshot(),
+                EstimateBasis::new(txn, self.stats_mode, LastPlan::Ran(plan)),
+            );
+            (chunk, names, types, last)
         };
-        self.last_counters = Some(counters);
+        self.last = Some(last);
         Ok(QueryResult { names, types, cols: chunk.cols, rows: chunk.rows, rows_affected: 0 })
     }
 
@@ -878,14 +1015,15 @@ impl Connection {
     /// Consulting and populating the caches requires a transaction with
     /// no uncommitted writes and only committed input tables; everything
     /// else takes the plain `run_select` path.
-    fn run_select_cached(&mut self, memo: &StmtMemo) -> Result<QueryResult> {
+    fn run_select_cached(&mut self, memo: &Arc<StmtMemo>) -> Result<QueryResult> {
         let started = Instant::now();
         let use_plan = self.exec_opts.use_plan_cache;
         let use_result = self.exec_opts.use_result_cache;
-        let (result, counters, store_result) = {
+        let (result, last, store_result) = {
             let txn = self.txn.as_ref().expect("txn");
             let cacheable = txn.writes.is_empty();
             let rkey = CacheKey::new(&self.fingerprint, txn.views_epoch, &memo.result_key);
+            let pkey = CacheKey::new(&self.fingerprint, txn.views_epoch, &memo.shape.plan_key);
 
             // 1. Result cache: a hit skips execution entirely, but must
             // still behave like a real statement — honour a pending
@@ -904,11 +1042,19 @@ impl Connection {
                         }
                     }
                     self.result_cache.hits.fetch_add(1, Ordering::Relaxed);
-                    self.last_counters = Some(exec::CountersSnapshot {
-                        result_cache_hits: 1,
-                        estimated_rows: entry.estimated_rows,
-                        ..Default::default()
-                    });
+                    self.last = Some(LastSelect::new(
+                        exec::CountersSnapshot { result_cache_hits: 1, ..Default::default() },
+                        EstimateBasis::new(
+                            txn,
+                            self.stats_mode,
+                            LastPlan::Served {
+                                memo: memo.clone(),
+                                plan_key: pkey,
+                                opt_flags: self.opt_flags,
+                                use_plan,
+                            },
+                        ),
+                    ));
                     return Ok(entry.result.clone());
                 }
                 self.result_cache.misses.fetch_add(1, Ordering::Relaxed);
@@ -916,7 +1062,6 @@ impl Connection {
 
             let view = txn.view();
             let stats = opt::ModedStats { inner: &view, mode: self.stats_mode };
-            let pkey = CacheKey::new(&self.fingerprint, txn.views_epoch, &memo.shape.plan_key);
 
             // 2. Plan cache: reuse the optimized template, re-binding the
             // statement's literals into its parameter slots. A statement
@@ -934,22 +1079,23 @@ impl Connection {
             let plan_hit = planned.is_some();
             let (plan, template) = match planned {
                 Some(p) => p,
-                None if use_plan => {
+                None => {
                     // 3. Miss: bind + optimize the *parameterized*
                     // statement so the resulting plan is a reusable
                     // template, store it, then substitute this
-                    // statement's own literals back in.
-                    self.plan_cache.misses.fetch_add(1, Ordering::Relaxed);
-                    let template = Binder::with_params(&view, memo.params.clone())
-                        .bind_select(&memo.shape.template_stmt)?;
-                    let template = opt::optimize(template, self.opt_flags, &stats, &view)?;
-                    let substituted = plan_cache::substitute_params(&template, &memo.params)
-                        .unwrap_or_else(|| template.clone());
-                    let entry = cacheable
-                        .then(|| plan_cache::collect_deps(&template, txn.tables()))
-                        .flatten()
-                        .map(|deps| {
-                            let entry = Arc::new(PlanEntry::new(template, deps));
+                    // statement's own literals back in. With the plan
+                    // cache off (result cache only), plain bind +
+                    // optimize of the original statement.
+                    if use_plan {
+                        self.plan_cache.misses.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let (plan, template) =
+                        plan_fresh(&view, &stats, self.opt_flags, memo, use_plan)?;
+                    let entry = template
+                        .filter(|_| cacheable)
+                        .and_then(|t| Some((plan_cache::collect_deps(&t, txn.tables())?, t)))
+                        .map(|(deps, t)| {
+                            let entry = Arc::new(PlanEntry::new(t, deps));
                             self.plan_cache.put(
                                 pkey,
                                 entry.clone(),
@@ -957,13 +1103,7 @@ impl Connection {
                             );
                             entry
                         });
-                    (substituted, entry)
-                }
-                None => {
-                    // Plan cache disabled (result cache only): plain
-                    // bind + optimize of the original statement.
-                    let p = Binder::new(&view).bind_select(&memo.original_stmt())?;
-                    (opt::optimize(p, self.opt_flags, &stats, &view)?, None)
+                    (plan, entry)
                 }
             };
             // Re-fold now that parameter slots are concrete literals, so
@@ -980,10 +1120,7 @@ impl Connection {
                 Some(t) => (t.names.clone(), t.types.clone()),
                 None => plan_cache::header(&plan),
             };
-            let cached = CachedTxnStats(&view);
-            let counter_stats = opt::ModedStats { inner: &cached, mode: self.stats_mode };
             let mut counters = ctx.counters.snapshot();
-            counters.estimated_rows = opt::estimate_rows(&plan, &counter_stats).round() as u64;
             if plan_hit {
                 counters.plan_cache_hits = 1;
                 self.plan_cache.hits.fetch_add(1, Ordering::Relaxed);
@@ -999,14 +1136,18 @@ impl Connection {
                     None => plan_cache::collect_deps(&plan, txn.tables()),
                 })
                 .flatten()
-                .map(|deps| (rkey, deps, counters.estimated_rows));
-            (result, counters, store_result)
+                .map(|deps| (rkey, deps));
+            let last = LastSelect::new(
+                counters,
+                EstimateBasis::new(txn, self.stats_mode, LastPlan::Ran(plan)),
+            );
+            (result, last, store_result)
         };
-        self.last_counters = Some(counters);
-        if let Some((rkey, deps, estimated_rows)) = store_result {
+        self.last = Some(last);
+        if let Some((rkey, deps)) = store_result {
             self.result_cache.put(
                 rkey,
-                ResultEntry { result: result.clone(), estimated_rows, deps },
+                ResultEntry { result: result.clone(), deps },
                 self.exec_opts.result_cache_bytes,
             );
         }

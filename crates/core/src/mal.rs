@@ -121,10 +121,15 @@ impl Renderer {
                 for f in filters {
                     let c = self.reg("C");
                     let src = cand.clone().unwrap_or_else(|| "nil".into());
+                    // A select reads the first column its predicate reads
+                    // (a constant predicate, the scan's first column).
+                    let mut cols = Vec::new();
+                    f.collect_cols(&mut cols);
+                    let col = cols.first().map_or(regs.first(), |&i| regs.get(i));
                     let _ = writeln!(
                         self.out,
                         "    {c} := algebra.select({}, {src}, {});",
-                        regs.first().cloned().unwrap_or_else(|| "nil".into()),
+                        col.map_or("nil", String::as_str),
                         mal_expr(f)
                     );
                     cand = Some(c);

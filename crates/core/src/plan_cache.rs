@@ -12,6 +12,11 @@
 //! every literal-driven fast path (zonemap probes, dictionary predicate
 //! compilation, imprints) fires exactly as it would uncached.
 //!
+//! In front of the templates, two memos map statement text to its
+//! normalization without parsing it again: the exact text, and the token
+//! skeleton ([`Skeleton`]) — the text with its literals reduced to their
+//! types — which serves a fresh text of a known shape after the lexer.
+//!
 //! Soundness rules shared with the result cache:
 //! * Entries are consulted/stored only by transactions with **no
 //!   uncommitted writes**: a txn-local append bumps `version` in its
@@ -34,6 +39,8 @@ use crate::opt::{OptFlags, StatsMode};
 use crate::plan::Plan;
 use monetlite_sql::ast::SelectStmt;
 use monetlite_sql::canon;
+use monetlite_sql::lexer::{Token, TokenKind};
+use monetlite_sql::literal_value;
 use monetlite_storage::catalog::TableMeta;
 use monetlite_storage::store::TEMP_TABLE_ID_BASE;
 use monetlite_types::{LogicalType, Value};
@@ -418,6 +425,7 @@ impl<V, K> Default for Lru<V, K> {
 
 impl<V, K> LruInner<V, K> {
     fn node(&mut self, i: usize) -> &mut Node<K, V> {
+        // xlint: allow(panic, every index in `index` and on the recency list names an occupied slot: `release` unlinks a slot before it empties it)
         self.nodes[i].as_mut().expect("linked slot is occupied")
     }
 
@@ -451,6 +459,7 @@ impl<V, K> LruInner<V, K> {
     /// Unlink slot `i` and free it; the caller drops the index entry.
     fn release(&mut self, i: usize) -> Node<K, V> {
         self.unlink(i);
+        // xlint: allow(panic, `i` was linked a moment ago, and only an occupied slot is ever linked)
         let n = self.nodes[i].take().expect("linked slot is occupied");
         self.free.push(i);
         self.bytes -= n.bytes;
@@ -460,6 +469,7 @@ impl<V, K> LruInner<V, K> {
 
 impl<V, K: Hash + Eq + Clone> Lru<V, K> {
     fn lock(&self) -> std::sync::MutexGuard<'_, LruInner<V, K>> {
+        // xlint: allow(panic, poisoned only when a holder panicked mid-update and left the list half linked; serving from it would be worse than failing)
         self.inner.lock().expect("cache lock")
     }
 
@@ -475,6 +485,18 @@ impl<V, K: Hash + Eq + Clone> Lru<V, K> {
             g.push_front(i);
         }
         Some(g.node(i).v.clone())
+    }
+
+    /// The entry under `key`, its recency untouched: a look that is not a
+    /// use (a counter read re-deriving what a statement ran).
+    pub fn peek<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let g = self.lock();
+        let i = *g.index.get(key)?;
+        g.nodes.get(i)?.as_ref().map(|n| n.v.clone())
     }
 
     /// Fetch an entry `valid` accepts. A rejected entry is dropped — but
@@ -603,6 +625,167 @@ impl StmtMemo {
     }
 }
 
+/// A lexed query as the skeleton memo sees it: its *skeleton*, the token
+/// stream with every literal token replaced by the type tag the plan key
+/// gives it (`int`, `bigint`, `dec<scale>`, `str`, `date`), and the value
+/// of each literal token in token order, converted as the parser
+/// converts it ([`monetlite_sql::literal_value`]).
+///
+/// Two texts share a skeleton exactly when they differ only in literal
+/// values of the same tags, in whitespace, comments and identifier case.
+/// The parser reads a literal's value only through its tag, so two such
+/// texts parse to the same tree up to those values.
+pub struct Skeleton {
+    key: String,
+    values: Vec<Value>,
+}
+
+impl Skeleton {
+    /// The skeleton of `tokens` (as `tokenize` returned them). `None` for
+    /// a statement that is not a query, or with a literal the parser would
+    /// reject: either takes the parse path.
+    pub fn of(tokens: &[Token]) -> Option<Skeleton> {
+        match tokens.first().map(|t| &t.kind) {
+            Some(TokenKind::Ident(w)) if w == "select" || w == "with" => {}
+            _ => return None,
+        }
+        let mut key = String::with_capacity(tokens.len() * 8);
+        let mut values = Vec::new();
+        let mut after_date = false;
+        for t in tokens {
+            match literal_value(&t.kind, after_date) {
+                Some(v) => {
+                    let v = v.ok()?;
+                    key.push('?');
+                    canon::write_param_tag(&mut key, &v);
+                    values.push(v);
+                }
+                None => match &t.kind {
+                    TokenKind::Ident(w) => key.push_str(w),
+                    TokenKind::QuotedIdent(w) => {
+                        key.push('"');
+                        key.push_str(w);
+                        key.push('"');
+                    }
+                    kind => key.push_str(symbol(kind)),
+                },
+            }
+            // Only a quoted identifier renders a space or a `"`, and it
+            // is quoted and cannot contain `"`: the separator keeps the
+            // rendering injective.
+            key.push(' ');
+            after_date = matches!(&t.kind, TokenKind::Ident(w) if w == "date");
+        }
+        Some(Skeleton { key, values })
+    }
+}
+
+/// The text of a punctuation token (empty for the rest, which
+/// [`Skeleton::of`] renders itself).
+fn symbol(kind: &TokenKind) -> &'static str {
+    match kind {
+        TokenKind::Comma => ",",
+        TokenKind::LParen => "(",
+        TokenKind::RParen => ")",
+        TokenKind::Semicolon => ";",
+        TokenKind::Dot => ".",
+        TokenKind::Star => "*",
+        TokenKind::Plus => "+",
+        TokenKind::Minus => "-",
+        TokenKind::Slash => "/",
+        TokenKind::Percent => "%",
+        TokenKind::Eq => "=",
+        TokenKind::NotEq => "<>",
+        TokenKind::Lt => "<",
+        TokenKind::LtEq => "<=",
+        TokenKind::Gt => ">",
+        TokenKind::GtEq => ">=",
+        TokenKind::Eof
+        | TokenKind::Ident(_)
+        | TokenKind::QuotedIdent(_)
+        | TokenKind::Str(_)
+        | TokenKind::Int(_)
+        | TokenKind::Number(_) => "",
+    }
+}
+
+/// The role of one literal token of a recorded skeleton.
+enum Slot {
+    /// The token is the shape's parameter `?N`.
+    Param(usize),
+    /// The token stays in the keys (a projection literal, an IN-list
+    /// member, a LIKE pattern, a LIMIT): a text is served only when its
+    /// token has this value.
+    Verbatim(Value),
+}
+
+/// A recorded skeleton: the shape its texts normalize to and the role of
+/// each literal token, in token order.
+struct SkeletonEntry {
+    shape: Arc<Shape>,
+    slots: Vec<Slot>,
+    params: usize,
+}
+
+impl SkeletonEntry {
+    /// The parse path's memo for a statement of this skeleton with
+    /// literal values `values`; `None` when a verbatim token differs.
+    fn serve(&self, values: &[Value]) -> Option<StmtMemo> {
+        if values.len() != self.slots.len() {
+            return None;
+        }
+        let mut params = vec![Value::Null; self.params];
+        for (v, slot) in values.iter().zip(&self.slots) {
+            match slot {
+                Slot::Param(n) => *params.get_mut(*n)? = v.clone(),
+                Slot::Verbatim(want) if v == want => {}
+                Slot::Verbatim(_) => return None,
+            }
+        }
+        let result_key = canon::result_key(&self.shape.plan_key, &params).into();
+        Some(StmtMemo { result_key, shape: self.shape.clone(), params })
+    }
+
+    /// The entry that serves the statement `memo` was normalized from, if
+    /// one serves it byte for byte. Parameter `?N` is the one literal token
+    /// whose value equals it; when several tokens do (`select 5 ... where
+    /// x = 5`), which one became the parameter is not known, and the
+    /// statement is not recorded.
+    fn record(sk: &Skeleton, memo: &StmtMemo) -> Option<SkeletonEntry> {
+        let mut slots: Vec<Slot> = sk.values.iter().cloned().map(Slot::Verbatim).collect();
+        for (n, p) in memo.params.iter().enumerate() {
+            let mut hits = sk.values.iter().enumerate().filter(|(_, v)| *v == p);
+            let (Some((i, _)), None) = (hits.next(), hits.next()) else { return None };
+            match slots.get_mut(i)? {
+                Slot::Param(_) => return None,
+                slot => *slot = Slot::Param(n),
+            }
+        }
+        let entry = SkeletonEntry { shape: memo.shape.clone(), slots, params: memo.params.len() };
+        let served = entry.serve(&sk.values)?;
+        (served.result_key == memo.result_key
+            && served.params == memo.params
+            && served.shape.plan_key == memo.shape.plan_key)
+            .then_some(entry)
+    }
+
+    fn weight(&self, key: &str) -> usize {
+        let verbatim: usize = self
+            .slots
+            .iter()
+            .map(|s| match s {
+                Slot::Verbatim(v) => value_weight(v),
+                Slot::Param(_) => 0,
+            })
+            .sum();
+        key.len()
+            + self.slots.len() * std::mem::size_of::<Slot>()
+            + verbatim
+            + std::mem::size_of::<SkeletonEntry>()
+            + 128
+    }
+}
+
 /// One cached plan template.
 pub struct PlanEntry {
     /// Optimized plan with `BExpr::Param` slots.
@@ -625,19 +808,22 @@ impl PlanEntry {
     }
 }
 
-/// The shared plan cache: a text → normalization memo, the shapes the
-/// memo entries share, and the template store. Counters aggregate across
-/// connections.
+/// The shared plan cache: a text → normalization memo, a skeleton →
+/// shape memo, the shapes both share, and the template store. Counters
+/// aggregate across connections.
 ///
-/// `ExecOptions::plan_cache_bytes` covers all three: half for the
-/// templates and a quarter each for the shapes and the text memo. A memo
-/// entry is a few hundred bytes and a result entry a few thousand, so
-/// with the shipped budgets (64 MiB here, 256 MiB of results) the memo
-/// holds at least as many texts as the result cache holds results, and a
-/// result hit normally skips the parser too.
+/// `ExecOptions::plan_cache_bytes` covers all four: half for the
+/// templates, a quarter for the text memo and an eighth each for the
+/// shapes and the skeletons. A memo entry is a few hundred bytes and a
+/// result entry a few thousand, so with the shipped budgets (64 MiB here,
+/// 256 MiB of results) the memo holds at least as many texts as the
+/// result cache holds results, and a result hit normally skips the lexer
+/// too. A text the memo has not seen is lexed; when its skeleton is
+/// recorded, it is not parsed either.
 #[derive(Default)]
 pub struct PlanCache {
     memo: Lru<StmtMemo>,
+    skeletons: Lru<SkeletonEntry>,
     shapes: Lru<Shape>,
     templates: Lru<PlanEntry, CacheKey>,
     /// Template hits (bind+optimize skipped).
@@ -679,10 +865,27 @@ impl PlanCache {
             let bytes = n.key.len() * 16 + std::mem::size_of::<Shape>();
             let plan_key: Arc<str> = n.key.into();
             let shape = Arc::new(Shape { plan_key: plan_key.clone(), template_stmt: n.stmt });
-            self.shapes.put(plan_key, shape.clone(), bytes, budget / 4);
+            self.shapes.put(plan_key, shape.clone(), bytes, budget / 8);
             shape
         });
         StmtMemo { result_key, shape, params: n.params }
+    }
+
+    /// Token path: the memo of a text whose skeleton is recorded, built
+    /// without parsing or normalizing it. `None` sends the text down the
+    /// parse path.
+    pub fn skeleton_get(&self, sk: &Skeleton) -> Option<StmtMemo> {
+        self.skeletons.get(sk.key.as_str())?.serve(&sk.values)
+    }
+
+    /// Parse path: record `sk` for the shape `memo` was normalized to —
+    /// only when the token path reproduces `memo` exactly. A statement it
+    /// cannot reproduce takes the parse path every time.
+    pub fn skeleton_put(&self, sk: &Skeleton, memo: &StmtMemo, budget: usize) {
+        if let Some(entry) = SkeletonEntry::record(sk, memo) {
+            let bytes = entry.weight(&sk.key);
+            self.skeletons.put(sk.key.as_str().into(), Arc::new(entry), bytes, budget / 8);
+        }
     }
 
     /// Fetch a template if its dependencies still hold for `tables`.
@@ -698,6 +901,16 @@ impl PlanCache {
             }
             valid
         })
+    }
+
+    /// The template under `key` if its dependencies hold for `tables`,
+    /// without counting, evicting or refreshing anything.
+    pub fn peek_valid(
+        &self,
+        key: &CacheKey,
+        tables: &HashMap<String, Arc<TableMeta>>,
+    ) -> Option<Arc<PlanEntry>> {
+        self.templates.peek(key).filter(|e| deps_valid(&e.deps, tables))
     }
 
     /// Store a template under `key` within `budget` bytes.
@@ -722,6 +935,7 @@ impl PlanCache {
     /// Drop everything (tests).
     pub fn clear(&self) {
         self.templates.clear();
+        self.skeletons.clear();
         self.shapes.clear();
         self.memo.clear();
     }
@@ -970,7 +1184,6 @@ mod tests {
         let results = crate::result_cache::ResultCache::default();
         let result = || crate::result_cache::ResultEntry {
             result: crate::QueryResult::empty(0),
-            estimated_rows: 0,
             deps: Arc::default(),
         };
         results.put(key("q0"), result(), usize::MAX);

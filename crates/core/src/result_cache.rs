@@ -23,9 +23,6 @@ pub struct ResultEntry {
     /// The result as handed to the first caller; a hit clones it (shared
     /// header, shared columns).
     pub result: QueryResult,
-    /// Optimizer cardinality estimate recorded at store time (replayed
-    /// into the hit's counter snapshot).
-    pub estimated_rows: u64,
     /// Input-table fingerprints at store time (shared with the plan
     /// template the statement ran from, when there was one).
     pub deps: Arc<[Dep]>,

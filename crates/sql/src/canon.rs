@@ -66,7 +66,7 @@ fn write_quoted(out: &mut String, s: &str) {
 /// Short type tag for a parameter slot: the *type* of the extracted
 /// literal is part of the template key (an `int` and a `decimal`
 /// constant bind and cast differently), while its value is not.
-fn write_param_tag(out: &mut String, v: &Value) {
+pub fn write_param_tag(out: &mut String, v: &Value) {
     out.push_str(match v {
         Value::Null => "null",
         Value::Bool(_) => "bool",
@@ -102,15 +102,22 @@ impl NormalizedSelect {
     /// length prefix makes the split between the two parts unambiguous
     /// whatever characters string literals contain.
     pub fn result_key(&self) -> String {
-        let mut out = String::with_capacity(self.key.len() + 8 + 16 * self.params.len());
-        let _ = write!(out, "{}:", self.key.len());
-        out.push_str(&self.key);
-        for p in &self.params {
-            write_value(&mut out, p);
-            out.push(',');
-        }
-        out
+        result_key(&self.key, &self.params)
     }
+}
+
+/// [`NormalizedSelect::result_key`] of a statement whose plan key and
+/// extracted literals are known without its AST (the plan cache's
+/// token-level memo builds them from the tokens).
+pub fn result_key(plan_key: &str, params: &[Value]) -> String {
+    let mut out = String::with_capacity(plan_key.len() + 8 + 16 * params.len());
+    let _ = write!(out, "{}:", plan_key.len());
+    out.push_str(plan_key);
+    for p in params {
+        write_value(&mut out, p);
+        out.push(',');
+    }
+    out
 }
 
 /// Normalize a SELECT for plan-cache keying: extract WHERE-clause

@@ -23,4 +23,4 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::*;
-pub use parser::{parse_statement, parse_statements};
+pub use parser::{literal_value, parse_statement, parse_statements, parse_tokens};

@@ -6,7 +6,17 @@ use monetlite_types::{Date, Decimal, LogicalType, MlError, Result, Value};
 
 /// Parse exactly one statement (a trailing `;` is allowed).
 pub fn parse_statement(src: &str) -> Result<Statement> {
-    let mut p = Parser::new(src)?;
+    parse_tokens(&tokenize(src)?)
+}
+
+/// Parse exactly one statement from the tokens [`tokenize`] returned for
+/// it, so a caller that lexed the text for its own use does not lex it
+/// again.
+pub fn parse_tokens(toks: &[Token]) -> Result<Statement> {
+    if !matches!(toks.last(), Some(Token { kind: TokenKind::Eof, .. })) {
+        return Err(MlError::parse("token stream does not end at end of input", 0));
+    }
+    let mut p = Parser { toks, pos: 0 };
     let stmt = p.statement()?;
     p.eat_kind(&TokenKind::Semicolon);
     p.expect_eof()?;
@@ -15,7 +25,8 @@ pub fn parse_statement(src: &str) -> Result<Statement> {
 
 /// Parse a `;`-separated script.
 pub fn parse_statements(src: &str) -> Result<Vec<Statement>> {
-    let mut p = Parser::new(src)?;
+    let toks = tokenize(src)?;
+    let mut p = Parser { toks: &toks, pos: 0 };
     let mut out = Vec::new();
     loop {
         while p.eat_kind(&TokenKind::Semicolon) {}
@@ -30,16 +41,31 @@ pub fn parse_statements(src: &str) -> Result<Vec<Statement>> {
     }
 }
 
-struct Parser {
-    toks: Vec<Token>,
+/// The value a literal token denotes, as the parser builds it: an
+/// integer is INT when it fits 32 bits and BIGINT otherwise, a decimal
+/// keeps the scale it was written with, and a string that follows the
+/// `DATE` keyword (`date`) is a date. `None` for a token that is not a
+/// literal. The plan cache's token-level memo converts literals through
+/// this function too, so both paths see the same values.
+pub fn literal_value(kind: &TokenKind, date: bool) -> Option<Result<Value>> {
+    Some(match kind {
+        TokenKind::Int(v) => Ok(match i32::try_from(*v) {
+            Ok(i) => Value::Int(i),
+            Err(_) => Value::Bigint(*v),
+        }),
+        TokenKind::Number(text) => Decimal::parse(text).map(Value::Decimal),
+        TokenKind::Str(s) if date => Date::parse(s).map(Value::Date),
+        TokenKind::Str(s) => Ok(Value::Str(s.clone())),
+        _ => return None,
+    })
+}
+
+struct Parser<'a> {
+    toks: &'a [Token],
     pos: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser> {
-        Ok(Parser { toks: tokenize(src)?, pos: 0 })
-    }
-
+impl<'a> Parser<'a> {
     fn peek(&self) -> &Token {
         &self.toks[self.pos]
     }
@@ -48,8 +74,8 @@ impl Parser {
         &self.toks[self.pos].kind
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+    fn advance(&mut self) -> &'a Token {
+        let t = &self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -672,24 +698,11 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr> {
+        if let Some(v) = literal_value(self.peek_kind(), false) {
+            self.advance();
+            return Ok(Expr::Literal(v.map_err(|e| self.err(e.to_string()))?));
+        }
         match self.peek_kind().clone() {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(if v >= i32::MIN as i64 && v <= i32::MAX as i64 {
-                    Expr::Literal(Value::Int(v as i32))
-                } else {
-                    Expr::Literal(Value::Bigint(v))
-                })
-            }
-            TokenKind::Number(text) => {
-                self.advance();
-                let d = Decimal::parse(&text).map_err(|e| self.err(e.to_string()))?;
-                Ok(Expr::Literal(Value::Decimal(d)))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Expr::Literal(Value::Str(s)))
-            }
             TokenKind::LParen => {
                 self.advance();
                 if self.peek_select_start() {
@@ -732,11 +745,9 @@ impl Parser {
                 // date '1995-01-01'
                 if let Some(TokenKind::Str(_)) = self.toks.get(self.pos + 1).map(|t| &t.kind) {
                     self.advance();
-                    if let TokenKind::Str(s) = self.advance().kind {
-                        let d = Date::parse(&s).map_err(|e| self.err(e.to_string()))?;
-                        return Ok(Expr::Literal(Value::Date(d)));
+                    if let Some(v) = literal_value(&self.advance().kind, true) {
+                        return Ok(Expr::Literal(v.map_err(|e| self.err(e.to_string()))?));
                     }
-                    unreachable!()
                 }
             }
             "interval" => {

@@ -641,7 +641,8 @@ pub fn check_env_registry(root: &Path) -> RuleResult {
 // ---------------------------------------------------------------------------
 
 /// Files where a panic would unwind a worker thread or corrupt a spill —
-/// the engine's hot path.
+/// the engine's hot path — and the statement path every fresh statement
+/// takes: the lexer and the two caches.
 pub const HOT_PATH: &[&str] = &[
     "crates/core/src/kernels.rs",
     "crates/core/src/pipeline.rs",
@@ -649,6 +650,9 @@ pub const HOT_PATH: &[&str] = &[
     "crates/core/src/join.rs",
     "crates/core/src/agg.rs",
     "crates/core/src/spill.rs",
+    "crates/sql/src/lexer.rs",
+    "crates/core/src/plan_cache.rs",
+    "crates/core/src/result_cache.rs",
 ];
 
 const PANIC_TOKENS: &[&str] =

@@ -17,10 +17,18 @@
 //!   key space, and the one-pass result key is injective — two
 //!   statements share it exactly when their full canonical renderings
 //!   agree.
+//! * Token path ≡ parse path: a statement served from its recorded
+//!   skeleton gets the memo the parser and normalizer would have built,
+//!   and a skeleton never serves a literal of another type.
+//! * Estimates on read: `estimated_rows`, computed when the counters are
+//!   read, is what it was when every statement computed it, on every
+//!   path through the caches.
 
 use monetlite::exec::ExecOptions;
 use monetlite::opt::{OptFlags, StatsMode};
+use monetlite::plan_cache::{PlanCache, Skeleton, StmtMemo};
 use monetlite_sql::canon::{canon_select_full, normalize_select, restore_literals};
+use monetlite_sql::lexer::tokenize;
 use monetlite_sql::{parse_statement, SelectStmt, Statement};
 use monetlite_tests::{pinned, tpch_slice_matches_goldens, TpchTest};
 use monetlite_tpch::queries;
@@ -393,5 +401,321 @@ proptest! {
         let same_key = result_key(&a) == result_key(&b);
         let same_full = canon_select_full(&select(&a)) == canon_select_full(&select(&b));
         prop_assert_eq!(same_key, same_full, "{} / {}", a, b);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Token path ≡ parse path
+// ---------------------------------------------------------------------------
+
+/// The statement shapes the skeleton memo is checked on, `{}` standing
+/// for a literal: the twelve `adhoc_small` templates and the corpus of
+/// [`gen_select`] (an IN list, a LIKE pattern, projection, LIMIT and
+/// subquery literals).
+const SHAPES: [&str; 19] = [
+    "SELECT o_orderkey, o_custkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = {}",
+    "SELECT c_name, c_acctbal, c_mktsegment FROM customer WHERE c_custkey = {}",
+    "SELECT p_name, p_brand, p_retailprice FROM part WHERE p_partkey = {}",
+    "SELECT s_name, s_acctbal FROM supplier WHERE s_suppkey = {}",
+    "SELECT l_linenumber, l_quantity, l_extendedprice FROM lineitem \
+     WHERE l_orderkey = {} ORDER BY l_linenumber",
+    "SELECT ps_suppkey, ps_availqty FROM partsupp WHERE ps_partkey = {}",
+    "SELECT o_orderkey, c_name FROM orders, customer WHERE o_custkey = c_custkey AND o_orderkey = {}",
+    "SELECT l_linenumber, p_name FROM lineitem, part WHERE l_partkey = p_partkey AND l_orderkey = {}",
+    "SELECT count(*) FROM orders WHERE o_custkey = {}",
+    "SELECT o_orderstatus, count(*) FROM orders WHERE o_custkey = {} \
+     GROUP BY o_orderstatus ORDER BY o_orderstatus",
+    "SELECT l_returnflag, count(*), sum(l_quantity) FROM lineitem WHERE l_partkey = {} \
+     GROUP BY l_returnflag ORDER BY l_returnflag",
+    "SELECT count(*), sum(o_totalprice) FROM orders WHERE o_orderdate >= {} AND o_orderdate < {}",
+    "select x from t where x > {}",
+    "select x, {} from t where s = {} and x between {} and {}",
+    "select x from t where x in ({}) order by 1 limit {}",
+    "select s from t where s like {} and x <> {}",
+    "select x from t where exists (select 1 from u where u.k = t.x and u.v < {})",
+    "select x from t where x = {} or x = {}",
+    "select count(*) from t group by s having count(*) > {}",
+];
+
+fn pick(rng: &mut TestRng, n: usize) -> usize {
+    (rng.next_u64() % n as u64) as usize
+}
+
+/// A literal of kind `kind` (random when `None`), drawn from small spaces
+/// so that values and types collide often: integers (negative, beyond
+/// `i32`), decimals of scale 0–4, strings with doubled quotes, dates, and
+/// look-alikes of one value in four types.
+fn literal(rng: &mut TestRng, kind: Option<usize>) -> String {
+    let sign = if pick(rng, 4) == 0 { "-" } else { "" };
+    match kind.unwrap_or_else(|| pick(rng, 7)) {
+        0 => format!("{sign}{}", pick(rng, 12)),
+        1 => format!("{sign}{}", [2_147_483_647u64, 2_147_483_648, 3_000_000_000][pick(rng, 3)]),
+        2 => {
+            let scale = pick(rng, 5);
+            let int = pick(rng, 3);
+            let frac: String = (0..scale).map(|_| char::from(b'0' + pick(rng, 3) as u8)).collect();
+            if scale == 0 {
+                format!("{sign}{int}")
+            } else {
+                format!("{sign}{int}.{frac}")
+            }
+        }
+        3 => {
+            let body: String = (0..pick(rng, 4))
+                .map(|_| ["a", "''", "5", ",", "?0:int", "%"][pick(rng, 6)])
+                .collect();
+            format!("'{body}'")
+        }
+        4 => {
+            let kw = ["date", "DATE", "Date"][pick(rng, 3)];
+            format!("{kw} '199{}-0{}-1{}'", pick(rng, 3), 1 + pick(rng, 3), pick(rng, 3))
+        }
+        _ => ["5", "5.0", "5.00", "'5'"][pick(rng, 4)].to_string(),
+    }
+}
+
+/// A statement of `shape` with random literals of `kind` (an IN list of
+/// one to four), random identifier and keyword case, and its spaces
+/// replaced by random whitespace and comments.
+fn statement(rng: &mut TestRng, shape: &str, kind: Option<usize>) -> String {
+    let code = |rng: &mut TestRng, piece: &str| -> String {
+        let mut out = String::new();
+        for (i, word) in piece.split(' ').enumerate() {
+            if i > 0 {
+                out.push_str([" ", "  ", "\n\t", " /* c */ ", " -- c\n"][pick(rng, 5)]);
+            }
+            match pick(rng, 3) {
+                0 => out.push_str(&word.to_ascii_uppercase()),
+                1 => out.push_str(&word.to_ascii_lowercase()),
+                _ => out.push_str(word),
+            }
+        }
+        out
+    };
+    let mut pieces = shape.split("{}");
+    let mut before = pieces.next().unwrap_or_default();
+    let mut sql = code(rng, before);
+    for piece in pieces {
+        // The grammar takes only an integer after LIMIT and only a
+        // string after LIKE.
+        if before.ends_with("in (") {
+            let n = 1 + pick(rng, 4);
+            let members: Vec<String> = (0..n).map(|_| literal(rng, kind)).collect();
+            sql.push_str(&members.join(", "));
+        } else if before.ends_with("limit ") {
+            sql.push_str(&pick(rng, 4).to_string());
+        } else if before.ends_with("like ") {
+            sql.push_str(["'a%'", "'%''%'", "'b_'"][pick(rng, 3)]);
+        } else {
+            sql.push_str(&literal(rng, kind));
+        }
+        sql.push_str(&code(rng, piece));
+        before = piece;
+    }
+    sql
+}
+
+const BUDGET: usize = 64 << 20;
+
+/// The memo the token path serves for `sql`, if its skeleton is recorded.
+fn token_path(cache: &PlanCache, sql: &str) -> Option<StmtMemo> {
+    let tokens = tokenize(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    cache.skeleton_get(&Skeleton::of(&tokens).expect("a query with valid literals"))
+}
+
+/// The parse path: parse, normalize, and record the skeleton when the
+/// token path reproduces the memo.
+fn parse_path(cache: &PlanCache, sql: &str) -> StmtMemo {
+    let memo = cache.normalize(select(sql), BUDGET);
+    let tokens = tokenize(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    cache.skeleton_put(&Skeleton::of(&tokens).expect("a query"), &memo, BUDGET);
+    memo
+}
+
+fn same_memo(a: &StmtMemo, b: &StmtMemo) -> bool {
+    a.result_key == b.result_key && a.shape.plan_key == b.shape.plan_key && a.params == b.params
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    // A session of statements over three shapes, with literals of one
+    // kind or of every kind: every statement the token path serves gets
+    // the parse path's memo, byte for byte.
+    #[test]
+    fn token_path_reproduces_the_parse_path(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let cache = PlanCache::default();
+        let shapes: Vec<&str> = (0..3).map(|_| SHAPES[pick(&mut rng, SHAPES.len())]).collect();
+        let kind = [None, Some(0), Some(3), Some(4), Some(5)][pick(&mut rng, 5)];
+        let mut served = 0;
+        for _ in 0..40 {
+            let shape = shapes[pick(&mut rng, shapes.len())];
+            let sql = statement(&mut rng, shape, kind);
+            let token = token_path(&cache, &sql);
+            let parsed = parse_path(&cache, &sql);
+            if let Some(token) = token {
+                served += 1;
+                prop_assert_eq!(&token.result_key, &parsed.result_key, "{}", sql);
+                prop_assert_eq!(&token.shape.plan_key, &parsed.shape.plan_key, "{}", sql);
+                prop_assert_eq!(&token.params, &parsed.params, "{}", sql);
+            }
+        }
+        // IN-list members stay in the keys, so a session of IN lists
+        // alone may never repeat a skeleton's verbatim tokens.
+        let lists = shapes.iter().all(|s| s.contains("in ({})"));
+        prop_assert!(served > 0 || lists, "the token path never served: {:?}", shapes);
+    }
+}
+
+/// `= 5`, `= 5.0`, `= 5.00` and `= '5'` bind and key differently, so no
+/// skeleton recorded for one may serve another.
+#[test]
+fn a_skeleton_serves_only_its_own_literal_types() {
+    let texts = ["5", "5.0", "5.00", "'5'"].map(|l| format!("select x from t where x = {l}"));
+    let cache = PlanCache::default();
+    parse_path(&cache, &texts[0]);
+    for other in &texts[1..] {
+        assert!(token_path(&cache, other).is_none(), "{other} served from `= 5`'s skeleton");
+    }
+    let memos: Vec<StmtMemo> = texts.iter().map(|t| parse_path(&cache, t)).collect();
+    for (text, memo) in texts.iter().zip(&memos) {
+        let token = token_path(&cache, text).unwrap_or_else(|| panic!("{text} not recorded"));
+        assert!(same_memo(&token, memo), "{text}");
+    }
+    let keys: std::collections::HashSet<&str> = memos.iter().map(|m| &*m.shape.plan_key).collect();
+    assert_eq!(keys.len(), 4);
+}
+
+/// The token path serves any spelling of a recorded skeleton — other
+/// literal values, case, whitespace, comments — and refuses what it
+/// cannot reproduce.
+#[test]
+fn skeletons_record_only_what_the_token_path_reproduces() {
+    let cache = PlanCache::default();
+    parse_path(&cache, "select x from t where x = 5 and s = 'a'");
+    let variant = "SELECT X /* c */ FROM T\n WHERE x = 7 AND s = 'it''s' -- c";
+    let token = token_path(&cache, variant).expect("a variant of a recorded skeleton");
+    assert!(same_memo(&token, &parse_path(&cache, variant)));
+    // A negated literal is a minus sign and a literal token.
+    assert!(token_path(&cache, "select x from t where x = -7 and s = 'a'").is_none());
+    parse_path(&cache, "select x from t where x = -5 and s = 'a'");
+    let negated = "select x from t where x = -2147483647 and s = 'a'";
+    let token = token_path(&cache, negated).expect("a negated literal is served");
+    assert!(same_memo(&token, &parse_path(&cache, negated)));
+    // -2147483648 is the minus sign and 2147483648, a BIGINT.
+    assert!(token_path(&cache, "select x from t where x = -2147483648 and s = 'a'").is_none());
+
+    // Which of two equal literals became the parameter is unknown: not
+    // recorded.
+    let cache = PlanCache::default();
+    parse_path(&cache, "select x, 5 from t where x = 5");
+    assert!(token_path(&cache, "select x, 5 from t where x = 7").is_none());
+    assert!(token_path(&cache, "select x, 7 from t where x = 5").is_none());
+    // With distinct values it is known; the projection literal stays
+    // verbatim and must match.
+    parse_path(&cache, "select x, 5 from t where x = 7");
+    assert!(token_path(&cache, "select x, 6 from t where x = 7").is_none());
+    let token = token_path(&cache, "select x, 5 from t where x = 5").expect("recorded");
+    assert!(same_memo(&token, &parse_path(&cache, "select x, 5 from t where x = 5")));
+
+    // IN-list members and LIKE patterns stay in the keys.
+    parse_path(&cache, "select x from t where x in (1, 2) and s like 'a%'");
+    assert!(token_path(&cache, "select x from t where x in (1, 3) and s like 'a%'").is_none());
+    assert!(token_path(&cache, "select x from t where x in (1, 2) and s like 'b%'").is_none());
+    assert!(token_path(&cache, "select x from t where x in (1, 2) and s like 'a%'").is_some());
+}
+
+// ---------------------------------------------------------------------------
+// Estimates on read
+// ---------------------------------------------------------------------------
+
+/// `estimated_rows` read after each path a SELECT can take, in order:
+/// uncached (filter, join), plan-cache miss, plan-cache hit, result-cache
+/// hit (each for a filter and a join), a SELECT in a transaction that
+/// wrote, and the same counters read again after the transaction wrote
+/// more.
+fn estimates_on_every_path() -> Vec<(&'static str, u64)> {
+    use monetlite_types::ColumnBuffer;
+    let db = monetlite::Database::open_in_memory();
+    let mut conn = db.connect();
+    conn.execute("CREATE TABLE e (k INTEGER, v INTEGER)").unwrap();
+    conn.append(
+        "e",
+        vec![
+            ColumnBuffer::Int((0..20_000).map(|i| i % 100).collect()),
+            ColumnBuffer::Int((0..20_000).map(|i| i % 7).collect()),
+        ],
+    )
+    .unwrap();
+    conn.execute("CREATE TABLE d (k INTEGER, name VARCHAR)").unwrap();
+    let rows: Vec<String> = (0..40).map(|i| format!("({i}, 'n{i}')")).collect();
+    conn.execute(&format!("INSERT INTO d VALUES {}", rows.join(", "))).unwrap();
+    let filter = |k: i32| format!("SELECT v FROM e WHERE k = {k}");
+    let join = |k: i32| format!("SELECT e.v, d.name FROM e, d WHERE e.k = d.k AND d.k < {k}");
+    // Estimates read materialised statistics only; EXPLAIN builds them.
+    conn.query(&format!("EXPLAIN {}", join(10))).unwrap();
+    let mut out = Vec::new();
+    let mut read = |conn: &mut monetlite::Connection, label, sql: &str| {
+        conn.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        out.push((label, conn.last_exec_counters().unwrap().estimated_rows));
+    };
+    conn.set_exec_options(ExecOptions::default());
+    read(&mut conn, "uncached filter", &filter(5));
+    read(&mut conn, "uncached join", &join(10));
+    let mut cached = db.connect();
+    cached.set_exec_options(cached_opts());
+    read(&mut cached, "plan miss filter", &filter(5));
+    read(&mut cached, "plan hit filter", &filter(9));
+    read(&mut cached, "result hit filter", &filter(5));
+    read(&mut cached, "plan miss join", &join(10));
+    read(&mut cached, "plan hit join", &join(30));
+    read(&mut cached, "result hit join", &join(10));
+    cached.execute("BEGIN").unwrap();
+    cached.execute("INSERT INTO e VALUES (5, 1), (5, 2)").unwrap();
+    read(&mut cached, "select after a write", &filter(5));
+    cached
+        .append(
+            "e",
+            vec![ColumnBuffer::Int(vec![5; 20_000]), ColumnBuffer::Int((0..20_000).collect())],
+        )
+        .unwrap();
+    out.push(("read after another write", cached.last_exec_counters().unwrap().estimated_rows));
+    cached.execute("ROLLBACK").unwrap();
+    out
+}
+
+/// The values every statement computed eagerly before estimates moved to
+/// the read, on this scenario.
+#[test]
+fn estimates_on_read_equal_the_eager_ones() {
+    let want = [
+        ("uncached filter", 212),
+        ("uncached join", 2123),
+        ("plan miss filter", 212),
+        ("plan hit filter", 212),
+        ("result hit filter", 212),
+        ("plan miss join", 2123),
+        ("plan hit join", 6369),
+        ("result hit join", 2123),
+        ("select after a write", 212),
+        ("read after another write", 212),
+    ];
+    assert_eq!(estimates_on_every_path(), want);
+}
+
+/// A failed statement leaves the previous statement's counters, estimate
+/// included, as they were.
+#[test]
+fn a_failed_statement_keeps_the_previous_counters() {
+    let (_db, mut conn) = tiny_db();
+    for opts in [cached_opts(), ExecOptions::default()] {
+        conn.set_exec_options(opts);
+        conn.query("SELECT x FROM t WHERE x > 4").unwrap();
+        let before = conn.last_exec_counters();
+        assert!(before.is_some_and(|c| c.estimated_rows > 0));
+        assert!(conn.query("SELECT nope FROM t WHERE x > 4").is_err());
+        assert!(conn.query("SELECT x FROM t WHERE x >").is_err());
+        assert_eq!(conn.last_exec_counters(), before);
     }
 }
