@@ -34,12 +34,16 @@ use std::time::{Duration, Instant};
 
 /// How the pipeline engine cuts each pipeline into morsels (the policy is
 /// `pipeline::morsel_rows`): [`ExecMode::Streaming`] (default) into
-/// `vector_size`-row morsels, [`ExecMode::Materialized`] — the paper's
-/// operator-at-a-time model — into one morsel over the whole source,
-/// except that a mitosis prefix fans out over `threads`.
+/// `vector_size`-row morsels at one thread, and into about four
+/// zone-aligned morsels per thread (at most a vector each) when more than
+/// one thread runs and the source holds more than one vector;
+/// [`ExecMode::Materialized`] — the paper's operator-at-a-time model —
+/// into one morsel over the whole source, except that a mitosis prefix
+/// fans out over `threads`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Vector-sized morsels with morsel parallelism.
+    /// Morsels of at most a vector, sized to the thread count, with morsel
+    /// parallelism.
     #[default]
     Streaming,
     /// Whole-source morsels, fanned out only over a mitosis prefix (the

@@ -358,9 +358,13 @@ mod tests {
         // not drift under the CI env matrix (MONETLITE_VECTOR_SIZE).
         let opts = ExecOptions { threads: 4, vector_size: 64 * 1024, ..Default::default() };
         let s = explain(&plan, &opts, Some(&FixedStats(200_000)));
-        // 200_000 rows / 65_536-row vectors = 4 morsels.
-        assert!(s.contains("scan t [morsels=4]"), "{s}");
+        // 200_000 rows / (4·4) = 12_500, rounded up to two 8Ki zones:
+        // 13 morsels of 16_384 rows.
+        assert!(s.contains("scan t [morsels=13]"), "{s}");
         assert!(s.contains("threads=4"), "{s}");
+        // One thread: 200_000 rows / 65_536-row vectors = 4 morsels.
+        let one = explain(&plan, &ExecOptions { threads: 1, ..opts }, Some(&FixedStats(200_000)));
+        assert!(one.contains("scan t [morsels=4]"), "{one}");
         // The operator-at-a-time policy passes a bare scan through as one
         // morsel, and announces no mitosis.
         let mat = ExecOptions { mode: ExecMode::Materialized, ..opts };
@@ -368,6 +372,31 @@ mod tests {
         assert!(s2.contains("-- pipelines: operator-at-a-time policy"), "{s2}");
         assert!(s2.contains("scan t [morsels=1]"), "{s2}");
         assert!(!s2.contains("mitosis"), "{s2}");
+    }
+
+    /// EXPLAIN reports the streaming cut that `drive` makes at two
+    /// threads: about four zone-aligned morsels per thread for a source of
+    /// more than one vector, one whole morsel for a smaller one.
+    #[test]
+    fn explain_reports_the_thread_sized_cut() {
+        let db = crate::Database::open_in_memory();
+        let mut conn = db.connect();
+        conn.run_script("CREATE TABLE big (a INT); CREATE TABLE small (a INT)").unwrap();
+        for (table, n) in [("big", 200_000), ("small", 60_000)] {
+            let rows = monetlite_types::ColumnBuffer::Int((0..n).map(|i| i % 100).collect());
+            conn.append(table, vec![rows]).unwrap();
+        }
+        let opts = ExecOptions { threads: 2, vector_size: 64 * 1024, ..Default::default() };
+        conn.set_exec_options(opts);
+        // 200_000 / (4·2) = 25_000 rows, rounded up to four 8Ki zones:
+        // 7 morsels of 32_768 rows.
+        for (table, morsels) in [("big", 7), ("small", 1)] {
+            let r = conn.query(&format!("EXPLAIN SELECT count(*) FROM {table} WHERE a < 50"));
+            let r = r.unwrap();
+            let text =
+                (0..r.nrows()).map(|i| r.value(i, 0).to_string()).collect::<Vec<_>>().join("\n");
+            assert!(text.contains(&format!("scan {table} [morsels={morsels}]")), "{text}");
+        }
     }
 
     /// EXPLAIN claims a mitosis exactly where the pipeline driver fans

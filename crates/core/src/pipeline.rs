@@ -12,9 +12,13 @@
 //!
 //! [`ExecOptions::mode`] chooses only how [`drive`] cuts a pipeline into
 //! morsels ([`morsel_rows`]):
-//! * **Streaming** — one vector (~64K rows, [`ExecOptions::vector_size`])
-//!   per morsel, the chunk-at-a-time design of MonetDBLite's successor
-//!   lineage (DuckDB; see PAPERS.md). Parallelism covers whole query
+//! * **Streaming** — at one thread, one vector (~64K rows,
+//!   [`ExecOptions::vector_size`]) per morsel, the chunk-at-a-time design
+//!   of MonetDBLite's successor lineage (DuckDB; see PAPERS.md). At more
+//!   threads a source of more than one vector is cut into about four
+//!   zone-aligned morsels per thread, at most a vector each, so the
+//!   workers finish together; a smaller source stays one morsel. The
+//!   calling thread is one of the workers. Parallelism covers whole query
 //!   shapes: per-thread **partial hash aggregation** with a mapped merge
 //!   ([`GroupTable`] + [`AggState::merge_mapped`]), parallel **hash-join
 //!   probes** over a build table constructed once, and order-preserving
@@ -41,10 +45,12 @@ use crate::sort::{sort_perm, topn_perm};
 use crate::spill::{PartitionWriter, SpillFile, SpillReader, MAX_SPILL_DEPTH};
 use monetlite_storage::catalog::ColumnEntry;
 use monetlite_storage::hash::{hash_rows, HashTable};
+use monetlite_storage::index::ZONE_ROWS;
 use monetlite_storage::{Bat, StrDict};
 use monetlite_types::nulls::NULL_I32;
 use monetlite_types::{LogicalType, MlError, Result, Value};
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -431,14 +437,23 @@ impl Sink {
 /// a probe-free chain over a base-table scan that its sink takes (see
 /// [`Sink`]).
 ///
-/// Streaming cuts every pipeline into vectors. Materialized runs each
-/// pipeline as one morsel over its whole source; a prefix holding at least
-/// two vectors splits into `clamp(rows / vector_size, 2, 2·threads)`
-/// slices when more than one thread runs ("the optimizer will not split
-/// up small columns").
+/// Streaming cuts a pipeline into vectors. When more than one thread runs
+/// and the source holds more than one vector, it cuts about four morsels
+/// per thread instead, so the workers end together: `rows / (4·threads)`
+/// rounded up to whole zones ([`ZONE_ROWS`], so zonemap and dictionary
+/// zone skipping stay exact), never more than a vector. A source of at
+/// most one vector stays one whole morsel, which keeps the index-assisted,
+/// zero-copy scan. Materialized runs each pipeline as one morsel over its
+/// whole source; a prefix holding at least two vectors splits into
+/// `clamp(rows / vector_size, 2, 2·threads)` slices when more than one
+/// thread runs ("the optimizer will not split up small columns").
 fn morsel_rows(rows: usize, prefix: bool, opts: &ExecOptions) -> usize {
     let vs = opts.vector_size.max(1);
     match opts.mode {
+        // `min`, not `clamp`: a vector may be smaller than a zone.
+        ExecMode::Streaming if opts.threads > 1 && rows > vs => {
+            rows.div_ceil(opts.threads.saturating_mul(4)).next_multiple_of(ZONE_ROWS).min(vs)
+        }
         ExecMode::Streaming => vs,
         ExecMode::Materialized if prefix && opts.threads > 1 && rows / 2 >= vs => {
             rows.div_ceil((rows / vs).clamp(2, opts.threads.saturating_mul(2)))
@@ -451,7 +466,9 @@ fn morsel_rows(rows: usize, prefix: bool, opts: &ExecOptions) -> usize {
 /// [`morsel_rows`]. Each worker owns a partial sink state created by
 /// `new_partial`; `consume(partial, morsel_id, vector)` folds one
 /// processed vector in and may return `Ok(false)` to stop all workers
-/// (limit early-exit). Returns every worker's partial.
+/// (limit early-exit). Runs `min(threads, morsels)` workers, one of them
+/// on the calling thread; this is the engine's only fan-out over threads.
+/// Returns every worker's partial.
 fn drive<'p, P, NF, CF>(
     pipe: &Pipeline<'p>,
     ctx: &ExecContext,
@@ -498,43 +515,35 @@ where
             }
         }
     };
+    // One panic policy for every worker, the caller's included: a crash
+    // degrades to a query error instead of unwinding into (and killing)
+    // the host process, and the connection stays usable afterwards. A
+    // failed worker wakes the others so the error surfaces promptly.
+    let run = || -> Result<P> {
+        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut part = new_partial();
+            worker(&mut part).map(|()| part)
+        }))
+        .unwrap_or_else(|p| Err(crate::exec::worker_panic_error(&*p)));
+        if out.is_err() {
+            stop.store(true, Ordering::Relaxed);
+        }
+        out
+    };
 
     if threads == 1 {
-        // Sequential fast path: no thread spawn, deterministic morsel
-        // order.
-        let mut part = new_partial();
-        worker(&mut part)?;
-        return Ok(vec![part]);
+        // Sequential: no thread spawn, deterministic morsel order.
+        return run().map(|part| vec![part]);
     }
+    // The caller is a worker too: it spawns one helper fewer than the
+    // workers it needs, and joins every helper before returning.
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| -> Result<P> {
-                    let mut part = new_partial();
-                    match worker(&mut part) {
-                        Ok(()) => Ok(part),
-                        Err(e) => {
-                            // Wake the other workers up so the error
-                            // surfaces promptly.
-                            stop.store(true, Ordering::Relaxed);
-                            Err(e)
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|p| {
-                    // A crashed worker degrades to a query error instead
-                    // of unwinding into (and killing) the host process;
-                    // the connection stays usable afterwards.
-                    stop.store(true, Ordering::Relaxed);
-                    Err(crate::exec::worker_panic_error(&*p))
-                })
-            })
-            .collect()
+        let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(run)).collect();
+        let mut parts = vec![run()];
+        for h in helpers {
+            parts.push(h.join().unwrap_or_else(|p| Err(crate::exec::worker_panic_error(&*p))));
+        }
+        parts.into_iter().collect()
     })
 }
 
@@ -1862,6 +1871,77 @@ mod tests {
         assert_eq!(out.cols[0].get(4), Value::Int(4));
         let morsels = ctx.counters.morsels.load(Ordering::Relaxed);
         assert!(morsels <= 3, "limit must early-exit, dispatched {morsels} morsels");
+    }
+
+    #[test]
+    fn streaming_morsels_are_sized_to_the_threads_in_whole_zones() {
+        let cut = |rows: usize, threads: usize, vs: usize| {
+            let per = morsel_rows(rows, false, &opts(threads, vs));
+            (per, rows.div_ceil(per))
+        };
+        // A lineitem of 179,869 rows: three vectors at one thread; at two,
+        // rows / 8 = 22,485 rounds up to three zones; at four, to two.
+        assert_eq!(cut(179_869, 1, 65_536), (65_536, 3));
+        assert_eq!(cut(179_869, 2, 65_536), (24_576, 8));
+        assert_eq!(cut(179_869, 4, 65_536), (16_384, 11));
+        // Never more than a vector, even when a vector is below a zone.
+        assert_eq!(cut(179_869, 2, 16_384), (16_384, 11));
+        assert_eq!(cut(179_869, 4, 1024), (1024, 176));
+        // A source of at most one vector is one whole morsel.
+        assert_eq!(cut(65_536, 4, 65_536), (65_536, 1));
+        assert_eq!(cut(60_000, 2, 65_536), (65_536, 1));
+        // The materialized policy ignores the streaming cut.
+        let mat = crate::exec::ExecOptions { mode: ExecMode::Materialized, ..opts(2, 65_536) };
+        assert_eq!(morsel_rows(179_869, false, &mat), 179_869);
+    }
+
+    #[test]
+    fn a_worker_panic_is_a_query_error_and_the_context_stays_usable() {
+        // Ten 1024-row morsels; the first or the last one panics, on
+        // whichever worker draws it: the caller's or a helper's.
+        let n = 10 * 1024;
+        let tables = TestTables { tables: Map::new() };
+        let pipe = Pipeline {
+            source: Source::Mem(Chunk::dense(vec![Arc::new(Bat::Int((0..n as i32).collect()))], n)),
+            ops: vec![],
+        };
+        for threads in [1, 2, 4] {
+            let ctx = ExecContext::new(&tables, opts(threads, 1024));
+            for bad in [0, 9] {
+                let out = drive(
+                    &pipe,
+                    &ctx,
+                    Sink::Rows,
+                    || (),
+                    |_, m, _| {
+                        if m == bad {
+                            panic!("morsel {m} is poisoned");
+                        }
+                        Ok(true)
+                    },
+                );
+                match out {
+                    Err(MlError::Execution(msg)) => assert!(
+                        msg.contains("worker thread panicked") && msg.contains("is poisoned"),
+                        "t={threads} morsel {bad}: {msg}"
+                    ),
+                    Err(e) => panic!("t={threads} morsel {bad}: wrong error {e}"),
+                    Ok(_) => panic!("t={threads} morsel {bad}: the panic was lost"),
+                }
+                let parts = drive(
+                    &pipe,
+                    &ctx,
+                    Sink::Rows,
+                    || 0,
+                    |rows, _, c| {
+                        *rows += c.rows;
+                        Ok(true)
+                    },
+                )
+                .unwrap();
+                assert_eq!(parts.iter().sum::<usize>(), n, "t={threads} after morsel {bad}");
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,13 @@
 //!    `.write_all(`/`.sync_all(` calls are banned (else the fault-injection
 //!    sweep silently loses coverage of that site). The escape hatch is
 //!    `// xlint: allow(raw-io, <reason>)`, and the report counts its uses.
+//! 7. **One fan-out** — `pipeline::drive` is the engine's only place that
+//!    creates threads, so the morsel policy, the calling thread's share of
+//!    the work and the panic policy hold for every parallel query:
+//!    `thread::spawn`, `thread::scope`, `spawn_scoped` and
+//!    `thread::Builder` are banned in the rest of `crates/core`'s non-test
+//!    code. The escape hatch is `// xlint: allow(thread, <reason>)`, and
+//!    the report counts its uses.
 //!
 //! Each rule is a standalone `check_*` function taking the workspace root,
 //! so the meta-tests can seed one violation into a synthetic tree and
@@ -130,6 +137,7 @@ pub fn run(root: &Path) -> Report {
         check_no_panic(root),
         check_shim_exports(root),
         check_raw_io(root),
+        check_one_fan_out(root),
     ] {
         report.violations.extend(part.violations);
         report.notes.extend(part.notes);
@@ -307,15 +315,18 @@ fn contains_call(hay: &str, name: &str) -> bool {
     false
 }
 
-/// Body (inside the outermost braces) of `fn name(` in stripped source,
-/// with its starting byte offset.
+/// Body (inside the outermost braces) of `fn name(` or `fn name<` in
+/// stripped source, with its starting byte offset.
 fn fn_body<'a>(stripped: &'a str, name: &str) -> Option<(usize, &'a str)> {
-    let pat = format!("fn {name}(");
+    let pat = format!("fn {name}");
     let mut from = 0;
     let at = loop {
         let p = stripped[from..].find(&pat)? + from;
         let prev = stripped[..p].bytes().last();
-        if !matches!(prev, Some(c) if c.is_ascii_alphanumeric() || c == b'_') {
+        let next = stripped.as_bytes().get(p + pat.len());
+        if !matches!(prev, Some(c) if c.is_ascii_alphanumeric() || c == b'_')
+            && matches!(next, Some(b'(' | b'<'))
+        {
             break p;
         }
         from = p + 1;
@@ -980,6 +991,76 @@ pub fn check_raw_io(root: &Path) -> RuleResult {
     }
     res.notes.push(format!(
         "raw-io: {scanned} failpoint-scope file(s) scanned, {allows} annotated allow(raw-io) site(s)"
+    ));
+    res
+}
+
+// ---------------------------------------------------------------------------
+// Rule 7: one fan-out
+// ---------------------------------------------------------------------------
+
+/// Thread-creation call shapes.
+const THREAD_TOKENS: &[&str] =
+    &["thread::spawn", "thread::scope", "spawn_scoped", "thread::Builder"];
+
+/// The file holding the engine's one fan-out, `fn drive`.
+const FAN_OUT_HOME: &str = "crates/core/src/pipeline.rs";
+
+/// Threads are created in one place: `pipeline::drive`, where the morsel
+/// policy cuts the work, the calling thread runs one worker and a worker
+/// panic becomes a query error. Non-test code elsewhere in `crates/core`
+/// may not spawn or scope threads. Escape hatch:
+/// `// xlint: allow(thread, <reason>)` on the same or preceding line.
+pub fn check_one_fan_out(root: &Path) -> RuleResult {
+    const RULE: &str = "one-fan-out";
+    let mut res = RuleResult::default();
+    let mut files = rust_files_under(&root.join("crates/core/src"));
+    files.sort();
+    let mut allows = 0usize;
+    let mut home = false;
+    for path in &files {
+        let relname = rel(root, path);
+        let Ok(src) = fs::read_to_string(path) else { continue };
+        let raw_lines: Vec<&str> = src.lines().collect();
+        let allow_line =
+            |idx: usize| raw_lines.get(idx).is_some_and(|l| l.contains("xlint: allow(thread"));
+        let stripped = strip_comments_and_strings(&src);
+        let code = &stripped[..non_test_len(&src)];
+        // The byte range of `drive`'s body, in the home file only.
+        let drive = (relname == FAN_OUT_HOME)
+            .then(|| fn_body(code, "drive"))
+            .flatten()
+            .map(|(at, body)| at..at + body.len());
+        home |= drive.is_some();
+        let mut offset = 0;
+        for (idx, line) in code.lines().enumerate() {
+            let start = offset;
+            offset += line.len() + 1;
+            for tok in THREAD_TOKENS.iter().filter(|t| line.contains(*t)) {
+                if drive.as_ref().is_some_and(|d| d.contains(&start)) {
+                    continue;
+                }
+                if allow_line(idx) || (idx > 0 && allow_line(idx - 1)) {
+                    allows += 1;
+                } else {
+                    res.fail(
+                        RULE,
+                        &relname,
+                        idx + 1,
+                        format!(
+                            "`{tok}` outside pipeline::drive (fan out through drive, or annotate xlint: allow(thread, ...))"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    if !home {
+        res.fail(RULE, FAN_OUT_HOME, 0, "fn drive missing — update xlint's one-fan-out home");
+    }
+    res.notes.push(format!(
+        "one-fan-out: {} crates/core file(s) scanned, {allows} annotated allow(thread) site(s)",
+        files.len()
     ));
     res
 }

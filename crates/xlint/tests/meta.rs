@@ -8,7 +8,7 @@ use std::path::Path;
 use tempfile::TempDir;
 use xlint::{
     check_checksum_discipline, check_counter_liveness, check_env_registry, check_no_panic,
-    check_raw_io, check_shim_exports, run, RuleResult,
+    check_one_fan_out, check_raw_io, check_shim_exports, run, RuleResult,
 };
 
 fn tree(files: &[(&str, &str)]) -> TempDir {
@@ -274,6 +274,54 @@ fn raw_io_rule_fires_when_scope_file_is_missing() {
     // shrinking its scope.
     let t = tree(&[("crates/storage/src/wal.rs", "pub fn ok() {}\n")]);
     assert_fires(&check_raw_io(t.path()), "raw-io", "missing");
+}
+
+// ---------------------------------------------------------------------------
+// one fan-out
+// ---------------------------------------------------------------------------
+
+const DRIVE_OK: &str = "fn drive<P>(n: usize) -> Vec<P> {\n\
+    std::thread::scope(|scope| {\n        let h = scope.spawn(|| work());\n        h.join()\n    })\n}\n";
+
+#[test]
+fn one_fan_out_rule_fires_on_a_spawn_outside_drive() {
+    let t = tree(&[
+        ("crates/core/src/pipeline.rs", DRIVE_OK),
+        ("crates/core/src/host.rs", "pub fn f() { std::thread::spawn(|| ()); }\n"),
+    ]);
+    assert_fires(&check_one_fan_out(t.path()), "one-fan-out", "`thread::spawn`");
+    // A scope in pipeline.rs but outside `drive` fires too.
+    let elsewhere = format!("{DRIVE_OK}fn g() {{ std::thread::scope(|_| ()); }}\n");
+    let t = tree(&[("crates/core/src/pipeline.rs", &elsewhere)]);
+    assert_fires(&check_one_fan_out(t.path()), "one-fan-out", "`thread::scope`");
+}
+
+#[test]
+fn one_fan_out_rule_passes_on_drive_tests_comments_and_counts_allows() {
+    let t = tree(&[
+        ("crates/core/src/pipeline.rs", DRIVE_OK),
+        (
+            "crates/core/src/exec.rs",
+            "// thread::spawn in a comment is fine\n\
+             pub fn f() {\n\
+             // xlint: allow(thread, a watchdog that never runs a morsel)\n\
+             std::thread::Builder::new();\n}\n\
+             #[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| ()); }\n}\n",
+        ),
+    ]);
+    let res = check_one_fan_out(t.path());
+    assert_clean(&res);
+    assert!(
+        res.notes.iter().any(|n| n.contains("1 annotated allow(thread)")),
+        "allow sites must be counted: {:?}",
+        res.notes
+    );
+}
+
+#[test]
+fn one_fan_out_rule_fires_when_drive_is_missing() {
+    let t = tree(&[("crates/core/src/pipeline.rs", "pub fn ok() {}\n")]);
+    assert_fires(&check_one_fan_out(t.path()), "one-fan-out", "missing");
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ use monetlite::exec::ExecOptions;
 use monetlite_storage::index::{Zonemap, ZONE_ROWS};
 use monetlite_storage::{Bat, NULL_CODE};
 use monetlite_tests::{
-    connect_pinned, fmt_golden_rows, golden_answer, image, pinned, rows_of, run_pinned, tpch_data,
-    tpch_db, tpch_slice_matches_goldens, Corpus, TpchTest, Twin,
+    answer_image, connect_pinned, fmt_golden_rows, golden_answer, image, pinned, rows_of,
+    run_pinned, tpch_data, tpch_db, tpch_slice_matches_goldens, Corpus, TpchTest, Twin,
 };
 use monetlite_tpch::queries;
 use monetlite_types::nulls::NULL_I32;
@@ -470,6 +470,79 @@ fn limit_and_topn_agree_and_exit_early() {
     let (r, counters) = run_pinned(&twin.db, "SELECT a FROM big LIMIT 5", pinned(1, 1024));
     assert_eq!(r.nrows(), 5);
     assert!(counters.morsels < 98, "LIMIT 5 dispatched {} morsels", counters.morsels);
+}
+
+// ---------------------------------------------------------------------------
+// The thread-sized cut: at more than one thread, a source of more than one
+// vector is cut into zone-aligned morsels smaller than a vector, whose
+// boundaries deletes, candidate lists and early exit must cross.
+// ---------------------------------------------------------------------------
+
+/// Three vectors and three rows.
+const CUT_ROWS: i32 = 200_003;
+
+/// Morsels of one pipeline over [`CUT_ROWS`] rows at vector 65536, per
+/// thread count: a vector each at one thread; `rows / (4·threads)`
+/// rounded up to whole 8Ki zones at two (32Ki rows: 7 morsels) and at
+/// four (16Ki rows: 13 morsels).
+const CUT_MORSELS: [(usize, u64); 3] = [(1, 4), (2, 7), (4, 13)];
+
+#[test]
+fn thread_sized_morsels_agree_with_one_thread_and_the_row_store() {
+    let twin = Twin::default();
+    twin.script("CREATE TABLE cut (a INT, g INT, v INT, s VARCHAR(8))");
+    let n = CUT_ROWS;
+    twin.append(
+        "cut",
+        vec![
+            ColumnBuffer::Int((0..n).collect()),
+            ColumnBuffer::Int((0..n).map(|i| i % 11).collect()),
+            ColumnBuffer::Int((0..n).map(|i| i * 7919 % 100_003).collect()),
+            ColumnBuffer::Varchar((0..n).map(|i| Some(format!("s{}", i % 13))).collect()),
+        ],
+    );
+    // Deletion masks over the first and last rows of every 16Ki stretch
+    // (so across every morsel boundary at every thread count), and the
+    // table's last three rows (the tail of its last morsel).
+    twin.script(
+        "DELETE FROM cut WHERE a % 16384 < 3 OR a % 16384 > 16380; \
+         DELETE FROM cut WHERE a >= 200000",
+    );
+    let sqls = [
+        // Ordered collect of a selective filter's candidate lists.
+        "SELECT a, v FROM cut WHERE v < 2000",
+        // A range across the 32Ki boundary.
+        "SELECT a, s FROM cut WHERE a >= 32000 AND a < 33500 AND g <> 5",
+        // A LIMIT that ends inside a morsel at every thread count.
+        "SELECT a, g FROM cut WHERE g = 3 LIMIT 4000",
+        // DISTINCT keeps first-occurrence order.
+        "SELECT DISTINCT v % 997 FROM cut WHERE a > 100",
+        "SELECT a, v FROM cut ORDER BY v DESC, a LIMIT 25",
+        "SELECT g, count(*), sum(v), min(a), max(a) FROM cut WHERE v % 3 = 1 GROUP BY g \
+         ORDER BY g",
+        "SELECT s, count(*) FROM cut WHERE a % 7 = 2 GROUP BY s ORDER BY s",
+        // Candidate lists into a global aggregate.
+        "SELECT count(*), sum(a), min(v), max(v) FROM cut WHERE v < 50000",
+    ];
+    for sql in sqls {
+        let oracle = twin.rows.query(sql).unwrap_or_else(|e| panic!("rowstore: {e}\n{sql}"));
+        let want = answer_image(sql, &oracle.rows);
+        let mut one_thread: Option<Vec<String>> = None;
+        for (threads, morsels) in CUT_MORSELS {
+            let (r, c) = run_pinned(&twin.db, sql, pinned(threads, 64 * 1024));
+            let got = image(&rows_of(&r));
+            assert_eq!(answer_image(sql, &rows_of(&r)), want, "t={threads} vs rowstore: {sql}");
+            // Not only the same rows: the same order as one thread gives.
+            let first = one_thread.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, first, "t={threads} vs t=1: {sql}");
+            if sql == sqls[0] {
+                assert_eq!((c.pipelines, c.morsels), (1, morsels), "t={threads}: {c:?}");
+            }
+            if sql == sqls[7] {
+                assert!(c.sel_vectors > 0, "t={threads}: candidate lists expected: {c:?}");
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
