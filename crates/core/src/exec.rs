@@ -1658,6 +1658,74 @@ mod tests {
     }
 
     #[test]
+    fn pack_of_gathers_from_one_heap_keeps_that_heap() {
+        use monetlite_storage::heap::StringHeap;
+        let heap_of = |b: &Bat| match b {
+            Bat::Varchar { heap, .. } => heap.clone(),
+            _ => panic!("varchar expected"),
+        };
+        // A table column whose heap deduplicates nothing: re-interning a
+        // later chunk into a clone of it would copy the whole heap.
+        let table = |tag: &str| {
+            let mut b = Bat::Varchar { offsets: Vec::new(), heap: StringHeap::with_dedup_limit(0) };
+            for i in 0..300 {
+                let v = match i % 10 {
+                    0 => Value::Null,
+                    1 => Value::Str(String::new()),
+                    _ => Value::Str(format!("{tag}-{i}-\u{e9}\u{1f600}")),
+                };
+                b.push(&v).unwrap();
+            }
+            b
+        };
+        let (t1, t2) = (table("one"), table("two"));
+        let size = heap_of(&t1).size_bytes();
+        let gathered =
+            |t: &Bat, rows: Vec<u32>| Chunk::dense(vec![Arc::new(t.take(&rows))], rows.len());
+        let parts = || {
+            vec![
+                gathered(&t1, (0..40).rev().collect()),
+                gathered(&t1, vec![]),
+                // A candidate list over the table itself, materialised by pack.
+                Chunk {
+                    cols: vec![Arc::new(t1.clone())],
+                    rows: 3,
+                    sel: Some(Arc::new(vec![5, 10, 299])),
+                },
+                gathered(&t1, vec![7, 7, 0, 1, 11]),
+            ]
+        };
+        // The concatenation re-interned row by row into a fresh column.
+        let reinterned = |chunks: Vec<Chunk>| {
+            let mut out = Bat::new(LogicalType::Varchar);
+            for c in chunks.into_iter().map(Chunk::materialize) {
+                for i in 0..c.rows {
+                    out.push(&c.cols[0].get(i)).unwrap();
+                }
+            }
+            out
+        };
+        let packed = Chunk::pack(parts()).unwrap();
+        assert_eq!(packed.rows, 48);
+        let out = &packed.cols[0];
+        assert!(
+            heap_of(out).shares_buffer_with(&heap_of(&t1)),
+            "one source heap: shared, not copied"
+        );
+        assert_eq!(heap_of(out).size_bytes(), size);
+        assert_eq!(out.to_buffer(None), reinterned(parts()).to_buffer(None));
+        // Chunks of two different heaps: the later ones re-intern, into a
+        // copy, and neither source heap changes.
+        let mixed = || vec![gathered(&t1, vec![2, 3, 0]), gathered(&t2, vec![4, 0, 2, 1])];
+        let packed = Chunk::pack(mixed()).unwrap();
+        let out = &packed.cols[0];
+        assert!(!heap_of(out).shares_buffer_with(&heap_of(&t1)));
+        assert!(!heap_of(out).shares_buffer_with(&heap_of(&t2)));
+        assert_eq!(out.to_buffer(None), reinterned(mixed()).to_buffer(None));
+        assert_eq!((heap_of(&t1).size_bytes(), heap_of(&t2).size_bytes()), (size, size));
+    }
+
+    #[test]
     fn mitosis_pipeline_pack_preserves_order() {
         let n = 200_000u32;
         let t = make_table("t", vec![("a", Bat::Int((0..n as i32).collect()))], vec![]);

@@ -304,6 +304,7 @@ pub fn cast(b: &Bat, ty: LogicalType) -> Result<Bat> {
         (Bat::Varchar { .. }, T::Date) => {
             let mut out = Vec::with_capacity(b.len());
             for i in 0..b.len() {
+                // xlint: allow(str, the date parser reads text)
                 match b.str_at(i) {
                     None => out.push(NULL_I32),
                     Some(s) => out.push(Date::parse(s)?.0),
@@ -995,8 +996,8 @@ pub enum LikePlan {
     Prefix(String),
     /// `'%foo'`: suffix match.
     Suffix(String),
-    /// `'%foo%'`: substring search.
-    Contains(String),
+    /// `'%foo%'`: substring search (`'%'` searches the empty needle).
+    Contains(Finder),
     /// Every other pattern whose only wildcard is `%`.
     Segments(SegmentPlan),
     /// Patterns with `_`: the general matcher.
@@ -1041,13 +1042,14 @@ impl SegmentPlan {
     }
 }
 
-/// A non-empty byte needle, searched eight candidate positions at a time:
-/// one word compare finds the positions whose first *and* last byte
-/// match, and only those are verified. Nothing is allocated or set up per
-/// row, and the word loop has no data-dependent stride (unlike a skip
-/// table, whose next load waits on the previous one).
+/// A byte needle, searched eight candidate positions at a time: one word
+/// compare finds the positions whose first *and* last byte match, and
+/// only those are verified. It is built once per pattern, so nothing is
+/// allocated or set up per row, and the word loop has no data-dependent
+/// stride (unlike a skip table, whose next load waits on the previous
+/// one).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct Finder {
+pub struct Finder {
     needle: Vec<u8>,
 }
 
@@ -1071,11 +1073,19 @@ fn load_word(hay: &[u8], at: usize) -> u64 {
 }
 
 impl Finder {
-    /// Byte offset of the leftmost occurrence of the needle in `hay`.
+    /// A finder for the bytes of `needle`.
+    pub fn new(needle: &str) -> Finder {
+        Finder { needle: needle.as_bytes().to_vec() }
+    }
+
+    /// Byte offset of the leftmost occurrence of the needle in `hay` (0
+    /// for the empty needle).
     fn find(&self, hay: &[u8]) -> Option<usize> {
         let needle = self.needle.as_slice();
         let n = needle.len();
-        let (&first, &last) = (needle.first()?, needle.last()?);
+        let (Some(&first), Some(&last)) = (needle.first(), needle.last()) else {
+            return Some(0);
+        };
         let last_start = hay.len().checked_sub(n)?;
         let (first_lanes, last_lanes) = (LANES_LO * first as u64, LANES_LO * last as u64);
         let mut p = 0usize;
@@ -1114,34 +1124,40 @@ pub fn compile_like(pattern: &str) -> LikePlan {
     match (starts, ends, middles.as_slice()) {
         (false, true, []) => LikePlan::Prefix(prefix.to_string()),
         (true, false, []) => LikePlan::Suffix(suffix.to_string()),
-        (true, true, []) => LikePlan::Contains(String::new()),
-        (true, true, [m]) => LikePlan::Contains(m.to_string()),
+        (true, true, []) => LikePlan::Contains(Finder::new("")),
+        (true, true, [m]) => LikePlan::Contains(Finder::new(m)),
         _ => LikePlan::Segments(SegmentPlan {
             prefix: prefix.as_bytes().to_vec(),
-            middles: middles.iter().map(|m| Finder { needle: m.as_bytes().to_vec() }).collect(),
+            middles: middles.iter().map(|m| Finder::new(m)).collect(),
             suffix: suffix.as_bytes().to_vec(),
             min_len: prefix.len() + suffix.len() + middles.iter().map(|m| m.len()).sum::<usize>(),
         }),
     }
 }
 
-/// Match one string against a compiled plan (`pattern` is consulted only
-/// by the `Generic` arm). Shared with the dictionary-domain LIKE path in
-/// `exec`, which evaluates the plan once per distinct dictionary entry.
+/// Match one string's UTF-8 bytes against a compiled plan (`pattern` is
+/// consulted only by the `Generic` arm). Every `%`-only shape matches on
+/// bytes: a valid UTF-8 needle can only match a valid UTF-8 haystack at a
+/// character boundary. Only `Generic` decodes, because `_` counts
+/// characters.
 #[inline]
-pub(crate) fn like_plan_match(plan: &LikePlan, pattern: &str, s: &str) -> bool {
+pub(crate) fn like_plan_match(plan: &LikePlan, pattern: &str, s: &[u8]) -> bool {
     match plan {
-        LikePlan::Exact(p) => s == p,
-        LikePlan::Prefix(p) => s.starts_with(p.as_str()),
-        LikePlan::Suffix(p) => s.ends_with(p.as_str()),
-        LikePlan::Contains(p) => s.contains(p.as_str()),
-        LikePlan::Segments(sp) => sp.matches(s.as_bytes()),
-        LikePlan::Generic => like_match(s, pattern),
+        LikePlan::Exact(p) => s == p.as_bytes(),
+        LikePlan::Prefix(p) => s.starts_with(p.as_bytes()),
+        LikePlan::Suffix(p) => s.ends_with(p.as_bytes()),
+        LikePlan::Contains(f) => f.find(s).is_some(),
+        LikePlan::Segments(sp) => sp.matches(s),
+        // xlint: allow(str, `_` matches one character, not one byte)
+        LikePlan::Generic => std::str::from_utf8(s).is_ok_and(|s| like_match(s, pattern)),
     }
 }
 
 /// LIKE over a VARCHAR column at the positions `sel`; NULL rows stay
-/// NULL, negated or not.
+/// NULL, negated or not. The pattern is compiled once per call and every
+/// row is matched on its heap entry's bytes ([`like_plan_match`]). The
+/// dictionary-domain LIKE in `exec` runs this kernel over the distinct
+/// dictionary entries.
 fn like_kernel<E: Emit>(
     b: &Bat,
     pattern: &str,
@@ -1154,7 +1170,7 @@ fn like_kernel<E: Emit>(
             if o == NULL_OFFSET {
                 NULL_I8
             } else {
-                (like_plan_match(&plan, pattern, heap.get(o)) != negated) as i8
+                (like_plan_match(&plan, pattern, heap.get_bytes(o)) != negated) as i8
             }
         })),
         other => Err(MlError::Execution(format!("LIKE over {}", other.logical_type()))),
@@ -1236,6 +1252,7 @@ fn func_kernel(func: ScalarFunc, args: &[Arc<Bat>], ty: LogicalType) -> Result<B
             let a = &args[0];
             let mut out = Bat::with_capacity(LogicalType::Varchar, a.len());
             for i in 0..a.len() {
+                // xlint: allow(str, case mapping is per character)
                 match a.str_at(i) {
                     None => out.push(&Value::Null)?,
                     Some(s) => {
@@ -1254,6 +1271,7 @@ fn func_kernel(func: ScalarFunc, args: &[Arc<Bat>], ty: LogicalType) -> Result<B
             let a = &args[0];
             let mut out = Vec::with_capacity(a.len());
             for i in 0..a.len() {
+                // xlint: allow(str, LENGTH counts characters)
                 match a.str_at(i) {
                     None => out.push(NULL_I32),
                     Some(s) => out.push(s.chars().count() as i32),
@@ -1269,6 +1287,7 @@ fn func_kernel(func: ScalarFunc, args: &[Arc<Bat>], ty: LogicalType) -> Result<B
             };
             let mut out = Bat::with_capacity(LogicalType::Varchar, s.len());
             for i in 0..s.len() {
+                // xlint: allow(str, SUBSTRING positions are characters)
                 match s.str_at(i) {
                     None => out.push(&Value::Null)?,
                     Some(txt) => {
@@ -1550,9 +1569,9 @@ mod tests {
         assert_eq!(compile_like("foo"), LikePlan::Exact("foo".into()));
         assert_eq!(compile_like("foo%"), LikePlan::Prefix("foo".into()));
         assert_eq!(compile_like("%foo"), LikePlan::Suffix("foo".into()));
-        assert_eq!(compile_like("%foo%"), LikePlan::Contains("foo".into()));
-        assert_eq!(compile_like("%%foo%%"), LikePlan::Contains("foo".into()));
-        assert_eq!(compile_like("%"), LikePlan::Contains("".into()));
+        assert_eq!(compile_like("%foo%"), LikePlan::Contains(Finder::new("foo")));
+        assert_eq!(compile_like("%%foo%%"), LikePlan::Contains(Finder::new("foo")));
+        assert_eq!(compile_like("%"), LikePlan::Contains(Finder::new("")));
         assert_eq!(compile_like(""), LikePlan::Exact("".into()));
         assert!(matches!(compile_like("a%b"), LikePlan::Segments(_)));
         assert!(matches!(compile_like("%special%requests%"), LikePlan::Segments(_)));
@@ -1588,7 +1607,7 @@ mod tests {
         for &(p, s, want) in cases {
             let plan = compile_like(p);
             assert!(matches!(plan, LikePlan::Segments(_)), "{p} must compile to segments");
-            assert_eq!(like_plan_match(&plan, p, s), want, "{s:?} LIKE {p:?}");
+            assert_eq!(like_plan_match(&plan, p, s.as_bytes()), want, "{s:?} LIKE {p:?}");
             assert_eq!(like_match(s, p), want, "oracle: {s:?} LIKE {p:?}");
         }
     }
@@ -1666,7 +1685,11 @@ mod tests {
                 let plan = compile_like(p);
                 let sc: Vec<char> = s.chars().collect();
                 let pc: Vec<char> = p.chars().collect();
-                assert_eq!(like_plan_match(&plan, p, s), ref_like(&sc, &pc), "{s:?} LIKE {p:?}");
+                assert_eq!(
+                    like_plan_match(&plan, p, s.as_bytes()),
+                    ref_like(&sc, &pc),
+                    "{s:?} LIKE {p:?}"
+                );
                 assert_eq!(like_match(s, p), ref_like(&sc, &pc), "generic {s:?} LIKE {p:?}");
             }
         }
@@ -1831,7 +1854,7 @@ mod tests {
             };
             let plan = compile_like(&pattern);
             prop_assert!(plan != LikePlan::Generic, "shape {} must compile to a fast path", pattern);
-            prop_assert_eq!(like_plan_match(&plan, &pattern, &s), like_match(&s, &pattern),
+            prop_assert_eq!(like_plan_match(&plan, &pattern, s.as_bytes()), like_match(&s, &pattern),
                 "pattern {} over {}", pattern, s);
         }
 
@@ -1848,7 +1871,7 @@ mod tests {
             let expect = ref_like(&sc, &pc);
             prop_assert_eq!(like_match(&s, &pattern), expect, "generic {} over {}", pattern, s);
             let plan = compile_like(&pattern);
-            prop_assert_eq!(like_plan_match(&plan, &pattern, &s), expect,
+            prop_assert_eq!(like_plan_match(&plan, &pattern, s.as_bytes()), expect,
                 "plan {:?} for {} over {}", plan, pattern, s);
         }
 
@@ -1863,8 +1886,49 @@ mod tests {
             // all in this alphabet.
             let plan = compile_like(&pattern);
             prop_assert!(plan != LikePlan::Generic, "{} must not be generic", pattern);
-            prop_assert_eq!(like_plan_match(&plan, &pattern, &s), like_match(&s, &pattern),
+            prop_assert_eq!(like_plan_match(&plan, &pattern, s.as_bytes()), like_match(&s, &pattern),
                 "plan {:?} for {} over {}", plan, pattern, s);
+        }
+
+        #[test]
+        fn prop_like_kernel_on_bytes_agrees_with_str_matcher(
+            // 1- to 4-byte characters, literal '%' and '_' in the data, and
+            // '' rows; NULL for a string that is exactly "_".
+            strs in proptest::collection::vec("[ab\u{e9}\u{20ac}\u{1f600}%_]{0,7}", 1..12),
+            core in "[a\u{e9}\u{20ac}\u{1f600}]{0,3}",
+            tail in "[ab\u{e9}\u{1f600}_]{0,2}",
+            free in "[a\u{e9}\u{20ac}\u{1f600}%_]{0,6}",
+            shape in 0usize..7,
+        ) {
+            // Every plan shape: exact, prefix, suffix, contains, segments,
+            // generic, and an arbitrary pattern.
+            let pattern = match shape {
+                0 => core.clone(),
+                1 => format!("{core}%"),
+                2 => format!("%{core}"),
+                3 => format!("%{core}%"),
+                4 => format!("{core}%{tail}%{core}"),
+                5 => format!("%{core}_{tail}"),
+                _ => free,
+            };
+            let rows: Vec<Option<String>> =
+                strs.into_iter().map(|s| (s != "_").then_some(s)).collect();
+            let col = Bat::from_buffer(&ColumnBuffer::Varchar(rows.clone()));
+            let sel: Vec<u32> = (0..rows.len() as u32).filter(|i| i % 3 != 1).collect();
+            for negated in [false, true] {
+                let want = |i: usize| match &rows[i] {
+                    None => Value::Null,
+                    Some(s) => Value::Bool(like_match(s, &pattern) != negated),
+                };
+                let dense = like_kernel::<Bools>(&col, &pattern, negated, None).unwrap();
+                for (i, row) in rows.iter().enumerate() {
+                    prop_assert_eq!(dense.get(i), want(i), "{:?} LIKE {:?}", row, pattern);
+                }
+                let at = like_kernel::<Bools>(&col, &pattern, negated, Some(&sel)).unwrap();
+                for (j, &i) in sel.iter().enumerate() {
+                    prop_assert_eq!(at.get(j), want(i as usize), "{:?} LIKE {:?}", rows[i as usize], pattern);
+                }
+            }
         }
 
         #[test]

@@ -506,6 +506,10 @@ impl opt::Stats for TxnView<'_> {
         self.tables.get(&name.to_ascii_lowercase()).map_or(1000, |t| t.data.visible_rows().max(1))
     }
 
+    fn physical_rows(&self, name: &str) -> usize {
+        self.tables.get(&name.to_ascii_lowercase()).map_or(1000, |t| t.data.rows)
+    }
+
     /// Real per-column statistics from the storage layer's summaries
     /// (cache → `.st` sidecar → one-pass build). Statistics are physical
     /// -row summaries: the NDV is clamped to the visible row count, and

@@ -399,6 +399,46 @@ mod tests {
         }
     }
 
+    /// Deleted rows still occupy the morsels `drive` cuts, so EXPLAIN
+    /// sizes its cut from the physical rows, not the visible ones the
+    /// optimizer estimates with: 65,600 rows with 100 deleted are two
+    /// 64Ki vectors at one thread, though 65,500 would fit in one.
+    #[test]
+    fn explain_morsels_count_deleted_rows_as_drive_does() {
+        let db = crate::Database::open_in_memory();
+        let mut conn = db.connect();
+        conn.run_script("CREATE TABLE t (id INT, a INT)").unwrap();
+        let ids = monetlite_types::ColumnBuffer::Int((0..65_600).collect());
+        let vals = monetlite_types::ColumnBuffer::Int((0..65_600).map(|i| i % 100).collect());
+        conn.append("t", vec![ids, vals]).unwrap();
+        conn.query("DELETE FROM t WHERE id < 100").unwrap();
+        // One pipeline, so the executed morsel count is the scan's.
+        let sql = "SELECT id FROM t WHERE a < 50";
+        for (threads, want) in [(1, Some(2)), (2, None)] {
+            conn.set_exec_options(ExecOptions {
+                threads,
+                vector_size: 64 * 1024,
+                ..Default::default()
+            });
+            let r = conn.query(&format!("EXPLAIN {sql}")).unwrap();
+            let text =
+                (0..r.nrows()).map(|i| r.value(i, 0).to_string()).collect::<Vec<_>>().join("\n");
+            let explained: usize = text
+                .split("scan t [morsels=")
+                .nth(1)
+                .and_then(|rest| rest.split(']').next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no morsel count for t:\n{text}"));
+            let r = conn.query(sql).unwrap();
+            assert_eq!(r.nrows(), 32_750);
+            let ran = conn.last_exec_counters().unwrap().morsels as usize;
+            assert_eq!(explained, ran, "threads={threads}: EXPLAIN and the run disagree\n{text}");
+            if let Some(want) = want {
+                assert_eq!(ran, want, "threads={threads}");
+            }
+        }
+    }
+
     /// EXPLAIN claims a mitosis exactly where the pipeline driver fans
     /// out: not for a table below two vectors, a probe pipeline or a
     /// DISTINCT aggregate.

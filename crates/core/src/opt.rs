@@ -108,6 +108,13 @@ pub trait Stats {
     /// Estimated (visible) row count of a base table.
     fn table_rows(&self, name: &str) -> usize;
 
+    /// Physical row count of a base table, deleted rows included: what a
+    /// scan cuts into morsels, so EXPLAIN's morsel count agrees with the
+    /// run. Not an estimate; defaults to [`Stats::table_rows`].
+    fn physical_rows(&self, name: &str) -> usize {
+        self.table_rows(name)
+    }
+
     /// Per-column statistics of base-table column `col` (schema
     /// position). `None` = unknown; the estimator falls back to the fixed
     /// selectivity constants.
@@ -165,6 +172,11 @@ impl Stats for ModedStats<'_> {
             StatsMode::Real | StatsMode::TableRowsOnly => self.inner.table_rows(name),
             StatsMode::Adversarial(seed) => 1 + (hash_name(seed, name, 1) % 1_000_000) as usize,
         }
+    }
+
+    /// Passed through in every mode: the morsel cut is not an estimate.
+    fn physical_rows(&self, name: &str) -> usize {
+        self.inner.physical_rows(name)
     }
 
     fn column_stats(&self, table: &str, col: usize) -> Option<ColStats> {

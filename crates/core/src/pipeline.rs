@@ -1753,8 +1753,10 @@ fn desc_chain(
     let src = match cur {
         Plan::Scan { table, filters, .. } => {
             let prefix = !probes && into.takes_prefix(!ops.is_empty());
+            // Physical rows, as `drive` cuts them: deleted rows still
+            // occupy their morsel.
             morsels = stats
-                .map(|s| s.table_rows(table))
+                .map(|s| s.physical_rows(table))
                 .map(|rows| rows.div_ceil(morsel_rows(rows, prefix, opts)));
             // Mark scans whose filters can skip whole vectors by zonemap.
             let zm = if filters.iter().any(|f| crate::exec::zone_probe_of(f).is_some()) {

@@ -250,7 +250,9 @@ pub(crate) fn visit_keys<V: KeyVisitor>(left: &[&Bat], right: &[&Bat], v: V) -> 
 // ---------------------------------------------------------------------------
 
 /// Ordering of two rows of one column, NULLs smallest (MonetDB sorts
-/// NULLs first ascending).
+/// NULLs first ascending). VARCHAR compares the heap entries' bytes:
+/// UTF-8 byte order is code-point order, which is what `str::cmp`
+/// computes, so no entry is decoded.
 pub fn col_cmp(c: &Bat, i: usize, j: usize) -> Ordering {
     let (an, bn) = (c.is_null_at(i), c.is_null_at(j));
     match (an, bn) {
@@ -265,7 +267,9 @@ pub fn col_cmp(c: &Bat, i: usize, j: usize) -> Ordering {
         Bat::Bigint(v) => v[i].cmp(&v[j]),
         Bat::Double(v) => v[i].partial_cmp(&v[j]).unwrap_or(Ordering::Equal),
         Bat::Decimal { data, .. } => data[i].cmp(&data[j]),
-        Bat::Varchar { .. } => c.str_at(i).cmp(&c.str_at(j)),
+        Bat::Varchar { offsets, heap } => {
+            heap.get_bytes(offsets[i]).cmp(heap.get_bytes(offsets[j]))
+        }
     }
 }
 
@@ -286,39 +290,39 @@ pub fn col_cmp2(a: &Bat, i: usize, b: &Bat, j: usize) -> Ordering {
         (Bat::Bigint(x), Bat::Bigint(y)) => x[i].cmp(&y[j]),
         (Bat::Double(x), Bat::Double(y)) => x[i].partial_cmp(&y[j]).unwrap_or(Ordering::Equal),
         (Bat::Decimal { data: x, .. }, Bat::Decimal { data: y, .. }) => x[i].cmp(&y[j]),
-        (Bat::Varchar { .. }, Bat::Varchar { .. }) => a.str_at(i).cmp(&b.str_at(j)),
+        (Bat::Varchar { offsets: x, heap: hx }, Bat::Varchar { offsets: y, heap: hy }) => {
+            hx.get_bytes(x[i]).cmp(hy.get_bytes(y[j]))
+        }
         _ => a.get(i).cmp_sql(&b.get(j)),
     }
 }
 
-/// Gather with NULL padding: `NO_ROW` entries produce NULL (left-outer
-/// join right side).
+/// Gather with NULL padding: `NO_ROW` entries produce NULL (the build
+/// side of a LEFT join). A `sel` without `NO_ROW` (every inner, semi,
+/// anti and index join) is [`Bat::take`]; otherwise one typed loop per
+/// physical type writes that type's NULL sentinel. Either way a VARCHAR
+/// result copies offsets and *shares* the source's copy-on-write heap, as
+/// the probe side's gather does: no string is decoded, copied or
+/// re-interned per row.
 pub fn take_padded(bat: &Bat, sel: &[u32]) -> Bat {
-    let mut out = Bat::with_capacity(bat.logical_type(), sel.len());
-    for &s in sel {
-        if s == NO_ROW {
-            out.push(&Value::Null).expect("null always appends");
-        } else {
-            push_raw(&mut out, bat, s as usize);
-        }
+    if !sel.contains(&NO_ROW) {
+        return bat.take(sel);
     }
-    out
-}
-
-#[inline]
-fn push_raw(out: &mut Bat, src: &Bat, row: usize) {
-    match (out, src) {
-        (Bat::Bool(o), Bat::Bool(v)) => o.push(v[row]),
-        (Bat::Int(o), Bat::Int(v)) => o.push(v[row]),
-        (Bat::Date(o), Bat::Date(v)) => o.push(v[row]),
-        (Bat::Bigint(o), Bat::Bigint(v)) => o.push(v[row]),
-        (Bat::Double(o), Bat::Double(v)) => o.push(v[row]),
-        (Bat::Decimal { data: o, .. }, Bat::Decimal { data: v, .. }) => o.push(v[row]),
-        (Bat::Varchar { offsets, heap }, src @ Bat::Varchar { .. }) => match src.str_at(row) {
-            None => offsets.push(NULL_OFFSET),
-            Some(s) => offsets.push(heap.add(s)),
-        },
-        _ => unreachable!("take_padded type mismatch"),
+    fn pad<T: Copy>(v: &[T], sel: &[u32], null: T) -> Vec<T> {
+        sel.iter().map(|&i| if i == NO_ROW { null } else { v[i as usize] }).collect()
+    }
+    match bat {
+        Bat::Bool(v) => Bat::Bool(pad(v, sel, NULL_I8)),
+        Bat::Int(v) => Bat::Int(pad(v, sel, NULL_I32)),
+        Bat::Date(v) => Bat::Date(pad(v, sel, NULL_I32)),
+        Bat::Bigint(v) => Bat::Bigint(pad(v, sel, NULL_I64)),
+        Bat::Decimal { data, scale } => {
+            Bat::Decimal { data: pad(data, sel, NULL_I64), scale: *scale }
+        }
+        Bat::Double(v) => Bat::Double(pad(v, sel, f64::NAN)),
+        Bat::Varchar { offsets, heap } => {
+            Bat::Varchar { offsets: pad(offsets, sel, NULL_OFFSET), heap: heap.clone() }
+        }
     }
 }
 
@@ -369,6 +373,33 @@ pub(crate) mod model {
     /// True when any key column is NULL at `row` (join keys skip such rows).
     pub(crate) fn any_null(cols: &[&Bat], row: usize) -> bool {
         cols.iter().any(|c| c.is_null_at(row))
+    }
+
+    /// The per-row padded gather [`take_padded`] replaced: a fresh column
+    /// filled cell by cell, VARCHAR re-interned into a heap of its own.
+    pub(crate) fn take_padded_rowwise(bat: &Bat, sel: &[u32]) -> Bat {
+        let mut out = Bat::with_capacity(bat.logical_type(), sel.len());
+        for &s in sel {
+            if s == NO_ROW {
+                out.push(&Value::Null).expect("null always appends");
+                continue;
+            }
+            let row = s as usize;
+            match (&mut out, bat) {
+                (Bat::Bool(o), Bat::Bool(v)) => o.push(v[row]),
+                (Bat::Int(o), Bat::Int(v)) => o.push(v[row]),
+                (Bat::Date(o), Bat::Date(v)) => o.push(v[row]),
+                (Bat::Bigint(o), Bat::Bigint(v)) => o.push(v[row]),
+                (Bat::Double(o), Bat::Double(v)) => o.push(v[row]),
+                (Bat::Decimal { data: o, .. }, Bat::Decimal { data: v, .. }) => o.push(v[row]),
+                (Bat::Varchar { offsets, heap }, src) => match src.str_at(row) {
+                    None => offsets.push(NULL_OFFSET),
+                    Some(s) => offsets.push(heap.add(s)),
+                },
+                _ => unreachable!("take_padded type mismatch"),
+            }
+        }
+        out
     }
 
     /// One key column of every physical type from the same row seeds, with
@@ -520,6 +551,89 @@ mod tests {
         assert_eq!(col_cmp(&a, 0, 0), Ordering::Equal);
         let s = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("b".into()), None]));
         assert_eq!(col_cmp(&s, 1, 0), Ordering::Less);
+    }
+
+    /// The heap of a VARCHAR column.
+    fn heap_of(b: &Bat) -> &StringHeap {
+        match b {
+            Bat::Varchar { heap, .. } => heap,
+            _ => panic!("varchar expected"),
+        }
+    }
+
+    /// A string of 0-4 characters of 1 to 4 UTF-8 bytes each, from a seed.
+    fn word(seed: u32) -> String {
+        let alphabet = ['a', 'b', '\u{e9}', '\u{20ac}', '\u{1f600}'];
+        (0..seed % 5).map(|k| alphabet[(seed >> (3 * k + 3)) as usize % 5]).collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_take_padded_equals_the_rowwise_model(
+            seeds in proptest::collection::vec(0u32..u32::MAX, 1..40),
+            picks in proptest::collection::vec(0u32..u32::MAX, 0..60),
+            pad in 0u32..4,
+        ) {
+            // Every physical type, NULLs among the values (seeds divisible
+            // by 7), multi-byte and empty strings.
+            let null = |s: u32| s.is_multiple_of(7);
+            let strs: Vec<Option<String>> =
+                seeds.iter().map(|&s| (!null(s)).then(|| word(s))).collect();
+            let cols = vec![
+                Bat::Bool(seeds.iter().map(|&s| if null(s) { NULL_I8 } else { (s & 1) as i8 }).collect()),
+                Bat::Int(seeds.iter().map(|&s| if null(s) { NULL_I32 } else { s as i32 }).collect()),
+                Bat::Date(seeds.iter().map(|&s| if null(s) { NULL_I32 } else { (s % 9000) as i32 }).collect()),
+                Bat::Bigint(seeds.iter().map(|&s| if null(s) { NULL_I64 } else { s as i64 * 3 }).collect()),
+                Bat::Decimal {
+                    data: seeds.iter().map(|&s| if null(s) { NULL_I64 } else { s as i64 - 7 }).collect(),
+                    scale: 2,
+                },
+                Bat::Double(seeds.iter().map(|&s| if null(s) { f64::NAN } else { s as f64 / 3.0 }).collect()),
+                Bat::from_buffer(&ColumnBuffer::Varchar(strs)),
+            ];
+            // Positions into the column; `pad` of every four become NO_ROW
+            // (0: no padding at all, the inner-join shape).
+            let n = seeds.len() as u32;
+            let sel: Vec<u32> = picks
+                .iter()
+                .map(|&p| if p % 4 < pad { NO_ROW } else { (p >> 2) % n })
+                .collect();
+            for col in &cols {
+                let got = take_padded(col, &sel);
+                let want = model::take_padded_rowwise(col, &sel);
+                proptest::prop_assert_eq!(got.len(), sel.len());
+                proptest::prop_assert_eq!(got.logical_type(), col.logical_type());
+                for i in 0..sel.len() {
+                    proptest::prop_assert_eq!(got.get(i), want.get(i), "{:?} row {}", col.logical_type(), i);
+                    // Padding is the type's own NULL sentinel.
+                    proptest::prop_assert_eq!(got.is_null_at(i), want.is_null_at(i));
+                }
+                if let Bat::Varchar { .. } = col {
+                    proptest::prop_assert!(heap_of(&got).shares_buffer_with(heap_of(col)));
+                }
+            }
+        }
+
+        #[test]
+        fn prop_varchar_order_is_str_order_nulls_first(
+            seeds in proptest::collection::vec(0u32..u32::MAX, 1..30),
+        ) {
+            let strs: Vec<Option<String>> =
+                seeds.iter().map(|&s| (!s.is_multiple_of(7)).then(|| word(s))).collect();
+            let col = Bat::from_buffer(&ColumnBuffer::Varchar(strs.clone()));
+            // The same strings in a heap of their own, interned in reverse.
+            let rev: Vec<Option<String>> = strs.iter().rev().cloned().collect();
+            let rev_sel: Vec<u32> = (0..strs.len() as u32).rev().collect();
+            let other = Bat::from_buffer(&ColumnBuffer::Varchar(rev)).take(&rev_sel);
+            // `Option<&str>` orders None first, then by `str::cmp`.
+            let want = |i: usize, j: usize| strs[i].as_deref().cmp(&strs[j].as_deref());
+            for i in 0..strs.len() {
+                for j in 0..strs.len() {
+                    proptest::prop_assert_eq!(col_cmp(&col, i, j), want(i, j), "{:?} {:?}", strs[i], strs[j]);
+                    proptest::prop_assert_eq!(col_cmp2(&col, i, &other, j), want(i, j));
+                }
+            }
+        }
     }
 
     #[test]

@@ -352,9 +352,14 @@ impl Bat {
         }
     }
 
-    /// Append all rows of another BAT (string values are re-interned into
-    /// this heap so duplicate elimination keeps working across appends;
-    /// offsets and heap bytes are those of adding the strings row by row).
+    /// Append all rows of another BAT. When both VARCHAR columns share one
+    /// heap buffer ([`StringHeap::shares_buffer_with`]: chunks gathered
+    /// from one table column) only the offsets are extended — the heap is
+    /// neither copied nor written. Otherwise string values are re-interned
+    /// into this heap so duplicate elimination keeps working across
+    /// appends; offsets and heap bytes are those of adding the strings row
+    /// by row. An empty destination has a fresh heap of its own, so
+    /// appending into one still compacts.
     pub fn append_bat(&mut self, other: &Bat) -> Result<()> {
         match (&mut *self, other) {
             (Bat::Bool(a), Bat::Bool(b)) => a.extend_from_slice(b),
@@ -373,6 +378,11 @@ impl Bat {
                         }
                     }
                 }
+            }
+            (Bat::Varchar { offsets, heap }, Bat::Varchar { offsets: bo, heap: bh })
+                if heap.shares_buffer_with(bh) =>
+            {
+                offsets.extend_from_slice(bo)
             }
             (Bat::Varchar { offsets, heap }, Bat::Varchar { offsets: bo, heap: bh }) => {
                 // A source heap that is small against the row count holds

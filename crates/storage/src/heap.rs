@@ -200,6 +200,14 @@ impl StringHeap {
         entry_bytes(&self.inner.buf, offset)
     }
 
+    /// Whether `self` and `other` are one buffer (a clone, or a gather's
+    /// heap, not yet written to): an offset valid in one then names the
+    /// same entry in the other.
+    #[inline]
+    pub fn shares_buffer_with(&self, other: &StringHeap) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     /// Number of distinct entries inserted while dedup was active (after
     /// dedup is dropped this is a lower bound).
     pub fn distinct_seen(&self) -> usize {

@@ -36,6 +36,16 @@
 //!    `thread::Builder` are banned in the rest of `crates/core`'s non-test
 //!    code. The escape hatch is `// xlint: allow(thread, <reason>)`, and
 //!    the report counts its uses.
+//! 8. **Strings as bytes** — the engine's VARCHAR kernels (`kernels`,
+//!    `rows`, `join`, `agg`, `sort`, `pipeline`, `exec` in `crates/core`)
+//!    read heap entries as bytes (`StringHeap::get_bytes`): comparing,
+//!    hashing, matching and gathering never rebuild a `&str` per row.
+//!    `.str_at(`, `StringHeap::get(` (also as a method on a receiver named
+//!    `…heap`) and `from_utf8` are banned in their non-test code. The
+//!    escape hatch, for code that needs characters (LIKE with `_`,
+//!    UPPER/LOWER, LENGTH, SUBSTRING, the VARCHAR→DATE cast, `Value`
+//!    conversion), is `// xlint: allow(str, <reason>)`, and the report
+//!    counts its uses.
 //!
 //! Each rule is a standalone `check_*` function taking the workspace root,
 //! so the meta-tests can seed one violation into a synthetic tree and
@@ -138,6 +148,7 @@ pub fn run(root: &Path) -> Report {
         check_shim_exports(root),
         check_raw_io(root),
         check_one_fan_out(root),
+        check_strings_as_bytes(root),
     ] {
         report.violations.extend(part.violations);
         report.notes.extend(part.notes);
@@ -1061,6 +1072,68 @@ pub fn check_one_fan_out(root: &Path) -> RuleResult {
     res.notes.push(format!(
         "one-fan-out: {} crates/core file(s) scanned, {allows} annotated allow(thread) site(s)",
         files.len()
+    ));
+    res
+}
+
+// ---------------------------------------------------------------------------
+// Rule 8: strings as bytes
+// ---------------------------------------------------------------------------
+
+/// The `crates/core` modules whose VARCHAR paths work on heap bytes.
+const BYTE_STRING_FILES: &[&str] = &[
+    "crates/core/src/kernels.rs",
+    "crates/core/src/rows.rs",
+    "crates/core/src/join.rs",
+    "crates/core/src/agg.rs",
+    "crates/core/src/sort.rs",
+    "crates/core/src/pipeline.rs",
+    "crates/core/src/exec.rs",
+];
+
+/// Call shapes that decode a heap entry to `&str`: `Bat::str_at`,
+/// `StringHeap::get` by path or on a receiver named `…heap`, and UTF-8
+/// validation.
+const STR_DECODE_TOKENS: &[&str] = &[".str_at(", "StringHeap::get(", "heap.get(", "from_utf8"];
+
+/// Strings stay offsets plus a shared heap in the engine's kernels:
+/// compares, hashes, LIKE and gathers read `StringHeap::get_bytes`, so no
+/// row pays a UTF-8 check to be turned into a `&str`. Code that needs
+/// characters is annotated `// xlint: allow(str, <reason>)` on the same or
+/// preceding line.
+pub fn check_strings_as_bytes(root: &Path) -> RuleResult {
+    const RULE: &str = "strings-as-bytes";
+    let mut res = RuleResult::default();
+    let mut allows = 0usize;
+    for relname in BYTE_STRING_FILES {
+        let Ok(src) = fs::read_to_string(root.join(relname)) else {
+            res.fail(RULE, relname, 0, "file missing — update xlint's strings-as-bytes scope");
+            continue;
+        };
+        let raw_lines: Vec<&str> = src.lines().collect();
+        let allow_line =
+            |idx: usize| raw_lines.get(idx).is_some_and(|l| l.contains("xlint: allow(str,"));
+        let stripped = strip_comments_and_strings(&src);
+        for (idx, line) in stripped[..non_test_len(&src)].lines().enumerate() {
+            for tok in STR_DECODE_TOKENS.iter().filter(|t| line.contains(*t)) {
+                if allow_line(idx) || (idx > 0 && allow_line(idx - 1)) {
+                    allows += 1;
+                } else {
+                    res.fail(
+                        RULE,
+                        relname,
+                        idx + 1,
+                        format!(
+                            "`{tok}` decodes a string per row (read StringHeap::get_bytes, or annotate xlint: allow(str, ...))"
+                        ),
+                    );
+                }
+            }
+        }
+    }
+    res.notes.push(format!(
+        "strings-as-bytes: {} file(s) scanned, {allows} annotated allow(str) site(s)",
+        BYTE_STRING_FILES.len()
     ));
     res
 }

@@ -8,7 +8,7 @@ use std::path::Path;
 use tempfile::TempDir;
 use xlint::{
     check_checksum_discipline, check_counter_liveness, check_env_registry, check_no_panic,
-    check_one_fan_out, check_raw_io, check_shim_exports, run, RuleResult,
+    check_one_fan_out, check_raw_io, check_shim_exports, check_strings_as_bytes, run, RuleResult,
 };
 
 fn tree(files: &[(&str, &str)]) -> TempDir {
@@ -322,6 +322,55 @@ fn one_fan_out_rule_passes_on_drive_tests_comments_and_counts_allows() {
 fn one_fan_out_rule_fires_when_drive_is_missing() {
     let t = tree(&[("crates/core/src/pipeline.rs", "pub fn ok() {}\n")]);
     assert_fires(&check_one_fan_out(t.path()), "one-fan-out", "missing");
+}
+
+// ---------------------------------------------------------------------------
+// strings as bytes
+// ---------------------------------------------------------------------------
+
+/// Every file of the rule's scope, clean, with `rows.rs` replaced.
+fn byte_string_tree(rows_src: &str) -> TempDir {
+    let mut files: Vec<(String, &str)> = ["kernels", "join", "agg", "sort", "pipeline", "exec"]
+        .iter()
+        .map(|m| (format!("crates/core/src/{m}.rs"), "pub fn k() {}\n"))
+        .collect();
+    files.push(("crates/core/src/rows.rs".into(), rows_src));
+    tree(&files.iter().map(|(p, src)| (p.as_str(), *src)).collect::<Vec<_>>())
+}
+
+#[test]
+fn strings_as_bytes_rule_fires_on_a_decoded_compare() {
+    let t = byte_string_tree("pub fn cmp(c: &Bat) -> Ordering { c.str_at(0).cmp(&c.str_at(1)) }\n");
+    assert_fires(&check_strings_as_bytes(t.path()), "strings-as-bytes", "`.str_at(`");
+    let t = byte_string_tree("pub fn s(heap: &StringHeap, o: u32) -> &str { heap.get(o) }\n");
+    assert_fires(&check_strings_as_bytes(t.path()), "strings-as-bytes", "`heap.get(`");
+    let t = byte_string_tree("pub fn s(b: &[u8]) -> bool { std::str::from_utf8(b).is_ok() }\n");
+    assert_fires(&check_strings_as_bytes(t.path()), "strings-as-bytes", "`from_utf8`");
+}
+
+#[test]
+fn strings_as_bytes_rule_passes_on_bytes_tests_comments_and_counts_allows() {
+    let t = byte_string_tree(
+        "// c.str_at(i) in a comment is fine\n\
+         pub fn cmp(h: &StringHeap, a: u32, b: u32) -> Ordering { h.get_bytes(a).cmp(h.get_bytes(b)) }\n\
+         pub fn upper(c: &Bat) {\n\
+         // xlint: allow(str, case mapping is per character)\n\
+         let _ = c.str_at(0);\n}\n\
+         #[cfg(test)]\nmod tests {\n    fn t(c: &Bat) { c.str_at(0); }\n}\n",
+    );
+    let res = check_strings_as_bytes(t.path());
+    assert_clean(&res);
+    assert!(
+        res.notes.iter().any(|n| n.contains("1 annotated allow(str)")),
+        "allow sites must be counted: {:?}",
+        res.notes
+    );
+}
+
+#[test]
+fn strings_as_bytes_rule_fires_when_a_scope_file_is_missing() {
+    let t = tree(&[("crates/core/src/rows.rs", "pub fn ok() {}\n")]);
+    assert_fires(&check_strings_as_bytes(t.path()), "strings-as-bytes", "missing");
 }
 
 // ---------------------------------------------------------------------------
