@@ -191,8 +191,10 @@ impl SharedArray {
 /// heap more than [`MAX_HEAP_PIN_RATIO`] times the bytes its rows hold;
 /// `None` when it can be shared as it is. The scan stops once the rows are
 /// known to hold enough, so a column that references its whole heap reads
-/// about `1 / MAX_HEAP_PIN_RATIO` of it.
-fn compacted(bat: &Bat) -> Option<Bat> {
+/// about `1 / MAX_HEAP_PIN_RATIO` of it. Spilling applies the same rule:
+/// to every frame ([`crate::spill::SpillFile::write`]) and to every vector
+/// an external sort takes in.
+pub(crate) fn compacted(bat: &Bat) -> Option<Bat> {
     let Bat::Varchar { offsets, heap } = bat else {
         return None;
     };

@@ -46,7 +46,7 @@ use crate::spill::{PartitionWriter, SpillFile, SpillReader, MAX_SPILL_DEPTH};
 use monetlite_storage::catalog::ColumnEntry;
 use monetlite_storage::hash::{hash_rows, HashTable};
 use monetlite_storage::index::ZONE_ROWS;
-use monetlite_storage::{Bat, StrDict};
+use monetlite_storage::{Bat, StrDict, StringHeap};
 use monetlite_types::nulls::NULL_I32;
 use monetlite_types::{LogicalType, MlError, Result, Value};
 use std::collections::HashMap;
@@ -1346,6 +1346,36 @@ struct SortWorker {
     chunks: Vec<(usize, Chunk)>,
     bytes: usize,
     runs: Vec<SpillFile>,
+    /// The string heaps `bytes` already counts: vectors gathered from one
+    /// table share its heap, which is resident once however many of them
+    /// the worker holds.
+    heaps: Vec<StringHeap>,
+}
+
+impl SortWorker {
+    /// Take an ingested vector into the run being built. A string column
+    /// that would pin a heap more than [`crate::host::MAX_HEAP_PIN_RATIO`]
+    /// times its rows' bytes is re-interned into a heap of its own first
+    /// (the host import rule), and every column is charged its
+    /// [`Bat::mem_bytes`], a heap shared with an earlier vector only once.
+    fn ingest(&mut self, m: usize, c: Chunk) {
+        let mut cols = Vec::with_capacity(c.cols.len());
+        for col in c.cols {
+            let col = crate::host::compacted(&col).map_or(col, Arc::new);
+            match &*col {
+                Bat::Varchar { offsets, heap } => {
+                    self.bytes += offsets.len() * 4;
+                    if !self.heaps.iter().any(|h| h.shares_buffer_with(heap)) {
+                        self.bytes += heap.mem_bytes();
+                        self.heaps.push(heap.clone());
+                    }
+                }
+                other => self.bytes += other.mem_bytes(),
+            }
+            cols.push(col);
+        }
+        self.chunks.push((m, Chunk::dense(cols, c.rows)));
+    }
 }
 
 /// Sort-key columns of a run chunk: the requested keys plus the trailing
@@ -1547,14 +1577,13 @@ fn external_sort(
             let rows = c.rows;
             let mut cols = c.cols;
             cols.push(Arc::new(rowid));
-            let c2 = Chunk::dense(cols, rows);
-            w.bytes += c2.mem_bytes();
-            w.chunks.push((m, c2));
+            w.ingest(m, Chunk::dense(cols, rows));
             if w.bytes > share {
                 match write_sorted_run(std::mem::take(&mut w.chunks), keys, ctx) {
                     Ok(run) => {
                         w.runs.push(run);
                         w.bytes = 0;
+                        w.heaps.clear();
                     }
                     Err(e) => {
                         *p = Err(e);

@@ -298,16 +298,13 @@ pub fn col_cmp2(a: &Bat, i: usize, b: &Bat, j: usize) -> Ordering {
 }
 
 /// Gather with NULL padding: `NO_ROW` entries produce NULL (the build
-/// side of a LEFT join). A `sel` without `NO_ROW` (every inner, semi,
-/// anti and index join) is [`Bat::take`]; otherwise one typed loop per
-/// physical type writes that type's NULL sentinel. Either way a VARCHAR
-/// result copies offsets and *shares* the source's copy-on-write heap, as
-/// the probe side's gather does: no string is decoded, copied or
-/// re-interned per row.
+/// side of a LEFT join). One typed loop per physical type copies the
+/// selected cells and writes that type's NULL sentinel for `NO_ROW`, so a
+/// `sel` without `NO_ROW` (every inner, semi, anti and index join) gives
+/// exactly [`Bat::take`]. A VARCHAR result copies offsets and *shares*
+/// the source's copy-on-write heap, as the probe side's gather does: no
+/// string is decoded, copied or re-interned per row.
 pub fn take_padded(bat: &Bat, sel: &[u32]) -> Bat {
-    if !sel.contains(&NO_ROW) {
-        return bat.take(sel);
-    }
     fn pad<T: Copy>(v: &[T], sel: &[u32], null: T) -> Vec<T> {
         sel.iter().map(|&i| if i == NO_ROW { null } else { v[i as usize] }).collect()
     }

@@ -134,12 +134,21 @@ impl SpillFile {
     /// Append one frame of aligned columns. Fails with
     /// [`MlError::SpillQuota`] when the query's cumulative spill volume
     /// exceeds the directory's quota.
+    ///
+    /// A frame holds its VARCHAR columns' whole heaps, and a column
+    /// gathered out of a table shares that table's heap, so a string
+    /// column whose heap exceeds [`crate::host::MAX_HEAP_PIN_RATIO`] times
+    /// the bytes its rows hold is first re-interned into a heap of its
+    /// own, the rule a zero-copy host import applies.
     pub fn write(&mut self, cols: &[&Bat]) -> Result<u64> {
         let w = self
             .w
             .as_mut()
             .ok_or_else(|| MlError::Execution("write into sealed spill file".into()))?;
-        let n = write_chunk_frame(w, cols)?;
+        let compact: Vec<Option<Bat>> = cols.iter().map(|c| crate::host::compacted(c)).collect();
+        let cols: Vec<&Bat> =
+            cols.iter().zip(&compact).map(|(&c, own)| own.as_ref().unwrap_or(c)).collect();
+        let n = write_chunk_frame(w, &cols)?;
         self.bytes += n;
         self.rows += cols.first().map_or(0, |c| c.len()) as u64;
         let used = self.used.fetch_add(n, Ordering::Relaxed) + n;

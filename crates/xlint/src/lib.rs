@@ -36,16 +36,18 @@
 //!    `thread::Builder` are banned in the rest of `crates/core`'s non-test
 //!    code. The escape hatch is `// xlint: allow(thread, <reason>)`, and
 //!    the report counts its uses.
-//! 8. **Strings as bytes** — the engine's VARCHAR kernels (`kernels`,
-//!    `rows`, `join`, `agg`, `sort`, `pipeline`, `exec` in `crates/core`)
-//!    read heap entries as bytes (`StringHeap::get_bytes`): comparing,
-//!    hashing, matching and gathering never rebuild a `&str` per row.
-//!    `.str_at(`, `StringHeap::get(` (also as a method on a receiver named
-//!    `…heap`) and `from_utf8` are banned in their non-test code. The
+//! 8. **Strings as bytes** — in the non-test code of `kernels`, `rows`,
+//!    `join`, `agg`, `sort`, `pipeline` and `exec` (`crates/core`), the
+//!    calls that decode a heap entry to `&str` are banned: `.str_at(`,
+//!    `StringHeap::get(` (also as a method on a receiver named `…heap`)
+//!    and `from_utf8`. Code there reads `StringHeap::get_bytes`. The
 //!    escape hatch, for code that needs characters (LIKE with `_`,
-//!    UPPER/LOWER, LENGTH, SUBSTRING, the VARCHAR→DATE cast, `Value`
-//!    conversion), is `// xlint: allow(str, <reason>)`, and the report
-//!    counts its uses.
+//!    UPPER/LOWER, LENGTH, SUBSTRING, the VARCHAR→DATE cast), is
+//!    `// xlint: allow(str, <reason>)`, and the report counts its uses.
+//!    The rule matches those tokens only: a `Value` conversion
+//!    (`Bat::get`, which builds a `String` for a VARCHAR cell) is not
+//!    seen, and such conversions remain per row in the external sort's
+//!    k-way merge, COUNT(DISTINCT) and `col_cmp2`'s mixed-type fallback.
 //!
 //! Each rule is a standalone `check_*` function taking the workspace root,
 //! so the meta-tests can seed one violation into a synthetic tree and
@@ -1096,11 +1098,11 @@ const BYTE_STRING_FILES: &[&str] = &[
 /// validation.
 const STR_DECODE_TOKENS: &[&str] = &[".str_at(", "StringHeap::get(", "heap.get(", "from_utf8"];
 
-/// Strings stay offsets plus a shared heap in the engine's kernels:
-/// compares, hashes, LIKE and gathers read `StringHeap::get_bytes`, so no
-/// row pays a UTF-8 check to be turned into a `&str`. Code that needs
-/// characters is annotated `// xlint: allow(str, <reason>)` on the same or
-/// preceding line.
+/// No call in [`STR_DECODE_TOKENS`] in the non-test code of
+/// [`BYTE_STRING_FILES`]: strings there are read through
+/// `StringHeap::get_bytes`. Code that needs characters is annotated
+/// `// xlint: allow(str, <reason>)` on the same or preceding line. A
+/// `Value` conversion (`Bat::get`) is not one of the tokens.
 pub fn check_strings_as_bytes(root: &Path) -> RuleResult {
     const RULE: &str = "strings-as-bytes";
     let mut res = RuleResult::default();

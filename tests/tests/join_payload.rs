@@ -10,9 +10,13 @@
 //!   INT, DECIMAL, DOUBLE and DATE columns with NULL, with and without a
 //!   residual;
 //! * semi and anti joins with string residuals;
-//! * GROUP BY, MIN/MAX and ORDER BY over the carried strings.
+//! * GROUP BY, MIN/MAX and ORDER BY over the carried strings;
+//! * an ORDER BY over inner and LEFT joins carrying build-side strings
+//!   under a budget that makes the sort spill, with its spill volume
+//!   pinned.
 
-use monetlite_tests::{Corpus, Twin};
+use monetlite::exec::ExecOptions;
+use monetlite_tests::{image, pinned, rows_of, run_pinned, Corpus, Twin};
 use monetlite_types::ColumnBuffer;
 
 /// Vectors of 7 rows cut every table into many morsels; the comma joins
@@ -198,4 +202,44 @@ fn semi_and_anti_joins_with_string_residuals_match_the_row_store() {
          ORDER BY c_phone, c_custkey",
     ];
     check(&sqls);
+}
+
+#[test]
+fn sorted_join_output_spills_only_the_strings_it_holds() {
+    // ORDER BY over joins whose build side carries the customer table's
+    // strings, under a budget that makes the sort spill runs. The build
+    // columns share the table's heaps; a sort worker re-interns a column
+    // that would pin more than `MAX_HEAP_PIN_RATIO` times its rows' bytes
+    // and charges a shared heap once, and a spill frame re-interns by the
+    // same rule. Without those rules every vector is charged, and every
+    // frame writes, the tables' whole heaps, and the sort spills more
+    // runs and more bytes than pinned here.
+    let twin = twin();
+    let cases = [
+        (
+            "SELECT o_orderkey, c_name, c_comment FROM orders, customer \
+             WHERE o_custkey = c_custkey ORDER BY o_orderkey",
+            (3, 55_544),
+        ),
+        (
+            "SELECT o_orderkey, c_comment, c_address FROM orders \
+             LEFT JOIN customer ON o_custkey = c_custkey ORDER BY o_orderkey",
+            (1, 26_919),
+        ),
+    ];
+    for (sql, pinned_spill) in cases {
+        let (want, _) = run_pinned(&twin.db, sql, pinned(1, 64));
+        let want = image(&rows_of(&want));
+        for threads in [1, 2] {
+            let opts = ExecOptions { memory_budget: 16 * 1024, ..pinned(threads, 64) };
+            let (got, counters) = run_pinned(&twin.db, sql, opts);
+            assert!(image(&rows_of(&got)) == want, "threads={threads}: {sql}");
+            let spill = (counters.spilled_partitions, counters.spill_bytes);
+            if threads == 1 {
+                assert_eq!(spill, pinned_spill, "runs and bytes spilled: {sql}");
+            } else {
+                assert!(spill.0 > 0, "threads={threads}: the sort must spill: {sql}");
+            }
+        }
+    }
 }
