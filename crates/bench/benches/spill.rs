@@ -2,8 +2,8 @@
 //! memory budget versus the unbounded in-memory path.
 //!
 //! * `spill_agg` — grouped aggregation with ~100k distinct groups, run
-//!   unbounded and with budgets that force one and two levels of
-//!   partitioned spilling.
+//!   unbounded and under two budgets, the smaller one spilling over a
+//!   wider fan-out.
 //! * `spill_join` — a hash join whose transient build side exceeds the
 //!   budget (grace join: both sides partitioned to disk).
 //! * `spill_sort` — ORDER BY over a wide value range (external merge

@@ -359,8 +359,8 @@ impl<'a> ExecContext<'a> {
     /// operator state competes with resident columns for the same bytes —
     /// but never less than [`INHERITED_BUDGET_SHARE`] of that budget:
     /// earlier queries' resident columns can leave a headroom of ~0, and
-    /// a breaker that may hold nothing re-partitions every partition down
-    /// to the depth cap, writing thousands of tiny files.
+    /// a breaker that may hold nothing spills at the widest fan-out
+    /// ([`crate::spill::MAX_FANOUT`] partitions), each a tiny file.
     ///
     /// [`Vmem`]: monetlite_storage::Vmem
     pub fn spill_budget(&self) -> Option<usize> {

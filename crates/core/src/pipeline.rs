@@ -42,7 +42,7 @@ use crate::join::JoinSel;
 use crate::plan::{OutCol, PJoinKind, Plan};
 use crate::rows::{col_cmp2, visit_keys, KeyCols, KeyVisitor};
 use crate::sort::{sort_perm, topn_perm};
-use crate::spill::{PartitionWriter, SpillFile, SpillReader, MAX_SPILL_DEPTH};
+use crate::spill::{fanout, PartitionWriter, SpillFile, SpillReader};
 use monetlite_storage::catalog::ColumnEntry;
 use monetlite_storage::hash::{hash_rows, HashTable};
 use monetlite_storage::index::ZONE_ROWS;
@@ -775,13 +775,30 @@ fn agg_partial_bytes(p: &AggPartial) -> usize {
         + p.states.iter().map(|s| s.mem_bytes()).sum::<usize>()
 }
 
-/// Per-thread aggregation state: the in-memory partial plus an optional
-/// spill partitioner. Once the partial outgrows its budget share it is
-/// frozen (it stays within budget by construction) and every later
-/// vector is hash-partitioned to disk by its group keys instead.
+/// Per-thread aggregation state: the in-memory partial, and whether it
+/// is frozen. Once the partial outgrows its budget share it is frozen (it
+/// stays within budget by construction) and every later vector goes to
+/// the aggregate's spill partitioner instead.
 struct AggWorker {
     part: AggPartial,
-    spill: Option<PartitionWriter>,
+    frozen: bool,
+}
+
+/// The spill side of a grouped aggregate under a budget: one partitioner
+/// every frozen worker routes to by group key hash. The first worker to
+/// freeze sizes it from the state still to come: the source rows no
+/// worker has consumed, each charged the bytes per group of its frozen
+/// partial. Filters only shrink that bound; a join that multiplies rows
+/// can beat it, and a partition it overfills is aggregated in memory all
+/// the same.
+struct AggSpill {
+    /// Each worker's share of the budget.
+    share: usize,
+    /// The budget one spilled partition is aggregated under.
+    budget: usize,
+    source_rows: usize,
+    ingested: AtomicUsize,
+    writer: Mutex<Option<PartitionWriter>>,
 }
 
 fn agg_worker_consume(
@@ -790,79 +807,59 @@ fn agg_worker_consume(
     groups: &[BExpr],
     aggs: &[AggSpec],
     ctx: &ExecContext,
-    share: Option<usize>,
+    spill: Option<&AggSpill>,
 ) -> Result<()> {
     if c.rows == 0 {
         return Ok(());
     }
-    if let Some(sp) = &mut w.spill {
+    let Some(sp) = spill else {
+        return agg_consume(&mut w.part, c, groups, aggs);
+    };
+    let ingested = sp.ingested.fetch_add(c.rows, Ordering::Relaxed) + c.rows;
+    let poisoned = || MlError::Execution("aggregate partitioner lock poisoned".into());
+    if w.frozen {
         // Spill routing writes whole rows to disk: materialise a
         // candidate chunk first (cheap Arc clones when already dense).
         let dense = c.clone().materialize();
         let key_bats: Vec<Bat> = groups.iter().map(|g| dense.eval(g)).collect::<Result<_>>()?;
         let refs: Vec<&Bat> = key_bats.iter().collect();
-        return sp.route(&ctx.spill, &dense, &hash_rows(&refs, None));
+        let hashes = hash_rows(&refs, None);
+        let mut writer = sp.writer.lock().map_err(|_| poisoned())?;
+        let writer = writer.as_mut().ok_or_else(|| {
+            MlError::Execution("frozen aggregate worker without a partitioner".into())
+        })?;
+        return writer.route(&ctx.spill, &dense, (0..).zip(hashes));
     }
     agg_consume(&mut w.part, c, groups, aggs)?;
-    if let Some(share) = share {
-        // Global (ungrouped) aggregates hold O(1) state — never spill.
-        if w.part.table.is_some() && agg_partial_bytes(&w.part) > share {
-            w.spill = Some(PartitionWriter::new(0));
-        }
+    // Global (ungrouped) aggregates hold O(1) state — never spill.
+    let Some(table) = &w.part.table else {
+        return Ok(());
+    };
+    let bytes = agg_partial_bytes(&w.part);
+    if bytes > sp.share {
+        let to_come =
+            sp.source_rows.saturating_sub(ingested).saturating_mul(bytes / table.n_groups().max(1));
+        sp.writer
+            .lock()
+            .map_err(|_| poisoned())?
+            .get_or_insert_with(|| PartitionWriter::new(fanout(to_come, sp.budget)));
+        w.frozen = true;
     }
     Ok(())
 }
 
-/// Aggregate one spilled partition file. If its state outgrows the
-/// budget and the recursion cap allows, the remaining frames are
-/// re-partitioned with a re-seeded hash and the sub-partitions merged in.
+/// Aggregate one spilled partition file in memory.
 fn aggregate_spill_file(
     file: SpillFile,
     groups: &[BExpr],
     aggs: &[AggSpec],
     ctx: &ExecContext,
-    budget: usize,
-    depth: u32,
 ) -> Result<AggPartial> {
     let mut part = new_agg_partial(groups, aggs)?;
-    let mut respill: Option<PartitionWriter> = None;
     let mut reader = file.into_reader()?;
-    let vs = ctx.opts.vector_size.max(1);
     while let Some(c) = reader.next()? {
         ctx.check_deadline()?;
-        // Spill frames are flushed in coarse blocks; re-slice to vectors
-        // so the budget check interleaves with consumption (otherwise one
-        // oversized frame would be swallowed whole before re-spilling).
-        let mut start = 0;
-        while start < c.rows {
-            let end = (start + vs).min(c.rows);
-            let s = c.slice(start, end);
-            start = end;
-            match &mut respill {
-                Some(sp) => {
-                    let key_bats: Vec<Bat> =
-                        groups.iter().map(|g| s.eval(g)).collect::<Result<_>>()?;
-                    let refs: Vec<&Bat> = key_bats.iter().collect();
-                    sp.route(&ctx.spill, &s, &hash_rows(&refs, None))?;
-                }
-                None => {
-                    agg_consume(&mut part, &s, groups, aggs)?;
-                    if depth < MAX_SPILL_DEPTH && agg_partial_bytes(&part) > budget {
-                        respill = Some(PartitionWriter::new(depth));
-                    }
-                }
-            }
-        }
-    }
-    drop(reader);
-    if let Some(sp) = respill {
-        let (files, bytes) = sp.finish(&ctx.spill)?;
-        ctx.counters.add(&ctx.counters.spill_bytes, bytes);
-        for f in files.into_iter().flatten() {
-            ctx.counters.bump(&ctx.counters.spilled_partitions);
-            let sub = aggregate_spill_file(f, groups, aggs, ctx, budget, depth + 1)?;
-            part = agg_merge(part, sub)?;
-        }
+        agg_consume(&mut part, &c, groups, aggs)?;
     }
     Ok(part)
 }
@@ -910,18 +907,23 @@ fn run_aggregate(
         }
     }
     let groups = groups_vec.as_slice();
-    let budget = ctx.spill_budget();
-    let share = budget.map(|b| (b / ctx.opts.threads.max(1)).max(1));
+    let spill = ctx.spill_budget().map(|budget| AggSpill {
+        share: (budget / ctx.opts.threads.max(1)).max(1),
+        budget,
+        source_rows: pipe.source.rows(),
+        ingested: AtomicUsize::new(0),
+        writer: Mutex::new(None),
+    });
     // Each worker's closure may fail on first use; surface errors from
     // partial construction through a per-worker Result partial.
     let parts: Vec<Result<AggWorker>> = drive(
         &pipe,
         ctx,
         Sink::of_aggregate(groups, aggs),
-        || new_agg_partial(groups, aggs).map(|part| AggWorker { part, spill: None }),
+        || new_agg_partial(groups, aggs).map(|part| AggWorker { part, frozen: false }),
         |p: &mut Result<AggWorker>, _m, c| {
             if let Ok(w) = p.as_mut() {
-                if let Err(e) = agg_worker_consume(w, &c, groups, aggs, ctx, share) {
+                if let Err(e) = agg_worker_consume(w, &c, groups, aggs, ctx, spill.as_ref()) {
                     *p = Err(e);
                     return Ok(false);
                 }
@@ -930,31 +932,33 @@ fn run_aggregate(
         },
     )?;
     let mut merged: Option<AggPartial> = None;
-    let mut spill_files: Vec<SpillFile> = Vec::new();
     for p in parts {
         let w = p?;
         merged = Some(match merged {
             None => w.part,
             Some(acc) => agg_merge(acc, w.part)?,
         });
-        if let Some(sp) = w.spill {
-            let (files, bytes) = sp.finish(&ctx.spill)?;
-            ctx.counters.add(&ctx.counters.spill_bytes, bytes);
-            for f in files.into_iter().flatten() {
-                ctx.counters.bump(&ctx.counters.spilled_partitions);
-                spill_files.push(f);
-            }
-        }
     }
-    // Drain spilled partitions one at a time; each partition's groups are
-    // disjoint from no one — agg_merge remaps overlapping groups, so the
-    // in-memory partials and every partition merge exactly once.
-    for f in spill_files {
-        let sub = aggregate_spill_file(f, groups, aggs, ctx, budget.unwrap_or(usize::MAX), 1)?;
-        merged = Some(match merged {
-            None => sub,
-            Some(acc) => agg_merge(acc, sub)?,
-        });
+    // Drain spilled partitions one at a time; agg_merge remaps groups the
+    // in-memory partials already hold, so every partition merges exactly
+    // once.
+    let writer = match spill {
+        None => None,
+        Some(sp) => sp
+            .writer
+            .into_inner()
+            .map_err(|_| MlError::Execution("aggregate partitioner lock poisoned".into()))?,
+    };
+    if let Some(writer) = writer {
+        let (files, bytes) = writer.finish(&ctx.spill)?;
+        note_spill(ctx, &files, bytes);
+        for f in files.into_iter().flatten() {
+            let sub = aggregate_spill_file(f, groups, aggs, ctx)?;
+            merged = Some(match merged {
+                None => sub,
+                Some(acc) => agg_merge(acc, sub)?,
+            });
+        }
     }
     // Zero-morsel (empty source) aggregation still produces output: one
     // row globally, zero rows grouped.
@@ -1138,13 +1142,17 @@ fn note_spill(ctx: &ExecContext, parts: &[Option<SpillFile>], bytes: u64) {
     ctx.counters.add(&ctx.counters.spill_bytes, bytes);
 }
 
-/// Grace hash join: the oversized build chunk and the streamed probe side
-/// are both hash-partitioned to temp files by key hash (the build's
-/// evaluated key columns travel as a trailing column group, so nothing is
-/// re-evaluated on load); partition pairs then join one at a time, with a
-/// re-seeded re-partition when a build partition still exceeds the
-/// budget. Output row order is partition-major — a correct (unordered)
-/// join result; order-sensitive parents (sort/top-n) re-establish order.
+/// Grace hash join: the streamed probe side and the oversized build chunk
+/// are both hash-partitioned to temp files by key hash (the evaluated key
+/// columns travel as a trailing column group, so nothing is re-evaluated
+/// on load); partition pairs then join one at a time. Both sides are
+/// partitioned once, the probe first, over enough partitions that the
+/// build's bytes would fit the budget if spread evenly ([`fanout`]); a
+/// bloom filter of the probe's key hashes keeps build rows no probe row
+/// can meet off disk, and a partition still over the budget (a key
+/// heavier than the budget) is joined in memory. Output row order is
+/// partition-major — a correct (unordered) join result; order-sensitive
+/// parents (sort/top-n) re-establish order.
 #[allow(clippy::too_many_arguments)]
 fn grace_hash_join(
     probe_pipe: &Pipeline,
@@ -1157,33 +1165,15 @@ fn grace_hash_join(
     build_hashes: &[u64],
     schema: &[OutCol],
 ) -> Result<Chunk> {
-    let budget = ctx.spill_budget().unwrap_or(usize::MAX);
+    let parts = fanout(build_chunk.mem_bytes(), ctx.spill_budget().unwrap_or(usize::MAX));
     let vs = ctx.opts.vector_size.max(1);
     let nkeys = build_keys.len();
-    // Build columns + evaluated key columns as one aligned chunk.
-    let combined = Chunk::dense(
-        build_chunk.cols.iter().cloned().chain(build_keys).collect(),
-        build_chunk.rows,
-    );
-    // Typed zero-row template (cols + keys): NULL padding and empty maps
-    // for partitions whose build side received no rows.
-    let build_template = combined.slice(0, 0);
-    // 1. Partition the build side, one vector-sized slice at a time so
-    // the gather buffers stay bounded, by the hashes computed at build.
-    let mut bw = PartitionWriter::new(0);
-    let mut start = 0;
-    while start < combined.rows {
-        ctx.check_deadline()?;
-        let end = (start + vs).min(combined.rows);
-        bw.route(&ctx.spill, &combined.slice(start, end), &build_hashes[start..end])?;
-        start = end;
-    }
-    drop(combined);
-    let (bparts, bbytes) = bw.finish(&ctx.spill)?;
-    note_spill(ctx, &bparts, bbytes);
-    // 2. Partition the probe stream (morsel-parallel; the partitioner is
-    // shared behind a lock — the gather work dominates the lock hold).
-    let pw = Mutex::new(PartitionWriter::new(0));
+    // 1. Partition the probe stream (morsel-parallel; the partitioner is
+    // shared behind a lock — the gather work dominates the lock hold),
+    // and summarise its key hashes in a bloom filter.
+    let poisoned = || MlError::Execution("probe partitioner lock poisoned".into());
+    let probe =
+        Mutex::new((PartitionWriter::new(parts), Bloom::with_capacity(probe_pipe.source.rows())));
     drive(
         probe_pipe,
         ctx,
@@ -1201,32 +1191,42 @@ fn grace_hash_join(
             let keyrefs: Vec<&Bat> =
                 combined.cols[combined.cols.len() - nkeys..].iter().map(|a| &**a).collect();
             let hashes = hash_rows(&keyrefs, None);
-            pw.lock()
-                .map_err(|_| MlError::Execution("probe partitioner lock poisoned".into()))?
-                .route(&ctx.spill, &combined, &hashes)?;
+            let mut probe = probe.lock().map_err(|_| poisoned())?;
+            let (pw, seen) = &mut *probe;
+            hashes.iter().for_each(|&h| seen.insert(h));
+            pw.route(&ctx.spill, &combined, (0..).zip(hashes))?;
             Ok(true)
         },
     )?;
-    let (pparts, pbytes) = pw
-        .into_inner()
-        .map_err(|_| MlError::Execution("probe partitioner lock poisoned".into()))?
-        .finish(&ctx.spill)?;
+    let (pw, seen) = probe.into_inner().map_err(|_| poisoned())?;
+    let (pparts, pbytes) = pw.finish(&ctx.spill)?;
     note_spill(ctx, &pparts, pbytes);
+    // 2. Partition the build side, with its evaluated key columns as one
+    // aligned chunk, by the hashes computed at build, one vector-sized
+    // range at a time so the gather buffers stay bounded. Every output
+    // row is driven by a probe row, so a build row whose key hash no
+    // probe row carries is never read: it is not written.
+    let rows = build_chunk.rows;
+    let combined = Chunk::dense(build_chunk.cols.into_iter().chain(build_keys).collect(), rows);
+    // Typed zero-row template (cols + keys): NULL padding and empty maps
+    // for partitions whose build side received no rows.
+    let build_template = combined.slice(0, 0);
+    let mut bw = PartitionWriter::new(parts);
+    let mut start = 0;
+    while start < rows {
+        ctx.check_deadline()?;
+        let end = (start + vs).min(rows);
+        let live = (start as u32..).zip(build_hashes[start..end].iter().copied());
+        bw.route(&ctx.spill, &combined, live.filter(|&(_, h)| seen.contains(h)))?;
+        start = end;
+    }
+    drop(combined);
+    let (bparts, bbytes) = bw.finish(&ctx.spill)?;
+    note_spill(ctx, &bparts, bbytes);
     // 3. Join partition pairs.
     let mut out: Vec<Chunk> = Vec::new();
     for (bf, pf) in bparts.into_iter().zip(pparts) {
-        grace_join_partition(
-            ctx,
-            kind,
-            residual,
-            nkeys,
-            &build_template,
-            bf,
-            pf,
-            budget,
-            1,
-            &mut out,
-        )?;
+        grace_join_partition(ctx, kind, residual, nkeys, &build_template, bf, pf, &mut out)?;
     }
     if out.is_empty() {
         return Ok(Chunk::empty(schema));
@@ -1234,8 +1234,7 @@ fn grace_hash_join(
     Chunk::pack(out)
 }
 
-/// Join one (build partition, probe partition) pair, re-partitioning both
-/// at a deeper seed when the build side still exceeds the budget.
+/// Join one (build partition, probe partition) pair in memory.
 #[allow(clippy::too_many_arguments)]
 fn grace_join_partition(
     ctx: &ExecContext,
@@ -1245,8 +1244,6 @@ fn grace_join_partition(
     build_template: &Chunk,
     build: Option<SpillFile>,
     probe: Option<SpillFile>,
-    budget: usize,
-    depth: u32,
     out: &mut Vec<Chunk>,
 ) -> Result<()> {
     // Every output row is driven by a probe row (inner/left/semi/anti):
@@ -1271,48 +1268,6 @@ fn grace_join_partition(
             }
         }
     };
-    // Oversized partition: split both sides again with a re-seeded hash.
-    if loaded.mem_bytes() > budget && depth < MAX_SPILL_DEPTH {
-        let vs = ctx.opts.vector_size.max(1);
-        let mut bw = PartitionWriter::new(depth);
-        let mut start = 0;
-        while start < loaded.rows {
-            ctx.check_deadline()?;
-            let end = (start + vs).min(loaded.rows);
-            let s = loaded.slice(start, end);
-            let keyrefs: Vec<&Bat> = s.cols[s.cols.len() - nkeys..].iter().map(|a| &**a).collect();
-            bw.route(&ctx.spill, &s, &hash_rows(&keyrefs, None))?;
-            start = end;
-        }
-        drop(loaded);
-        let (bparts, bbytes) = bw.finish(&ctx.spill)?;
-        note_spill(ctx, &bparts, bbytes);
-        let mut pw = PartitionWriter::new(depth);
-        let mut pr = probe.into_reader()?;
-        while let Some(c) = pr.next()? {
-            ctx.check_deadline()?;
-            let keyrefs: Vec<&Bat> = c.cols[c.cols.len() - nkeys..].iter().map(|a| &**a).collect();
-            pw.route(&ctx.spill, &c, &hash_rows(&keyrefs, None))?;
-        }
-        drop(pr);
-        let (pparts, pbytes) = pw.finish(&ctx.spill)?;
-        note_spill(ctx, &pparts, pbytes);
-        for (bf, pf) in bparts.into_iter().zip(pparts) {
-            grace_join_partition(
-                ctx,
-                kind,
-                residual,
-                nkeys,
-                build_template,
-                bf,
-                pf,
-                budget,
-                depth + 1,
-                out,
-            )?;
-        }
-        return Ok(());
-    }
     let ncols = loaded.cols.len() - nkeys;
     let bcols = &loaded.cols[..ncols];
     let bkeyrefs: Vec<&Bat> = loaded.cols[ncols..].iter().map(|a| &**a).collect();
@@ -1479,11 +1434,37 @@ const MERGE_FANIN: usize = 64;
 /// buffer size, is what makes the merge expensive.
 const MIN_SORT_SHARE: usize = 16 * 1024;
 
+/// Append the merge's pending picks, (cursor, row) in output order, to
+/// `out`: one [`Bat::append_rows`] per column for each stretch of picks
+/// from one cursor.
+fn flush_picks(
+    out: &mut [Bat],
+    cursors: &[RunCursor],
+    picks: &mut Vec<(usize, u32)>,
+) -> Result<()> {
+    let mut rows = Vec::new();
+    for stretch in picks.chunk_by(|a, b| a.0 == b.0) {
+        let chunk = cursors[stretch[0].0]
+            .chunk
+            .as_ref()
+            .ok_or_else(|| MlError::Execution("merge cursor lost its chunk".into()))?;
+        rows.clear();
+        rows.extend(stretch.iter().map(|&(_, row)| row));
+        for (dst, src) in out.iter_mut().zip(&chunk.cols) {
+            dst.append_rows(src, &rows)?;
+        }
+    }
+    picks.clear();
+    Ok(())
+}
+
 /// K-way merge of sorted runs by (keys, rowid), emitting chunks of `vs`
 /// rows with *all* columns including the trailing rowid (the final
 /// caller strips it; intermediate passes need it for later tie-breaks).
 /// Fan-in is capped by the caller; a linear min-scan over ≤ [`MERGE_FANIN`]
-/// cursors is cheap.
+/// cursors is cheap. The scan only records its picks; they are gathered
+/// column by column when a chunk is full or before a cursor moves past
+/// the chunk they point into.
 fn merge_cursors(
     mut cursors: Vec<RunCursor>,
     keys: &[(usize, bool)],
@@ -1499,7 +1480,9 @@ fn merge_cursors(
             None => return Ok(()),
             Some(c) => c.cols.iter().map(|b| b.logical_type()).collect(),
         };
-    let mut out: Vec<Bat> = types.iter().map(|&t| Bat::new(t)).collect();
+    let fresh = || types.iter().map(|&t| Bat::new(t)).collect::<Vec<Bat>>();
+    let mut out = fresh();
+    let mut picks: Vec<(usize, u32)> = Vec::new();
     let mut rows = 0usize;
     loop {
         let mut best: Option<usize> = None;
@@ -1522,26 +1505,23 @@ fn merge_cursors(
             });
         }
         let Some(w) = best else { break };
-        {
-            let cur = &cursors[w];
-            let chunk = cur
-                .chunk
-                .as_ref()
-                .ok_or_else(|| MlError::Execution("merge cursor lost its chunk".into()))?;
-            for (dst, src) in out.iter_mut().zip(&chunk.cols) {
-                dst.push(&src.get(cur.pos))?;
-            }
-            rows += 1;
-        }
+        picks.push((w, cursors[w].pos as u32));
+        rows += 1;
         cursors[w].pos += 1;
+        if rows == vs || cursors[w].chunk.as_ref().is_some_and(|c| cursors[w].pos == c.rows) {
+            flush_picks(&mut out, &cursors, &mut picks)?;
+        }
         cursors[w].settle()?;
         if rows == vs {
-            emit(Chunk::dense(std::mem::take(&mut out).into_iter().map(Arc::new).collect(), rows))?;
-            out = types.iter().map(|&t| Bat::new(t)).collect();
+            emit(Chunk::dense(
+                std::mem::replace(&mut out, fresh()).into_iter().map(Arc::new).collect(),
+                rows,
+            ))?;
             rows = 0;
             ctx.check_deadline()?;
         }
     }
+    debug_assert!(picks.is_empty(), "an exhausted cursor flushed its picks");
     if rows > 0 {
         emit(Chunk::dense(out.into_iter().map(Arc::new).collect(), rows))?;
     }
@@ -2172,9 +2152,11 @@ mod tests {
     }
 
     #[test]
-    fn spilled_aggregate_recurses_on_oversized_partitions() {
-        // A budget far below even one partition's state forces re-seeded
-        // re-partitioning; results must still be exact.
+    fn spilled_aggregate_partitions_once_by_state_bytes() {
+        // Every row its own group: the state outgrows the budget many
+        // times over. The spill is sized from it once — at least one
+        // partition per budget's worth of state — every spilled row is
+        // written once, and the result is exact.
         let n = 20_000i32;
         let t = make_table(
             "t",
@@ -2186,18 +2168,116 @@ mod tests {
         let tables = TestTables { tables: Map::from([("t".into(), t)]) };
         let plan = group_sum_plan("t");
         let base = execute_streaming(&plan, &ExecContext::new(&tables, opts(1, 1024))).unwrap();
+        // The state the groups need: a vector's partial (sized without
+        // the growth slack of one table holding every group) per group,
+        // times the groups.
+        let Plan::Aggregate { groups, aggs, .. } = &plan else { unreachable!() };
+        let mut first = new_agg_partial(groups, aggs).unwrap();
+        let rows = Chunk::dense(
+            vec![Arc::new(Bat::Int((0..1024).collect())), Arc::new(Bat::Int((0..1024).collect()))],
+            1024,
+        );
+        agg_consume(&mut first, &rows, groups, aggs).unwrap();
+        let state = agg_partial_bytes(&first) / 1024 * n as usize;
+        let budget = 16 * 1024;
         let mut o = opts(1, 1024);
-        o.memory_budget = 2 * 1024;
+        o.memory_budget = budget;
         let ctx = ExecContext::new(&tables, o);
         let got = execute_streaming(&plan, &ctx).unwrap();
         assert_eq!(base.rows, n as usize);
         assert_eq!(sorted_rows(&base), sorted_rows(&got));
-        // Fan-out plus recursion writes well over one pass worth of
-        // partitions.
+        let parts = ctx.counters.spilled_partitions.load(Ordering::Relaxed) as usize;
         assert!(
-            ctx.counters.spilled_partitions.load(Ordering::Relaxed)
-                > crate::spill::SPILL_FANOUT as u64,
-            "expected recursive re-partitioning"
+            parts >= state / budget && parts <= crate::spill::MAX_FANOUT,
+            "{parts} partitions for {state} bytes of state under {budget}"
+        );
+        // Two INT columns per spilled row, written once: at most the
+        // whole input plus a frame header per partition.
+        let bytes = ctx.counters.spill_bytes.load(Ordering::Relaxed) as usize;
+        assert!(bytes <= n as usize * 8 + parts * 256, "{bytes} bytes spilled over {parts}");
+    }
+
+    #[test]
+    fn spilled_join_on_one_heavy_key_partitions_once() {
+        // Every build row shares one key, so no partitioning can split the
+        // build; the probe's keys mostly miss it. Both sides are written
+        // once, and the heavy partition is joined in memory.
+        let nbuild = 20_000i32;
+        let nprobe = 20_000i32;
+        let probe =
+            make_table("probe", vec![("k", Bat::Int((0..nprobe).map(|i| i % 5_000).collect()))]);
+        let build = make_table(
+            "build",
+            vec![("k", Bat::Int(vec![7; nbuild as usize])), ("v", Bat::Int((0..nbuild).collect()))],
+        );
+        let tables =
+            TestTables { tables: Map::from([("probe".into(), probe), ("build".into(), build)]) };
+        let join = Plan::Join {
+            left: Box::new(scan("probe", 1)),
+            right: Box::new(scan("build", 2)),
+            kind: PJoinKind::Semi,
+            left_keys: vec![BExpr::ColRef { idx: 0, ty: LogicalType::Int }],
+            right_keys: vec![BExpr::ColRef { idx: 0, ty: LogicalType::Int }],
+            residual: None,
+            schema: vec![OutCol { name: "k".into(), ty: LogicalType::Int }],
+        };
+        let mut o = opts(1, 1024);
+        o.use_hash_index = false;
+        o.memory_budget = 8 * 1024; // the build holds ~160 kB
+        let ctx = ExecContext::new(&tables, o);
+        let got = execute_streaming(&join, &ctx).unwrap();
+        assert_eq!(got.rows, (nprobe / 5_000) as usize, "one probe row per 5,000 has key 7");
+        // One pass writes the build's two columns plus its key column and
+        // the probe's column plus its key column, all INT.
+        let one_pass = (nbuild as usize * 3 + nprobe as usize * 2) * 4;
+        let bytes = ctx.counters.spill_bytes.load(Ordering::Relaxed) as usize;
+        assert!(
+            bytes * 5 <= one_pass * 6,
+            "{bytes} spill bytes against {one_pass} for one partitioning pass"
+        );
+    }
+
+    #[test]
+    fn grace_join_writes_only_build_rows_the_probe_can_meet() {
+        // The probe carries 100 of the build's 20,000 keys: the bloom
+        // filter of its key hashes keeps all but those rows (and a few
+        // false positives) of the build off disk.
+        let n = 20_000i32;
+        let probe = make_table("probe", vec![("k", Bat::Int((0..n).map(|i| i % 100).collect()))]);
+        let build = make_table(
+            "build",
+            vec![("k", Bat::Int((0..n).collect())), ("v", Bat::Int((0..n).collect()))],
+        );
+        let tables =
+            TestTables { tables: Map::from([("probe".into(), probe), ("build".into(), build)]) };
+        let join = Plan::Join {
+            left: Box::new(scan("probe", 1)),
+            right: Box::new(scan("build", 2)),
+            kind: PJoinKind::Inner,
+            left_keys: vec![BExpr::ColRef { idx: 0, ty: LogicalType::Int }],
+            right_keys: vec![BExpr::ColRef { idx: 0, ty: LogicalType::Int }],
+            residual: None,
+            schema: vec![
+                OutCol { name: "k".into(), ty: LogicalType::Int },
+                OutCol { name: "k2".into(), ty: LogicalType::Int },
+                OutCol { name: "v".into(), ty: LogicalType::Int },
+            ],
+        };
+        let mut o = opts(1, 1024);
+        o.use_hash_index = false;
+        let base = execute_streaming(&join, &ExecContext::new(&tables, o)).unwrap();
+        o.memory_budget = 8 * 1024; // the build holds ~240 kB
+        let ctx = ExecContext::new(&tables, o);
+        let got = execute_streaming(&join, &ctx).unwrap();
+        assert_eq!(sorted_rows(&base), sorted_rows(&got));
+        // The probe's column and key column, then a sliver of the
+        // build's two columns and key column, all INT.
+        let probe_pass = n as usize * 2 * 4;
+        let build_pass = n as usize * 3 * 4;
+        let bytes = ctx.counters.spill_bytes.load(Ordering::Relaxed) as usize;
+        assert!(
+            bytes < probe_pass + build_pass / 10,
+            "{bytes} spill bytes: more than a tenth of the build was written"
         );
     }
 

@@ -13,11 +13,14 @@
 //!   frames, reusing the column-file BAT encoding of
 //!   [`monetlite_storage::persist`].
 //! * [`PartitionWriter`] — hash-partitions incoming vectors into
-//!   [`SPILL_FANOUT`] buffered partition files by a depth-seeded fold of
-//!   the rows' key hashes ([`monetlite_storage::hash::hash_rows`], the
-//!   hashes the join table and the blooms use). Re-seeding by depth lets
-//!   an oversized partition be split again ([`MAX_SPILL_DEPTH`] caps the
-//!   recursion).
+//!   buffered partition files by the rows' key hashes
+//!   ([`monetlite_storage::hash::hash_rows`], the hashes the join table
+//!   and the blooms use). A spilling breaker partitions once: the
+//!   fan-out comes from the bytes it must shed ([`fanout`]), sized
+//!   before the first row is routed, the way a Grace hash join sizes its
+//!   partition count from |R| / M. No partition is split again; one
+//!   still over budget (a key heavier than the budget, or a low
+//!   estimate) is processed in memory.
 //!
 //! The orchestration — spillable hash aggregation, grace hash join and
 //! external merge sort — lives in [`crate::pipeline`].
@@ -33,24 +36,28 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Fan-out of one hash-partitioning pass.
-pub const SPILL_FANOUT: usize = 16;
-
-/// Maximum re-partitioning depth. A partition that still exceeds the
-/// budget after this many re-seeded splits is processed in memory anyway
-/// (the alternative is unbounded recursion on pathological key sets, e.g.
-/// a single group larger than the budget).
-pub const MAX_SPILL_DEPTH: u32 = 4;
+/// Largest fan-out of one partitioning pass. It bounds the spill files
+/// a grace join holds open at once (one per partition on each side).
+pub const MAX_FANOUT: usize = 256;
 
 /// Buffered bytes per partition before a flush to its file.
 const PART_FLUSH_BYTES: usize = 256 * 1024;
 
-/// Partition id of a row with key hash `hash` at a given recursion depth.
-/// The seed is folded over the hash so rows that collided into one
-/// partition at depth `d` scatter differently at depth `d + 1`.
-pub(crate) fn partition_of(hash: u64, depth: u32) -> usize {
-    let h = hash ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(depth as u64 + 1);
-    (h.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 33) as usize % SPILL_FANOUT
+/// Fan-out of one partitioning pass over `bytes` of state under
+/// `budget`: the smallest power of two `F >= 2` with
+/// `bytes <= F * budget`, clamped at [`MAX_FANOUT`].
+pub(crate) fn fanout(bytes: usize, budget: usize) -> usize {
+    bytes.div_ceil(budget.max(1)).min(MAX_FANOUT).next_power_of_two().max(2)
+}
+
+/// Partition id of a row with key hash `hash` among `fanout` (a power of
+/// two) partitions. The bits come from a product with a multiplier other
+/// than the one whose top bits pick a [`monetlite_storage::hash::HashTable`]
+/// bucket, so the rows of one partition still spread over every bucket
+/// of the table built on them.
+pub(crate) fn partition_of(hash: u64, fanout: usize) -> usize {
+    debug_assert!(fanout.is_power_of_two());
+    (hash.wrapping_mul(0xD1B5_4A32_D192_ED03) >> 32) as usize & (fanout - 1)
 }
 
 /// Lazily created spill directory, one per [`crate::exec::ExecContext`].
@@ -190,7 +197,8 @@ impl Drop for SpillFile {
 }
 
 /// Sequential reader over a sealed [`SpillFile`]; removes the file when
-/// dropped so re-partitioning recursion does not accumulate dead files.
+/// dropped, so a partition's file is gone once it has been joined or
+/// aggregated.
 pub(crate) struct SpillReader {
     r: BufReader<File>,
     path: PathBuf,
@@ -221,20 +229,22 @@ impl Drop for SpillReader {
 #[derive(Default)]
 struct PartBuf {
     bufs: Option<Vec<Bat>>,
-    buffered: usize,
     file: Option<SpillFile>,
 }
 
 impl PartBuf {
-    fn append(&mut self, dir: &SpillDir, gathered: &Chunk) -> Result<()> {
-        let bufs = self.bufs.get_or_insert_with(|| {
-            gathered.cols.iter().map(|c| Bat::new(c.logical_type())).collect()
-        });
-        for (dst, src) in bufs.iter_mut().zip(&gathered.cols) {
-            dst.append_bat(src)?;
+    /// Gather the rows `sel` of `chunk` into the buffers, which hold
+    /// compact heaps of their own, and flush once the bytes they own reach
+    /// [`PART_FLUSH_BYTES`]. A table heap the routed columns share does not
+    /// count: it is neither buffered nor written.
+    fn append(&mut self, dir: &SpillDir, chunk: &Chunk, sel: &[u32]) -> Result<()> {
+        let bufs = self
+            .bufs
+            .get_or_insert_with(|| chunk.cols.iter().map(|c| Bat::new(c.logical_type())).collect());
+        for (dst, src) in bufs.iter_mut().zip(&chunk.cols) {
+            dst.append_rows(src, sel)?;
         }
-        self.buffered += gathered.mem_bytes();
-        if self.buffered >= PART_FLUSH_BYTES {
+        if bufs.iter().map(Bat::mem_bytes).sum::<usize>() >= PART_FLUSH_BYTES {
             self.flush(dir)?;
         }
         Ok(())
@@ -253,39 +263,43 @@ impl PartBuf {
         };
         let refs: Vec<&Bat> = bufs.iter().collect();
         file.write(&refs)?;
-        self.buffered = 0;
         Ok(())
     }
 }
 
-/// Hash-partitions vectors into [`SPILL_FANOUT`] spill files by the
-/// depth-seeded hash of their key columns.
+/// Hash-partitions vectors into a fixed number of spill files by the hash
+/// of their key columns ([`partition_of`]).
 pub(crate) struct PartitionWriter {
     parts: Vec<PartBuf>,
-    depth: u32,
 }
 
 impl PartitionWriter {
-    /// Empty writer partitioning at the given recursion depth.
-    pub fn new(depth: u32) -> PartitionWriter {
-        PartitionWriter { parts: (0..SPILL_FANOUT).map(|_| PartBuf::default()).collect(), depth }
+    /// Empty writer over `fanout` partitions, a power of two (see
+    /// [`fanout`]).
+    pub fn new(fanout: usize) -> PartitionWriter {
+        PartitionWriter { parts: (0..fanout).map(|_| PartBuf::default()).collect() }
     }
 
-    /// Route every row of `chunk` to its partition. `hashes` are the
-    /// rows' key hashes ([`monetlite_storage::hash::hash_rows`] over the
-    /// partitioning key columns), aligned with the chunk's rows.
-    pub fn route(&mut self, dir: &SpillDir, chunk: &Chunk, hashes: &[u64]) -> Result<()> {
-        debug_assert_eq!(hashes.len(), chunk.rows);
-        let mut sels: Vec<Vec<u32>> = vec![Vec::new(); SPILL_FANOUT];
-        for (row, &h) in hashes.iter().enumerate() {
-            sels[partition_of(h, self.depth)].push(row as u32);
+    /// Route rows of the dense `chunk`, given as (row, key hash) pairs, to
+    /// their partitions. The hashes are
+    /// [`monetlite_storage::hash::hash_rows`] over the partitioning key
+    /// columns.
+    pub fn route(
+        &mut self,
+        dir: &SpillDir,
+        chunk: &Chunk,
+        rows: impl IntoIterator<Item = (u32, u64)>,
+    ) -> Result<()> {
+        debug_assert!(chunk.sel.is_none(), "routed chunks are dense");
+        let fanout = self.parts.len();
+        let mut sels: Vec<Vec<u32>> = vec![Vec::new(); fanout];
+        for (row, h) in rows {
+            sels[partition_of(h, fanout)].push(row);
         }
-        for (p, sel) in sels.iter().enumerate() {
-            if sel.is_empty() {
-                continue;
+        for (part, sel) in self.parts.iter_mut().zip(&sels) {
+            if !sel.is_empty() {
+                part.append(dir, chunk, sel)?;
             }
-            let gathered = if sel.len() == chunk.rows { chunk.clone() } else { chunk.take(sel) };
-            self.parts[p].append(dir, &gathered)?;
         }
         Ok(())
     }
@@ -293,7 +307,7 @@ impl PartitionWriter {
     /// Flush all buffers and return the partition files (`None` for
     /// partitions that never received a row) plus total bytes written.
     pub fn finish(mut self, dir: &SpillDir) -> Result<(Vec<Option<SpillFile>>, u64)> {
-        let mut out = Vec::with_capacity(SPILL_FANOUT);
+        let mut out = Vec::with_capacity(self.parts.len());
         let mut total = 0u64;
         for part in self.parts.iter_mut() {
             part.flush(dir)?;
@@ -336,11 +350,13 @@ mod tests {
     #[test]
     fn partitions_cover_input_exactly_once() {
         let dir = SpillDir::default();
-        let mut w = PartitionWriter::new(0);
+        let mut w = PartitionWriter::new(16);
         let n = 10_000;
         let c = chunk((0..n).collect());
         let hashes = hash_rows(&[&*c.cols[0]], None);
-        w.route(&dir, &c, &hashes).unwrap();
+        // Two calls, the second starting mid-chunk.
+        w.route(&dir, &c, (0..).zip(hashes[..4_000].iter().copied())).unwrap();
+        w.route(&dir, &c, (4_000..).zip(hashes[4_000..].iter().copied())).unwrap();
         let (parts, bytes) = w.finish(&dir).unwrap();
         assert!(bytes > 0);
         let mut seen = Vec::new();
@@ -363,17 +379,90 @@ mod tests {
     }
 
     #[test]
-    fn reseeded_depth_splits_a_partition() {
-        // All rows of one depth-0 partition must scatter at depth 1.
-        let hashes = hash_rows(&[&Bat::Int((0..100_000).collect())], None);
-        let target = partition_of(hashes[0], 0);
-        let mut depth1 = std::collections::HashSet::new();
+    fn fanout_is_the_smallest_power_of_two_that_covers_the_bytes() {
+        let budget = 24 * 1024;
+        for bytes in [0, 1, budget, budget + 1, 3 * budget, 100 * budget, 255 * budget + 7] {
+            let f = fanout(bytes, budget);
+            assert!(f.is_power_of_two() && f >= 2, "{bytes}: {f}");
+            assert!(bytes <= f * budget, "{bytes}: {f} partitions of {budget} do not cover it");
+            assert!(f == 2 || bytes > f / 2 * budget, "{bytes}: {f} is not the smallest");
+        }
+        assert_eq!(fanout(256 * budget + 1, budget), MAX_FANOUT);
+        assert_eq!(fanout(usize::MAX, 1), MAX_FANOUT);
+        assert_eq!(fanout(usize::MAX, 0), MAX_FANOUT);
+        assert_eq!(fanout(1 << 20, usize::MAX), 2);
+    }
+
+    #[test]
+    fn partition_bits_are_independent_of_hash_table_buckets() {
+        // The rows of one partition must still spread over the buckets a
+        // `HashTable` built on them picks by the top bits of
+        // `hash * 0x9E37_79B9_7F4A_7C15`, or every chain of that table
+        // would be `fanout` times longer.
+        let hashes = hash_rows(&[&Bat::Int((0..200_000).collect())], None);
+        let fanout = MAX_FANOUT;
+        let bucket_bits = 8;
+        let mut buckets = std::collections::HashSet::new();
+        let mut rows = 0;
         for &h in &hashes {
-            if partition_of(h, 0) == target {
-                depth1.insert(partition_of(h, 1));
+            if partition_of(h, fanout) == 3 {
+                rows += 1;
+                buckets.insert(h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bucket_bits));
             }
         }
-        assert!(depth1.len() > 1, "re-seeded hash must split the partition");
+        assert!(rows > 200_000 / fanout / 2, "partition 3 holds {rows} rows");
+        // ~780 rows thrown at random reach ~244 buckets.
+        assert!(buckets.len() > 220, "one partition reaches {} of 256 buckets", buckets.len());
+        // And the partitions themselves are balanced.
+        let mut sizes = vec![0usize; fanout];
+        for &h in &hashes {
+            sizes[partition_of(h, fanout)] += 1;
+        }
+        let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+        assert!(*lo > 0 && hi / lo < 2, "partition sizes {lo}..{hi}");
+    }
+
+    #[test]
+    fn partitions_flush_on_owned_bytes_not_a_shared_heap() {
+        // 8,192 distinct 200-byte strings in one heap of ~1.6 MiB, routed
+        // as 128-row gathers that share it, the way a scan's VARCHAR
+        // column reaches a spilling breaker.
+        let mut col = Bat::new(monetlite_types::LogicalType::Varchar);
+        for i in 0..8_192 {
+            col.push(&Value::Str(format!("{i:0>200}"))).unwrap();
+        }
+        let Bat::Varchar { heap, .. } = &col else { unreachable!() };
+        assert!(heap.size_bytes() >= 1 << 20);
+        let col = Arc::new(col);
+        let dir = SpillDir::default();
+        let mut w = PartitionWriter::new(2);
+        for lo in (0..8_192u32).step_by(128) {
+            let sel: Vec<u32> = (lo..lo + 128).collect();
+            let c = Chunk::dense(vec![Arc::new(col.take(&sel))], sel.len());
+            let hashes = hash_rows(&[&*c.cols[0]], None);
+            w.route(&dir, &c, (0..).zip(hashes)).unwrap();
+        }
+        let (parts, _) = w.finish(&dir).unwrap();
+        let mut rows = 0;
+        for f in parts.into_iter().flatten() {
+            let written = f.bytes as usize;
+            let mut frames = 0;
+            let mut r = f.into_reader().unwrap();
+            while let Some(c) = r.next().unwrap() {
+                frames += 1;
+                rows += c.rows;
+            }
+            // A partition's buffers own at most twice what they write
+            // (capacity doubling, the dedup table), so a flush at
+            // `PART_FLUSH_BYTES` owned writes at least half of it; only
+            // the last frame may be smaller.
+            assert!(frames >= 2, "{written} bytes in {frames} frame");
+            assert!(
+                frames <= 1 + 2 * written / PART_FLUSH_BYTES,
+                "{written} bytes in {frames} frames: a shared heap counted toward the flush"
+            );
+        }
+        assert_eq!(rows, 8_192);
     }
 
     // -----------------------------------------------------------------

@@ -48,11 +48,12 @@ fn golden_corpus_is_nontrivial() {
 fn inherited_operator_budget_keeps_spill_partitions_bounded() {
     // With `memory_budget` unset the executor inherits what the resident
     // columns leave of the vmem budget. After a few queries that can be
-    // next to nothing, and a breaker whose budget is ~0 re-partitions
-    // every partition down to the depth cap: Q4 and Q7 wrote tens of
-    // thousands of tiny spill files this way. The inherited budget is
-    // floored at a share of the vmem budget, so the same runs stay within
-    // a few hundred partitions — and still return the golden answers.
+    // next to nothing, and a breaker whose budget is ~0 spills at the
+    // widest fan-out, one tiny file per partition (when oversized
+    // partitions were still split again, Q4 and Q7 wrote tens of
+    // thousands of them). The inherited budget is floored at a share of
+    // the vmem budget, so the same runs stay within a few hundred
+    // partitions — and still return the golden answers.
     if blessing() {
         return;
     }
