@@ -2,7 +2,7 @@
 //! statistics versus the greedy baseline.
 //!
 //! Axes per query: `dp` (DPsize enumeration) vs `greedy` (the connected
-//! greedy fallback, `MONETLITE_JOINORDER=0`), each with real statistics
+//! greedy fallback, `OptFlags::join_dp = false`), each with real statistics
 //! (`stats`) and without column statistics (`nostats` — the
 //! pre-statistics constant-selectivity model). `greedy_nostats` is the
 //! closest stand-in for the pre-statistics optimizer and the baseline
@@ -17,8 +17,10 @@
 //!   join-heavy queries the issue names.
 //!
 //! Run with `MONETLITE_BENCH_JSON=BENCH_joinorder.json cargo bench
-//! --bench joinorder` to record results; CI runs `cargo bench --bench
-//! joinorder -- --test` as a smoke check.
+//! --bench joinorder` to record results (the file is written in
+//! `crates/bench/`, the bench's working directory; the recorded copy
+//! lives at the repository root); CI runs `cargo bench --bench joinorder
+//! -- --test` as a smoke check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;

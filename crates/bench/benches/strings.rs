@@ -1,7 +1,7 @@
 //! String-execution benchmarks: dictionary-encoded VARCHAR execution
 //! (predicates compiled to code ranges/bitmaps, zone skipping on codes,
 //! group-by over codes, join bloom pushdown) versus the plain
-//! string-kernel baseline (`MONETLITE_DICT=0`).
+//! string-kernel baseline (`ExecOptions::use_dict = false`).
 //!
 //! Microbenchmark axes, each dict vs nodict:
 //!

@@ -14,7 +14,6 @@ use monetlite_storage::heap::NULL_OFFSET;
 use monetlite_storage::Bat;
 use monetlite_types::nulls::{NULL_I32, NULL_I64, NULL_I8};
 use monetlite_types::{LogicalType, MlError, Result, Value};
-use std::collections::HashSet;
 
 /// Result of hashing group keys: per-row dense group ids plus one
 /// representative row per group.
@@ -169,7 +168,7 @@ impl KeyVisitor for Intern<'_> {
 
 /// One aggregate's state across groups; supports partial merge for the
 /// decomposable functions.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum AggState {
     /// COUNT: per-group counts.
     Count(Vec<i64>),
@@ -185,8 +184,10 @@ pub enum AggState {
     Best(Vec<Value>, bool /* is_max */),
     /// MEDIAN buffers all non-null values (blocking).
     Median(Vec<Vec<f64>>),
-    /// COUNT(DISTINCT x): per-group set of value images.
-    CountDistinct(Vec<HashSet<String>>),
+    /// COUNT(DISTINCT x): every distinct (group id, x) pair with x not
+    /// NULL, interned in one typed group table whose first key column is
+    /// the group id (as INT) and whose second is x; and the group count.
+    CountDistinct(GroupTable, usize),
 }
 
 impl AggState {
@@ -201,7 +202,12 @@ impl AggState {
             return Err(MlError::Unsupported("DISTINCT is only supported with COUNT".into()));
         }
         Ok(match func {
-            PAggFunc::Count if distinct => AggState::CountDistinct(vec![HashSet::new(); n]),
+            PAggFunc::Count if distinct => {
+                let ty = input_ty.ok_or_else(|| {
+                    MlError::Execution("COUNT(DISTINCT) needs an argument".into())
+                })?;
+                AggState::CountDistinct(GroupTable::new(&[LogicalType::Int, ty]), n)
+            }
             PAggFunc::Count => AggState::Count(vec![0; n]),
             PAggFunc::Sum => match input_ty {
                 Some(LogicalType::Int) | Some(LogicalType::Bigint) => {
@@ -232,14 +238,22 @@ impl AggState {
                 }
                 Some(b) => each_non_null(b, group_ids, |g| c[g] += 1),
             },
-            AggState::CountDistinct(sets) => {
+            AggState::CountDistinct(pairs, _) => {
                 let b = arg.ok_or_else(|| {
                     MlError::Execution("COUNT(DISTINCT) needs an argument".into())
                 })?;
-                for (row, &g) in group_ids.iter().enumerate() {
-                    if !b.is_null_at(row) {
-                        sets[g as usize].insert(b.get(row).to_string());
-                    }
+                // NULL arguments are not counted: only the other rows
+                // intern, as (group id, x) pairs.
+                let nulls = b.null_count();
+                if nulls == 0 {
+                    let gids = Bat::Int(group_ids.iter().map(|&g| g as i32).collect());
+                    pairs.intern_block(&[&gids, b])?;
+                } else if nulls < b.len() {
+                    let rows: Vec<u32> =
+                        (0..b.len() as u32).filter(|&r| !b.is_null_at(r as usize)).collect();
+                    let gids =
+                        Bat::Int(rows.iter().map(|&r| group_ids[r as usize] as i32).collect());
+                    pairs.intern_block(&[&gids, &b.take(&rows)])?;
                 }
             }
             AggState::SumInt(sums, seen) => {
@@ -394,10 +408,9 @@ impl AggState {
                     x.append(&mut y);
                 }
             }
-            (AggState::CountDistinct(a), AggState::CountDistinct(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    x.extend(y);
-                }
+            (AggState::CountDistinct(a, na), AggState::CountDistinct(b, nb)) => {
+                a.merge(&b)?;
+                *na = (*na).max(nb);
             }
             _ => return Err(MlError::Execution("mismatched aggregate states".into())),
         }
@@ -424,15 +437,15 @@ impl AggState {
             }
             AggState::Best(b, _) => b.resize(n, Value::Null),
             AggState::Median(b) => b.resize(n, Vec::new()),
-            AggState::CountDistinct(s) => s.resize(n, HashSet::new()),
+            AggState::CountDistinct(_, groups) => *groups = (*groups).max(n),
         }
     }
 
     /// Approximate resident bytes of the accumulator — drives the
     /// spill-or-not decision of the pipeline engine's partial hash
     /// aggregation. Holistic states (MEDIAN buffers, COUNT(DISTINCT)
-    /// sets) grow with input, not group count, so they are measured by
-    /// content.
+    /// pairs) grow with input, not group count, so they are measured by
+    /// content; the pairs' group table reports its allocation.
     pub fn mem_bytes(&self) -> usize {
         fn value_bytes(v: &Value) -> usize {
             16 + match v {
@@ -447,9 +460,7 @@ impl AggState {
             AggState::Avg(s, c) => s.len() * 8 + c.len() * 8,
             AggState::Best(b, _) => b.iter().map(value_bytes).sum(),
             AggState::Median(bufs) => bufs.iter().map(|b| 24 + b.len() * 8).sum(),
-            AggState::CountDistinct(sets) => {
-                sets.iter().map(|s| 48 + s.iter().map(|x| 48 + x.len()).sum::<usize>()).sum()
-            }
+            AggState::CountDistinct(pairs, _) => pairs.mem_bytes(),
         }
     }
 
@@ -462,7 +473,7 @@ impl AggState {
             AggState::Avg(s, _) => s.len(),
             AggState::Best(b, _) => b.len(),
             AggState::Median(b) => b.len(),
-            AggState::CountDistinct(s) => s.len(),
+            AggState::CountDistinct(_, groups) => *groups,
         }
     }
 
@@ -525,10 +536,16 @@ impl AggState {
                     a[gid_map[g] as usize].append(&mut y);
                 }
             }
-            (AggState::CountDistinct(a), AggState::CountDistinct(b)) => {
-                for (g, y) in b.into_iter().enumerate() {
-                    a[gid_map[g] as usize].extend(y);
-                }
+            (AggState::CountDistinct(a, _), AggState::CountDistinct(b, _)) => {
+                // The pairs re-intern under the mapped group ids.
+                let [gids, xs] = b.keys() else {
+                    return Err(MlError::Execution("COUNT(DISTINCT) pairs are not pairs".into()));
+                };
+                let Bat::Int(gids) = gids else {
+                    return Err(MlError::Execution("COUNT(DISTINCT) group ids are not INT".into()));
+                };
+                let mapped = Bat::Int(gids.iter().map(|&g| gid_map[g as usize] as i32).collect());
+                a.intern_block(&[&mapped, xs])?;
             }
             _ => return Err(MlError::Execution("mismatched aggregate states".into())),
         }
@@ -539,8 +556,14 @@ impl AggState {
     pub fn finish(self, out_ty: LogicalType) -> Result<Bat> {
         Ok(match self {
             AggState::Count(c) => Bat::Bigint(c),
-            AggState::CountDistinct(sets) => {
-                Bat::Bigint(sets.into_iter().map(|s| s.len() as i64).collect())
+            AggState::CountDistinct(pairs, groups) => {
+                let mut counts = vec![0i64; groups];
+                if let Some(Bat::Int(gids)) = pairs.keys().first() {
+                    for &g in gids {
+                        counts[g as usize] += 1;
+                    }
+                }
+                Bat::Bigint(counts)
             }
             AggState::SumInt(sums, seen) => {
                 let mut out = Vec::with_capacity(sums.len());

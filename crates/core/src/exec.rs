@@ -81,12 +81,13 @@ pub struct ExecOptions {
     /// executor falls back to the headroom of the store's [`Vmem`] budget
     /// (see [`ExecContext::spill_budget`]).
     pub memory_budget: usize,
-    /// Byte cap on one query's spill files (`MONETLITE_SPILL_QUOTA`).
-    /// Exceeding it aborts that query with [`MlError::SpillQuota`] while
-    /// the connection, other sessions and the store stay usable — the
-    /// disk-pressure analogue of `memory_budget`.
+    /// Byte cap on one query's spill files (`usize::MAX`, the default, is
+    /// no cap). Exceeding it aborts that query with
+    /// [`MlError::SpillQuota`] while the connection, other sessions and
+    /// the store stay usable — the disk-pressure analogue of
+    /// `memory_budget`.
     pub spill_quota: usize,
-    /// Dictionary-encoded string execution (`MONETLITE_DICT`): every scan
+    /// Dictionary-encoded string execution (on by default): every scan
     /// filter over one VARCHAR column alone runs over the column's
     /// sorted-dictionary `u32` codes — a code range for comparisons and
     /// LIKE prefixes, else a per-code mask from evaluating the filter once
@@ -96,63 +97,49 @@ pub struct ExecOptions {
     /// restores per-row string execution (the ablation baseline); results
     /// are identical either way.
     pub use_dict: bool,
-    /// Plan cache (`MONETLITE_PLAN_CACHE`): repeated statements that
-    /// differ only in WHERE-clause literals reuse one optimized plan
-    /// template (skipping parse/bind/optimize), with fresh literals
-    /// substituted per execution. `false` replans every statement (the
-    /// ablation baseline); results are identical either way.
+    /// Plan cache (on by default): repeated statements that differ only
+    /// in WHERE-clause literals reuse one optimized plan template
+    /// (skipping parse/bind/optimize), with fresh literals substituted per
+    /// execution. `false` replans every statement (the ablation
+    /// baseline); results are identical either way.
     pub use_plan_cache: bool,
-    /// Result cache (`MONETLITE_RESULT_CACHE`): a read statement
-    /// identical to a previous one — same text, same literals, same
-    /// options — returns the stored Arc-shared columns without
-    /// executing, as long as every input table version (and the view
-    /// epoch) is unchanged. `false` executes every statement.
+    /// Result cache (on by default): a read statement identical to a
+    /// previous one — same text, same literals, same options — returns
+    /// the stored Arc-shared columns without executing, as long as every
+    /// input table version (and the view epoch) is unchanged. `false`
+    /// executes every statement.
     pub use_result_cache: bool,
-    /// Byte budget for the shared plan cache
-    /// (`MONETLITE_PLAN_CACHE_BYTES`): half for plan templates, a quarter
-    /// each for statement shapes and the statement-text memo; the least
-    /// recently used of each are evicted past its share.
+    /// Byte budget for the shared plan cache (64 MiB by default): half
+    /// for plan templates, a quarter each for statement shapes and the
+    /// statement-text memo; the least recently used of each are evicted
+    /// past its share.
     pub plan_cache_bytes: usize,
-    /// Byte budget for the shared result cache
-    /// (`MONETLITE_RESULT_CACHE_BYTES`); least-recently-used result sets
-    /// are evicted past it.
+    /// Byte budget for the shared result cache (256 MiB by default);
+    /// least-recently-used result sets are evicted past it.
     pub result_cache_bytes: usize,
 }
 
-/// Environment override for test/CI matrices (`MONETLITE_THREADS`,
-/// `MONETLITE_VECTOR_SIZE`, `MONETLITE_MEMORY_BUDGET`): lets the whole
-/// suite run under non-default execution shapes without code changes.
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).filter(|&v| v > 0).unwrap_or(default)
-}
-
-/// Boolean env override (`MONETLITE_DICT=0` disables dictionary
-/// execution for the whole suite, a CI ablation matrix lever; the cache
-/// switches and the optimizer's `MONETLITE_JOINORDER` share it).
-pub(crate) fn env_bool(key: &str, default: bool) -> bool {
-    match std::env::var(key) {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")),
-        Err(_) => default,
-    }
-}
-
+/// The shipped configuration, one constant per field: the engine reads no
+/// environment. Tests and benches that need another shape set the fields
+/// they vary (the configuration lattice in `tests/lib.rs` spells out every
+/// one).
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             mode: ExecMode::Streaming,
-            threads: env_usize("MONETLITE_THREADS", 1),
-            vector_size: env_usize("MONETLITE_VECTOR_SIZE", 64 * 1024),
+            threads: 1,
+            vector_size: 64 * 1024,
             use_imprints: true,
             use_hash_index: true,
             use_order_index: true,
             timeout: None,
-            memory_budget: env_usize("MONETLITE_MEMORY_BUDGET", usize::MAX),
-            spill_quota: env_usize("MONETLITE_SPILL_QUOTA", usize::MAX),
-            use_dict: env_bool("MONETLITE_DICT", true),
-            use_plan_cache: env_bool("MONETLITE_PLAN_CACHE", true),
-            use_result_cache: env_bool("MONETLITE_RESULT_CACHE", true),
-            plan_cache_bytes: env_usize("MONETLITE_PLAN_CACHE_BYTES", 64 << 20),
-            result_cache_bytes: env_usize("MONETLITE_RESULT_CACHE_BYTES", 256 << 20),
+            memory_budget: usize::MAX,
+            spill_quota: usize::MAX,
+            use_dict: true,
+            use_plan_cache: true,
+            use_result_cache: true,
+            plan_cache_bytes: 64 << 20,
+            result_cache_bytes: 256 << 20,
         }
     }
 }
@@ -1497,8 +1484,7 @@ mod tests {
         let n = 10_000;
         let t = make_table("t", vec![("a", Bat::Int((0..n).collect()))], vec![]);
         let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
-        // One probe per morsel: pin the vector size so the count is exact
-        // under the CI env matrix (MONETLITE_VECTOR_SIZE).
+        // One probe per morsel: 65,536-row vectors make it one probe.
         let ctx =
             ExecContext::new(&tables, ExecOptions { vector_size: 64 * 1024, ..Default::default() });
         let plan = Plan::Scan {

@@ -354,8 +354,7 @@ mod tests {
             filters: vec![],
             schema: vec![OutCol { name: "a".into(), ty: LogicalType::Int }],
         };
-        // Pin the vector size: the morsel count below is exact and must
-        // not drift under the CI env matrix (MONETLITE_VECTOR_SIZE).
+        // The morsel counts below are exact for 65,536-row vectors.
         let opts = ExecOptions { threads: 4, vector_size: 64 * 1024, ..Default::default() };
         let s = explain(&plan, &opts, Some(&FixedStats(200_000)));
         // 200_000 rows / (4·4) = 12_500, rounded up to two 8Ki zones:
@@ -576,8 +575,7 @@ mod tests {
         let par = explain(&plan, &mat, Some(&FixedStats(200_000)));
         assert!(par.contains("mitosis"), "{par}");
         assert!(par.contains("blocking"), "{par}");
-        // threads pinned to 1: the annotation must not appear for a
-        // sequential plan even under the CI env matrix.
+        // One thread: a sequential plan announces no mitosis.
         let seq = explain(&plan, &ExecOptions { threads: 1, ..mat }, Some(&FixedStats(200_000)));
         assert!(!seq.contains("mitosis"));
         assert!(!explain(&plan, &mat, None).contains("mitosis"), "row count unknown");

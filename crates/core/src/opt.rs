@@ -61,7 +61,7 @@ pub struct OptFlags {
     /// Join ordering (off = keep the binder's syntactic order).
     pub join_order: bool,
     /// Cost-based DP enumeration for join ordering; `false` falls back to
-    /// the greedy connected ordering (env `MONETLITE_JOINORDER=0`).
+    /// the greedy connected ordering (the ablation baseline).
     pub join_dp: bool,
     /// ORDER BY + LIMIT fusion.
     pub topn: bool,
@@ -77,9 +77,7 @@ impl Default for OptFlags {
         OptFlags {
             pushdown: true,
             join_order: true,
-            // Same truthiness rules as the other MONETLITE_* ablation
-            // levers (shared with MONETLITE_DICT and the caches).
-            join_dp: crate::exec::env_bool("MONETLITE_JOINORDER", true),
+            join_dp: true,
             topn: true,
             fold: true,
             build_side: true,

@@ -9,7 +9,7 @@
 //! DROP/CREATE) moves the fingerprint and the entry is discarded on the
 //! next lookup. Entries are byte-accounted via [`Bat::mem_bytes`] and
 //! evicted least-recently-used past the configured budget
-//! (`MONETLITE_RESULT_CACHE_BYTES`).
+//! (`ExecOptions::result_cache_bytes`).
 
 use crate::plan_cache::{deps_valid, CacheKey, Dep, Lru};
 use crate::QueryResult;

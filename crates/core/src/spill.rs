@@ -68,7 +68,7 @@ pub(crate) struct SpillDir {
     next: AtomicU64,
     /// Bytes written by every file of this directory, against `quota`.
     used: Arc<AtomicU64>,
-    /// Per-query temp-disk cap (`MONETLITE_SPILL_QUOTA`); exceeding it
+    /// Per-query temp-disk cap (`ExecOptions::spill_quota`); exceeding it
     /// aborts the owning query with [`MlError::SpillQuota`].
     quota: u64,
 }

@@ -49,8 +49,8 @@ pub enum MlError {
     /// the running statement; the connection stays usable.
     Interrupted,
     /// The query's spill files exceeded the per-query temp-disk byte cap
-    /// (`MONETLITE_SPILL_QUOTA` / `ExecOptions::spill_quota`). Aborts only
-    /// the offending query; other sessions and the store are unaffected.
+    /// (`ExecOptions::spill_quota`). Aborts only the offending query;
+    /// other sessions and the store are unaffected.
     SpillQuota { used: u64, quota: u64 },
     /// Wire-protocol violation in the client/server simulation.
     Protocol(String),

@@ -13,7 +13,12 @@
 //! 3. **Env-var registry** — every `MONETLITE_*` environment variable read
 //!    anywhere in the workspace (or set by CI) must appear in the options
 //!    table in `ARCHITECTURE.md`, and every documented row must still have
-//!    a reader. Undocumented knobs are how ablation flags get lost.
+//!    a reader. Undocumented knobs are how ablation flags get lost. The
+//!    engine itself reads no environment: a `std::env::var`/`var_os`/
+//!    `vars` call in the non-test code of `crates/{core,storage,sql,types}`
+//!    is a violation (its configuration is `ExecOptions`, `OptFlags` and
+//!    `DbOptions`; the vendored `tempfile`'s TMPDIR is a deployment path
+//!    outside those crates). Only harnesses read variables.
 //! 4. **No-panic hot path** — `unwrap`/`expect`/`panic!`-family macros are
 //!    banned in the non-test code of the six hot-path files; a worker
 //!    thread that panics should never have been able to. The escape hatch
@@ -46,8 +51,8 @@
 //!    `// xlint: allow(str, <reason>)`, and the report counts its uses.
 //!    The rule matches those tokens only: a `Value` conversion
 //!    (`Bat::get`, which builds a `String` for a VARCHAR cell) is not
-//!    seen, and such conversions remain per row in the external sort's
-//!    k-way merge, COUNT(DISTINCT) and `col_cmp2`'s mixed-type fallback.
+//!    seen; such a conversion remains per row only in `col_cmp2`'s
+//!    mixed-type fallback.
 //!
 //! Each rule is a standalone `check_*` function taking the workspace root,
 //! so the meta-tests can seed one violation into a synthetic tree and
@@ -652,12 +657,44 @@ pub fn check_env_registry(root: &Path) -> RuleResult {
             res.fail(RULE, arch, 0, format!("`{v}` is documented but nothing reads it any more"));
         }
     }
+    // The engine reads no environment at all, `MONETLITE_*` or not.
+    for dir in ENGINE_SRC {
+        for path in rust_files_under(&root.join(dir)) {
+            let Ok(src) = fs::read_to_string(&path) else { continue };
+            let stripped = strip_comments_and_strings(&src);
+            let code = &stripped[..non_test_len(&src)];
+            for (idx, line) in code.lines().enumerate() {
+                if contains_token(line, "env::var") {
+                    res.fail(
+                        RULE,
+                        &rel(root, &path),
+                        idx + 1,
+                        "the engine reads the environment; configure it through \
+                         `ExecOptions`, `OptFlags` or `DbOptions`",
+                    );
+                }
+            }
+        }
+    }
     res.notes.push(format!(
         "env-registry: {} variable(s) in use, {} documented",
         used.len(),
         documented.len()
     ));
     res
+}
+
+/// The engine crates' sources, whose non-test code may not read the
+/// environment.
+const ENGINE_SRC: [&str; 4] =
+    ["crates/core/src", "crates/storage/src", "crates/sql/src", "crates/types/src"];
+
+/// Does `hay` contain `tok` not preceded by an identifier character?
+/// (`env::var` also matches `env::var_os` and `env::vars`.)
+fn contains_token(hay: &str, tok: &str) -> bool {
+    hay.match_indices(tok).any(|(at, _)| {
+        !matches!(hay[..at].bytes().last(), Some(c) if c.is_ascii_alphanumeric() || c == b'_')
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ const ARCH_TABLE: &str = "# Architecture\n\n\
 #[test]
 fn env_rule_fires_on_undocumented_variable() {
     let t = tree(&[
-        ("crates/core/src/opt.rs", "fn f() { std::env::var(\"MONETLITE_BAR\"); }\n"),
+        ("tests/lib.rs", "fn f() { std::env::var(\"MONETLITE_BAR\"); }\n"),
         ("ARCHITECTURE.md", ARCH_TABLE),
     ]);
     // BAR is read but not documented; FOO is documented but unread.
@@ -134,9 +134,26 @@ fn env_rule_fires_on_undocumented_variable() {
 #[test]
 fn env_rule_passes_when_registry_matches_reads() {
     let t = tree(&[
-        ("crates/core/src/opt.rs", "fn f() { std::env::var(\"MONETLITE_FOO\"); }\n"),
+        ("tests/lib.rs", "fn f() { std::env::var(\"MONETLITE_FOO\"); }\n"),
         ("ARCHITECTURE.md", ARCH_TABLE),
     ]);
+    assert_clean(&check_env_registry(t.path()));
+}
+
+#[test]
+fn env_rule_fires_on_an_environment_read_in_the_engine() {
+    // Documented or not, an engine crate may not read a variable; test
+    // code and comments in the same file may mention one.
+    let engine = "/// Reads `std::env::var(\"HOME\")`? No.\n\
+                  fn f() { let _ = std::env::var_os(\"MONETLITE_FOO\"); }\n\
+                  #[cfg(test)]\nmod tests { fn g() { std::env::var(\"X\").ok(); } }\n";
+    let t = tree(&[("crates/storage/src/store.rs", engine), ("ARCHITECTURE.md", ARCH_TABLE)]);
+    let res = check_env_registry(t.path());
+    assert_fires(&res, "env-registry", "reads the environment");
+    assert_eq!(res.violations.len(), 1, "{:#?}", res.violations);
+    assert_eq!(res.violations[0].line, 2);
+    // The same read in a harness is only held to the registry.
+    let t = tree(&[("crates/bench/src/lib.rs", engine), ("ARCHITECTURE.md", ARCH_TABLE)]);
     assert_clean(&check_env_registry(t.path()));
 }
 

@@ -6,7 +6,9 @@
 //!
 //! The lattice is data: [`LATTICE`] lists every configuration under test
 //! once, and the tests at the bottom of this file prove it covers every
-//! pair of axis values and every CI env leg. A corpus contributes only
+//! pair of axis values and that its first row is the shipped defaults —
+//! the engine reads no environment, so the lattice is the only
+//! configuration matrix there is. A corpus contributes only
 //! its statements, its oracle and a [`Corpus`] (what the tiny vector
 //! class means for its tables); it never compares one configuration of
 //! the engine with another.
@@ -133,8 +135,8 @@ const fn on(bit: u8) -> bool {
 }
 
 /// Expands one table line per row into a full `Config` literal: every
-/// `ExecOptions` and `OptFlags` field is spelled out, none is read from
-/// the `MONETLITE_*` environment, so a row means the same on every CI leg.
+/// `ExecOptions` and `OptFlags` field is spelled out, none is taken from
+/// a default, so a row means the same whatever the defaults become.
 macro_rules! lattice {
     ($($label:literal: $mode:ident $threads:literal $vector:ident $budget:ident
         $imprints:literal $hash_index:literal $order_index:literal $dict:literal
@@ -172,11 +174,15 @@ macro_rules! lattice {
     };
 }
 
-/// Every configuration under test. The first eleven rows are the CI env
-/// legs (`ExecOptions::default()` under each leg's `MONETLITE_*`); the
-/// next two run the streaming defaults at the tiny vector class on one
-/// and four threads; the rest complete the pairwise cover, one of them
-/// spilling single-threaded, at the least TPC-H cost found. Columns:
+/// Every configuration under test. The first row is the shipped defaults
+/// (`ExecOptions::default()` and `OptFlags::default()`, pinned by a test
+/// below), which bless the goldens. The other `ci` rows carry the
+/// configurations the whole suite once ran under as separate CI legs and
+/// jobs: small vectors, two and four threads, the spilling budget, and
+/// the dictionary, the caches and DP join ordering each off. The next two
+/// run the streaming defaults at the tiny vector class on one and four
+/// threads; the rest complete the pairwise cover, one of them spilling
+/// single-threaded, at the least TPC-H cost found. Columns:
 /// mode, threads, vector class, memory budget, then 1/0 for imprints,
 /// hash index, order index, dictionary, plan cache and result cache, then
 /// statistics, DP join ordering, push-down and the test that runs the
@@ -342,9 +348,7 @@ pub fn each_row<T: Send>(f: impl Fn(&'static Config) -> T + Sync) -> Vec<T> {
 
 /// Fully literal streaming options for a tactical test: every index and
 /// the dictionary on, the caches off (every statement executes), no
-/// budget. Override fields with `..pinned(t, v)`; unlike
-/// `ExecOptions::default()` this reads no `MONETLITE_*` variable, so a
-/// CI env leg cannot move what a tactical test asserts.
+/// budget. Override fields with `..pinned(t, v)`.
 pub const fn pinned(threads: usize, vector_size: usize) -> ExecOptions {
     ExecOptions {
         mode: ExecMode::Streaming,
@@ -364,22 +368,25 @@ pub const fn pinned(threads: usize, vector_size: usize) -> ExecOptions {
     }
 }
 
-/// Fully literal optimizer flags: every pass on, DP join ordering.
-pub const PINNED_FLAGS: OptFlags = OptFlags {
-    pushdown: true,
-    join_order: true,
-    join_dp: true,
-    topn: true,
-    fold: true,
-    build_side: true,
-};
-
-/// A connection with `opts`, real statistics and [`PINNED_FLAGS`].
+/// A connection with `opts`, real statistics and the default optimizer
+/// flags (every pass on, DP join ordering).
 pub fn connect_pinned(db: &Database, opts: ExecOptions) -> Connection {
     let mut conn = db.connect();
     conn.set_exec_options(opts);
     conn.set_stats_mode(StatsMode::Real);
-    conn.set_opt_flags(PINNED_FLAGS);
+    conn
+}
+
+/// The vector sizes the write-path and durability suites read under: the
+/// shipped 65,536 rows, and 1,024, so that reads of segmented, partly
+/// deleted data cross vector boundaries inside segments.
+pub const VECTOR_SIZES: [usize; 2] = [64 * 1024, 1024];
+
+/// A connection to `db` with the shipped options but `vector_size`-row
+/// vectors.
+pub fn connect_at(db: &Database, vector_size: usize) -> Connection {
+    let mut conn = db.connect();
+    conn.set_exec_options(ExecOptions { vector_size, ..ExecOptions::default() });
     conn
 }
 
@@ -803,116 +810,14 @@ mod tests {
         assert_eq!(labels.len(), LATTICE.len(), "labels are unique");
     }
 
-    /// The CI env legs of the `tpch-full` job the lattice replaced (9):
-    /// `ExecOptions::default()` and `OptFlags::default()` under each leg's
-    /// `MONETLITE_*` values. The `tpch` column is not an axis.
-    #[rustfmt::skip]
-    const TPCH_FULL_LEGS: &[Config] = lattice! {
-        //                                   mode      thr vector budget     imp hix oix dic pc rc stats dp pd tpch
-        "tpch-full t1-v65536":               Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "tpch-full t1-v1024":                Streaming 1   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "tpch-full t2-v65536":               Streaming 2   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "tpch-full t4-v65536":               Streaming 4   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "tpch-full t4-v1024":                Streaming 4   MID    UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-        "tpch-full spilled":                 Streaming 4   MID    SPILL      1   1   1   1   1  1  REAL  1  1  Golden;
-        "tpch-full no-dict":                 Streaming 1   MID    UNLIMITED  1   1   1   0   1  1  REAL  1  1  Golden;
-        "tpch-full no-plan-cache":           Streaming 1   MID    UNLIMITED  1   1   1   1   0  1  REAL  1  1  Golden;
-        "tpch-full no-result-cache":         Streaming 4   MID    UNLIMITED  1   1   1   1   1  0  REAL  1  1  Golden;
-    };
-
-    /// The shipped defaults with no `MONETLITE_*` variable set.
-    #[rustfmt::skip]
-    const ENV_DEFAULTS: &[Config] = lattice! {
-        "defaults":                          Streaming 1   FULL   UNLIMITED  1   1   1   1   1  1  REAL  1  1  Golden;
-    };
-
-    /// `key: value` with the value unquoted, for one line of YAML.
-    fn yaml_pair(line: &str) -> Option<(&str, &str)> {
-        let (k, v) = line.trim().trim_start_matches("- ").split_once(':')?;
-        Some((k.trim(), v.trim().trim_matches(|c| c == '\'' || c == '"')))
-    }
-
-    /// The `build-test` job's legs as read from the CI workflow: each leg's
-    /// name and `ExecOptions::default()`/`OptFlags::default()` under the
-    /// `MONETLITE_*` values the job's `env:` block gives it.
-    fn build_test_legs() -> Vec<(String, Config)> {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../.github/workflows/ci.yml");
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let indent = |l: &str| l.len() - l.trim_start().len();
-        let job: Vec<&str> = text
-            .lines()
-            .skip_while(|l| l.trim() != "build-test:")
-            .skip(1)
-            .take_while(|l| l.trim().is_empty() || indent(l) > 2)
-            .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
-            .collect();
-        let block = |name: &str| -> Vec<&str> {
-            let Some(at) = job.iter().position(|l| l.trim() == name) else {
-                panic!("build-test has no `{name}` block");
-            };
-            job[at + 1..].iter().take_while(|l| indent(l) > indent(job[at])).copied().collect()
-        };
-        // Matrix entries: `- name: ...` opens a leg, deeper lines extend it.
-        let mut legs: Vec<Vec<(&str, &str)>> = Vec::new();
-        for line in block("include:") {
-            let pair = yaml_pair(line).unwrap_or_else(|| panic!("not a matrix pair: {line}"));
-            if line.trim_start().starts_with("- ") {
-                legs.push(Vec::new());
-            }
-            legs.last_mut().expect("a leg opens with `- `").push(pair);
-        }
-        // Each variable reads `${{ matrix.<key> }}`, maybe `|| '<default>'`.
-        let env: Vec<(&str, &str, Option<&str>)> = block("env:")
-            .into_iter()
-            .filter_map(yaml_pair)
-            .map(|(var, expr)| {
-                let expr = expr.trim_start_matches("${{").trim_end_matches("}}").trim();
-                let (key, default) = match expr.split_once("||") {
-                    Some((k, d)) => (k.trim(), Some(d.trim().trim_matches('\''))),
-                    None => (expr, None),
-                };
-                (var, key.strip_prefix("matrix.").expect("env reads the matrix"), default)
-            })
-            .collect();
-        legs.iter()
-            .map(|leg| {
-                let get = |key: &str| leg.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-                for (key, _) in leg {
-                    assert!(
-                        *key == "name" || env.iter().any(|(_, k, _)| k == key),
-                        "matrix key `{key}` reaches no MONETLITE_* variable"
-                    );
-                }
-                let mut c = ENV_DEFAULTS[0];
-                for (var, key, default) in &env {
-                    let Some(v) = get(key).or(*default) else { continue };
-                    let on = !matches!(v.to_ascii_lowercase().as_str(), "0" | "false" | "off");
-                    let num = || v.parse::<usize>().unwrap_or_else(|e| panic!("{var}={v}: {e}"));
-                    match *var {
-                        "MONETLITE_THREADS" => c.exec.threads = num(),
-                        "MONETLITE_VECTOR_SIZE" => c.exec.vector_size = num(),
-                        "MONETLITE_JOINORDER" => c.flags.join_dp = on,
-                        "MONETLITE_DICT" => c.exec.use_dict = on,
-                        "MONETLITE_PLAN_CACHE" => c.exec.use_plan_cache = on,
-                        "MONETLITE_RESULT_CACHE" => c.exec.use_result_cache = on,
-                        other => panic!("CI sets {other}, which this test does not map"),
-                    }
-                }
-                (get("name").expect("every leg is named").to_string(), c)
-            })
-            .collect()
-    }
-
     #[test]
-    fn every_ci_env_leg_is_a_row() {
-        assert_eq!(LATTICE[0].tpch, TpchTest::Golden, "the defaults bless the goldens");
-        let build_test = build_test_legs();
-        assert!(!build_test.is_empty(), "no build-test leg found in the workflow");
-        let tpch_full = TPCH_FULL_LEGS.iter().map(|c| (c.label.to_string(), *c));
-        for (name, leg) in build_test.iter().cloned().chain(tpch_full) {
-            let row = LATTICE.iter().find(|c| axes(c) == axes(&leg));
-            assert!(row.is_some(), "CI leg {name} is not a lattice row: {:?}", axes(&leg));
-        }
+    fn the_ci_default_row_is_the_shipped_defaults() {
+        let row = &LATTICE[0];
+        assert_eq!(row.label, "ci default");
+        assert_eq!(row.tpch, TpchTest::Golden, "the defaults bless the goldens");
+        assert_eq!(row.stats, StatsMode::Real);
+        // Field by field: `Debug` prints every field of both structs.
+        assert_eq!(format!("{:?}", row.exec), format!("{:?}", ExecOptions::default()));
+        assert_eq!(format!("{:?}", row.flags), format!("{:?}", OptFlags::default()));
     }
 }

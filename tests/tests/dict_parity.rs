@@ -58,8 +58,8 @@ fn dict_and_bloom_counters_fire_on_q17() {
 
 /// Q12's `l_shipmode IN ('MAIL', 'SHIP')` and Q19's `l_shipmode IN (...)`
 /// and `l_shipinstruct = ...` are filters over one string column each, so
-/// the scan serves them from dictionaries. Options are pinned to literals
-/// so no CI leg can turn the path off.
+/// the scan serves them from dictionaries (options pinned, dictionary
+/// on).
 #[test]
 fn q12_and_q19_string_filters_are_served_by_dictionaries() {
     for n in [12, 19] {

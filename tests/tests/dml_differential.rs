@@ -8,16 +8,28 @@
 //! every chain at depth 2, so histories also go *quiet*: a run of writes
 //! nobody reads, ended by a checkpoint or a restart, so that long unread
 //! chains (and their WAL replay) are what gets compared.
+//!
+//! Each history runs under one row of the configuration lattice, every
+//! connection it opens configured as that row: the rows take turns, so
+//! each receives at least two of the histories.
 
 use monetlite::{Connection, Database};
 use monetlite_rowstore::RowDb;
+use monetlite_tests::{Config, Corpus, LATTICE};
 use monetlite_types::{ColumnBuffer, Decimal, Value};
 use proptest::prelude::*;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const DDL: &str = "CREATE TABLE t (k INT NOT NULL, s VARCHAR(12), d DECIMAL(10,2))";
 const DUMP: &str = "SELECT * FROM t ORDER BY k, s, d";
 const KEYS: u64 = 40;
+/// Histories per run: at least two per lattice row.
+const CASES: u32 = 48;
+const _: () = assert!(CASES as usize >= 2 * LATTICE.len());
+/// The tiny vector class: a history's table grows to a few hundred rows,
+/// so 7-row vectors end inside segments and deletion runs.
+const CORPUS: Corpus = Corpus::tiny(7);
 
 /// One replayable write, as the oracle needs it after a rollback.
 enum Write {
@@ -120,15 +132,15 @@ fn dump(conn: &mut Connection) -> Vec<Vec<Value>> {
     (0..r.nrows()).map(|i| r.row(i)).collect()
 }
 
-fn open(dir: &Path) -> (Database, Connection) {
+fn open(dir: &Path, row: &Config) -> (Database, Connection) {
     let db = Database::open(dir).unwrap();
-    let conn = db.connect();
+    let conn = row.connect(&db, CORPUS);
     (db, conn)
 }
 
-fn run_history(words: &[u64]) {
+fn run_history(words: &[u64], row: &Config) {
     let dir = tempfile::tempdir().unwrap();
-    let (mut db, mut conn) = open(dir.path());
+    let (mut db, mut conn) = open(dir.path(), row);
     conn.execute(DDL).unwrap();
     let mut oracle = Oracle::new();
     let mut trace: Vec<String> = Vec::new();
@@ -223,7 +235,7 @@ fn run_history(words: &[u64]) {
                 if in_txn {
                     oracle.rollback();
                 }
-                (db, conn) = open(dir.path());
+                (db, conn) = open(dir.path(), row);
                 "reopen".into()
             }
             _ => {
@@ -250,7 +262,7 @@ fn run_history(words: &[u64]) {
                     if oracle.pending.is_some() {
                         oracle.rollback();
                     }
-                    (db, conn) = open(dir.path());
+                    (db, conn) = open(dir.path(), row);
                     trace.push("reopen (after quiet run)".into());
                 }
                 _ => {}
@@ -262,11 +274,20 @@ fn run_history(words: &[u64]) {
     }
 }
 
+/// Histories run so far: the next one runs under row `n % LATTICE.len()`.
+static HISTORIES: AtomicUsize = AtomicUsize::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     #[test]
     fn dml_histories_match_the_rowstore_oracle(words in collection::vec(any::<u64>(), 12..48)) {
-        run_history(&words);
+        let n = HISTORIES.fetch_add(1, Ordering::Relaxed);
+        let row = &LATTICE[n % LATTICE.len()];
+        let run = std::panic::catch_unwind(|| run_history(&words, row));
+        if let Err(panic) = run {
+            eprintln!("history {n} failed under lattice row `{}`", row.label);
+            std::panic::resume_unwind(panic);
+        }
     }
 }

@@ -6,7 +6,7 @@
 //! Covers: interrupt latency and idempotence across thread counts and
 //! spilled/unspilled shapes, cancelling a running spilled TPC-H query
 //! from another thread, `ExecOptions::timeout` firing on the same
-//! mid-morsel checkpoints, and `MONETLITE_SPILL_QUOTA` aborting exactly
+//! mid-morsel checkpoints, and `ExecOptions::spill_quota` aborting exactly
 //! the offending query.
 
 use monetlite::exec::{ExecMode, ExecOptions};

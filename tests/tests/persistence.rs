@@ -1,16 +1,25 @@
 //! End-to-end durability: checkpointing, WAL recovery, vmem paging and
-//! corruption handling across full engine restarts.
+//! corruption handling across full engine restarts. Every test that reads
+//! through the executor runs at 65,536- and at 1,024-row vectors
+//! ([`VECTOR_SIZES`]).
 
 use monetlite::exec::{ExecMode, ExecOptions};
 use monetlite::{Database, DbOptions};
+use monetlite_tests::{connect_at, VECTOR_SIZES};
 use monetlite_types::{MlError, Value};
 
 #[test]
 fn full_lifecycle_with_restart() {
+    for v in VECTOR_SIZES {
+        lifecycle_with_restart(v);
+    }
+}
+
+fn lifecycle_with_restart(vector_size: usize) {
     let dir = tempfile::tempdir().unwrap();
     {
         let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.run_script(
             "CREATE TABLE t (k INT NOT NULL, v VARCHAR(16), d DECIMAL(8,2));
              INSERT INTO t VALUES (1, 'one', 1.00), (2, 'two', 2.00), (3, 'three', 3.00);",
@@ -23,7 +32,7 @@ fn full_lifecycle_with_restart() {
         conn.execute("UPDATE t SET d = d * 2 WHERE k = 1").unwrap();
     }
     let db = Database::open(dir.path()).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     let r = conn.query("SELECT k, v, d FROM t ORDER BY k").unwrap();
     assert_eq!(r.nrows(), 3);
     assert_eq!(
@@ -40,10 +49,16 @@ fn full_lifecycle_with_restart() {
 
 #[test]
 fn uncommitted_transaction_lost_on_restart() {
+    for v in VECTOR_SIZES {
+        uncommitted_transaction_lost(v);
+    }
+}
+
+fn uncommitted_transaction_lost(vector_size: usize) {
     let dir = tempfile::tempdir().unwrap();
     {
         let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.execute("CREATE TABLE t (k INT)").unwrap();
         conn.execute("INSERT INTO t VALUES (1)").unwrap();
         conn.execute("BEGIN").unwrap();
@@ -51,7 +66,7 @@ fn uncommitted_transaction_lost_on_restart() {
         // Dropped without COMMIT: must not survive.
     }
     let db = Database::open(dir.path()).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     let r = conn.query("SELECT count(*) FROM t").unwrap();
     assert_eq!(r.value(0, 0), Value::Bigint(1));
 }
@@ -64,11 +79,17 @@ fn uncommitted_transaction_lost_on_restart() {
 /// first bad frame.
 #[test]
 fn torn_wal_tail_with_nothing_to_replay_does_not_swallow_later_commits() {
+    for v in VECTOR_SIZES {
+        torn_tail_with_nothing_to_replay(v);
+    }
+}
+
+fn torn_tail_with_nothing_to_replay(vector_size: usize) {
     use std::io::Write;
     let dir = tempfile::tempdir().unwrap();
     {
         let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
         conn.execute("INSERT INTO t VALUES (1)").unwrap();
         db.checkpoint().unwrap();
@@ -78,10 +99,10 @@ fn torn_wal_tail_with_nothing_to_replay_does_not_swallow_later_commits() {
     std::fs::OpenOptions::new().append(true).open(&wal).unwrap().write_all(&[0xAB; 7]).unwrap();
     {
         let db = Database::open(dir.path()).unwrap();
-        db.connect().execute("INSERT INTO t VALUES (2)").unwrap();
+        connect_at(&db, vector_size).execute("INSERT INTO t VALUES (2)").unwrap();
     }
     let db = Database::open(dir.path()).unwrap();
-    let r = db.connect().query("SELECT count(*), sum(k) FROM t").unwrap();
+    let r = connect_at(&db, vector_size).query("SELECT count(*), sum(k) FROM t").unwrap();
     assert_eq!(r.row(0), vec![Value::Bigint(2), Value::Bigint(3)], "acknowledged commit lost");
 }
 
@@ -90,11 +111,17 @@ fn torn_wal_tail_with_nothing_to_replay_does_not_swallow_later_commits() {
 /// commits survive.
 #[test]
 fn torn_wal_tail_behind_committed_transactions_is_dropped_too() {
+    for v in VECTOR_SIZES {
+        torn_tail_behind_committed_transactions(v);
+    }
+}
+
+fn torn_tail_behind_committed_transactions(vector_size: usize) {
     use std::io::Write;
     let dir = tempfile::tempdir().unwrap();
     {
         let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
         conn.execute("INSERT INTO t VALUES (1)").unwrap();
     }
@@ -111,19 +138,25 @@ fn torn_wal_tail_behind_committed_transactions_is_dropped_too() {
     assert_eq!((log.txns.len(), log.valid_len, log.file_len), (2, whole, whole + 7));
     {
         let db = Database::open(dir.path()).unwrap();
-        db.connect().execute("INSERT INTO t VALUES (2)").unwrap();
+        connect_at(&db, vector_size).execute("INSERT INTO t VALUES (2)").unwrap();
     }
     let db = Database::open(dir.path()).unwrap();
-    let r = db.connect().query("SELECT count(*), sum(k) FROM t").unwrap();
+    let r = connect_at(&db, vector_size).query("SELECT count(*), sum(k) FROM t").unwrap();
     assert_eq!(r.row(0), vec![Value::Bigint(2), Value::Bigint(3)]);
 }
 
 #[test]
 fn corrupt_column_file_reports_error_not_crash() {
+    for v in VECTOR_SIZES {
+        corrupt_column_file_reports_error(v);
+    }
+}
+
+fn corrupt_column_file_reports_error(vector_size: usize) {
     let dir = tempfile::tempdir().unwrap();
     {
         let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.execute("CREATE TABLE t (k INT)").unwrap();
         conn.execute("INSERT INTO t VALUES (1), (2)").unwrap();
         db.checkpoint().unwrap();
@@ -143,7 +176,7 @@ fn corrupt_column_file_reports_error_not_crash() {
     std::fs::write(&victim, &bytes).unwrap();
     // Open succeeds (lazy loading); the query reports corruption.
     let db = Database::open(dir.path()).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     match conn.query("SELECT * FROM t") {
         Err(MlError::Corrupt(_)) => {}
         other => panic!("expected Corrupt error, got {other:?}"),
@@ -152,10 +185,16 @@ fn corrupt_column_file_reports_error_not_crash() {
 
 #[test]
 fn column_stats_survive_restart_and_feed_the_optimizer() {
+    for v in VECTOR_SIZES {
+        column_stats_survive_restart(v);
+    }
+}
+
+fn column_stats_survive_restart(vector_size: usize) {
     let dir = tempfile::tempdir().unwrap();
     {
         let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.execute("CREATE TABLE t (k INT NOT NULL)").unwrap();
         conn.append(
             "t",
@@ -173,7 +212,7 @@ fn column_stats_survive_restart_and_feed_the_optimizer() {
     // EXPLAIN renders real estimates and a query records its estimate in
     // the counters. `k = 5` over 100 distinct values ⇒ ~1% of 20k rows.
     let db = Database::open(dir.path()).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     let ex = conn.query("EXPLAIN SELECT k FROM t WHERE k = 5").unwrap();
     let text: Vec<String> = (0..ex.nrows()).map(|i| ex.value(i, 0).to_string()).collect();
     let joined = text.join("\n");
@@ -196,6 +235,12 @@ fn database_locked_second_open() {
 
 #[test]
 fn vmem_pressure_evicts_and_reloads_transparently() {
+    for v in VECTOR_SIZES {
+        vmem_pressure_evicts_and_reloads(v);
+    }
+}
+
+fn vmem_pressure_evicts_and_reloads(vector_size: usize) {
     let dir = tempfile::tempdir().unwrap();
     let opts = DbOptions {
         path: Some(dir.path().to_path_buf()),
@@ -203,7 +248,7 @@ fn vmem_pressure_evicts_and_reloads_transparently() {
         ..Default::default()
     };
     let db = Database::open_with(opts).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     conn.execute("CREATE TABLE wide (a INT, b INT, c INT, d INT)").unwrap();
     let col: Vec<i32> = (0..50_000).collect();
     conn.append(
@@ -232,11 +277,17 @@ fn vmem_pressure_evicts_and_reloads_transparently() {
 /// type admits an order index.
 #[test]
 fn exact_order_index_select_on_an_evicted_column_loads_nothing() {
+    for v in VECTOR_SIZES {
+        exact_order_index_select_loads_nothing(v);
+    }
+}
+
+fn exact_order_index_select_loads_nothing(vector_size: usize) {
     let dir = tempfile::tempdir().unwrap();
     let n: i32 = 200_000;
     {
         let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.execute("CREATE TABLE t (a INT, b INT)").unwrap();
         conn.append(
             "t",
@@ -255,7 +306,7 @@ fn exact_order_index_select_on_an_evicted_column_loads_nothing() {
         ..Default::default()
     };
     let db = Database::open_with(opts).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     conn.execute("CREATE ORDER INDEX oi ON t (a)").unwrap();
     let r = conn.query("SELECT sum(b) FROM t").unwrap();
     assert_eq!(r.value(0, 0), Value::Bigint((0..n as i64).map(|i| i % 7).sum()));
@@ -293,13 +344,13 @@ fn a_scan_pages_each_column_in_once_under_a_budget_below_its_columns() {
     let sql = "SELECT sum(a), sum(b), sum(c) FROM t";
     let want: Vec<Value> =
         [7, 11, 13].iter().map(|&m| Value::Bigint((0..n as i64).map(|i| i % m).sum())).collect();
-    for threads in [1, 2] {
+    // 65,536-row vectors make four morsels per scan, 1,024-row vectors 196.
+    for (threads, vector_size) in [1, 2].into_iter().flat_map(|t| VECTOR_SIZES.map(|v| (t, v))) {
         let mut conn = db.connect();
-        // 65,536-row vectors: four morsels per scan.
         conn.set_exec_options(ExecOptions {
             mode: ExecMode::Streaming,
             threads,
-            vector_size: 1 << 16,
+            vector_size,
             use_result_cache: false,
             ..Default::default()
         });
@@ -308,12 +359,13 @@ fn a_scan_pages_each_column_in_once_under_a_budget_below_its_columns() {
         let before = db.vmem_stats();
         let r = conn.query(sql).unwrap();
         let got: Vec<Value> = (0..3).map(|c| r.value(0, c)).collect();
-        assert_eq!(got, want, "threads {threads}");
+        assert_eq!(got, want, "threads {threads}, {vector_size}-row vectors");
         let after = db.vmem_stats();
         assert_eq!(
             after.loads - before.loads,
             3,
-            "threads {threads}: one load per column read: {before:?} -> {after:?}"
+            "threads {threads}, {vector_size}-row vectors: one load per column read: \
+             {before:?} -> {after:?}"
         );
     }
 }

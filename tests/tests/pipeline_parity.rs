@@ -13,8 +13,9 @@ use monetlite::exec::ExecOptions;
 use monetlite_storage::index::{Zonemap, ZONE_ROWS};
 use monetlite_storage::{Bat, NULL_CODE};
 use monetlite_tests::{
-    answer_image, connect_pinned, fmt_golden_rows, golden_answer, image, pinned, rows_of,
-    run_pinned, tpch_data, tpch_db, tpch_slice_matches_goldens, Corpus, TpchTest, Twin,
+    answer_image, connect_pinned, each_row, fmt_golden_rows, golden_answer, image, pinned, rows_of,
+    run_pinned, tpch_data, tpch_db, tpch_slice_matches_goldens, Config, Corpus, TpchTest, Twin,
+    LATTICE,
 };
 use monetlite_tpch::queries;
 use monetlite_types::nulls::NULL_I32;
@@ -282,6 +283,118 @@ fn distinct_count_agrees_in_parallel() {
         ],
     );
     twin.check(&["SELECT g, count(DISTINCT x) FROM t GROUP BY g ORDER BY g"], Corpus::tiny(256));
+}
+
+/// The six argument types COUNT(DISTINCT) reads, NULL-bearing.
+const DISTINCT_COLS: [&str; 6] = ["i", "b", "m", "f", "dt", "s"];
+
+/// A table of `words.len()` rows: a NULL-bearing group key over four
+/// groups and one column per type in [`DISTINCT_COLS`] over a domain of
+/// twelve values and NULL, so values repeat within a group. The DOUBLE
+/// column holds both 0.0 and -0.0, which are one value.
+fn distinct_table(words: &[u64]) -> Vec<ColumnBuffer> {
+    // Byte `k` of each word picks column `k`'s value: 12 is NULL.
+    let x = |k: u32| words.iter().map(move |&w| (w >> (8 * k)) as u8 % 13);
+    let int = |k: u32| x(k).map(|v| if v == 12 { NULL_I32 } else { v as i32 * 7 - 30 });
+    let wide = |k: u32| x(k).map(|v| if v == 12 { i64::MIN } else { v as i64 * 1_000_003 });
+    vec![
+        ColumnBuffer::Int(
+            x(0).map(|v| if v % 5 == 4 { NULL_I32 } else { (v % 5) as i32 }).collect(),
+        ),
+        ColumnBuffer::Int(int(1).collect()),
+        ColumnBuffer::Bigint(wide(2).collect()),
+        ColumnBuffer::Decimal { data: wide(3).map(|v| v / 1_000).collect(), scale: 2 },
+        ColumnBuffer::Double(
+            x(4).map(|v| match v {
+                12 => f64::NAN,
+                0 => -0.0,
+                v => (v % 6) as f64 * 0.25,
+            })
+            .collect(),
+        ),
+        ColumnBuffer::Date(int(5).map(|d| if d == NULL_I32 { d } else { 9_000 + d }).collect()),
+        ColumnBuffer::Varchar(x(6).map(|v| (v != 12).then(|| format!("v{}", v % 11))).collect()),
+    ]
+}
+
+/// Per group, keyed by its golden cell image: one count per column of
+/// [`DISTINCT_COLS`].
+type GroupCounts = Vec<(String, Vec<i64>)>;
+
+/// Per group, `COUNT(DISTINCT x)` on `conn` for each of [`DISTINCT_COLS`]
+/// — and the same counted from `SELECT DISTINCT g, x` rows with `x` not
+/// NULL.
+fn distinct_counts(row: &Config, conn: &mut monetlite::Connection) -> (GroupCounts, GroupCounts) {
+    let list: Vec<String> = DISTINCT_COLS.iter().map(|c| format!("count(DISTINCT {c})")).collect();
+    let sql = format!("SELECT g, {} FROM d GROUP BY g", list.join(", "));
+    let (r, _) = row.run(conn, &sql).unwrap_or_else(|e| panic!("{}: {e}\n{sql}", row.label));
+    let mut got: GroupCounts = rows_of(&r)
+        .into_iter()
+        .map(|cells| {
+            let counts = cells[1..]
+                .iter()
+                .map(|v| match v {
+                    Value::Bigint(n) => *n,
+                    other => panic!("{}: COUNT(DISTINCT) returned {other:?}", row.label),
+                })
+                .collect();
+            (image(&[vec![cells[0].clone()]]).remove(0), counts)
+        })
+        .collect();
+    got.sort();
+    let mut want: GroupCounts =
+        got.iter().map(|(g, _)| (g.clone(), vec![0; DISTINCT_COLS.len()])).collect();
+    for (c, col) in DISTINCT_COLS.iter().enumerate() {
+        let sql = format!("SELECT DISTINCT g, {col} FROM d");
+        let r = conn.query(&sql).unwrap_or_else(|e| panic!("{}: {e}\n{sql}", row.label));
+        for cells in rows_of(&r).into_iter().filter(|cells| cells[1] != Value::Null) {
+            let g = image(&[vec![cells[0].clone()]]).remove(0);
+            let at = want.iter().position(|(w, _)| *w == g);
+            let at = at.unwrap_or_else(|| panic!("{}: group {g} has no count", row.label));
+            want[at].1[c] += 1;
+        }
+    }
+    (got, want)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // Per group, COUNT(DISTINCT x) is the number of distinct non-NULL x
+    // that SELECT DISTINCT returns, for every argument type: on every
+    // lattice row (the multi-threaded rows with the tiny vector class
+    // merge partials interned by different workers), and with a budget so
+    // small that the aggregate spills and merges its partitions.
+    #[test]
+    fn count_distinct_counts_the_rows_of_select_distinct(
+        words in collection::vec(any::<u64>(), 0..240),
+    ) {
+        let db = monetlite::Database::open_in_memory();
+        db.connect()
+            .execute(
+                "CREATE TABLE d (g INT, i INT, b BIGINT, m DECIMAL(12,2), f DOUBLE, dt DATE, \
+                 s VARCHAR(4))",
+            )
+            .unwrap();
+        db.connect().append("d", distinct_table(&words)).unwrap();
+        each_row(|row| {
+            let mut conn = row.connect(&db, Corpus::tiny(5));
+            let (got, want) = distinct_counts(row, &mut conn);
+            assert_eq!(got, want, "{}", row.label);
+        });
+        let spilled = Config {
+            label: "spilled t2 v8",
+            exec: ExecOptions { memory_budget: 256, ..pinned(2, 8) },
+            ..LATTICE[0]
+        };
+        let mut conn = spilled.connect(&db, Corpus::tiny(5));
+        let (got, want) = distinct_counts(&spilled, &mut conn);
+        prop_assert_eq!(got, want);
+        if words.len() > 64 {
+            let (_, counters) = spilled.run(&mut conn, "SELECT g, count(DISTINCT s) FROM d GROUP BY g").unwrap();
+            prop_assert!(counters.spilled_partitions > 0, "the aggregate did not spill");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,20 +12,20 @@
 //! MONETLITE_BLESS=1 cargo test -p monetlite-tests --test plan_golden
 //! ```
 //!
-//! Execution options and optimizer flags are pinned to literals (not
-//! `Default::default()`) so the CI env legs (threads / vector size /
-//! join-order ablations) cannot change the rendered plans.
+//! Execution options are pinned to literals (one thread, 65,536-row
+//! vectors, caches off) and the optimizer runs with its default flags, so
+//! the rendered plans do not depend on the shipped cache settings.
 
 use monetlite::opt::OptFlags;
 use monetlite_tests::{
     blessing, connect_pinned, golden_path, pinned, tpch_db, tpch_slice_matches_goldens,
-    with_tpch_views, TpchTest, PINNED_FLAGS,
+    with_tpch_views, TpchTest,
 };
 use monetlite_tpch::queries;
 
 /// EXPLAIN's morsel counts and spill annotations depend on the execution
-/// shape, so it is pinned, not taken from the environment; the caches are
-/// off so cache-status tags never reach the rendered plan snapshots.
+/// shape, so it is pinned; the caches are off so cache-status tags never
+/// reach the rendered plan snapshots.
 fn connect() -> monetlite::Connection {
     connect_pinned(tpch_db(), pinned(1, 64 * 1024))
 }
@@ -95,7 +95,7 @@ fn all_22_plans_match_golden_snapshots() {
 #[test]
 fn join_heavy_queries_lead_with_the_filtered_small_side() {
     let mut conn = connect();
-    conn.set_opt_flags(OptFlags { build_side: false, ..PINNED_FLAGS });
+    conn.set_opt_flags(OptFlags { build_side: false, ..OptFlags::default() });
     for (n, lead, filter_frag) in [
         // Q5: r_name = 'ASIA' over the 5-row region table.
         (5, "region", "'ASIA'"),

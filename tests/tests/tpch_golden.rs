@@ -17,7 +17,6 @@
 //! MONETLITE_BLESS=1 cargo test -p monetlite-tests --test tpch_golden
 //! ```
 
-use monetlite::exec::ExecOptions;
 use monetlite_tests::{
     blessing, check_shape, fmt_golden_rows, golden_answer, tpch_data, tpch_slice_matches_goldens,
     TpchTest,
@@ -71,9 +70,9 @@ fn inherited_operator_budget_keeps_spill_partitions_bounded() {
             ..Default::default()
         })
         .unwrap();
+        // The shipped options set no operator budget: the executor
+        // inherits one.
         let mut conn = db.connect();
-        // Unset, whatever MONETLITE_MEMORY_BUDGET the environment exports.
-        conn.set_exec_options(ExecOptions { memory_budget: usize::MAX, ..Default::default() });
         // In query order, so each query inherits its predecessors'
         // resident columns.
         for n in 1..=7 {

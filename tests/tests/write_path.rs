@@ -4,12 +4,15 @@
 //! a bulk append is O(batch) in the transaction overlay, at commit and at
 //! replay (the first reader consolidates, once); a checkpoint persists the
 //! dictionaries that exist and sorts nothing; and a log of an earlier
-//! build still replays.
+//! build still replays. Every read through the executor runs at 65,536-
+//! and at 1,024-row vectors ([`VECTOR_SIZES`]); the byte and frame counts
+//! do not depend on the vector size.
 
 use monetlite::{Connection, Database};
 use monetlite_storage::store::apply_record;
 use monetlite_storage::wal::{self, WalRecord};
 use monetlite_storage::{Bat, TableMeta};
+use monetlite_tests::{connect_at, VECTOR_SIZES};
 use monetlite_types::{ColumnBuffer, Decimal, Value};
 use std::collections::HashMap;
 use std::path::Path;
@@ -33,10 +36,11 @@ fn batch(lo: usize, hi: usize) -> Vec<ColumnBuffer> {
 }
 
 /// A persistent `n`-row table appended in three batches (60% + 20% + 20%)
-/// that nobody has read yet.
-fn build(dir: &Path, n: usize) -> (Database, Connection) {
+/// that nobody has read yet, and a connection reading at
+/// `vector_size`-row vectors.
+fn build(dir: &Path, n: usize, vector_size: usize) -> (Database, Connection) {
     let db = Database::open(dir).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     conn.execute(
         "CREATE TABLE t (k INT NOT NULL, grp VARCHAR(4), note VARCHAR(16), amt DECIMAL(12,2))",
     )
@@ -56,9 +60,9 @@ fn cached(db: &Database) -> Vec<bool> {
 /// WAL bytes logged by a 1-row UPDATE, a 1-row DELETE, an explicit
 /// single-UPDATE transaction, and a 1-row UPDATE after a checkpoint (the
 /// whole table in one file-backed segment with one big heap per VARCHAR).
-fn single_row_write_frames(n: usize) -> [u64; 4] {
+fn single_row_write_frames(n: usize, vector_size: usize) -> [u64; 4] {
     let dir = tempfile::tempdir().unwrap();
-    let (db, mut conn) = build(dir.path(), n);
+    let (db, mut conn) = build(dir.path(), n, vector_size);
     let before = db.store().snapshot();
     let cols = &before.table("t").unwrap().data.cols;
     assert!(cols.iter().all(|c| c.depth() == 4), "empty base + one segment per append");
@@ -97,7 +101,7 @@ fn single_row_write_frames(n: usize) -> [u64; 4] {
     drop(conn);
     drop(db);
     let db = Database::open(dir.path()).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     let r = conn.query("SELECT count(*), sum(amt) FROM t").unwrap();
     let want: i64 = (0..n as i64).map(|i| i * 100).sum::<i64>() + 200 - del as i64 * 100;
     assert_eq!(r.row(0), vec![Value::Bigint(n as i64 - 1), Value::Decimal(Decimal::new(want, 2))]);
@@ -123,34 +127,44 @@ fn single_row_write_frames(n: usize) -> [u64; 4] {
 
 #[test]
 fn single_row_writes_log_bytes_independent_of_table_size() {
-    let small = single_row_write_frames(N);
+    let [full, small_vectors] = VECTOR_SIZES;
+    let small = single_row_write_frames(N, full);
     for (what, bytes) in
         ["UPDATE", "DELETE", "BEGIN/UPDATE/COMMIT", "UPDATE after checkpoint"].iter().zip(small)
     {
         assert!(bytes > 0 && bytes < 1024, "{what} of one row logged {bytes} bytes at N = {N}");
     }
-    assert_eq!(small, single_row_write_frames(4 * N), "frame sizes must not depend on N");
+    assert_eq!(small, single_row_write_frames(4 * N, full), "frame sizes must not depend on N");
+    assert_eq!(
+        small,
+        single_row_write_frames(N, small_vectors),
+        "frame sizes must not depend on the vector size"
+    );
 }
 
 #[test]
 fn update_of_a_deleted_and_reinserted_key_touches_only_visible_rows() {
     // Row ids handed to the gather come from segments of every age and
     // skip deleted rows; the delta holds exactly the visible matches.
-    let dir = tempfile::tempdir().unwrap();
-    let (_db, mut conn) = build(dir.path(), 1000);
-    assert_eq!(conn.execute("DELETE FROM t WHERE k = 10").unwrap(), 1);
-    assert_eq!(conn.execute("INSERT INTO t VALUES (10, NULL, 'again', 1.00)").unwrap(), 1);
-    assert_eq!(
-        conn.execute("UPDATE t SET note = NULL WHERE k = 10 OR k = 999 OR k = 0").unwrap(),
-        3
-    );
-    let r = conn.query("SELECT k, grp, note, amt FROM t WHERE note IS NULL ORDER BY k").unwrap();
-    let d = |raw| Value::Decimal(Decimal::new(raw, 2));
-    assert_eq!(r.nrows(), 3);
-    assert_eq!(r.row(0), vec![Value::Int(0), Value::Str("g0".into()), Value::Null, d(0)]);
-    assert_eq!(r.row(1), vec![Value::Int(10), Value::Null, Value::Null, d(100)]);
-    assert_eq!(r.row(2), vec![Value::Int(999), Value::Str("g5".into()), Value::Null, d(99_900)]);
-    assert_eq!(conn.query("SELECT count(*) FROM t").unwrap().value(0, 0), Value::Bigint(1000));
+    for v in VECTOR_SIZES {
+        let dir = tempfile::tempdir().unwrap();
+        let (_db, mut conn) = build(dir.path(), 1000, v);
+        assert_eq!(conn.execute("DELETE FROM t WHERE k = 10").unwrap(), 1);
+        assert_eq!(conn.execute("INSERT INTO t VALUES (10, NULL, 'again', 1.00)").unwrap(), 1);
+        assert_eq!(
+            conn.execute("UPDATE t SET note = NULL WHERE k = 10 OR k = 999 OR k = 0").unwrap(),
+            3
+        );
+        let r =
+            conn.query("SELECT k, grp, note, amt FROM t WHERE note IS NULL ORDER BY k").unwrap();
+        let d = |raw| Value::Decimal(Decimal::new(raw, 2));
+        assert_eq!(r.nrows(), 3);
+        assert_eq!(r.row(0), vec![Value::Int(0), Value::Str("g0".into()), Value::Null, d(0)]);
+        assert_eq!(r.row(1), vec![Value::Int(10), Value::Null, Value::Null, d(100)]);
+        let last = vec![Value::Int(999), Value::Str("g5".into()), Value::Null, d(99_900)];
+        assert_eq!(r.row(2), last);
+        assert_eq!(conn.query("SELECT count(*) FROM t").unwrap().value(0, 0), Value::Bigint(1000));
+    }
 }
 
 /// `fixtures/wal_parent_9952dd3.log` was written by the build before
@@ -160,12 +174,6 @@ fn update_of_a_deleted_and_reinserted_key_touches_only_visible_rows() {
 /// must replay unchanged.
 #[test]
 fn log_written_by_the_previous_build_still_replays() {
-    let dir = tempfile::tempdir().unwrap();
-    std::fs::write(
-        dir.path().join("wal.log"),
-        include_bytes!("../fixtures/wal_parent_9952dd3.log"),
-    )
-    .unwrap();
     let s = |v: &str| Value::Str(v.into());
     let d = |raw| Value::Decimal(Decimal::new(raw, 2));
     let want = vec![
@@ -173,13 +181,22 @@ fn log_written_by_the_previous_build_still_replays() {
         vec![Value::Int(4), s("black"), s("fourth note"), d(450)],
         vec![Value::Int(5), s("black"), s("fifth note"), Value::Null],
     ];
-    // Twice: once replaying the log, once from the checkpoint recovery wrote.
-    for round in 0..2 {
-        let db = Database::open(dir.path()).unwrap();
-        let mut conn = db.connect();
-        let r = conn.query("SELECT k, tag, note, amt FROM w ORDER BY k").unwrap();
-        let got: Vec<Vec<Value>> = (0..r.nrows()).map(|i| r.row(i)).collect();
-        assert_eq!(got, want, "round {round}");
+    for v in VECTOR_SIZES {
+        let dir = tempfile::tempdir().unwrap();
+        std::fs::write(
+            dir.path().join("wal.log"),
+            include_bytes!("../fixtures/wal_parent_9952dd3.log"),
+        )
+        .unwrap();
+        // Twice: once replaying the log, once from the checkpoint recovery
+        // wrote.
+        for round in 0..2 {
+            let db = Database::open(dir.path()).unwrap();
+            let mut conn = connect_at(&db, v);
+            let r = conn.query("SELECT k, tag, note, amt FROM w ORDER BY k").unwrap();
+            let got: Vec<Vec<Value>> = (0..r.nrows()).map(|i| r.row(i)).collect();
+            assert_eq!(got, want, "round {round}, {v}-row vectors");
+        }
     }
 }
 
@@ -197,11 +214,17 @@ fn shape(t: &TableMeta) -> Vec<(usize, bool)> {
 
 #[test]
 fn k_bulk_appends_leave_a_chain_of_k_plus_one_in_overlay_commit_and_replay() {
+    for v in VECTOR_SIZES {
+        k_bulk_appends_leave_a_chain(v);
+    }
+}
+
+fn k_bulk_appends_leave_a_chain(vector_size: usize) {
     const K: usize = 5;
     let per = 2000;
     let dir = tempfile::tempdir().unwrap();
     let db = Database::open(dir.path()).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     conn.execute(DDL).unwrap();
     // Growing batches: under the old doubling rule every one of them (tail
     // >= base) made the writer consolidate, twice per autocommit append.
@@ -267,18 +290,25 @@ fn k_bulk_appends_leave_a_chain_of_k_plus_one_in_overlay_commit_and_replay() {
     let snap = db.store().snapshot();
     let t = snap.table("t").unwrap();
     assert!(t.data.cols.iter().all(|c| c.depth() == 1 && c.entry().unwrap().is_backed()));
-    let r = db.connect().query("SELECT count(*), count(DISTINCT grp) FROM t").unwrap();
+    let r =
+        connect_at(&db, vector_size).query("SELECT count(*), count(DISTINCT grp) FROM t").unwrap();
     assert_eq!(r.row(0), vec![Value::Bigint((n + K * per) as i64), Value::Bigint(7)]);
 }
 
 #[test]
 fn an_autocommit_append_commits_the_arrays_the_host_handed_over() {
+    for v in VECTOR_SIZES {
+        an_autocommit_append_commits_the_host_arrays(v);
+    }
+}
+
+fn an_autocommit_append_commits_the_host_arrays(vector_size: usize) {
     // `Connection::append` adopts the host's fixed-width arrays, and the
     // overlay, the commit and the WAL frame all share the BATs built from
     // them: the committed segment holds the host's own allocation.
     let dir = tempfile::tempdir().unwrap();
     let db = Database::open(dir.path()).unwrap();
-    let mut conn = db.connect();
+    let mut conn = connect_at(&db, vector_size);
     conn.execute(DDL).unwrap();
     let cols = batch(0, 1000);
     let (ColumnBuffer::Int(k), ColumnBuffer::Decimal { data: amt, .. }) = (&cols[0], &cols[3])
@@ -313,9 +343,12 @@ fn single_row_insert_stream_keeps_the_chain_bounded() {
     let cap = monetlite_storage::catalog::MAX_CHAIN_DEPTH;
     assert!(deepest < cap, "chain grew to {deepest}");
     assert!(deepest > cap / 2, "the stream must have run into the cap (deepest {deepest})");
-    let r = conn.query("SELECT count(*), sum(k), count(DISTINCT tag) FROM s").unwrap();
     let sum = (N * (N - 1) / 2) as i64;
-    assert_eq!(r.row(0), vec![Value::Bigint(N as i64), Value::Bigint(sum), Value::Bigint(3)]);
+    for v in VECTOR_SIZES {
+        let r = connect_at(&db, v).query("SELECT count(*), sum(k), count(DISTINCT tag) FROM s");
+        let r = r.unwrap();
+        assert_eq!(r.row(0), vec![Value::Bigint(N as i64), Value::Bigint(sum), Value::Bigint(3)]);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -335,8 +368,14 @@ fn cols_files(dir: &Path, ext: &str) -> Vec<String> {
 
 #[test]
 fn checkpoint_writes_a_dict_sidecar_only_for_columns_that_hold_a_dictionary() {
+    for v in VECTOR_SIZES {
+        checkpoint_writes_a_dict_sidecar_only_where_a_dictionary_exists(v);
+    }
+}
+
+fn checkpoint_writes_a_dict_sidecar_only_where_a_dictionary_exists(vector_size: usize) {
     let dir = tempfile::tempdir().unwrap();
-    let (db, mut conn) = build(dir.path(), 6000);
+    let (db, mut conn) = build(dir.path(), 6000, vector_size);
     // Nobody queried the table: `.zm`/`.st` are built eagerly, no `.dict`.
     db.checkpoint().unwrap();
     let count = |ext: &str| cols_files(dir.path(), ext).len();
@@ -378,7 +417,7 @@ fn checkpoint_writes_a_dict_sidecar_only_for_columns_that_hold_a_dictionary() {
         assert_eq!(db.vmem_stats().loads, 0, "dictionary was rebuilt from the column");
         // A dictionary carried through consolidation is persisted with the
         // rewritten column.
-        let mut conn = db.connect();
+        let mut conn = connect_at(&db, vector_size);
         conn.append("t", batch(6000, 6100)).unwrap();
         assert_eq!(
             conn.query("SELECT count(*) FROM t WHERE grp = 'g3'").unwrap().value(0, 0),
