@@ -24,9 +24,11 @@
 //!   statement memo knows, and for a new text (a trailing comment) of the
 //!   same statement, which pays the parser and the normalizer first.
 //!
-//! Run with `MONETLITE_BENCH_JSON=BENCH_cache.json cargo bench --bench
-//! cache` to record results; CI runs `cargo bench --bench cache --
-//! --test` as a smoke check.
+//! Run `MONETLITE_BENCH_JSON=$PWD/BENCH_cache.json cargo bench --bench
+//! cache` from the repository root to record results into the root's
+//! copy (a relative path lands in `crates/bench/`, the bench's working
+//! directory); CI runs `cargo bench --bench cache -- --test` as a smoke
+//! check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;

@@ -14,11 +14,14 @@
 //! the zonemaps. The 90% case exercises the density cutoff: a filter
 //! that keeps almost everything gathers at the scan.
 //!
-//! Run with `MONETLITE_BENCH_JSON=out.json cargo bench --bench
-//! candidates` to record results; CI runs `cargo bench --bench
-//! candidates -- --test` as a smoke check. `BENCH_candidates.json` was
+//! Run `MONETLITE_BENCH_JSON=$PWD/BENCH_candidates.json cargo bench
+//! --bench candidates` from the repository root to record results into
+//! the root's copy (a relative path lands in `crates/bench/`, the bench's
+//! working directory); CI runs `cargo bench --bench candidates --
+//! --test` as a smoke check. The committed `BENCH_candidates.json` was
 //! recorded against a gather-at-the-filter baseline that no longer
-//! exists; its rows are not reproducible with this bench.
+//! exists; its rows are not reproducible with this bench, and a new
+//! record replaces them.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;

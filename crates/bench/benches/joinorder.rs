@@ -16,11 +16,11 @@
 //! * `joinorder_tpch` — TPC-H Q5 / Q7 / Q8 / Q9 / Q21 at SF 0.05, the
 //!   join-heavy queries the issue names.
 //!
-//! Run with `MONETLITE_BENCH_JSON=BENCH_joinorder.json cargo bench
-//! --bench joinorder` to record results (the file is written in
-//! `crates/bench/`, the bench's working directory; the recorded copy
-//! lives at the repository root); CI runs `cargo bench --bench joinorder
-//! -- --test` as a smoke check.
+//! Run `MONETLITE_BENCH_JSON=$PWD/BENCH_joinorder.json cargo bench
+//! --bench joinorder` from the repository root to record results into
+//! the root's copy (a relative path lands in `crates/bench/`, the bench's
+//! working directory); CI runs `cargo bench --bench joinorder -- --test`
+//! as a smoke check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;

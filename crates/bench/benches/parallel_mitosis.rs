@@ -9,8 +9,10 @@
 //!   `threads`, the streaming policy scales with per-thread partial hash
 //!   aggregation.
 //!
-//! Run with `MONETLITE_BENCH_JSON=BENCH_pipeline.json cargo bench --bench
-//! parallel_mitosis` to record results.
+//! Run `MONETLITE_BENCH_JSON=$PWD/BENCH_pipeline.json cargo bench
+//! --bench parallel_mitosis` from the repository root to record results
+//! into the root's copy (a relative path lands in `crates/bench/`, the
+//! bench's working directory).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::{ExecMode, ExecOptions};

@@ -9,8 +9,10 @@
 //! * `spill_sort` — ORDER BY over a wide value range (external merge
 //!   sort: sorted runs + k-way merge).
 //!
-//! Run with `MONETLITE_BENCH_JSON=BENCH_spill.json cargo bench --bench
-//! spill` to record results.
+//! Run `MONETLITE_BENCH_JSON=$PWD/BENCH_spill.json cargo bench --bench
+//! spill` from the repository root to record results into the root's
+//! copy (a relative path lands in `crates/bench/`, the bench's working
+//! directory).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;

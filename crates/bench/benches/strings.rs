@@ -23,9 +23,11 @@
 //! join), Q16 (NOT LIKE, COUNT DISTINCT group-by over brand/type/size)
 //! — at SF 0.02, both legs.
 //!
-//! Run with `MONETLITE_BENCH_JSON=BENCH_strings.json cargo bench
-//! --bench strings` to record results; CI runs `cargo bench --bench
-//! strings -- --test` as a smoke check.
+//! Run `MONETLITE_BENCH_JSON=$PWD/BENCH_strings.json cargo bench
+//! --bench strings` from the repository root to record results into the
+//! root's copy (a relative path lands in `crates/bench/`, the bench's
+//! working directory); CI runs `cargo bench --bench strings -- --test`
+//! as a smoke check.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monetlite::exec::ExecOptions;

@@ -1,8 +1,9 @@
 //! Grouped aggregation kernels.
 //!
-//! Grouping hashes composite keys (NULLs group together, SQL semantics),
-//! assigning each row a dense group id; the per-function accumulators then
-//! run column-at-a-time over the group-id vector. Per-worker partial
+//! A [`GroupTable`] interns composite keys (NULLs group together, SQL
+//! semantics), assigning each row a dense group id; the per-function
+//! accumulators then run column-at-a-time over the group-id vector.
+//! `SELECT DISTINCT` is a grouping with no accumulators. Per-worker partial
 //! states merge ([`AggState::merge`]), whatever the cut into morsels. MEDIAN
 //! is the blocking aggregate of the paper's Figure 2: it buffers every
 //! value and finishes only once all partials have merged.
@@ -15,59 +16,12 @@ use monetlite_storage::Bat;
 use monetlite_types::nulls::{NULL_I32, NULL_I64, NULL_I8};
 use monetlite_types::{LogicalType, MlError, Result, Value};
 
-/// Result of hashing group keys: per-row dense group ids plus one
-/// representative row per group.
-#[derive(Debug)]
-pub struct Grouping {
-    /// Dense group id per input row.
-    pub group_ids: Vec<u32>,
-    /// Representative input row per group (for key materialisation).
-    pub repr_rows: Vec<u32>,
-}
-
-/// Hash rows into dense groups over the key columns, in first-seen
-/// order. With a candidate list only the `sel` positions are grouped,
-/// reading the base arrays in place (no gather); `group_ids`/`repr_rows`
-/// are then indexed in the *logical* (selection) domain — `repr_rows[g]
-/// == i` names physical row `sel[i]` — so callers gather representatives
-/// with the selection-aware `Chunk::take`, touching only the survivors.
-pub fn hash_group(keys: &[&Bat], sel: Option<&[u32]>) -> Grouping {
-    let hashes = hash_rows(keys, sel);
-    visit_keys(keys, keys, Group { hashes: &hashes, sel })
-}
-
-/// The [`hash_group`] loop, instantiated per typed key representation.
-struct Group<'a> {
-    hashes: &'a [u64],
-    sel: Option<&'a [u32]>,
-}
-
-impl KeyVisitor for Group<'_> {
-    type Out = Grouping;
-
-    fn visit<K: KeyCols>(self, keys: &K, _: &K) -> Grouping {
-        let phys = |i: u32| self.sel.map_or(i, |s| s[i as usize]) as usize;
-        let mut table = HashTable::default();
-        let mut group_ids = Vec::with_capacity(self.hashes.len());
-        let mut repr_rows: Vec<u32> = Vec::new();
-        for (i, &h) in self.hashes.iter().enumerate() {
-            let row = phys(i as u32);
-            let (g, new) = table.intern(h, |g| keys.same(row, keys, phys(repr_rows[g as usize])));
-            if new {
-                repr_rows.push(i as u32);
-            }
-            group_ids.push(g);
-        }
-        Grouping { group_ids, repr_rows }
-    }
-}
-
 /// An incremental grouping table for the pipeline engine: group keys are
 /// interned vector-at-a-time into dense ids, with representative key
 /// values accumulated as they are first seen (NULLs group together, SQL
-/// semantics). Unlike [`hash_group`], which needs the whole input
-/// materialised, this grows as vectors arrive — the per-thread state of
-/// morsel-parallel partial aggregation.
+/// semantics). It grows as vectors arrive — the per-thread state of
+/// morsel-parallel partial aggregation, GROUP BY's and `SELECT
+/// DISTINCT`'s alike.
 #[derive(Debug)]
 pub struct GroupTable {
     /// Representative key values, one row per group, in first-seen order.
@@ -131,7 +85,17 @@ impl GroupTable {
         let stored: Vec<&Bat> = keys.iter().collect();
         let (gids, new_rows) = visit_keys(block, &stored, Intern { table, hashes });
         for (k, b) in keys.iter_mut().zip(block) {
+            let at = k.len();
             k.append_rows(b, &new_rows)?;
+            // -0.0 and 0.0 are one group, shown as 0.0 whichever of the
+            // two opened it, so the output does not depend on the cut.
+            if let Bat::Double(v) = k {
+                for x in &mut v[at..] {
+                    if *x == 0.0 {
+                        *x = 0.0;
+                    }
+                }
+            }
         }
         Ok(gids)
     }
@@ -699,11 +663,10 @@ mod tests {
     #[test]
     fn grouping_basic() {
         let keys = Bat::Int(vec![1, 2, 1, 3, 2]);
-        let g = hash_group(&[&keys], None);
-        assert_eq!(g.repr_rows.len(), 3);
-        assert_eq!(g.group_ids[0], g.group_ids[2]);
-        assert_eq!(g.group_ids[1], g.group_ids[4]);
-        assert_ne!(g.group_ids[0], g.group_ids[3]);
+        let mut t = GroupTable::new(&[LogicalType::Int]);
+        let gids = t.intern_block(&[&keys]).unwrap();
+        assert_eq!(gids, [0, 1, 0, 2, 1], "dense ids in first-seen order");
+        assert_eq!(t.keys()[0].to_buffer(None), ColumnBuffer::Int(vec![1, 2, 3]));
     }
 
     #[test]
@@ -715,8 +678,21 @@ mod tests {
             None,
             None,
         ]));
-        let g = hash_group(&[&a, &b], None);
-        assert_eq!(g.repr_rows.len(), 2, "NULL keys group together");
+        let mut t = GroupTable::new(&[LogicalType::Int, LogicalType::Varchar]);
+        t.intern_block(&[&a, &b]).unwrap();
+        assert_eq!(t.n_groups(), 2, "NULL keys group together");
+    }
+
+    #[test]
+    fn a_zero_group_shows_positive_zero() {
+        let mut t = GroupTable::new(&[LogicalType::Double]);
+        let gids = t.intern_block(&[&Bat::Double(vec![-0.0, 1.0, 0.0, -1.0])]).unwrap();
+        assert_eq!(gids, [0, 1, 0, 2]);
+        let Bat::Double(k) = &t.keys()[0] else { panic!("DOUBLE keys") };
+        assert_eq!(
+            k.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            [0.0, 1.0, -1.0].map(f64::to_bits)
+        );
     }
 
     fn group_keys(seeds: &[u8]) -> (Bat, Bat, Bat) {
@@ -754,7 +730,10 @@ mod tests {
                     .sum::<usize>();
             assert!(t.mem_bytes() >= allocated, "{} < {allocated}", t.mem_bytes());
         }
-        assert_eq!(t.n_groups(), hash_group(&[&int, &text, &dbl], None).repr_rows.len());
+        let mut whole =
+            GroupTable::new(&[LogicalType::Int, LogicalType::Varchar, LogicalType::Double]);
+        whole.intern_block(&[&int, &text, &dbl]).unwrap();
+        assert_eq!(t.n_groups(), whole.n_groups());
     }
 
     #[test]
@@ -779,10 +758,11 @@ mod tests {
             let arg = Bat::Int(seeds.iter().map(|&s| s as i32).collect());
             let types = [LogicalType::Int, LogicalType::Varchar, LogicalType::Double];
             // Single pass.
-            let whole = hash_group(&[&int, &text, &dbl], None);
-            let n = whole.repr_rows.len();
+            let mut whole = GroupTable::new(&types);
+            let gids = whole.intern_block(&[&int, &text, &dbl]).unwrap();
+            let n = whole.n_groups();
             let mut sum = AggState::new(PAggFunc::Sum, Some(LogicalType::Int), false, n).unwrap();
-            sum.update(Some(&arg), &whole.group_ids).unwrap();
+            sum.update(Some(&arg), &gids).unwrap();
             // Contiguous partials, each interned on its own, merged in order.
             let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(seeds.len())).collect();
             bounds.push(0);
@@ -809,30 +789,12 @@ mod tests {
             let (merged, msum) = acc.unwrap();
             // Same groups in the same first-seen order, same sums.
             proptest::prop_assert_eq!(merged.n_groups(), n);
-            for (k, col) in merged.keys().iter().zip([&int, &text, &dbl]) {
-                proptest::prop_assert_eq!(k.to_buffer(None), col.take(&whole.repr_rows).to_buffer(None));
+            for (k, w) in merged.keys().iter().zip(whole.keys()) {
+                proptest::prop_assert_eq!(k.to_buffer(None), w.to_buffer(None));
             }
             let (a, b) = (msum.finish(LogicalType::Bigint).unwrap(), sum.finish(LogicalType::Bigint).unwrap());
             proptest::prop_assert_eq!(a.to_buffer(None), b.to_buffer(None));
         }
-    }
-
-    /// [`hash_group`] before typed keys: a type dispatch per row and column.
-    fn hash_group_model(keys: &[&Bat], sel: Option<&[u32]>) -> Grouping {
-        let hashes = hash_rows(keys, sel);
-        let phys = |i: u32| sel.map_or(i, |s| s[i as usize]) as usize;
-        let mut table = HashTable::default();
-        let (mut group_ids, mut repr_rows) = (Vec::new(), Vec::<u32>::new());
-        for (i, &h) in hashes.iter().enumerate() {
-            let row = phys(i as u32);
-            let (g, new) =
-                table.intern(h, |g| rows_eq(keys, row, keys, phys(repr_rows[g as usize]), true));
-            if new {
-                repr_rows.push(i as u32);
-            }
-            group_ids.push(g);
-        }
-        Grouping { group_ids, repr_rows }
     }
 
     /// [`GroupTable::intern_hashed`] before typed keys.
@@ -853,6 +815,10 @@ mod tests {
         }
         for (k, b) in t.keys.iter_mut().zip(block) {
             k.append_rows(b, &new_rows)?;
+            // A zero group shows as 0.0.
+            if let Bat::Double(v) = k {
+                v.iter_mut().filter(|x| **x == 0.0).for_each(|x| *x = 0.0);
+            }
         }
         Ok(gids)
     }
@@ -872,13 +838,10 @@ mod tests {
             seeds in proptest::collection::vec(0u8..255, 0..80),
             picks in proptest::collection::vec(0usize..9, 2..4),
             cut in 0usize..80,
-            sel_picks in proptest::collection::vec(0usize..80, 0..30),
         ) {
             let cols = key_columns(&seeds);
             let n = seeds.len();
             let cut = cut.min(n);
-            let mut sel: Vec<u32> = sel_picks.iter().filter(|&&p| p < n).map(|&p| p as u32).collect();
-            sel.sort_unstable();
             let range = |lo: usize, hi: usize| (lo as u32..hi as u32).collect::<Vec<_>>();
             // Every type alone, and a composite (strings of two heaps and
             // mixed types included).
@@ -887,11 +850,6 @@ mod tests {
             sets.push(vec![&cols[1], &cols[2]]);
             sets.push(vec![&cols[3], &cols[4], &cols[5]]);
             for keys in &sets {
-                for s in [None, Some(sel.as_slice())] {
-                    let (got, want) = (hash_group(keys, s), hash_group_model(keys, s));
-                    proptest::prop_assert_eq!(&got.group_ids, &want.group_ids);
-                    proptest::prop_assert_eq!(&got.repr_rows, &want.repr_rows);
-                }
                 // Two blocks interned into one table, then a table of the
                 // second block merged into a table of the first.
                 let types: Vec<LogicalType> = keys.iter().map(|k| k.logical_type()).collect();

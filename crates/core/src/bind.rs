@@ -410,9 +410,9 @@ impl<'a> Binder<'a> {
             (plan, names, schema)
         };
 
-        // 4. DISTINCT.
+        // 4. DISTINCT: an aggregate grouped by every output column.
         if stmt.distinct {
-            plan = Plan::Distinct { input: Box::new(plan) };
+            plan = Plan::distinct(plan);
         }
 
         // 5. ORDER BY over the output columns (name, alias or ordinal).

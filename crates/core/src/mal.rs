@@ -64,7 +64,6 @@ fn render_estimates(plan: &Plan, stats: &dyn Stats, out: &mut String, depth: usi
         Plan::Sort { .. } => "sort".into(),
         Plan::Limit { .. } => "limit".into(),
         Plan::TopN { .. } => "topn".into(),
-        Plan::Distinct { .. } => "distinct".into(),
         Plan::Values { .. } => "values".into(),
     };
     let _ = writeln!(out, "{}{label} est_rows={}", "  ".repeat(depth), est.round() as u64);
@@ -75,8 +74,7 @@ fn render_estimates(plan: &Plan, stats: &dyn Stats, out: &mut String, depth: usi
         | Plan::Aggregate { input, .. }
         | Plan::Sort { input, .. }
         | Plan::Limit { input, .. }
-        | Plan::TopN { input, .. }
-        | Plan::Distinct { input } => vec![input],
+        | Plan::TopN { input, .. } => vec![input],
         Plan::Join { left, right, .. } => vec![left, right],
     };
     for c in children {
@@ -263,12 +261,6 @@ impl Renderer {
                 let inregs = self.node(input);
                 let o = self.reg("O");
                 let _ = writeln!(self.out, "    {o} := algebra.slice(0, {n});");
-                self.project_all(&inregs, &o)
-            }
-            Plan::Distinct { input } => {
-                let inregs = self.node(input);
-                let o = self.reg("O");
-                let _ = writeln!(self.out, "    {o} := group.unique();");
                 self.project_all(&inregs, &o)
             }
             Plan::Values { rows, schema } => schema

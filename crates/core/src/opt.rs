@@ -63,10 +63,6 @@ pub struct OptFlags {
     /// Cost-based DP enumeration for join ordering; `false` falls back to
     /// the greedy connected ordering (the ablation baseline).
     pub join_dp: bool,
-    /// ORDER BY + LIMIT fusion.
-    pub topn: bool,
-    /// Constant folding.
-    pub fold: bool,
     /// Hash-join build-side selection: put the smaller input on the build
     /// side so the larger one streams through the (morsel-parallel) probe.
     pub build_side: bool,
@@ -74,14 +70,7 @@ pub struct OptFlags {
 
 impl Default for OptFlags {
     fn default() -> Self {
-        OptFlags {
-            pushdown: true,
-            join_order: true,
-            join_dp: true,
-            topn: true,
-            fold: true,
-            build_side: true,
-        }
+        OptFlags { pushdown: true, join_order: true, join_dp: true, build_side: true }
     }
 }
 
@@ -204,10 +193,7 @@ pub fn optimize(
     stats: &dyn Stats,
     _catalog: &dyn CatalogAccess,
 ) -> Result<Plan> {
-    let mut p = plan;
-    if flags.fold {
-        p = fold_constants(p)?;
-    }
+    let mut p = fold_constants(plan)?;
     p = extract_join_keys(p)?;
     if flags.pushdown {
         p = push_filters(p)?;
@@ -227,10 +213,7 @@ pub fn optimize(
     if flags.build_side {
         p = choose_build_side(p, stats)?;
     }
-    if flags.topn {
-        p = fuse_topn(p);
-    }
-    Ok(p)
+    Ok(fuse_topn(p))
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,7 +1076,6 @@ fn base_col_of(p: &Plan, col: usize) -> Option<(&str, usize)> {
         Plan::Sort { input, .. } | Plan::Limit { input, .. } | Plan::TopN { input, .. } => {
             base_col_of(input, col)
         }
-        Plan::Distinct { input } => base_col_of(input, col),
         Plan::Aggregate { input, groups, .. } => match groups.get(col)? {
             BExpr::ColRef { idx, .. } => base_col_of(input, *idx),
             _ => None,
@@ -1285,9 +1267,7 @@ fn estimate(p: &Plan, stats: &dyn Stats) -> f64 {
             let sel = conj_selectivity(&parts, input, stats);
             (inp * sel).clamp(1.0, inp)
         }
-        Plan::Project { input, .. } | Plan::Sort { input, .. } | Plan::Distinct { input } => {
-            estimate(input, stats)
-        }
+        Plan::Project { input, .. } | Plan::Sort { input, .. } => estimate(input, stats),
         Plan::Limit { input, n } | Plan::TopN { input, n, .. } => {
             estimate(input, stats).min((*n as f64).max(1.0))
         }
@@ -1766,12 +1746,6 @@ fn prune(p: Plan, needed: &[usize]) -> Result<(Plan, Vec<usize>)> {
             let (new_input, map) = prune(*input, &need_sorted)?;
             Ok((Plan::Limit { input: Box::new(new_input), n }, map))
         }
-        Plan::Distinct { input } => {
-            // Distinct semantics depend on every column: no pruning below.
-            let all: Vec<usize> = (0..input.schema().len()).collect();
-            let (new_input, map) = prune(*input, &all)?;
-            Ok((Plan::Distinct { input: Box::new(new_input) }, map))
-        }
         Plan::Values { rows, schema } => {
             let _ = identity;
             Ok((Plan::Values { rows, schema }, (0..width).collect()))
@@ -1888,7 +1862,6 @@ fn map_children(p: Plan, f: &mut dyn FnMut(Plan) -> Result<Plan>) -> Result<Plan
         Plan::Sort { input, keys } => Plan::Sort { input: Box::new(f(*input)?), keys },
         Plan::Limit { input, n } => Plan::Limit { input: Box::new(f(*input)?), n },
         Plan::TopN { input, keys, n } => Plan::TopN { input: Box::new(f(*input)?), keys, n },
-        Plan::Distinct { input } => Plan::Distinct { input: Box::new(f(*input)?) },
     })
 }
 
@@ -1901,8 +1874,7 @@ fn for_each_child_mut(p: &mut Plan, f: &mut dyn FnMut(&mut Plan) -> Result<()>) 
         | Plan::Aggregate { input, .. }
         | Plan::Sort { input, .. }
         | Plan::Limit { input, .. }
-        | Plan::TopN { input, .. }
-        | Plan::Distinct { input } => f(input),
+        | Plan::TopN { input, .. } => f(input),
         Plan::Join { left, right, .. } => {
             f(left)?;
             f(right)
@@ -2036,7 +2008,6 @@ mod tests {
                 | Plan::Sort { input, .. }
                 | Plan::Limit { input, .. }
                 | Plan::TopN { input, .. }
-                | Plan::Distinct { input }
                 | Plan::Aggregate { input, .. } => find_join(input),
                 _ => None,
             }
@@ -2059,8 +2030,7 @@ mod tests {
                 | Plan::Project { input, .. }
                 | Plan::Sort { input, .. }
                 | Plan::Limit { input, .. }
-                | Plan::TopN { input, .. }
-                | Plan::Distinct { input } => find_scan(input),
+                | Plan::TopN { input, .. } => find_scan(input),
                 Plan::Join { left, right, .. } => find_scan(left).or_else(|| find_scan(right)),
                 Plan::Aggregate { input, .. } => find_scan(input),
                 Plan::Values { .. } => None,
@@ -2206,26 +2176,21 @@ mod tests {
         let noop2 = scan_with("big", vec![one_eq_one]);
         assert_eq!(estimate_rows(&noop2, &stats), base, "1=1 in a scan must not shrink");
         // Nor does it flip a build-side decision: big (1M) joined to mid
-        // (10k) keeps big on the probe side even when big carries a
-        // vacuous filter.
-        let p = optimize_sql_with(
-            "SELECT big.v FROM big, mid WHERE big.k = mid.big_id AND 1 = 1",
-            OptFlags { fold: false, ..OptFlags::default() },
-        );
-        fn first_join(p: &Plan) -> Option<(&Plan, &Plan)> {
-            match p {
-                Plan::Join { left, right, .. } => Some((left, right)),
-                Plan::Filter { input, .. }
-                | Plan::Project { input, .. }
-                | Plan::Sort { input, .. }
-                | Plan::Limit { input, .. }
-                | Plan::TopN { input, .. }
-                | Plan::Distinct { input }
-                | Plan::Aggregate { input, .. } => first_join(input),
-                _ => None,
-            }
-        }
-        let (left, right) = first_join(&p).expect("join survives");
+        // (10k) goes to the probe side even when big carries a vacuous
+        // filter.
+        let join = Plan::Join {
+            left: Box::new(scan_with("mid", vec![])),
+            right: Box::new(noop2),
+            kind: PJoinKind::Inner,
+            left_keys: vec![col0()],
+            right_keys: vec![col0()],
+            residual: None,
+            schema: vec![OutCol { name: "a".into(), ty: LogicalType::Int }; 2],
+        };
+        let p = choose_build_side(join, &stats).unwrap();
+        // The swap restores the column order with a Project.
+        let Plan::Project { input, .. } = &p else { panic!("swapped: {}", p.render()) };
+        let Plan::Join { left, right, .. } = &**input else { panic!("join: {}", p.render()) };
         assert!(left.render().contains("big"), "probe side: {}", p.render());
         assert!(right.render().contains("mid"), "build side: {}", p.render());
     }
@@ -2344,8 +2309,7 @@ mod tests {
             | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::TopN { input, .. }
-            | Plan::Distinct { input } => out.extend(nodes(input)),
+            | Plan::TopN { input, .. } => out.extend(nodes(input)),
             Plan::Join { left, right, .. } => {
                 out.extend(nodes(left));
                 out.extend(nodes(right));

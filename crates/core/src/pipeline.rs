@@ -2,13 +2,14 @@
 //!
 //! A plan tree is broken at **pipeline breakers** — operators that must
 //! see their whole input before producing output: hash-join *build*,
-//! aggregation, sort/top-n, distinct, and limit's final assembly. The
-//! non-breaking spine between breakers (scan → filter → project → probe)
-//! becomes one [`Pipeline`]: its source rows are carved into **morsels**,
-//! and a shared atomic cursor hands morsels to worker threads
-//! (morsel-driven parallelism). Each worker pushes its morsel through the
-//! operator chain and folds the result into a thread-local partial sink
-//! state; partials merge once all morsels are drained.
+//! aggregation (`SELECT DISTINCT` included), sort/top-n, and limit's
+//! final assembly. The non-breaking spine between breakers (scan →
+//! filter → project → probe) becomes one [`Pipeline`]: its source rows
+//! are carved into **morsels**, and a shared atomic cursor hands morsels
+//! to worker threads (morsel-driven parallelism). Each worker pushes its
+//! morsel through the operator chain and folds the result into a
+//! thread-local partial sink state; partials merge once all morsels are
+//! drained.
 //!
 //! [`ExecOptions::mode`] chooses only how [`drive`] cuts a pipeline into
 //! morsels ([`morsel_rows`]):
@@ -22,7 +23,7 @@
 //!   shapes: per-thread **partial hash aggregation** with a mapped merge
 //!   ([`GroupTable`] + [`AggState::merge_mapped`]), parallel **hash-join
 //!   probes** over a build table constructed once, and order-preserving
-//!   parallel collection for sort/top-n/limit/distinct.
+//!   parallel collection for sort/top-n/limit.
 //! * **Materialized** — the paper's operator-at-a-time model (§3.1): one
 //!   morsel over the whole source, so every operator sees a full column
 //!   before the next one runs. Only a mitosis prefix (Figure 2) fans out
@@ -31,7 +32,7 @@
 //! Both policies return the same answers; the parity suites check every
 //! configuration against the goldens and the row store.
 
-use crate::agg::{hash_group, AggState, GroupTable};
+use crate::agg::{AggState, GroupTable};
 use crate::bloom::Bloom;
 use crate::exec::{
     bare_scan_hash_entry, exec_scan, exec_values, finish_join_output, pair_probe_kind,
@@ -40,7 +41,7 @@ use crate::exec::{
 use crate::expr::{AggSpec, BExpr};
 use crate::join::JoinSel;
 use crate::plan::{OutCol, PJoinKind, Plan};
-use crate::rows::{col_cmp2, visit_keys, KeyCols, KeyVisitor};
+use crate::rows::{cmp_cells, visit_keys, KeyCols, KeyVisitor};
 use crate::sort::{sort_perm, topn_perm};
 use crate::spill::{fanout, PartitionWriter, SpillFile, SpillReader};
 use monetlite_storage::catalog::ColumnEntry;
@@ -405,13 +406,14 @@ impl KeyVisitor for BloomFill<'_> {
 /// What a pipeline feeds, as far as the morsel policy cares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Sink {
-    /// A global, non-DISTINCT aggregate: partial states merge, so even a
-    /// bare scan fans out under it (the paper's Figure 2).
+    /// A global aggregate without COUNT(DISTINCT): partial states merge,
+    /// so even a bare scan fans out under it (the paper's Figure 2).
     Merge,
-    /// Rows collected, sorted, limited, deduplicated or partitioned: a
-    /// chain that filters or computes fans out, then packs.
+    /// Rows collected, sorted, limited or partitioned: a chain that
+    /// filters or computes fans out, then packs.
     Rows,
-    /// A grouped or DISTINCT aggregate: never fed a fanned-out prefix.
+    /// A grouped aggregate (`SELECT DISTINCT` included) or one with
+    /// COUNT(DISTINCT): never fed a fanned-out prefix.
     Whole,
 }
 
@@ -812,9 +814,22 @@ fn agg_worker_consume(
     if c.rows == 0 {
         return Ok(());
     }
-    let Some(sp) = spill else {
-        return agg_consume(&mut w.part, c, groups, aggs);
+    // Global (ungrouped) aggregates hold O(1) state — never spill.
+    let sp = match spill {
+        Some(sp) if w.part.table.is_some() => sp,
+        _ => return agg_consume(&mut w.part, c, groups, aggs),
     };
+    // A morsel of more than a vector (the materialized policy's whole
+    // source) goes in a vector at a time, so the partial can freeze
+    // part-way through it and route the rest to disk.
+    let vs = ctx.opts.vector_size.max(1);
+    if c.rows > vs {
+        for lo in (0..c.rows).step_by(vs) {
+            let part = c.slice(lo, (lo + vs).min(c.rows));
+            agg_worker_consume(w, &part, groups, aggs, ctx, spill)?;
+        }
+        return Ok(());
+    }
     let ingested = sp.ingested.fetch_add(c.rows, Ordering::Relaxed) + c.rows;
     let poisoned = || MlError::Execution("aggregate partitioner lock poisoned".into());
     if w.frozen {
@@ -831,7 +846,6 @@ fn agg_worker_consume(
         return writer.route(&ctx.spill, &dense, (0..).zip(hashes));
     }
     agg_consume(&mut w.part, c, groups, aggs)?;
-    // Global (ungrouped) aggregates hold O(1) state — never spill.
     let Some(table) = &w.part.table else {
         return Ok(());
     };
@@ -1101,29 +1115,6 @@ pub fn execute_streaming(plan: &Plan, ctx: &ExecContext) -> Result<Chunk> {
                 return Ok(Chunk::empty(input.schema()));
             }
             Chunk::pack(out)
-        }
-        Plan::Distinct { input } => {
-            let pipe = decompose(input, ctx)?;
-            // Per-morsel local dedup (first occurrence wins within a
-            // vector), then a global dedup over the packed survivors —
-            // first-occurrence order in morsel order, which is scan
-            // order under any cut into morsels.
-            let parts = drive(&pipe, ctx, Sink::Rows, Vec::new, |p: &mut Tagged, m, c| {
-                if c.rows == 0 {
-                    return Ok(true);
-                }
-                // Candidate chunks dedup in place over the selected
-                // positions; only the surviving representatives gather.
-                let refs: Vec<&Bat> = c.cols.iter().map(|b| &**b).collect();
-                let grouping = hash_group(&refs, c.positions());
-                let deduped = c.take(&grouping.repr_rows);
-                p.push((m, deduped));
-                Ok(true)
-            })?;
-            let packed = collect_ordered(parts, input.schema())?;
-            let refs: Vec<&Bat> = packed.cols.iter().map(|b| &**b).collect();
-            let grouping = hash_group(&refs, None);
-            Ok(packed.take(&grouping.repr_rows))
         }
         Plan::Values { rows, schema } => exec_values(rows, schema),
         // Pure pipeline shapes (scan/filter/project/join-probe spines).
@@ -1414,14 +1405,14 @@ fn cursor_cmp(
     keys: &[(usize, bool)],
 ) -> std::cmp::Ordering {
     for &(k, desc) in keys {
-        let ord = col_cmp2(&ca.cols[k], apos, &cb.cols[k], bpos);
+        let ord = cmp_cells(&ca.cols[k], apos, &cb.cols[k], bpos);
         let ord = if desc { ord.reverse() } else { ord };
         if ord != std::cmp::Ordering::Equal {
             return ord;
         }
     }
     let (ra, rb) = (&ca.cols[ca.cols.len() - 1], &cb.cols[cb.cols.len() - 1]);
-    col_cmp2(ra, apos, rb, bpos)
+    cmp_cells(ra, apos, rb, bpos)
 }
 
 /// Maximum live runs per merge pass: beyond this the linear min-scan
@@ -1709,10 +1700,6 @@ fn desc_node(
         }
         Plan::Limit { input, n } => {
             let s = format!("limit {n} (early-exit) -> {sink}");
-            desc_chain(input, out, next, opts, stats, Sink::Rows, s)
-        }
-        Plan::Distinct { input } => {
-            let s = format!("distinct (local+global) -> {sink}");
             desc_chain(input, out, next, opts, stats, Sink::Rows, s)
         }
         other => desc_chain(other, out, next, opts, stats, Sink::Rows, sink),
@@ -2655,8 +2642,8 @@ mod tests {
     #[test]
     fn candidate_probe_and_distinct_match_baseline() {
         // Filter → probe: the probe must compose the candidate list into
-        // its output gather. Filter → distinct: dedup over selected
-        // positions only.
+        // its output gather. Filter → distinct: the grouping interns the
+        // selected positions only.
         let n = 20_000i32;
         let probe = make_table(
             "probe",
@@ -2688,12 +2675,10 @@ mod tests {
                 OutCol { name: "v".into(), ty: LogicalType::Int },
             ],
         };
-        let distinct = Plan::Distinct {
-            input: Box::new(Plan::Filter {
-                input: Box::new(scan("probe", 2)),
-                pred: lt_filter(1, 20),
-            }),
-        };
+        let distinct = Plan::distinct(Plan::Filter {
+            input: Box::new(scan("probe", 2)),
+            pred: lt_filter(1, 20),
+        });
         // Surviving probe rows as (k, f), in scan order.
         let kept: Vec<(i32, i32)> =
             (0..n).map(|i| ((i * 7) % 500, (i * 131) % 1000)).filter(|&(_, f)| f < 20).collect();

@@ -139,11 +139,6 @@ pub enum Plan {
         /// Row budget.
         n: u64,
     },
-    /// Duplicate elimination over all output columns.
-    Distinct {
-        /// Input plan.
-        input: Box<Plan>,
-    },
     /// Literal rows (e.g. `SELECT 1`).
     Values {
         /// Row-major literal expressions (must be constant).
@@ -154,6 +149,16 @@ pub enum Plan {
 }
 
 impl Plan {
+    /// Duplicate elimination over every output column of `input`: an
+    /// aggregate grouped by each column, computing nothing (`SELECT
+    /// DISTINCT`). Output columns keep their names and types.
+    pub fn distinct(input: Plan) -> Plan {
+        let schema = input.schema().to_vec();
+        let groups =
+            schema.iter().enumerate().map(|(idx, c)| BExpr::ColRef { idx, ty: c.ty }).collect();
+        Plan::Aggregate { input: Box::new(input), groups, aggs: Vec::new(), schema }
+    }
+
     /// Is this node a **pipeline breaker** — an operator that must see
     /// its whole input before emitting output? The pipeline engine
     /// ([`crate::pipeline`]) cuts plans at these nodes: breakers drain
@@ -164,11 +169,7 @@ impl Plan {
     pub fn is_pipeline_breaker(&self) -> bool {
         matches!(
             self,
-            Plan::Aggregate { .. }
-                | Plan::Sort { .. }
-                | Plan::TopN { .. }
-                | Plan::Limit { .. }
-                | Plan::Distinct { .. }
+            Plan::Aggregate { .. } | Plan::Sort { .. } | Plan::TopN { .. } | Plan::Limit { .. }
         )
     }
 
@@ -183,7 +184,6 @@ impl Plan {
             Plan::Sort { input, .. } => input.schema(),
             Plan::Limit { input, .. } => input.schema(),
             Plan::TopN { input, .. } => input.schema(),
-            Plan::Distinct { input } => input.schema(),
             Plan::Values { schema, .. } => schema,
         }
     }
@@ -276,10 +276,6 @@ impl Plan {
                 let _ = writeln!(out, "{pad}topn {n} by {keys:?}");
                 input.render_into(out, depth + 1);
             }
-            Plan::Distinct { input } => {
-                let _ = writeln!(out, "{pad}distinct");
-                input.render_into(out, depth + 1);
-            }
             Plan::Values { rows, .. } => {
                 let _ = writeln!(out, "{pad}values {} row(s)", rows.len());
             }
@@ -321,7 +317,7 @@ mod tests {
             Plan::Sort { input: Box::new(scan()), keys: vec![(0, false)] }.is_pipeline_breaker()
         );
         assert!(Plan::Limit { input: Box::new(scan()), n: 1 }.is_pipeline_breaker());
-        assert!(Plan::Distinct { input: Box::new(scan()) }.is_pipeline_breaker());
+        assert!(Plan::distinct(scan()).is_pipeline_breaker());
         // Joins break only on their build edge.
         assert!(!Plan::Join {
             left: Box::new(scan()),

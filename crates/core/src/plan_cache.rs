@@ -105,8 +105,7 @@ fn collect_scans(p: &Plan, out: &mut Vec<String>) {
         | Plan::Aggregate { input, .. }
         | Plan::Sort { input, .. }
         | Plan::Limit { input, .. }
-        | Plan::TopN { input, .. }
-        | Plan::Distinct { input } => collect_scans(input, out),
+        | Plan::TopN { input, .. } => collect_scans(input, out),
         Plan::Join { left, right, .. } => {
             collect_scans(left, out);
             collect_scans(right, out);
@@ -169,7 +168,6 @@ pub fn map_plan_exprs(p: &Plan, f: &dyn Fn(&BExpr) -> BExpr) -> Plan {
         Plan::TopN { input, keys, n } => {
             Plan::TopN { input: Box::new(map_plan_exprs(input, f)), keys: keys.clone(), n: *n }
         }
-        Plan::Distinct { input } => Plan::Distinct { input: Box::new(map_plan_exprs(input, f)) },
         Plan::Values { rows, schema } => Plan::Values {
             rows: rows.iter().map(|r| r.iter().map(f).collect()).collect(),
             schema: schema.clone(),
@@ -244,10 +242,9 @@ fn visit_plan_exprs(p: &Plan, f: &mut dyn FnMut(&BExpr)) {
                 }
             }
         }
-        Plan::Sort { input, .. }
-        | Plan::Limit { input, .. }
-        | Plan::TopN { input, .. }
-        | Plan::Distinct { input } => visit_plan_exprs(input, f),
+        Plan::Sort { input, .. } | Plan::Limit { input, .. } | Plan::TopN { input, .. } => {
+            visit_plan_exprs(input, f)
+        }
         Plan::Values { rows, .. } => {
             for e in rows.iter().flatten() {
                 f(e);
@@ -955,8 +952,7 @@ fn plan_weight(p: &Plan) -> usize {
             | Plan::Aggregate { input, .. }
             | Plan::Sort { input, .. }
             | Plan::Limit { input, .. }
-            | Plan::TopN { input, .. }
-            | Plan::Distinct { input } => walk(input, n),
+            | Plan::TopN { input, .. } => walk(input, n),
             Plan::Join { left, right, .. } => {
                 walk(left, n);
                 walk(right, n);

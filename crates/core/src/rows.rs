@@ -19,9 +19,9 @@ pub const NO_ROW: u32 = u32::MAX;
 // ---------------------------------------------------------------------------
 
 /// Key columns resolved to their typed arrays. The hash operators (join
-/// probe, group interning, hash grouping, the build-side bloom fill) are
-/// generic over this trait, so their per-row test compiles to a plain typed
-/// `==` instead of a type dispatch per row and column.
+/// probe, group interning, the build-side bloom fill) are generic over
+/// this trait, so their per-row test compiles to a plain typed `==`
+/// instead of a type dispatch per row and column.
 ///
 /// Semantics are those of SQL keys: `same` holds when both rows are NULL
 /// (NULL groups with NULL) or both are non-NULL and equal. `-0.0 == 0.0`,
@@ -249,35 +249,14 @@ pub(crate) fn visit_keys<V: KeyVisitor>(left: &[&Bat], right: &[&Bat], v: V) -> 
 // Ordering and gathers
 // ---------------------------------------------------------------------------
 
-/// Ordering of two rows of one column, NULLs smallest (MonetDB sorts
-/// NULLs first ascending). VARCHAR compares the heap entries' bytes:
-/// UTF-8 byte order is code-point order, which is what `str::cmp`
-/// computes, so no entry is decoded.
-pub fn col_cmp(c: &Bat, i: usize, j: usize) -> Ordering {
-    let (an, bn) = (c.is_null_at(i), c.is_null_at(j));
-    match (an, bn) {
-        (true, true) => return Ordering::Equal,
-        (true, false) => return Ordering::Less,
-        (false, true) => return Ordering::Greater,
-        _ => {}
-    }
-    match c {
-        Bat::Bool(v) => v[i].cmp(&v[j]),
-        Bat::Int(v) | Bat::Date(v) => v[i].cmp(&v[j]),
-        Bat::Bigint(v) => v[i].cmp(&v[j]),
-        Bat::Double(v) => v[i].partial_cmp(&v[j]).unwrap_or(Ordering::Equal),
-        Bat::Decimal { data, .. } => data[i].cmp(&data[j]),
-        Bat::Varchar { offsets, heap } => {
-            heap.get_bytes(offsets[i]).cmp(heap.get_bytes(offsets[j]))
-        }
-    }
-}
-
-/// Ordering of rows taken from two *different* columns of the same type
-/// (the k-way merge of the external sort compares run heads across
-/// chunks). Must match [`col_cmp`] exactly — NULLs smallest — or merged
-/// output would diverge from the in-memory sort.
-pub fn col_cmp2(a: &Bat, i: usize, b: &Bat, j: usize) -> Ordering {
+/// Ordering of row `i` of `a` and row `j` of `b`, NULLs smallest
+/// (MonetDB sorts NULLs first ascending). The in-memory sort passes one
+/// column twice; the k-way merge of the external sort compares run heads
+/// across chunks. VARCHAR compares the heap entries' bytes: UTF-8 byte
+/// order is code-point order, which is what `str::cmp` computes, so no
+/// entry is decoded.
+#[inline]
+pub fn cmp_cells(a: &Bat, i: usize, b: &Bat, j: usize) -> Ordering {
     match (a.is_null_at(i), b.is_null_at(j)) {
         (true, true) => return Ordering::Equal,
         (true, false) => return Ordering::Less,
@@ -543,11 +522,11 @@ mod tests {
     #[test]
     fn ordering_nulls_first() {
         let a = Bat::Int(vec![3, NULL_I32, 1]);
-        assert_eq!(col_cmp(&a, 1, 0), Ordering::Less);
-        assert_eq!(col_cmp(&a, 2, 0), Ordering::Less);
-        assert_eq!(col_cmp(&a, 0, 0), Ordering::Equal);
+        assert_eq!(cmp_cells(&a, 1, &a, 0), Ordering::Less);
+        assert_eq!(cmp_cells(&a, 2, &a, 0), Ordering::Less);
+        assert_eq!(cmp_cells(&a, 0, &a, 0), Ordering::Equal);
         let s = Bat::from_buffer(&ColumnBuffer::Varchar(vec![Some("b".into()), None]));
-        assert_eq!(col_cmp(&s, 1, 0), Ordering::Less);
+        assert_eq!(cmp_cells(&s, 1, &s, 0), Ordering::Less);
     }
 
     /// The heap of a VARCHAR column.
@@ -626,8 +605,8 @@ mod tests {
             let want = |i: usize, j: usize| strs[i].as_deref().cmp(&strs[j].as_deref());
             for i in 0..strs.len() {
                 for j in 0..strs.len() {
-                    proptest::prop_assert_eq!(col_cmp(&col, i, j), want(i, j), "{:?} {:?}", strs[i], strs[j]);
-                    proptest::prop_assert_eq!(col_cmp2(&col, i, &other, j), want(i, j));
+                    proptest::prop_assert_eq!(cmp_cells(&col, i, &col, j), want(i, j), "{:?} {:?}", strs[i], strs[j]);
+                    proptest::prop_assert_eq!(cmp_cells(&col, i, &other, j), want(i, j));
                 }
             }
         }

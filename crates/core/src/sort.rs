@@ -1,6 +1,6 @@
 //! Sorting and top-n kernels (order-by / limit fusion).
 
-use crate::rows::col_cmp;
+use crate::rows::cmp_cells;
 use monetlite_storage::Bat;
 use std::cmp::Ordering;
 
@@ -41,7 +41,7 @@ pub fn topn_perm(keys: &[(&Bat, bool)], rows: usize, n: usize) -> Vec<u32> {
 #[inline]
 fn cmp_rows(keys: &[(&Bat, bool)], a: usize, b: usize) -> Ordering {
     for (col, desc) in keys {
-        let ord = col_cmp(col, a, b);
+        let ord = cmp_cells(col, a, col, b);
         let ord = if *desc { ord.reverse() } else { ord };
         if ord != Ordering::Equal {
             return ord;

@@ -145,18 +145,6 @@ impl VolcanoExec<'_> {
                 rows.truncate(*n as usize);
                 Ok(rows)
             }
-            Plan::Distinct { input } => {
-                let rows = self.exec(input)?;
-                let mut seen = std::collections::HashSet::new();
-                let mut out = Vec::new();
-                for row in rows {
-                    let key = values_key(&row);
-                    if seen.insert(key) {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
             Plan::Values { rows, .. } => {
                 let mut out = Vec::with_capacity(rows.len());
                 for r in rows {
@@ -378,8 +366,17 @@ impl VolcanoExec<'_> {
         let mut table: HashMap<String, GroupState> = HashMap::new();
         let mut order: Vec<String> = Vec::new();
         for row in &rows {
-            let keys: Vec<Value> =
-                groups.iter().map(|g| eval_row(g, row)).collect::<Result<_>>()?;
+            // A zero key shows as 0.0 whether -0.0 or 0.0 opened the group
+            // (a float pattern compares with `==`, so -0.0 matches `0.0`).
+            let keys: Vec<Value> = groups
+                .iter()
+                .map(|g| {
+                    eval_row(g, row).map(|v| match v {
+                        Value::Double(0.0) => Value::Double(0.0),
+                        v => v,
+                    })
+                })
+                .collect::<Result<_>>()?;
             let kstr = values_key(&keys);
             if !table.contains_key(&kstr) {
                 table.insert(kstr.clone(), GroupState { keys, accs: new_accs(aggs)? });
@@ -397,7 +394,7 @@ impl VolcanoExec<'_> {
                     Acc::CountDistinct(set) => {
                         if let Some(v) = &arg {
                             if !v.is_null() {
-                                set.insert(v.to_string());
+                                set.insert(values_key(std::slice::from_ref(v)));
                             }
                         }
                     }
@@ -564,6 +561,8 @@ fn values_key(vals: &[Value]) -> String {
     for v in vals {
         match v {
             Value::Null => s.push('\u{1}'),
+            // -0.0 = 0.0: one key.
+            Value::Double(d) => s.push_str(&(d + 0.0).to_string()),
             other => s.push_str(&other.to_string()),
         }
         s.push('\u{0}');
@@ -580,6 +579,7 @@ mod tests {
         assert_ne!(values_key(&[Value::Int(1), Value::Int(2)]), values_key(&[Value::Int(12)]));
         assert_eq!(values_key(&[Value::Null]), values_key(&[Value::Null]));
         assert_ne!(values_key(&[Value::Null]), values_key(&[Value::Str("".into())]));
+        assert_eq!(values_key(&[Value::Double(-0.0)]), values_key(&[Value::Double(0.0)]));
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //!    `// xlint: allow(str, <reason>)`, and the report counts its uses.
 //!    The rule matches those tokens only: a `Value` conversion
 //!    (`Bat::get`, which builds a `String` for a VARCHAR cell) is not
-//!    seen; such a conversion remains per row only in `col_cmp2`'s
-//!    mixed-type fallback.
+//!    seen; such a conversion remains per row only in the mixed-type
+//!    fallback of `rows::cmp_cells`.
 //!
 //! Each rule is a standalone `check_*` function taking the workspace root,
 //! so the meta-tests can seed one violation into a synthetic tree and

@@ -165,8 +165,6 @@ macro_rules! lattice {
                 pushdown: on($pushdown),
                 join_order: true,
                 join_dp: on($join_dp),
-                topn: true,
-                fold: true,
                 build_side: true,
             },
             tpch: TpchTest::$tpch,
@@ -747,13 +745,11 @@ mod tests {
             // On in every row: join_dp is the ordering ablation suites run.
             join_order,
             join_dp,
-            // On in every row: rewrites with unit tests of their own, which
+            // On in every row: a rewrite with unit tests of its own, which
             // no suite ablates.
-            topn,
-            fold,
             build_side,
         } = c.flags;
-        assert!(join_order && topn && fold && build_side, "{}: a pass is off", c.label);
+        assert!(join_order && build_side, "{}: a pass is off", c.label);
         let vector = match vector_size {
             TINY => "tiny".to_string(),
             n => n.to_string(),

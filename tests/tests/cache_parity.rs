@@ -256,7 +256,7 @@ fn every_keyed_setting_moves_the_key_space_and_moves_it_back() {
     type Change = fn(&mut monetlite::Connection, bool);
     let changes: [(&str, Change); 3] = [
         ("set_opt_flags", |c, on| {
-            c.set_opt_flags(OptFlags { topn: !on, ..Default::default() });
+            c.set_opt_flags(OptFlags { join_dp: !on, ..Default::default() });
         }),
         ("set_stats_mode", |c, on| {
             c.set_stats_mode(if on { StatsMode::Adversarial(7) } else { StatsMode::Real });
