@@ -205,7 +205,7 @@ mod tests {
         let db = monetlite::Database::open_in_memory();
         let mut conn = db.connect();
         conn.execute(&ddl(&d)).unwrap();
-        conn.append("acs", d.cols.clone()).unwrap();
+        conn.append("acs", &d.cols).unwrap();
         let r = conn.query("SELECT count(*), sum(pwgtp) FROM acs").unwrap();
         assert_eq!(r.value(0, 0), monetlite_types::Value::Bigint(200));
     }

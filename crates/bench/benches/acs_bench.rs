@@ -15,7 +15,7 @@ fn bench_acs(c: &mut Criterion) {
             let db = monetlite::Database::open_in_memory();
             let mut conn = db.connect();
             conn.execute(&monetlite_acs::ddl(&d)).unwrap();
-            conn.append("acs", d.cols.clone()).unwrap();
+            conn.append("acs", &d.cols).unwrap();
         })
     });
     g.bench_function("fig7_load_rowstore", |b| {
@@ -32,7 +32,7 @@ fn bench_acs(c: &mut Criterion) {
     // Caches off: each iteration re-issues the same survey queries.
     let mut conn = monetlite_bench::uncached_conn(&db);
     conn.execute(&monetlite_acs::ddl(&d)).unwrap();
-    conn.append("acs", d.cols.clone()).unwrap();
+    conn.append("acs", &d.cols).unwrap();
     g.bench_function("fig8_stats_monetlite", |b| {
         b.iter(|| {
             let mut src = MonetSource { conn: &mut conn };

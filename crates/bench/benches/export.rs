@@ -22,7 +22,7 @@ fn bench_export(c: &mut Criterion) {
     // Caches off: each iteration re-issues the same SELECT.
     let mut conn = monetlite_bench::uncached_conn(&db);
     conn.execute(&ddl).unwrap();
-    conn.append("lineitem", cols.clone()).unwrap();
+    conn.append("lineitem", &cols).unwrap();
     g.bench_function("monetlite_zero_copy", |b| {
         b.iter(|| {
             let r = conn.query("SELECT * FROM lineitem").unwrap();
@@ -53,7 +53,7 @@ fn bench_export(c: &mut Criterion) {
     let db2 = monetlite_bench::uncached_db();
     let mut conn2 = db2.connect();
     conn2.execute(&ddl).unwrap();
-    conn2.append("lineitem", cols.clone()).unwrap();
+    conn2.append("lineitem", &cols).unwrap();
     drop(conn2);
     let server = Server::start(ServerEngine::Monet(db2)).unwrap();
     let mut client = RemoteClient::connect(server.port()).unwrap();

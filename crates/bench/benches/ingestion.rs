@@ -22,7 +22,7 @@ fn bench_ingestion(c: &mut Criterion) {
             let db = monetlite::Database::open_in_memory();
             let mut conn = db.connect();
             conn.execute(&ddl).unwrap();
-            conn.append("lineitem", cols.clone()).unwrap();
+            conn.append("lineitem", &cols).unwrap();
         })
     });
     g.bench_function("rowstore_insert", |b| {

@@ -355,7 +355,7 @@ pub fn fig5_ingestion(cfg: &BenchConfig) -> Vec<(String, Cell)> {
             let db = Database::open(dir.path())?;
             let mut conn = db.connect();
             conn.execute(&ddl)?;
-            conn.append("lineitem", cols.clone())?;
+            conn.append("lineitem", &cols)?;
             db.checkpoint()?;
             Ok(())
         }),
@@ -434,7 +434,7 @@ pub fn fig6_export(cfg: &BenchConfig) -> Vec<(String, Cell)> {
         let db = uncached_db();
         let mut conn = db.connect();
         conn.execute(&ddl).unwrap();
-        conn.append("lineitem", cols.clone()).unwrap();
+        conn.append("lineitem", &cols).unwrap();
         out.push((
             "MonetDBLite".to_string(),
             measure(cfg.runs, || {
@@ -509,7 +509,7 @@ fn socket_monet_with_lineitem(ddl: &str, cols: &[ColumnBuffer]) -> (Server, Remo
     let db = uncached_db();
     let mut conn = db.connect();
     conn.execute(ddl).unwrap();
-    conn.append("lineitem", cols.to_vec()).unwrap();
+    conn.append("lineitem", cols).unwrap();
     drop(conn);
     let server = Server::start(ServerEngine::Monet(db)).unwrap();
     let client = RemoteClient::connect(server.port()).unwrap();
@@ -627,7 +627,7 @@ pub fn fig7_acs_load(cfg: &BenchConfig) -> Vec<(String, Cell)> {
             let db = uncached_db();
             let mut conn = db.connect();
             conn.execute(&monetlite_acs::ddl(&d))?;
-            conn.append("acs", d.cols.clone())?;
+            conn.append("acs", &d.cols)?;
             Ok(())
         }),
     ));
@@ -736,7 +736,7 @@ pub fn fig8_acs_stats(cfg: &BenchConfig) -> Vec<(String, Cell)> {
         let db = uncached_db();
         let mut conn = db.connect();
         conn.execute(&monetlite_acs::ddl(&d)).unwrap();
-        conn.append("acs", d.cols.clone()).unwrap();
+        conn.append("acs", &d.cols).unwrap();
         out.push((
             "MonetDBLite".to_string(),
             measure(cfg.runs, || {

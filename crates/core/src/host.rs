@@ -44,12 +44,9 @@ pub enum TransferMode {
 }
 
 /// A zero-copy string column may keep alive at most this many heap bytes
-/// per byte its rows hold (each row's heap entry, length prefix included,
-/// counted once per row — what an owned copy of those strings would
-/// occupy). A column beyond it is compacted at import: its strings are
-/// re-interned into a fresh heap in one pass, and those bytes count as
-/// copied.
-pub const MAX_HEAP_PIN_RATIO: usize = 4;
+/// per byte its rows hold; a column beyond it is compacted at import
+/// ([`Bat::compacted`]), and those bytes count as copied.
+pub use monetlite_storage::bat::MAX_HEAP_PIN_RATIO;
 
 /// Transfer statistics, the quantities Figures 5/6 measure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -187,35 +184,6 @@ impl SharedArray {
     }
 }
 
-/// `bat` re-interned into a heap of its own when sharing it would pin a
-/// heap more than [`MAX_HEAP_PIN_RATIO`] times the bytes its rows hold;
-/// `None` when it can be shared as it is. The scan stops once the rows are
-/// known to hold enough, so a column that references its whole heap reads
-/// about `1 / MAX_HEAP_PIN_RATIO` of it. Spilling applies the same rule:
-/// to every frame ([`crate::spill::SpillFile::write`]) and to every vector
-/// an external sort takes in.
-pub(crate) fn compacted(bat: &Bat) -> Option<Bat> {
-    let Bat::Varchar { offsets, heap } = bat else {
-        return None;
-    };
-    let enough = heap.size_bytes() / MAX_HEAP_PIN_RATIO;
-    let mut held = 0;
-    for &o in offsets {
-        if held >= enough {
-            return None;
-        }
-        if o != NULL_OFFSET {
-            held += 4 + heap.get_bytes(o).len();
-        }
-    }
-    if held >= enough {
-        return None;
-    }
-    let mut own = Bat::with_capacity(LogicalType::Varchar, offsets.len());
-    own.append_bat(bat).expect("a VARCHAR column appends to a VARCHAR column");
-    Some(own)
-}
-
 /// A lazily converted column: conversion cost is paid only if the host
 /// actually touches the data.
 pub struct LazyColumn {
@@ -265,7 +233,7 @@ impl HostFrame {
             let bat = result.col_shared(i);
             let col = match mode {
                 TransferMode::ZeroCopy => {
-                    let (bat, owned) = match compacted(&bat) {
+                    let (bat, owned) = match bat.compacted() {
                         None => {
                             stats.zero_copied += 1;
                             (bat, false)

@@ -62,6 +62,7 @@ use monetlite_types::{ColumnBuffer, Field, LogicalType, MlError, Result, Schema,
 use opt::OptFlags;
 use plan_cache::{CacheKey, Fingerprint, PlanCache, PlanEntry, Skeleton, StmtMemo};
 use result_cache::{ResultCache, ResultEntry};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -676,14 +677,24 @@ impl Connection {
     /// Bulk append host buffers to a table (`monetdb_append`, §3.2): one
     /// pass, no per-row INSERT parsing — "significant overhead involved in
     /// parsing individual INSERT INTO statements".
-    pub fn append(&mut self, table: &str, cols: Vec<ColumnBuffer>) -> Result<()> {
+    ///
+    /// Each byte of the host's data is read once. An owned `Vec` is
+    /// adopted: its fixed-width arrays become the columns without a copy.
+    /// A borrowed slice (`&cols`) leaves the host its arrays: strings are
+    /// interned straight from the host's `&str`s and each fixed-width array
+    /// is copied once — no clone of the host's data comes first.
+    pub fn append<'a>(
+        &mut self,
+        table: &str,
+        cols: impl Into<Cow<'a, [ColumnBuffer]>>,
+    ) -> Result<()> {
         let implicit = self.ensure_txn();
-        let r = self.append_inner(table, cols);
+        let r = self.append_inner(table, cols.into());
         self.finish_implicit(implicit, r.is_ok())?;
         r
     }
 
-    fn append_inner(&mut self, table: &str, cols: Vec<ColumnBuffer>) -> Result<()> {
+    fn append_inner(&mut self, table: &str, cols: Cow<'_, [ColumnBuffer]>) -> Result<()> {
         let table = table.to_ascii_lowercase();
         let schema = {
             let txn = self.txn.as_ref().expect("txn ensured");
@@ -697,12 +708,15 @@ impl Connection {
                 cols.len()
             )));
         }
-        for (f, c) in schema.fields().iter().zip(&cols) {
+        for (f, c) in schema.fields().iter().zip(cols.iter()) {
             if !f.nullable && c.null_count() > 0 {
                 return Err(MlError::Execution(format!("NULL in NOT NULL column '{}'", f.name)));
             }
         }
-        let bats = cols.into_iter().map(|c| Arc::new(Bat::adopt(c))).collect();
+        let bats = match cols {
+            Cow::Owned(cols) => cols.into_iter().map(|c| Arc::new(Bat::adopt(c))).collect(),
+            Cow::Borrowed(cols) => cols.iter().map(|c| Arc::new(Bat::from_buffer(c))).collect(),
+        };
         self.apply_write(WalRecord::Append { table, cols: bats })
     }
 

@@ -1307,7 +1307,7 @@ impl SortWorker {
     fn ingest(&mut self, m: usize, c: Chunk) {
         let mut cols = Vec::with_capacity(c.cols.len());
         for col in c.cols {
-            let col = crate::host::compacted(&col).map_or(col, Arc::new);
+            let col = col.compacted().map_or(col, Arc::new);
             match &*col {
                 Bat::Varchar { offsets, heap } => {
                     self.bytes += offsets.len() * 4;

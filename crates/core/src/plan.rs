@@ -152,11 +152,29 @@ impl Plan {
     /// Duplicate elimination over every output column of `input`: an
     /// aggregate grouped by each column, computing nothing (`SELECT
     /// DISTINCT`). Output columns keep their names and types.
+    ///
+    /// A projection of bare columns is folded into the groups (they are
+    /// its expressions), so `SELECT DISTINCT s FROM t` is planned as
+    /// `SELECT s FROM t GROUP BY s`: the aggregate sits on the scan's
+    /// Filter-only spine, where a dictionary-coded VARCHAR groups on its
+    /// codes.
     pub fn distinct(input: Plan) -> Plan {
         let schema = input.schema().to_vec();
-        let groups =
-            schema.iter().enumerate().map(|(idx, c)| BExpr::ColRef { idx, ty: c.ty }).collect();
-        Plan::Aggregate { input: Box::new(input), groups, aggs: Vec::new(), schema }
+        match input {
+            Plan::Project { input, exprs, .. }
+                if exprs.iter().all(|e| matches!(e, BExpr::ColRef { .. })) =>
+            {
+                Plan::Aggregate { input, groups: exprs, aggs: Vec::new(), schema }
+            }
+            input => {
+                let groups = schema
+                    .iter()
+                    .enumerate()
+                    .map(|(idx, c)| BExpr::ColRef { idx, ty: c.ty })
+                    .collect();
+                Plan::Aggregate { input: Box::new(input), groups, aggs: Vec::new(), schema }
+            }
+        }
     }
 
     /// Is this node a **pipeline breaker** — an operator that must see

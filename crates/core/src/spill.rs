@@ -152,7 +152,7 @@ impl SpillFile {
             .w
             .as_mut()
             .ok_or_else(|| MlError::Execution("write into sealed spill file".into()))?;
-        let compact: Vec<Option<Bat>> = cols.iter().map(|c| crate::host::compacted(c)).collect();
+        let compact: Vec<Option<Bat>> = cols.iter().map(|c| c.compacted()).collect();
         let cols: Vec<&Bat> =
             cols.iter().zip(&compact).map(|(&c, own)| own.as_ref().unwrap_or(c)).collect();
         let n = write_chunk_frame(w, &cols)?;

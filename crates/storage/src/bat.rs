@@ -14,6 +14,14 @@ use crate::heap::{StringHeap, NULL_OFFSET};
 use monetlite_types::nulls::{NULL_I32, NULL_I64, NULL_I8};
 use monetlite_types::{ColumnBuffer, Date, Decimal, LogicalType, MlError, Result, Value};
 
+/// A string column may keep alive at most this many heap bytes per byte
+/// its rows hold (each row's heap entry, length prefix included, counted
+/// once per row — what an owned copy of those strings would occupy). A
+/// column beyond it is compacted ([`Bat::compacted`]) wherever it would
+/// otherwise outlive the statement that gathered it: at the host boundary,
+/// in spill files and in a table segment a checkpoint writes.
+pub const MAX_HEAP_PIN_RATIO: usize = 4;
+
 /// A single engine-internal column.
 #[derive(Debug, Clone)]
 pub enum Bat {
@@ -289,6 +297,33 @@ impl Bat {
             })
             .collect();
         Bat::Varchar { offsets, heap }
+    }
+
+    /// This column re-interned into a heap of its own when keeping it would
+    /// pin a heap more than [`MAX_HEAP_PIN_RATIO`] times the bytes its rows
+    /// hold; `None` when it can be kept as it is. The scan stops once the
+    /// rows are known to hold enough, so a column that references its whole
+    /// heap reads about `1 / MAX_HEAP_PIN_RATIO` of it.
+    pub fn compacted(&self) -> Option<Bat> {
+        let Bat::Varchar { offsets, heap } = self else {
+            return None;
+        };
+        let enough = heap.size_bytes() / MAX_HEAP_PIN_RATIO;
+        let mut held = 0;
+        for &o in offsets {
+            if held >= enough {
+                return None;
+            }
+            if o != NULL_OFFSET {
+                held += 4 + heap.get_bytes(o).len();
+            }
+        }
+        if held >= enough {
+            return None;
+        }
+        let mut own = Bat::with_capacity(LogicalType::Varchar, offsets.len());
+        own.append_bat(self).expect("a VARCHAR column appends to a VARCHAR column");
+        Some(own)
     }
 
     /// Export to a host buffer; `sel` restricts and orders rows.

@@ -14,6 +14,7 @@
 
 use crate::bat::Bat;
 use crate::dict::StrDict;
+use crate::heap::DEFAULT_DEDUP_LIMIT;
 use crate::index::{bat_keys, HashIndex, Imprints, OrderIndex, Zonemap};
 use crate::persist;
 use crate::stats::ColumnStats;
@@ -590,6 +591,26 @@ impl SegColumn {
         }
         segs.reverse();
         let base = &segs[0];
+        // A bulk-loaded table's chain is the CREATE's empty segment and one
+        // appended batch. That batch is the column as it is: the copy below
+        // would re-intern its strings row by row into a fresh heap, which
+        // its own heap already is — unless the heap was rebuilt from disk
+        // (a replayed or loaded segment), which has no dedup table, so
+        // strings appended to it later would not be deduplicated. A heap
+        // the segment shares with other rows is compacted if it pins more
+        // than `MAX_HEAP_PIN_RATIO` times the segment's bytes. A chain of
+        // two or more non-empty segments is copied: skipping only its empty
+        // ones would append into such a rebuilt heap.
+        let mut non_empty = segs.iter().filter(|s| !s.is_empty());
+        if let (Some(lone), None) = (non_empty.next(), non_empty.next()) {
+            let bat = lone.bat()?;
+            if same_data_type(lone.ty(), base.ty()) && interned(&bat) {
+                return Ok(match bat.compacted() {
+                    None => lone.clone(),
+                    Some(own) => Arc::new(ColumnEntry::from_bat(own)),
+                });
+            }
+        }
         let tails: Vec<Arc<Bat>> = segs[1..].iter().map(|s| s.bat()).collect::<Result<_>>()?;
         let mut bat = (*base.bat()?).clone();
         for tail in &tails {
@@ -625,6 +646,28 @@ impl SegColumn {
             entry.install_dict(d);
         }
         Ok(entry)
+    }
+}
+
+/// Whether two column types hold the same data: a decimal of another
+/// scale rescales when appended, while a declared width is not part of
+/// the data.
+fn same_data_type(a: LogicalType, b: LogicalType) -> bool {
+    match (a, b) {
+        (LogicalType::Decimal { scale: a, .. }, LogicalType::Decimal { scale: b, .. }) => a == b,
+        (a, b) => a == b,
+    }
+}
+
+/// Whether `bat` is what interning its rows into a fresh heap builds: a
+/// fixed-width column, or strings in a heap that still deduplicates or
+/// stopped at its distinct-value limit (not one rebuilt from raw bytes).
+fn interned(bat: &Bat) -> bool {
+    match bat {
+        Bat::Varchar { heap, .. } => {
+            heap.dedup_active() || heap.distinct_seen() > DEFAULT_DEDUP_LIMIT
+        }
+        _ => true,
     }
 }
 
@@ -944,6 +987,73 @@ mod tests {
         // Without a read in between, appends keep sharing the old chain.
         let c = SegColumn::from_entry(int_entry(vec![1])).appended(Bat::Int(vec![2]));
         assert_eq!(c.appended(Bat::Int(vec![3])).depth(), 3);
+    }
+
+    fn empty_column(ty: LogicalType) -> SegColumn {
+        SegColumn::from_entry(Arc::new(ColumnEntry::from_bat(Bat::new(ty))))
+    }
+
+    #[test]
+    fn a_lone_non_empty_segment_is_the_consolidation_itself() {
+        // The CREATE's empty segment and one bulk-loaded batch.
+        let col = empty_column(LogicalType::Varchar).appended(varchar(&[
+            Some("a"),
+            None,
+            Some("b"),
+            Some("a"),
+        ]));
+        let lone = col.last_segment().clone();
+        assert!(Arc::ptr_eq(&col.consolidate().unwrap(), &lone));
+        assert!(Arc::ptr_eq(&col.entry().unwrap(), &lone));
+        // Empty segments on either side of it.
+        let col = empty_column(LogicalType::Int).appended(Bat::Int(vec![1, 2]));
+        let lone = col.last_segment().clone();
+        let col = col.appended(Bat::Int(vec![]));
+        assert!(Arc::ptr_eq(&col.consolidate().unwrap(), &lone));
+        // Two non-empty segments are copied into one.
+        let col = col.appended(Bat::Int(vec![3]));
+        let e = col.consolidate().unwrap();
+        assert!(!Arc::ptr_eq(&e, &lone));
+        assert_eq!(e.bat().unwrap().to_buffer(None), ColumnBuffer::Int(vec![1, 2, 3]));
+        // A decimal segment of another scale is rescaled to the column's.
+        let col = empty_column(LogicalType::Decimal { width: 12, scale: 2 })
+            .appended(Bat::Decimal { data: vec![15], scale: 1 });
+        let e = col.consolidate().unwrap();
+        assert_eq!(e.ty(), LogicalType::Decimal { width: 18, scale: 2 });
+        assert_eq!(
+            e.bat().unwrap().to_buffer(None),
+            ColumnBuffer::Decimal { data: vec![150], scale: 2 }
+        );
+        // A heap rebuilt from raw bytes (a replayed or loaded segment) does
+        // not deduplicate: copied, so later appends deduplicate again.
+        let Bat::Varchar { offsets, heap } = varchar(&[Some("r"), Some("r")]) else {
+            unreachable!()
+        };
+        let raw =
+            Bat::Varchar { offsets, heap: crate::heap::StringHeap::from_raw(heap.raw().to_vec()) };
+        let col = empty_column(LogicalType::Varchar).appended(raw);
+        let e = col.consolidate().unwrap();
+        assert!(!Arc::ptr_eq(&e, col.last_segment()));
+        let Bat::Varchar { heap, .. } = &*e.bat().unwrap() else { unreachable!() };
+        assert!(heap.dedup_active());
+    }
+
+    #[test]
+    fn a_lone_segment_pinning_a_larger_shared_heap_is_compacted() {
+        let strs: Vec<String> = (0..100).map(|i| format!("value-{i:03}")).collect();
+        let big = varchar(&strs.iter().map(|s| Some(s.as_str())).collect::<Vec<_>>());
+        // One row gathered out of the column shares its 100-entry heap.
+        let col = empty_column(LogicalType::Varchar).appended(big.take(&[5]));
+        let e = col.consolidate().unwrap();
+        assert!(!Arc::ptr_eq(&e, col.last_segment()), "a pinned heap must be compacted");
+        let bat = e.bat().unwrap();
+        assert_eq!(bat.str_at(0), Some("value-005"));
+        let Bat::Varchar { heap, .. } = &*bat else { unreachable!() };
+        assert_eq!(heap.size_bytes(), 1 + 4 + 9, "the NULL marker and one entry");
+        // Rows that hold most of the heap keep it as it is.
+        let col =
+            empty_column(LogicalType::Varchar).appended(big.take(&(0..90).collect::<Vec<_>>()));
+        assert!(Arc::ptr_eq(&col.consolidate().unwrap(), col.last_segment()));
     }
 
     #[test]

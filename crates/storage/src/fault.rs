@@ -271,6 +271,41 @@ pub fn write_all(site: &'static str, w: &mut impl Write, buf: &[u8]) -> std::io:
     }
 }
 
+/// [`write_all`] of one `len`-byte buffer that `parts` streams out piece
+/// by piece (a frame written from the arrays it encodes, never assembled):
+/// the pieces are one wrapped I/O under one decision, however many there
+/// are. The fault modes act on the buffer as a whole, as in [`write_all`]:
+/// [`FaultMode::ShortWrite`] persists its first `len / 2` bytes then
+/// errors; [`FaultMode::TornWrite`] persists them, reports success and
+/// trips the kill switch. Under a fault `parts` still runs to its end.
+pub(crate) fn write_parts<E: From<std::io::Error>>(
+    site: &'static str,
+    w: &mut impl Write,
+    len: usize,
+    parts: impl FnOnce(&mut dyn FnMut(&[u8]) -> Result<(), E>) -> Result<(), E>,
+) -> Result<(), E> {
+    let (mut keep, torn) = match decide(site) {
+        Decision::Pass => (usize::MAX, None),
+        Decision::Fail(mode @ (FaultMode::ShortWrite | FaultMode::TornWrite)) => {
+            (len / 2, Some(mode))
+        }
+        _ => return Err(injected("write", "buffer", site).into()),
+    };
+    parts(&mut |part| {
+        let n = part.len().min(keep);
+        keep -= n;
+        let written = w.write_all(&part[..n]);
+        if torn.is_none() {
+            written.map_err(|e| ctx("write", site, site, e))?;
+        }
+        Ok(())
+    })?;
+    match torn {
+        Some(FaultMode::ShortWrite) => Err(injected("write", "short write", site).into()),
+        _ => Ok(()),
+    }
+}
+
 /// `flush` through the failpoint.
 pub fn flush(site: &'static str, w: &mut impl Write) -> std::io::Result<()> {
     match decide(site) {
@@ -393,6 +428,33 @@ mod tests {
         let rep = disarm();
         assert!(rep.fired);
         assert_eq!(rep.ios, 1, "dead I/O does not consume ordinals");
+    }
+
+    #[test]
+    fn streamed_parts_are_one_operation_torn_as_a_whole() {
+        let _g = test_lock();
+        let parts = |put: &mut dyn FnMut(&[u8]) -> std::io::Result<()>| {
+            for p in [&b"ab"[..], b"", b"cdef", b"gh"] {
+                put(p)?;
+            }
+            Ok(())
+        };
+        let mut buf = Vec::new();
+        write_parts("t.w", &mut buf, 8, parts).unwrap();
+        assert_eq!(buf, b"abcdefgh", "disarmed: every piece, in order");
+        for (mode, ok) in [(FaultMode::ShortWrite, false), (FaultMode::TornWrite, true)] {
+            arm(FaultPolicy::Nth(0), mode);
+            let mut buf = Vec::new();
+            assert_eq!(write_parts("t.w", &mut buf, 8, parts).is_ok(), ok, "{mode:?}");
+            let rep = disarm();
+            assert_eq!(buf, b"abcd", "{mode:?}: half the whole buffer, across pieces");
+            assert_eq!(rep.ios, 1, "{mode:?}: the pieces are one operation");
+        }
+        arm(FaultPolicy::Nth(0), FaultMode::Error);
+        let mut buf = Vec::new();
+        assert!(write_parts("t.w", &mut buf, 8, parts).is_err());
+        disarm();
+        assert!(buf.is_empty(), "an injected error writes nothing");
     }
 
     #[test]

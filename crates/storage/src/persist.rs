@@ -169,7 +169,7 @@ pub fn lane_sum(bytes: &[u8]) -> u64 {
 /// Hand the pieces of a BAT payload (tag, length, data) to `sink`, in
 /// order, without assembling them: the bulk pieces are the column's own
 /// arrays.
-fn bat_parts(bat: &Bat, mut sink: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+pub(crate) fn bat_parts(bat: &Bat, mut sink: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
     let (tag, len, data) = match bat {
         Bat::Bool(v) => (TAG_BOOL, v.len(), pod_bytes(v)),
         Bat::Int(v) => (TAG_INT, v.len(), pod_bytes(v)),
@@ -179,12 +179,18 @@ fn bat_parts(bat: &Bat, mut sink: impl FnMut(&[u8]) -> Result<()>) -> Result<()>
         Bat::Varchar { offsets, .. } => (TAG_VARCHAR, offsets.len(), pod_bytes(offsets)),
         Bat::Date(v) => (TAG_DATE, v.len(), pod_bytes(v)),
     };
-    let mut header = vec![tag];
-    if let Bat::Decimal { scale, .. } = bat {
-        header.push(*scale);
-    }
-    header.extend_from_slice(&(len as u64).to_le_bytes());
-    sink(&header)?;
+    // Tag, the decimal scale if any, then the row count.
+    let mut header = [0u8; 10];
+    header[0] = tag;
+    let at = match bat {
+        Bat::Decimal { scale, .. } => {
+            header[1] = *scale;
+            2
+        }
+        _ => 1,
+    };
+    header[at..at + 8].copy_from_slice(&(len as u64).to_le_bytes());
+    sink(&header[..at + 8])?;
     sink(data)?;
     if let Bat::Varchar { heap, .. } = bat {
         let raw = heap.raw();

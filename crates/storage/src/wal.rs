@@ -17,10 +17,10 @@
 use crate::bat::Bat;
 use crate::fault;
 use crate::index::fnv1a;
-use crate::persist::{decode_bat, encode_bat, lane_sum};
+use crate::persist::{bat_parts, decode_bat, lane_sum, LaneSum};
 use monetlite_types::{Field, LogicalType, MlError, Result, Schema};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -199,6 +199,28 @@ pub fn decode_schema(r: &mut &[u8]) -> Result<Schema> {
     Schema::new(fields)
 }
 
+/// Hand the pieces of an `Append` payload to `sink`, in order: tag, table
+/// name, column count, then each column's BAT payload, whose bulk pieces
+/// are the column's own arrays.
+fn append_parts(
+    table: &str,
+    cols: &[Arc<Bat>],
+    mut sink: impl FnMut(&[u8]) -> Result<()>,
+) -> Result<()> {
+    let mut head = Vec::with_capacity(9 + table.len());
+    head.push(TAG_APPEND);
+    put_str(&mut head, table);
+    head.extend_from_slice(&(cols.len() as u32).to_le_bytes());
+    sink(&head)?;
+    for c in cols {
+        bat_parts(c, &mut sink)?;
+    }
+    Ok(())
+}
+
+/// A record's payload, assembled in one buffer. [`WalWriter::append`]
+/// streams an `Append` instead ([`write_append_frame`]): same bytes, no
+/// copy of its columns.
 fn encode_record(rec: &WalRecord) -> Vec<u8> {
     let mut out = Vec::new();
     match rec {
@@ -220,15 +242,11 @@ fn encode_record(rec: &WalRecord) -> Vec<u8> {
             put_str(&mut out, name);
         }
         WalRecord::Append { table, cols } => {
-            // One allocation for the frame: per column its arrays plus at
-            // most 18 bytes of tag, scale and lengths.
-            out.reserve(table.len() + 9 + cols.iter().map(|c| c.size_bytes() + 18).sum::<usize>());
-            out.push(TAG_APPEND);
-            put_str(&mut out, table);
-            out.extend_from_slice(&(cols.len() as u32).to_le_bytes());
-            for c in cols {
-                encode_bat(&mut out, c);
-            }
+            let appended = append_parts(table, cols, |part| {
+                out.extend_from_slice(part);
+                Ok(())
+            });
+            debug_assert!(appended.is_ok(), "appending to a Vec cannot fail");
         }
         WalRecord::Delete { table, rows } => {
             out.push(TAG_DELETE);
@@ -294,6 +312,42 @@ fn decode_record(mut payload: &[u8]) -> Result<WalRecord> {
     })
 }
 
+/// Write one frame around an assembled payload; returns the bytes written.
+/// The length, the payload and the checksum are one failpoint operation
+/// each.
+fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<u64> {
+    fault::write_all("wal.append", w, &(payload.len() as u32).to_le_bytes())?;
+    fault::write_all("wal.append", w, payload)?;
+    fault::write_all("wal.append", w, &frame_sum(payload).to_le_bytes())?;
+    Ok(4 + payload.len() as u64 + 8)
+}
+
+/// Write an `Append` frame straight from its columns' arrays: the payload
+/// is never assembled, and its [`LaneSum`] accumulates as the pieces go
+/// out, as in [`crate::persist::write_column_file`]. The bytes and the
+/// failpoint operations are [`write_frame`]'s over [`encode_record`]: the
+/// payload's pieces are one operation ([`fault::write_parts`]), torn as a
+/// whole.
+fn write_append_frame(w: &mut impl Write, table: &str, cols: &[Arc<Bat>]) -> Result<u64> {
+    let mut len = 0;
+    append_parts(table, cols, |part| {
+        len += part.len();
+        Ok(())
+    })?;
+    let framed = u32::try_from(len)
+        .map_err(|_| MlError::Execution(format!("append of {len} bytes exceeds a WAL frame")))?;
+    fault::write_all("wal.append", w, &framed.to_le_bytes())?;
+    let mut sum = LaneSum::default();
+    fault::write_parts("wal.append", w, len, |put| {
+        append_parts(table, cols, |part| {
+            sum.update(part);
+            put(part)
+        })
+    })?;
+    fault::write_all("wal.append", w, &sum.finish().to_le_bytes())?;
+    Ok(4 + len as u64 + 8)
+}
+
 /// Appends framed records to the log file.
 ///
 /// A failed append or flush may have left *part* of a frame on disk (the
@@ -351,16 +405,13 @@ impl WalWriter {
     /// Append one record (buffered; call [`WalWriter::flush`] at commit).
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
         let w = self.w.as_mut().ok_or_else(Self::poisoned)?;
-        let payload = encode_record(rec);
-        let res = (|| -> Result<()> {
-            fault::write_all("wal.append", w, &(payload.len() as u32).to_le_bytes())?;
-            fault::write_all("wal.append", w, &payload)?;
-            fault::write_all("wal.append", w, &frame_sum(&payload).to_le_bytes())?;
-            Ok(())
-        })();
+        let res = match rec {
+            WalRecord::Append { table, cols } => write_append_frame(w, table, cols),
+            rec => write_frame(w, &encode_record(rec)),
+        };
         match res {
-            Ok(()) => {
-                self.bytes += 4 + payload.len() as u64 + 8;
+            Ok(written) => {
+                self.bytes += written;
                 Ok(())
             }
             Err(e) => {
@@ -465,6 +516,7 @@ pub fn truncate(path: &Path, len: u64) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::encode_bat;
     use monetlite_types::ColumnBuffer;
 
     fn sample_schema() -> Schema {
@@ -523,6 +575,49 @@ mod tests {
                 assert_eq!(cols[0].len(), 2);
             }
             r => panic!("unexpected {r:?}"),
+        }
+    }
+
+    #[test]
+    fn a_streamed_append_frame_is_the_assembled_frame_byte_for_byte() {
+        use monetlite_types::nulls::{NULL_I32, NULL_I64, NULL_I8};
+        let strs = |v: &[Option<&str>]| {
+            Bat::from_buffer(&ColumnBuffer::Varchar(
+                v.iter().map(|s| s.map(String::from)).collect(),
+            ))
+        };
+        // Every column type with NULLs, then every type with zero rows.
+        let full = vec![
+            Bat::Bool(vec![1, NULL_I8, 0]),
+            Bat::Int(vec![7, NULL_I32, -1]),
+            Bat::Bigint(vec![NULL_I64, 1 << 40, 0]),
+            Bat::Double(vec![1.5, f64::NAN, -0.0]),
+            Bat::Decimal { data: vec![100, NULL_I64, -250], scale: 2 },
+            strs(&[Some("a"), None, Some("a")]),
+            Bat::Date(vec![NULL_I32, 0, 19_000]),
+        ];
+        let empty: Vec<Bat> = full.iter().map(|b| Bat::new(b.logical_type())).collect();
+        for cols in [full, empty] {
+            let cols: Vec<Arc<Bat>> = cols.into_iter().map(Arc::new).collect();
+            // The payload as it was assembled before frames streamed.
+            let mut payload = vec![TAG_APPEND];
+            put_str(&mut payload, "tbl");
+            payload.extend_from_slice(&(cols.len() as u32).to_le_bytes());
+            for c in &cols {
+                encode_bat(&mut payload, c);
+            }
+            let rec = WalRecord::Append { table: "tbl".into(), cols };
+            assert_eq!(encode_record(&rec), payload);
+            let mut want = (payload.len() as u32).to_le_bytes().to_vec();
+            want.extend_from_slice(&payload);
+            want.extend_from_slice(&lane_sum(&payload).to_le_bytes());
+            let dir = tempfile::tempdir().unwrap();
+            let path = dir.path().join("wal.log");
+            let mut w = WalWriter::open(&path).unwrap();
+            w.append(&rec).unwrap();
+            w.flush().unwrap();
+            assert_eq!(w.bytes(), want.len() as u64);
+            assert_eq!(std::fs::read(&path).unwrap(), want);
         }
     }
 

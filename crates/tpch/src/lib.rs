@@ -20,7 +20,7 @@ use monetlite_types::{Result, Value};
 pub fn load_monet(conn: &mut monetlite::Connection, data: &TpchData) -> Result<()> {
     conn.run_script(queries::DDL)?;
     for t in data.tables() {
-        conn.append(t.name, t.cols.clone())?;
+        conn.append(t.name, &t.cols)?;
     }
     Ok(())
 }

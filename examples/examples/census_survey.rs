@@ -30,7 +30,7 @@ fn main() -> Result<()> {
     let mut conn = db.connect();
     let t0 = Instant::now();
     conn.execute(&monetlite_acs::ddl(&data))?;
-    conn.append("acs", data.cols.clone())?;
+    conn.append("acs", &data.cols)?;
     println!("loaded into the database in {:?}", t0.elapsed());
 
     let t0 = Instant::now();

@@ -23,7 +23,7 @@ fn main() -> monetlite::types::Result<()> {
     let db = Database::open_in_memory();
     let mut conn = db.connect();
     conn.execute(ddl)?;
-    conn.append("t", cols.clone())?;
+    conn.append("t", &cols)?;
     let t0 = Instant::now();
     let r = conn.query("SELECT * FROM t")?;
     let frame = HostFrame::import(&r, TransferMode::ZeroCopy);

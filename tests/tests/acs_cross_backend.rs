@@ -46,7 +46,7 @@ fn statistics_identical_across_backends() {
     let db = monetlite::Database::open_in_memory();
     let mut conn = db.connect();
     conn.execute(&monetlite_acs::ddl(&d)).unwrap();
-    conn.append("acs", d.cols.clone()).unwrap();
+    conn.append("acs", &d.cols).unwrap();
     let mut monet = MonetBacked { conn };
     let got_m = survey::analysis(&mut monet).unwrap();
 

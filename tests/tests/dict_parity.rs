@@ -112,6 +112,43 @@ fn like_over_dictionary_domain_matches_string_kernel_and_skips_zones() {
     );
 }
 
+/// `SELECT DISTINCT` over dictionary-coded columns groups on the codes, as
+/// `GROUP BY` does: the binder's projection of bare columns is folded into
+/// the aggregate's groups, so the aggregate sits on the scan's Filter-only
+/// spine. Answers match the row store on every lattice row.
+#[test]
+fn select_distinct_groups_on_dictionary_codes() {
+    let twin = Twin::default();
+    twin.script("CREATE TABLE ds (s VARCHAR(16), t VARCHAR(16), v INT)");
+    let n: i32 = 20_000;
+    let s = (0..n).map(|i| if i % 97 == 0 { None } else { Some(format!("s{:02}", i % 50)) });
+    let t = (0..n).map(|i| Some(format!("t{}", i % 7)));
+    twin.append(
+        "ds",
+        vec![
+            ColumnBuffer::Varchar(s.collect()),
+            ColumnBuffer::Varchar(t.collect()),
+            ColumnBuffer::Int((0..n).map(|x| x % 101).collect()),
+        ],
+    );
+    twin.script("DELETE FROM ds WHERE v = 3");
+    let coded = [
+        "SELECT DISTINCT s FROM ds",
+        "SELECT DISTINCT t, s FROM ds WHERE v < 40",
+        "SELECT DISTINCT s, v FROM ds WHERE t = 't3' ORDER BY s, v",
+    ];
+    for sql in coded {
+        let (_, counters) = run_pinned(&twin.db, sql, pinned(1, 2048));
+        assert!(counters.dict_hits > 0, "{sql}: must group on dictionary codes: {counters:?}");
+    }
+    let mut sqls = coded.to_vec();
+    sqls.extend([
+        "SELECT DISTINCT v % 7, t FROM ds",
+        "SELECT count(*) FROM (SELECT DISTINCT s FROM ds) d",
+    ]);
+    twin.check(&sqls, Corpus::tiny(509));
+}
+
 /// String-heap accounting across the dedup-abandonment threshold, end to
 /// end. A group-by over >64Ki distinct VARCHAR keys crosses
 /// `DEFAULT_DEDUP_LIMIT` while a tiny memory budget forces the aggregate

@@ -527,3 +527,109 @@ fn wal_torn_tail_recovers_exactly_an_acked_prefix() {
     }
     assert_eq!(last, LIFECYCLE.len(), "untruncated WAL must recover every transaction");
 }
+
+// ---------------------------------------------------------------------------
+// Streamed `Append` frames: the payload goes out piece by piece from the
+// column arrays, as one failpoint operation.
+// ---------------------------------------------------------------------------
+
+/// A short or torn write inside a streamed frame's payload tears the frame
+/// as a whole, and the log is cut back to its last flushed length: at once
+/// by the writer after a short write, by replay and `wal::truncate` after a
+/// torn one (the simulated process died mid-frame).
+#[test]
+fn a_fault_inside_a_streamed_append_frame_truncates_the_log_to_the_last_flush() {
+    use monetlite_storage::wal::{self, WalRecord, WalWriter};
+    use monetlite_storage::Bat;
+    use std::sync::Arc;
+    let _g = fault::test_lock();
+    // Larger than the writer's buffer, so pieces of the torn half reach the
+    // file.
+    let strs: Vec<Option<String>> =
+        (0..20_000).map(|i| (i % 11 != 0).then(|| format!("s{i}"))).collect();
+    let append = WalRecord::Append {
+        table: "t".into(),
+        cols: vec![
+            Arc::new(Bat::Int((0..20_000).collect())),
+            Arc::new(Bat::from_buffer(&ColumnBuffer::Varchar(strs))),
+        ],
+    };
+    for mode in [FaultMode::ShortWrite, FaultMode::TornWrite] {
+        let dir = tempfile::tempdir().unwrap();
+        let path = dir.path().join("wal.log");
+        let mut w = WalWriter::open(&path).unwrap();
+        w.append(&WalRecord::Begin(1)).unwrap();
+        w.append(&WalRecord::DropTable { name: "x".into() }).unwrap();
+        w.append(&WalRecord::Commit(1)).unwrap();
+        w.flush().unwrap();
+        let synced = std::fs::metadata(&path).unwrap().len();
+        // The frame's operations: its length, its payload, its checksum.
+        fault::arm(FaultPolicy::Nth(1), mode);
+        let res = w.append(&append);
+        let rep = fault::disarm();
+        assert!(rep.fired, "{mode:?}: the payload write was never reached");
+        assert!(res.is_err(), "{mode:?}: a frame whose payload failed must not be acknowledged");
+        match mode {
+            FaultMode::ShortWrite => {
+                assert_eq!(std::fs::metadata(&path).unwrap().len(), synced, "not cut back");
+                w.append(&WalRecord::Begin(3)).unwrap();
+                w.append(&append).unwrap();
+                w.append(&WalRecord::Commit(3)).unwrap();
+                w.flush().unwrap();
+                let ids: Vec<u64> = wal::replay(&path).unwrap().txns.iter().map(|t| t.0).collect();
+                assert_eq!(ids, vec![1, 3], "the commit after the fault must replay");
+            }
+            _ => {
+                drop(w);
+                let r = wal::replay(&path).unwrap();
+                assert!(r.file_len > synced, "no torn bytes reached the file");
+                assert_eq!(r.valid_len, synced, "replay must stop at the torn frame");
+                assert_eq!(r.txns.len(), 1);
+                wal::truncate(&path, r.valid_len).unwrap();
+                assert_eq!(std::fs::metadata(&path).unwrap().len(), synced);
+            }
+        }
+    }
+}
+
+/// A persistent session's wrapped I/O operations, counted by an armed
+/// injector that never fires. Streaming a frame from its columns must not
+/// change the count: the fault sweeps' length and the benchmark's
+/// `store.io_ops_per_session` depend on it. The count is the one this
+/// session made when every frame's payload was one assembled buffer.
+#[test]
+fn a_persistent_session_makes_a_pinned_number_of_io_operations() {
+    let _g = fault::test_lock();
+    let dir = tempfile::tempdir().unwrap();
+    fault::arm(FaultPolicy::Nth(u64::MAX), FaultMode::Error);
+    let res = (|| -> Result<()> {
+        let db = Database::open(dir.path())?;
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE t (k INT NOT NULL, s VARCHAR(8), d DECIMAL(9,2))")?;
+        let n = 5000;
+        let cols = vec![
+            ColumnBuffer::Int((0..n).collect()),
+            ColumnBuffer::Varchar((0..n).map(|i| Some(format!("v{}", i % 13))).collect()),
+            ColumnBuffer::Decimal { data: (0..n as i64).collect(), scale: 2 },
+        ];
+        conn.append("t", &cols)?;
+        conn.append("t", cols)?;
+        conn.execute("INSERT INTO t VALUES (-1, 'x', 1.5)")?;
+        conn.execute("UPDATE t SET s = 'y' WHERE k = 7")?;
+        conn.execute("DELETE FROM t WHERE k % 9 = 0")?;
+        db.checkpoint()?;
+        conn.execute("INSERT INTO t VALUES (-2, NULL, NULL)")?;
+        drop(conn);
+        drop(db);
+        let db = Database::open(dir.path())?;
+        let r = db.connect().query("SELECT count(*), count(DISTINCT s) FROM t")?;
+        assert_eq!(r.value(0, 1), Value::Bigint(15));
+        Ok(())
+    })();
+    let rep = fault::disarm();
+    res.unwrap();
+    assert!(!rep.fired);
+    assert_eq!(rep.ios, PINNED_SESSION_IOS);
+}
+
+const PINNED_SESSION_IOS: u64 = 253;

@@ -429,3 +429,79 @@ fn checkpoint_writes_a_dict_sidecar_only_where_a_dictionary_exists(vector_size: 
         assert_eq!(cols_files(dir.path(), ".dict"), vec![format!("{after}.dict")]);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Bulk ingest reads each byte once: a borrowed append writes what an owned
+// one does, and a bulk-loaded segment is checkpointed as it is.
+// ---------------------------------------------------------------------------
+
+/// The contents of every file under `cols/`, sorted: file names carry
+/// process-wide column ids, so two directories are compared by contents.
+fn cols_contents(dir: &Path) -> Vec<Vec<u8>> {
+    let mut v: Vec<Vec<u8>> = std::fs::read_dir(dir.join("cols"))
+        .unwrap()
+        .map(|e| std::fs::read(e.unwrap().path()).unwrap())
+        .collect();
+    v.sort();
+    v
+}
+
+#[test]
+fn owned_and_borrowed_appends_write_identical_logs_and_column_files() {
+    let data = monetlite_tpch::generate(0.01, 7);
+    let load = |dir: &Path, borrowed: bool| {
+        let db = Database::open(dir).unwrap();
+        let mut conn = db.connect();
+        conn.run_script(monetlite_tpch::queries::DDL).unwrap();
+        for t in data.tables() {
+            if borrowed {
+                conn.append(t.name, &t.cols).unwrap();
+            } else {
+                conn.append(t.name, t.cols.clone()).unwrap();
+            }
+        }
+        let wal = std::fs::read(dir.join("wal.log")).unwrap();
+        db.checkpoint().unwrap();
+        (wal, cols_contents(dir))
+    };
+    let (owned, borrowed) = (tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap());
+    let (owned_wal, owned_cols) = load(owned.path(), false);
+    let (borrowed_wal, borrowed_cols) = load(borrowed.path(), true);
+    assert!(owned_wal.len() > 1 << 20, "the load must log its data: {} bytes", owned_wal.len());
+    assert!(owned_wal == borrowed_wal, "the WAL files differ");
+    assert_eq!(owned_cols.len(), borrowed_cols.len());
+    assert!(owned_cols == borrowed_cols, "the column files differ");
+}
+
+/// Bytes of every file under `cols/`.
+fn cols_bytes(dir: &Path) -> u64 {
+    std::fs::read_dir(dir.join("cols")).unwrap().map(|e| e.unwrap().metadata().unwrap().len()).sum()
+}
+
+#[test]
+fn checkpoint_after_replay_appends_and_deletes_writes_pinned_bytes() {
+    // A heap replayed from the log does not deduplicate. Had the replayed
+    // batch become the column as it is, the second batch's strings would be
+    // appended to that heap without deduplication and the checkpoint would
+    // write more bytes. The count is the one this sequence wrote before a
+    // lone segment was checkpointed as it is.
+    let dir = tempfile::tempdir().unwrap();
+    {
+        let db = Database::open(dir.path()).unwrap();
+        db.connect().execute(DDL).unwrap();
+        db.connect().append("t", batch(0, 3000)).unwrap();
+    }
+    let db = Database::open(dir.path()).unwrap();
+    let mut conn = db.connect();
+    let r =
+        conn.query("SELECT count(*), count(DISTINCT grp), min(note), sum(amt) FROM t WHERE k >= 0");
+    assert_eq!(r.unwrap().value(0, 1), Value::Bigint(7));
+    conn.append("t", batch(3000, 5000)).unwrap();
+    conn.execute("DELETE FROM t WHERE k % 10 = 3").unwrap();
+    db.checkpoint().unwrap();
+    assert_eq!(cols_bytes(dir.path()), PINNED_COLS_BYTES);
+    let r = conn.query("SELECT count(*), count(DISTINCT grp) FROM t").unwrap();
+    assert_eq!(r.row(0), vec![Value::Bigint(4500), Value::Bigint(7)]);
+}
+
+const PINNED_COLS_BYTES: u64 = 174_561;
