@@ -791,6 +791,12 @@ pub fn fig8_acs_stats(cfg: &BenchConfig) -> Vec<(String, Cell)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::RwLock;
+
+    /// `fig2_parallel_speedup_shape` times one thread against four, so it
+    /// takes the write half and runs alone; every other test here takes
+    /// the read half and may run beside its siblings.
+    static CORES: RwLock<()> = RwLock::new(());
 
     fn tiny() -> BenchConfig {
         BenchConfig {
@@ -804,6 +810,7 @@ mod tests {
 
     #[test]
     fn fig5_runs_all_systems() {
+        let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
         let cells = fig5_ingestion(&tiny());
         assert_eq!(cells.len(), 5);
         for (label, cell) in &cells {
@@ -813,6 +820,7 @@ mod tests {
 
     #[test]
     fn fig6_runs_all_systems() {
+        let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
         let cells = fig6_export(&tiny());
         assert_eq!(cells.len(), 5);
         for (label, cell) in &cells {
@@ -822,6 +830,7 @@ mod tests {
 
     #[test]
     fn table1_sf1_shape() {
+        let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
         let (cols, rows) = table1(&tiny(), false);
         assert_eq!(cols.len(), 10);
         assert_eq!(rows.len(), 6); // 5 DBs + library
@@ -834,6 +843,7 @@ mod tests {
 
     #[test]
     fn fig2_parallel_speedup_shape() {
+        let _alone = CORES.write().unwrap_or_else(|e| e.into_inner());
         let (cells, explain, morsels) = fig2_mitosis(400_000, &[1, 4]);
         assert!(explain.contains("mitosis"), "{explain}");
         // One morsel per pipeline at one thread; four threads fan the
@@ -847,6 +857,7 @@ mod tests {
 
     #[test]
     fn fig7_and_fig8_run() {
+        let _shared = CORES.read().unwrap_or_else(|e| e.into_inner());
         let cfg = tiny();
         for (label, cell) in fig7_acs_load(&cfg) {
             assert!(cell.seconds().is_some(), "{label}: {cell}");

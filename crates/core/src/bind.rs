@@ -1243,7 +1243,7 @@ impl<'a> Binder<'a> {
             }
             ast::Expr::Cast { expr, ty } => {
                 let b = self.bind_expr(expr, scope)?;
-                cast_to(b, *ty)
+                declared_cast(b, *ty)
             }
             ast::Expr::Function { name, args } => self.bind_function(name, args, scope),
         }
@@ -1476,7 +1476,7 @@ impl<'a> Binder<'a> {
             }
             ast::Expr::Cast { expr, ty } => {
                 let b = self.bind_agg_expr(expr, input, groups, aggs)?;
-                cast_to(b, *ty)
+                declared_cast(b, *ty)
             }
             ast::Expr::Extract { .. } | ast::Expr::Function { .. } => {
                 // Non-aggregate functions over group keys were handled by
@@ -1827,7 +1827,7 @@ pub fn bind_arith(op: ArithOp, l: BExpr, r: BExpr) -> Result<BExpr> {
                         op,
                         left: Box::new(l),
                         right: Box::new(r),
-                        ty: T::Decimal { width: 18, scale: s },
+                        ty: T::Decimal { width: T::DECIMAL_WIDTH, scale: s },
                     })
                 }
                 ArithOp::Add | ArithOp::Sub => {
@@ -1838,7 +1838,7 @@ pub fn bind_arith(op: ArithOp, l: BExpr, r: BExpr) -> Result<BExpr> {
                         op,
                         left: Box::new(l),
                         right: Box::new(r),
-                        ty: T::Decimal { width: 18, scale: s },
+                        ty: T::Decimal { width: T::DECIMAL_WIDTH, scale: s },
                     })
                 }
                 ArithOp::Mod => Err(MlError::TypeMismatch("% is not defined on DECIMAL".into())),
@@ -1861,7 +1861,7 @@ fn scale_of(ty: LogicalType) -> u8 {
 }
 
 fn to_decimal(e: BExpr, scale: u8) -> Result<BExpr> {
-    cast_to(e, LogicalType::Decimal { width: 18, scale })
+    cast_to(e, LogicalType::Decimal { width: LogicalType::DECIMAL_WIDTH, scale })
 }
 
 /// The result type of a CASE: the common super type of its branch values
@@ -1876,11 +1876,23 @@ fn case_type(branches: &[(BExpr, BExpr)], else_expr: Option<&BExpr>) -> Result<L
     typed.try_fold(first.ty(), |ty, v| LogicalType::common_super_type(ty, v.ty()))
 }
 
-/// Insert a cast unless the expression already has the target type;
-/// literal casts fold immediately, except an untyped NULL's: the cast
-/// node is what gives that NULL its type (the kernels evaluate it to a
-/// NULL of the target type).
+/// Coerce `e` implicitly to `ty`: an expression that already stores
+/// `ty`'s representation is returned as it is (a DECIMAL(15,2) column
+/// meets a DECIMAL(18,2) literal unwidened, so its access paths still see
+/// the bare column); anything else is cast as [`declared_cast`] casts it.
 pub fn cast_to(e: BExpr, ty: LogicalType) -> Result<BExpr> {
+    if e.ty().same_repr(ty) {
+        return Ok(e);
+    }
+    declared_cast(e, ty)
+}
+
+/// Cast `e` to `ty` as a `CAST(e AS ty)` asks, keeping a declared width:
+/// a cast node unless the expression already has the target type; literal
+/// casts fold immediately, except an untyped NULL's: the cast node is what
+/// gives that NULL its type (the kernels evaluate it to a NULL of the
+/// target type).
+fn declared_cast(e: BExpr, ty: LogicalType) -> Result<BExpr> {
     if e.ty() == ty {
         return Ok(e);
     }

@@ -1268,7 +1268,7 @@ fn value_key(v: &Value, ty: LogicalType) -> Option<i64> {
             }
             f64_ordered(*x)
         }
-        (Value::Decimal(d), LogicalType::Decimal { scale, .. }) => d.rescale(scale).ok()?.raw,
+        (Value::Decimal(d), LogicalType::Decimal { scale, .. }) if d.scale == scale => d.raw,
         _ => return None,
     })
 }

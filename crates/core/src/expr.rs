@@ -559,7 +559,9 @@ pub fn agg_output_type(func: PAggFunc, input: Option<LogicalType>) -> LogicalTyp
         PAggFunc::Avg | PAggFunc::Median => LogicalType::Double,
         PAggFunc::Sum => match input {
             Some(LogicalType::Int) | Some(LogicalType::Bigint) => LogicalType::Bigint,
-            Some(LogicalType::Decimal { scale, .. }) => LogicalType::Decimal { width: 18, scale },
+            Some(LogicalType::Decimal { scale, .. }) => {
+                LogicalType::Decimal { width: LogicalType::DECIMAL_WIDTH, scale }
+            }
             _ => LogicalType::Double,
         },
         PAggFunc::Min | PAggFunc::Max => input.unwrap_or(LogicalType::Int),

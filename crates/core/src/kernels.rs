@@ -67,7 +67,7 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize, sel: Option<&[u32]>) -> R
         }
         BExpr::Cast { input, ty } => {
             let b = operand(input)?;
-            if is_identity_cast(&b, *ty) {
+            if b.logical_type().same_repr(*ty) {
                 Ok(Arc::unwrap_or_clone(b))
             } else {
                 cast(&b, *ty)
@@ -179,7 +179,7 @@ pub fn eval_shared(
         }),
         BExpr::Cast { input, ty } if **input != BExpr::Lit(Value::Null) => {
             let b = eval_shared(input, cols, rows, sel)?;
-            if is_identity_cast(&b, *ty) {
+            if b.logical_type().same_repr(*ty) {
                 Ok(b)
             } else {
                 Ok(Arc::new(cast(&b, *ty)?))
@@ -202,19 +202,10 @@ pub fn materialize_const(v: &Value, ty: LogicalType, rows: usize) -> Result<Bat>
 // Casts
 // ---------------------------------------------------------------------------
 
-/// Is casting `b` to `ty` the identity — the same physical type, and for
-/// DECIMAL the same scale (a BAT carries no declared width)?
-fn is_identity_cast(b: &Bat, ty: LogicalType) -> bool {
-    match (b, ty) {
-        (Bat::Decimal { scale, .. }, LogicalType::Decimal { scale: to, .. }) => *scale == to,
-        _ => b.logical_type() == ty,
-    }
-}
-
 /// Cast a column to a target logical type.
 pub fn cast(b: &Bat, ty: LogicalType) -> Result<Bat> {
     use LogicalType as T;
-    if is_identity_cast(b, ty) {
+    if b.logical_type().same_repr(ty) {
         return Ok(b.clone());
     }
     Ok(match (b, ty) {

@@ -350,7 +350,7 @@ impl<'a> Parser<'a> {
                     self.expect_kind(&TokenKind::RParen, "')'")?;
                     LogicalType::Decimal { width, scale }
                 } else {
-                    LogicalType::Decimal { width: 18, scale: 3 }
+                    LogicalType::Decimal { width: LogicalType::DECIMAL_WIDTH, scale: 3 }
                 }
             }
             "varchar" | "char" | "character" | "text" | "string" | "clob" => {

@@ -99,7 +99,9 @@ impl Bat {
             Bat::Int(_) => LogicalType::Int,
             Bat::Bigint(_) => LogicalType::Bigint,
             Bat::Double(_) => LogicalType::Double,
-            Bat::Decimal { scale, .. } => LogicalType::Decimal { width: 18, scale: *scale },
+            Bat::Decimal { scale, .. } => {
+                LogicalType::Decimal { width: LogicalType::DECIMAL_WIDTH, scale: *scale }
+            }
             Bat::Varchar { .. } => LogicalType::Varchar,
             Bat::Date(_) => LogicalType::Date,
         }

@@ -604,7 +604,7 @@ impl SegColumn {
         let mut non_empty = segs.iter().filter(|s| !s.is_empty());
         if let (Some(lone), None) = (non_empty.next(), non_empty.next()) {
             let bat = lone.bat()?;
-            if same_data_type(lone.ty(), base.ty()) && interned(&bat) {
+            if lone.ty().same_repr(base.ty()) && interned(&bat) {
                 return Ok(match bat.compacted() {
                     None => lone.clone(),
                     Some(own) => Arc::new(ColumnEntry::from_bat(own)),
@@ -646,16 +646,6 @@ impl SegColumn {
             entry.install_dict(d);
         }
         Ok(entry)
-    }
-}
-
-/// Whether two column types hold the same data: a decimal of another
-/// scale rescales when appended, while a declared width is not part of
-/// the data.
-fn same_data_type(a: LogicalType, b: LogicalType) -> bool {
-    match (a, b) {
-        (LogicalType::Decimal { scale: a, .. }, LogicalType::Decimal { scale: b, .. }) => a == b,
-        (a, b) => a == b,
     }
 }
 

@@ -342,8 +342,14 @@ impl Store {
             let mut new_cols = Vec::with_capacity(meta.data.cols.len());
             for segcol in &meta.data.cols {
                 let entry = segcol.entry()?;
+                // The surviving rows of a string column share the old
+                // heap, deleted rows' strings too; a heap they would pin
+                // past `MAX_HEAP_PIN_RATIO` is rewritten without them.
                 let entry = match &sel {
-                    Some(sel) => Arc::new(ColumnEntry::from_bat(entry.bat()?.take(sel))),
+                    Some(sel) => {
+                        let kept = entry.bat()?.take(sel);
+                        Arc::new(ColumnEntry::from_bat(kept.compacted().unwrap_or(kept)))
+                    }
                     None => entry,
                 };
                 let fresh = !entry.is_backed();

@@ -85,7 +85,7 @@ impl ColumnBuffer {
             ColumnBuffer::Bigint(_) => LogicalType::Bigint,
             ColumnBuffer::Double(_) => LogicalType::Double,
             ColumnBuffer::Decimal { scale, .. } => {
-                LogicalType::Decimal { width: 18, scale: *scale }
+                LogicalType::Decimal { width: LogicalType::DECIMAL_WIDTH, scale: *scale }
             }
             ColumnBuffer::Varchar(_) => LogicalType::Varchar,
             ColumnBuffer::Date(_) => LogicalType::Date,

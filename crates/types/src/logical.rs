@@ -32,6 +32,23 @@ pub enum LogicalType {
 }
 
 impl LogicalType {
+    /// The width of a DECIMAL that no declaration sized: a literal, an
+    /// arithmetic result, a SUM or a host column. It is the 18 digits an
+    /// i64 always holds.
+    pub const DECIMAL_WIDTH: u8 = 18;
+
+    /// True when `self` and `other` store the same bits: the types are
+    /// equal, or both are DECIMALs of one scale. A DECIMAL's width is a
+    /// declaration; every DECIMAL is stored as an i64 scaled by its scale.
+    pub fn same_repr(self, other: LogicalType) -> bool {
+        match (self, other) {
+            (LogicalType::Decimal { scale: a, .. }, LogicalType::Decimal { scale: b, .. }) => {
+                a == b
+            }
+            (a, b) => a == b,
+        }
+    }
+
     /// True for types on which SUM/AVG and arithmetic are defined.
     pub fn is_numeric(self) -> bool {
         matches!(
@@ -127,6 +144,15 @@ mod tests {
         assert!(LogicalType::common_super_type(Date, Int).is_err());
         assert!(LogicalType::common_super_type(Varchar, Double).is_err());
         assert!(LogicalType::common_super_type(Bool, Int).is_err());
+    }
+
+    #[test]
+    fn representation_ignores_decimal_width() {
+        assert!(Decimal { width: 15, scale: 2 }.same_repr(Decimal { width: 18, scale: 2 }));
+        assert!(!Decimal { width: 15, scale: 2 }.same_repr(Decimal { width: 15, scale: 3 }));
+        assert!(Int.same_repr(Int));
+        assert!(!Int.same_repr(Bigint));
+        assert!(!Int.same_repr(Decimal { width: 9, scale: 0 }));
     }
 
     #[test]

@@ -41,7 +41,9 @@ impl Value {
             Value::Int(_) => Some(LogicalType::Int),
             Value::Bigint(_) => Some(LogicalType::Bigint),
             Value::Double(_) => Some(LogicalType::Double),
-            Value::Decimal(d) => Some(LogicalType::Decimal { width: 18, scale: d.scale }),
+            Value::Decimal(d) => {
+                Some(LogicalType::Decimal { width: LogicalType::DECIMAL_WIDTH, scale: d.scale })
+            }
             Value::Str(_) => Some(LogicalType::Varchar),
             Value::Date(_) => Some(LogicalType::Date),
         }

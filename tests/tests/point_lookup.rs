@@ -61,9 +61,10 @@ fn customer_cols() -> Vec<ColumnBuffer> {
 /// seven lines per order, three or so orders per customer, every 89th
 /// order without a customer, 500 duplicated order prices, and a fifth of
 /// all lines on part 1 (the skewed key). `cust_del` is `customer` with
-/// one row deleted. `o_totalprice` is DECIMAL(18,2), the type a literal
-/// comparison is made in, so `o_totalprice = 1772.70` compares the bare
-/// column (a narrower DECIMAL is cast first, and no index serves it).
+/// one row deleted. `o_totalprice` is DECIMAL(18,2), a literal's own
+/// type; `c_acctbal` and `p_retailprice` are DECIMAL(15,2). A literal of
+/// the column's scale compares with the bare column whatever its declared
+/// width, so an index serves all three.
 fn database() -> Twin {
     let twin = Twin::default();
     twin.script(
@@ -179,12 +180,14 @@ const TEMPLATES: [&str; 12] = [
 ];
 
 /// Point selects the hash index serves (duplicate and in-range absent
-/// keys, DATE, DECIMAL and BIGINT keys).
-const HASH_SELECTS: [&str; 6] = [
+/// keys, DATE, DECIMAL(18,2), DECIMAL(15,2) and BIGINT keys).
+const HASH_SELECTS: [&str; 8] = [
     "SELECT o_orderkey, o_custkey FROM orders WHERE o_orderkey = 41",
     "SELECT count(*), sum(l_quantity) FROM lineitem WHERE l_partkey = 1",
     "SELECT o_orderkey, o_orderstatus FROM orders WHERE o_orderdate = date '1992-01-01'",
     "SELECT o_orderkey, o_orderdate FROM orders WHERE o_totalprice = 1772.70",
+    "SELECT p_partkey, p_name FROM part WHERE p_retailprice = 912.30",
+    "SELECT c_custkey, c_name FROM customer WHERE c_acctbal = -604.05",
     "SELECT o_orderkey FROM orders WHERE o_ref = 40000000280",
     "SELECT l_orderkey, l_linenumber FROM lineitem WHERE l_ref = 44000000308",
 ];

@@ -505,3 +505,45 @@ fn checkpoint_after_replay_appends_and_deletes_writes_pinned_bytes() {
 }
 
 const PINNED_COLS_BYTES: u64 = 174_561;
+
+#[test]
+fn checkpoint_after_deleting_most_rows_writes_only_the_surviving_strings() {
+    // 100,000 unique 23-byte strings, 90 % deleted: the survivors' gather
+    // shares the whole heap, so the checkpoint must rewrite it without the
+    // deleted rows' strings to write what a fresh load of the survivors
+    // writes.
+    let rows = |keep: fn(usize) -> bool| {
+        let ks: Vec<usize> = (0..100_000).filter(|&i| keep(i)).collect();
+        vec![
+            ColumnBuffer::Int(ks.iter().map(|&i| i as i32).collect()),
+            ColumnBuffer::Varchar(ks.iter().map(|&i| Some(format!("string-{i:016}"))).collect()),
+        ]
+    };
+    let load = |dir: &Path, keep: fn(usize) -> bool| {
+        let db = Database::open(dir).unwrap();
+        let mut conn = db.connect();
+        conn.execute("CREATE TABLE s (k INT NOT NULL, v VARCHAR(32))").unwrap();
+        conn.append("s", rows(keep)).unwrap();
+        (db, conn)
+    };
+    let (deleted, fresh) = (tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap());
+    let (db, mut conn) = load(deleted.path(), |_| true);
+    assert_eq!(conn.execute("DELETE FROM s WHERE k % 10 <> 0").unwrap(), 90_000);
+    db.checkpoint().unwrap();
+    let (db_fresh, _conn) = load(fresh.path(), |i| i % 10 == 0);
+    db_fresh.checkpoint().unwrap();
+    let (got, want) = (cols_bytes(deleted.path()), cols_bytes(fresh.path()));
+    assert!(
+        got.abs_diff(want) * 100 <= want,
+        "{got} column-file bytes, a fresh load writes {want}"
+    );
+    let r = conn.query("SELECT count(*), min(v), max(v) FROM s").unwrap();
+    assert_eq!(
+        r.row(0),
+        vec![
+            Value::Bigint(10_000),
+            Value::Str("string-0000000000000000".into()),
+            Value::Str("string-0000000000099990".into())
+        ]
+    );
+}
