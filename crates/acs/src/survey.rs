@@ -195,7 +195,7 @@ impl BufferSource {
     /// Build from generated data.
     pub fn from_data(data: &crate::AcsData) -> BufferSource {
         BufferSource {
-            names: data.schema.fields().iter().map(|f| f.name.clone()).collect(),
+            names: data.schema.fields().iter().map(|f| f.name.to_string()).collect(),
             cols: data.cols.clone(),
         }
     }

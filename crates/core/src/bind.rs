@@ -32,7 +32,9 @@ use crate::expr::{agg_output_type, AggSpec, ArithOp, BExpr, CmpOp, PAggFunc, Sca
 use crate::plan::{OutCol, PJoinKind, Plan};
 use monetlite_sql::ast;
 use monetlite_types::{Date, LogicalType, MlError, Result, Schema, Value};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 /// A stored view definition: the parsed query plus the optional output
 /// column rename list. Expanded by the binder like a derived table.
@@ -61,10 +63,10 @@ pub trait CatalogAccess {
 /// One visible column while binding.
 #[derive(Debug, Clone)]
 pub struct ScopeCol {
-    /// Table alias / name qualifier.
-    pub qualifier: Option<String>,
-    /// Column name.
-    pub name: String,
+    /// Table alias / name qualifier (shared by the table's columns).
+    pub qualifier: Option<Arc<str>>,
+    /// Column name (shared with the plan's output schema).
+    pub name: Arc<str>,
     /// Type.
     pub ty: LogicalType,
 }
@@ -78,26 +80,39 @@ pub struct Scope {
 }
 
 impl Scope {
+    /// The position and type of column `name`, qualified by `table` when
+    /// given. Names match case-insensitively: the scope holds lower-case
+    /// names, and the reference is folded as it is compared.
     fn resolve(&self, table: Option<&str>, name: &str) -> Result<(usize, LogicalType)> {
-        let name = name.to_ascii_lowercase();
         let mut found = None;
         for (i, c) in self.cols.iter().enumerate() {
             let qual_ok = match table {
                 None => true,
-                Some(t) => c.qualifier.as_deref() == Some(&t.to_ascii_lowercase()),
+                Some(t) => c.qualifier.as_deref().is_some_and(|q| is_folded(q, t)),
             };
-            if qual_ok && c.name == name {
+            if qual_ok && is_folded(&c.name, name) {
                 if found.is_some() {
+                    let name = name.to_ascii_lowercase();
                     return Err(MlError::Bind(format!("ambiguous column '{name}'")));
                 }
                 found = Some((i, c.ty));
             }
         }
-        found.ok_or_else(|| match table {
-            Some(t) => MlError::Bind(format!("unknown column '{t}.{name}'")),
-            None => MlError::Bind(format!("unknown column '{name}'")),
+        found.ok_or_else(|| {
+            let name = name.to_ascii_lowercase();
+            match table {
+                Some(t) => MlError::Bind(format!("unknown column '{t}.{name}'")),
+                None => MlError::Bind(format!("unknown column '{name}'")),
+            }
         })
     }
+}
+
+/// Is `stored` the ASCII lower-casing of `raw`? The comparison
+/// `stored == raw.to_ascii_lowercase()` without building the folded copy.
+fn is_folded(stored: &str, raw: &str) -> bool {
+    stored.len() == raw.len()
+        && stored.bytes().zip(raw.bytes()).all(|(s, r)| s == r.to_ascii_lowercase())
 }
 
 /// Binds statements against a catalog.
@@ -158,7 +173,7 @@ impl<'a> Binder<'a> {
                 .fields()
                 .iter()
                 .map(|f| ScopeCol {
-                    qualifier: Some(table.to_ascii_lowercase()),
+                    qualifier: Some(table.to_ascii_lowercase().into()),
                     name: f.name.clone(),
                     ty: f.ty,
                 })
@@ -185,23 +200,7 @@ impl<'a> Binder<'a> {
         let (mut plan, scope) = if stmt.from.is_empty() {
             (Plan::Values { rows: vec![vec![]], schema: vec![] }, Scope::default())
         } else {
-            let mut iter = stmt.from.iter();
-            let (mut p, mut s) = self.bind_table_ref(iter.next().unwrap())?;
-            for tr in iter {
-                let (rp, rs) = self.bind_table_ref(tr)?;
-                let schema: Vec<OutCol> = p.schema().iter().chain(rp.schema()).cloned().collect();
-                p = Plan::Join {
-                    left: Box::new(p),
-                    right: Box::new(rp),
-                    kind: PJoinKind::Cross,
-                    left_keys: vec![],
-                    right_keys: vec![],
-                    residual: None,
-                    schema,
-                };
-                s.cols.extend(rs.cols);
-            }
-            (p, s)
+            self.bind_from_only(stmt)?
         };
 
         // 2. WHERE: split into conjuncts (factoring conjuncts common to
@@ -211,18 +210,16 @@ impl<'a> Binder<'a> {
         if let Some(w) = &stmt.where_clause {
             let mut raw = Vec::new();
             split_conjuncts(w, &mut raw);
-            let mut conjuncts: Vec<ast::Expr> = Vec::new();
+            let mut conjuncts: Vec<Cow<'_, ast::Expr>> = Vec::new();
             for c in raw {
                 match factor_or_common(c) {
-                    Some(parts) => conjuncts.extend(parts),
-                    None => conjuncts.push(c.clone()),
+                    Some(parts) => conjuncts.extend(parts.into_iter().map(Cow::Owned)),
+                    None => conjuncts.push(Cow::Borrowed(c)),
                 }
             }
             let mut plain = Vec::new();
             for c in &conjuncts {
-                if let Some(p2) = self.try_bind_subquery_conjunct(c, plan.clone(), &scope)? {
-                    plan = p2;
-                } else {
+                if !self.try_bind_subquery_conjunct(c, &mut plan, &scope)? {
                     plain.push(self.bind_expr_bool(c, &scope, outer)?);
                 }
             }
@@ -306,10 +303,10 @@ impl<'a> Binder<'a> {
             // Build Aggregate node schema: groups then aggs.
             let mut agg_schema = Vec::new();
             for (i, g) in group_bexprs.iter().enumerate() {
-                agg_schema.push(OutCol { name: format!("g{i}"), ty: g.ty() });
+                agg_schema.push(OutCol { name: format!("g{i}").into(), ty: g.ty() });
             }
             for (i, a) in aggs.iter().enumerate() {
-                agg_schema.push(OutCol { name: format!("a{i}"), ty: a.ty });
+                agg_schema.push(OutCol { name: format!("a{i}").into(), ty: a.ty });
             }
             let agg_width = agg_schema.len();
             let mut plan = Plan::Aggregate {
@@ -384,7 +381,7 @@ impl<'a> Binder<'a> {
                         let q = q.to_ascii_lowercase();
                         let mut any = false;
                         for (j, c) in scope.cols.iter().enumerate() {
-                            if c.qualifier.as_deref() == Some(&q) {
+                            if c.qualifier.as_deref() == Some(q.as_str()) {
                                 exprs.push(BExpr::ColRef { idx: j, ty: c.ty });
                                 names.push(c.name.clone());
                                 any = true;
@@ -430,8 +427,7 @@ impl<'a> Binder<'a> {
                         n - 1
                     }
                     ast::Expr::Column { table: None, name } => {
-                        let lower = name.to_ascii_lowercase();
-                        out_names.iter().position(|n| *n == lower).ok_or_else(|| {
+                        out_names.iter().position(|n| is_folded(n, name)).ok_or_else(|| {
                             MlError::Bind(format!("ORDER BY column '{name}' is not in the output"))
                         })?
                     }
@@ -513,7 +509,8 @@ impl<'a> Binder<'a> {
                         );
                     }
                 };
-                let qualifier = alias.clone().unwrap_or_else(|| name.clone()).to_ascii_lowercase();
+                let qualifier: Arc<str> =
+                    alias.as_deref().unwrap_or(name).to_ascii_lowercase().into();
                 let cols: Vec<ScopeCol> = schema
                     .fields()
                     .iter()
@@ -569,37 +566,42 @@ impl<'a> Binder<'a> {
     }
 
     /// If `conjunct` is a flattenable subquery predicate, rewrite `plan`
-    /// (joining in the subquery) and return the new plan. The rewrites
-    /// preserve `plan`'s schema, so the caller's scope stays valid.
+    /// in place (joining in the subquery) and return `true`; any other
+    /// conjunct leaves `plan` untouched and returns `false`, so a plain
+    /// predicate costs no copy of the plan. The rewrites preserve `plan`'s
+    /// schema, so the caller's scope stays valid.
     fn try_bind_subquery_conjunct(
         &self,
         conjunct: &ast::Expr,
-        plan: Plan,
+        plan: &mut Plan,
         scope: &Scope,
-    ) -> Result<Option<Plan>> {
-        match conjunct {
+    ) -> Result<bool> {
+        // On an error the statement fails, so the placeholder `Plan::take`
+        // leaves in `plan` is never read.
+        *plan = match conjunct {
             ast::Expr::Exists { query, negated } => {
-                Ok(Some(self.flatten_exists(query, *negated, plan, scope)?))
+                self.flatten_exists(query, *negated, Plan::take(plan), scope)?
             }
             ast::Expr::Not(inner) => match inner.as_ref() {
                 ast::Expr::Exists { query, negated } => {
-                    Ok(Some(self.flatten_exists(query, !negated, plan, scope)?))
+                    self.flatten_exists(query, !negated, Plan::take(plan), scope)?
                 }
                 ast::Expr::InSubquery { expr, query, negated } => {
-                    Ok(Some(self.flatten_in(expr, query, !negated, plan, scope)?))
+                    self.flatten_in(expr, query, !negated, Plan::take(plan), scope)?
                 }
-                _ => Ok(None),
+                _ => return Ok(false),
             },
             ast::Expr::InSubquery { expr, query, negated } => {
-                Ok(Some(self.flatten_in(expr, query, *negated, plan, scope)?))
+                self.flatten_in(expr, query, *negated, Plan::take(plan), scope)?
             }
             _ => match as_scalar_cmp(conjunct) {
                 Some((q, other, op, flip)) => {
-                    Ok(Some(self.flatten_scalar_cmp(q, other, op, flip, plan, scope)?))
+                    self.flatten_scalar_cmp(q, other, op, flip, Plan::take(plan), scope)?
                 }
-                None => Ok(None),
+                None => return Ok(false),
             },
-        }
+        };
+        Ok(true)
     }
 
     /// EXISTS/NOT EXISTS → semi/anti join on the correlated equality keys,
@@ -903,14 +905,8 @@ impl<'a> Binder<'a> {
                     // Nested subquery predicates flatten against the inner
                     // plan (the nested level treats this level as its
                     // outer scope).
-                    if is_subquery_conjunct(c) {
-                        match b.try_bind_subquery_conjunct(c, inner_plan.clone(), &inner_scope)? {
-                            Some(p2) => {
-                                inner_plan = p2;
-                                continue;
-                            }
-                            None => unreachable!("is_subquery_conjunct gates the shapes"),
-                        }
+                    if b.try_bind_subquery_conjunct(c, &mut inner_plan, &inner_scope)? {
+                        continue;
                     }
                     match b.classify_conjunct(c, &inner_scope, outer)? {
                         Classified::Inner(pred) => {
@@ -967,13 +963,8 @@ impl<'a> Binder<'a> {
                 let mut conjuncts = Vec::new();
                 split_conjuncts(w, &mut conjuncts);
                 for c in conjuncts {
-                    if is_subquery_conjunct(c) {
-                        if let Some(p2) =
-                            b.try_bind_subquery_conjunct(c, inner_plan.clone(), &inner_scope)?
-                        {
-                            inner_plan = p2;
-                            continue;
-                        }
+                    if b.try_bind_subquery_conjunct(c, &mut inner_plan, &inner_scope)? {
+                        continue;
                     }
                     match b.classify_conjunct(c, &inner_scope, outer)? {
                         Classified::Inner(pred) => {
@@ -999,10 +990,10 @@ impl<'a> Binder<'a> {
             let nk = inner_keys.len();
             let mut schema = Vec::new();
             for (i, k) in inner_keys.iter().enumerate() {
-                schema.push(OutCol { name: format!("k{i}"), ty: k.ty() });
+                schema.push(OutCol { name: format!("k{i}").into(), ty: k.ty() });
             }
             for (i, a) in aggs.iter().enumerate() {
-                schema.push(OutCol { name: format!("a{i}"), ty: a.ty });
+                schema.push(OutCol { name: format!("a{i}").into(), ty: a.ty });
             }
             let grouped = Plan::Aggregate {
                 input: Box::new(inner_plan),
@@ -1180,28 +1171,22 @@ impl<'a> Binder<'a> {
                 Ok(if *negated { BExpr::Not(Box::new(b)) } else { b })
             }
             ast::Expr::InList { expr, list, negated } => {
-                // Desugar to an OR chain of equalities.
-                let mut it = list.iter();
-                let first =
-                    it.next().ok_or_else(|| MlError::Bind("IN list must not be empty".into()))?;
-                let mut acc = ast::Expr::Binary {
-                    op: ast::BinOp::Eq,
-                    left: expr.clone(),
-                    right: Box::new(first.clone()),
+                // An OR chain of equalities, `((x = a) OR (x = b)) OR ...`,
+                // as binding that chain's syntax would give, with `x`
+                // bound once.
+                let mut items = list.iter();
+                let Some(first) = items.next() else {
+                    return Err(MlError::Bind("IN list must not be empty".into()));
                 };
-                for item in it {
-                    let eq = ast::Expr::Binary {
-                        op: ast::BinOp::Eq,
-                        left: expr.clone(),
-                        right: Box::new(item.clone()),
-                    };
-                    acc = ast::Expr::Binary {
-                        op: ast::BinOp::Or,
-                        left: Box::new(acc),
-                        right: Box::new(eq),
-                    };
+                let probe = self.bind_expr(expr, scope)?;
+                let eq = |item: &ast::Expr| -> Result<BExpr> {
+                    let (l, r) = coerce_pair(probe.clone(), self.bind_expr(item, scope)?)?;
+                    Ok(BExpr::Cmp { op: CmpOp::Eq, left: Box::new(l), right: Box::new(r) })
+                };
+                let mut b = eq(first)?;
+                for item in items {
+                    b = BExpr::Or(Box::new(b), Box::new(eq(item)?));
                 }
-                let b = self.bind_expr(&acc, scope)?;
                 Ok(if *negated { BExpr::Not(Box::new(b)) } else { b })
             }
             ast::Expr::InSubquery { .. } | ast::Expr::Exists { .. } => {
@@ -1512,18 +1497,6 @@ struct BoundSubquery {
     residual: Option<BExpr>,
 }
 
-/// Is this conjunct a subquery predicate shape that
-/// [`Binder::try_bind_subquery_conjunct`] flattens?
-fn is_subquery_conjunct(e: &ast::Expr) -> bool {
-    match e {
-        ast::Expr::Exists { .. } | ast::Expr::InSubquery { .. } => true,
-        ast::Expr::Not(inner) => {
-            matches!(inner.as_ref(), ast::Expr::Exists { .. } | ast::Expr::InSubquery { .. })
-        }
-        other => as_scalar_cmp(other).is_some(),
-    }
-}
-
 /// Recognise `other <op> (SELECT ...)` / `(SELECT ...) <op> other`,
 /// returning (query, other side, op, scalar-was-on-the-left).
 fn as_scalar_cmp(e: &ast::Expr) -> Option<(&ast::SelectStmt, &ast::Expr, ast::BinOp, bool)> {
@@ -1565,7 +1538,7 @@ fn count_aggregate(input: Plan, groups: Vec<BExpr>, arg: Option<BExpr>) -> Plan 
     let mut schema: Vec<OutCol> = groups
         .iter()
         .enumerate()
-        .map(|(i, g)| OutCol { name: format!("k{i}"), ty: g.ty() })
+        .map(|(i, g)| OutCol { name: format!("k{i}").into(), ty: g.ty() })
         .collect();
     let mut aggs = vec![AggSpec {
         func: PAggFunc::Count,
@@ -1635,14 +1608,14 @@ fn rename_derived(
             )));
         }
     }
-    let q = qualifier.to_ascii_lowercase();
+    let q: Arc<str> = qualifier.to_ascii_lowercase().into();
     let cols = scope
         .cols
         .into_iter()
         .enumerate()
         .map(|(i, c)| ScopeCol {
             qualifier: Some(q.clone()),
-            name: columns.map_or(c.name.clone(), |cs| cs[i].to_ascii_lowercase()),
+            name: columns.map_or(c.name, |cs| cs[i].to_ascii_lowercase().into()),
             ty: c.ty,
         })
         .collect();
@@ -1995,14 +1968,14 @@ pub fn coerce_pair(l: BExpr, r: BExpr) -> Result<(BExpr, BExpr)> {
     Ok((cast_to(l, common)?, cast_to(r, common)?))
 }
 
-fn output_name(alias: Option<&str>, expr: &ast::Expr, pos: usize) -> String {
+fn output_name(alias: Option<&str>, expr: &ast::Expr, pos: usize) -> Arc<str> {
     if let Some(a) = alias {
-        return a.to_ascii_lowercase();
+        return a.to_ascii_lowercase().into();
     }
     match expr {
-        ast::Expr::Column { name, .. } => name.to_ascii_lowercase(),
-        ast::Expr::Agg { func, .. } => format!("{func:?}").to_ascii_lowercase(),
-        _ => format!("col{pos}"),
+        ast::Expr::Column { name, .. } => name.to_ascii_lowercase().into(),
+        ast::Expr::Agg { func, .. } => format!("{func:?}").to_ascii_lowercase().into(),
+        _ => format!("col{pos}").into(),
     }
 }
 
@@ -2068,7 +2041,7 @@ mod tests {
     fn wildcard_expansion() {
         let p = bind("SELECT * FROM t").unwrap();
         assert_eq!(p.schema().len(), 4);
-        assert_eq!(p.schema()[3].name, "p");
+        assert_eq!(&*p.schema()[3].name, "p");
     }
 
     #[test]
@@ -2222,7 +2195,7 @@ mod tests {
     #[test]
     fn select_without_from() {
         let p = bind("SELECT 1 + 2 AS x").unwrap();
-        assert_eq!(p.schema()[0].name, "x");
+        assert_eq!(&*p.schema()[0].name, "x");
     }
 
     #[test]
@@ -2360,14 +2333,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.schema().len(), 1);
-        assert_eq!(p.schema()[0].name, "k");
+        assert_eq!(&*p.schema()[0].name, "k");
         // Later CTEs see earlier ones; a CTE shadows a base table.
         let p2 = bind(
             "WITH t (z) AS (SELECT a FROM u), second AS (SELECT z FROM t) \
              SELECT z FROM second",
         )
         .unwrap();
-        assert_eq!(p2.schema()[0].name, "z");
+        assert_eq!(&*p2.schema()[0].name, "z");
     }
 
     #[test]
@@ -2378,7 +2351,7 @@ mod tests {
              (SELECT a, b FROM t) AS d (k, c) GROUP BY c",
         )
         .unwrap();
-        assert_eq!(p.schema()[0].name, "c");
+        assert_eq!(&*p.schema()[0].name, "c");
         assert!(matches!(
             bind("SELECT 1 FROM (SELECT a, b FROM t) AS d (only_one)"),
             Err(MlError::Bind(_))
@@ -2414,7 +2387,7 @@ mod tests {
         let monetlite_sql::Statement::Select(s) = stmt else { unreachable!() };
         let p = Binder::new(&cat).bind_select(&s).unwrap();
         assert_eq!(p.schema().len(), 2);
-        assert_eq!(p.schema()[1].name, "total");
+        assert_eq!(&*p.schema()[1].name, "total");
     }
 
     #[test]

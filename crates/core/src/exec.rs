@@ -693,13 +693,13 @@ pub(crate) fn exec_scan(
             match path {
                 AccessPath::Order => {
                     // Order index answers the range exactly by binary
-                    // search.
-                    let oi = entry.order_index()?;
-                    let mut rows: Vec<u32> = oi.range(plo, phi).to_vec();
-                    rows.retain(|&r| (lo as u32..hi as u32).contains(&r));
-                    rows.sort_unstable();
+                    // search; the morsel's rows are a slice of the
+                    // scan's answer.
+                    let rows = state.order_rows((col_pos, plo, phi), entry)?;
+                    let from = rows.partition_point(|&r| (r as usize) < lo);
+                    let to = rows.partition_point(|&r| (r as usize) < hi);
                     ctx.counters.bump(&ctx.counters.order_index_selects);
-                    sel = Some(rows);
+                    sel = Some(rows[from..to].to_vec());
                 }
                 AccessPath::Hash(key) => {
                     // The hash index chains the key's rows in ascending
@@ -717,19 +717,15 @@ pub(crate) fn exec_scan(
                 }
                 AccessPath::Imprints => {
                     // Imprints: candidate cache lines (clipped to the scan
-                    // range), then exact check. Only lines overlapping
-                    // [lo, hi) are considered, so a morsel's probe costs
-                    // O(morsel), not O(table).
+                    // range), then exact check. Only the masks of lines
+                    // overlapping [lo, hi) are read, so a morsel's probe
+                    // costs O(morsel), not O(table).
                     let imp = entry.imprints()?;
                     ctx.counters.bump(&ctx.counters.imprint_selects);
-                    let (first_line, last_line) = (lo / IMPRINT_LINE, hi.div_ceil(IMPRINT_LINE));
-                    let lines = imp.candidate_lines(plo, phi);
+                    let lines = lo / IMPRINT_LINE..hi.div_ceil(IMPRINT_LINE);
                     let mut cands = Vec::with_capacity(hi - lo);
-                    for line in lines {
+                    for line in imp.candidate_lines(plo, phi, lines) {
                         let line = line as usize;
-                        if line < first_line || line >= last_line {
-                            continue;
-                        }
                         let start = (line * IMPRINT_LINE).max(lo);
                         let end = (line * IMPRINT_LINE + IMPRINT_LINE).min(hi);
                         cands.extend(start as u32..end as u32);
@@ -1016,13 +1012,21 @@ pub(crate) struct DictFilter {
 /// - every column the scan has read, held until the scan ends. Under a
 ///   vmem budget smaller than the columns a scan reads, LRU over the
 ///   scan's cyclic access evicts each column just before the next morsel
-///   needs it; held here, each is paged in once per scan.
+///   needs it; held here, each is paged in once per scan;
+/// - the order index's answer to the scan's range probe, computed by the
+///   first morsel that takes that access path.
 #[derive(Default)]
 pub(crate) struct ScanState {
     dicts: OnceLock<Vec<DictFilter>>,
     /// One slot per read-list position.
     cols: OnceLock<Vec<Mutex<Option<Arc<Bat>>>>>,
+    /// The order index's answer to the scan's range probe, sorted by row
+    /// and keyed by the probe (read-list position, bounds).
+    order_rows: Mutex<Option<(OrderProbe, Arc<[u32]>)>>,
 }
+
+/// An order-index range probe: read-list position and inclusive bounds.
+type OrderProbe = (usize, Option<i64>, Option<i64>);
 
 impl ScanState {
     /// Column `i` of the read list, loaded at most once per scan: a
@@ -1036,6 +1040,23 @@ impl ScanState {
         let b = entries[i].bat()?;
         *slot = Some(b.clone());
         Ok(b)
+    }
+
+    /// The rows of the whole column whose key lies in the probe's range,
+    /// ascending: the order index answers once per scan, and each morsel
+    /// takes its own rows by binary search.
+    fn order_rows(&self, probe: OrderProbe, entry: &ColumnEntry) -> Result<Arc<[u32]>> {
+        let mut slot = self.order_rows.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((p, rows)) = &*slot {
+            if *p == probe {
+                return Ok(rows.clone());
+            }
+        }
+        let mut rows = entry.order_index()?.range(probe.1, probe.2).to_vec();
+        rows.sort_unstable();
+        let rows: Arc<[u32]> = rows.into();
+        *slot = Some((probe, rows.clone()));
+        Ok(rows)
     }
 
     /// The served filters; `span` is the number of rows the scan filters.
@@ -1452,7 +1473,7 @@ mod tests {
             projected: (0..ncols).collect(),
             filters: vec![],
             schema: (0..ncols)
-                .map(|i| crate::plan::OutCol { name: format!("c{i}"), ty: tys[i] })
+                .map(|i| crate::plan::OutCol { name: format!("c{i}").into(), ty: tys[i] })
                 .collect(),
         }
     }
@@ -1561,6 +1582,54 @@ mod tests {
         assert_eq!(chunk.rows, 3);
         assert_eq!(ctx.counters.order_index_selects.load(Ordering::Relaxed), 1);
         assert_eq!(ctx.counters.imprint_selects.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn order_index_answers_each_scan_once_and_each_morsel_by_slice() {
+        // 10,000 rows in a scattered order, 1,024-row morsels: every
+        // morsel takes the order path and gets exactly its rows in range.
+        let n = 10_000;
+        let keys: Vec<i32> = (0..n).map(|i| i * 7919 % n).collect();
+        let t = make_table("t", vec![("a", Bat::Int(keys.clone()))], vec![0]);
+        let entry = t.data.cols[0].entry().unwrap();
+        let tables = TestTables { tables: HashMap::from([("t".into(), t)]) };
+        let opts = ExecOptions { vector_size: 1024, threads: 1, ..Default::default() };
+        let ctx = ExecContext::new(&tables, opts);
+        let range = |lo: i32, hi: i32| Plan::Scan {
+            table: "t".into(),
+            projected: vec![0],
+            filters: vec![
+                BExpr::Cmp {
+                    op: CmpOp::GtEq,
+                    left: Box::new(BExpr::ColRef { idx: 0, ty: LogicalType::Int }),
+                    right: Box::new(BExpr::Lit(Value::Int(lo))),
+                },
+                BExpr::Cmp {
+                    op: CmpOp::Lt,
+                    left: Box::new(BExpr::ColRef { idx: 0, ty: LogicalType::Int }),
+                    right: Box::new(BExpr::Lit(Value::Int(hi))),
+                },
+            ],
+            schema: vec![crate::plan::OutCol { name: "a".into(), ty: LogicalType::Int }],
+        };
+        let chunk = execute(&range(2500, 4000), &ctx).unwrap();
+        let want: Vec<i32> = keys.iter().copied().filter(|k| (2500..4000).contains(k)).collect();
+        let got: Vec<i32> = match chunk.cols[0].as_ref() {
+            Bat::Int(v) => v.clone(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(got, want, "rows in scan order");
+        let morsels = (n as usize).div_ceil(1024) as u64;
+        assert_eq!(ctx.counters.order_index_selects.load(Ordering::Relaxed), morsels);
+        // One answer per scan and probe, shared by every morsel.
+        let state = ScanState::default();
+        let probe = (0, Some(2500), Some(3999));
+        let first = state.order_rows(probe, &entry).unwrap();
+        assert!(Arc::ptr_eq(&first, &state.order_rows(probe, &entry).unwrap()));
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "ascending rows");
+        assert_eq!(first.len(), want.len());
+        let other = state.order_rows((0, Some(0), Some(9)), &entry).unwrap();
+        assert_eq!(other.len(), 10);
     }
 
     #[test]

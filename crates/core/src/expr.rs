@@ -322,6 +322,59 @@ impl BExpr {
         }
     }
 
+    /// [`BExpr::remap_cols`] of an owned expression, rewriting its column
+    /// references in place instead of building a copy.
+    pub(crate) fn remapped(mut self, map: &dyn Fn(usize) -> usize) -> BExpr {
+        self.cols_mut(&mut |c| *c = map(*c));
+        self
+    }
+
+    /// Visit every column reference mutably.
+    fn cols_mut(&mut self, f: &mut dyn FnMut(&mut usize)) {
+        match self {
+            BExpr::ColRef { idx, .. } => f(idx),
+            BExpr::Lit(_) | BExpr::Param { .. } => {}
+            BExpr::Cast { input, .. }
+            | BExpr::Not(input)
+            | BExpr::Neg { input, .. }
+            | BExpr::IsNull { input, .. }
+            | BExpr::Like { input, .. } => input.cols_mut(f),
+            BExpr::Arith { left, right, .. }
+            | BExpr::Cmp { left, right, .. }
+            | BExpr::And(left, right)
+            | BExpr::Or(left, right) => {
+                left.cols_mut(f);
+                right.cols_mut(f);
+            }
+            BExpr::Case { branches, else_expr, .. } => {
+                for (c, v) in branches {
+                    c.cols_mut(f);
+                    v.cols_mut(f);
+                }
+                if let Some(e) = else_expr {
+                    e.cols_mut(f);
+                }
+            }
+            BExpr::Func { args, .. } => {
+                for a in args {
+                    a.cols_mut(f);
+                }
+            }
+        }
+    }
+
+    /// The largest referenced input column index (`None` for an
+    /// expression that reads no column).
+    pub(crate) fn max_col(&self) -> Option<usize> {
+        let mut max = None;
+        self.walk(&mut |e| {
+            if let BExpr::ColRef { idx, .. } = e {
+                max = max.max(Some(*idx));
+            }
+        });
+        max
+    }
+
     /// Collect every referenced input column index.
     pub fn collect_cols(&self, out: &mut Vec<usize>) {
         self.walk(&mut |e| {

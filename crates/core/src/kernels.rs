@@ -33,7 +33,7 @@
 //! morsel's positions of the base columns.
 
 use crate::expr::{ArithOp, BExpr, CmpOp, ScalarFunc};
-use monetlite_storage::heap::NULL_OFFSET;
+use monetlite_storage::heap::{StringHeap, NULL_OFFSET};
 use monetlite_storage::Bat;
 use monetlite_types::nulls::{NULL_I32, NULL_I64, NULL_I8};
 use monetlite_types::{Date, LogicalType, MlError, Result, Value};
@@ -93,6 +93,15 @@ pub fn eval(e: &BExpr, cols: &[Arc<Bat>], rows: usize, sel: Option<&[u32]>) -> R
         }
         BExpr::Case { branches, else_expr, ty } => {
             case_kernel(branches, else_expr.as_deref(), *ty, n, &|e| eval(e, cols, rows, sel))
+        }
+        BExpr::Func { func: ScalarFunc::Substring, args, .. } if args.len() == 3 => {
+            let (text, at) = operand_at(&args[0], cols, rows, sel)?;
+            let bound = |e: &BExpr| match e {
+                BExpr::Lit(Value::Int(v)) => Ok(IntArg::Const(*v)),
+                BExpr::Lit(Value::Null) => Ok(IntArg::Const(NULL_I32)),
+                other => operand(other).map(IntArg::Col),
+            };
+            substring(&text, at, n, &bound(&args[1])?, &bound(&args[2])?)
         }
         BExpr::Func { func, args, ty } => {
             let bats: Vec<Arc<Bat>> = args.iter().map(operand).collect::<Result<_>>()?;
@@ -1209,6 +1218,69 @@ fn case_kernel(
 // Scalar functions
 // ---------------------------------------------------------------------------
 
+/// An INTEGER argument of a row-wise kernel: a constant, read once, or a
+/// column with one value per output row.
+enum IntArg {
+    Const(i32),
+    Col(Arc<Bat>),
+}
+
+impl IntArg {
+    /// The value for output row `i`.
+    #[inline]
+    fn at(&self, i: usize) -> Result<i32> {
+        match self {
+            IntArg::Const(v) => Ok(*v),
+            IntArg::Col(b) => match &**b {
+                Bat::Int(v) => Ok(v[i]),
+                _ => Err(MlError::Execution("substring bounds must be INTEGER".into())),
+            },
+        }
+    }
+}
+
+/// SQL `substring(text FROM from FOR len)` over the `rows` entries of
+/// `text` at positions `at` (every row when `None`). The window is
+/// `[from, from + len)` in 1-based character positions, clamped to the
+/// string: a FROM below 1 *shrinks* the window rather than rebasing it
+/// (`substring('abc' FROM -1 FOR 3)` keeps only position 1). Each result
+/// is a slice of the entry cut at char boundaries and interned straight
+/// into the output heap; NULL text or a NULL bound gives NULL.
+fn substring(
+    text: &Bat,
+    at: Option<&[u32]>,
+    rows: usize,
+    from: &IntArg,
+    len: &IntArg,
+) -> Result<Bat> {
+    let mut offsets = Vec::with_capacity(rows);
+    let mut heap = StringHeap::new();
+    for i in 0..rows {
+        let row = at.map_or(i, |sel| sel[i] as usize);
+        let (f, l) = (from.at(i)?, len.at(i)?);
+        // xlint: allow(str, SUBSTRING positions are characters)
+        let (Some(txt), false) = (text.str_at(row), f == NULL_I32 || l == NULL_I32) else {
+            offsets.push(NULL_OFFSET);
+            continue;
+        };
+        let from64 = f as i64;
+        let end1 = from64.saturating_add((l as i64).max(0));
+        let start1 = from64.max(1);
+        let take = (end1 - start1).max(0) as usize;
+        let skip = (start1 - 1) as usize;
+        // One pass over the char boundaries: the byte bounds of chars
+        // [skip, skip + take).
+        let mut bounds = txt.char_indices().map(|(b, _)| b).chain(std::iter::once(txt.len()));
+        let start_b = bounds.nth(skip).unwrap_or(txt.len());
+        let end_b = match take {
+            0 => start_b,
+            t => bounds.nth(t - 1).unwrap_or(txt.len()),
+        };
+        offsets.push(heap.add(&txt[start_b..end_b]));
+    }
+    Ok(Bat::Varchar { offsets, heap })
+}
+
 fn func_kernel(func: ScalarFunc, args: &[Arc<Bat>], ty: LogicalType) -> Result<Bat> {
     match func {
         ScalarFunc::Sqrt | ScalarFunc::Floor | ScalarFunc::Ceil => {
@@ -1270,52 +1342,13 @@ fn func_kernel(func: ScalarFunc, args: &[Arc<Bat>], ty: LogicalType) -> Result<B
             }
             Ok(Bat::Int(out))
         }
-        ScalarFunc::Substring => {
-            let s = &args[0];
-            let (from, len) = match (&*args[1], &*args[2]) {
-                (Bat::Int(f), Bat::Int(l)) => (f, l),
-                _ => return Err(MlError::Execution("substring bounds must be INTEGER".into())),
-            };
-            let mut out = Bat::with_capacity(LogicalType::Varchar, s.len());
-            for i in 0..s.len() {
-                // xlint: allow(str, SUBSTRING positions are characters)
-                match s.str_at(i) {
-                    None => out.push(&Value::Null)?,
-                    Some(txt) => {
-                        if from[i] == NULL_I32 || len[i] == NULL_I32 {
-                            out.push(&Value::Null)?;
-                            continue;
-                        }
-                        // SQL window semantics: the window is [from, from+len)
-                        // in 1-based character positions, then clamped to the
-                        // string. A FROM below 1 therefore *shrinks* the
-                        // window rather than silently rebasing it:
-                        // substring('abc' FROM -1 FOR 3) keeps only position 1.
-                        let from64 = from[i] as i64;
-                        let end1 = from64.saturating_add((len[i] as i64).max(0));
-                        let start1 = from64.max(1);
-                        let take = (end1 - start1).max(0) as usize;
-                        let skip = (start1 - 1) as usize;
-                        // Single pass over char boundaries: locate the byte
-                        // bounds of chars [skip, skip+take) without rescanning.
-                        let mut start_b = txt.len();
-                        let mut end_b = txt.len();
-                        for (ci, (b, _)) in txt.char_indices().enumerate() {
-                            if ci == skip {
-                                start_b = b;
-                            }
-                            if ci == skip + take {
-                                end_b = b;
-                                break;
-                            }
-                        }
-                        let sub = &txt[start_b.min(end_b)..end_b];
-                        out.push(&Value::Str(sub.to_string()))?;
-                    }
-                }
+        ScalarFunc::Substring => match args {
+            [text, from, len] => {
+                let (from, len) = (IntArg::Col(from.clone()), IntArg::Col(len.clone()));
+                substring(text, None, text.len(), &from, &len)
             }
-            Ok(out)
-        }
+            _ => Err(MlError::Execution("substring takes three arguments".into())),
+        },
         ScalarFunc::Year | ScalarFunc::Month | ScalarFunc::Day => {
             let a = match &*args[0] {
                 Bat::Date(v) => v,
@@ -1639,6 +1672,108 @@ mod tests {
                         Value::Str(ref_substring(s, from, len)),
                         "substring({s:?} FROM {from} FOR {len})"
                     );
+                }
+            }
+        }
+    }
+
+    /// The per-row SUBSTRING the kernel replaced: a `String` and a
+    /// `Value::Str` per row, pushed through `Bat::push`. Kept as the oracle
+    /// of [`substring`].
+    fn substring_per_row(s: &Bat, from: &[i32], len: &[i32]) -> Bat {
+        let mut out = Bat::with_capacity(LogicalType::Varchar, s.len());
+        for i in 0..s.len() {
+            match s.str_at(i) {
+                None => out.push(&Value::Null).unwrap(),
+                Some(txt) => {
+                    if from[i] == NULL_I32 || len[i] == NULL_I32 {
+                        out.push(&Value::Null).unwrap();
+                        continue;
+                    }
+                    let from64 = from[i] as i64;
+                    let end1 = from64.saturating_add((len[i] as i64).max(0));
+                    let start1 = from64.max(1);
+                    let take = (end1 - start1).max(0) as usize;
+                    let skip = (start1 - 1) as usize;
+                    let mut start_b = txt.len();
+                    let mut end_b = txt.len();
+                    for (ci, (b, _)) in txt.char_indices().enumerate() {
+                        if ci == skip {
+                            start_b = b;
+                        }
+                        if ci == skip + take {
+                            end_b = b;
+                            break;
+                        }
+                    }
+                    let sub = &txt[start_b.min(end_b)..end_b];
+                    out.push(&Value::Str(sub.to_string())).unwrap();
+                }
+            }
+        }
+        out
+    }
+
+    fn int_or_null(v: Option<i32>) -> i32 {
+        v.unwrap_or(NULL_I32)
+    }
+
+    proptest! {
+        #[test]
+        fn prop_substring_matches_the_per_row_oracle(
+            texts in proptest::collection::vec(
+                proptest::option::of(proptest::collection::vec(0usize..7, 0..7)),
+                1..24,
+            ),
+            froms in proptest::collection::vec(proptest::option::of(-3i32..9), 24..25),
+            lens in proptest::collection::vec(proptest::option::of(-2i32..10), 24..25),
+            const_from in proptest::option::of(-3i32..9),
+            const_len in proptest::option::of(-2i32..10),
+            every in 1usize..4,
+        ) {
+            // Multibyte text and NULL text, NULL bounds, FROM <= 0 and FOR
+            // past the end; bounds as columns and as constants, over every
+            // row and at positions.
+            const ALPHABET: [char; 7] = ['a', 'Z', '7', 'é', '€', '𝄞', ' '];
+            // A FOR of 9 stands for one far past every string's end.
+            let far = |v: Option<i32>| v.map(|l| if l == 9 { i32::MAX } else { l });
+            let (const_len, lens): (_, Vec<_>) = (far(const_len), lens.into_iter().map(far).collect());
+            let n = texts.len();
+            let col = Bat::from_buffer(&ColumnBuffer::Varchar(
+                texts.iter().map(|t| t.as_ref().map(|cs| cs.iter().map(|&c| ALPHABET[c]).collect())).collect(),
+            ));
+            let from: Vec<i32> = froms[..n].iter().map(|&v| int_or_null(v)).collect();
+            let len: Vec<i32> = lens[..n].iter().map(|&v| int_or_null(v)).collect();
+            let sel: Vec<u32> = (0..n as u32).step_by(every).collect();
+            let cols = [Arc::new(col.clone()), Arc::new(Bat::Int(from)), Arc::new(Bat::Int(len))];
+            let arg = |idx| BExpr::ColRef { idx, ty: LogicalType::Int };
+            let lit = |v: Option<i32>| BExpr::Lit(v.map_or(Value::Null, Value::Int));
+            let text = BExpr::ColRef { idx: 0, ty: LogicalType::Varchar };
+            for (f, l, fk, lk) in [
+                (arg(1), arg(2), None, None),
+                (lit(const_from), lit(const_len), Some(const_from), Some(const_len)),
+            ] {
+                let e = BExpr::Func {
+                    func: ScalarFunc::Substring,
+                    args: vec![text.clone(), f, l],
+                    ty: LogicalType::Varchar,
+                };
+                for positions in [None, Some(&sel[..])] {
+                    let rows: Vec<usize> = positions.map_or((0..n).collect(), |p| p.iter().map(|&r| r as usize).collect());
+                    let pick = |c: &Bat, k: Option<Option<i32>>| -> Vec<i32> {
+                        match (k, c) {
+                            (Some(k), _) => vec![int_or_null(k); rows.len()],
+                            (None, Bat::Int(v)) => rows.iter().map(|&r| v[r]).collect(),
+                            _ => unreachable!(),
+                        }
+                    };
+                    let want = substring_per_row(
+                        &col.take(&rows.iter().map(|&r| r as u32).collect::<Vec<_>>()),
+                        &pick(&cols[1], fk),
+                        &pick(&cols[2], lk),
+                    );
+                    let got = eval(&e, &cols, n, positions).unwrap();
+                    prop_assert_eq!(got.to_buffer(None), want.to_buffer(None));
                 }
             }
         }

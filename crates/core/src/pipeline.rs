@@ -1842,7 +1842,7 @@ mod tests {
             projected: (0..n).collect(),
             filters: vec![],
             schema: (0..n)
-                .map(|i| OutCol { name: format!("c{i}"), ty: LogicalType::Int })
+                .map(|i| OutCol { name: format!("c{i}").into(), ty: LogicalType::Int })
                 .collect(),
         }
     }

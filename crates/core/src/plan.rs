@@ -10,6 +10,7 @@
 use crate::expr::{AggSpec, BExpr};
 use monetlite_types::LogicalType;
 use std::fmt;
+use std::sync::Arc;
 
 /// Join kinds at the plan level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +43,10 @@ impl fmt::Display for PJoinKind {
 /// One output column description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutCol {
-    /// Output name (alias or source column name).
-    pub name: String,
+    /// Output name (alias or source column name). Shared, so the schema
+    /// of every join, projection and rebuilt cluster copies a pointer per
+    /// column rather than the text.
+    pub name: Arc<str>,
     /// Type.
     pub ty: LogicalType,
 }
@@ -149,6 +152,13 @@ pub enum Plan {
 }
 
 impl Plan {
+    /// Move the plan out of `slot`, leaving an empty `Values` (which owns
+    /// no allocation) until the caller puts a plan back: how a pass
+    /// rewrites a node in place without copying it.
+    pub(crate) fn take(slot: &mut Plan) -> Plan {
+        std::mem::replace(slot, Plan::Values { rows: Vec::new(), schema: Vec::new() })
+    }
+
     /// Duplicate elimination over every output column of `input`: an
     /// aggregate grouped by each column, computing nothing (`SELECT
     /// DISTINCT`). Output columns keep their names and types.
@@ -322,7 +332,7 @@ mod tests {
     fn schema_passthrough() {
         let f = Plan::Filter { input: Box::new(scan()), pred: BExpr::Lit(Value::Bool(true)) };
         assert_eq!(f.schema().len(), 2);
-        assert_eq!(f.schema()[1].name, "b");
+        assert_eq!(&*f.schema()[1].name, "b");
     }
 
     #[test]

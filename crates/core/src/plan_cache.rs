@@ -88,7 +88,7 @@ pub fn collect_deps(plan: &Plan, tables: &HashMap<String, Arc<TableMeta>>) -> Op
 /// Output column names and types of `plan`.
 pub fn header(plan: &Plan) -> (Arc<[String]>, Arc<[LogicalType]>) {
     let schema = plan.schema();
-    (schema.iter().map(|c| c.name.clone()).collect(), schema.iter().map(|c| c.ty).collect())
+    (schema.iter().map(|c| c.name.to_string()).collect(), schema.iter().map(|c| c.ty).collect())
 }
 
 /// True when every stored dependency still matches the snapshot exactly.
@@ -643,7 +643,8 @@ impl Skeleton {
     /// reject: either takes the parse path.
     pub fn of(tokens: &[Token]) -> Option<Skeleton> {
         match tokens.first().map(|t| &t.kind) {
-            Some(TokenKind::Ident(w)) if w == "select" || w == "with" => {}
+            Some(TokenKind::Ident(w))
+                if w.eq_ignore_ascii_case("select") || w.eq_ignore_ascii_case("with") => {}
             _ => return None,
         }
         let mut key = String::with_capacity(tokens.len() * 8);
@@ -658,7 +659,7 @@ impl Skeleton {
                     values.push(v);
                 }
                 None => match &t.kind {
-                    TokenKind::Ident(w) => key.push_str(w),
+                    TokenKind::Ident(w) => key.extend(w.chars().map(|c| c.to_ascii_lowercase())),
                     TokenKind::QuotedIdent(w) => {
                         key.push('"');
                         key.push_str(w);
@@ -671,7 +672,7 @@ impl Skeleton {
             // is quoted and cannot contain `"`: the separator keeps the
             // rendering injective.
             key.push(' ');
-            after_date = matches!(&t.kind, TokenKind::Ident(w) if w == "date");
+            after_date = matches!(t.kind, TokenKind::Ident(w) if w.eq_ignore_ascii_case("date"));
         }
         Some(Skeleton { key, values })
     }
@@ -679,7 +680,7 @@ impl Skeleton {
 
 /// The text of a punctuation token (empty for the rest, which
 /// [`Skeleton::of`] renders itself).
-fn symbol(kind: &TokenKind) -> &'static str {
+fn symbol(kind: &TokenKind<'_>) -> &'static str {
     match kind {
         TokenKind::Comma => ",",
         TokenKind::LParen => "(",

@@ -332,7 +332,7 @@ impl RowDb {
         };
         let rows = exec.run(&plan)?;
         Ok(RowsResult {
-            names: plan.schema().iter().map(|c| c.name.clone()).collect(),
+            names: plan.schema().iter().map(|c| c.name.to_string()).collect(),
             types: plan.schema().iter().map(|c| c.ty).collect(),
             rows,
             rows_affected: 0,
@@ -369,7 +369,7 @@ impl RowDb {
             Ok(true)
         })?;
         Ok(RowsResult {
-            names: t.schema().fields().iter().map(|f| f.name.clone()).collect(),
+            names: t.schema().fields().iter().map(|f| f.name.to_string()).collect(),
             types: t.schema().fields().iter().map(|f| f.ty).collect(),
             rows,
             rows_affected: 0,

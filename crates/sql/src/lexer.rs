@@ -1,34 +1,39 @@
 //! SQL tokenizer.
 //!
 //! Produces a flat token stream with byte offsets for error reporting.
-//! Keywords are recognised case-insensitively; identifiers fold to lower
-//! case unless double-quoted; string literals use single quotes with `''`
-//! escaping (the SQL standard).
+//! Tokens borrow their text from the source: an identifier is the slice
+//! as written, and case folds where names are compared (keywords match
+//! case-insensitively, and the parser lower-cases the identifiers it
+//! keeps), so lexing allocates only the token list and the string literals
+//! that contain a `''` escape. String literals use single quotes with
+//! `''` escaping (the SQL standard).
 
 use monetlite_types::{MlError, Result};
+use std::borrow::Cow;
 
 /// One lexical token plus its starting byte offset.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub struct Token<'a> {
     /// Token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset in the source (for error messages).
     pub offset: usize,
 }
 
 /// Token kinds.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or keyword (lower-cased).
-    Ident(String),
+pub enum TokenKind<'a> {
+    /// Identifier or keyword, as written: compare it case-insensitively,
+    /// or fold it with `to_ascii_lowercase`.
+    Ident(&'a str),
     /// Double-quoted identifier (case preserved).
-    QuotedIdent(String),
-    /// String literal.
-    Str(String),
+    QuotedIdent(&'a str),
+    /// String literal, escapes resolved.
+    Str(Cow<'a, str>),
     /// Integer literal (may exceed i32; binder decides width).
     Int(i64),
     /// Decimal literal kept textually exact (e.g. `0.05`).
-    Number(String),
+    Number(&'a str),
     /// `,`
     Comma,
     /// `(`
@@ -65,8 +70,16 @@ pub enum TokenKind {
     Eof,
 }
 
+impl TokenKind<'_> {
+    /// Is this the unquoted identifier or keyword `word` (given in lower
+    /// case), in any case?
+    pub(crate) fn is_word(&self, word: &str) -> bool {
+        matches!(self, TokenKind::Ident(s) if s.eq_ignore_ascii_case(word))
+    }
+}
+
 /// Tokenize a SQL string.
-pub fn tokenize(src: &str) -> Result<Vec<Token>> {
+pub fn tokenize(src: &str) -> Result<Vec<Token<'_>>> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -95,48 +108,47 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                 }
             }
             b'\'' => {
+                // The literal is the source slice between the quotes; only
+                // a `''` escape makes it an owned copy. `'` is ASCII, so
+                // every cut falls on a char boundary of the `&str` source.
                 let start = i;
                 i += 1;
-                let mut s = String::new();
+                let mut s: Cow<'_, str> = Cow::Borrowed("");
+                let mut from = i;
                 loop {
-                    if i >= bytes.len() {
+                    let Some(q) = bytes[i..].iter().position(|&b| b == b'\'') else {
                         return Err(MlError::parse("unterminated string literal", start));
-                    }
-                    if bytes[i] == b'\'' {
-                        if bytes.get(i + 1) == Some(&b'\'') {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
+                    };
+                    i += q;
+                    let piece = &src[from..i];
+                    if bytes.get(i + 1) == Some(&b'\'') {
+                        let owned = s.to_mut();
+                        owned.push_str(piece);
+                        owned.push('\'');
+                        i += 2;
+                        from = i;
                     } else {
-                        // Strings may contain multi-byte UTF-8; copy bytes
-                        // and validate at the end of the literal.
-                        let ch_len = utf8_len(bytes[i]);
-                        let end = (i + ch_len).min(bytes.len());
-                        s.push_str(
-                            std::str::from_utf8(&bytes[i..end])
-                                .map_err(|_| MlError::parse("invalid utf-8 in literal", i))?,
-                        );
-                        i = end;
+                        if s.is_empty() {
+                            s = Cow::Borrowed(piece);
+                        } else {
+                            s.to_mut().push_str(piece);
+                        }
+                        i += 1;
+                        break;
                     }
                 }
                 out.push(Token { kind: TokenKind::Str(s), offset: start });
             }
             b'"' => {
                 let start = i;
-                i += 1;
-                let mut s = String::new();
-                while i < bytes.len() && bytes[i] != b'"' {
-                    s.push(bytes[i] as char);
-                    i += 1;
-                }
-                if i >= bytes.len() {
+                let Some(len) = bytes[i + 1..].iter().position(|&b| b == b'"') else {
                     return Err(MlError::parse("unterminated quoted identifier", start));
-                }
-                i += 1;
-                out.push(Token { kind: TokenKind::QuotedIdent(s), offset: start });
+                };
+                i += len + 2;
+                out.push(Token {
+                    kind: TokenKind::QuotedIdent(&src[start + 1..i - 1]),
+                    offset: start,
+                });
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -151,10 +163,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                     while i < bytes.len() && bytes[i].is_ascii_digit() {
                         i += 1;
                     }
-                    out.push(Token {
-                        kind: TokenKind::Number(src[start..i].to_string()),
-                        offset: start,
-                    });
+                    out.push(Token { kind: TokenKind::Number(&src[start..i]), offset: start });
                 } else {
                     let text = &src[start..i];
                     let v: i64 = text.parse().map_err(|_| {
@@ -170,10 +179,7 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
                 {
                     i += 1;
                 }
-                out.push(Token {
-                    kind: TokenKind::Ident(src[start..i].to_ascii_lowercase()),
-                    offset: start,
-                });
+                out.push(Token { kind: TokenKind::Ident(&src[start..i]), offset: start });
             }
             _ => {
                 let start = i;
@@ -211,47 +217,39 @@ pub fn tokenize(src: &str) -> Result<Vec<Token>> {
     Ok(out)
 }
 
-#[inline]
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use TokenKind::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
     fn keywords_fold_to_lowercase() {
-        assert_eq!(
-            kinds("SELECT a FROM T"),
-            vec![
-                Ident("select".into()),
-                Ident("a".into()),
-                Ident("from".into()),
-                Ident("t".into()),
-                Eof
-            ]
-        );
+        // Tokens borrow the text as written; a keyword matches its
+        // lower-case spelling in any case.
+        let toks = kinds("SELECT a FROM T");
+        assert_eq!(toks, vec![Ident("SELECT"), Ident("a"), Ident("FROM"), Ident("T"), Eof]);
+        assert!(toks[0].is_word("select") && toks[2].is_word("from"));
+        assert!(!toks[1].is_word("select") && !QuotedIdent("select").is_word("select"));
+    }
+
+    #[test]
+    fn only_an_escaped_literal_is_copied() {
+        let toks = kinds("'plain' 'it''s' '' ''''");
+        assert!(matches!(&toks[0], Str(Cow::Borrowed("plain"))));
+        assert!(matches!(&toks[1], Str(Cow::Owned(s)) if s == "it's"));
+        assert!(matches!(&toks[2], Str(Cow::Borrowed(""))));
+        assert!(matches!(&toks[3], Str(Cow::Owned(s)) if s == "'"));
     }
 
     #[test]
     fn numbers_int_and_decimal() {
-        assert_eq!(
-            kinds("42 0.05 1.1"),
-            vec![Int(42), Number("0.05".into()), Number("1.1".into()), Eof]
-        );
+        assert_eq!(kinds("42 0.05 1.1"), vec![Int(42), Number("0.05"), Number("1.1"), Eof]);
         // `1.` followed by non-digit is Int + Dot (qualified names like t.c).
-        assert_eq!(kinds("t.c"), vec![Ident("t".into()), Dot, Ident("c".into()), Eof]);
+        assert_eq!(kinds("t.c"), vec![Ident("t"), Dot, Ident("c"), Eof]);
     }
 
     #[test]
@@ -266,15 +264,15 @@ mod tests {
         assert_eq!(
             kinds("a <= b <> c >= d != e"),
             vec![
-                Ident("a".into()),
+                Ident("a"),
                 LtEq,
-                Ident("b".into()),
+                Ident("b"),
                 NotEq,
-                Ident("c".into()),
+                Ident("c"),
                 GtEq,
-                Ident("d".into()),
+                Ident("d"),
                 NotEq,
-                Ident("e".into()),
+                Ident("e"),
                 Eof
             ]
         );
@@ -284,14 +282,14 @@ mod tests {
     fn comments_skipped() {
         assert_eq!(
             kinds("select -- hi\n 1 /* block\nmore */ 2"),
-            vec![Ident("select".into()), Int(1), Int(2), Eof]
+            vec![Ident("select"), Int(1), Int(2), Eof]
         );
         assert!(tokenize("/* unterminated").is_err());
     }
 
     #[test]
     fn quoted_identifiers_preserve_case() {
-        assert_eq!(kinds("\"MyCol\""), vec![QuotedIdent("MyCol".into()), Eof]);
+        assert_eq!(kinds("\"MyCol\""), vec![QuotedIdent("MyCol"), Eof]);
     }
 
     #[test]

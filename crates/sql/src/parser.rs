@@ -47,7 +47,7 @@ pub fn parse_statements(src: &str) -> Result<Vec<Statement>> {
 /// `DATE` keyword (`date`) is a date. `None` for a token that is not a
 /// literal. The plan cache's token-level memo converts literals through
 /// this function too, so both paths see the same values.
-pub fn literal_value(kind: &TokenKind, date: bool) -> Option<Result<Value>> {
+pub fn literal_value(kind: &TokenKind<'_>, date: bool) -> Option<Result<Value>> {
     Some(match kind {
         TokenKind::Int(v) => Ok(match i32::try_from(*v) {
             Ok(i) => Value::Int(i),
@@ -55,26 +55,26 @@ pub fn literal_value(kind: &TokenKind, date: bool) -> Option<Result<Value>> {
         }),
         TokenKind::Number(text) => Decimal::parse(text).map(Value::Decimal),
         TokenKind::Str(s) if date => Date::parse(s).map(Value::Date),
-        TokenKind::Str(s) => Ok(Value::Str(s.clone())),
+        TokenKind::Str(s) => Ok(Value::Str(s.to_string())),
         _ => return None,
     })
 }
 
 struct Parser<'a> {
-    toks: &'a [Token],
+    toks: &'a [Token<'a>],
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &Token<'a> {
         &self.toks[self.pos]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
+    fn peek_kind(&self) -> &TokenKind<'a> {
         &self.toks[self.pos].kind
     }
 
-    fn advance(&mut self) -> &'a Token {
+    fn advance(&mut self) -> &'a Token<'a> {
         let t = &self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
@@ -87,7 +87,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Consume a specific punctuation token if present.
-    fn eat_kind(&mut self, k: &TokenKind) -> bool {
+    fn eat_kind(&mut self, k: &TokenKind<'_>) -> bool {
         if self.peek_kind() == k {
             self.advance();
             true
@@ -96,7 +96,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_kind(&mut self, k: &TokenKind, what: &str) -> Result<()> {
+    fn expect_kind(&mut self, k: &TokenKind<'_>, what: &str) -> Result<()> {
         if self.eat_kind(k) {
             Ok(())
         } else {
@@ -112,9 +112,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Consume a keyword (identifier with given lower-case text).
+    /// Consume a keyword (identifier with given lower-case text, in any
+    /// case).
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek_kind(), TokenKind::Ident(s) if s == kw) {
+        if self.peek_kind().is_word(kw) {
             self.advance();
             true
         } else {
@@ -123,12 +124,12 @@ impl<'a> Parser<'a> {
     }
 
     fn peek_kw(&self, kw: &str) -> bool {
-        matches!(self.peek_kind(), TokenKind::Ident(s) if s == kw)
+        self.peek_kind().is_word(kw)
     }
 
     /// Look ahead one token past the current for a keyword.
     fn peek2_kw(&self, kw: &str) -> bool {
-        matches!(self.toks.get(self.pos + 1).map(|t| &t.kind), Some(TokenKind::Ident(s)) if s == kw)
+        self.toks.get(self.pos + 1).is_some_and(|t| t.kind.is_word(kw))
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<()> {
@@ -139,15 +140,12 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Any identifier (quoted or not); quoted identifiers keep case but are
-    /// folded here for catalog consistency.
+    /// Any identifier (quoted or not), folded to lower case; quoted
+    /// identifiers keep case in the text but are folded here for catalog
+    /// consistency.
     fn ident(&mut self) -> Result<String> {
         match self.peek_kind().clone() {
-            TokenKind::Ident(s) => {
-                self.advance();
-                Ok(s)
-            }
-            TokenKind::QuotedIdent(s) => {
+            TokenKind::Ident(s) | TokenKind::QuotedIdent(s) => {
                 self.advance();
                 Ok(s.to_ascii_lowercase())
             }
@@ -482,7 +480,7 @@ impl<'a> Parser<'a> {
                 self.advance();
                 self.advance();
                 self.advance();
-                return Ok(SelectItem::QualifiedWildcard(name));
+                return Ok(SelectItem::QualifiedWildcard(name.to_ascii_lowercase()));
             }
         }
         let expr = self.expr()?;
@@ -607,7 +605,7 @@ impl<'a> Parser<'a> {
             let pat = match self.peek_kind().clone() {
                 TokenKind::Str(s) => {
                     self.advance();
-                    s
+                    s.into_owned()
                 }
                 _ => return Err(self.err("LIKE pattern must be a string literal")),
             };
@@ -718,6 +716,7 @@ impl<'a> Parser<'a> {
                 // Clause keywords can never start an expression; catching
                 // them here turns `SELECT FROM t` into a parse error
                 // instead of a bogus column reference.
+                let word = word.to_ascii_lowercase();
                 if is_clause_keyword(&word) {
                     return Err(self.err(format!("unexpected keyword '{}'", word.to_uppercase())));
                 }
@@ -906,44 +905,22 @@ fn agg_func(name: &str) -> Option<AggFunc> {
     })
 }
 
+/// Words that end an expression or a FROM item, so they are never read
+/// as an implicit alias.
+const CLAUSE_KEYWORDS: &[&str] = &[
+    "from", "where", "group", "having", "order", "limit", "on", "inner", "left", "right", "cross",
+    "join", "union", "and", "or", "not", "as", "when", "then", "else", "end", "asc", "desc",
+    "between", "like", "in", "is", "set", "values", "with",
+];
+
+/// Is `s` (in any case) a clause keyword?
 fn is_clause_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "from"
-            | "where"
-            | "group"
-            | "having"
-            | "order"
-            | "limit"
-            | "on"
-            | "inner"
-            | "left"
-            | "right"
-            | "cross"
-            | "join"
-            | "union"
-            | "and"
-            | "or"
-            | "not"
-            | "as"
-            | "when"
-            | "then"
-            | "else"
-            | "end"
-            | "asc"
-            | "desc"
-            | "between"
-            | "like"
-            | "in"
-            | "is"
-            | "set"
-            | "values"
-            | "with"
-    )
+    CLAUSE_KEYWORDS.iter().any(|k| s.eq_ignore_ascii_case(k))
 }
 
+/// Is `s` (in any case) a word that starts or qualifies a join?
 fn is_join_keyword(s: &str) -> bool {
-    matches!(s, "join" | "inner" | "left" | "right" | "cross" | "on")
+    ["join", "inner", "left", "right", "cross", "on"].iter().any(|k| s.eq_ignore_ascii_case(k))
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ use crate::bat::Bat;
 use crate::dict::NULL_CODE;
 use crate::hash::HashTable;
 use crate::heap::NULL_OFFSET;
+use std::ops::Range;
 
 /// Values per imprint "cache line". MonetDB uses the hardware line size /
 /// value width; we fix 64 values per line, which keeps masks cheap and
@@ -168,17 +169,25 @@ impl Imprints {
         self.bounds.len() * 8 + self.masks.len() * 8
     }
 
-    /// Indices of lines that *may* contain a value in `[lo, hi]`
-    /// (inclusive; `None` = unbounded). Guaranteed superset of the truth.
-    pub fn candidate_lines(&self, lo: Option<i64>, hi: Option<i64>) -> Vec<u32> {
+    /// Indices of the lines in `lines` that *may* contain a value in
+    /// `[lo, hi]` (inclusive; `None` = unbounded). Guaranteed superset of
+    /// the truth. Only the masks of `lines` are read, so a probe over one
+    /// morsel's lines costs what the morsel costs.
+    pub fn candidate_lines(
+        &self,
+        lo: Option<i64>,
+        hi: Option<i64>,
+        lines: Range<usize>,
+    ) -> Vec<u32> {
         let lo_bin = lo.map_or(0, |v| bin_of(&self.bounds, v));
         let hi_bin = hi.map_or(IMPRINT_BINS - 1, |v| bin_of(&self.bounds, v));
         let mask = range_mask(lo_bin, hi_bin);
-        self.masks
+        let lines = lines.start.min(self.masks.len())..lines.end.min(self.masks.len());
+        self.masks[lines.clone()]
             .iter()
-            .enumerate()
-            .filter(|(_, &m)| m & mask != 0)
-            .map(|(i, _)| i as u32)
+            .zip(lines)
+            .filter(|(&m, _)| m & mask != 0)
+            .map(|(_, i)| i as u32)
             .collect()
     }
 
@@ -187,7 +196,7 @@ impl Imprints {
         if self.masks.is_empty() {
             return 0.0;
         }
-        self.candidate_lines(lo, hi).len() as f64 / self.masks.len() as f64
+        self.candidate_lines(lo, hi, 0..self.masks.len()).len() as f64 / self.masks.len() as f64
     }
 }
 
@@ -428,7 +437,7 @@ mod tests {
     fn imprints_never_lose_rows() {
         let keys: Vec<i64> = (0..1000).map(|i| (i * 37) % 500).collect();
         let imp = Imprints::build(&keys);
-        let lines = imp.candidate_lines(Some(100), Some(120));
+        let lines = imp.candidate_lines(Some(100), Some(120), 0..usize::MAX);
         // Every truly matching row must live in a candidate line.
         for (row, &k) in keys.iter().enumerate() {
             if (100..=120).contains(&k) {
@@ -439,6 +448,28 @@ mod tests {
         // No pruning assertion here: values are scattered across every
         // line, so all lines are genuine candidates (imprints only help
         // when value ranges cluster per line — see the next test).
+    }
+
+    #[test]
+    fn imprints_probe_per_morsel_reads_only_its_lines() {
+        // 176 morsels of 1,024 rows (SF 0.03 lineitem's size): each probe
+        // reads the morsel's 16 masks, so the scan reads every mask once,
+        // and the morsels' candidates together are the whole answer.
+        let rows = 176 * 1024;
+        let keys: Vec<i64> = (0..rows as i64).map(|i| (i * 7) % 5000 + i / 64).collect();
+        let imp = Imprints::build(&keys);
+        let whole = imp.candidate_lines(Some(1000), Some(1200), 0..usize::MAX);
+        let mut joined = Vec::new();
+        let mut read = 0;
+        for lo in (0..rows).step_by(1024) {
+            let lines = lo / IMPRINT_LINE..(lo + 1024).div_ceil(IMPRINT_LINE);
+            read += lines.len();
+            let got = imp.candidate_lines(Some(1000), Some(1200), lines.clone());
+            assert!(got.len() <= 16 && got.iter().all(|&l| lines.contains(&(l as usize))));
+            joined.extend(got);
+        }
+        assert_eq!(read, rows / IMPRINT_LINE);
+        assert_eq!(joined, whole);
     }
 
     #[test]
@@ -453,8 +484,8 @@ mod tests {
     fn imprints_unbounded_probe() {
         let keys: Vec<i64> = (0..256).collect();
         let imp = Imprints::build(&keys);
-        assert_eq!(imp.candidate_lines(None, None).len(), 4);
-        let below = imp.candidate_lines(None, Some(63));
+        assert_eq!(imp.candidate_lines(None, None, 0..usize::MAX).len(), 4);
+        let below = imp.candidate_lines(None, Some(63), 0..usize::MAX);
         assert!(below.contains(&0));
         assert!(!below.contains(&3));
     }
@@ -593,11 +624,28 @@ mod tests {
                                   lo in -500i64..500, width in 0i64..200) {
             let hi = lo + width;
             let imp = Imprints::build(&keys);
-            let lines = imp.candidate_lines(Some(lo), Some(hi));
+            let lines = imp.candidate_lines(Some(lo), Some(hi), 0..usize::MAX);
             for &row in &naive_range(&keys, Some(lo), Some(hi)) {
                 let line = (row as usize / IMPRINT_LINE) as u32;
                 prop_assert!(lines.contains(&line));
             }
+        }
+
+        #[test]
+        fn prop_imprints_over_lines_clip_the_whole_answer(
+            keys in proptest::collection::vec(-500i64..500, 1..900),
+            lo in -500i64..500, width in 0i64..300, first in 0usize..16, span in 0usize..18,
+        ) {
+            // A line range answers what the whole column's answer clipped
+            // to it is; a range past the end clips to the lines that exist.
+            let hi = lo + width;
+            let imp = Imprints::build(&keys);
+            let whole = imp.candidate_lines(Some(lo), Some(hi), 0..usize::MAX);
+            let range = first..first + span;
+            let got = imp.candidate_lines(Some(lo), Some(hi), range.clone());
+            let want: Vec<u32> =
+                whole.into_iter().filter(|&l| range.contains(&(l as usize))).collect();
+            prop_assert_eq!(got, want);
         }
 
         #[test]

@@ -29,6 +29,7 @@
 use crate::bat::Bat;
 use crate::heap::NULL_OFFSET;
 use crate::index::fnv1a;
+use std::sync::OnceLock;
 
 /// log2 of the register count.
 pub const HLL_BITS: u32 = 10;
@@ -48,10 +49,22 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// A HyperLogLog distinct-count sketch over the i64 key domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct NdvSketch {
     regs: Vec<u8>,
+    /// [`NdvSketch::estimate`], computed on first use: the optimizer asks
+    /// every column's statistics for it, and a sketch stops changing once
+    /// its statistics are built. Cleared by every change to the registers.
+    estimate: OnceLock<f64>,
 }
+
+impl PartialEq for NdvSketch {
+    fn eq(&self, other: &NdvSketch) -> bool {
+        self.regs == other.regs
+    }
+}
+
+impl Eq for NdvSketch {}
 
 impl Default for NdvSketch {
     fn default() -> Self {
@@ -62,13 +75,13 @@ impl Default for NdvSketch {
 impl NdvSketch {
     /// Empty sketch (estimate 0).
     pub fn new() -> NdvSketch {
-        NdvSketch { regs: vec![0u8; HLL_REGS] }
+        NdvSketch { regs: vec![0u8; HLL_REGS], estimate: OnceLock::new() }
     }
 
     /// Reassemble from persisted registers; `None` on a shape mismatch
     /// (e.g. a sidecar written under a different [`HLL_REGS`]).
     pub fn from_registers(regs: Vec<u8>) -> Option<NdvSketch> {
-        (regs.len() == HLL_REGS).then_some(NdvSketch { regs })
+        (regs.len() == HLL_REGS).then_some(NdvSketch { regs, estimate: OnceLock::new() })
     }
 
     /// The raw registers (persistence).
@@ -86,6 +99,7 @@ impl NdvSketch {
         let rank = (rest.leading_zeros() + 1).min(64 - HLL_BITS + 1) as u8;
         if rank > self.regs[idx] {
             self.regs[idx] = rank;
+            self.estimate.take();
         }
     }
 
@@ -95,10 +109,16 @@ impl NdvSketch {
         for (a, b) in self.regs.iter_mut().zip(&other.regs) {
             *a = (*a).max(*b);
         }
+        self.estimate.take();
     }
 
     /// Estimated number of distinct keys observed.
     pub fn estimate(&self) -> f64 {
+        *self.estimate.get_or_init(|| self.compute_estimate())
+    }
+
+    /// [`NdvSketch::estimate`] from the registers.
+    fn compute_estimate(&self) -> f64 {
         let m = HLL_REGS as f64;
         let mut sum = 0.0f64;
         let mut zeros = 0usize;
@@ -252,6 +272,29 @@ mod tests {
     use super::*;
     use monetlite_types::ColumnBuffer;
     use proptest::prelude::*;
+
+    #[test]
+    fn the_estimate_is_cached_until_the_registers_change() {
+        let mut sk = NdvSketch::new();
+        for k in 0..100 {
+            sk.insert_key(k);
+        }
+        let first = sk.estimate();
+        assert_eq!(sk.estimate().to_bits(), first.to_bits());
+        for k in 100..1000 {
+            sk.insert_key(k);
+        }
+        let grown = sk.estimate();
+        assert!(grown > first * 5.0, "{first} -> {grown}");
+        let mut other = NdvSketch::new();
+        for k in 5000..9000 {
+            other.insert_key(k);
+        }
+        sk.merge(&other);
+        assert!(sk.estimate() > grown * 3.0);
+        let copy = NdvSketch::from_registers(sk.registers().to_vec()).unwrap();
+        assert_eq!(copy.estimate().to_bits(), sk.estimate().to_bits());
+    }
 
     #[test]
     fn ndv_small_cardinalities_near_exact() {

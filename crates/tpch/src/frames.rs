@@ -37,7 +37,7 @@ impl TpchFrames {
     pub fn load(session: &Session, data: &TpchData) -> Result<TpchFrames> {
         let load = |t: &crate::gen::Table| -> Result<DataFrame> {
             session.frame(
-                t.schema.fields().iter().map(|f| f.name.clone()).collect::<Vec<_>>(),
+                t.schema.fields().iter().map(|f| f.name.to_string()).collect::<Vec<_>>(),
                 t.cols.clone(),
             )
         };

@@ -2,13 +2,15 @@
 
 use crate::error::{MlError, Result};
 use crate::logical::LogicalType;
+use std::sync::Arc;
 
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
     /// Column name (stored lower-cased; SQL identifiers are
-    /// case-insensitive unless quoted).
-    pub name: String,
+    /// case-insensitive unless quoted). Shared: a schema copy, and every
+    /// plan column a binder makes of the field, copies a pointer.
+    pub name: Arc<str>,
     /// Logical type.
     pub ty: LogicalType,
     /// Whether NULLs are admitted (NOT NULL constraint).
@@ -18,7 +20,7 @@ pub struct Field {
 impl Field {
     /// Construct a nullable field.
     pub fn new(name: impl Into<String>, ty: LogicalType) -> Field {
-        Field { name: name.into().to_ascii_lowercase(), ty, nullable: true }
+        Field { name: name.into().to_ascii_lowercase().into(), ty, nullable: true }
     }
 
     /// Construct a NOT NULL field.
@@ -62,7 +64,7 @@ impl Schema {
     /// Index of a column by (case-insensitive) name.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         let lower = name.to_ascii_lowercase();
-        self.fields.iter().position(|f| f.name == lower)
+        self.fields.iter().position(|f| *f.name == *lower)
     }
 
     /// Field by name.
